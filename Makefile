@@ -13,9 +13,12 @@ ci: vet build race chaos bench-smoke serve-smoke swap-smoke shard-smoke stream-s
 ## benchmarks (10 iterations — catches crashes and gross slowdowns cheaply);
 ## the -run leg prints the dispatch report and asserts the selected family is
 ## avx2 on AVX2-capable boxes (TestSelectedKernel skips elsewhere), so a
-## silent fall-back to the SSE2 kernels breaks CI instead of just perf
+## silent fall-back to the SSE2 kernels breaks CI instead of just perf; the
+## layers leg runs the fused inference convolution at DroNet's nine 256×256
+## conv shapes and the streaming 2×2 max-pool at its five pool shapes
 bench-smoke:
 	$(GO) test -run 'TestKernelDispatchInfo|TestSelectedKernel' -v -bench Gemm -benchtime 10x ./internal/tensor/
+	$(GO) test -run '^$$' -bench 'ConvForwardDroNet256|MaxPool2x2' -benchtime 10x ./internal/layers/
 
 ## vet: static analysis plus the gofmt cleanliness gate — unformatted files
 ## fail the build with their names listed
@@ -132,10 +135,14 @@ chaos:
 ## spec-grammar invariants (FuzzGemmPackedVsNaive cross-checks the packed
 ## cache-blocked GEMM against the naive loops across EVERY registered
 ## microkernel family — avx2/sse2/portable: exact for int8, <=1e-4 relative
-## for fp32; the leading dispatch-info run logs which families this box
+## for fp32; FuzzConvImplicitVsIm2col holds the fused inference convolution
+## to the im2col + GEMM + BN/bias/leaky reference bit for bit across the same
+## families, FuzzMaxPoolFastVsGeneric the streaming 2×2 pool to the generic
+## window loop; the leading dispatch-info run logs which families this box
 ## detected so fuzz logs are attributable; FuzzParseModelSpecs holds -models
 ## parsing to a no-panic + parse/format/parse fixed-point contract). FUZZTIME
-## tunes the per-target budget (CI's parallel fuzz job uses 15s).
+## tunes the per-target budget (CI's parallel fuzz job uses 15s; the nightly
+## job runs this same target at 10m).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run TestKernelDispatchInfo -v ./internal/tensor
@@ -143,6 +150,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNMS -fuzztime $(FUZZTIME) ./internal/detect
 	$(GO) test -run '^$$' -fuzz FuzzGemmPackedVsNaive -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzIm2colInt8 -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzConvImplicitVsIm2col -fuzztime $(FUZZTIME) ./internal/layers
+	$(GO) test -run '^$$' -fuzz FuzzMaxPoolFastVsGeneric -fuzztime $(FUZZTIME) ./internal/layers
 	$(GO) test -run '^$$' -fuzz FuzzQuantDequant -fuzztime $(FUZZTIME) ./internal/quant
 	$(GO) test -run '^$$' -fuzz FuzzParseModelSpecs -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzRingOwnership -fuzztime $(FUZZTIME) ./internal/cluster

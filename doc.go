@@ -41,10 +41,15 @@
 // side.
 //
 // Both precisions lower convolution onto one packed cache-blocked GEMM
-// (internal/tensor): BLIS-style MR×KC / KC×NR panel packing feeding a 4×8
-// register-blocked microkernel (SSE2 assembly on amd64, portable Go
+// (internal/tensor): BLIS-style MR×KC / KC×NR panel packing feeding a
+// register-blocked microkernel (AVX2 or SSE2 assembly on amd64, portable Go
 // elsewhere), parallel across row strips and column panels with a tile
-// decomposition independent of the worker count. The int8 kernel
+// decomposition independent of the worker count. fp32 inference runs it as
+// an implicit GEMM (tensor.ConvPrepacked): B panels are packed straight
+// from the CHW input, never through a materialised im2col matrix, and batch
+// norm, bias and leaky-ReLU are applied to each output tile as it is
+// finished — bit-identical to the staged im2col + GEMM lowering the
+// training path still uses. The int8 kernel
 // accumulates exactly in int32 over packed int16 pairs and requantizes on
 // store, so its results are blocking- and concurrency-invariant. The
 // steady-state serving path is allocation-free: each model replica owns a

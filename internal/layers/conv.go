@@ -29,8 +29,11 @@ func (a Activation) String() string {
 
 // Conv2D is a 2-D convolution with square kernels, optional batch
 // normalization, and an optional activation — the workhorse layer of every
-// model in the paper. Forward lowers to im2col + GEMM per image, exactly
-// like Darknet.
+// model in the paper. Inference runs each image as one implicit-GEMM pass
+// (tensor.ConvPrepacked: B panels packed straight from the input, batch norm
+// + bias + activation applied to each output tile); training lowers to
+// im2col + GEMM per image, exactly like Darknet, and keeps the intermediates
+// Backward needs.
 type Conv2D struct {
 	in, out   Shape
 	Filters   int
@@ -77,7 +80,8 @@ type convState struct {
 	xhat     *tensor.Tensor // normalized values (BatchNorm only)
 	batchMu  []float32
 	batchVar []float32
-	col      []float32     // im2col scratch (owned fallback when no arena)
+	col      []float32     // training im2col scratch (owned fallback when no arena)
+	invStd   []float32     // inference 1/√(σ²+ε) scratch (owned fallback when no arena)
 	arena    *tensor.Arena // per-replica scratch arena, when bound
 	dx       *tensor.Tensor
 }
@@ -138,9 +142,6 @@ func (c *Conv2D) CloneForInference() Layer {
 // first use. Concurrent replicas race benignly to the double-checked lock;
 // whoever wins publishes one slab for everyone.
 func (c *Conv2D) inferencePack() *tensor.PackedA {
-	if c.packed == nil {
-		return nil
-	}
 	if pre := c.packed.pre.Load(); pre != nil {
 		return pre
 	}
@@ -178,15 +179,16 @@ func (c *Conv2D) PackedBytes() int64 {
 	return 0
 }
 
-// SetScratchArena implements ScratchUser: im2col output is carved from the
-// replica's arena instead of a layer-owned buffer. The network rebinds the
+// SetScratchArena implements ScratchUser: per-forward scratch (the training
+// path's im2col output, inference's per-filter 1/σ vector) is carved from the
+// replica's arena instead of layer-owned buffers. The network rebinds the
 // arena on Add and CloneForInference, so every replica owns exactly one.
 func (c *Conv2D) SetScratchArena(a *tensor.Arena) { c.st.arena = a }
 
-// ensureCol returns the im2col scratch buffer for one image: an arena carve
-// when a per-replica arena is bound (the serving configuration — one carve
-// per Forward/Backward phase, pure pointer bump at steady state), otherwise
-// a layer-owned buffer allocated on first use.
+// ensureCol returns the training path's im2col scratch buffer for one image:
+// an arena carve when a per-replica arena is bound (one carve per
+// Forward/Backward phase, pure pointer bump at steady state), otherwise a
+// layer-owned buffer allocated on first use. Inference never calls it.
 func (c *Conv2D) ensureCol() []float32 {
 	need := c.in.C * c.Ksize * c.Ksize * c.out.H * c.out.W
 	if c.st.arena != nil {
@@ -234,10 +236,59 @@ func (c *Conv2D) IOBytes() int64 {
 	return 4 * (int64(c.in.Size()) + int64(c.out.Size()) + weights)
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Inference is one fused pass per image; training
+// keeps the staged lowering whose intermediates Backward consumes.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.st.x = x
 	out := ensure(&c.st.out, x.N, c.out)
+	if train {
+		c.forwardTrain(x, out)
+	} else {
+		c.forwardInfer(x, out)
+	}
+	return out
+}
+
+// forwardInfer runs tensor.ConvPrepacked per image against the shared
+// pre-packed filters: implicit im2col, GEMM, and batch norm + bias +
+// activation on each output tile, with no column matrix and no further pass
+// over out.
+func (c *Conv2D) forwardInfer(x, out *tensor.Tensor) {
+	geom := tensor.ConvGeom{C: c.in.C, H: c.in.H, W: c.in.W, Ksize: c.Ksize, Stride: c.Stride, Pad: c.Pad}
+	ep := tensor.Epilogue{Bias: c.Biases.W.Data, Leaky: c.Act == ActLeaky}
+	if c.BatchNorm {
+		ep.Mean, ep.Scale, ep.InvStd = c.RollingMean.Data, c.Scales.W.Data, c.inferInvStd()
+	}
+	pre := c.inferencePack()
+	for b := 0; b < x.N; b++ {
+		tensor.ConvPrepacked(pre, geom, x.Batch(b).Data, ep, out.Batch(b).Data)
+	}
+}
+
+// inferInvStd computes 1/√(σ²+ε) per filter from the rolling variance into
+// per-forward scratch (arena carve when bound, layer-owned otherwise). It is
+// recomputed every pass rather than cached, so updates to the rolling
+// statistics need no invalidation hook.
+func (c *Conv2D) inferInvStd() []float32 {
+	var inv []float32
+	if c.st.arena != nil {
+		inv = c.st.arena.F32(c.Filters)
+	} else {
+		if len(c.st.invStd) != c.Filters {
+			c.st.invStd = make([]float32, c.Filters)
+		}
+		inv = c.st.invStd
+	}
+	for f := range inv {
+		inv[f] = 1 / sqrt32(c.RollingVar.Data[f]+bnEps)
+	}
+	return inv
+}
+
+// forwardTrain lowers to im2col + GEMM per image, exactly like Darknet, then
+// batch-statistics batch norm, bias and activation as separate passes,
+// keeping preBN and preAct for Backward.
+func (c *Conv2D) forwardTrain(x, out *tensor.Tensor) {
 	m := c.Filters
 	k := c.in.C * c.Ksize * c.Ksize
 	n := c.out.H * c.out.W
@@ -246,55 +297,35 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !pointwise {
 		col = c.ensureCol() // one carve per Forward, shared by the batch loop
 	}
-	// Inference reuses the shared pre-packed filters; training packs on the
-	// fly (the weights are about to change anyway).
-	var pre *tensor.PackedA
-	if !train {
-		pre = c.inferencePack()
-	}
 	for b := 0; b < x.N; b++ {
-		src := x.Batch(b).Data
-		lowered := src
+		lowered := x.Batch(b).Data
 		if !pointwise {
-			tensor.Im2col(src, c.in.C, c.in.H, c.in.W, c.Ksize, c.Stride, c.Pad, col)
+			tensor.Im2col(lowered, c.in.C, c.in.H, c.in.W, c.Ksize, c.Stride, c.Pad, col)
 			lowered = col
 		}
-		dst := out.Batch(b).Data
-		if pre != nil {
-			tensor.GemmPrepacked(pre, false, n, lowered, n, 0, dst, n)
-		} else {
-			tensor.Gemm(false, false, m, n, k, 1, c.Weights.W.Data, k, lowered, n, 0, dst, n)
-		}
+		tensor.Gemm(false, false, m, n, k, 1, c.Weights.W.Data, k, lowered, n, 0, out.Batch(b).Data, n)
 	}
 	if c.BatchNorm {
-		if train {
-			c.st.preBN = ensureLike(c.st.preBN, out)
-			c.st.preBN.Copy(out)
-			c.forwardBatchNormTrain(out)
-		} else {
-			c.forwardBatchNormInfer(out)
-		}
+		c.st.preBN = ensureLike(c.st.preBN, out)
+		c.st.preBN.Copy(out)
+		c.forwardBatchNormTrain(out)
 	}
 	// Add bias (β for batch norm).
-	spatial := c.out.H * c.out.W
 	for b := 0; b < out.N; b++ {
 		d := out.Batch(b).Data
 		for f := 0; f < m; f++ {
 			bias := c.Biases.W.Data[f]
-			seg := d[f*spatial : (f+1)*spatial]
+			seg := d[f*n : (f+1)*n]
 			for i := range seg {
 				seg[i] += bias
 			}
 		}
 	}
-	if train {
-		c.st.preAct = ensureLike(c.st.preAct, out)
-		c.st.preAct.Copy(out)
-	}
+	c.st.preAct = ensureLike(c.st.preAct, out)
+	c.st.preAct.Copy(out)
 	if c.Act == ActLeaky {
 		tensor.Leaky(out.Data)
 	}
-	return out
 }
 
 func ensureLike(t, like *tensor.Tensor) *tensor.Tensor {
@@ -342,22 +373,6 @@ func (c *Conv2D) forwardBatchNormTrain(out *tensor.Tensor) {
 				h := (v - mu) * inv
 				xh[i] = h
 				seg[i] = gamma * h
-			}
-		}
-	}
-}
-
-// forwardBatchNormInfer normalizes out in place with rolling statistics.
-func (c *Conv2D) forwardBatchNormInfer(out *tensor.Tensor) {
-	spatial := c.out.H * c.out.W
-	for f := 0; f < c.Filters; f++ {
-		inv := 1 / sqrt32(c.RollingVar.Data[f]+bnEps)
-		mu := c.RollingMean.Data[f]
-		gamma := c.Scales.W.Data[f]
-		for b := 0; b < out.N; b++ {
-			seg := out.Batch(b).Data[f*spatial : (f+1)*spatial]
-			for i, v := range seg {
-				seg[i] = gamma * (v - mu) * inv
 			}
 		}
 	}

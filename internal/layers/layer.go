@@ -80,8 +80,8 @@ type Layer interface {
 }
 
 // ScratchUser is implemented by layers whose transient per-forward scratch
-// (im2col output, quantization staging) can be rebound to a shared
-// per-replica arena (tensor.Arena). The owning network binds one arena per
+// (training im2col output, per-filter inference vectors) can be rebound to a
+// shared per-replica arena (tensor.Arena). The owning network binds one arena per
 // replica — on Add and again on CloneForInference — so all of a replica's
 // transient scratch lives in one grow-once slab that is reset at the start
 // of each forward pass; layers without the method keep their private

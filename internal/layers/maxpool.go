@@ -83,14 +83,87 @@ func (p *MaxPool) IOBytes() int64 {
 	return 4 * (int64(p.in.Size()) + int64(p.out.Size()))
 }
 
-// Forward implements Layer. The window bounds are clamped per output
-// row/column BEFORE the window loops, so the hot interior runs without any
-// per-element padding branch — max pooling sits on the serving path right
-// after the widest convolutions, and the branchy form showed up as the
-// single largest non-GEMM cost in the serving profile.
+// Forward implements Layer. Inference over 2×2 windows anchored inside the
+// image (Pad ≤ 1: every pool in the paper's models, ceil-mode edges
+// included) takes the streaming fast path; training — which needs the
+// argmax — and every other geometry run the generic window loop.
 func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	p.st.x = x
 	out := ensure(&p.st.out, x.N, p.out)
+	if !train && p.Size == 2 && p.Pad <= 1 {
+		p.forward2x2(x, out)
+	} else {
+		p.forwardWindows(x, out, train)
+	}
+	return out
+}
+
+var negInf = float32(math.Inf(-1))
+
+// forward2x2 streams two input rows per output row: no per-element window
+// clamp (a window clipped by the bottom or right edge re-reads its own row
+// or column, which cannot change a maximum) and no argmax bookkeeping.
+func (p *MaxPool) forward2x2(x, out *tensor.Tensor) {
+	inH, inW, outH, outW, stride := p.in.H, p.in.W, p.out.H, p.out.W, p.Stride
+	// Only the last output column's window can be clipped (Pad ≤ 1), and then
+	// to the last input column alone.
+	full := outW
+	if (outW-1)*stride+1 >= inW {
+		full--
+	}
+	for b := 0; b < x.N; b++ {
+		src := x.Batch(b).Data
+		dst := out.Batch(b).Data
+		for ch := 0; ch < p.in.C; ch++ {
+			plane := src[ch*inH*inW : (ch+1)*inH*inW]
+			for oh := 0; oh < outH; oh++ {
+				h0 := oh * stride
+				h1 := min(h0+1, inH-1)
+				r0 := plane[h0*inW : (h0+1)*inW]
+				r1 := plane[h1*inW : (h1+1)*inW]
+				d := dst[(ch*outH+oh)*outW : (ch*outH+oh+1)*outW]
+				for ow := 0; ow < full; ow++ {
+					i := ow * stride
+					d[ow] = max2x2(r0[i], r0[i+1], r1[i], r1[i+1])
+				}
+				if full < outW {
+					d[full] = max2x2(r0[inW-1], r0[inW-1], r1[inW-1], r1[inW-1])
+				}
+			}
+		}
+	}
+}
+
+// max2x2 is the generic loop's window maximum for one row-major 2×2 window:
+// the first element, in scan order, that no other exceeds, with NaNs never
+// selected and 0 for a window holding nothing above -Inf. The comparisons
+// mispredict on every other window, so the common case goes through Go's
+// branch-free min (one negated min tree: max compiles to a negated min per
+// call). min propagates NaN and orders -0 below +0, so its answer is taken
+// only when it is a non-zero number above -Inf — then every maximal element
+// has the same bits and scan order cannot matter; the rare rest (a NaN, a ±0
+// or a -Inf result) is rescanned exactly.
+func max2x2(a, b, c, d float32) float32 {
+	if r := -min(min(-a, -b), min(-c, -d)); r > negInf && r != 0 {
+		return r
+	}
+	best := negInf
+	for _, v := range [4]float32{a, b, c, d} {
+		if v > best {
+			best = v
+		}
+	}
+	if best == negInf {
+		return 0
+	}
+	return best
+}
+
+// forwardWindows is the generic window loop. The window bounds are clamped
+// per output row/column BEFORE the window loops, so the interior runs
+// without any per-element padding branch. When train is set it also records
+// each window's argmax for Backward.
+func (p *MaxPool) forwardWindows(x, out *tensor.Tensor, train bool) {
 	if train {
 		need := out.Len()
 		if len(p.st.idx) != need {
@@ -122,7 +195,7 @@ func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					if w0+kw1 > inW {
 						kw1 = inW - w0
 					}
-					best := float32(math.Inf(-1))
+					best := negInf
 					bestIdx := int32(-1)
 					for kh := kh0; kh < kh1; kh++ {
 						row := (h0 + kh) * inW
@@ -130,12 +203,14 @@ func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 							iw := row + w0 + kw
 							if v := plane[iw]; v > best {
 								best = v
-								bestIdx = int32(ch*inH*inW + iw)
+								if train {
+									bestIdx = int32(ch*inH*inW + iw)
+								}
 							}
 						}
 					}
-					if bestIdx == -1 {
-						best = 0 // all-pad window (possible only with extreme padding)
+					if best == negInf {
+						best = 0 // nothing above -Inf: an all-pad window (extreme padding only)
 					}
 					oi := ch*p.out.H*p.out.W + oh*p.out.W + ow
 					dst[oi] = best
@@ -146,7 +221,6 @@ func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	return out
 }
 
 // Backward implements Layer: routes each output gradient to its argmax.

@@ -112,3 +112,24 @@ func TestCloneConcurrentDetectIdentical(t *testing.T) {
 		t.Fatal("test degenerated: no detections on any frame")
 	}
 }
+
+// TestScratchBytesInferenceHoldsNoColumnMatrix pins the workspace accounting
+// of the implicit-GEMM inference path: after warming, a replica's arena holds
+// the per-filter batch-norm vectors and nothing the size of an im2col matrix
+// (the first layer's alone would be 27·64·64 floats), while a training pass
+// on the same network still carves its column buffers from the arena.
+func TestScratchBytesInferenceHoldsNoColumnMatrix(t *testing.T) {
+	net := buildSmallDroNet(t)
+	x := tensor.New(2, 3, net.InputH, net.InputW)
+	tensor.NewRNG(4).FillUniform(x.Data, 0, 1)
+	replica := net.CloneForInference().(*network.Network)
+	replica.ForwardBatch(x)
+	got := replica.ScratchBytes()
+	if got <= 0 || got >= 4*64*64 {
+		t.Fatalf("warmed inference replica reports %d scratch bytes, want a few hundred floats", got)
+	}
+	net.Forward(x, true)
+	if trained := net.ScratchBytes(); trained < 4*27*64*64 {
+		t.Fatalf("training pass reports %d scratch bytes, want at least the first layer's column matrix", trained)
+	}
+}

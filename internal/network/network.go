@@ -249,7 +249,7 @@ func (n *Network) Detect(x *tensor.Tensor, thresh, nmsThresh float64) ([]detect.
 // NMS-suppressed. A single N-image DetectBatch produces exactly the same
 // per-image detections as N serial single-image Detect calls — the
 // invariant the serving micro-batcher is built on (every layer loops over
-// the batch dimension with per-image im2col/decode, and inference-mode
+// the batch dimension with per-image convolution/decode, and inference-mode
 // batch norm uses rolling statistics, so images never influence each
 // other).
 //

@@ -34,7 +34,7 @@ type BatchRunner struct {
 }
 
 // Warm runs one throwaway forward at the given batch size so every layer
-// workspace (im2col scratch, activation buffers) is allocated at full
+// workspace (activation buffers, arena scratch) is allocated at full
 // micro-batch capacity before the first real request arrives. Subsequent
 // smaller batches re-slice the same storage.
 func (r *BatchRunner) Warm(batch int) {

@@ -112,8 +112,8 @@
 // Batching is invisible to correctness: a batched forward produces
 // byte-identical per-image detections to single-image inference
 // (network.DetectBatch documents why), so the only observable effects are
-// higher aggregate throughput — im2col cost and cache-warm weight panels
-// amortize across the batch — and up to MaxWait of added latency under
+// higher aggregate throughput — per-call overhead and cache-warm weight
+// panels amortize across the batch — and up to MaxWait of added latency under
 // light load.
 //
 // # Endpoints

@@ -3,9 +3,9 @@ package tensor
 import "sync/atomic"
 
 // Arena is a grow-once bump allocator for the transient per-forward scratch
-// of a model replica: im2col output, quantized-activation staging, and any
-// other buffer whose contents do not need to survive into the next forward
-// pass. A replica resets its arena at the start of every forward and each
+// of a model replica: int8 and training im2col output, quantized-activation
+// staging, and any other buffer whose contents do not need to survive into
+// the next forward pass. A replica resets its arena at the start of every forward and each
 // layer carves what it needs; after one warm-up pass the slabs have
 // converged to the high-water demand and steady-state carving is pure
 // pointer bumping — zero allocations, the same convergence behavior as the

@@ -33,6 +33,11 @@ import (
 // pack stage owns; the prepacked path must never let pooled reuse hand a
 // shared weight slab out as writable scratch.
 //
+// The inference convolution (conv.go) runs on the same tile stage with the B
+// side read in place: ConvPrepacked packs each B panel from the CHW input
+// into per-task scratch, right before the tiles that consume it, and applies
+// the layer's batch-norm/bias/activation epilogue to each finished tile.
+//
 // Tiny problems fall through to the naive register-free loops at the bottom
 // of this file: below packThreshold the packing traffic would dominate.
 
@@ -150,6 +155,12 @@ type gemmCtx struct {
 	requant    []float32
 	bias       []float32
 	kPairs     int
+
+	// Implicit-GEMM convolution state (conv.go): b is the CHW input, read
+	// through geom instead of as a k×n matrix; ep runs on finished tiles.
+	geom ConvGeom
+	taps []convTap // geom's im2col rows
+	ep   Epilogue
 }
 
 var gemmCtxPool = sync.Pool{New: func() any { return new(gemmCtx) }}
@@ -169,36 +180,31 @@ func (ctx *gemmCtx) release() {
 	ctx.paRO, ctx.pa16RO = nil, nil
 	ctx.requant, ctx.bias = nil, nil
 	ctx.kf32, ctx.ki8 = nil, nil
+	ctx.ep = Epilogue{}
 	gemmCtxPool.Put(ctx)
 }
 
-// tileScratch is the per-task edge-tile workspace: a full register tile at
-// the largest geometry any kernel family may declare, plus padded per-row
-// requant/bias vectors for the int8 kernel. Pooled so edge handling stays
-// allocation-free (a stack array would escape through the kernel function
-// variable).
+// tileScratch is the per-task workspace: a full register tile at the largest
+// geometry any kernel family may declare for edge tiles, padded per-row
+// requant/bias vectors for the int8 kernel, and one packed B panel for the
+// fused convolution task (conv.go), which packs and consumes a panel at a
+// time. Pooled so tile handling stays allocation-free (a stack array would
+// escape through the kernel function variable).
 type tileScratch struct {
-	tile [maxMR * maxNR]float32
-	rq   [maxMR]float32
-	bs   [maxMR]float32
+	tile  [maxMR * maxNR]float32
+	rq    [maxMR]float32
+	bs    [maxMR]float32
+	panel [kcBlock * maxNR]float32
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}
 
-// resliceF32 reuses s's backing array when it suffices for n elements.
-func resliceF32(s []float32, n int) []float32 {
+// reslice reuses s's backing array when it suffices for n elements.
+func reslice[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]float32, n)
-}
-
-// resliceI16 is resliceF32 for the int8 driver's int16 pack slabs.
-func resliceI16(s []int16, n int) []int16 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int16, n)
+	return make([]T, n)
 }
 
 // gemmPacked is the blocked fp32 driver. kern is the microkernel family
@@ -223,7 +229,7 @@ func gemmPacked(kern *microKernels, ta, tb bool, m, n, k int, alpha float32, a [
 			// panel was full kcBlock deep, so the offsets telescope.
 			ctx.paRO = pre[ctx.nStrips*ctx.mr*kk : ctx.nStrips*ctx.mr*(kk+ctx.kc)]
 		} else {
-			ctx.pa = resliceF32(ctx.pa, ctx.nStrips*ctx.mr*ctx.kc)
+			ctx.pa = reslice(ctx.pa, ctx.nStrips*ctx.mr*ctx.kc)
 			ctx.paRO = ctx.pa
 			gemmParallel(ctx, ctx.nStrips, taskPackAF32)
 		}
@@ -231,7 +237,7 @@ func gemmPacked(kern *microKernels, ta, tb bool, m, n, k int, alpha float32, a [
 			ctx.jj = jj
 			ctx.nc = min(ncBlock, n-jj)
 			nPanels := (ctx.nc + ctx.nr - 1) / ctx.nr
-			ctx.pb = resliceF32(ctx.pb, nPanels*ctx.nr*ctx.kc)
+			ctx.pb = reslice(ctx.pb, nPanels*ctx.nr*ctx.kc)
 			gemmParallel(ctx, nPanels, taskPackBF32)
 			gemmParallel(ctx, nPanels, taskTilesF32)
 		}
@@ -256,38 +262,37 @@ func taskPackBF32(ctx *gemmCtx, lo, hi int) {
 }
 
 // taskTilesF32 runs the microkernel over panels [lo, hi) × every A strip.
-// Full tiles update C in place; edge tiles accumulate into a pooled scratch
-// tile first and then add only the valid region.
 func taskTilesF32(ctx *gemmCtx, lo, hi int) {
-	var ts *tileScratch
+	ts := tileScratchPool.Get().(*tileScratch)
 	for pn := lo; pn < hi; pn++ {
 		j0 := ctx.jj + pn*ctx.nr
-		cols := min(ctx.nr, ctx.n-j0)
-		pb := ctx.pb[pn*ctx.nr*ctx.kc:]
-		for s := 0; s < ctx.nStrips; s++ {
-			i0 := s * ctx.mr
-			rows := min(ctx.mr, ctx.m-i0)
-			pa := ctx.paRO[s*ctx.mr*ctx.kc:]
-			if rows == ctx.mr && cols == ctx.nr {
-				ctx.kf32(ctx.kc, pa, pb, ctx.c[i0*ctx.ldc+j0:], ctx.ldc)
-				continue
-			}
-			if ts == nil {
-				ts = tileScratchPool.Get().(*tileScratch)
-			}
-			clear(ts.tile[:ctx.mr*ctx.nr])
-			ctx.kf32(ctx.kc, pa, pb, ts.tile[:], ctx.nr)
-			for r := 0; r < rows; r++ {
-				crow := ctx.c[(i0+r)*ctx.ldc+j0:]
-				trow := ts.tile[r*ctx.nr:]
-				for j := 0; j < cols; j++ {
-					crow[j] += trow[j]
-				}
+		ctx.panelTilesF32(ts, ctx.pb[pn*ctx.nr*ctx.kc:], j0, min(ctx.nr, ctx.n-j0))
+	}
+	tileScratchPool.Put(ts)
+}
+
+// panelTilesF32 runs every A strip of the current K panel against one packed
+// B panel covering C columns [j0, j0+cols). Full tiles update C in place;
+// edge tiles accumulate into the scratch tile first and then add only the
+// valid region.
+func (ctx *gemmCtx) panelTilesF32(ts *tileScratch, pb []float32, j0, cols int) {
+	for s := 0; s < ctx.nStrips; s++ {
+		i0 := s * ctx.mr
+		rows := min(ctx.mr, ctx.m-i0)
+		pa := ctx.paRO[s*ctx.mr*ctx.kc:]
+		if rows == ctx.mr && cols == ctx.nr {
+			ctx.kf32(ctx.kc, pa, pb, ctx.c[i0*ctx.ldc+j0:], ctx.ldc)
+			continue
+		}
+		clear(ts.tile[:ctx.mr*ctx.nr])
+		ctx.kf32(ctx.kc, pa, pb, ts.tile[:], ctx.nr)
+		for r := 0; r < rows; r++ {
+			crow := ctx.c[(i0+r)*ctx.ldc+j0:]
+			trow := ts.tile[r*ctx.nr:]
+			for j := 0; j < cols; j++ {
+				crow[j] += trow[j]
 			}
 		}
-	}
-	if ts != nil {
-		tileScratchPool.Put(ts)
 	}
 }
 

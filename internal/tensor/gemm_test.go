@@ -505,7 +505,8 @@ func TestGemmPrepackedMatchesPacked(t *testing.T) {
 
 // TestGemmZeroAlloc proves the packed drivers are allocation-free at steady
 // state: after one warm-up call (pool priming, pack-slab growth), repeated
-// fp32 and int8 GEMMs at a fixed shape must not allocate.
+// fp32 and int8 GEMMs and implicit-GEMM convolutions at a fixed shape must
+// not allocate.
 func TestGemmZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops items at random; steady-state pooling is unobservable")
@@ -550,6 +551,18 @@ func TestGemmZeroAlloc(t *testing.T) {
 		GemmInt8Prepacked(preI8, n, qb, n, rq, bias, c, n)
 	}); allocs > 0 {
 		t.Errorf("GemmInt8Prepacked allocates %.1f objects per call at steady state, want 0", allocs)
+	}
+
+	// The same A as 12 filters over 8 channels of 3×3 taps: a 64×64 map is
+	// n = 4096 on the blocked driver, a 4×4 map runs the sub-threshold loops.
+	ep := Epilogue{Mean: bias, Scale: rq, InvStd: rq, Bias: bias, Leaky: true}
+	for _, side := range []int{64, 4} {
+		g := ConvGeom{C: 8, H: side, W: side, Ksize: 3, Stride: 1, Pad: 1}
+		if allocs := testing.AllocsPerRun(10, func() {
+			ConvPrepacked(pre, g, b, ep, c)
+		}); allocs > 0 {
+			t.Errorf("ConvPrepacked on a %dx%d map allocates %.1f objects per call at steady state, want 0", side, side, allocs)
+		}
 	}
 }
 

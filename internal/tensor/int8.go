@@ -103,7 +103,7 @@ func gemmInt8Packed(kern *microKernels, m, n, k int, a []int8, lda int, b []int8
 	if pre != nil {
 		ctx.pa16RO = pre
 	} else {
-		ctx.pa16 = resliceI16(ctx.pa16, ctx.nStrips*ctx.mr*2*ctx.kPairs)
+		ctx.pa16 = reslice(ctx.pa16, ctx.nStrips*ctx.mr*2*ctx.kPairs)
 		ctx.pa16RO = ctx.pa16
 		gemmParallel(ctx, ctx.nStrips, taskPackAI8)
 	}
@@ -121,7 +121,7 @@ func gemmInt8Packed(kern *microKernels, m, n, k int, a []int8, lda int, b []int8
 		ctx.jj = jj
 		ctx.nc = min(ncI8, n-jj)
 		nPanels := (ctx.nc + ctx.nr - 1) / ctx.nr
-		ctx.pb16 = resliceI16(ctx.pb16, nPanels*ctx.nr*2*ctx.kPairs)
+		ctx.pb16 = reslice(ctx.pb16, nPanels*ctx.nr*2*ctx.kPairs)
 		gemmParallel(ctx, nPanels, taskPackBI8)
 		gemmParallel(ctx, nPanels, taskTilesI8)
 	}

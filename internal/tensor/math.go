@@ -20,12 +20,16 @@ func Exp32(x float32) float32 { return float32(math.Exp(float64(x))) }
 // Log32 is a float32 convenience wrapper around math.Log.
 func Log32(x float32) float32 { return float32(math.Log(float64(x))) }
 
+// leakyFactor is the leaky-ReLU multiplier indexed by the sign bit. Scaling
+// by it replaces the data-dependent `v < 0` branch, which mispredicts on
+// every other activation: v·1 is exact, and −0 (whose sign bit selects the
+// slope) stays −0, so the result equals the branchy form bit for bit.
+var leakyFactor = [2]float32{1, LeakySlope}
+
 // Leaky applies the leaky-ReLU activation in place.
 func Leaky(x []float32) {
 	for i, v := range x {
-		if v < 0 {
-			x[i] = LeakySlope * v
-		}
+		x[i] = v * leakyFactor[math.Float32bits(v)>>31]
 	}
 }
 

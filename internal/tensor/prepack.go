@@ -3,11 +3,13 @@ package tensor
 // Pre-packed weight-side A operands. In the serving path the A matrix of
 // every GEMM is a weight matrix that does not change between calls (fp32
 // conv filters in inference mode, int8 quantized filters always), while B is
-// a fresh im2col of the activations. The blocked driver normally re-packs A
-// into MR-interleaved strips on every call; PackA/PackAInt8 perform that
+// the im2col view of fresh activations. The blocked driver normally re-packs
+// A into MR-interleaved strips on every call; PackA/PackAInt8 perform that
 // pack exactly once at model build (or clone) time and GemmPrepacked/
-// GemmInt8Prepacked run the same tile stage against the shared read-only
-// slab — steady-state packing traffic drops to the activation side only.
+// GemmInt8Prepacked — and ConvPrepacked (conv.go), which also packs B
+// straight from the activations — run the same tile stage against the shared
+// read-only slab: steady-state packing traffic drops to the activation side
+// only.
 //
 // The packed layout is the concatenation of the driver's per-K-panel packs:
 // for each K panel [kk, kk+kc) (kc = min(kcBlock, k-kk)), nStrips strips of
@@ -49,15 +51,21 @@ func PackA(ta bool, m, k int, alpha float32, a []float32, lda int) *PackedA {
 	nStrips := (m + kern.mr - 1) / kern.mr
 	pa := &PackedA{kern: kern, m: m, k: k, alpha: alpha, ta: ta, a: a, lda: lda,
 		data: make([]float32, nStrips*kern.mr*k)}
+	packAPanels(ta, a, lda, m, k, alpha, pa.data, kern.mr)
+	return pa
+}
+
+// packAPanels packs all of op(A) into dst (len nStrips·mr·k) in the PackedA
+// layout: the driver's per-K-panel packs, concatenated.
+func packAPanels(ta bool, a []float32, lda, m, k int, alpha float32, dst []float32, mr int) {
+	nStrips := (m + mr - 1) / mr
 	for kk := 0; kk < k; kk += kcBlock {
 		kc := min(kcBlock, k-kk)
-		base := nStrips * kern.mr * kk
+		base := nStrips * mr * kk
 		for s := 0; s < nStrips; s++ {
-			dst := pa.data[base+s*kern.mr*kc : base+(s+1)*kern.mr*kc]
-			packAF32(ta, a, lda, m, s*kern.mr, kk, kc, alpha, dst, kern.mr)
+			packAF32(ta, a, lda, m, s*mr, kk, kc, alpha, dst[base+s*mr*kc:base+(s+1)*mr*kc], mr)
 		}
 	}
-	return pa
 }
 
 // M returns the packed operand's row count.

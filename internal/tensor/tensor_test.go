@@ -370,6 +370,29 @@ func TestLeakyAndGrad(t *testing.T) {
 	}
 }
 
+// TestLeakyMatchesBranchyForm holds the sign-indexed multiply to the textbook
+// `if v < 0 { v *= slope }` bit for bit, zeros, infinities and NaNs included.
+func TestLeakyMatchesBranchyForm(t *testing.T) {
+	x := []float32{0, float32(math.Copysign(0, -1)), 1e-45, -1e-45, 3, -3, -0.1,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), -float32(math.NaN())}
+	rng := NewRNG(12)
+	for i := 0; i < 1000; i++ {
+		x = append(x, float32(rng.Range(-4, 4)))
+	}
+	want := append([]float32(nil), x...)
+	for i, v := range want {
+		if v < 0 {
+			want[i] = LeakySlope * v
+		}
+	}
+	Leaky(x)
+	for i := range want {
+		if math.Float32bits(x[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("Leaky[%d] = %v (%#x), branchy form gives %v (%#x)", i, x[i], math.Float32bits(x[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
 func TestSoftmaxSumsToOne(t *testing.T) {
 	src := []float32{1000, 1001, 999} // would overflow a naive exp
 	dst := make([]float32, 3)
