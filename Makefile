@@ -1,13 +1,15 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke serve-bench serve-smoke swap-smoke shard-smoke stream-smoke stream-soak chaos fuzz fleet serve profile
+.PHONY: ci vet build test race bench bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke stream-soak chaos fuzz fleet serve profile
 
 ## ci: the full tier-1 + hygiene gate (what .github/workflows/ci.yml's main
 ## job runs step by step); bench-smoke runs the GEMM kernels a few iterations
 ## so a kernel regression (or an asm/portable divergence) breaks CI loudly,
-## not just slowly. Deliberately NOT `bench`: that regenerates (and dirties)
-## the committed BENCH_serve.json, which is a release chore, not a gate.
+## not just slowly. The recipe line runs the benchmark harness's own tests:
+## bench/ is a nested module `./...` does not reach. Deliberately NOT
+## `bench`: that is a measurement, not a gate.
 ci: vet build race chaos bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke
+	cd bench && $(GO) test -short ./...
 
 ## bench-smoke: quick kernel-level regression tripwire over the packed GEMM
 ## benchmarks (10 iterations — catches crashes and gross slowdowns cheaply);
@@ -39,27 +41,12 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 ## bench: one-iteration smoke pass over every benchmark (catches bit-rot,
-## not performance; use `go test -bench . -benchtime 1s` for real numbers),
-## then the serving throughput run that regenerates the extended fp32+int8
-## BENCH_serve.json
-bench: serve-bench
+## not performance), then the repository benchmark — bench/run.sh drives
+## the five BENCHMARK.json workloads against freshly built binaries and
+## writes bench/out/ (see bench/README.md; baselines in bench/baseline/)
+bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-## serve-bench: drive the micro-batching service with concurrent synthetic
-## clients — once at fp32, once at int8 — and write BENCH_serve.json (agg
-## FPS per precision, p50/p99 latency, batch-size histogram, and the
-## fp32-vs-int8 detection-agreement score) so the serving perf trajectory is
-## tracked per-commit; the proxy leg then spawns a two-shard fleet and
-## merges the "sharded" section (client throughput, fleet rollup, per-shard
-## balance) into the same report
-serve-bench:
-	$(GO) run ./cmd/dronet-serve -selfbench -size 96 -scale 0.25 -workers 2 \
-	    -bench-clients 8 -bench-requests 25 -bench-out BENCH_serve.json \
-	    -models "low=dronet:64:int8:150,high=dronet:96:fp32"
-	$(GO) build -o bin/dronet-serve ./cmd/dronet-serve
-	$(GO) run ./cmd/dronet-proxy -selfbench -spawn 2 -serve-bin bin/dronet-serve \
-	    -size 96 -scale 0.25 -workers 2 -bench-cameras 12 -bench-requests 25 \
-	    -bench-out BENCH_serve.json
+	bash bench/run.sh
 
 ## serve-smoke: boot the real dronet-serve binary on a random port — once per
 ## precision (fp32, then -precision int8 with startup calibration), then once
@@ -140,7 +127,9 @@ chaos:
 ## families, FuzzMaxPoolFastVsGeneric the streaming 2×2 pool to the generic
 ## window loop; the leading dispatch-info run logs which families this box
 ## detected so fuzz logs are attributable; FuzzParseModelSpecs holds -models
-## parsing to a no-panic + parse/format/parse fixed-point contract). FUZZTIME
+## parsing to a no-panic + parse/format/parse fixed-point contract,
+## FuzzParseDeadline the deadline header/query parser to no panic and an
+## accepted budget within [0, maxDeadlineBudget]). FUZZTIME
 ## tunes the per-target budget (CI's parallel fuzz job uses 15s; the nightly
 ## job runs this same target at 10m).
 FUZZTIME ?= 30s
@@ -154,15 +143,18 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMaxPoolFastVsGeneric -fuzztime $(FUZZTIME) ./internal/layers
 	$(GO) test -run '^$$' -fuzz FuzzQuantDequant -fuzztime $(FUZZTIME) ./internal/quant
 	$(GO) test -run '^$$' -fuzz FuzzParseModelSpecs -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzParseDeadline -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzRingOwnership -fuzztime $(FUZZTIME) ./internal/cluster
 
-## profile: run the serving selfbench with CPU + heap pprof capture; inspect
-## with `go tool pprof bin/pprof/cpu.pprof` (see README "Profiling")
+## profile: CPU + heap pprof capture of the in-process serving path
+## (BenchmarkServeThroughput: concurrent clients through the micro-batcher);
+## inspect with `go tool pprof bin/pprof/cpu.pprof` (see README "Profiling").
+## To attribute end-to-end time to layers rather than functions, reach for
+## `bash bench/run.sh --workload <w> --trace 1` instead.
 profile:
 	mkdir -p bin/pprof
-	$(GO) run ./cmd/dronet-serve -selfbench -size 96 -scale 0.25 -workers 2 \
-	    -bench-clients 8 -bench-requests 25 -bench-out bin/pprof/BENCH_serve.json \
-	    -cpuprofile bin/pprof/cpu.pprof -memprofile bin/pprof/heap.pprof
+	$(GO) test -run '^$$' -bench ServeThroughput -benchtime 3s -o bin/pprof/serve.test \
+	    -cpuprofile bin/pprof/cpu.pprof -memprofile bin/pprof/heap.pprof ./internal/serve/
 
 ## fleet: demo the multi-stream engine with a serial-vs-parallel comparison
 fleet:

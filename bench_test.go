@@ -139,7 +139,7 @@ func BenchmarkOdroidPipeline(b *testing.B) {
 	for i := range frames {
 		frames[i], _ = cam.Next()
 	}
-	runner := &pipeline.Runner{Net: det.Net, Thresh: 0.2}
+	runner := &pipeline.Runner{BatchRunner: pipeline.BatchRunner{Net: det.Net, Thresh: 0.2}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := frames[i%len(frames)]

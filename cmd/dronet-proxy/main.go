@@ -22,18 +22,11 @@
 // clients only ever see 200/429/503. GET /metrics serves the fleet
 // document (per-shard labelled blocks plus a fleet rollup), GET /healthz
 // the ring membership and per-shard status.
-//
-// With -selfbench the command spawns -spawn shards (default 2), drives
-// -bench-cameras camera streams through an in-process proxy and merges a
-// "sharded" section (client throughput, fleet rollup, per-shard balance)
-// into the -bench-out JSON report next to dronet-serve's own sections.
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -44,16 +37,11 @@ import (
 	"os/exec"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/dataset"
 	"repro/internal/faults"
-	"repro/internal/imgproc"
-	"repro/internal/pipeline"
-	"repro/internal/serve"
 )
 
 func main() {
@@ -85,10 +73,6 @@ func main() {
 	retryBudget := flag.Float64("retry-budget", 10, "failover retry token bucket capacity (exhausted retries answer 503 + Retry-After)")
 	retryRefill := flag.Float64("retry-refill", 0.1, "retry tokens refilled per successful forward")
 	faultsFlag := flag.String("faults", "", "arm fault injection, e.g. 'cluster.forward#HOST:PORT=error' (testing only; also via DRONET_FAULTS)")
-	selfbench := flag.Bool("selfbench", false, "run the sharded serving benchmark instead of proxying")
-	benchCameras := flag.Int("bench-cameras", 12, "selfbench: concurrent camera streams")
-	benchRequests := flag.Int("bench-requests", 25, "selfbench: frames per camera")
-	benchOut := flag.String("bench-out", "BENCH_serve.json", "selfbench: JSON report to merge the sharded section into")
 	flag.Parse()
 
 	if (*shardsFlag == "") == (*spawn == 0) {
@@ -104,9 +88,6 @@ func main() {
 	var fleet *shardFleet
 	var addrs []string
 	if *spawn > 0 {
-		if *selfbench && *spawn < 2 {
-			*spawn = 2 // a sharded benchmark needs a fleet to shard across
-		}
 		var err error
 		fleet, err = spawnFleet(*serveBin, *spawn, shardArgs(*size, *scale, *workers, *maxBatch, *maxWait, *precision, *modelsFlag,
 			*shardMaxSessions, *shardSessionIdle, *shardSessionInflight))
@@ -137,13 +118,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer p.Close()
-
-	if *selfbench {
-		if err := runShardedBench(p, len(addrs), *size, *benchCameras, *benchRequests, *benchOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -273,168 +247,6 @@ func (f *shardFleet) stop() {
 		case <-time.After(10 * time.Second):
 			_ = cmd.Process.Kill()
 			<-done
-		}
-	}
-}
-
-// shardBalance is one shard's slice of the sharded benchmark: how much of
-// the camera traffic it absorbed.
-type shardBalance struct {
-	ShardID        string  `json:"shard_id"`
-	ForwardedTotal uint64  `json:"forwarded_total"`
-	Completed      uint64  `json:"completed"`
-	ImagesPerSec   float64 `json:"images_per_sec"`
-}
-
-// shardedReport is the "sharded" section merged into BENCH_serve.json: the
-// client-observed throughput through the proxy, the fleet rollup, and the
-// per-shard balance of the camera streams.
-type shardedReport struct {
-	Shards         int                     `json:"shards"`
-	Cameras        int                     `json:"cameras"`
-	RequestsPerCam int                     `json:"requests_per_camera"`
-	WallSeconds    float64                 `json:"wall_s"`
-	ClientImgPerS  float64                 `json:"client_images_per_sec"`
-	Rollup         serve.Stats             `json:"rollup"`
-	PerShard       map[string]shardBalance `json:"per_shard"`
-}
-
-// runShardedBench drives cameras*requests frames through the proxy (each
-// camera a goroutine posting its stream in order, retrying briefly on 429)
-// and merges the measured section into the bench report.
-func runShardedBench(p *cluster.Proxy, shards, size, cameras, requests int, outPath string) error {
-	if cameras < 1 || requests < 1 {
-		return fmt.Errorf("selfbench: need cameras >= 1 and requests >= 1")
-	}
-	ts := &http.Server{Handler: p}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go func() { _ = ts.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = ts.Shutdown(ctx)
-	}()
-
-	// Pre-render each camera's frames so generation cost stays off the clock.
-	frames := make([][]*imgproc.Image, cameras)
-	for c := range frames {
-		cam := pipeline.NewSimCamera(dataset.DefaultConfig(size), requests, uint64(300+c))
-		for {
-			f, ok := cam.Next()
-			if !ok {
-				break
-			}
-			frames[c] = append(frames[c], f.Image)
-		}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, cameras)
-	start := time.Now()
-	for c := 0; c < cameras; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			url := fmt.Sprintf("http://%s/detect?camera=bench-cam-%d", ln.Addr(), c)
-			for _, img := range frames[c] {
-				if err := postFrame(url, img); err != nil {
-					errs <- fmt.Errorf("camera %d: %w", c, err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	close(errs)
-	if err := <-errs; err != nil {
-		return err
-	}
-
-	fleet := p.FleetReport()
-	rep := shardedReport{
-		Shards:         shards,
-		Cameras:        cameras,
-		RequestsPerCam: requests,
-		WallSeconds:    wall.Seconds(),
-		ClientImgPerS:  float64(cameras*requests) / wall.Seconds(),
-		Rollup:         fleet.Stats,
-		PerShard:       make(map[string]shardBalance, len(fleet.Shards)),
-	}
-	for addr, sm := range fleet.Shards {
-		b := shardBalance{ShardID: sm.ShardID, ForwardedTotal: sm.ForwardedTotal}
-		if sm.Metrics != nil {
-			b.Completed = sm.Metrics.Stats.Completed
-			b.ImagesPerSec = sm.Metrics.Stats.AggregateFPS
-		}
-		rep.PerShard[addr] = b
-		log.Printf("selfbench shard %s (%s): forwarded %d, completed %d", b.ShardID, addr, b.ForwardedTotal, b.Completed)
-	}
-	log.Printf("selfbench sharded: %d cameras x %d frames across %d shards in %.2fs -> %.1f images/s at the client, fleet rollup %.1f images/s",
-		cameras, requests, shards, wall.Seconds(), rep.ClientImgPerS, rep.Rollup.AggregateFPS)
-	return mergeSection(outPath, "sharded", rep)
-}
-
-// mergeSection read-modify-writes one top-level key of the JSON report so
-// the proxy benchmark composes with dronet-serve's selfbench sections
-// without either binary knowing the other's schema.
-func mergeSection(path, key string, v any) error {
-	doc := make(map[string]json.RawMessage)
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("%s: existing report is not a JSON object: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	doc[key] = raw
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	log.Printf("selfbench: merged %q section into %s", key, path)
-	return nil
-}
-
-// benchClient caps each benchmark request: a wedged shard becomes a
-// reported error instead of a benchmark that hangs forever.
-var benchClient = &http.Client{Timeout: 30 * time.Second}
-
-// postFrame sends one frame as a JSON detect request through the proxy,
-// retrying briefly on 429 (either backpressure layer) so the benchmark
-// exercises shedding without losing samples.
-func postFrame(url string, img *imgproc.Image) error {
-	req := serve.DetectRequest{Width: img.W, Height: img.H, Pixels: img.Pix}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	for attempt := 0; ; attempt++ {
-		resp, err := benchClient.Post(url, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		code := resp.StatusCode
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch {
-		case code == http.StatusOK:
-			return nil
-		case code == http.StatusTooManyRequests && attempt < 100:
-			time.Sleep(2 * time.Millisecond)
-		default:
-			return fmt.Errorf("POST %s: status %d", url, code)
 		}
 	}
 }

@@ -44,33 +44,19 @@
 // -addr 127.0.0.1:0 picks a free port scripts can parse; with -admin the
 // second line is "admin listening on HOST:PORT") and drains in-flight
 // requests on SIGINT/SIGTERM across every model's pool.
-//
-// With -selfbench the command instead boots the server in-process — once
-// per precision — drives each with the same concurrent synthetic clients,
-// and writes the machine-readable throughput report (serve.Stats for fp32
-// and int8 side by side, plus their detection-agreement score on the same
-// inputs) to -bench-out — this is what `make bench` uses to emit
-// BENCH_serve.json. When -models is also given, a routed server hosting
-// every registered model is benchmarked too, adding per-model serve.Stats
-// under "routed".
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -79,18 +65,11 @@ import (
 	"repro/internal/detect"
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/imgproc"
 	"repro/internal/models"
 	"repro/internal/pipeline"
 	"repro/internal/serve"
 	"repro/internal/tensor"
-	"repro/internal/tracking"
-	"repro/internal/ws"
 )
-
-// agreementIoU is the overlap bar for counting an fp32 and an int8 detection
-// as the same object in the selfbench agreement score.
-const agreementIoU = 0.9
 
 func main() {
 	log.SetFlags(0)
@@ -115,12 +94,6 @@ func main() {
 	sessionInflight := flag.Int("session-inflight", 4, "streaming: per-session bound on buffered frames before backpressure (reject or drop-oldest)")
 	thresh := flag.Float64("thresh", 0.24, "detection confidence threshold")
 	altFilter := flag.Bool("altfilter", false, "apply the altitude size gate when requests carry an altitude")
-	selfbench := flag.Bool("selfbench", false, "run the fp32-vs-int8 serving benchmark instead of serving")
-	benchOut := flag.String("bench-out", "BENCH_serve.json", "selfbench: output path for the JSON report")
-	benchClients := flag.Int("bench-clients", 8, "selfbench: concurrent synthetic clients")
-	benchRequests := flag.Int("bench-requests", 40, "selfbench: requests per client")
-	cpuProfile := flag.String("cpuprofile", "", "selfbench: write a CPU pprof profile of the whole run to this path")
-	memProfile := flag.String("memprofile", "", "selfbench: write a heap pprof profile at the end of the run to this path")
 	kernelPin := flag.String("kernel", "", "pin the GEMM microkernel family (one of "+strings.Join(tensor.AvailableKernels(), ", ")+"; default: auto-detect, env "+tensor.KernelEnv+")")
 	faultsFlag := flag.String("faults", "", `fault-injection spec "site[#key]=kind[:arg],..." (internal/faults; chaos testing only — also honours DRONET_FAULTS)`)
 	flag.Parse()
@@ -157,9 +130,9 @@ func main() {
 	}
 
 	// NMSThresh is deliberately left zero here: every serving path fills it
-	// from its detector (buildEntries / the single-model branch / selfbench),
-	// so a path that forgot would surface as the runners' zero-value default
-	// rather than masquerading as a deliberate constant.
+	// from its detector (buildEntries / the single-model branch), so a path
+	// that forgot would surface as the runners' zero-value default rather
+	// than masquerading as a deliberate constant.
 	cfg := engine.Config{Workers: *workers, Thresh: *thresh}
 	if *altFilter {
 		gate := detect.NewVehicleAltitudeFilter()
@@ -171,25 +144,6 @@ func main() {
 		MinWait:    *minWait,
 		QueueDepth: *queueDepth,
 		Warm:       true,
-	}
-
-	if *selfbench {
-		det, err := buildDetector(*model, *size, *scale, *weightsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		stopProf, err := startProfiles(*cpuProfile, *memProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = runSelfBench(det, cfg, scfg, *size, *calibFrames, *benchClients, *benchRequests, *benchOut, *model, *scale, specs)
-		if perr := stopProf(); err == nil {
-			err = perr
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	// builder backs the admin endpoints: specs posted at runtime are built
@@ -410,700 +364,4 @@ func buildModel(det *core.Detector, precision string, size, calibFrames int) (co
 	log.Printf("int8: calibrated on %d frames in %s, weights %d bytes (fp32 %d)",
 		len(calib), time.Since(start).Round(time.Millisecond), mdl.WeightBytes(), det.Model().WeightBytes())
 	return mdl, nil
-}
-
-// startProfiles begins CPU profiling (when cpuPath is set) and returns a
-// stop function that finishes the CPU profile and snapshots the heap (when
-// memPath is set). `make profile` drives this to fill bin/pprof/.
-func startProfiles(cpuPath, memPath string) (func() error, error) {
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return func() error {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				return err
-			}
-			return writeHeapProfile(memPath)
-		}, nil
-	}
-	return func() error { return writeHeapProfile(memPath) }, nil
-}
-
-func writeHeapProfile(path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	runtime.GC() // report live steady-state heap, not transient garbage
-	return pprof.WriteHeapProfile(f)
-}
-
-// kernelStat is one GEMM-shape measurement in the selfbench report: the
-// packed cache-blocked kernels' throughput at a representative DroNet
-// convolution shape, fp32 (GFLOP/s) and int8 (GOP/s, 2 ops per MAC).
-// Kernel labels which dispatched microkernel family produced the numbers,
-// and the *_prepacked_* variants time the steady-state serving path where
-// the weight-side operand was packed once up front (GemmPrepacked /
-// GemmInt8Prepacked) instead of on every call.
-type kernelStat struct {
-	Shape         string  `json:"shape"`
-	Kernel        string  `json:"kernel"`
-	FP32GFLOPS    float64 `json:"fp32_gflops"`
-	FP32PreGFLOPS float64 `json:"fp32_prepacked_gflops"`
-	Int8GOPS      float64 `json:"int8_gops"`
-	Int8PreGOPS   float64 `json:"int8_prepacked_gops"`
-}
-
-// benchKernels measures the raw GEMM kernels at three representative DroNet
-// conv shapes (the same ones BenchmarkGemm tracks), ~0.2s each, so
-// BENCH_serve.json records kernel-level throughput next to the end-to-end
-// serving numbers.
-func benchKernels() []kernelStat {
-	shapes := []struct {
-		name    string
-		m, n, k int
-	}{
-		{"dronet-conv2@512 m12 n65536 k72", 12, 65536, 72},
-		{"tinyyolo-conv7@512 m1024 n256 k4608", 1024, 256, 4608},
-		{"dronet-conv8@512 m64 n1024 k216", 64, 1024, 216},
-	}
-	stats := make([]kernelStat, 0, len(shapes))
-	for _, s := range shapes {
-		rng := tensor.NewRNG(1)
-		a := make([]float32, s.m*s.k)
-		b := make([]float32, s.k*s.n)
-		c := make([]float32, s.m*s.n)
-		rng.FillUniform(a, -1, 1)
-		rng.FillUniform(b, -1, 1)
-		qa := make([]int8, len(a))
-		qb := make([]int8, len(b))
-		for i, v := range a {
-			qa[i] = int8(v * 127)
-		}
-		for i, v := range b {
-			qb[i] = int8(v * 127)
-		}
-		requant := make([]float32, s.m)
-		bias := make([]float32, s.m)
-		for i := range requant {
-			requant[i] = 1.0 / 127
-		}
-		ops := 2 * float64(s.m) * float64(s.n) * float64(s.k)
-		st := kernelStat{Shape: s.name, Kernel: tensor.KernelName()}
-		st.FP32GFLOPS = ops * measureRate(func() {
-			tensor.Gemm(false, false, s.m, s.n, s.k, 1, a, s.k, b, s.n, 0, c, s.n)
-		}) / 1e9
-		st.Int8GOPS = ops * measureRate(func() {
-			tensor.GemmInt8(s.m, s.n, s.k, qa, s.k, qb, s.n, requant, bias, c, s.n)
-		}) / 1e9
-		pre := tensor.PackA(false, s.m, s.k, 1, a, s.k)
-		st.FP32PreGFLOPS = ops * measureRate(func() {
-			tensor.GemmPrepacked(pre, false, s.n, b, s.n, 0, c, s.n)
-		}) / 1e9
-		preI8 := tensor.PackAInt8(s.m, s.k, qa, s.k)
-		st.Int8PreGOPS = ops * measureRate(func() {
-			tensor.GemmInt8Prepacked(preI8, s.n, qb, s.n, requant, bias, c, s.n)
-		}) / 1e9
-		stats = append(stats, st)
-	}
-	return stats
-}
-
-// measureRate returns calls-per-second of fn, warmed once and then timed
-// for at least 200ms.
-func measureRate(fn func()) float64 {
-	fn() // warm: pack-slab growth, pool priming
-	var calls int
-	start := time.Now()
-	for time.Since(start) < 200*time.Millisecond {
-		fn()
-		calls++
-	}
-	return float64(calls) / time.Since(start).Seconds()
-}
-
-// benchReport is the schema of BENCH_serve.json: the run parameters plus the
-// serving metrics snapshots of the fp32 and int8 runs, their
-// detection-agreement score on the identical request stream, and the raw
-// kernel throughput of the packed GEMMs.
-type benchReport struct {
-	Model    string       `json:"model"`
-	Scale    float64      `json:"scale"`
-	Size     int          `json:"size"`
-	Clients  int          `json:"clients"`
-	Requests int          `json:"requests_per_client"`
-	Kernels  []kernelStat `json:"kernels"`
-	FP32     serve.Stats  `json:"fp32"`
-	Int8     serve.Stats  `json:"int8"`
-	// DetectionAgreement is 2*matches/(fp32_dets+int8_dets) over every
-	// benchmark image, where a match is a same-class pair with
-	// IoU >= AgreementIoU — 1.0 means the quantized path reproduced every
-	// fp32 detection.
-	DetectionAgreement float64 `json:"detection_agreement"`
-	AgreementIoU       float64 `json:"agreement_iou"`
-	// RoutedSpec and Routed report the multi-model leg when -models was
-	// given: one routed server hosting every spec at once, each model driven
-	// by its own client fleet, snapshotted per model.
-	RoutedSpec string                 `json:"routed_spec,omitempty"`
-	Routed     map[string]serve.Stats `json:"routed,omitempty"`
-	// Resilience reports the deadline-chaos leg: a fault-injected slow
-	// kernel plus a storm of under-budget deadlines, proving the shed path
-	// (504s, not late 200s) and the kernel-accounting identity under load.
-	Resilience *resilienceStat `json:"resilience,omitempty"`
-	// Streaming reports the session leg: concurrent WebSocket sessions
-	// pipelining frames through the shared batcher with per-session
-	// tracker state, scored against a serial tracking replay.
-	Streaming *streamingStat `json:"streaming,omitempty"`
-}
-
-// resilienceStat is the selfbench resilience block: outcomes of a
-// deadline storm against a server with an injected 20ms kernel slowdown.
-type resilienceStat struct {
-	StormRequests         int    `json:"storm_requests"`
-	Deadline504           int    `json:"deadline_504"`
-	LatePastDeadline200   int    `json:"late_past_deadline_200"`
-	DeadlineExceededTotal uint64 `json:"deadline_exceeded_total"`
-	ExecutedImages        uint64 `json:"executed_images"`
-	CompletedPlusFailed   uint64 `json:"completed_plus_failed"`
-	// AccountingHolds is executed == completed+failed: dropped-expired
-	// work never reached a kernel.
-	AccountingHolds bool `json:"accounting_holds"`
-}
-
-// benchResilience boots one fp32 server with a fault-injected 20ms kernel
-// slowdown, warms the service-time estimate, then fires a storm of
-// requests carrying 5ms budgets and tallies how the server shed them.
-func benchResilience(det *core.Detector, cfg engine.Config, scfg serve.Config, size, calibFrames int) (*resilienceStat, error) {
-	if err := faults.Arm("engine.execute=slow:20ms"); err != nil {
-		return nil, err
-	}
-	defer faults.Disarm()
-	mdl, err := buildModel(det, "fp32", size, calibFrames)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(mdl, cfg)
-	if err != nil {
-		return nil, err
-	}
-	scfg.Precision = "fp32"
-	srv, err := serve.New(eng, scfg)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go func() { _ = httpSrv.Serve(ln) }()
-	url := fmt.Sprintf("http://%s/detect", ln.Addr())
-
-	cam := pipeline.NewSimCamera(dataset.DefaultConfig(size), 1, 300)
-	frame, _ := cam.Next()
-	body, err := json.Marshal(serve.DetectRequest{Width: frame.Image.W, Height: frame.Image.H, Pixels: frame.Image.Pix})
-	if err != nil {
-		return nil, err
-	}
-	post := func(budgetMs int) (int, error) {
-		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if budgetMs > 0 {
-			req.Header.Set(serve.DeadlineHeader, fmt.Sprint(budgetMs))
-		}
-		resp, err := benchClient.Do(req)
-		if err != nil {
-			return 0, err
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, nil
-	}
-	// Warm the engine's observed service time so the batcher can price
-	// the storm's budgets.
-	for i := 0; i < 3; i++ {
-		if _, err := post(0); err != nil {
-			return nil, err
-		}
-	}
-	st := &resilienceStat{StormRequests: 16}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for i := 0; i < st.StormRequests; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			code, err := post(5)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err != nil:
-				// Counted as neither: the report's totals expose the gap.
-			case code == http.StatusGatewayTimeout:
-				st.Deadline504++
-			case code == http.StatusOK:
-				st.LatePastDeadline200++
-			}
-		}()
-	}
-	wg.Wait()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_ = httpSrv.Shutdown(shutCtx)
-	if err := srv.Close(); err != nil {
-		return nil, err
-	}
-	stats := srv.Stats()
-	st.DeadlineExceededTotal = stats.DeadlineExceededTotal
-	for k, v := range stats.BatchHist {
-		st.ExecutedImages += uint64(k) * uint64(v)
-	}
-	st.CompletedPlusFailed = stats.Completed + stats.Failed
-	st.AccountingHolds = st.ExecutedImages == st.CompletedPlusFailed
-	return st, nil
-}
-
-// streamingStat is the selfbench streaming block: a fleet of concurrent
-// /stream sessions pipelining frames through the shared cross-session
-// batcher, each scored against a serial tracking replay of its own
-// returned detections.
-type streamingStat struct {
-	Sessions         int     `json:"sessions"`
-	FramesPerSession int     `json:"frames_per_session"`
-	FramesPerSecond  float64 `json:"frames_per_second"`
-	MeanBatchSize    float64 `json:"mean_batch_size"`
-	// TrackIDStability is the fraction of frame answers whose full track
-	// set (ids, boxes, velocities, ages) matched a fresh tracker replayed
-	// serially over that session's detections — 1.0 means concurrent
-	// sessions never leaked tracker state into each other.
-	TrackIDStability  float64 `json:"track_id_stability"`
-	TracksRetired     uint64  `json:"tracks_retired"`
-	StreamFramesTotal uint64  `json:"stream_frames_total"`
-}
-
-// benchStreaming boots one fp32 server, opens a fleet of WebSocket
-// sessions (each its own simulated camera, so tracks actually move), and
-// streams every session's frames fully pipelined. Frames from different
-// sessions coalesce into shared micro-batches; per-session track identity
-// is then verified by replaying each session's detections through a fresh
-// serial tracker and comparing the track sets frame by frame.
-func benchStreaming(det *core.Detector, cfg engine.Config, scfg serve.Config, size, calibFrames int) (*streamingStat, error) {
-	const sessions, perSession = 8, 24
-	mdl, err := buildModel(det, "fp32", size, calibFrames)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(mdl, cfg)
-	if err != nil {
-		return nil, err
-	}
-	scfg.Precision = "fp32"
-	srv, err := serve.New(eng, scfg)
-	if err != nil {
-		return nil, err
-	}
-	// Inflight = perSession: the bench pipelines a whole session's frames
-	// at once and must measure batching, not backpressure.
-	srv.ConfigureStreams(serve.StreamConfig{MaxSessions: sessions, MaxInflight: perSession})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go func() { _ = httpSrv.Serve(ln) }()
-	addr := ln.Addr().String()
-
-	frames := make([][]*imgproc.Image, sessions)
-	for c := range frames {
-		cam := pipeline.NewSimCamera(dataset.DefaultConfig(size), perSession, uint64(500+c))
-		for {
-			f, ok := cam.Next()
-			if !ok {
-				break
-			}
-			frames[c] = append(frames[c], f.Image)
-		}
-	}
-
-	results := make([][]serve.StreamMessage, sessions)
-	errs := make([]error, sessions)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < sessions; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			errs[c] = func() error {
-				conn, err := ws.Dial(addr, fmt.Sprintf("/stream?camera=bench%d", c), nil, 5*time.Second)
-				if err != nil {
-					return err
-				}
-				defer conn.Close()
-				raw, err := conn.ReadMessage()
-				if err != nil {
-					return fmt.Errorf("hello: %w", err)
-				}
-				var hello serve.StreamMessage
-				if err := json.Unmarshal(raw, &hello); err != nil || hello.Type != serve.MsgHello {
-					return fmt.Errorf("bad hello %q: %v", raw, err)
-				}
-				for i, img := range frames[c] {
-					body, err := json.Marshal(serve.StreamFrame{Seq: i + 1, Width: img.W, Height: img.H, Pixels: img.Pix})
-					if err != nil {
-						return err
-					}
-					if err := conn.WriteMessage(body); err != nil {
-						return fmt.Errorf("frame %d: %w", i+1, err)
-					}
-				}
-				for len(results[c]) < len(frames[c]) {
-					raw, err := conn.ReadMessage()
-					if err != nil {
-						return fmt.Errorf("result %d: %w", len(results[c])+1, err)
-					}
-					var msg serve.StreamMessage
-					if err := json.Unmarshal(raw, &msg); err != nil {
-						return err
-					}
-					if msg.Type != serve.MsgResult {
-						return fmt.Errorf("answer %d: type %q (err %q)", len(results[c])+1, msg.Type, msg.Error)
-					}
-					results[c] = append(results[c], msg)
-				}
-				if err := conn.WriteClose(1000, "bench done"); err != nil {
-					return err
-				}
-				for {
-					if _, err := conn.ReadMessage(); err != nil {
-						return nil
-					}
-				}
-			}()
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for c, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("session %d: %w", c, err)
-		}
-	}
-
-	st := &streamingStat{
-		Sessions:         sessions,
-		FramesPerSession: perSession,
-		FramesPerSecond:  float64(sessions*perSession) / elapsed.Seconds(),
-	}
-	matched, total := 0, 0
-	for c := range results {
-		oracle := tracking.New(tracking.Config{})
-		for _, msg := range results[c] {
-			dets := make([]detect.Detection, len(msg.Detections))
-			for i, d := range msg.Detections {
-				dets[i] = detect.Detection{Box: detect.Box{X: d.X, Y: d.Y, W: d.W, H: d.H}, Class: d.Class, Score: d.Score}
-			}
-			var want []serve.TrackJSON
-			for _, tr := range oracle.Update(dets) {
-				want = append(want, serve.TrackJSON{
-					ID: tr.ID, X: tr.Box.X, Y: tr.Box.Y, W: tr.Box.W, H: tr.Box.H,
-					Class: tr.Class, Score: tr.Score, VX: tr.VX, VY: tr.VY,
-					Hits: tr.Hits, Age: tr.LastFrame - tr.FirstFrame,
-				})
-			}
-			wantJSON, err := json.Marshal(want)
-			if err != nil {
-				return nil, err
-			}
-			gotJSON, err := json.Marshal(msg.Tracks)
-			if err != nil {
-				return nil, err
-			}
-			total++
-			if bytes.Equal(wantJSON, gotJSON) {
-				matched++
-			}
-		}
-	}
-	if total > 0 {
-		st.TrackIDStability = float64(matched) / float64(total)
-	}
-
-	if err := srv.Close(); err != nil {
-		return nil, err
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_ = httpSrv.Shutdown(shutCtx)
-	stats := srv.Stats()
-	st.MeanBatchSize = stats.MeanBatchSize
-	st.TracksRetired = stats.StreamTracksRetired
-	st.StreamFramesTotal = stats.StreamFramesTotal
-	return st, nil
-}
-
-// runSelfBench boots the server on a loopback port once per precision,
-// drives both with the same pre-rendered frames over real HTTP (the path
-// production traffic takes), and writes the side-by-side report. With
-// -models it additionally benchmarks one routed server hosting every
-// registered model at once.
-func runSelfBench(det *core.Detector, cfg engine.Config, scfg serve.Config, size, calibFrames, clients, requests int, outPath, model string, scale float64, specs []serve.ModelSpec) error {
-	if clients < 1 || requests < 1 {
-		return fmt.Errorf("selfbench: need clients >= 1 and requests >= 1")
-	}
-	cfg.NMSThresh = det.NMSThresh
-	// Pre-render each client's frames so generation cost stays off the clock.
-	frames := make([][]*imgproc.Image, clients)
-	for c := range frames {
-		cam := pipeline.NewSimCamera(dataset.DefaultConfig(size), requests, uint64(100+c))
-		for {
-			f, ok := cam.Next()
-			if !ok {
-				break
-			}
-			frames[c] = append(frames[c], f.Image)
-		}
-	}
-	rep := benchReport{Model: model, Scale: scale, Size: size, Clients: clients, Requests: requests, AgreementIoU: agreementIoU}
-	rep.Kernels = benchKernels()
-	for _, ks := range rep.Kernels {
-		log.Printf("selfbench kernel[%s] %s: fp32 %.2f GFLOP/s (prepacked %.2f), int8 %.2f GOP/s (prepacked %.2f)",
-			ks.Kernel, ks.Shape, ks.FP32GFLOPS, ks.FP32PreGFLOPS, ks.Int8GOPS, ks.Int8PreGOPS)
-	}
-	dets := make(map[string][][]detect.Detection, 2)
-	for _, precision := range []string{"fp32", "int8"} {
-		mdl, err := buildModel(det, precision, size, calibFrames)
-		if err != nil {
-			return err
-		}
-		stats, collected, err := benchOnePrecision(mdl, cfg, scfg, precision, frames)
-		if err != nil {
-			return fmt.Errorf("selfbench %s: %w", precision, err)
-		}
-		dets[precision] = collected
-		if precision == "fp32" {
-			rep.FP32 = stats
-		} else {
-			rep.Int8 = stats
-		}
-		log.Printf("selfbench %s: %.1f images/s aggregate, mean batch %.2f, p50 %.1f ms, p99 %.1f ms",
-			precision, stats.AggregateFPS, stats.MeanBatchSize, stats.LatencyP50Ms, stats.LatencyP99Ms)
-	}
-	rep.DetectionAgreement = detect.Agreement(dets["fp32"], dets["int8"], agreementIoU)
-	if len(specs) > 0 {
-		routed, err := benchRouted(specs, scale, calibFrames, clients, requests, cfg, scfg)
-		if err != nil {
-			return fmt.Errorf("selfbench routed: %w", err)
-		}
-		rep.Routed = routed
-		parts := make([]string, len(specs))
-		for i, sp := range specs {
-			parts[i] = sp.String()
-		}
-		rep.RoutedSpec = strings.Join(parts, ",")
-		for name, st := range routed {
-			log.Printf("selfbench routed %s: %.1f images/s aggregate, mean batch %.2f, p50 %.1f ms, p99 %.1f ms",
-				name, st.AggregateFPS, st.MeanBatchSize, st.LatencyP50Ms, st.LatencyP99Ms)
-		}
-	}
-	res, err := benchResilience(det, cfg, scfg, size, calibFrames)
-	if err != nil {
-		return fmt.Errorf("selfbench resilience: %w", err)
-	}
-	rep.Resilience = res
-	log.Printf("selfbench resilience: %d-request deadline storm -> %d x 504, %d late 200s, accounting holds: %v",
-		res.StormRequests, res.Deadline504, res.LatePastDeadline200, res.AccountingHolds)
-	stream, err := benchStreaming(det, cfg, scfg, size, calibFrames)
-	if err != nil {
-		return fmt.Errorf("selfbench streaming: %w", err)
-	}
-	rep.Streaming = stream
-	log.Printf("selfbench streaming: %d sessions x %d frames -> %.1f frames/s, mean batch %.2f, track-id stability %.3f",
-		stream.Sessions, stream.FramesPerSession, stream.FramesPerSecond, stream.MeanBatchSize, stream.TrackIDStability)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	log.Printf("selfbench: fp32 %.1f images/s vs int8 %.1f images/s, detection agreement %.3f (IoU >= %.2f) -> %s",
-		rep.FP32.AggregateFPS, rep.Int8.AggregateFPS, rep.DetectionAgreement, agreementIoU, outPath)
-	return nil
-}
-
-// benchRouted boots ONE routed server hosting every -models spec and
-// drives each model with its own client fleet concurrently — cross-model
-// interleaved traffic, the load pattern the per-model pools exist for —
-// returning each model's private stats snapshot.
-func benchRouted(specs []serve.ModelSpec, scale float64, calibFrames, clients, requests int, cfg engine.Config, scfg serve.Config) (map[string]serve.Stats, error) {
-	entries, err := buildEntries(specs, scale, calibFrames, cfg, scfg)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := serve.NewRouted(entries)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go func() { _ = httpSrv.Serve(ln) }()
-
-	// Pre-render each model's frames at its own input size.
-	frames := make(map[string][]*imgproc.Image, len(specs))
-	for i, sp := range specs {
-		cam := pipeline.NewSimCamera(dataset.DefaultConfig(sp.Size), requests, uint64(200+i))
-		for {
-			f, ok := cam.Next()
-			if !ok {
-				break
-			}
-			frames[sp.Name] = append(frames[sp.Name], f.Image)
-		}
-	}
-	var wg sync.WaitGroup
-	for _, sp := range specs {
-		url := fmt.Sprintf("http://%s/detect?model=%s", ln.Addr(), sp.Name)
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(name, url string) {
-				defer wg.Done()
-				for _, img := range frames[name] {
-					if _, err := postFrame(url, img); err != nil {
-						log.Printf("routed client %s: %v", name, err)
-					}
-				}
-			}(sp.Name, url)
-		}
-	}
-	wg.Wait()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_ = httpSrv.Shutdown(shutCtx)
-	if err := srv.Close(); err != nil {
-		return nil, err
-	}
-	out := make(map[string]serve.Stats, len(specs))
-	for _, sp := range specs {
-		st, ok := srv.ModelStats(sp.Name)
-		if !ok {
-			return nil, fmt.Errorf("no stats for routed model %q", sp.Name)
-		}
-		out[sp.Name] = st
-	}
-	return out, nil
-}
-
-// benchOnePrecision runs the client fleet against a fresh server wrapping
-// the given model and returns the final stats plus every response's
-// detections, indexed client-major ([c*requests+r]) so the two precision
-// runs line up image for image.
-func benchOnePrecision(mdl core.Model, cfg engine.Config, scfg serve.Config, precision string, frames [][]*imgproc.Image) (serve.Stats, [][]detect.Detection, error) {
-	eng, err := engine.New(mdl, cfg)
-	if err != nil {
-		return serve.Stats{}, nil, err
-	}
-	scfg.Precision = precision
-	srv, err := serve.New(eng, scfg)
-	if err != nil {
-		return serve.Stats{}, nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return serve.Stats{}, nil, err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go func() { _ = httpSrv.Serve(ln) }()
-	url := fmt.Sprintf("http://%s/detect", ln.Addr())
-
-	clients := len(frames)
-	requests := len(frames[0])
-	collected := make([][]detect.Detection, clients*requests)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r, img := range frames[c] {
-				dets, err := postFrame(url, img)
-				if err != nil {
-					log.Printf("client %d: %v", c, err)
-					continue
-				}
-				collected[c*requests+r] = dets
-			}
-		}(c)
-	}
-	wg.Wait()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_ = httpSrv.Shutdown(shutCtx)
-	if err := srv.Close(); err != nil {
-		return serve.Stats{}, nil, err
-	}
-	return srv.Stats(), collected, nil
-}
-
-// benchClient is the selfbench fleet's HTTP client: a per-request timeout
-// turns a wedged server into a reported error instead of a benchmark that
-// hangs forever.
-var benchClient = &http.Client{Timeout: 30 * time.Second}
-
-// postFrame sends one image as a JSON detect request and returns the
-// detections, retrying briefly on 429 so the benchmark exercises
-// backpressure without losing samples.
-func postFrame(url string, img *imgproc.Image) ([]detect.Detection, error) {
-	req := serve.DetectRequest{Width: img.W, Height: img.H, Pixels: img.Pix}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	for attempt := 0; ; attempt++ {
-		resp, err := benchClient.Post(url, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			var out serve.DetectResponse
-			err := json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-			if err != nil {
-				return nil, err
-			}
-			dets := make([]detect.Detection, len(out.Detections))
-			for i, d := range out.Detections {
-				dets[i] = detect.Detection{
-					Box:   detect.Box{X: d.X, Y: d.Y, W: d.W, H: d.H},
-					Class: d.Class, Score: d.Score,
-				}
-			}
-			return dets, nil
-		case resp.StatusCode == http.StatusTooManyRequests && attempt < 50:
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			time.Sleep(2 * time.Millisecond)
-		default:
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			return nil, fmt.Errorf("POST %s: %s", url, resp.Status)
-		}
-	}
 }

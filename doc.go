@@ -36,9 +36,9 @@
 // per-channel weight scales, activation scales calibrated on sample frames
 // — and runs batched int8 inference (int8 im2col + tensor.GemmInt8 with
 // exact int32 accumulation) through the identical micro-batching path,
-// labelling /metrics with the active precision; BENCH_serve.json reports
-// fp32 and int8 aggregate FPS plus their detection-agreement score side by
-// side.
+// labelling /metrics with the active precision; the repository benchmark
+// (bench/, BENCHMARK.json) serves int8 beside fp32 in its routed-mixed
+// workload and scores both against the fp32 serial oracle.
 //
 // Both precisions lower convolution onto one packed cache-blocked GEMM
 // (internal/tensor): BLIS-style MR×KC / KC×NR panel packing feeding a

@@ -36,9 +36,7 @@ func main() {
 	counts := make([]int, 0, 20)
 	tracker := tracking.New(tracking.DefaultConfig())
 	runner := &pipeline.Runner{
-		Net:       det.Net,
-		Thresh:    det.Thresh,
-		NMSThresh: det.NMSThresh,
+		BatchRunner: pipeline.BatchRunner{Net: det.Net, Thresh: det.Thresh, NMSThresh: det.NMSThresh},
 		OnFrame: func(f pipeline.Frame, dets []detect.Detection) {
 			counts = append(counts, len(dets))
 			live := tracker.Update(dets)

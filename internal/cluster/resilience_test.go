@@ -290,10 +290,13 @@ func TestProxyDeadlinePropagation(t *testing.T) {
 		t.Fatalf("proxy_deadline_exceeded_total = %d, want >= 1", fleet.ProxyDeadlineExceededTotal)
 	}
 
-	// Malformed deadline: 400, nothing forwarded.
-	resp, _ = postFull(t, ts.URL, "/detect?camera=c", []byte("{}"), http.Header{serve.DeadlineHeader: []string{"soon"}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed deadline: status %d, want 400", resp.StatusCode)
+	// Malformed deadline — unparseable, or a millisecond count that would
+	// overflow time.Duration into a negative budget: 400, nothing forwarded.
+	for _, bad := range []string{"soon", "9223372036855"} {
+		resp, _ = postFull(t, ts.URL, "/detect?camera=c", []byte("{}"), http.Header{serve.DeadlineHeader: []string{bad}})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed deadline %q: status %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }
 

@@ -49,7 +49,7 @@ type Config struct {
 	// (single-process deployment).
 	ShardID string
 	// Thresh and NMSThresh are the decode and suppression thresholds
-	// (pipeline.Runner defaults apply when zero).
+	// (pipeline.BatchRunner defaults apply when zero).
 	Thresh, NMSThresh float64
 	// AltitudeFilter, when non-nil, applies the §III.D size gating with each
 	// frame's altitude on every stream.
@@ -110,8 +110,7 @@ type Engine struct {
 
 	mu        sync.Mutex         // guards lazy pool growth, workerCap and Free
 	runners   []*pipeline.Runner // pooled worker replicas, grown lazily
-	batchers  []*pipeline.BatchRunner
-	workerCap int // ExecuteBatch id bound when > Workers (idle-worker lending)
+	workerCap int                // ExecuteBatch id bound when > Workers (idle-worker lending)
 
 	// Service-time estimate: a ring of recent ExecuteBatch wall durations
 	// feeding ServiceP50 — the "can this request still make its deadline"
@@ -229,17 +228,21 @@ feed:
 }
 
 // runner returns the id-th pooled worker runner, cloning the base network on
-// first use; later Runs reuse it, keeping its activation buffers warm.
+// first use; later Runs reuse it, keeping its activation buffers warm. The
+// one replica serves both job kinds — whole streams through Runner.RunContext
+// and micro-batches through its embedded BatchRunner — which is safe because
+// a worker executes either a stream job or a batch job at any moment, never
+// both.
 func (e *Engine) runner(id int) *pipeline.Runner {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for len(e.runners) <= id {
-		e.runners = append(e.runners, &pipeline.Runner{
+		e.runners = append(e.runners, &pipeline.Runner{BatchRunner: pipeline.BatchRunner{
 			Net:            e.base.CloneForInference(),
 			Thresh:         e.cfg.Thresh,
 			NMSThresh:      e.cfg.NMSThresh,
 			AltitudeFilter: e.cfg.AltitudeFilter,
-		})
+		}})
 	}
 	return e.runners[id]
 }
@@ -285,7 +288,7 @@ func (e *Engine) WorkerCap() int {
 // intended caller (internal/serve).
 func (e *Engine) Free() {
 	e.mu.Lock()
-	e.runners, e.batchers = nil, nil
+	e.runners = nil
 	e.mu.Unlock()
 }
 
@@ -313,34 +316,12 @@ func (e *Engine) WorkspaceBytes() int64 {
 // size.
 func (e *Engine) WeightBytes() int64 { return e.base.WeightBytes() }
 
-// batcher returns the id-th pooled batch runner. It shares the same network
-// replica as runner(id): a worker executes either a stream job or a batch
-// job at any moment, never both, so the replica's layer workspaces are safe
-// to share between the two views.
-func (e *Engine) batcher(id int) *pipeline.BatchRunner {
-	r := e.runner(id)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for len(e.batchers) <= id {
-		e.batchers = append(e.batchers, nil)
-	}
-	if e.batchers[id] == nil {
-		e.batchers[id] = &pipeline.BatchRunner{
-			Net:            r.Net,
-			Thresh:         e.cfg.Thresh,
-			NMSThresh:      e.cfg.NMSThresh,
-			AltitudeFilter: e.cfg.AltitudeFilter,
-		}
-	}
-	return e.batchers[id]
-}
-
 // WarmBatch pre-runs one throwaway forward at the given batch size on every
 // pooled worker replica, so serving starts with all workspaces sized for the
 // maximum micro-batch instead of growing them on the first live requests.
 func (e *Engine) WarmBatch(batch int) {
 	for id := 0; id < e.cfg.Workers; id++ {
-		e.batcher(id).Warm(batch)
+		e.runner(id).Warm(batch)
 	}
 }
 
@@ -362,7 +343,7 @@ func (e *Engine) ExecuteBatch(id int, imgs []*imgproc.Image, altitudes []float64
 	if err := faults.Fire("engine.execute", ""); err != nil {
 		return nil, err
 	}
-	per, err := e.batcher(id).Detect(imgs, altitudes)
+	per, err := e.runner(id).Detect(imgs, altitudes)
 	e.recordService(time.Since(start))
 	return per, err
 }

@@ -16,15 +16,15 @@ import (
 // is what lets the serving layer coalesce concurrent requests without
 // changing what any caller observes.
 //
-// Like Runner, a BatchRunner is not safe for concurrent use: the packed
-// input tensor and the model's layer workspaces are per-instance state.
-// Give each worker its own BatchRunner over a CloneForInference replica.
+// A BatchRunner is not safe for concurrent use: the packed input tensor and
+// the model's layer workspaces are per-instance state. Give each worker its
+// own BatchRunner over a CloneForInference replica.
 // Net is the precision-agnostic model interface: the same batcher drives a
 // float32 network.Network or an INT8 quant.QNet.
 type BatchRunner struct {
 	Net network.Model
 	// Thresh and NMSThresh are the decode and suppression thresholds
-	// (defaults 0.5 / 0.45 when zero, matching Runner).
+	// (defaults 0.5 / 0.45 when zero).
 	Thresh, NMSThresh float64
 	// AltitudeFilter, when non-nil, applies the §III.D size gating per image
 	// using the corresponding altitude (images with altitude <= 0 skip it).

@@ -14,7 +14,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/imgproc"
-	"repro/internal/network"
 	"repro/internal/tensor"
 )
 
@@ -77,16 +76,14 @@ func (d *DatasetSource) Next() (Frame, bool) {
 	return f, true
 }
 
-// Runner executes the detector over a frame stream. Net is the
-// precision-agnostic model interface, so the same loop drives a float32
-// network.Network or an INT8 quant.QNet.
+// Runner executes the detector over a frame stream, one frame at a time:
+// every frame goes through the embedded BatchRunner as a batch of one, so
+// the stream loop and the serving micro-batcher share one implementation of
+// threshold defaults, resize, detect and altitude gating (and one reused
+// input tensor). Net is the precision-agnostic model interface, so the same
+// loop drives a float32 network.Network or an INT8 quant.QNet.
 type Runner struct {
-	Net network.Model
-	// Thresh and NMSThresh are the decode and suppression thresholds.
-	Thresh, NMSThresh float64
-	// AltitudeFilter, when non-nil, applies the §III.D size gating using
-	// each frame's altitude.
-	AltitudeFilter *detect.AltitudeFilter
+	BatchRunner
 	// OnFrame, when non-nil, observes each processed frame's detections.
 	OnFrame func(Frame, []detect.Detection)
 }
@@ -116,15 +113,6 @@ func (r *Runner) RunContext(ctx context.Context, src Source) (Stats, error) {
 	if r.Net == nil {
 		return Stats{}, fmt.Errorf("pipeline: Runner requires a model")
 	}
-	thresh := r.Thresh
-	if thresh <= 0 {
-		thresh = 0.5
-	}
-	nms := r.NMSThresh
-	if nms <= 0 {
-		nms = 0.45
-	}
-	in := r.Net.InShape()
 	var st Stats
 	var totalLatency float64
 	for {
@@ -137,21 +125,11 @@ func (r *Runner) RunContext(ctx context.Context, src Source) (Stats, error) {
 			break
 		}
 		start := time.Now()
-		img := f.Image
-		if img.W != in.W || img.H != in.H {
-			img = img.Resize(in.W, in.H)
-		}
-		per, err := r.Net.DetectBatch(img.ToTensor(), thresh, nms)
+		per, err := r.Detect([]*imgproc.Image{f.Image}, []float64{f.Altitude})
 		if err != nil {
 			return st, err
 		}
 		dets := per[0]
-		if r.AltitudeFilter != nil && f.Altitude > 0 {
-			dets, err = r.AltitudeFilter.Apply(dets, f.Altitude)
-			if err != nil {
-				return st, err
-			}
-		}
 		lat := time.Since(start).Seconds()
 		totalLatency += lat
 		if lat > st.MaxLatency {

@@ -97,8 +97,7 @@ func TestDatasetSourceReplays(t *testing.T) {
 func TestRunnerProcessesStream(t *testing.T) {
 	var seen int
 	r := &Runner{
-		Net:    pipeNet(t),
-		Thresh: 0.1,
+		BatchRunner: BatchRunner{Net: pipeNet(t), Thresh: 0.1},
 		OnFrame: func(f Frame, dets []detect.Detection) {
 			seen++
 		},
@@ -129,7 +128,7 @@ func TestRunnerResizesMismatchedFrames(t *testing.T) {
 	// 96px camera frames through a 48px network input.
 	cfg96 := camConfig()
 	cfg96.Width, cfg96.Height = 96, 96
-	r := &Runner{Net: pipeNet(t), Thresh: 0.1}
+	r := &Runner{BatchRunner: BatchRunner{Net: pipeNet(t), Thresh: 0.1}}
 	st, err := r.Run(NewSimCamera(cfg96, 2, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -143,12 +142,12 @@ func TestRunnerAltitudeFilterReducesDetections(t *testing.T) {
 	// With an untrained network and a low threshold, decode produces many
 	// boxes of arbitrary size; the altitude gate must prune some.
 	f := detect.NewVehicleAltitudeFilter()
-	base := &Runner{Net: pipeNet(t), Thresh: 0.01}
+	base := &Runner{BatchRunner: BatchRunner{Net: pipeNet(t), Thresh: 0.01}}
 	st1, err := base.Run(NewSimCamera(camConfig(), 3, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated := &Runner{Net: pipeNet(t), Thresh: 0.01, AltitudeFilter: &f}
+	gated := &Runner{BatchRunner: BatchRunner{Net: pipeNet(t), Thresh: 0.01, AltitudeFilter: &f}}
 	st2, err := gated.Run(NewSimCamera(camConfig(), 3, 7))
 	if err != nil {
 		t.Fatal(err)

@@ -16,10 +16,11 @@ import (
 )
 
 // BenchmarkServeThroughput measures end-to-end serving throughput (HTTP
-// parse + queue + micro-batched inference) with parallel clients, the
-// go-bench counterpart of `dronet-serve -selfbench`. Mean micro-batch size
-// is reported alongside images/sec: rising parallelism should raise it, and
-// with it per-image efficiency.
+// parse + queue + micro-batched inference) with parallel clients, all in
+// one process — the profiling target behind `make profile`; the end-to-end
+// numbers come from bench/run.sh against the real binary. Mean micro-batch
+// size is reported alongside images/sec: rising parallelism should raise
+// it, and with it per-image efficiency.
 func BenchmarkServeThroughput(b *testing.B) {
 	net, _, err := models.Build(models.DroNet, 64, tensor.NewRNG(1))
 	if err != nil {

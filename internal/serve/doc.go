@@ -75,7 +75,10 @@
 // assembly, again 504, BEFORE the batch reaches a kernel. Both paths
 // count deadline_exceeded_total, and the accounting identity
 // sum(batch_size*count) == completed+failed over the batch histogram
-// proves dropped-expired work never executed.
+// proves dropped-expired work never executed. A budget over
+// maxDeadlineBudget (one day) is refused as malformed — 400 on the HTTP
+// and stream-open paths, an in-band 400 per stream frame — so an
+// overflowing millisecond count cannot wrap into a negative budget.
 //
 // # Brownout degradation and budgeted retries
 //

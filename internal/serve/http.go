@@ -122,11 +122,18 @@ func (s *Server) release() { s.inflight.Add(-1) }
 // budget that is genuinely left, not what the client started with.
 const DeadlineHeader = "X-Dronet-Deadline"
 
+// maxDeadlineBudget bounds every client-supplied deadline budget (header,
+// query or a stream frame's deadline_ms): a larger millisecond count would
+// overflow time.Duration into a negative budget, i.e. an instant 504 for
+// the most patient client. Anything over a day is a client bug, not a
+// deadline, and is refused as malformed.
+const maxDeadlineBudget = 24 * time.Hour
+
 // ParseDeadline extracts a request's deadline budget: the X-Dronet-Deadline
 // header first (the proxy-decremented value wins over the original query
 // the proxy also forwards), then ?deadline_ms=. Returns 0 with no error
 // when the request carries no deadline; the budget must be a positive
-// integer millisecond count.
+// integer millisecond count of at most maxDeadlineBudget.
 func ParseDeadline(r *http.Request) (time.Duration, error) {
 	raw := r.Header.Get(DeadlineHeader)
 	src := DeadlineHeader + " header"
@@ -138,8 +145,8 @@ func ParseDeadline(r *http.Request) (time.Duration, error) {
 		return 0, nil
 	}
 	ms, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0, fmt.Errorf("bad %s %q: want a positive integer millisecond budget", src, raw)
+	if err != nil || ms <= 0 || ms > maxDeadlineBudget.Milliseconds() {
+		return 0, fmt.Errorf("bad %s %q: want an integer millisecond budget in [1,%d]", src, raw, maxDeadlineBudget.Milliseconds())
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }

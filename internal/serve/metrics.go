@@ -11,9 +11,9 @@ import (
 // meaningful while bounding memory.
 const latWindow = 4096
 
-// Stats is the machine-readable snapshot served by /metrics and embedded in
-// BENCH_serve.json by the benchmark emitter. A routed server produces one
-// Stats per hosted model plus a fleet aggregate (see MetricsReport).
+// Stats is the machine-readable snapshot served by /metrics. A routed
+// server produces one Stats per hosted model plus a fleet aggregate (see
+// MetricsReport).
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_s"`
 

@@ -3,10 +3,12 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/serve"
 	"repro/internal/tensor"
+	"repro/internal/ws"
 )
 
 // postDeadline posts one frame with an X-Dronet-Deadline budget (0 = no
@@ -169,6 +172,74 @@ func TestExpiredOnArrival504(t *testing.T) {
 	}
 	if exec := executedImages(m.Stats); exec != 0 {
 		t.Errorf("executed images = %d, want 0", exec)
+	}
+}
+
+// TestDeadlineOverBudget400 pins the budget bound: a millisecond count
+// that would overflow time.Duration (9223372036855 ms wraps negative) or
+// merely exceeds the one-day cap is a malformed request — 400 on every
+// surface that parses a deadline, never the instant 504 a wrapped budget
+// used to earn — while the largest in-range budget is still served.
+func TestDeadlineOverBudget400(t *testing.T) {
+	srv := newServer(t, buildNet(t), 1, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond, QueueDepth: 8})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	frame := testFrames(1)[0]
+	var png bytes.Buffer
+	if err := encodePNG(&png, frame); err != nil {
+		t.Fatal(err)
+	}
+	jsonBody, err := json.Marshal(serve.DetectRequest{Width: frame.W, Height: frame.H, Pixels: frame.Pix})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const day = 24 * 60 * 60 * 1000
+	cases := []struct {
+		name, path, header string
+		want               int
+	}{
+		{"raw header wraps negative", "/detect/raw", "9223372036855", http.StatusBadRequest},
+		{"raw header one over the cap", "/detect/raw", fmt.Sprint(day + 1), http.StatusBadRequest},
+		{"raw query wraps negative", "/detect/raw?deadline_ms=9223372036855", "", http.StatusBadRequest},
+		{"json header wraps negative", "/detect", "9223372036855", http.StatusBadRequest},
+		{"json query one over the cap", fmt.Sprintf("/detect?deadline_ms=%d", day+1), "", http.StatusBadRequest},
+		{"raw header at the cap", "/detect/raw", fmt.Sprint(day), http.StatusOK},
+	}
+	for _, c := range cases {
+		body := jsonBody
+		if strings.HasPrefix(c.path, "/detect/raw") {
+			body = png.Bytes()
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+c.path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.header != "" {
+			req.Header.Set(serve.DeadlineHeader, c.header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d (%s), want %d", c.name, resp.StatusCode, raw, c.want)
+		}
+	}
+
+	// The stream-open path refuses over plain HTTP, before the upgrade.
+	conn, err := ws.Dial(ts.Listener.Addr().String(), "/stream?deadline_ms=9223372036855", nil, 5*time.Second)
+	if err == nil {
+		conn.Close()
+	}
+	var he *ws.HandshakeError
+	if !errors.As(err, &he) || he.StatusCode != http.StatusBadRequest {
+		t.Errorf("stream open over budget: %v, want a 400 handshake refusal", err)
+	}
+	if got := scrapeStats(t, ts).DeadlineExceededTotal; got != 0 {
+		t.Errorf("deadline_exceeded_total %d, want 0: an over-budget deadline is malformed, not expired", got)
 	}
 }
 

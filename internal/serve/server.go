@@ -55,9 +55,8 @@ type Config struct {
 	// allocation.
 	Warm bool
 	// Precision labels the numeric path of the model ("fp32" or "int8") on
-	// /healthz, /metrics and BENCH_serve.json. Purely informational — the
-	// engine already encapsulates the actual model — and defaults to
-	// "fp32".
+	// /healthz and /metrics. Purely informational — the engine already
+	// encapsulates the actual model — and defaults to "fp32".
 	Precision string
 	// NewQueue, when non-nil, constructs this model's admission queue in
 	// place of the default bounded channel queue (NewQueue function) — the

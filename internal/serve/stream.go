@@ -108,8 +108,8 @@ func toTrackJSON(tracks []*tracking.Track) []TrackJSON {
 }
 
 // decodeStreamFrame parses and validates one frame message, returning the
-// in-band error answer (nil on success) with the same geometry bounds the
-// HTTP path enforces.
+// in-band error answer (nil on success) with the same geometry and
+// deadline-budget bounds the HTTP path enforces.
 func decodeStreamFrame(raw []byte) (*StreamFrame, *StreamMessage) {
 	var f StreamFrame
 	if err := json.Unmarshal(raw, &f); err != nil {
@@ -122,6 +122,10 @@ func decodeStreamFrame(raw []byte) (*StreamFrame, *StreamMessage) {
 	if len(f.Pixels) != 3*f.Width*f.Height {
 		return nil, &StreamMessage{Type: MsgError, Seq: f.Seq, Code: 400,
 			Error: fmt.Sprintf("pixels length %d != 3*%d*%d", len(f.Pixels), f.Width, f.Height)}
+	}
+	if f.DeadlineMs > maxDeadlineBudget.Milliseconds() {
+		return nil, &StreamMessage{Type: MsgError, Seq: f.Seq, Code: 400,
+			Error: fmt.Sprintf("deadline_ms %d over the %d limit", f.DeadlineMs, maxDeadlineBudget.Milliseconds())}
 	}
 	return &f, nil
 }

@@ -531,6 +531,12 @@ func TestStreamBadFramesInBand(t *testing.T) {
 	if msg := readMsg(t, conn); msg.Type != serve.MsgError || msg.Code != 400 || msg.Seq != 7 {
 		t.Fatalf("short pixels: type %q code %d seq %d, want error/400/7", msg.Type, msg.Code, msg.Seq)
 	}
+	// A deadline_ms that would overflow time.Duration is malformed (400),
+	// not a negative budget that expires on arrival (504).
+	sendFrame(t, conn, 9, frames[0], 9223372036855)
+	if msg := readMsg(t, conn); msg.Type != serve.MsgError || msg.Code != 400 || msg.Seq != 9 {
+		t.Fatalf("over-budget deadline_ms: type %q code %d seq %d, want error/400/9", msg.Type, msg.Code, msg.Seq)
+	}
 	sendFrame(t, conn, 8, frames[0], 0)
 	if msg := readMsg(t, conn); msg.Type != serve.MsgResult || msg.Seq != 8 {
 		t.Fatalf("valid frame after errors: type %q seq %d (err %q), want result", msg.Type, msg.Seq, msg.Error)

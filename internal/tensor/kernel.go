@@ -111,9 +111,8 @@ func currentKernels() *microKernels {
 }
 
 // KernelName reports the active microkernel family: "avx2", "sse2" or
-// "portable". Serving surfaces (selfbench kernels entries, /healthz) label
-// their numbers with it so committed benchmarks are attributable to a
-// dispatch path.
+// "portable". /healthz labels a server with it, which is how the
+// benchmark harness attributes its committed runs to a dispatch path.
 func KernelName() string {
 	return currentKernels().name
 }
