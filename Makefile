@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke stream-soak chaos fuzz fleet serve profile
+.PHONY: ci vet build test race bench bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke stream-soak chaos invariants fuzz fleet serve profile
 
 ## ci: the full tier-1 + hygiene gate (what .github/workflows/ci.yml's main
 ## job runs step by step); bench-smoke runs the GEMM kernels a few iterations
@@ -8,7 +8,7 @@ GO ?= go
 ## not just slowly. The recipe line runs the benchmark harness's own tests:
 ## bench/ is a nested module `./...` does not reach. Deliberately NOT
 ## `bench`: that is a measurement, not a gate.
-ci: vet build race chaos bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke
+ci: vet build race chaos invariants bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke
 	cd bench && $(GO) test -short ./...
 
 ## bench-smoke: quick kernel-level regression tripwire over the packed GEMM
@@ -118,6 +118,18 @@ chaos:
 	$(GO) test -race -run 'TestBreaker|TestChaos|TestProxyDeadline|TestDeadline|TestExpired|TestBrownout|GoroutineHygiene' \
 	    ./internal/serve/ ./internal/cluster/
 
+## invariants: the system's exact contracts, by name, under the race
+## detector in shuffled order — the one command a refactor runs to prove it
+## changed nothing: batched ≡ serial byte for byte (one-shot, int8, routed
+## per model, streaming sessions, the stream fleet, the network's batch and
+## clone paths), every GEMM kernel family ≡ naive and prepacked ≡
+## pack-per-call, the accounting identity that proves expired work never
+## reaches a kernel, minimal ring remap, zero dropped requests across a hot
+## swap, the frozen /metrics wire shape, and goroutine hygiene after Close
+invariants:
+	$(GO) test -race -shuffle=on -run 'TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestFleetMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestSwapUnderTraffic|TestMetricsWireGolden|GoroutineHygiene' \
+	    ./internal/tensor/ ./internal/network/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
+
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization and
 ## spec-grammar invariants (FuzzGemmPackedVsNaive cross-checks the packed
 ## cache-blocked GEMM against the naive loops across EVERY registered
@@ -129,7 +141,9 @@ chaos:
 ## detected so fuzz logs are attributable; FuzzParseModelSpecs holds -models
 ## parsing to a no-panic + parse/format/parse fixed-point contract,
 ## FuzzParseDeadline the deadline header/query parser to no panic and an
-## accepted budget within [0, maxDeadlineBudget]). FUZZTIME
+## accepted budget within [0, maxDeadlineBudget], FuzzDecodeStreamFrame the
+## session frame decoder to no panic and accepted frames within the
+## geometry, pixel-count and deadline bounds). FUZZTIME
 ## tunes the per-target budget (CI's parallel fuzz job uses 15s; the nightly
 ## job runs this same target at 10m).
 FUZZTIME ?= 30s
@@ -144,6 +158,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQuantDequant -fuzztime $(FUZZTIME) ./internal/quant
 	$(GO) test -run '^$$' -fuzz FuzzParseModelSpecs -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseDeadline -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDecodeStreamFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzRingOwnership -fuzztime $(FUZZTIME) ./internal/cluster
 
 ## profile: CPU + heap pprof capture of the in-process serving path

@@ -27,9 +27,10 @@
 //     the ring; a killed shard costs capacity, never correctness. Breaker
 //     state and transition counters ride on /healthz and /metrics.
 //   - fleet metrics: the proxy's /metrics scrapes every live shard and
-//     publishes per-shard blocks plus a fleet rollup in the same shape as
-//     the per-model blocks a routed server exposes, so existing scrapers
-//     aggregate a fleet exactly like they aggregate models.
+//     publishes per-shard blocks plus a fleet rollup (serve.Stats.Merge
+//     folded over the shards) in the same shape as the per-model blocks a
+//     routed server exposes, so existing scrapers aggregate a fleet
+//     exactly like they aggregate models.
 //
 // # Deadlines and budgeted retries
 //
@@ -43,12 +44,14 @@
 // it never penalizes the shard's breaker (the client ran out of time, the
 // shard did nothing wrong) and never triggers a pointless failover.
 //
-// Failover retries draw from a token bucket (ProxyConfig.RetryBudget
-// capacity, RetryRefill tokens restored per successful forward) and space
-// attempts with exponential backoff plus full jitter. When the bucket is
-// dry the proxy answers 503 with Retry-After instead of amplifying a
-// brown-out with a retry storm. Responses carry X-Dronet-Attempts so
-// clients and tests can see how many shards a request visited.
+// Every shard hop — a forward, a /stream open, a relayed session's
+// failover — is one budgeted ring walk (Proxy.walk): retries draw from a
+// token bucket (ProxyConfig.RetryBudget capacity, RetryRefill tokens
+// restored per successful forward) and space attempts with exponential
+// backoff plus full jitter. When the bucket is dry the proxy answers 503
+// with Retry-After instead of amplifying a brown-out with a retry storm.
+// Responses carry X-Dronet-Attempts so clients and tests can see how many
+// shards a request visited.
 //
 // cmd/dronet-proxy wires the pieces into a binary (static -shards list or
 // -spawn K local shard processes for bench/smoke); examples/serveclient

@@ -80,7 +80,6 @@ func (p *Proxy) FleetReport() FleetReport {
 	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	var parts []serve.Stats
 	for addr, s := range p.shards {
 		wg.Add(1)
 		go func(addr string, s *shardState) {
@@ -96,23 +95,20 @@ func (p *Proxy) FleetReport() FleetReport {
 				ErrorsTotal:    s.errors.Load(),
 			}
 			if sm.Alive {
-				if m := p.scrape(s); m != nil {
-					sm.Metrics = m
-				}
+				sm.Metrics = p.scrape(s)
 			}
 			mu.Lock()
 			if sm.Alive {
 				rep.LiveShards++
 			}
 			if sm.Metrics != nil {
-				parts = append(parts, sm.Metrics.Stats)
+				rep.Stats.Merge(sm.Metrics.Stats)
 			}
 			rep.Shards[addr] = sm
 			mu.Unlock()
 		}(addr, s)
 	}
 	wg.Wait()
-	rep.Stats = rollup(parts)
 	return rep
 }
 
@@ -139,70 +135,4 @@ func (p *Proxy) scrape(s *shardState) *serve.MetricsReport {
 // handleMetrics serves GET /metrics: the fleet report assembled on demand.
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, p.FleetReport())
-}
-
-// rollup merges per-shard fleet-aggregate stats into one fleet-of-fleets
-// aggregate. Counters, queue occupancy, worker counts and throughput sum;
-// latency percentiles cannot be merged exactly from summaries, so p50/p99
-// and the mean are completion-weighted averages (documented approximation)
-// while the max is exact; per-process identity labels are dropped (a
-// rollup spans shards by construction).
-func rollup(parts []serve.Stats) serve.Stats {
-	var out serve.Stats
-	var latWeight, p50, p99, mean float64
-	var batchImages float64
-	for _, s := range parts {
-		if s.UptimeSeconds > out.UptimeSeconds {
-			out.UptimeSeconds = s.UptimeSeconds
-		}
-		switch {
-		case out.Precision == "":
-			out.Precision = s.Precision
-		case out.Precision != s.Precision:
-			out.Precision = "mixed"
-		}
-		out.Received += s.Received
-		out.Rejected += s.Rejected
-		out.Completed += s.Completed
-		out.Failed += s.Failed
-		out.CancelledTotal += s.CancelledTotal
-		out.RetriesExhaustedTotal += s.RetriesExhaustedTotal
-		out.DeadlineExceededTotal += s.DeadlineExceededTotal
-		out.DegradedTotal += s.DegradedTotal
-		out.BorrowedWorkers += s.BorrowedWorkers
-		out.BorrowsTotal += s.BorrowsTotal
-		out.QueueDepth += s.QueueDepth
-		out.QueueCap += s.QueueCap
-		out.Workers += s.Workers
-		if s.MaxBatch > out.MaxBatch {
-			out.MaxBatch = s.MaxBatch
-		}
-		out.Batches += s.Batches
-		batchImages += s.MeanBatchSize * float64(s.Batches)
-		if out.BatchHist == nil && s.BatchHist != nil {
-			out.BatchHist = make(map[int]int)
-		}
-		for k, v := range s.BatchHist {
-			out.BatchHist[k] += v
-		}
-		w := float64(s.Completed)
-		latWeight += w
-		p50 += w * s.LatencyP50Ms
-		p99 += w * s.LatencyP99Ms
-		mean += w * s.LatencyMeanMs
-		if s.LatencyMaxMs > out.LatencyMaxMs {
-			out.LatencyMaxMs = s.LatencyMaxMs
-		}
-		out.BusySeconds += s.BusySeconds
-		out.AggregateFPS += s.AggregateFPS
-	}
-	if out.Batches > 0 {
-		out.MeanBatchSize = batchImages / float64(out.Batches)
-	}
-	if latWeight > 0 {
-		out.LatencyP50Ms = p50 / latWeight
-		out.LatencyP99Ms = p99 / latWeight
-		out.LatencyMeanMs = mean / latWeight
-	}
-	return out
 }

@@ -265,6 +265,59 @@ const (
 	failoverBackoffMax  = 50 * time.Millisecond
 )
 
+// walk is the one budgeted ring walk behind every shard hop — a /detect
+// forward, a /stream open and a relayed session's failover: hand try the
+// next untried breaker-closed shard for key until it reports the request
+// finished or the candidates run out. Every attempt past a request's first
+// draws a token from the shared retry budget and waits a full-jitter
+// backoff; the first is free — the budget governs retry amplification, not
+// admission. failed names the shard that has just failed this request (""
+// on a first connect): it is excluded and counts as the attempt already
+// spent, so a failover pays for every hop. A non-zero deadline is checked
+// before each attempt. A walk that dead-ends counts why (no shard, budget
+// empty, deadline passed) and returns the status and message to refuse the
+// request with; status is 0 when try finished it.
+func (p *Proxy) walk(key, failed string, deadline time.Time, try func(s *shardState, attempt int) (done bool)) (attempts, status int, msg string) {
+	tried := make(map[string]bool, 2)
+	if failed != "" {
+		tried[failed] = true
+		attempts = 1
+	}
+	for len(tried) < len(p.shards) {
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			p.deadlineExceeded.Add(1)
+			return attempts, http.StatusGatewayTimeout, fmt.Sprintf("deadline exceeded at proxy after %d attempts", attempts)
+		}
+		s := p.pick(key, tried)
+		if s == nil {
+			break
+		}
+		if attempts > 0 {
+			if !p.retry.Take() {
+				p.retryExhausted.Add(1)
+				return attempts, http.StatusServiceUnavailable, fmt.Sprintf("retry budget exhausted after %d attempts", attempts)
+			}
+			time.Sleep(serve.Backoff(attempts-1, failoverBackoffBase, failoverBackoffMax))
+		}
+		tried[s.addr] = true
+		attempts++
+		if try(s, attempts) {
+			return attempts, 0, ""
+		}
+	}
+	p.noShard.Add(1)
+	return attempts, http.StatusServiceUnavailable, fmt.Sprintf("no live shard (fleet %d, live %d)", len(p.shards), p.liveCount())
+}
+
+// refuse answers a request whose walk dead-ended: the 503s are transient
+// backpressure and carry Retry-After, the deadline 504 does not.
+func refuse(w http.ResponseWriter, status int, msg string) {
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", retryAfterBackpressure)
+	}
+	writeError(w, status, "%s", msg)
+}
+
 // handleForward proxies one /detect or /detect/raw request to its owning
 // shard. The body is buffered once so a transport failure can fail over to
 // the next breaker-closed shard on the ring with the identical payload;
@@ -279,10 +332,9 @@ const (
 // X-Dronet-Deadline/?deadline_ms is a 400; an expired deadline is a 504
 // before (or between) forwards, and a forward cut short by the deadline
 // firing mid-flight is a 504 that does NOT penalize the shard's breaker —
-// the client ran out of time, the shard did nothing wrong. Every failover
-// past the first attempt draws a token from the shared retry budget; an
-// empty bucket short-circuits to 503 + Retry-After, and each retry waits a
-// full-jitter backoff first. Every response carries X-Dronet-Attempts.
+// the client ran out of time, the shard did nothing wrong. Failover is
+// walk's: budgeted, backed off, 503 + Retry-After when it dead-ends. Every
+// response carries X-Dronet-Attempts.
 func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 	p.received.Add(1)
 	if r.Method != http.MethodPost {
@@ -307,42 +359,14 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	key := cameraKey(r)
-	tried := make(map[string]bool, 2)
-	attempts := 0
-	stamp := func() { w.Header().Set(AttemptsHeader, strconv.Itoa(attempts)) }
-	for len(tried) < len(p.shards) {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			p.deadlineExceeded.Add(1)
-			stamp()
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded at proxy after %d attempts", attempts)
-			return
-		}
-		s := p.pick(key, tried)
-		if s == nil {
-			break
-		}
-		if attempts > 0 {
-			// Failover: budgeted and backed off. The first attempt is
-			// always free — the budget governs retry amplification, not
-			// admission.
-			if !p.retry.Take() {
-				p.retryExhausted.Add(1)
-				stamp()
-				w.Header().Set("Retry-After", retryAfterBackpressure)
-				writeError(w, http.StatusServiceUnavailable, "retry budget exhausted after %d attempts", attempts)
-				return
-			}
-			time.Sleep(serve.Backoff(attempts-1, failoverBackoffBase, failoverBackoffMax))
-		}
-		tried[s.addr] = true
-		attempts++
+	stamp := func(attempts int) { w.Header().Set(AttemptsHeader, strconv.Itoa(attempts)) }
+	attempts, status, msg := p.walk(cameraKey(r), "", deadline, func(s *shardState, n int) bool {
 		if !s.acquire() {
-			stamp()
+			stamp(n)
 			w.Header().Set("Retry-After", retryAfterBackpressure)
 			w.Header().Set("X-Dronet-Shard", s.label())
 			writeError(w, http.StatusTooManyRequests, "shard %s at forwarding capacity", s.label())
-			return
+			return true
 		}
 		resp, err := p.forward(ctx, r, s, body, deadline)
 		s.release()
@@ -352,9 +376,9 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 				// is not at fault: no breaker penalty, no failover (there
 				// is no time left to spend on one).
 				p.deadlineExceeded.Add(1)
-				stamp()
-				writeError(w, http.StatusGatewayTimeout, "deadline exceeded forwarding to %s after %d attempts", s.label(), attempts)
-				return
+				stamp(n)
+				writeError(w, http.StatusGatewayTimeout, "deadline exceeded forwarding to %s after %d attempts", s.label(), n)
+				return true
 			}
 			// Transport-level failure: the shard never produced an HTTP
 			// response. Feed the breaker and fail over with the buffered
@@ -363,19 +387,19 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 			s.errors.Add(1)
 			s.br.RecordData(false)
 			p.failovers.Add(1)
-			continue
+			return false
 		}
 		s.forwarded.Add(1)
 		s.br.RecordData(true)
 		p.retry.Success()
-		stamp()
+		stamp(n)
 		relay(w, resp, s.label())
-		return
+		return true
+	})
+	if status != 0 {
+		stamp(attempts)
+		refuse(w, status, msg)
 	}
-	p.noShard.Add(1)
-	stamp()
-	w.Header().Set("Retry-After", retryAfterBackpressure)
-	writeError(w, http.StatusServiceUnavailable, "no live shard (fleet %d, live %d)", len(p.shards), p.liveCount())
 }
 
 // forward sends the buffered request to one shard, preserving the path,

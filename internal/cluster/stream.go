@@ -59,24 +59,7 @@ func (p *Proxy) handleStream(w http.ResponseWriter, r *http.Request) {
 	// An HTTP-level refusal from the owner (its session limit, shutdown) is
 	// relayed verbatim: the shard is alive and answered for its key, so
 	// spilling the camera elsewhere would break affinity for no reason.
-	tried := make(map[string]bool, 2)
-	attempts := 0
-	for len(tried) < len(p.shards) {
-		s := p.pick(rl.key, tried)
-		if s == nil {
-			break
-		}
-		if attempts > 0 {
-			if !p.retry.Take() {
-				p.retryExhausted.Add(1)
-				w.Header().Set("Retry-After", retryAfterBackpressure)
-				writeError(w, http.StatusServiceUnavailable, "retry budget exhausted after %d attempts", attempts)
-				return
-			}
-			time.Sleep(serve.Backoff(attempts-1, failoverBackoffBase, failoverBackoffMax))
-		}
-		tried[s.addr] = true
-		attempts++
+	_, status, msg := p.walk(rl.key, "", time.Time{}, func(s *shardState, _ int) bool {
 		conn, err := p.dialShardStream(s, rl.pathq, rl.hdr)
 		var he *ws.HandshakeError
 		if errors.As(err, &he) {
@@ -86,34 +69,37 @@ func (p *Proxy) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			w.Header().Set("X-Dronet-Shard", s.label())
 			writeError(w, he.StatusCode, "shard %s refused the session: %s", s.label(), strings.TrimSpace(string(he.Body)))
-			return
+			return true
 		}
 		if err != nil {
 			s.errors.Add(1)
 			s.br.RecordData(false)
 			p.failovers.Add(1)
-			continue
+			return false
 		}
 		s.br.RecordData(true)
-		client, err := ws.Accept(w, r)
-		if err != nil {
-			_ = conn.WriteClose(1001, "client upgrade failed")
-			_ = conn.Close()
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		rl.client = client
 		rl.shard, rl.addr = conn, s.addr
-		p.registerRelay(rl)
-		defer p.unregisterRelay(rl)
-		p.relayWG.Add(1)
-		go rl.uplink()
-		rl.downlink()
+		return true
+	})
+	if status != 0 {
+		refuse(w, status, msg)
+	}
+	if rl.shard == nil {
+		return // refused, by the walk or by the owner shard
+	}
+	client, err := ws.Accept(w, r)
+	if err != nil {
+		_ = rl.shard.WriteClose(1001, "client upgrade failed")
+		_ = rl.shard.Close()
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	p.noShard.Add(1)
-	w.Header().Set("Retry-After", retryAfterBackpressure)
-	writeError(w, http.StatusServiceUnavailable, "no live shard for stream (fleet %d, live %d)", len(p.shards), p.liveCount())
+	rl.client = client
+	p.registerRelay(rl)
+	defer p.unregisterRelay(rl)
+	p.relayWG.Add(1)
+	go rl.uplink()
+	rl.downlink()
 }
 
 // dialShardStream opens the shard side of a session, forwarding the
@@ -300,19 +286,8 @@ func (rl *streamRelay) failover(failedAddr string, penalize bool) bool {
 		s.br.RecordData(false)
 	}
 	p.failovers.Add(1)
-	tried := map[string]bool{failedAddr: true}
-	for attempt := 1; len(tried) <= len(p.shards); attempt++ {
-		if !p.retry.Take() {
-			p.retryExhausted.Add(1)
-			return false
-		}
-		time.Sleep(serve.Backoff(attempt-1, failoverBackoffBase, failoverBackoffMax))
-		s := p.pick(rl.key, tried)
-		if s == nil {
-			p.noShard.Add(1)
-			return false
-		}
-		tried[s.addr] = true
+	ok := false
+	p.walk(rl.key, failedAddr, time.Time{}, func(s *shardState, _ int) bool {
 		conn, err := p.dialShardStream(s, rl.pathq, rl.hdr)
 		if err != nil {
 			// Both a refusal and a transport error just move the walk on;
@@ -322,7 +297,7 @@ func (rl *streamRelay) failover(failedAddr string, penalize bool) bool {
 				s.errors.Add(1)
 				s.br.RecordData(false)
 			}
-			continue
+			return false
 		}
 		s.br.RecordData(true)
 		// The replacement session's hello becomes the resumed marker: same
@@ -334,11 +309,11 @@ func (rl *streamRelay) failover(failedAddr string, penalize bool) bool {
 			_ = conn.Close()
 			s.errors.Add(1)
 			s.br.RecordData(false)
-			continue
+			return false
 		}
 		if !rl.swap(conn, s.addr) {
 			_ = conn.Close()
-			return false
+			return true
 		}
 		p.retry.Success()
 		p.streamResumes.Add(1)
@@ -352,11 +327,12 @@ func (rl *streamRelay) failover(failedAddr string, penalize bool) bool {
 		})
 		if rl.client.WriteMessage(resumed) != nil {
 			rl.shutdown()
-			return false
+			return true
 		}
+		ok = true
 		return true
-	}
-	return false
+	})
+	return ok
 }
 
 // registerRelay/unregisterRelay keep the live-relay set Close tears down.

@@ -136,6 +136,12 @@ func TestStreamAffinityAndFailoverResume(t *testing.T) {
 	if rep.ProxyStreamSessions != 1 {
 		t.Errorf("proxy_stream_sessions %d, want 1", rep.ProxyStreamSessions)
 	}
+	// The fleet rollup carries the shards' session tier too: the relayed
+	// session is open on the survivor and has streamed a frame there.
+	if rep.SessionsOpen < 1 || rep.SessionsTotal < 1 || rep.StreamFramesTotal < 1 {
+		t.Errorf("rollup sessions_open %d sessions_total %d stream_frames_total %d, want each >= 1 with a relayed session open",
+			rep.SessionsOpen, rep.SessionsTotal, rep.StreamFramesTotal)
+	}
 
 	// Graceful client close propagates through relay and shard.
 	_ = conn.WriteClose(1000, "done")

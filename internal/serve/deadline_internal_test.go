@@ -39,3 +39,38 @@ func FuzzParseDeadline(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeStreamFrame feeds raw frame bytes to the session decoder: it
+// must never panic, and a frame it accepts must satisfy everything the
+// session relies on downstream — sides within [1, maxImageDim], pixels
+// exactly the planar 3*w*h, and a deadline_ms that is absent or a valid
+// budget. Seeded with the TestStreamBadFramesInBand bodies.
+func FuzzDecodeStreamFrame(f *testing.F) {
+	f.Add([]byte("{not json"))
+	f.Add([]byte(`{"seq":7,"width":8,"height":8,"pixels":[0,0,0,0,0]}`))
+	f.Add([]byte(`{"seq":9,"width":1,"height":1,"pixels":[0,0,0],"deadline_ms":9223372036855}`))
+	f.Add([]byte(`{"seq":10,"width":1,"height":1,"pixels":[0,0,0],"deadline_ms":-5}`))
+	f.Add([]byte(`{"seq":8,"width":1,"height":1,"pixels":[0.5,0.25,1],"altitude":120,"deadline_ms":40}`))
+	f.Add([]byte(`{"width":4294967296,"height":4294967296,"pixels":[]}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		frame, errMsg := decodeStreamFrame(raw)
+		if (frame == nil) == (errMsg == nil) {
+			t.Fatalf("frame %v and error %v: want exactly one", frame, errMsg)
+		}
+		if errMsg != nil {
+			if errMsg.Type != MsgError || errMsg.Code != 400 {
+				t.Fatalf("refusal type %q code %d, want error/400", errMsg.Type, errMsg.Code)
+			}
+			return
+		}
+		if frame.Width < 1 || frame.Height < 1 || frame.Width > maxImageDim || frame.Height > maxImageDim {
+			t.Fatalf("accepted %dx%d outside [1,%d]", frame.Width, frame.Height, maxImageDim)
+		}
+		if len(frame.Pixels) != 3*frame.Width*frame.Height {
+			t.Fatalf("accepted %d pixels for %dx%d", len(frame.Pixels), frame.Width, frame.Height)
+		}
+		if frame.DeadlineMs < 0 || frame.DeadlineMs > maxDeadlineBudget.Milliseconds() {
+			t.Fatalf("accepted deadline_ms %d outside [0,%d]", frame.DeadlineMs, maxDeadlineBudget.Milliseconds())
+		}
+	})
+}

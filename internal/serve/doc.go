@@ -44,6 +44,12 @@
 //
 // # Request path
 //
+// There is one request spine. /detect, /detect/raw and every /stream frame
+// decode their own wire format, then call Server.infer — the only caller
+// of route resolution, brownout and the batching path, and the one table
+// from failure to status code, message and Retry-After hint — and encode
+// its outcome (HTTP status + JSON, or an in-band stream message).
+//
 // Every request is admitted through its model's bounded queue
 // (Config.QueueDepth). When the queue is full the request is rejected
 // immediately with HTTP 429 — backpressure instead of unbounded buffering,
@@ -92,10 +98,11 @@
 // Explicit ?model=/X-Model selections are never degraded — the caller
 // asked for that model by name.
 //
-// Transient execution failures retry against a token bucket (refilled by
-// successes) with exponential backoff and full jitter; when the bucket is
-// dry the request fails fast with 503 + Retry-After instead of feeding a
-// retry storm, and retry_budget_tokens is exported in /metrics.
+// A request that raced a swap/remove re-resolves against a token bucket
+// (refilled by successes) with exponential backoff and full jitter; when
+// the bucket is dry the request fails fast with 503 + Retry-After instead
+// of feeding a retry storm, and retry_budget_tokens is exported in
+// /metrics.
 //
 // # Idle-worker lending
 //
@@ -175,7 +182,8 @@
 // /detect requests (the tracker update happens after the batch, on the
 // session's own goroutine), so batching stays model-identical to one-shot
 // serving — pinned by a race-mode test comparing eight concurrent
-// sessions byte-for-byte against a serial per-session oracle.
+// sessions byte-for-byte against a serial per-session oracle. Frames are
+// never browned out: a tracker fed by two models would see shifted boxes.
 //
 // Session lifecycle is bounded end to end: StreamConfig.MaxSessions caps
 // concurrently open sessions (beyond it the upgrade is refused with a
@@ -187,8 +195,9 @@
 // the oldest buffered frame with a drop notice) is the client's choice
 // at open. A session may set a default per-frame
 // deadline at open (?deadline_ms=); any frame's own deadline_ms
-// overrides it, and expired frames are answered in-band with code 504
-// without ever reaching a kernel. On Close/SIGTERM every session gets a
+// overrides it (a negative or over-a-day value is an in-band 400, the
+// bounds of the HTTP budget), and expired frames are answered in-band with
+// code 504 without ever reaching a kernel. On Close/SIGTERM every session gets a
 // bye ("drain") and the server waits for their goroutines — sessions are
 // part of the drain guarantee, not an exception to it.
 //

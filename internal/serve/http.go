@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"image"
 	_ "image/jpeg" // register decoders for /detect/raw
@@ -95,20 +94,31 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
-// acquire reserves an in-flight slot before a request body is read,
-// writing a 429 and returning false when the server already holds its
-// maximum number of request images. The limit is recomputed on every
-// registry change (twice the summed queue depth), which is why this is an
-// atomic counter rather than a fixed-capacity channel.
-func (s *Server) acquire(w http.ResponseWriter) bool {
+// tryAcquire reserves an in-flight slot for one decoded request image — an
+// HTTP body about to be read or a session frame about to be buffered. The
+// limit is recomputed on every registry change (twice the summed queue
+// depth), which is why this is an atomic counter rather than a
+// fixed-capacity channel. The turnaway (msgInflightFull) is the caller's to
+// announce and count: it precedes route resolution, so it is visible on
+// the fleet aggregate only.
+func (s *Server) tryAcquire() bool {
 	if s.inflight.Add(1) > s.inflightLimit.Load() {
 		s.inflight.Add(-1)
-		// Shed before any model is even resolved: the turnaway is visible
-		// on the fleet aggregate only.
+		return false
+	}
+	return true
+}
+
+const msgInflightFull = "server overloaded: too many requests in flight"
+
+// acquire is tryAcquire for the HTTP handlers: it writes the 429 itself,
+// before the request body is read.
+func (s *Server) acquire(w http.ResponseWriter) bool {
+	if !s.tryAcquire() {
 		s.fleet.admit()
 		s.fleet.reject()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "server overloaded: too many requests in flight")
+		writeError(w, http.StatusTooManyRequests, msgInflightFull)
 		return false
 	}
 	return true
@@ -151,19 +161,64 @@ func ParseDeadline(r *http.Request) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// deadlineOf stamps the absolute deadline at request receipt (zero time
-// when the request carries none), answering 400 itself on a malformed
-// value.
-func (s *Server) deadlineOf(w http.ResponseWriter, r *http.Request) (time.Time, bool) {
+// stampDeadline turns a budget into the absolute deadline counted from now
+// (request or frame receipt); no budget is the zero time.
+func stampDeadline(budget time.Duration) time.Time {
+	if budget <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(budget)
+}
+
+// budgetOf is ParseDeadline for the handlers (/detect, /detect/raw and the
+// /stream open), answering 400 itself on a malformed value.
+func budgetOf(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 	budget, err := ParseDeadline(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return time.Time{}, false
 	}
-	if budget == 0 {
-		return time.Time{}, true
+	return budget, err == nil
+}
+
+// altitudeOf reads the ?altitude= query parameter in metres (/detect/raw
+// and the /stream open; 0 when absent), answering 400 itself on a
+// malformed value.
+func altitudeOf(w http.ResponseWriter, r *http.Request) (float64, bool) {
+	q := r.URL.Query().Get("altitude")
+	if q == "" {
+		return 0, true
 	}
-	return time.Now().Add(budget), true
+	v, err := strconv.ParseFloat(q, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad altitude %q: %v", q, err)
+	}
+	return v, err == nil
+}
+
+// checkDims bounds a decoded or declared image: each side in
+// [1, maxImageDim].
+func checkDims(width, height int) error {
+	if width < 1 || height < 1 || width > maxImageDim || height > maxImageDim {
+		return fmt.Errorf("width and height must be in [1,%d], got %dx%d", maxImageDim, width, height)
+	}
+	return nil
+}
+
+// checkFrame is the one geometry and deadline-budget check behind /detect
+// bodies and stream frames: checkDims, pixels exactly the planar
+// 3*width*height, and a deadline_ms that is absent (0) or a budget
+// ParseDeadline would accept.
+func checkFrame(width, height, pixels int, deadlineMs int64) error {
+	if err := checkDims(width, height); err != nil {
+		return err
+	}
+	if pixels != 3*width*height {
+		return fmt.Errorf("pixels length %d != 3*%d*%d", pixels, width, height)
+	}
+	if deadlineMs < 0 || deadlineMs > maxDeadlineBudget.Milliseconds() {
+		return fmt.Errorf("bad deadline_ms %d: want an integer millisecond budget in [1,%d]", deadlineMs, maxDeadlineBudget.Milliseconds())
+	}
+	return nil
 }
 
 // routeSel is a request's routing inputs, kept so the dispatch loop can
@@ -233,10 +288,11 @@ func (s *Server) handleDetectJSON(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	deadline, ok := s.deadlineOf(w, r)
+	budget, ok := budgetOf(w, r)
 	if !ok {
 		return
 	}
+	deadline := stampDeadline(budget)
 	if !s.acquire(w) {
 		return
 	}
@@ -247,19 +303,15 @@ func (s *Server) handleDetectJSON(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.Width < 1 || req.Height < 1 || req.Width > maxImageDim || req.Height > maxImageDim {
-		writeError(w, http.StatusBadRequest, "width and height must be in [1,%d], got %dx%d", maxImageDim, req.Width, req.Height)
-		return
-	}
-	if len(req.Pixels) != 3*req.Width*req.Height {
-		writeError(w, http.StatusBadRequest, "pixels length %d != 3*%d*%d", len(req.Pixels), req.Width, req.Height)
+	if err := checkFrame(req.Width, req.Height, len(req.Pixels), 0); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// req.Pixels is a private, just-decoded slice of exactly 3*W*H floats in
 	// the Image's own planar layout — adopt it rather than copying ~50MB at
 	// max dimensions on the hot path.
 	img := &imgproc.Image{W: req.Width, H: req.Height, Pix: req.Pixels}
-	s.respond(w, r.Context(), routeSel{explicit: name, altitude: req.Altitude}, img, req.Altitude, deadline)
+	s.respond(w, r.Context(), routeSel{explicit: name, altitude: req.Altitude}, img, deadline)
 }
 
 // handleDetectRaw serves POST /detect/raw: the body is a PNG or JPEG image,
@@ -273,23 +325,19 @@ func (s *Server) handleDetectRaw(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	var altitude float64
-	if q := r.URL.Query().Get("altitude"); q != "" {
-		v, err := strconv.ParseFloat(q, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad altitude %q: %v", q, err)
-			return
-		}
-		altitude = v
+	altitude, ok := altitudeOf(w, r)
+	if !ok {
+		return
 	}
 	name, ok := s.checkExplicit(w, r)
 	if !ok {
 		return
 	}
-	deadline, ok := s.deadlineOf(w, r)
+	budget, ok := budgetOf(w, r)
 	if !ok {
 		return
 	}
+	deadline := stampDeadline(budget)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
@@ -302,8 +350,8 @@ func (s *Server) handleDetectRaw(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode image: %v", err)
 		return
 	}
-	if cfg.Width < 1 || cfg.Height < 1 || cfg.Width > maxImageDim || cfg.Height > maxImageDim {
-		writeError(w, http.StatusBadRequest, "image dimensions must be in [1,%d], got %dx%d", maxImageDim, cfg.Width, cfg.Height)
+	if err := checkDims(cfg.Width, cfg.Height); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	src, _, err := image.Decode(bytes.NewReader(body))
@@ -311,98 +359,29 @@ func (s *Server) handleDetectRaw(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode image: %v", err)
 		return
 	}
-	s.respond(w, r.Context(), routeSel{explicit: name, altitude: altitude}, imgproc.FromGoImage(src), altitude, deadline)
+	s.respond(w, r.Context(), routeSel{explicit: name, altitude: altitude}, imgproc.FromGoImage(src), deadline)
 }
 
-// maxRouteRetries bounds the re-resolve loop in respond: each retry
-// requires a registry mutation to have raced this exact request, so eight
-// consecutive losses means lifecycle churn is outpacing traffic — at that
-// point a 503 (with the retries_exhausted_total counter) beats spinning a
-// handler goroutine indefinitely.
-const maxRouteRetries = 8
-
-// retryBackoffBase / retryBackoffMax bound the jittered pause between
-// re-resolve attempts (see Backoff): long enough to let the racing
-// registry mutation publish its table, short enough to be invisible next
-// to inference time.
-const (
-	retryBackoffBase = time.Millisecond
-	retryBackoffMax  = 50 * time.Millisecond
-)
-
-// respond resolves the route, pushes the image through the routed model's
-// micro-batcher and writes the result. The loop re-resolves and retries
-// when the resolved pool retired between resolution and submit (a
-// swap/remove raced this request) — each retry reads the freshly-published
-// table, so under sane lifecycle churn it terminates in one or two passes;
-// the retry is what turns a lifecycle race into "served by the new
-// generation" instead of an error. Retries are doubly bounded: a hard cap
-// of maxRouteRetries attempts per request, and the server-wide RetryBudget
-// drawn one token per retry (refilled by successes) — either bound
-// exhausted means 503 + Retry-After + retries_exhausted_total rather than
-// goroutines spinning against pathological registry churn. Before the
-// submit, brownout degradation may swap an implicitly-routed request onto
-// the resolved model's cheaper sibling (response tagged "degraded":true).
-func (s *Server) respond(w http.ResponseWriter, ctx context.Context, sel routeSel, img *imgproc.Image, altitude float64, deadline time.Time) {
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if attempt >= maxRouteRetries || !s.retry.Take() {
-				s.fleet.retryExhausted()
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable,
-					"route retries exhausted after %d attempts (registry churn or retry budget drained)", attempt)
-				return
-			}
-			time.Sleep(Backoff(attempt-1, retryBackoffBase, retryBackoffMax))
-		}
-		h, code, err := s.resolve(sel)
-		if err != nil {
-			writeError(w, code, "%v", err)
-			return
-		}
-		h, degradedFrom := s.maybeDegrade(h, sel)
-		resp, lat, err := s.detect(ctx, h, img, altitude, deadline)
-		switch {
-		case errors.Is(err, errRetired):
-			continue
-		case errors.Is(err, errCancelled):
-			writeError(w, statusClientClosedRequest, "client closed request before batch assembly")
-			return
-		case errors.Is(err, errDeadline):
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded before the result could be served")
-			return
-		case errors.Is(err, ErrOverloaded):
+// respond runs the image through infer and encodes the outcome as the HTTP
+// answer: the detection JSON on 200, else the uniform error body with a
+// Retry-After hint on transient backpressure.
+func (s *Server) respond(w http.ResponseWriter, ctx context.Context, sel routeSel, img *imgproc.Image, deadline time.Time) {
+	out := s.infer(ctx, sel, img, deadline, true)
+	if out.status != http.StatusOK {
+		if out.retryAfter {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "server overloaded: admission queue full")
-			return
-		case errors.Is(err, ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, "server shutting down")
-			return
-		case err != nil:
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		case resp.err != nil:
-			writeError(w, http.StatusInternalServerError, "inference: %v", resp.err)
-			return
 		}
-		s.retry.Success()
-		if degradedFrom != nil {
-			// Counted at completion, on the model that shed the work — a
-			// degraded request that ends up 429'd by the sibling is that
-			// sibling's rejection, not a successful degradation.
-			degradedFrom.met.degrade()
-			s.fleet.degrade()
-		}
-		writeJSON(w, http.StatusOK, DetectResponse{
-			Detections: toJSON(resp.dets),
-			Model:      h.name,
-			Generation: h.gen,
-			BatchSize:  resp.batch,
-			LatencyMs:  lat.Seconds() * 1e3,
-			Degraded:   degradedFrom != nil,
-		})
+		writeError(w, out.status, "%s", out.msg)
 		return
 	}
+	writeJSON(w, http.StatusOK, DetectResponse{
+		Detections: toJSON(out.resp.dets),
+		Model:      out.pool.name,
+		Generation: out.pool.gen,
+		BatchSize:  out.resp.batch,
+		LatencyMs:  out.lat.Seconds() * 1e3,
+		Degraded:   out.degraded,
+	})
 }
 
 // toJSON converts detections to the wire format (never nil, so the JSON is
@@ -436,8 +415,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"max_batch":        h.cfg.MaxBatch,
 			"max_wait_ms":      h.cfg.MaxWait.Seconds() * 1e3,
 			"min_wait_ms":      h.cfg.MinWait.Seconds() * 1e3,
-			"queue_cap":        h.queue.Cap(),
-			"queue_depth":      h.queue.Len(),
+			"queue_cap":        cap(h.queue),
+			"queue_depth":      len(h.queue),
 			"max_altitude_m":   h.maxAlt,
 			"workspace_bytes":  h.eng.WorkspaceBytes(),
 			"weight_bytes":     h.eng.WeightBytes(),

@@ -154,3 +154,31 @@ func TestSchedulerBorrowRules(t *testing.T) {
 		t.Fatalf("after unregister: capacity=%d busy=%d, want 0/0", s.capacity, s.busy)
 	}
 }
+
+// TestInferRetiredPoolExhaustsRetries drives the one path of the request
+// spine no end-to-end test reaches: the resolved pool is retired and no
+// fresh table ever arrives. infer must give up after maxRouteRetries
+// attempts with a 503 + Retry-After, count the request in
+// retries_exhausted_total (and nowhere else — a stale resolution is
+// metrics-silent), and have drawn one retry-budget token per re-resolve.
+// Both transports encode this outcome, so one test covers both.
+func TestInferRetiredPoolExhaustsRetries(t *testing.T) {
+	srv := newTestServer(t)
+	defer srv.Close()
+	h := srv.table.Load().byName["only"]
+	srv.admitMu.Lock()
+	h.retired = true // fenced like retire does, but still in the table
+	srv.admitMu.Unlock()
+
+	out := srv.infer(context.Background(), routeSel{}, testImage(), time.Time{}, true)
+	if out.status != 503 || !out.retryAfter {
+		t.Fatalf("infer on a retired pool: status %d retryAfter %v (%s), want 503 with Retry-After", out.status, out.retryAfter, out.msg)
+	}
+	st := srv.Stats()
+	if st.RetriesExhaustedTotal != 1 || st.Received != 0 || st.Rejected != 0 {
+		t.Fatalf("retries_exhausted_total %d received %d rejected %d, want 1/0/0", st.RetriesExhaustedTotal, st.Received, st.Rejected)
+	}
+	if want := float64(serverRetryBudget - (maxRouteRetries - 1)); st.RetryBudgetTokens != want {
+		t.Fatalf("retry budget at %v tokens, want %v (one drawn per re-resolve)", st.RetryBudgetTokens, want)
+	}
+}

@@ -145,6 +145,70 @@ type Stats struct {
 	AggregateFPS float64 `json:"aggregate_fps"`
 }
 
+// Merge folds another process's snapshot into s, making s the aggregate of
+// both; a fronting proxy rolls its shards up by folding them into the zero
+// Stats. Counters, gauges, queue occupancy, workers, busy time and
+// throughput sum; uptime, MaxBatch and the latency max take the larger
+// side; Precision turns "mixed" when the sides differ. Latency percentiles
+// cannot be merged exactly from summaries, so p50/p99 and the mean are
+// completion-weighted averages (documented approximation). The labels of
+// one process or pool (Model, ShardID, Addr, MaxAltitude, Generation) are
+// not carried. TestStatsMergeCoversEveryField fails when a numeric field
+// is added to Stats and not merged here.
+func (s *Stats) Merge(o Stats) {
+	s.UptimeSeconds = max(s.UptimeSeconds, o.UptimeSeconds)
+	switch {
+	case s.Precision == "":
+		s.Precision = o.Precision
+	case s.Precision != o.Precision:
+		s.Precision = "mixed"
+	}
+
+	// The weighted means go first: they need both sides' pre-merge weights.
+	if n := float64(s.Completed + o.Completed); n > 0 {
+		ws, wo := float64(s.Completed)/n, float64(o.Completed)/n
+		s.LatencyP50Ms = ws*s.LatencyP50Ms + wo*o.LatencyP50Ms
+		s.LatencyP99Ms = ws*s.LatencyP99Ms + wo*o.LatencyP99Ms
+		s.LatencyMeanMs = ws*s.LatencyMeanMs + wo*o.LatencyMeanMs
+	}
+	if n := float64(s.Batches + o.Batches); n > 0 {
+		s.MeanBatchSize = (s.MeanBatchSize*float64(s.Batches) + o.MeanBatchSize*float64(o.Batches)) / n
+	}
+	s.LatencyMaxMs = max(s.LatencyMaxMs, o.LatencyMaxMs)
+
+	s.Received += o.Received
+	s.Rejected += o.Rejected
+	s.Completed += o.Completed
+	s.Failed += o.Failed
+	s.CancelledTotal += o.CancelledTotal
+	s.DeadlineExceededTotal += o.DeadlineExceededTotal
+	s.DegradedTotal += o.DegradedTotal
+	s.RetryBudgetTokens += o.RetryBudgetTokens
+	s.RetriesExhaustedTotal += o.RetriesExhaustedTotal
+	s.BorrowedWorkers += o.BorrowedWorkers
+	s.BorrowsTotal += o.BorrowsTotal
+	s.SessionsOpen += o.SessionsOpen
+	s.SessionsTotal += o.SessionsTotal
+	s.SessionsEvictedIdle += o.SessionsEvictedIdle
+	s.StreamFramesTotal += o.StreamFramesTotal
+	s.StreamFramesDropped += o.StreamFramesDropped
+	s.StreamFramesRejected += o.StreamFramesRejected
+	s.StreamTracksRetired += o.StreamTracksRetired
+	s.QueueDepth += o.QueueDepth
+	s.QueueCap += o.QueueCap
+	s.Workers += o.Workers
+	s.MaxBatch = max(s.MaxBatch, o.MaxBatch)
+	s.Batches += o.Batches
+	if s.BatchHist == nil && o.BatchHist != nil {
+		s.BatchHist = make(map[int]int, len(o.BatchHist))
+	}
+	for k, v := range o.BatchHist {
+		s.BatchHist[k] += v
+	}
+	s.BusySeconds += o.BusySeconds
+	s.AggregateFPS += o.AggregateFPS
+}
+
 // MetricsReport is the full /metrics document of a routed server: the
 // fleet-aggregate Stats flattened at the top level (so pre-registry
 // scrapers keep decoding the fields they know) plus every hosted model's

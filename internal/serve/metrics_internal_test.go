@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -38,5 +39,55 @@ func TestBusyUnionOverlappingSpans(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if s2 := m.snapshot(0, 1, 1, 4); s2.BusySeconds > s.BusySeconds+0.001 {
 		t.Errorf("idle time leaked into busySeconds: %.4fs -> %.4fs", s.BusySeconds, s2.BusySeconds)
+	}
+}
+
+// TestStatsMergeCoversEveryField is the guard that keeps Stats.Merge from
+// forgetting a field again: two snapshots with every numeric field set are
+// folded into the zero Stats, and any numeric field still zero afterwards
+// is one Merge does not know about. The only exemptions are the labels of a
+// single pool, which an aggregate must NOT carry.
+func TestStatsMergeCoversEveryField(t *testing.T) {
+	labels := map[string]bool{"MaxAltitude": true, "Generation": true}
+	fill := func(base int) Stats {
+		var s Stats
+		v := reflect.ValueOf(&s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int:
+				f.SetInt(int64(base + i))
+			case reflect.Uint64:
+				f.SetUint(uint64(base + i))
+			case reflect.Float64:
+				f.SetFloat(float64(base + i))
+			case reflect.String:
+				f.SetString("x")
+			case reflect.Map:
+				f.Set(reflect.ValueOf(map[int]int{base: 1}))
+			default:
+				t.Fatalf("Stats.%s has kind %s: teach this test (and Merge) about it", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		return s
+	}
+	var out Stats
+	out.Merge(fill(1))
+	out.Merge(fill(100))
+	v := reflect.ValueOf(out)
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		if f.Kind() == reflect.String {
+			continue
+		}
+		if labels[name] != f.IsZero() {
+			t.Errorf("Stats.%s after Merge = %v: zero=%v, want zero=%v", name, f.Interface(), f.IsZero(), labels[name])
+		}
+	}
+	if out.Model != "" || out.ShardID != "" || out.Addr != "" || out.Precision != "x" {
+		t.Errorf("labels after Merge: model %q shard %q addr %q precision %q, want only the precision carried",
+			out.Model, out.ShardID, out.Addr, out.Precision)
+	}
+	if len(out.BatchHist) != 2 {
+		t.Errorf("batch_hist %v, want both sides' buckets", out.BatchHist)
 	}
 }

@@ -58,14 +58,6 @@ type Config struct {
 	// /healthz and /metrics. Purely informational — the engine already
 	// encapsulates the actual model — and defaults to "fp32".
 	Precision string
-	// NewQueue, when non-nil, constructs this model's admission queue in
-	// place of the default bounded channel queue (NewQueue function) — the
-	// pluggable-backpressure hook: instrumented wrappers, priority
-	// policies, or shard-local gates composing with a fronting proxy's
-	// per-shard in-flight bound. The capacity argument is the resolved
-	// QueueDepth; the returned queue's Cap() is what /healthz and /metrics
-	// report.
-	NewQueue func(capacity int) Queue
 	// BrownoutEnter and BrownoutExit are the degradation watermarks as
 	// fractions of the queue capacity, active only on a model with a
 	// declared degrade sibling (ModelEntry.Degrade): queue depth at or
@@ -202,7 +194,9 @@ type hosted struct {
 	// decision cannot flap on every queue-length wiggle.
 	brownout atomic.Bool
 
-	queue   Queue
+	// queue is the bounded admission queue (capacity cfg.QueueDepth, the
+	// 429 threshold); the batcher drains it into batches.
+	queue   chan *request
 	batches chan []*request
 
 	// retired is written under the server's admitMu write lock alongside
@@ -232,7 +226,7 @@ func newTable(order []*hosted) *routeTable {
 	t := &routeTable{order: order, byName: make(map[string]*hosted, len(order))}
 	for _, h := range order {
 		t.byName[h.name] = h
-		t.queueSum += h.queue.Cap()
+		t.queueSum += cap(h.queue)
 	}
 	if len(order) > 0 {
 		t.def = order[0]
@@ -414,10 +408,6 @@ func (s *Server) startHosted(e ModelEntry, met *metrics) (*hosted, error) {
 	if met == nil {
 		met = newMetrics()
 	}
-	newQueue := cfg.NewQueue
-	if newQueue == nil {
-		newQueue = NewQueue
-	}
 	h := &hosted{
 		name:    e.Name,
 		eng:     e.Engine,
@@ -429,11 +419,8 @@ func (s *Server) startHosted(e ModelEntry, met *metrics) (*hosted, error) {
 		weight:  weight,
 		degrade: e.Degrade,
 		gen:     s.genCounter.Add(1),
-		queue:   newQueue(cfg.QueueDepth),
+		queue:   make(chan *request, cfg.QueueDepth),
 		batches: make(chan []*request),
-	}
-	if h.queue == nil {
-		return nil, fmt.Errorf("serve: model %q: NewQueue returned nil", e.Name)
 	}
 	if cfg.Warm {
 		h.eng.WarmBatch(cfg.MaxBatch)
@@ -575,7 +562,7 @@ func (s *Server) RemoveModel(name string) error {
 func (s *Server) retire(h *hosted) {
 	s.admitMu.Lock()
 	h.retired = true
-	h.queue.Close()
+	close(h.queue)
 	s.admitMu.Unlock()
 	h.batcherWG.Wait()
 	h.workerWG.Wait()
@@ -590,26 +577,13 @@ func (s *Server) retire(h *hosted) {
 // models' batch-execution spans. For a single-model server this is exactly
 // that model's view.
 func (s *Server) Stats() Stats {
-	t := s.table.Load()
-	depth, cap, maxBatch := 0, 0, 0
-	workers := 0
-	precision := ""
-	for _, h := range t.order {
-		depth += h.queue.Len()
-		cap += h.queue.Cap()
-		workers += h.eng.Workers()
-		if h.cfg.MaxBatch > maxBatch {
-			maxBatch = h.cfg.MaxBatch
-		}
-		switch {
-		case precision == "":
-			precision = h.cfg.Precision
-		case precision != h.cfg.Precision:
-			precision = "mixed"
-		}
+	var pools Stats // what lives on the pools rather than in s.fleet
+	for _, h := range s.table.Load().order {
+		pools.Merge(Stats{QueueDepth: len(h.queue), QueueCap: cap(h.queue),
+			Workers: h.eng.Workers(), MaxBatch: h.cfg.MaxBatch, Precision: h.cfg.Precision})
 	}
-	st := s.fleet.snapshot(depth, cap, workers, maxBatch)
-	st.Precision = precision
+	st := s.fleet.snapshot(pools.QueueDepth, pools.QueueCap, pools.Workers, pools.MaxBatch)
+	st.Precision = pools.Precision
 	st.RetryBudgetTokens = s.retry.Tokens()
 	st.SessionsOpen = s.streams.openCount()
 	s.stamp(&st)
@@ -629,7 +603,7 @@ func (s *Server) ModelStats(name string) (Stats, bool) {
 
 // stats snapshots one hosted model's metrics with its routing labels.
 func (h *hosted) stats() Stats {
-	st := h.met.snapshot(h.queue.Len(), h.queue.Cap(), h.eng.Workers(), h.cfg.MaxBatch)
+	st := h.met.snapshot(len(h.queue), cap(h.queue), h.eng.Workers(), h.cfg.MaxBatch)
 	st.Model = h.name
 	st.Precision = h.cfg.Precision
 	st.MaxAltitude = h.maxAlt
@@ -663,10 +637,104 @@ func (s *Server) submit(h *hosted, r *request) error {
 	if h.retired {
 		return errRetired
 	}
-	if !h.queue.Offer(r) {
+	select {
+	case h.queue <- r:
+		return nil
+	default:
 		return ErrOverloaded
 	}
-	return nil
+}
+
+// maxRouteRetries bounds the re-resolve loop in infer: each retry requires
+// a registry mutation to have raced this exact request, so eight
+// consecutive losses means lifecycle churn is outpacing traffic — at that
+// point a 503 (with the retries_exhausted_total counter) beats spinning a
+// request goroutine indefinitely.
+const maxRouteRetries = 8
+
+// retryBackoffBase / retryBackoffMax bound the jittered pause between
+// re-resolve attempts (see Backoff): long enough to let the racing
+// registry mutation publish its table, short enough to be invisible next
+// to inference time.
+const (
+	retryBackoffBase = time.Millisecond
+	retryBackoffMax  = 50 * time.Millisecond
+)
+
+// outcome is what infer hands a transport to encode: the serving pool and
+// its answer when status is 200, else the failure's status code, message
+// and whether it is transient backpressure worth a Retry-After hint.
+type outcome struct {
+	status     int
+	msg        string
+	retryAfter bool
+
+	pool     *hosted
+	resp     response
+	lat      time.Duration
+	degraded bool
+}
+
+// infer is the one request spine behind /detect, /detect/raw and stream
+// frames: resolve the route (sel.altitude doubles as the §III.D size-gate
+// altitude), push the image through the routed model's micro-batcher,
+// classify the result. The loop re-resolves and retries when the resolved
+// pool retired between resolution and submit (a swap/remove raced this
+// request) — each retry reads the freshly-published table, which is what
+// turns a lifecycle race into "served by the new generation" instead of an
+// error. Retries are doubly bounded: maxRouteRetries attempts per request,
+// and the server-wide RetryBudget drawn one token per retry (refilled by
+// successes) — either bound exhausted means 503 + Retry-After +
+// retries_exhausted_total rather than goroutines spinning against
+// pathological registry churn. With mayDegrade, brownout may swap an
+// implicitly-routed request onto the resolved model's cheaper sibling;
+// sessions pass false — a tracker fed by two different models would see
+// systematically shifted boxes.
+func (s *Server) infer(ctx context.Context, sel routeSel, img *imgproc.Image, deadline time.Time, mayDegrade bool) outcome {
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			if attempt >= maxRouteRetries || !s.retry.Take() {
+				s.fleet.retryExhausted()
+				return outcome{status: http.StatusServiceUnavailable, retryAfter: true,
+					msg: fmt.Sprintf("route retries exhausted after %d attempts (registry churn or retry budget drained)", attempt)}
+			}
+			time.Sleep(Backoff(attempt-1, retryBackoffBase, retryBackoffMax))
+		}
+		h, code, err := s.resolve(sel)
+		if err != nil {
+			return outcome{status: code, msg: err.Error()}
+		}
+		var degradedFrom *hosted
+		if mayDegrade {
+			h, degradedFrom = s.maybeDegrade(h, sel)
+		}
+		resp, lat, err := s.detect(ctx, h, img, sel.altitude, deadline)
+		switch {
+		case errors.Is(err, errRetired):
+			continue
+		case errors.Is(err, errCancelled):
+			return outcome{status: statusClientClosedRequest, msg: "client closed request before batch assembly"}
+		case errors.Is(err, errDeadline):
+			return outcome{status: http.StatusGatewayTimeout, msg: "deadline exceeded before the result could be served"}
+		case errors.Is(err, ErrOverloaded):
+			return outcome{status: http.StatusTooManyRequests, retryAfter: true, msg: "server overloaded: admission queue full"}
+		case errors.Is(err, ErrClosed):
+			return outcome{status: http.StatusServiceUnavailable, msg: "server shutting down"}
+		case err != nil:
+			return outcome{status: http.StatusInternalServerError, msg: err.Error()}
+		case resp.err != nil:
+			return outcome{status: http.StatusInternalServerError, msg: "inference: " + resp.err.Error()}
+		}
+		s.retry.Success()
+		if degradedFrom != nil {
+			// Counted at completion, on the model that shed the work — a
+			// degraded request that ends up 429'd by the sibling is that
+			// sibling's rejection, not a successful degradation.
+			degradedFrom.met.degrade()
+			s.fleet.degrade()
+		}
+		return outcome{status: http.StatusOK, pool: h, resp: resp, lat: lat, degraded: degradedFrom != nil}
+	}
 }
 
 // detect runs one image through a model's micro-batching path end to end,
@@ -709,16 +777,12 @@ func (s *Server) detect(ctx context.Context, h *hosted, img *imgproc.Image, alti
 	s.fleet.admit()
 	h.met.admit()
 	resp := <-req.resp
-	if errors.Is(resp.err, errCancelled) {
-		// Dropped at batch assembly; already counted in cancelled_total.
-		// Not a completion, not a failure — the client had hung up.
-		return response{}, 0, errCancelled
-	}
-	if errors.Is(resp.err, errDeadline) {
-		// Dropped at batch assembly because the remaining budget could not
-		// cover the pool's service time; already counted in
-		// deadline_exceeded_total, and by construction no kernel ran for it.
-		return response{}, 0, errDeadline
+	if errors.Is(resp.err, errCancelled) || errors.Is(resp.err, errDeadline) {
+		// Dropped at batch assembly — the client had hung up, or the
+		// remaining budget could not cover the pool's service time — and
+		// already counted there (cancelled_total / deadline_exceeded_total).
+		// Not a completion, not a failure: by construction no kernel ran.
+		return response{}, 0, resp.err
 	}
 	lat := time.Since(req.enqueued)
 	if resp.err == nil && !deadline.IsZero() && !time.Now().Before(deadline) {
@@ -795,7 +859,7 @@ func (h *hosted) brownoutActive() bool {
 	if h.degrade == "" {
 		return false
 	}
-	depth, capacity := h.queue.Len(), h.queue.Cap()
+	depth, capacity := len(h.queue), cap(h.queue)
 	enter := int(math.Ceil(h.cfg.BrownoutEnter * float64(capacity)))
 	if enter < 1 {
 		enter = 1
@@ -853,7 +917,7 @@ func (s *Server) maybeDegrade(h *hosted, sel routeSel) (*hosted, *hosted) {
 func (h *hosted) batchLoop() {
 	defer h.batcherWG.Done()
 	defer close(h.batches)
-	for first := range h.queue.C() {
+	for first := range h.queue {
 		if first.cancelled() {
 			h.drop(first)
 			continue
@@ -897,7 +961,7 @@ func (h *hosted) batchLoop() {
 				}
 			}
 			select {
-			case r, ok := <-h.queue.C():
+			case r, ok := <-h.queue:
 				switch {
 				case !ok:
 					open = false
@@ -1058,7 +1122,7 @@ func (s *Server) Close() error {
 		s.closed = true
 		for _, h := range t.order {
 			h.retired = true
-			h.queue.Close()
+			close(h.queue)
 		}
 		s.admitMu.Unlock()
 		for _, h := range t.order {

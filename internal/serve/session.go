@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,17 +143,17 @@ func (m *sessionManager) openCount() int {
 }
 
 // open reserves a session slot, enforcing the MaxSessions bound and the
-// shutdown fence, and registers the (not-yet-started) session. Returns
-// ErrOverloaded when full and ErrClosed during shutdown — the handler maps
-// them to 503 + Retry-After before any upgrade happens.
-func (m *sessionManager) open(sess *session) error {
+// shutdown fence, and registers the (not-yet-started) session. A non-empty
+// return is the refusal the handler answers with 503 + Retry-After before
+// any upgrade happens.
+func (m *sessionManager) open(sess *session) (refusal string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return ErrClosed
+		return "server shutting down"
 	}
 	if len(m.sessions) >= m.cfg.MaxSessions {
-		return ErrOverloaded
+		return fmt.Sprintf("session limit reached (%d open)", m.cfg.MaxSessions)
 	}
 	sess.touch() // the open itself is activity: never instantly "idle"
 	m.sessions[sess] = struct{}{}
@@ -160,19 +162,12 @@ func (m *sessionManager) open(sess *session) error {
 	if m.sweepStop == nil {
 		m.startSweeperLocked()
 	}
-	return nil
+	return ""
 }
 
-// abort releases a reserved slot whose WebSocket upgrade failed — the
-// session never started, so there is no teardown to run.
-func (m *sessionManager) abort(sess *session) {
-	m.mu.Lock()
-	delete(m.sessions, sess)
-	m.mu.Unlock()
-	m.teardowns.Done()
-}
-
-// unregister drops a torn-down session from the registry.
+// unregister drops a session from the registry: a torn-down one, or a
+// reserved slot whose WebSocket upgrade failed — that session never
+// started, so there is no teardown to run.
 func (m *sessionManager) unregister(sess *session) {
 	m.mu.Lock()
 	delete(m.sessions, sess)
@@ -419,19 +414,14 @@ func (s *session) handleFrame(raw []byte) {
 	// The server-wide in-flight cap bounds decoded frames held across ALL
 	// surfaces (HTTP + sessions): a session frame over the cap is shed
 	// in-band the way HTTP sheds with 429 before reading the body.
-	if s.srv.inflight.Add(1) > s.srv.inflightLimit.Load() {
-		s.srv.inflight.Add(-1)
+	if !s.srv.tryAcquire() {
 		s.srv.fleet.streamReject()
-		_ = s.send(&StreamMessage{Type: MsgReject, Seq: frame.Seq, Code: 429,
-			Error: "server overloaded: too many requests in flight"})
+		_ = s.send(&StreamMessage{Type: MsgReject, Seq: frame.Seq, Code: 429, Error: msgInflightFull})
 		return
 	}
-	deadline := time.Time{}
-	switch {
-	case frame.DeadlineMs > 0:
-		deadline = time.Now().Add(time.Duration(frame.DeadlineMs) * time.Millisecond)
-	case s.budget > 0:
-		deadline = time.Now().Add(s.budget)
+	budget := s.budget
+	if frame.DeadlineMs > 0 {
+		budget = time.Duration(frame.DeadlineMs) * time.Millisecond
 	}
 	altitude := frame.Altitude
 	if altitude == 0 {
@@ -441,7 +431,7 @@ func (s *session) handleFrame(raw []byte) {
 		seq:      frame.Seq,
 		img:      &imgproc.Image{W: frame.Width, H: frame.Height, Pix: frame.Pixels},
 		altitude: altitude,
-		deadline: deadline,
+		deadline: stampDeadline(budget),
 	}
 	select {
 	case s.frames <- job:
@@ -486,76 +476,40 @@ func (s *session) worker() {
 	}
 }
 
-// process runs one frame end to end and writes its in-band answer. The
+// process runs one frame through infer and writes its in-band answer. The
 // route is re-resolved per frame (sessions survive hot swaps — the
-// response's generation tag shows the flip), with the same bounded
-// errRetired retry the HTTP path uses. Brownout degradation is
-// deliberately NOT applied: a tracker fed by two different models would
-// see systematically shifted boxes, so a session sticks with what routing
-// resolved.
+// response's generation tag shows the flip) and never browned out; a
+// failure goes out under infer's status code, a success after the tracker
+// has folded the detections in.
 func (s *session) process(job *streamJob) {
-	sel := routeSel{explicit: s.sel.explicit, altitude: job.altitude}
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if attempt >= maxRouteRetries || !s.srv.retry.Take() {
-				s.srv.fleet.retryExhausted()
-				_ = s.send(&StreamMessage{Type: MsgError, Seq: job.seq, Code: 503,
-					Error: "route retries exhausted (registry churn)"})
-				return
-			}
-			time.Sleep(Backoff(attempt-1, retryBackoffBase, retryBackoffMax))
-		}
-		h, code, err := s.srv.resolve(sel)
-		if err != nil {
-			_ = s.send(&StreamMessage{Type: MsgError, Seq: job.seq, Code: code, Error: err.Error()})
-			return
-		}
-		resp, lat, err := s.srv.detect(s.ctx, h, job.img, job.altitude, job.deadline)
-		switch {
-		case err == nil && resp.err == nil:
-			// The success path continues below the switch.
-		case errors.Is(err, errRetired):
-			continue
-		case errors.Is(err, errCancelled):
-			// Counted in cancelled_total at the batch-assembly drop; the
-			// client is gone (or going), so no in-band answer either.
-			return
-		case errors.Is(err, errDeadline):
-			_ = s.send(&StreamMessage{Type: MsgError, Seq: job.seq, Code: 504,
-				Error: "deadline exceeded before the result could be served"})
-			return
-		case errors.Is(err, ErrOverloaded):
-			_ = s.send(&StreamMessage{Type: MsgReject, Seq: job.seq, Code: 429,
-				Error: "server overloaded: admission queue full"})
-			return
-		case errors.Is(err, ErrClosed):
-			_ = s.send(&StreamMessage{Type: MsgError, Seq: job.seq, Code: 503,
-				Error: "server shutting down"})
-			return
-		case err != nil:
-			_ = s.send(&StreamMessage{Type: MsgError, Seq: job.seq, Code: 500, Error: err.Error()})
-			return
-		default:
-			_ = s.send(&StreamMessage{Type: MsgError, Seq: job.seq, Code: 500,
-				Error: "inference: " + resp.err.Error()})
-			return
-		}
-		s.srv.retry.Success()
-		tracks := s.tracker.Update(resp.dets)
-		s.touch()
-		_ = s.send(&StreamMessage{
-			Type:       MsgResult,
-			Seq:        job.seq,
-			Frame:      s.tracker.Frame(),
-			Model:      h.name,
-			Generation: h.gen,
-			BatchSize:  resp.batch,
-			LatencyMs:  lat.Seconds() * 1e3,
-			Detections: toJSON(resp.dets),
-			Tracks:     toTrackJSON(tracks),
-		})
+	out := s.srv.infer(s.ctx, routeSel{explicit: s.sel.explicit, altitude: job.altitude}, job.img, job.deadline, false)
+	switch out.status {
+	case http.StatusOK:
+		// The result is assembled below the switch.
+	case statusClientClosedRequest:
+		// Counted in cancelled_total at the batch-assembly drop; the client
+		// is gone (or going), so no in-band answer either.
+		return
+	case http.StatusTooManyRequests:
+		_ = s.send(&StreamMessage{Type: MsgReject, Seq: job.seq, Code: out.status, Error: out.msg})
+		return
+	default:
+		_ = s.send(&StreamMessage{Type: MsgError, Seq: job.seq, Code: out.status, Error: out.msg})
 		return
 	}
+	tracks := s.tracker.Update(out.resp.dets)
+	s.touch()
+	_ = s.send(&StreamMessage{
+		Type:       MsgResult,
+		Seq:        job.seq,
+		Frame:      s.tracker.Frame(),
+		Model:      out.pool.name,
+		Generation: out.pool.gen,
+		BatchSize:  out.resp.batch,
+		LatencyMs:  out.lat.Seconds() * 1e3,
+		Detections: toJSON(out.resp.dets),
+		Tracks:     toTrackJSON(tracks),
+	})
 }
 
 // teardown joins the worker (buffered frames have finished), flushes the

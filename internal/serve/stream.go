@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -109,23 +108,14 @@ func toTrackJSON(tracks []*tracking.Track) []TrackJSON {
 
 // decodeStreamFrame parses and validates one frame message, returning the
 // in-band error answer (nil on success) with the same geometry and
-// deadline-budget bounds the HTTP path enforces.
+// deadline-budget bounds the HTTP path enforces (checkFrame).
 func decodeStreamFrame(raw []byte) (*StreamFrame, *StreamMessage) {
 	var f StreamFrame
 	if err := json.Unmarshal(raw, &f); err != nil {
 		return nil, &StreamMessage{Type: MsgError, Code: 400, Error: fmt.Sprintf("bad frame: %v", err)}
 	}
-	if f.Width < 1 || f.Height < 1 || f.Width > maxImageDim || f.Height > maxImageDim {
-		return nil, &StreamMessage{Type: MsgError, Seq: f.Seq, Code: 400,
-			Error: fmt.Sprintf("width and height must be in [1,%d], got %dx%d", maxImageDim, f.Width, f.Height)}
-	}
-	if len(f.Pixels) != 3*f.Width*f.Height {
-		return nil, &StreamMessage{Type: MsgError, Seq: f.Seq, Code: 400,
-			Error: fmt.Sprintf("pixels length %d != 3*%d*%d", len(f.Pixels), f.Width, f.Height)}
-	}
-	if f.DeadlineMs > maxDeadlineBudget.Milliseconds() {
-		return nil, &StreamMessage{Type: MsgError, Seq: f.Seq, Code: 400,
-			Error: fmt.Sprintf("deadline_ms %d over the %d limit", f.DeadlineMs, maxDeadlineBudget.Milliseconds())}
+	if err := checkFrame(f.Width, f.Height, len(f.Pixels), f.DeadlineMs); err != nil {
+		return nil, &StreamMessage{Type: MsgError, Seq: f.Seq, Code: 400, Error: err.Error()}
 	}
 	return &f, nil
 }
@@ -161,19 +151,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	budget, err := ParseDeadline(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	budget, ok := budgetOf(w, r)
+	if !ok {
 		return
 	}
-	var altitude float64
-	if q := r.URL.Query().Get("altitude"); q != "" {
-		v, err := strconv.ParseFloat(q, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad altitude %q: %v", q, err)
-			return
-		}
-		altitude = v
+	altitude, ok := altitudeOf(w, r)
+	if !ok {
+		return
 	}
 	cfg := s.streams.snapshotCfg()
 	policy := cfg.Policy
@@ -214,21 +198,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		cancel:   cancel,
 		done:     make(chan struct{}),
 	}
-	if err := s.streams.open(sess); err != nil {
+	if refusal := s.streams.open(sess); refusal != "" {
 		cancel()
 		w.Header().Set("Retry-After", "1")
-		if errors.Is(err, ErrClosed) {
-			writeError(w, http.StatusServiceUnavailable, "server shutting down")
-		} else {
-			writeError(w, http.StatusServiceUnavailable,
-				"session limit reached (%d open)", cfg.MaxSessions)
-		}
+		writeError(w, http.StatusServiceUnavailable, "%s", refusal)
 		return
 	}
 	conn, err := ws.Accept(w, r)
 	if err != nil {
 		// Accept fails before hijacking, so the HTTP answer still works.
-		s.streams.abort(sess)
+		s.streams.unregister(sess)
 		cancel()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

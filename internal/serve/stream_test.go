@@ -537,6 +537,12 @@ func TestStreamBadFramesInBand(t *testing.T) {
 	if msg := readMsg(t, conn); msg.Type != serve.MsgError || msg.Code != 400 || msg.Seq != 9 {
 		t.Fatalf("over-budget deadline_ms: type %q code %d seq %d, want error/400/9", msg.Type, msg.Code, msg.Seq)
 	}
+	// A negative deadline_ms is malformed too, the way the HTTP path answers
+	// a budget <= 0 — not a silent "inherit the session budget".
+	sendFrame(t, conn, 10, frames[0], -5)
+	if msg := readMsg(t, conn); msg.Type != serve.MsgError || msg.Code != 400 || msg.Seq != 10 {
+		t.Fatalf("negative deadline_ms: type %q code %d seq %d, want error/400/10", msg.Type, msg.Code, msg.Seq)
+	}
 	sendFrame(t, conn, 8, frames[0], 0)
 	if msg := readMsg(t, conn); msg.Type != serve.MsgResult || msg.Seq != 8 {
 		t.Fatalf("valid frame after errors: type %q seq %d (err %q), want result", msg.Type, msg.Seq, msg.Error)
