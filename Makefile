@@ -123,11 +123,13 @@ chaos:
 ## changed nothing: batched ≡ serial byte for byte (one-shot, int8, routed
 ## per model, streaming sessions, the stream fleet, the network's batch and
 ## clone paths), every GEMM kernel family ≡ naive and prepacked ≡
-## pack-per-call, the accounting identity that proves expired work never
-## reaches a kernel, minimal ring remap, zero dropped requests across a hot
-## swap, the frozen /metrics wire shape, and goroutine hygiene after Close
+## pack-per-call, frame decode ≡ encoding/json bit for bit (and its pixel
+## parser ≡ strconv.ParseFloat), the accounting identity that proves expired
+## work never reaches a kernel, minimal ring remap, zero dropped requests
+## across a hot swap, the frozen /metrics wire shape, and goroutine hygiene
+## after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestFleetMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestSwapUnderTraffic|TestMetricsWireGolden|GoroutineHygiene' \
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestFleetMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestSwapUnderTraffic|TestMetricsWireGolden|GoroutineHygiene' \
 	    ./internal/tensor/ ./internal/network/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization and
@@ -143,7 +145,11 @@ invariants:
 ## FuzzParseDeadline the deadline header/query parser to no panic and an
 ## accepted budget within [0, maxDeadlineBudget], FuzzDecodeStreamFrame the
 ## session frame decoder to no panic and accepted frames within the
-## geometry, pixel-count and deadline bounds). FUZZTIME
+## geometry, pixel-count and deadline bounds, FuzzDecodeFrame the
+## hand-written /detect + stream frame decoder to encoding/json — the same
+## accept or reject and every field equal, pixels bit for bit —
+## FuzzReadMessage the server-side WebSocket frame reader to no panic, an
+## end, and no message over the size bound). FUZZTIME
 ## tunes the per-target budget (CI's parallel fuzz job uses 15s; the nightly
 ## job runs this same target at 10m).
 FUZZTIME ?= 30s
@@ -159,6 +165,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseModelSpecs -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseDeadline -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStreamFrame -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime $(FUZZTIME) ./internal/ws
 	$(GO) test -run '^$$' -fuzz FuzzRingOwnership -fuzztime $(FUZZTIME) ./internal/cluster
 
 ## profile: CPU + heap pprof capture of the in-process serving path

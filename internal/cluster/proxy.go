@@ -318,6 +318,23 @@ func refuse(w http.ResponseWriter, status int, msg string) {
 	writeError(w, status, "%s", msg)
 }
 
+// readForwardBody buffers a request body, bounded by maxForwardBytes, for
+// the forward and its failover replays: one allocation of Content-Length
+// when the client declared it, io.ReadAll's doubling growth when not. The
+// buffer is deliberately not pooled: the transport only promises to Close a
+// request body, and may still be reading it after Do returns — a shard that
+// answers 429 before consuming the body is exactly that case — so a
+// recycled buffer could be overwritten under a read still in flight.
+func readForwardBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxForwardBytes)
+	if r.ContentLength < 0 || r.ContentLength > maxForwardBytes {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, r.ContentLength)
+	_, err := io.ReadFull(body, buf)
+	return buf, err
+}
+
 // handleForward proxies one /detect or /detect/raw request to its owning
 // shard. The body is buffered once so a transport failure can fail over to
 // the next breaker-closed shard on the ring with the identical payload;
@@ -354,7 +371,7 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBytes))
+	body, err := readForwardBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return

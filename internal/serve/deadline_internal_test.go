@@ -44,14 +44,12 @@ func FuzzParseDeadline(f *testing.F) {
 // must never panic, and a frame it accepts must satisfy everything the
 // session relies on downstream — sides within [1, maxImageDim], pixels
 // exactly the planar 3*w*h, and a deadline_ms that is absent or a valid
-// budget. Seeded with the TestStreamBadFramesInBand bodies.
+// budget. Seeded with frameSeeds (the TestStreamBadFramesInBand bodies
+// first); FuzzDecodeFrame holds the values themselves to encoding/json.
 func FuzzDecodeStreamFrame(f *testing.F) {
-	f.Add([]byte("{not json"))
-	f.Add([]byte(`{"seq":7,"width":8,"height":8,"pixels":[0,0,0,0,0]}`))
-	f.Add([]byte(`{"seq":9,"width":1,"height":1,"pixels":[0,0,0],"deadline_ms":9223372036855}`))
-	f.Add([]byte(`{"seq":10,"width":1,"height":1,"pixels":[0,0,0],"deadline_ms":-5}`))
-	f.Add([]byte(`{"seq":8,"width":1,"height":1,"pixels":[0.5,0.25,1],"altitude":120,"deadline_ms":40}`))
-	f.Add([]byte(`{"width":4294967296,"height":4294967296,"pixels":[]}`))
+	for _, s := range frameSeeds {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		frame, errMsg := decodeStreamFrame(raw)
 		if (frame == nil) == (errMsg == nil) {

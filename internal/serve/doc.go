@@ -71,6 +71,41 @@
 // and counted in cancelled_total — instead of wasting a batch slot on an
 // answer nobody reads.
 //
+// # Frame grammar
+//
+// A /detect body and a /stream frame are one JSON object, decoded by one
+// hand-written single-pass scanner (decodeFrame) instead of encoding/json,
+// whose reflective decode of a 96x96 frame's 27,648 floats cost more than
+// four forward passes. The scanner is held to json.Unmarshal into a
+// StreamFrame by a differential fuzz target — the same documents accepted,
+// every field equal, pixels bit for bit (each is what
+// strconv.ParseFloat(token, 32) returns) — so these are encoding/json's
+// rules: keys width, height, pixels, altitude, seq and deadline_ms match
+// under Unicode case folding, escapes included; any other key's value is
+// validated and skipped; a repeated key's last value wins; null leaves a
+// field as it was; an integer field takes an integer literal only (1.0 and
+// 1e0 are refused); a pixel outside the float32 range is refused. /detect
+// reads no seq or deadline_ms (its budget is the header or query) but
+// type-checks them.
+//
+// Two rules are tighter than the decoder this replaced, and refuse only
+// what no valid frame contains. Nothing but whitespace may follow the
+// object: /detect used to ignore trailing bytes while stream frames
+// refused them. And a width and height that PRECEDE pixels bind it: sides
+// outside [1,2048] are refused there, the pixel slice is allocated once at
+// exactly 3*width*height (never more than the body could fill), and the
+// array is refused at its first element beyond that rather than
+// materialised for the length check — a repeated width or height after the
+// array cannot rescue it. With no dimensions yet the slice grows, up to
+// the largest frame's 3*2048*2048. A stream refusal echoes whatever seq
+// was read before it.
+//
+// The /detect body is read once into a pooled buffer sized from
+// Content-Length; the buffer's life ends when the decoder returns, and one
+// grown past 4MB is dropped rather than pooled. The pixel slice is never
+// pooled: it crosses into the batcher, and plain allocation keeps its
+// ownership trivial.
+//
 // # Deadlines
 //
 // A request may carry an end-to-end budget — the X-Dronet-Deadline header

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/detect"
@@ -297,12 +298,13 @@ func (s *Server) handleDetectJSON(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	var req DetectRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	req, err := readFrame(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	// A deadline_ms in the body is a stream-frame field: /detect takes its
+	// budget from the header or query, as stamped above.
 	if err := checkFrame(req.Width, req.Height, len(req.Pixels), 0); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -312,6 +314,36 @@ func (s *Server) handleDetectJSON(w http.ResponseWriter, r *http.Request) {
 	// max dimensions on the hot path.
 	img := &imgproc.Image{W: req.Width, H: req.Height, Pix: req.Pixels}
 	s.respond(w, r.Context(), routeSel{explicit: name, altitude: req.Altitude}, img, deadline)
+}
+
+// maxPooledBody caps the body buffers bodyPool keeps: a 96x96 frame is
+// 280kB of JSON and a 320x320 one 3MB, while a buffer grown for a rare
+// 64MB upload would sit in the pool as resident memory nobody needs again.
+const maxPooledBody = 4 << 20
+
+// bodyPool recycles the buffers /detect bodies are read into. A buffer is
+// borrowed for the read and the decode only: decodeFrame copies everything
+// it keeps out of it.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readFrame reads a /detect body, bounded by maxBodyBytes, into a pooled
+// buffer sized once from Content-Length, and decodes it.
+func readFrame(w http.ResponseWriter, r *http.Request) (StreamFrame, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		// ReadFrom wants MinRead bytes free for the read that finds EOF.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	var f StreamFrame
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		f, err = decodeFrame(buf.Bytes())
+	}
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+	return f, err
 }
 
 // handleDetectRaw serves POST /detect/raw: the body is a PNG or JPEG image,

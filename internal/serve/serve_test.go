@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -502,6 +503,14 @@ func TestBadRequests(t *testing.T) {
 		// the empty pixels array and panic the batch worker on Resize.
 		{"dim overflow", "/detect", `{"width":4294967296,"height":4294967296,"pixels":[]}`, http.StatusBadRequest},
 		{"oversized", "/detect", `{"width":100000,"height":2,"pixels":[]}`, http.StatusBadRequest},
+		// One trailing-data rule for /detect and stream frames: only
+		// whitespace may follow the object.
+		{"trailing garbage", "/detect", `{"width":1,"height":1,"pixels":[0,0,0]} x`, http.StatusBadRequest},
+		{"second object", "/detect", `{"width":1,"height":1,"pixels":[0,0,0]}{"width":1,"height":1,"pixels":[0,0,0]}`, http.StatusBadRequest},
+		// A 2MB array behind a 1x1 declaration is refused at its fourth
+		// element (TestDecodeFrameBoundsPixels pins that it is not
+		// materialised first).
+		{"pixels past declared dims", "/detect", `{"width":1,"height":1,"pixels":[` + strings.Repeat("0,", 1<<20) + `0]}`, http.StatusBadRequest},
 		{"raw not an image", "/detect/raw", "not a png", http.StatusBadRequest},
 	}
 	for _, c := range cases {

@@ -108,13 +108,16 @@ func toTrackJSON(tracks []*tracking.Track) []TrackJSON {
 
 // decodeStreamFrame parses and validates one frame message, returning the
 // in-band error answer (nil on success) with the same geometry and
-// deadline-budget bounds the HTTP path enforces (checkFrame).
+// deadline-budget bounds the HTTP path enforces (checkFrame). The answer
+// echoes whatever seq was read before the refusal.
 func decodeStreamFrame(raw []byte) (*StreamFrame, *StreamMessage) {
-	var f StreamFrame
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, &StreamMessage{Type: MsgError, Code: 400, Error: fmt.Sprintf("bad frame: %v", err)}
+	f, err := decodeFrame(raw)
+	if err != nil {
+		err = fmt.Errorf("bad frame: %v", err)
+	} else {
+		err = checkFrame(f.Width, f.Height, len(f.Pixels), f.DeadlineMs)
 	}
-	if err := checkFrame(f.Width, f.Height, len(f.Pixels), f.DeadlineMs); err != nil {
+	if err != nil {
 		return nil, &StreamMessage{Type: MsgError, Seq: f.Seq, Code: 400, Error: err.Error()}
 	}
 	return &f, nil

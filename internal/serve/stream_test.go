@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -542,6 +543,24 @@ func TestStreamBadFramesInBand(t *testing.T) {
 	sendFrame(t, conn, 10, frames[0], -5)
 	if msg := readMsg(t, conn); msg.Type != serve.MsgError || msg.Code != 400 || msg.Seq != 10 {
 		t.Fatalf("negative deadline_ms: type %q code %d seq %d, want error/400/10", msg.Type, msg.Code, msg.Seq)
+	}
+	// Refusals from inside the decoder echo the seq read before them: a
+	// pixel array running past the declared 1x1 (refused at its fourth
+	// element, not materialised), and bytes after the closing brace —
+	// garbage or a second object — which /detect refuses the same way.
+	valid := `"width":1,"height":1,"pixels":[0,0,0]}`
+	for i, body := range []string{
+		`{"seq":11,"width":1,"height":1,"pixels":[` + strings.Repeat("0,", 1<<20) + `0]}`,
+		`{"seq":12,` + valid + ` x`,
+		`{"seq":13,` + valid + `{"seq":14,` + valid,
+	} {
+		seq := 11 + i
+		if err := conn.WriteMessage([]byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		if msg := readMsg(t, conn); msg.Type != serve.MsgError || msg.Code != 400 || msg.Seq != seq {
+			t.Fatalf("bad frame %d: type %q code %d seq %d, want error/400/%d", seq, msg.Type, msg.Code, msg.Seq, seq)
+		}
 	}
 	sendFrame(t, conn, 8, frames[0], 0)
 	if msg := readMsg(t, conn); msg.Type != serve.MsgResult || msg.Seq != 8 {

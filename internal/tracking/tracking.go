@@ -56,9 +56,15 @@ type Track struct {
 	Confirmed bool
 	// FirstFrame and LastFrame bound the track's observed lifetime.
 	FirstFrame, LastFrame int
-	// Trajectory records the box center per associated frame.
+	// Trajectory records the box of each associated frame, the latest
+	// maxTrajectory of them.
 	Trajectory []detect.Box
 }
+
+// maxTrajectory bounds Track.Trajectory. A streaming session's tracks live
+// as long as the camera keeps an object in view, and an unbounded history
+// grew every session's memory with every frame it had ever processed.
+const maxTrajectory = 64
 
 // Config tunes the tracker.
 type Config struct {
@@ -143,6 +149,9 @@ func (t *Tracker) Update(dets []detect.Detection) []*Track {
 			tr.Hits++
 			tr.Misses = 0
 			tr.LastFrame = t.frame
+			if len(tr.Trajectory) == maxTrajectory {
+				tr.Trajectory = tr.Trajectory[:copy(tr.Trajectory, tr.Trajectory[1:])]
+			}
 			tr.Trajectory = append(tr.Trajectory, d.Box)
 			if !tr.Confirmed && tr.Hits >= t.cfg.MinHits {
 				tr.Confirmed = true

@@ -31,6 +31,31 @@ func TestSingleObjectTrackedAcrossFrames(t *testing.T) {
 	}
 }
 
+// TestTrajectoryBounded: a track that outlives maxTrajectory frames keeps
+// the latest boxes, in order, and its capacity stops growing — a session
+// that streams for hours must not hold every frame it ever saw.
+func TestTrajectoryBounded(t *testing.T) {
+	tr := New(DefaultConfig())
+	const frames = 3*maxTrajectory + 7
+	x := func(i int) float64 { return 0.3 + 0.001*float64(i) }
+	for i := 0; i < frames; i++ {
+		tr.Update([]detect.Detection{det(x(i), 0.5)})
+	}
+	confirmed := tr.Confirmed()
+	if len(confirmed) != 1 || confirmed[0].Hits != frames {
+		t.Fatalf("want one track with %d hits, got %d tracks", frames, len(confirmed))
+	}
+	traj := confirmed[0].Trajectory
+	if len(traj) != maxTrajectory || cap(traj) > 2*maxTrajectory {
+		t.Fatalf("trajectory len %d cap %d, want len %d and a bounded cap", len(traj), cap(traj), maxTrajectory)
+	}
+	for k, b := range traj {
+		if want := x(frames - maxTrajectory + k); b.X != want {
+			t.Fatalf("trajectory[%d].X = %v, want %v (the latest %d boxes in order)", k, b.X, want, maxTrajectory)
+		}
+	}
+}
+
 func TestTwoSeparateObjectsTwoTracks(t *testing.T) {
 	tr := New(DefaultConfig())
 	for i := 0; i < 3; i++ {

@@ -255,9 +255,7 @@ func (c *Conn) ReadMessage() ([]byte, error) {
 			return nil, err
 		}
 		if masked {
-			for i := range payload {
-				payload[i] ^= maskKey[i&3]
-			}
+			mask(payload, maskKey)
 		}
 		switch op {
 		case opText, opBinary:
@@ -278,6 +276,20 @@ func (c *Conn) ReadMessage() ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("ws: unknown opcode %#x", op)
 		}
+	}
+}
+
+// mask XORs payload with the repeating four-byte key (RFC 6455 §5.3; the
+// operation is its own inverse) eight bytes a step: a camera frame is
+// 280kB of it in each direction.
+func mask(payload []byte, key [4]byte) {
+	k := uint64(binary.LittleEndian.Uint32(key[:]))
+	k |= k << 32
+	for ; len(payload) >= 8; payload = payload[8:] {
+		binary.LittleEndian.PutUint64(payload, binary.LittleEndian.Uint64(payload)^k)
+	}
+	for i := range payload {
+		payload[i] ^= key[i&3]
 	}
 }
 
@@ -328,9 +340,7 @@ func (c *Conn) writeFrame(op byte, payload []byte) error {
 		buf = append(buf, key[:]...)
 		start := len(buf)
 		buf = append(buf, payload...)
-		for i := start; i < len(buf); i++ {
-			buf[i] ^= key[(i-start)&3]
-		}
+		mask(buf[start:], key)
 	} else {
 		buf = append(buf, payload...)
 	}
