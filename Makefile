@@ -17,10 +17,12 @@ ci: vet build race chaos invariants bench-smoke serve-smoke swap-smoke shard-smo
 ## avx2 on AVX2-capable boxes (TestSelectedKernel skips elsewhere), so a
 ## silent fall-back to the SSE2 kernels breaks CI instead of just perf; the
 ## layers leg runs the fused inference convolution at DroNet's nine 256×256
-## conv shapes and the streaming 2×2 max-pool at its five pool shapes
+## conv shapes and the streaming 2×2 max-pool at its five pool shapes; the
+## imgproc leg runs the /detect/raw pixel conversion on a decoded JPEG and PNG
 bench-smoke:
 	$(GO) test -run 'TestKernelDispatchInfo|TestSelectedKernel' -v -bench Gemm -benchtime 10x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'ConvForwardDroNet256|MaxPool2x2' -benchtime 10x ./internal/layers/
+	$(GO) test -run '^$$' -bench FromGoImage -benchtime 10x ./internal/imgproc/
 
 ## vet: static analysis plus the gofmt cleanliness gate — unformatted files
 ## fail the build with their names listed
@@ -124,13 +126,15 @@ chaos:
 ## per model, streaming sessions, the stream fleet, the network's batch and
 ## clone paths), every GEMM kernel family ≡ naive and prepacked ≡
 ## pack-per-call, frame decode ≡ encoding/json bit for bit (and its pixel
-## parser ≡ strconv.ParseFloat), the accounting identity that proves expired
+## parser ≡ strconv.ParseFloat), the typed /detect/raw pixel conversion ≡
+## the generic one bit for bit, the batcher's dispatch rule (a request waits
+## only while every worker is busy), the accounting identity that proves expired
 ## work never reaches a kernel, minimal ring remap, zero dropped requests
 ## across a hot swap, the frozen /metrics wire shape, and goroutine hygiene
 ## after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestFleetMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestSwapUnderTraffic|TestMetricsWireGolden|GoroutineHygiene' \
-	    ./internal/tensor/ ./internal/network/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFromGoImageMatchesGeneric|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestFleetMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestSwapUnderTraffic|TestMetricsWireGolden|GoroutineHygiene' \
+	    ./internal/tensor/ ./internal/imgproc/ ./internal/network/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization and
 ## spec-grammar invariants (FuzzGemmPackedVsNaive cross-checks the packed
@@ -148,7 +152,9 @@ invariants:
 ## geometry, pixel-count and deadline bounds, FuzzDecodeFrame the
 ## hand-written /detect + stream frame decoder to encoding/json — the same
 ## accept or reject and every field equal, pixels bit for bit —
-## FuzzReadMessage the server-side WebSocket frame reader to no panic, an
+## FuzzDecodeRaw the /detect/raw PNG/JPEG decoder to no panic, accepted
+## images within the 2048px side bound and pixels equal to the generic
+## conversion bit for bit, FuzzReadMessage the server-side WebSocket frame reader to no panic, an
 ## end, and no message over the size bound). FUZZTIME
 ## tunes the per-target budget (CI's parallel fuzz job uses 15s; the nightly
 ## job runs this same target at 10m).
@@ -166,6 +172,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseDeadline -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStreamFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime $(FUZZTIME) ./internal/ws
 	$(GO) test -run '^$$' -fuzz FuzzRingOwnership -fuzztime $(FUZZTIME) ./internal/cluster
 

@@ -55,7 +55,6 @@ func main() {
 	scale := flag.Float64("scale", 0.25, "spawned shards: filter-count scale")
 	workers := flag.Int("workers", 2, "spawned shards: batch worker pool size")
 	maxBatch := flag.Int("max-batch", 4, "spawned shards: maximum images per micro-batch")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "spawned shards: maximum wait for a batch to fill")
 	precision := flag.String("precision", "fp32", "spawned shards: inference precision (fp32 or int8)")
 	modelsFlag := flag.String("models", "", "spawned shards: routed multi-model registry spec (passed through to dronet-serve -models)")
 	shardMaxSessions := flag.Int("shard-max-sessions", 64, "spawned shards: per-shard cap on open /stream sessions (dronet-serve -max-sessions)")
@@ -89,7 +88,7 @@ func main() {
 	var addrs []string
 	if *spawn > 0 {
 		var err error
-		fleet, err = spawnFleet(*serveBin, *spawn, shardArgs(*size, *scale, *workers, *maxBatch, *maxWait, *precision, *modelsFlag,
+		fleet, err = spawnFleet(*serveBin, *spawn, shardArgs(*size, *scale, *workers, *maxBatch, *precision, *modelsFlag,
 			*shardMaxSessions, *shardSessionIdle, *shardSessionInflight))
 		if err != nil {
 			log.Fatal(err)
@@ -147,7 +146,7 @@ func main() {
 
 // shardArgs builds the dronet-serve argument list shared by every spawned
 // shard; the per-shard -shard-id and -addr are appended at spawn time.
-func shardArgs(size int, scale float64, workers, maxBatch int, maxWait time.Duration, precision, modelsSpec string,
+func shardArgs(size int, scale float64, workers, maxBatch int, precision, modelsSpec string,
 	maxSessions int, sessionIdle time.Duration, sessionInflight int) []string {
 	args := []string{
 		"-addr", "127.0.0.1:0",
@@ -155,7 +154,6 @@ func shardArgs(size int, scale float64, workers, maxBatch int, maxWait time.Dura
 		"-scale", fmt.Sprint(scale),
 		"-workers", fmt.Sprint(workers),
 		"-max-batch", fmt.Sprint(maxBatch),
-		"-max-wait", maxWait.String(),
 		"-max-sessions", fmt.Sprint(maxSessions),
 		"-session-idle", sessionIdle.String(),
 		"-session-inflight", fmt.Sprint(sessionInflight),

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	dronet-serve -addr :8080 -model dronet -size 128 -scale 0.5 \
-//	    -weights dronet.weights -workers 4 -max-batch 8 -max-wait 2ms
+//	    -weights dronet.weights -workers 4 -max-batch 8
 //
 // The engine is precision-agnostic (core.Model): -precision int8 serves the
 // INT8-quantized model (batch-norm folding, per-channel weight scales,
@@ -85,8 +85,6 @@ func main() {
 	calibFrames := flag.Int("calib-frames", 8, "int8: synthetic sample frames for activation-scale calibration")
 	workers := flag.Int("workers", runtime.NumCPU(), "batch worker pool size (model replicas)")
 	maxBatch := flag.Int("max-batch", 8, "maximum images per micro-batch")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "maximum wait for a batch to fill")
-	minWait := flag.Duration("min-wait", 300*time.Microsecond, "batch accumulation floor: a non-full batch is never dispatched earlier")
 	queueDepth := flag.Int("queue", 0, "admission queue depth (0 = 8*max-batch); full queue returns 429")
 	shardID := flag.String("shard-id", "", "fleet identity label stamped on /healthz and /metrics (for sharded deployments behind dronet-proxy)")
 	maxSessions := flag.Int("max-sessions", 64, "streaming: maximum concurrently open /stream sessions (beyond it new opens get 503 + Retry-After)")
@@ -140,8 +138,6 @@ func main() {
 	}
 	scfg := serve.Config{
 		MaxBatch:   *maxBatch,
-		MaxWait:    *maxWait,
-		MinWait:    *minWait,
 		QueueDepth: *queueDepth,
 		Warm:       true,
 	}
@@ -214,11 +210,11 @@ func main() {
 		}()
 	}
 	if specs != nil {
-		log.Printf("routed models %v (default %s), %d workers per pool, max-batch %d, max-wait %s",
-			srv.Models(), srv.Models()[0], *workers, *maxBatch, *maxWait)
+		log.Printf("routed models %v (default %s), %d workers per pool, max-batch %d",
+			srv.Models(), srv.Models()[0], *workers, *maxBatch)
 	} else {
-		log.Printf("model %s size %d scale %.2f precision %s, %d workers, max-batch %d, max-wait %s, queue %d",
-			*model, *size, *scale, *precision, *workers, *maxBatch, *maxWait, srv.Stats().QueueCap)
+		log.Printf("model %s size %d scale %.2f precision %s, %d workers, max-batch %d, queue %d",
+			*model, *size, *scale, *precision, *workers, *maxBatch, srv.Stats().QueueCap)
 	}
 
 	httpSrv := &http.Server{Handler: srv}

@@ -430,7 +430,6 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 			"-scale", "0.25",
 			"-workers", "2",
 			"-max-batch", "4",
-			"-max-wait", "5ms",
 			"-precision", precision,
 			"-shard-id", id,
 		})
@@ -736,7 +735,6 @@ func spawnAddrs(bin string, size int, precision, modelsSpec string, admin bool) 
 		"-scale", "0.25",
 		"-workers", "2",
 		"-max-batch", "4",
-		"-max-wait", "5ms",
 		"-precision", precision,
 	}
 	if modelsSpec != "" {

@@ -10,8 +10,10 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,7 +57,7 @@ func runShardHelper(id string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	srv, err := serve.New(eng, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond, QueueDepth: 32})
+	srv, err := serve.New(eng, serve.Config{MaxBatch: 2, QueueDepth: 32})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -151,6 +153,20 @@ func TestChaosKillShardMidTraffic(t *testing.T) {
 	frames := testFrames(64, 2, 21)
 	body := frameBody(t, frames[0])
 
+	// A shard is labelled with its id only once a health probe has read it;
+	// before that, responses name its address. Wait for every label.
+	waitHealth(t, ts.URL, "every shard probed", func(h chaosHealth) bool {
+		if h.Live != shards {
+			return false
+		}
+		for addr, s := range h.Shards {
+			if s.ShardID == addr {
+				return false
+			}
+		}
+		return true
+	})
+
 	// Map every camera to its owner and its healthy-era detections.
 	const cameras = 12
 	owner := make(map[string]string, cameras)
@@ -184,6 +200,7 @@ func TestChaosKillShardMidTraffic(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	statuses := make(chan int, 4096)
+	var sent atomic.Int64
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -196,14 +213,23 @@ func TestChaosKillShardMidTraffic(t *testing.T) {
 				}
 				code, _, _ := postVia(t, ts.URL, "/detect?camera="+camID((c*3+i)%cameras), body, nil)
 				statuses <- code
+				sent.Add(1)
 			}
 		}(c)
 	}
-	time.Sleep(50 * time.Millisecond) // traffic in flight
+	for deadline := time.Now().Add(10 * time.Second); sent.Load() < 8; {
+		if time.Now().After(deadline) {
+			t.Fatal("no traffic through the proxy within 10s")
+		}
+		runtime.Gosched()
+	}
 	if err := cmds[victimIdx].Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(400 * time.Millisecond) // ride through detection + ejection
+	// Keep the traffic going until the proxy has ejected the victim.
+	waitHealth(t, ts.URL, "the killed shard ejected", func(h chaosHealth) bool {
+		return h.Live == shards-1
+	})
 	close(stop)
 	wg.Wait()
 	close(statuses)
@@ -246,20 +272,35 @@ func TestChaosKillShardMidTraffic(t *testing.T) {
 	}
 
 	// The proxy's own health view must show exactly one ejected shard.
-	deadline := time.Now().Add(5 * time.Second)
+	waitHealth(t, ts.URL, "exactly one shard ejected", func(h chaosHealth) bool {
+		return h.Status == "degraded" && h.Live == shards-1 && h.Total == shards
+	})
+}
+
+// chaosHealth is the part of the proxy's /healthz the chaos drill reads.
+type chaosHealth struct {
+	Status string `json:"status"`
+	Live   int    `json:"live_shards"`
+	Total  int    `json:"total_shards"`
+	Shards map[string]struct {
+		ShardID string `json:"shard_id"`
+	} `json:"shards"`
+}
+
+// waitHealth polls the proxy's /healthz until cond holds, failing the test
+// after 10s.
+func waitHealth(t *testing.T, base, what string, cond func(chaosHealth) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var health struct {
-			Status string `json:"status"`
-			Live   int    `json:"live_shards"`
-			Total  int    `json:"total_shards"`
-		}
-		getJSON(t, ts.URL+"/healthz", &health)
-		if health.Status == "degraded" && health.Live == shards-1 && health.Total == shards {
-			break
+		var h chaosHealth
+		getJSON(t, base+"/healthz", &h)
+		if cond(h) {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("proxy never ejected the killed shard: %+v", health)
+			t.Fatalf("waiting for %s: %+v", what, h)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 }

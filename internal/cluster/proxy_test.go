@@ -43,7 +43,7 @@ func realShard(t *testing.T, id string, seed uint64) (addr string, srv *serve.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err = serve.New(eng, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond, QueueDepth: 32})
+	srv, err = serve.New(eng, serve.Config{MaxBatch: 2, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

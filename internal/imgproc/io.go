@@ -32,18 +32,53 @@ func to8(v float32) uint8 {
 	return uint8(v*255 + 0.5)
 }
 
-// FromGoImage converts any standard-library image to a float32 Image.
+// FromGoImage converts any standard-library image to a float32 Image: each
+// sample is float32(v)/65535 of the 16-bit channel At(x, y).RGBA() reports.
+// The types the JPEG and PNG decoders return for colour frames,
+// *image.YCbCr and *image.RGBA, are read through their concrete pixel types
+// instead of At, which boxes every pixel into a color.Color; the result is
+// bit-identical either way.
 func FromGoImage(src image.Image) *Image {
 	b := src.Bounds()
 	m := NewImage(b.Dx(), b.Dy())
-	for y := 0; y < b.Dy(); y++ {
-		for x := 0; x < b.Dx(); x++ {
-			r, g, bl, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			m.SetRGB(x, y, float32(r)/65535, float32(g)/65535, float32(bl)/65535)
+	plane := m.W * m.H
+	r, g, bl := m.Pix[:plane], m.Pix[plane:2*plane], m.Pix[2*plane:]
+	switch s := src.(type) {
+	case *image.YCbCr:
+		for y, i := b.Min.Y, 0; y < b.Max.Y; y++ {
+			for x := b.Min.X; x < b.Max.X; x, i = x+1, i+1 {
+				cr, cg, cb, _ := s.YCbCrAt(x, y).RGBA()
+				r[i], g[i], bl[i] = float32(cr)/65535, float32(cg)/65535, float32(cb)/65535
+			}
+		}
+	case *image.RGBA:
+		for y, i := b.Min.Y, 0; y < b.Max.Y; y++ {
+			row := s.Pix[s.PixOffset(b.Min.X, y):]
+			for x := 0; x < m.W; x, i = x+1, i+1 {
+				// color.RGBA.RGBA widens each stored byte to v*0x101,
+				// whatever the alpha.
+				p := row[4*x : 4*x+3]
+				r[i], g[i], bl[i] = unit8[p[0]], unit8[p[1]], unit8[p[2]]
+			}
+		}
+	default:
+		for y, i := b.Min.Y, 0; y < b.Max.Y; y++ {
+			for x := b.Min.X; x < b.Max.X; x, i = x+1, i+1 {
+				cr, cg, cb, _ := src.At(x, y).RGBA()
+				r[i], g[i], bl[i] = float32(cr)/65535, float32(cg)/65535, float32(cb)/65535
+			}
 		}
 	}
 	return m
 }
+
+// unit8 maps an 8-bit channel to the sample FromGoImage stores for it.
+var unit8 = func() (t [256]float32) {
+	for v := range t {
+		t[v] = float32(v*0x101) / 65535
+	}
+	return t
+}()
 
 // SavePNG writes the image to path as an 8-bit PNG.
 func (m *Image) SavePNG(path string) error {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/models"
@@ -19,8 +18,8 @@ import (
 // parse + queue + micro-batched inference) with parallel clients, all in
 // one process — the profiling target behind `make profile`; the end-to-end
 // numbers come from bench/run.sh against the real binary. Mean micro-batch
-// size is reported alongside images/sec: rising parallelism should raise
-// it, and with it per-image efficiency.
+// size is reported alongside images/sec: it grows with parallelism, since
+// a batch grows only while every worker is busy.
 func BenchmarkServeThroughput(b *testing.B) {
 	net, _, err := models.Build(models.DroNet, 64, tensor.NewRNG(1))
 	if err != nil {
@@ -30,7 +29,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := serve.New(eng, serve.Config{MaxBatch: 8, MaxWait: 2 * time.Millisecond, QueueDepth: 64, Warm: true})
+	srv, err := serve.New(eng, serve.Config{MaxBatch: 8, QueueDepth: 64, Warm: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -61,9 +61,14 @@
 // decoded frame, and an idle batch worker's staging slice is cleared after
 // every batch, so no serving state pins pixels beyond a request's
 // lifetime. Per model, a single batcher goroutine drains the queue and
-// coalesces waiting requests into micro-batches: a batch closes when it
-// reaches Config.MaxBatch images or when the oldest request in it has
-// waited Config.MaxWait, whichever comes first. Each batch becomes one
+// coalesces waiting requests into micro-batches under one rule: a request
+// waits only while every worker is busy. The batch a request starts goes
+// to an idle worker at once; while none is idle it absorbs arrivals, up to
+// Config.MaxBatch images, until a worker frees up. There is no timer: on
+// the CPU kernels an 8-image batch costs 8.0× a single image at quarter
+// scale and 8.2× at paper scale (medians of three traced bench runs on a
+// 2-CPU x86 box), so holding a lone request back
+// for company buys no throughput, only latency. Each batch becomes one
 // N-image batched forward on that model's pooled worker replica
 // (engine.ExecuteBatch); the per-image detections are then fanned back to
 // the waiting callers. Requests whose client context is already done when
@@ -142,10 +147,12 @@
 // # Idle-worker lending
 //
 // Strict per-model pools waste capacity when load is uneven, so pools
-// share it through a work-stealing scheduler: when a pool's eligible
-// batch finds every local worker busy and the fleet has idle capacity,
-// the scheduler grants a BORROWED slot — one extra concurrent batch on a
-// lazily-grown replica of the pool's own engine. Spare slots go to the
+// share it through a work-stealing scheduler: when a pool's forming batch
+// of two or more finds every local worker busy and the fleet has idle
+// capacity, the scheduler grants a BORROWED slot — one extra concurrent
+// batch on a lazily-grown replica of the pool's own engine. A lone request
+// waits for its own pool instead: one image does not repay a replica's
+// memory. Spare slots go to the
 // hungriest pool by weighted fair share (ModelEntry.Weight, the optional
 // fifth -models field), and a pool's own workers never consult the
 // scheduler, so a lender whose traffic returns starts executing
@@ -156,10 +163,9 @@
 //
 // Batching is invisible to correctness: a batched forward produces
 // byte-identical per-image detections to single-image inference
-// (network.DetectBatch documents why), so the only observable effects are
-// higher aggregate throughput — per-call overhead and cache-warm weight
-// panels amortize across the batch — and up to MaxWait of added latency under
-// light load.
+// (network.DetectBatch documents why). Batches form only from requests that
+// would otherwise have waited for a worker, so no request is held back for
+// company.
 //
 // # Endpoints
 //
@@ -184,8 +190,8 @@
 // where boxes are center-format in normalized image coordinates, model
 // names the entry that served the request (so callers can observe the
 // altitude route), generation tags the serving pool's lifecycle
-// incarnation, batch_size is the micro-batch the request rode in (an
-// observability aid for tuning MaxWait), and latency_ms is
+// incarnation, batch_size is the micro-batch the request rode in (above
+// one only when the request queued behind busy workers), and latency_ms is
 // queue+inference time.
 //
 // # Admin endpoints

@@ -46,7 +46,7 @@ func TestServerCloseGoroutineHygiene(t *testing.T) {
 	const pkg = "repro/internal/serve."
 	baseline := goroutinesIn(pkg)
 
-	srv := newServer(t, buildNet(t), 2, serve.Config{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 16})
+	srv := newServer(t, buildNet(t), 2, serve.Config{MaxBatch: 4, QueueDepth: 16})
 	ts := httptest.NewServer(srv)
 	frames := testFrames(2)
 	for i := 0; i < 6; i++ {

@@ -67,7 +67,7 @@ type DetectionJSON struct {
 // generation changes, so a client can prove which weights answered.
 // BatchSize reports the micro-batch this request was executed in, and
 // LatencyMs the end-to-end queue+inference time — observability aids for
-// tuning the batching knobs.
+// seeing the batching a request rode in.
 type DetectResponse struct {
 	Detections []DetectionJSON `json:"detections"`
 	Model      string          `json:"model,omitempty"`
@@ -375,23 +375,30 @@ func (s *Server) handleDetectRaw(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	// Check the declared geometry before decoding pixels, so a small body
-	// cannot expand into a gigapixel allocation (PNG bombs compress well).
-	cfg, _, err := image.DecodeConfig(bytes.NewReader(body))
+	img, err := decodeRaw(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "decode image: %v", err)
-		return
-	}
-	if err := checkDims(cfg.Width, cfg.Height); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	s.respond(w, r.Context(), routeSel{explicit: name, altitude: altitude}, img, deadline)
+}
+
+// decodeRaw turns a /detect/raw body (PNG or JPEG) into a float image. The
+// declared geometry is checked before any pixel is decoded, so a small body
+// cannot expand into a gigapixel allocation (PNG bombs compress well).
+func decodeRaw(body []byte) (*imgproc.Image, error) {
+	cfg, _, err := image.DecodeConfig(bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("decode image: %w", err)
+	}
+	if err := checkDims(cfg.Width, cfg.Height); err != nil {
+		return nil, err
+	}
 	src, _, err := image.Decode(bytes.NewReader(body))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "decode image: %v", err)
-		return
+		return nil, fmt.Errorf("decode image: %w", err)
 	}
-	s.respond(w, r.Context(), routeSel{explicit: name, altitude: altitude}, imgproc.FromGoImage(src), deadline)
+	return imgproc.FromGoImage(src), nil
 }
 
 // respond runs the image through infer and encodes the outcome as the HTTP
@@ -445,8 +452,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"input":            fmt.Sprintf("%dx%d", in.W, in.H),
 			"workers":          h.eng.Workers(),
 			"max_batch":        h.cfg.MaxBatch,
-			"max_wait_ms":      h.cfg.MaxWait.Seconds() * 1e3,
-			"min_wait_ms":      h.cfg.MinWait.Seconds() * 1e3,
 			"queue_cap":        cap(h.queue),
 			"queue_depth":      len(h.queue),
 			"max_altitude_m":   h.maxAlt,
@@ -467,8 +472,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"precision":       t.def.cfg.Precision,
 		"workers":         s.group.Workers(),
 		"max_batch":       t.def.cfg.MaxBatch,
-		"max_wait_ms":     t.def.cfg.MaxWait.Seconds() * 1e3,
-		"min_wait_ms":     t.def.cfg.MinWait.Seconds() * 1e3,
 		"queue_cap":       queueCap,
 		"workspace_bytes": s.group.WorkspaceBytes(),
 		"default_model":   t.def.name,

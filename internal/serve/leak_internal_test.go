@@ -24,7 +24,7 @@ func newTestServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewRouted([]ModelEntry{{Name: "only", Engine: eng, Config: Config{MaxBatch: 2, MaxWait: time.Millisecond, QueueDepth: 4}}})
+	srv, err := NewRouted([]ModelEntry{{Name: "only", Engine: eng, Config: Config{MaxBatch: 2, QueueDepth: 4}}})
 	if err != nil {
 		t.Fatal(err)
 	}

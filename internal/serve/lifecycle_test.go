@@ -55,7 +55,7 @@ func TestSwapUnderTraffic(t *testing.T) {
 	frames := framesAt(64, 3, 99)
 	nets, oracles := buildNets(t, 3, 64, frames)
 
-	cfg := serve.Config{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 64}
+	cfg := serve.Config{MaxBatch: 4, QueueDepth: 64}
 	srv, err := serve.NewRouted([]serve.ModelEntry{
 		{Name: "anchor", Engine: newEngine(t, nets[0], 1), Config: cfg},
 		{Name: "band", Engine: newEngine(t, nets[1], 1), Config: cfg, MaxAltitude: 150},
@@ -212,7 +212,7 @@ func testBuilder(t *testing.T) serve.ModelBuilder {
 		return serve.ModelEntry{
 			Name:        spec.Name,
 			Engine:      eng,
-			Config:      serve.Config{MaxBatch: 2, MaxWait: time.Millisecond, Precision: spec.Precision},
+			Config:      serve.Config{MaxBatch: 2, Precision: spec.Precision},
 			MaxAltitude: spec.MaxAltitude,
 			Weight:      spec.Weight,
 		}, nil
@@ -255,7 +255,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(newEngine(t, net, 1), serve.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	srv, err := serve.New(newEngine(t, net, 1), serve.Config{MaxBatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestAdminEndpoints(t *testing.T) {
 func TestWorkerLending(t *testing.T) {
 	frames := framesAt(64, 3, 44)
 	nets, oracles := buildNets(t, 2, 64, frames)
-	cfg := serve.Config{MaxBatch: 2, MaxWait: time.Millisecond, QueueDepth: 64}
+	cfg := serve.Config{MaxBatch: 2, QueueDepth: 64}
 	srv, err := serve.NewRouted([]serve.ModelEntry{
 		{Name: "busy", Engine: newEngine(t, nets[0], 1), Config: cfg, Weight: 2},
 		{Name: "idle", Engine: newEngine(t, nets[1], 1), Config: cfg},
@@ -462,7 +462,7 @@ type pr5Stats struct {
 // PR 5 scraper struct and cross-checks every counter against the current
 // Report() — lifecycle work must extend the wire format, never break it.
 func TestMetricsWireGolden(t *testing.T) {
-	srv, lowFrames, _, _, _ := twoModelServer(t, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	srv, lowFrames, _, _, _ := twoModelServer(t, serve.Config{MaxBatch: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	for i := 0; i < 3; i++ {

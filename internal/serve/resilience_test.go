@@ -89,7 +89,7 @@ func TestDeadlineStormNeverReachesKernel(t *testing.T) {
 	}
 	defer faults.Disarm()
 
-	srv := newServer(t, buildNet(t), 1, serve.Config{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 64})
+	srv := newServer(t, buildNet(t), 1, serve.Config{MaxBatch: 4, QueueDepth: 64})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	frames := testFrames(2)
@@ -157,7 +157,7 @@ func TestExpiredOnArrival504(t *testing.T) {
 	}
 	defer faults.Disarm()
 
-	srv := newServer(t, buildNet(t), 1, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond, QueueDepth: 8})
+	srv := newServer(t, buildNet(t), 1, serve.Config{MaxBatch: 2, QueueDepth: 8})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	frames := testFrames(1)
@@ -181,7 +181,7 @@ func TestExpiredOnArrival504(t *testing.T) {
 // surface that parses a deadline, never the instant 504 a wrapped budget
 // used to earn — while the largest in-range budget is still served.
 func TestDeadlineOverBudget400(t *testing.T) {
-	srv := newServer(t, buildNet(t), 1, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond, QueueDepth: 8})
+	srv := newServer(t, buildNet(t), 1, serve.Config{MaxBatch: 2, QueueDepth: 8})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	frame := testFrames(1)[0]
@@ -263,10 +263,10 @@ func TestBrownoutDegradesAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := serve.Config{MaxBatch: 1, MaxWait: time.Millisecond, QueueDepth: 4, BrownoutEnter: 0.5, BrownoutExit: 0.25}
+	cfg := serve.Config{MaxBatch: 1, QueueDepth: 4, BrownoutEnter: 0.5, BrownoutExit: 0.25}
 	srv, err := serve.NewRouted([]serve.ModelEntry{
 		{Name: "main", Engine: newEngine(t, mainNet, 1), Config: cfg, Degrade: "cheap"},
-		{Name: "cheap", Engine: newEngine(t, cheapNet, 1), Config: serve.Config{MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 16}},
+		{Name: "cheap", Engine: newEngine(t, cheapNet, 1), Config: serve.Config{MaxBatch: 4, QueueDepth: 16}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -147,7 +147,7 @@ func postRouted(ts *httptest.Server, img *imgproc.Image, query, header string, a
 // is a 404 with a JSON error naming the hosted set — never a silent reroute
 // to the default.
 func TestRoutedUnknownModel404(t *testing.T) {
-	srv, lowFrames, _, _, _ := twoModelServer(t, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	srv, lowFrames, _, _, _ := twoModelServer(t, serve.Config{MaxBatch: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -199,7 +199,8 @@ func TestRoutedUnknownModel404(t *testing.T) {
 // traffic and /metrics attributes every request to the right model.
 func TestRoutedPerModelBatchedIdentical(t *testing.T) {
 	srv, lowFrames, highFrames, lowWant, highWant := twoModelServer(t,
-		serve.Config{MaxBatch: 8, MinWait: 20 * time.Millisecond, MaxWait: 50 * time.Millisecond, QueueDepth: 64, Warm: true})
+		serve.Config{MaxBatch: 8, QueueDepth: 64, Warm: true})
+	slowBatches(t)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -262,7 +263,7 @@ func TestRoutedPerModelBatchedIdentical(t *testing.T) {
 			t.Errorf("model stats label = %q, want %q", st.Model, name)
 		}
 		// Under the race detector the instrumented round-trips are too slow
-		// for 4 clients to reliably share an accumulation window, so the
+		// for 4 clients to reliably queue behind a held worker, so the
 		// coalescing bar only applies to the uninstrumented build (the same
 		// relaxation batchBar applies to the single-model tests).
 		if !raceEnabled && st.MeanBatchSize <= 1 {
@@ -279,7 +280,7 @@ func TestRoutedPerModelBatchedIdentical(t *testing.T) {
 // TestAltitudeDefaultRoute pins the routing precedence: explicit selection
 // (query beating header) > altitude band > default model.
 func TestAltitudeDefaultRoute(t *testing.T) {
-	srv, lowFrames, highFrames, _, _ := twoModelServer(t, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	srv, lowFrames, highFrames, _, _ := twoModelServer(t, serve.Config{MaxBatch: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -317,7 +318,7 @@ func TestAltitudeDefaultRoute(t *testing.T) {
 // 503 afterwards.
 func TestRoutedShutdownDrainsAllPools(t *testing.T) {
 	srv, lowFrames, highFrames, _, _ := twoModelServer(t,
-		serve.Config{MaxBatch: 4, MaxWait: 20 * time.Millisecond, QueueDepth: 16})
+		serve.Config{MaxBatch: 4, QueueDepth: 16})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -375,7 +376,7 @@ func TestRoutedShutdownDrainsAllPools(t *testing.T) {
 // routing labels and /metrics nests per-model snapshots under the fleet
 // aggregate.
 func TestRoutedObservability(t *testing.T) {
-	srv, lowFrames, highFrames, _, _ := twoModelServer(t, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	srv, lowFrames, highFrames, _, _ := twoModelServer(t, serve.Config{MaxBatch: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

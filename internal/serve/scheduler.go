@@ -5,11 +5,11 @@ import "sync"
 // scheduler is the cross-model work-stealing coordinator. Each hosted model
 // keeps its strict per-pool batch workers — those never consult the
 // scheduler for permission, which is what guarantees a lender is never
-// starved by its own generosity — but when a pool's eligible batch finds
-// every local worker busy, its batcher asks the scheduler for a BORROWED
-// slot: permission to run one extra concurrent batch on a lazily-grown
-// replica of its own engine, consuming fleet capacity another pool is
-// leaving idle.
+// starved by its own generosity — but when a pool's forming batch of two or
+// more finds every local worker busy, its batcher asks the scheduler for a
+// BORROWED slot: permission to run one extra concurrent batch on a
+// lazily-grown replica of its own engine, consuming fleet capacity another
+// pool is leaving idle.
 //
 // The grant rule is deliberately simple:
 //
@@ -17,8 +17,8 @@ import "sync"
 //     backlog, not for racing the local pool), and
 //  2. the fleet must have spare capacity (total executing batches below the
 //     summed nominal worker count), and
-//  3. weighted fairness: if another pool is hungry (has an eligible batch
-//     it could not place) with a smaller active/weight load ratio, the slot
+//  3. weighted fairness: if another pool is hungry (has a batch it could
+//     not place) with a smaller active/weight load ratio, the slot
 //     is left for it.
 //
 // Because local execution never waits on the scheduler, a lender whose
@@ -41,7 +41,7 @@ type poolState struct {
 	localActive int     // batches executing on the pool's own workers
 	active      int     // batches executing for this pool (local + borrowed)
 	borrowed    int     // borrowed batches executing right now
-	hungry      bool    // had an eligible batch it could not place
+	hungry      bool    // had a batch it could not place
 	freeIDs     []int   // returned borrowed engine worker ids, reused before growing
 	nextBorrow  int     // next fresh borrowed id offset (ids start at nominal)
 }
@@ -73,7 +73,7 @@ func (s *scheduler) unregister(h *hosted) {
 	delete(s.pools, h)
 }
 
-// tryBorrow asks for a borrowed execution slot for one eligible batch of h.
+// tryBorrow asks for a borrowed execution slot for one batch of h.
 // On a grant it returns the engine worker id the borrowed batch must run on
 // (ids at or above the pool's nominal worker count address lazily-grown
 // replicas) and reserves the slot; the caller must release it with

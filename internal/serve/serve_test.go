@@ -16,6 +16,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/imgproc"
 	"repro/internal/models"
 	"repro/internal/network"
@@ -107,11 +108,8 @@ func TestConcurrentClientsBatchedIdentical(t *testing.T) {
 	frames := testFrames(distinct)
 	want := expectedDetections(t, net, frames)
 
-	// One worker with a generous MaxWait and a real MinWait accumulation
-	// floor guarantees coalescing: while a batch executes, the other
-	// clients' requests pile up and the forming batch keeps absorbing them
-	// until the worker frees up.
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 8, MinWait: 20 * time.Millisecond, MaxWait: 50 * time.Millisecond, QueueDepth: 64, Warm: true})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 8, QueueDepth: 64, Warm: true})
+	slowBatches(t)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -162,9 +160,26 @@ func TestConcurrentClientsBatchedIdentical(t *testing.T) {
 	}
 }
 
+// slowBatches holds every batch worker 10ms past each batch until the test
+// ends. A batch grows only while every worker is busy, so this is what lets
+// concurrent clients' requests pile up behind the one worker and coalesce.
+func slowBatches(t *testing.T) {
+	t.Helper()
+	armFaults(t, "serve.batch=slow:10ms")
+}
+
+// armFaults arms a fault spec until the test ends.
+func armFaults(t *testing.T, spec string) {
+	t.Helper()
+	if err := faults.Arm(spec); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faults.Disarm)
+}
+
 // batchBar is the mean-batch-size acceptance bar: 2.5 normally; under the
 // race detector the instrumented HTTP round-trip is so slow that fewer
-// requests share one accumulation window, so only basic coalescing (>1.5)
+// requests arrive while the worker is held, so only basic coalescing (>1.5)
 // is asserted there.
 func batchBar() float64 {
 	if raceEnabled {
@@ -210,12 +225,13 @@ func TestInt8ServingBatchedIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := serve.New(eng, serve.Config{
-		MaxBatch: 8, MinWait: 20 * time.Millisecond, MaxWait: 50 * time.Millisecond, QueueDepth: 64, Warm: true, Precision: "int8",
+		MaxBatch: 8, QueueDepth: 64, Warm: true, Precision: "int8",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	slowBatches(t)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -285,7 +301,7 @@ func TestOverloadReturns429(t *testing.T) {
 	cam := pipeline.NewSimCamera(cfg, 1, 77)
 	f, _ := cam.Next()
 	frames := []*imgproc.Image{f.Image}
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond, QueueDepth: 1, Warm: true})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 2, QueueDepth: 1, Warm: true})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -336,7 +352,7 @@ func TestOverloadReturns429(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	net := buildNet(t)
 	frames := testFrames(1)
-	srv := newServer(t, net, 2, serve.Config{MaxBatch: 4, MaxWait: 20 * time.Millisecond, QueueDepth: 16})
+	srv := newServer(t, net, 2, serve.Config{MaxBatch: 4, QueueDepth: 16})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -386,7 +402,7 @@ func TestRawEndpointMatchesJSON(t *testing.T) {
 	net := buildNet(t)
 	frames := testFrames(1)
 	want := expectedDetections(t, net, frames)
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 1, MaxWait: time.Millisecond, QueueDepth: 8})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 1, QueueDepth: 8})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -435,7 +451,7 @@ func abs(v float64) float64 {
 func TestMetricsEndpoint(t *testing.T) {
 	net := buildNet(t)
 	frames := testFrames(1)
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond, QueueDepth: 8})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 2, QueueDepth: 8})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -552,7 +568,7 @@ func TestAltitudeGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(eng, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	srv, err := serve.New(eng, serve.Config{MaxBatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

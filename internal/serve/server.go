@@ -27,26 +27,17 @@ const (
 // Config tunes one hosted model's micro-batching. The zero value of every
 // knob selects a sensible default (see the field comments); Workers comes
 // from the model's engine pool.
+//
+// There is no batching timer: a request goes to an idle worker the moment
+// the batcher reaches it, and a batch grows only while every worker is
+// busy (see batchLoop). On the CPU kernels an 8-image batch costs about as
+// much as eight single images (8.0× at quarter scale, 8.2× at paper scale
+// on a 2-CPU x86 box), so holding a request back for batch-mates would buy
+// no throughput, only latency.
 type Config struct {
 	// MaxBatch is the largest micro-batch one worker executes in a single
 	// batched Forward. Default 8.
 	MaxBatch int
-	// MaxWait bounds how long the oldest request in a forming batch waits
-	// for batch-mates before the batch is dispatched anyway — in
-	// particular, a LONE request is held back this long hoping for
-	// company. It is the latency the service is willing to spend buying
-	// throughput; under saturation batches fill instantly and the knob
-	// never bites. Default 2ms.
-	MaxWait time.Duration
-	// MinWait is the accumulation floor of a forming batch: a non-full
-	// batch is never offered to a worker before MinWait has elapsed, so a
-	// burst of concurrent requests coalesces instead of being split into
-	// leading singletons. Between MinWait and MaxWait a batch with at
-	// least two requests dispatches as soon as a worker is free — and
-	// while every worker is busy, the forming batch keeps absorbing
-	// arrivals up to MaxBatch, which is what makes the batcher effective
-	// under sustained load. Default 300µs.
-	MinWait time.Duration
 	// QueueDepth is the admission queue bound; a request arriving to a full
 	// queue is rejected with HTTP 429 immediately. Default 8*MaxBatch.
 	QueueDepth int
@@ -79,19 +70,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 8
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
-	if c.MinWait <= 0 {
-		c.MinWait = 300 * time.Microsecond
-	}
-	if c.MinWait > c.MaxWait {
-		// The floor cannot exceed the ceiling: past MaxWait a batch is
-		// dispatched regardless, so a larger MinWait would silently never
-		// be honored. Clamp instead of erroring — the effective behavior
-		// (accumulate the full MaxWait) is what the caller asked for.
-		c.MinWait = c.MaxWait
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 8 * c.MaxBatch
@@ -899,109 +877,84 @@ func (s *Server) maybeDegrade(h *hosted, sel routeSel) (*hosted, *hosted) {
 	return sib, h
 }
 
-// batchLoop drains one model's admission queue, coalescing requests into
-// batches of up to MaxBatch images. A forming batch becomes ELIGIBLE for
-// dispatch once it is full, once MinWait has elapsed with at least two
-// requests aboard, or once MaxWait has elapsed regardless of size; an
-// eligible non-full batch is offered to the workers while STILL absorbing
-// arrivals, so when every worker is busy the batch keeps growing toward
-// MaxBatch instead of going stale at whatever size the deadline caught it
-// (the committed pre-MinWait benchmark showed exactly that: mean batch 1.67
-// with 53/120 singleton batches). Requests whose client context is already
-// done are dropped AT ASSEMBLY — a dead request in a batch slot wastes
-// inference on an answer nobody reads. When an eligible batch finds every
-// local worker busy, the loop asks the scheduler for a borrowed slot
-// (idle-worker lending) and hands the batch directly to a one-shot
-// borrowed executor. Exits (closing the workers' feed) when the queue is
-// closed and drained.
+// batchLoop drains one model's admission queue into batches of up to
+// MaxBatch images under one work-conserving rule: a request waits only
+// while every worker is busy. The batch a request starts goes to an idle
+// local worker at once; while none is idle it keeps absorbing arrivals and
+// races them against a worker freeing up, so batches grow with the backlog
+// and a lone request on an idle pool is never held back. Requests whose
+// client context is already done, or whose deadline cannot cover the
+// pool's service time, are dropped AT ASSEMBLY — a dead request in a batch
+// slot wastes inference on an answer nobody reads. Exits (closing the
+// workers' feed) when the queue is closed and drained.
 func (h *hosted) batchLoop() {
 	defer h.batcherWG.Done()
 	defer close(h.batches)
 	for first := range h.queue {
-		if first.cancelled() {
-			h.drop(first)
-			continue
-		}
 		// svc is this assembly pass's deadline yardstick: a request whose
 		// remaining budget cannot cover the pool's typical batch service
 		// time would come back expired, so spend nothing on it.
 		svc := h.eng.ServiceP50()
-		if first.doomed(svc) {
-			h.dropExpired(first)
+		if h.dropDead(first, svc) {
 			continue
 		}
-		batch := append(make([]*request, 0, h.cfg.MaxBatch), first)
-		minT := time.NewTimer(h.cfg.MinWait)
-		maxT := time.NewTimer(h.cfg.MaxWait)
-		minDone, maxDone := false, false
-		sent, open := false, true
-		for !sent && open && len(batch) < h.cfg.MaxBatch {
-			// A send on a nil channel never fires: the offer case is armed
-			// only once the batch is eligible, so one select covers both
-			// phases while always racing worker availability against new
-			// arrivals.
-			var offer chan []*request
-			if maxDone || (minDone && len(batch) >= 2) {
-				offer = h.batches
-				// Eligible: prefer an idle local worker, else try to borrow
-				// fleet capacity. Both probes are non-blocking; on a miss the
-				// select below parks until the next event, so a denied borrow
-				// never spins.
-				select {
-				case h.batches <- batch:
-					h.sched.beginLocal(h)
-					sent = true
-					continue
-				default:
-				}
-				if id, ok := h.sched.tryBorrow(h); ok {
-					h.runBorrowed(id, batch)
-					sent = true
-					continue
-				}
-			}
-			select {
-			case r, ok := <-h.queue:
-				switch {
-				case !ok:
-					open = false
-				case r.cancelled():
-					h.drop(r)
-				case r.doomed(svc):
-					h.dropExpired(r)
-				default:
-					batch = append(batch, r)
-				}
-			case <-minT.C:
-				minDone = true
-			case <-maxT.C:
-				maxDone = true
-			case offer <- batch:
-				h.sched.beginLocal(h)
-				sent = true
-			}
-		}
-		minT.Stop()
-		maxT.Stop()
-		if !sent {
-			// Full batch, or the queue closed mid-collection: prefer an idle
-			// local worker, else try to borrow fleet capacity (under
-			// saturation batches fill before the eligibility window above
-			// ever probes the scheduler, so this is the hot borrow path),
-			// else block until a local worker frees up.
-			select {
-			case h.batches <- batch:
-				h.sched.beginLocal(h)
-			default:
-				if id, ok := h.sched.tryBorrow(h); ok {
-					h.runBorrowed(id, batch)
-				} else {
-					h.batches <- batch
-					h.sched.beginLocal(h)
-				}
-			}
-		}
+		h.dispatch(append(make([]*request, 0, h.cfg.MaxBatch), first), svc)
 		h.sched.dispatched(h)
+	}
+}
+
+// dropDead answers a cancelled or deadline-doomed request at assembly and
+// reports whether it did.
+func (h *hosted) dropDead(r *request, svc time.Duration) bool {
+	switch {
+	case r.cancelled():
+		h.drop(r)
+	case r.doomed(svc):
+		h.dropExpired(r)
+	default:
+		return false
+	}
+	return true
+}
+
+// dispatch places one forming batch. h.batches is unbuffered, so the
+// non-blocking send succeeds exactly when a local worker is parked at its
+// receive; that probe runs before every wait, so an idle worker always
+// wins over absorbing one more arrival. Failing it, a batch of two or more
+// asks the scheduler for a borrowed slot (idle-worker lending) — a lone
+// request does not, because a borrowed replica costs memory that one image
+// does not repay. A batch that can no longer grow (full, or the queue
+// closed) may borrow at any size, then blocks for a local worker. Every
+// wait is a select on the next event, so a denied borrow never spins.
+func (h *hosted) dispatch(batch []*request, svc time.Duration) {
+	queue := h.queue
+	for {
+		if len(batch) == h.cfg.MaxBatch {
+			queue = nil // a receive on a nil channel never fires
+		}
+		select {
+		case h.batches <- batch:
+			h.sched.beginLocal(h)
+			return
+		default:
+		}
+		if len(batch) >= 2 || queue == nil {
+			if id, ok := h.sched.tryBorrow(h); ok {
+				h.runBorrowed(id, batch)
+				return
+			}
+		}
+		select {
+		case r, ok := <-queue:
+			if !ok {
+				queue = nil
+			} else if !h.dropDead(r, svc) {
+				batch = append(batch, r)
+			}
+		case h.batches <- batch:
+			h.sched.beginLocal(h)
+			return
+		}
 	}
 }
 

@@ -152,10 +152,11 @@ func TestStreamSessionsIdentity(t *testing.T) {
 		wantDets[c], wantTracks[c] = streamOracle(t, net, seqs[c])
 	}
 
-	// Same coalescing recipe as the HTTP identity test: one worker, a real
-	// accumulation floor, and every client pipelining its whole sequence so
-	// frames from different sessions pile into shared batches.
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 8, MinWait: 20 * time.Millisecond, MaxWait: 50 * time.Millisecond, QueueDepth: 64, Warm: true})
+	// Same coalescing recipe as the HTTP identity test: one held worker, and
+	// every client pipelining its whole sequence so frames from different
+	// sessions pile into shared batches.
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 8, QueueDepth: 64, Warm: true})
+	slowBatches(t)
 	srv.ConfigureStreams(serve.StreamConfig{MaxInflight: perSession})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -221,7 +222,7 @@ func TestStreamSessionsIdentity(t *testing.T) {
 // slot freed by a graceful close is reusable.
 func TestStreamMaxSessions(t *testing.T) {
 	net := buildNet(t)
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 4, MaxWait: 5 * time.Millisecond, QueueDepth: 16, Warm: true})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 4, QueueDepth: 16, Warm: true})
 	srv.ConfigureStreams(serve.StreamConfig{MaxSessions: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -259,7 +260,7 @@ func TestStreamMaxSessions(t *testing.T) {
 func TestStreamIdleEviction(t *testing.T) {
 	net := buildNet(t)
 	frames := testFrames(1)
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 4, MaxWait: 5 * time.Millisecond, QueueDepth: 16, Warm: true})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 4, QueueDepth: 16, Warm: true})
 	srv.ConfigureStreams(serve.StreamConfig{IdleTimeout: 150 * time.Millisecond, SweepInterval: 10 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -297,7 +298,7 @@ func TestStreamIdleEviction(t *testing.T) {
 func TestStreamBackpressureReject(t *testing.T) {
 	net := buildNet(t)
 	frames := testFrames(1)
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 1, MaxWait: 5 * time.Millisecond, QueueDepth: 16, Warm: true})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 1, QueueDepth: 16, Warm: true})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -351,7 +352,7 @@ func TestStreamBackpressureReject(t *testing.T) {
 func TestStreamBackpressureDropOldest(t *testing.T) {
 	net := buildNet(t)
 	frames := testFrames(1)
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 1, MaxWait: 5 * time.Millisecond, QueueDepth: 16, Warm: true})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 1, QueueDepth: 16, Warm: true})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -404,7 +405,7 @@ func TestStreamCancelledFrameDropped(t *testing.T) {
 	frames := testFrames(1)
 	// MaxBatch 1 so the stalled frame occupies the kernel alone and the
 	// queued one cannot ride its batch.
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 1, MaxWait: 5 * time.Millisecond, QueueDepth: 16, Warm: true})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 1, QueueDepth: 16, Warm: true})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -459,7 +460,7 @@ func TestStreamCancelledFrameDropped(t *testing.T) {
 func TestStreamDeadlineInheritance(t *testing.T) {
 	net := buildNet(t)
 	frames := testFrames(1)
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 4, MaxWait: 5 * time.Millisecond, QueueDepth: 16, Warm: true})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 4, QueueDepth: 16, Warm: true})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -512,7 +513,7 @@ func TestStreamDeadlineInheritance(t *testing.T) {
 func TestStreamBadFramesInBand(t *testing.T) {
 	net := buildNet(t)
 	frames := testFrames(1)
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 4, MaxWait: 5 * time.Millisecond, QueueDepth: 16, Warm: true})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 4, QueueDepth: 16, Warm: true})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -577,7 +578,7 @@ func TestStreamDrainOnClose(t *testing.T) {
 	base := goroutinesIn("repro/internal/serve.")
 	net := buildNet(t)
 	frames := testFrames(2)
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 4, MaxWait: 5 * time.Millisecond, QueueDepth: 16, Warm: true})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 4, QueueDepth: 16, Warm: true})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -624,7 +625,7 @@ func TestStreamDrainOnClose(t *testing.T) {
 func TestStreamDisconnectGoroutineHygiene(t *testing.T) {
 	net := buildNet(t)
 	frames := testFrames(1)
-	srv := newServer(t, net, 1, serve.Config{MaxBatch: 1, MaxWait: 5 * time.Millisecond, QueueDepth: 16, Warm: true})
+	srv := newServer(t, net, 1, serve.Config{MaxBatch: 1, QueueDepth: 16, Warm: true})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	base := goroutinesIn("repro/internal/serve.")
@@ -664,7 +665,7 @@ func TestStreamSoak(t *testing.T) {
 	}
 	net := buildNet(t)
 	frames := testFrames(4)
-	srv := newServer(t, net, 2, serve.Config{MaxBatch: 8, MaxWait: 10 * time.Millisecond, QueueDepth: 128, Warm: true})
+	srv := newServer(t, net, 2, serve.Config{MaxBatch: 8, QueueDepth: 128, Warm: true})
 	srv.ConfigureStreams(serve.StreamConfig{MaxSessions: 12, IdleTimeout: 250 * time.Millisecond, SweepInterval: 25 * time.Millisecond, MaxInflight: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
