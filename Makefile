@@ -18,11 +18,13 @@ ci: vet build race chaos invariants bench-smoke serve-smoke swap-smoke shard-smo
 ## silent fall-back to the SSE2 kernels breaks CI instead of just perf; the
 ## layers leg runs the fused inference convolution at DroNet's nine 256×256
 ## conv shapes and the streaming 2×2 max-pool at its five pool shapes; the
-## imgproc leg runs the /detect/raw pixel conversion on a decoded JPEG and PNG
+## imgproc leg runs the /detect/raw pixel conversion on a decoded JPEG and PNG;
+## the detect leg runs NMS on random boxes and on DroNet's 320 region candidates
 bench-smoke:
 	$(GO) test -run 'TestKernelDispatchInfo|TestSelectedKernel' -v -bench Gemm -benchtime 10x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'ConvForwardDroNet256|MaxPool2x2' -benchtime 10x ./internal/layers/
 	$(GO) test -run '^$$' -bench FromGoImage -benchtime 10x ./internal/imgproc/
+	$(GO) test -run '^$$' -bench NMS -benchtime 10x ./internal/detect/
 
 ## vet: static analysis plus the gofmt cleanliness gate — unformatted files
 ## fail the build with their names listed
@@ -127,14 +129,17 @@ chaos:
 ## clone paths), every GEMM kernel family ≡ naive and prepacked ≡
 ## pack-per-call, frame decode ≡ encoding/json bit for bit (and its pixel
 ## parser ≡ strconv.ParseFloat), the typed /detect/raw pixel conversion ≡
-## the generic one bit for bit, the batcher's dispatch rule (a request waits
+## the generic one bit for bit, the fused convolution ≡ im2col + GEMM + BN +
+## bias + leaky, the streaming 2×2 pool ≡ the window loop and the vector
+## epilogue row ≡ its Go loop bit for bit on every kernel family, NMS ≡ its
+## per-pair reference element for element, the batcher's dispatch rule (a request waits
 ## only while every worker is busy), the accounting identity that proves expired
 ## work never reaches a kernel, minimal ring remap, zero dropped requests
 ## across a hot swap, the frozen /metrics wire shape, and goroutine hygiene
 ## after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFromGoImageMatchesGeneric|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestFleetMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestSwapUnderTraffic|TestMetricsWireGolden|GoroutineHygiene' \
-	    ./internal/tensor/ ./internal/imgproc/ ./internal/network/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFromGoImageMatchesGeneric|TestConvInferMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestFleetMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestSwapUnderTraffic|TestMetricsWireGolden|GoroutineHygiene' \
+	    ./internal/tensor/ ./internal/imgproc/ ./internal/layers/ ./internal/detect/ ./internal/network/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization and
 ## spec-grammar invariants (FuzzGemmPackedVsNaive cross-checks the packed
@@ -143,7 +148,8 @@ invariants:
 ## for fp32; FuzzConvImplicitVsIm2col holds the fused inference convolution
 ## to the im2col + GEMM + BN/bias/leaky reference bit for bit across the same
 ## families, FuzzMaxPoolFastVsGeneric the streaming 2×2 pool to the generic
-## window loop; the leading dispatch-info run logs which families this box
+## window loop, FuzzNMS NMS to its per-pair reference element for element;
+## the leading dispatch-info run logs which families this box
 ## detected so fuzz logs are attributable; FuzzParseModelSpecs holds -models
 ## parsing to a no-panic + parse/format/parse fixed-point contract,
 ## FuzzParseDeadline the deadline header/query parser to no panic and an

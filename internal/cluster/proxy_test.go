@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -360,8 +361,10 @@ func TestProxyEjectionFailoverReadmission(t *testing.T) {
 }
 
 // TestProxyNoLiveShard503 pins the fleet-down contract: every shard
-// unreachable means 503 (with Retry-After) on the data plane and a 503
-// /healthz, not hangs or 502-ish noise.
+// unreachable means a 503 /healthz reporting no live shard, then 503 with
+// "no live shard" on the data plane, not hangs or 502-ish noise. /healthz
+// is polled first because a POST can get its 503 from trying both dead
+// shards before any breaker has opened, while /healthz still says 200.
 func TestProxyNoLiveShard503(t *testing.T) {
 	// Grab two real listeners' addresses, then close them: valid but dead.
 	dead := make([]string, 2)
@@ -378,26 +381,30 @@ func TestProxyNoLiveShard503(t *testing.T) {
 	ts := httptest.NewServer(p)
 	t.Cleanup(ts.Close)
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		code, _, raw := postVia(t, ts.URL, "/detect?camera=c", []byte("{}"), nil)
-		if code == http.StatusServiceUnavailable {
-			if !bytes.Contains(raw, []byte("no live shard")) {
-				t.Fatalf("503 body: %s", raw)
-			}
-			resp, err := http.Get(ts.URL + "/healthz")
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("fleet-down /healthz status %d, want 503", resp.StatusCode)
-			}
-			return
+	fleetDown := func() bool {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		defer resp.Body.Close()
+		var health struct {
+			Live int `json:"live_shards"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+			t.Fatalf("/healthz: %v", err)
+		}
+		return resp.StatusCode == http.StatusServiceUnavailable && health.Live == 0
 	}
-	t.Fatal("proxy never settled on 503 with every shard dead")
+	for deadline := time.Now().Add(5 * time.Second); !fleetDown(); {
+		if time.Now().After(deadline) {
+			t.Fatal("/healthz never reported 503 with live_shards 0 with every shard dead")
+		}
+		runtime.Gosched()
+	}
+	code, _, raw := postVia(t, ts.URL, "/detect?camera=c", []byte("{}"), nil)
+	if code != http.StatusServiceUnavailable || !bytes.Contains(raw, []byte("no live shard (fleet 2, live 0)")) {
+		t.Fatalf("fleet-down POST: status %d, body %s; want 503 no live shard (fleet 2, live 0)", code, raw)
+	}
 }
 
 // TestFleetMetricsRollup scrapes two real shards through the proxy and

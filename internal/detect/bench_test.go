@@ -18,13 +18,48 @@ func randDets(n int, seed uint64) []Detection {
 	return dets
 }
 
-// BenchmarkNMS measures suppression over a typical raw decode (a few
-// hundred boxes above threshold on a busy frame).
+// regionDets mimics DroNet's region output on a 256×256 frame: an 8×8 grid
+// of cells × 5 anchors = 320 candidates, each box near its cell centre with
+// an anchor-sized extent, so neighbours overlap the way a real decode does
+// (164 survive at 0.45, against 165 on a DroNet frame).
+func regionDets(seed uint64) []Detection {
+	rng := tensor.NewRNG(seed)
+	dets := make([]Detection, 0, 320)
+	for cy := 0; cy < 8; cy++ {
+		for cx := 0; cx < 8; cx++ {
+			for a := 0; a < 5; a++ {
+				side := 0.12 * float64(a+1)
+				dets = append(dets, Detection{
+					Box: Box{
+						X: (float64(cx) + rng.Float64()) / 8, Y: (float64(cy) + rng.Float64()) / 8,
+						W: side * rng.Range(0.7, 1.3), H: side * rng.Range(0.7, 1.3),
+					},
+					Score: rng.Float64(),
+				})
+			}
+		}
+	}
+	return dets
+}
+
+// BenchmarkNMS measures suppression over a few hundred random boxes above
+// threshold on a busy frame, and over DroNet's 320 region candidates.
 func BenchmarkNMS(b *testing.B) {
-	dets := randDets(300, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		NMS(dets, 0.45)
+	for _, c := range []struct {
+		name string
+		dets []Detection
+	}{
+		{"random300", randDets(300, 1)},
+		{"region320", regionDets(1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			kept := 0
+			for b.Loop() {
+				kept = len(NMS(c.dets, 0.45))
+			}
+			b.ReportMetric(float64(kept), "kept")
+		})
 	}
 }
 

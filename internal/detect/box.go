@@ -27,14 +27,45 @@ func (b Box) Area() float64 {
 	return b.W * b.H
 }
 
-// Intersection returns the overlap area of a and b.
-func Intersection(a, b Box) float64 {
-	w := math.Min(a.Right(), b.Right()) - math.Max(a.Left(), b.Left())
-	h := math.Min(a.Bottom(), b.Bottom()) - math.Max(a.Top(), b.Top())
+// edges is a box's edges and area, the operands of Intersection and IoU.
+// NMS computes them once per box instead of once per pair.
+type edges struct {
+	left, right, top, bottom, area float64
+}
+
+func edgesOf(b Box) edges {
+	return edges{left: b.Left(), right: b.Right(), top: b.Top(), bottom: b.Bottom(), area: b.Area()}
+}
+
+// intersection is Intersection on precomputed edges. The builtin min and
+// max follow math.Min and math.Max on NaN and ±0.
+func (a *edges) intersection(b *edges) float64 {
+	w := min(a.right, b.right) - max(a.left, b.left)
+	h := min(a.bottom, b.bottom) - max(a.top, b.top)
 	if w <= 0 || h <= 0 {
 		return 0
 	}
 	return w * h
+}
+
+// iou is IoU on precomputed edges.
+func (a *edges) iou(b *edges) float64 {
+	inter := a.intersection(b)
+	u := a.area + b.area - inter
+	if u <= 0 {
+		return 0
+	}
+	iou := inter / u
+	if iou > 1 {
+		return 1
+	}
+	return iou
+}
+
+// Intersection returns the overlap area of a and b.
+func Intersection(a, b Box) float64 {
+	ea, eb := edgesOf(a), edgesOf(b)
+	return ea.intersection(&eb)
 }
 
 // Union returns the union area of a and b.
@@ -48,15 +79,8 @@ func Union(a, b Box) float64 {
 // from the origin the two can differ by an ulp and push the raw ratio just
 // past 1 (found by FuzzIoU).
 func IoU(a, b Box) float64 {
-	u := Union(a, b)
-	if u <= 0 {
-		return 0
-	}
-	iou := Intersection(a, b) / u
-	if iou > 1 {
-		return 1
-	}
-	return iou
+	ea, eb := edgesOf(a), edgesOf(b)
+	return ea.iou(&eb)
 }
 
 // ShapeIoU returns the IoU of two boxes compared purely by shape, i.e. both

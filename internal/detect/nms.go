@@ -1,6 +1,6 @@
 package detect
 
-import "sort"
+import "slices"
 
 // Detection is a scored, classified box produced by decoding the network
 // output.
@@ -19,20 +19,30 @@ func NMS(dets []Detection, thresh float64) []Detection {
 	if len(dets) == 0 {
 		return nil
 	}
-	sorted := make([]Detection, len(dets))
-	copy(sorted, dets)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
+	sorted := slices.Clone(dets)
+	slices.SortStableFunc(sorted, func(a, b Detection) int {
+		if a.Score > b.Score {
+			return -1
+		}
+		if b.Score > a.Score {
+			return 1
+		}
+		return 0
+	})
 	kept := make([]Detection, 0, len(sorted))
+	boxes := make([]edges, 0, len(sorted)) // boxes[i] = edgesOf(kept[i].Box)
 	for _, d := range sorted {
+		e := edgesOf(d.Box)
 		suppressed := false
-		for _, k := range kept {
-			if k.Class == d.Class && IoU(k.Box, d.Box) > thresh {
+		for i := range kept {
+			if kept[i].Class == d.Class && boxes[i].iou(&e) > thresh {
 				suppressed = true
 				break
 			}
 		}
 		if !suppressed {
 			kept = append(kept, d)
+			boxes = append(boxes, e)
 		}
 	}
 	return kept

@@ -45,6 +45,29 @@ func FromGoImage(src image.Image) *Image {
 	r, g, bl := m.Pix[:plane], m.Pix[plane:2*plane], m.Pix[2*plane:]
 	switch s := src.(type) {
 	case *image.YCbCr:
+		// COffset divides by the subsample ratio; a shift is the same division
+		// for non-negative coordinates only, so a negative origin (or an
+		// unknown ratio) keeps the per-pixel YCbCrAt path.
+		hs, vs, ok := chromaShifts(s.SubsampleRatio)
+		if ok && b.Min.X >= 0 && b.Min.Y >= 0 {
+			for y := b.Min.Y; y < b.Max.Y; y++ {
+				yRow := s.Y[(y-b.Min.Y)*s.YStride:][:m.W]
+				cBase := (y>>vs-b.Min.Y>>vs)*s.CStride - b.Min.X>>hs
+				i := (y - b.Min.Y) * m.W
+				rr, gg, bb := r[i:][:m.W], g[i:][:m.W], bl[i:][:m.W]
+				for x, yv := range yRow {
+					// color.YCbCr.RGBA's integer arithmetic, inlined.
+					ci := cBase + (b.Min.X+x)>>hs
+					yy1 := int32(yv) * 0x10101
+					cb1 := int32(s.Cb[ci]) - 128
+					cr1 := int32(s.Cr[ci]) - 128
+					rr[x] = float32(clamp16(yy1+91881*cr1)) / 65535
+					gg[x] = float32(clamp16(yy1-22554*cb1-46802*cr1)) / 65535
+					bb[x] = float32(clamp16(yy1+116130*cb1)) / 65535
+				}
+			}
+			break
+		}
 		for y, i := b.Min.Y, 0; y < b.Max.Y; y++ {
 			for x := b.Min.X; x < b.Max.X; x, i = x+1, i+1 {
 				cr, cg, cb, _ := s.YCbCrAt(x, y).RGBA()
@@ -70,6 +93,35 @@ func FromGoImage(src image.Image) *Image {
 		}
 	}
 	return m
+}
+
+// chromaShifts returns the horizontal and vertical log2 subsampling of a
+// YCbCr ratio, and false for a ratio image.YCbCr does not define.
+func chromaShifts(ratio image.YCbCrSubsampleRatio) (h, v uint, ok bool) {
+	switch ratio {
+	case image.YCbCrSubsampleRatio444:
+		return 0, 0, true
+	case image.YCbCrSubsampleRatio422:
+		return 1, 0, true
+	case image.YCbCrSubsampleRatio420:
+		return 1, 1, true
+	case image.YCbCrSubsampleRatio440:
+		return 0, 1, true
+	case image.YCbCrSubsampleRatio411:
+		return 2, 0, true
+	case image.YCbCrSubsampleRatio410:
+		return 2, 1, true
+	}
+	return 0, 0, false
+}
+
+// clamp16 is color.YCbCr.RGBA's rounding of one channel: v>>8 when that
+// fits 16 bits, else 0 for negative v and 0xffff for large.
+func clamp16(v int32) uint32 {
+	if uint32(v)&0xff000000 == 0 {
+		return uint32(v >> 8)
+	}
+	return uint32(^(v >> 31) & 0xffff)
 }
 
 // unit8 maps an 8-bit channel to the sample FromGoImage stores for it.

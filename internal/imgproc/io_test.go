@@ -55,6 +55,12 @@ func goImageCases(t testing.TB) map[string]image.Image {
 		noise(m.Cr, uint64(3*i+3))
 		cases["ycbcr-"+ratio.String()] = m
 		cases["ycbcr-"+ratio.String()+"-sub"] = m.SubImage(sub)
+		// A negative origin, where x>>1 and x/2 differ.
+		neg := image.NewYCbCr(image.Rect(-7, -5, 10, 6), ratio)
+		noise(neg.Y, uint64(3*i+20))
+		noise(neg.Cb, uint64(3*i+21))
+		noise(neg.Cr, uint64(3*i+22))
+		cases["ycbcr-"+ratio.String()+"-negative"] = neg
 	}
 	opaque := image.NewRGBA(r)
 	noise(opaque.Pix, 40)

@@ -105,8 +105,9 @@ func assertBitEqual(t *testing.T, what string, got, want *tensor.Tensor) {
 // 1/2/4: panels that stay inside an output row, straddle rows (8×8, 6×6),
 // end in a partial panel, hit the padding on every side, strided and
 // pointwise geometries, a fan-in above kcBlock (clear on the first K block,
-// epilogue on the last only), problems below the packing threshold, and
-// batches of 1/3/8.
+// epilogue on the last only), panels read in place by a direct kernel next
+// to an edge strip of fewer than MR filters, problems below the packing
+// threshold, and batches of 1/3/8.
 func TestConvInferMatchesIm2colReference(t *testing.T) {
 	cases := []convCase{
 		{"3x3 pad1 96 wide, bn leaky", 3, 20, 96, 8, 3, 1, 1, true, ActLeaky, 1},
@@ -122,6 +123,9 @@ func TestConvInferMatchesIm2colReference(t *testing.T) {
 		{"1x1 linear head 8x8", 64, 8, 8, 30, 1, 1, 0, false, ActLinear, 3},
 		{"fan-in 288 spans two K blocks", 32, 12, 20, 14, 3, 1, 1, true, ActLeaky, 3},
 		{"fan-in 800 spans four K blocks", 32, 9, 11, 7, 5, 1, 2, false, ActLeaky, 1},
+		{"3x3 3→8 64², direct panels beside a short edge strip", 3, 64, 64, 8, 3, 1, 1, true, ActLeaky, 1},
+		{"3x3 8→12 32², direct panels", 8, 32, 32, 12, 3, 1, 1, false, ActLeaky, 1},
+		{"1x1 12→8 32², direct pointwise beside a short edge strip", 12, 32, 32, 8, 1, 1, 0, true, ActLinear, 2},
 		{"below the packing threshold", 3, 6, 6, 4, 3, 1, 1, true, ActLeaky, 3},
 		{"below the threshold, strided no bn", 2, 9, 7, 3, 3, 2, 1, false, ActLinear, 1},
 	}

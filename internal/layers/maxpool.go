@@ -103,6 +103,15 @@ var negInf = float32(math.Inf(-1))
 // forward2x2 streams two input rows per output row: no per-element window
 // clamp (a window clipped by the bottom or right edge re-reads its own row
 // or column, which cannot change a maximum) and no argmax bookkeeping.
+//
+// A stride-2 row on a kernel family with a vector pool
+// (tensor.MaxPool2x2Kernel: avx2) takes eight outputs per step. VMAXPS
+// answers its second operand on a NaN or a tie of zeros, so a block goes
+// back to max2x2 when any of its 32 inputs is NaN or any of its maxima is
+// ±0 or −Inf — exactly the windows where VMAXPS and max2x2 can differ.
+// Stride-1 pools, a row's last fewer-than-eight outputs and the clipped
+// last column stay scalar, as does every row on the sse2 and portable
+// families.
 func (p *MaxPool) forward2x2(x, out *tensor.Tensor) {
 	inH, inW, outH, outW, stride := p.in.H, p.in.W, p.out.H, p.out.W, p.Stride
 	// Only the last output column's window can be clipped (Pad ≤ 1), and then
@@ -110,6 +119,10 @@ func (p *MaxPool) forward2x2(x, out *tensor.Tensor) {
 	full := outW
 	if (outW-1)*stride+1 >= inW {
 		full--
+	}
+	var vec func(r0, r1, d []float32) int
+	if stride == 2 {
+		vec = tensor.MaxPool2x2Kernel()
 	}
 	for b := 0; b < x.N; b++ {
 		src := x.Batch(b).Data
@@ -122,9 +135,21 @@ func (p *MaxPool) forward2x2(x, out *tensor.Tensor) {
 				r0 := plane[h0*inW : (h0+1)*inW]
 				r1 := plane[h1*inW : (h1+1)*inW]
 				d := dst[(ch*outH+oh)*outW : (ch*outH+oh+1)*outW]
-				for ow := 0; ow < full; ow++ {
-					i := ow * stride
-					d[ow] = max2x2(r0[i], r0[i+1], r1[i], r1[i+1])
+				for ow := 0; ow < full; {
+					end := full
+					if vec != nil {
+						// The vector kernel stops before the tail and before a
+						// block it cannot decide; that block (or the tail)
+						// takes max2x2, then the kernel resumes.
+						if full-ow >= 8 {
+							ow += vec(r0[2*ow:], r1[2*ow:], d[ow:full])
+						}
+						end = min(ow+8, full)
+					}
+					for ; ow < end; ow++ {
+						i := ow * stride
+						d[ow] = max2x2(r0[i], r0[i+1], r1[i], r1[i+1])
+					}
 				}
 				if full < outW {
 					d[full] = max2x2(r0[inW-1], r0[inW-1], r1[inW-1], r1[inW-1])

@@ -58,35 +58,63 @@ func checkPoolFastVsGeneric(t *testing.T, p *MaxPool, x *tensor.Tensor) {
 	}
 }
 
-// TestMaxPoolFastMatchesGeneric covers the 2×2 geometries the fast path
-// accepts — even and odd inputs (ceil-mode edge windows), the stride-1 pad-1
-// pool of Tiny-YOLO, unpadded floor mode, one-pixel-wide planes — on mixed,
-// all-negative and special-value-laden inputs.
-func TestMaxPoolFastMatchesGeneric(t *testing.T) {
-	rng := tensor.NewRNG(31)
-	for _, g := range []struct{ h, w, stride, pad int }{
-		{8, 8, 2, -1}, {13, 13, 2, -1}, {7, 10, 2, -1}, {10, 7, 2, -1},
-		{13, 13, 1, -1}, {4, 9, 1, -1},
-		{8, 8, 2, 0}, {9, 11, 2, 0}, {5, 5, 1, 0},
-		{1, 1, 2, -1}, {1, 6, 2, -1}, {6, 1, 2, -1}, {1, 5, 1, -1}, {2, 2, 2, 0},
-		{11, 14, 3, -1}, {12, 12, 3, 0},
-	} {
-		p, err := NewMaxPool(Shape{C: 3, H: g.h, W: g.w}, 2, g.stride, g.pad)
-		if err != nil {
-			t.Fatal(err)
+// plantWindows overwrites roughly one window in every of each plane's
+// stride-2 windows with a poolWindows window — the NaNs, zero ties and
+// all −Inf windows a vector block must hand back to max2x2 — leaving the
+// blocks around it to the vector path.
+func plantWindows(rng *tensor.RNG, x *tensor.Tensor, every int) *tensor.Tensor {
+	h, w := x.H, x.W
+	for plane := 0; plane < x.N*x.C; plane++ {
+		d := x.Data[plane*h*w : (plane+1)*h*w]
+		for r := 0; r+1 < h; r += 2 {
+			for c := 0; c+1 < w; c += 2 {
+				if rng.Intn(every) == 0 {
+					win := poolWindows[rng.Intn(len(poolWindows))].window
+					d[r*w+c], d[r*w+c+1], d[(r+1)*w+c], d[(r+1)*w+c+1] = win[0], win[1], win[2], win[3]
+				}
+			}
 		}
-		checkPoolFastVsGeneric(t, p, poolInput(rng, 2, p.in, -1, 1, 0))
-		checkPoolFastVsGeneric(t, p, poolInput(rng, 2, p.in, -3, -0.5, 0)) // all-negative planes
-		checkPoolFastVsGeneric(t, p, poolInput(rng, 2, p.in, -1, 1, 3))    // specials in most windows
 	}
+	return x
 }
 
-// TestMaxPoolSignedZeroAndNaNWindows pins the tie and NaN rules on hand-made
-// windows: the first zero in scan order wins whatever its sign, NaNs are
-// never selected, and a window with nothing above -Inf yields 0.
-func TestMaxPoolSignedZeroAndNaNWindows(t *testing.T) {
+// TestMaxPoolFastMatchesGeneric covers the 2×2 geometries the fast path
+// accepts — even and odd inputs (ceil-mode edge windows), the stride-1 pad-1
+// pool of Tiny-YOLO, unpadded floor mode, one-pixel-wide planes, and planes
+// wide enough for the vector stride-2 blocks — on mixed, all-negative,
+// special-value-laden and sparsely planted inputs, under every kernel family.
+func TestMaxPoolFastMatchesGeneric(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		rng := tensor.NewRNG(31)
+		for _, g := range []struct{ h, w, stride, pad int }{
+			{8, 8, 2, -1}, {13, 13, 2, -1}, {7, 10, 2, -1}, {10, 7, 2, -1},
+			{13, 13, 1, -1}, {4, 9, 1, -1},
+			{8, 8, 2, 0}, {9, 11, 2, 0}, {5, 5, 1, 0},
+			{1, 1, 2, -1}, {1, 6, 2, -1}, {6, 1, 2, -1}, {1, 5, 1, -1}, {2, 2, 2, 0},
+			{11, 14, 3, -1}, {12, 12, 3, 0},
+			{40, 40, 2, -1}, {33, 64, 2, -1}, {256, 256, 2, -1}, {33, 64, 2, 0}, {40, 40, 1, -1},
+		} {
+			p, err := NewMaxPool(Shape{C: 3, H: g.h, W: g.w}, 2, g.stride, g.pad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPoolFastVsGeneric(t, p, poolInput(rng, 2, p.in, -1, 1, 0))
+			checkPoolFastVsGeneric(t, p, poolInput(rng, 2, p.in, -3, -0.5, 0)) // all-negative planes
+			checkPoolFastVsGeneric(t, p, poolInput(rng, 2, p.in, -1, 1, 3))    // specials in most windows
+			checkPoolFastVsGeneric(t, p, plantWindows(rng, poolInput(rng, 2, p.in, -1, 1, 0), 20))
+		}
+	})
+}
+
+// poolWindows are hand-made windows for the tie and NaN rules: the first
+// zero in scan order wins whatever its sign, NaNs are never selected, and a
+// window with nothing above -Inf yields 0.
+var poolWindows = func() []struct {
+	window [4]float32
+	want   float32
+} {
 	nz, nan, ninf := float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(-1))
-	for _, tc := range []struct {
+	return []struct {
 		window [4]float32
 		want   float32
 	}{
@@ -98,7 +126,13 @@ func TestMaxPoolSignedZeroAndNaNWindows(t *testing.T) {
 		{[4]float32{ninf, ninf, ninf, ninf}, 0},
 		{[4]float32{ninf, nan, -5, ninf}, -5},
 		{[4]float32{nan, nz, nan, ninf}, nz},
-	} {
+	}
+}()
+
+// TestMaxPoolSignedZeroAndNaNWindows pins the poolWindows rules on single
+// windows.
+func TestMaxPoolSignedZeroAndNaNWindows(t *testing.T) {
+	for _, tc := range poolWindows {
 		p, err := NewMaxPool(Shape{C: 1, H: 2, W: 2}, 2, 2, -1)
 		if err != nil {
 			t.Fatal(err)

@@ -14,10 +14,22 @@ import "math"
 // k-block's kernel call), so one pass over the output replaces what used to
 // be im2col + B-pack + zeroing + three element-wise passes.
 //
+// Two stages have vector forms hung off the kernel family (kernel.go), and
+// like the tile kernels they follow the selected family — sse2 and portable
+// have neither, so they run the Go code below:
+//
+//   - f32Direct: a stride-1 panel inside one output row whose windows clear
+//     the padding (the bulk of every 3×3 layer, and every full pointwise
+//     panel) is not packed at all; the kernel reads each tap's nr floats
+//     from the input where they lie, at the K block's tap offsets (offs).
+//   - epilogue: the per-channel BN/bias/leaky row, applied once per run of
+//     panels of at least epilogueRun columns rather than per panel.
+//
 // The result is bit-identical to Im2col → GemmPrepacked → BN → bias → Leaky:
-// the packed panels hold exactly the values packBF32 would read from the
-// column matrix, the kernels and the k-block order are the same, and the
-// epilogue performs the same float32 operations in the same order.
+// the packed panels (or the in-place rows) hold exactly the values packBF32
+// would read from the column matrix, the kernels and the k-block order are
+// the same, and the epilogue performs the same float32 operations in the
+// same order.
 
 // ConvGeom is the geometry of a square-kernel convolution over one CHW
 // image: the view through which the driver reads im2col rows in place.
@@ -42,10 +54,16 @@ type Epilogue struct {
 	Leaky               bool
 }
 
-// apply runs the epilogue over columns [j0, j0+cols) of all m rows of c.
-// The activation is Leaky's sign-indexed multiply; the linear activation
+// epilogueRun is the fewest columns the fused convolution hands the
+// epilogue at once: a vector row call per 16-column panel would be 4,096 × 8
+// calls for DroNet's first layer alone.
+const epilogueRun = 64
+
+// apply runs the epilogue over columns [j0, j0+cols) of all m rows of c,
+// through the family's vector row kernel vec when it has one. The
+// activation is Leaky's sign-indexed multiply; the linear activation
 // multiplies by 1 on both sides, which is exact.
-func (ep *Epilogue) apply(c []float32, ldc, m, j0, cols int) {
+func (ep *Epilogue) apply(vec func(seg []float32, mu, gamma, inv, bias, slope float32), c []float32, ldc, m, j0, cols int) {
 	factor := leakyFactor
 	if !ep.Leaky {
 		factor[1] = 1
@@ -53,6 +71,17 @@ func (ep *Epilogue) apply(c []float32, ldc, m, j0, cols int) {
 	for i := 0; i < m; i++ {
 		seg := c[i*ldc+j0 : i*ldc+j0+cols]
 		bias := ep.Bias[i]
+		if vec != nil {
+			// Without batch norm, μ = 0, γ = 1, inv = 1 leave every value
+			// unchanged (v−0, 1·v and v·1 are v, −0 included), so the one
+			// kernel serves both forms.
+			mu, gamma, inv := float32(0), float32(1), float32(1)
+			if ep.Mean != nil {
+				mu, gamma, inv = ep.Mean[i], ep.Scale[i], ep.InvStd[i]
+			}
+			vec(seg, mu, gamma, inv, bias, factor[1])
+			continue
+		}
 		if ep.Mean == nil {
 			for j, v := range seg {
 				v += bias
@@ -129,40 +158,40 @@ func (g *ConvGeom) fillRow(x []float32, t convTap, oh, ow, outW int, dst []float
 	}
 }
 
-// move8 and move16 copy one panel row at the registered panel widths as
-// inline 16-byte moves for packBConvF32's interior loop: a memmove call
-// costs more than the copy at this size, and the compiler inlines a
-// fixed-size move only up to 16 bytes unless it can prove the operands
-// disjoint.
+// move8 copies one 8-wide panel row as two inline 16-byte moves for
+// packBConvF32's direct loop: a memmove call costs more than the copy at
+// this size, and the compiler inlines a fixed-size move only up to 16 bytes
+// unless it can prove the operands disjoint.
 func move8(d, s *[8]float32) {
 	*(*[4]float32)(d[0:4]) = *(*[4]float32)(s[0:4])
 	*(*[4]float32)(d[4:8]) = *(*[4]float32)(s[4:8])
 }
 
-func move16(d, s *[16]float32) {
-	*(*[4]float32)(d[0:4]) = *(*[4]float32)(s[0:4])
-	*(*[4]float32)(d[4:8]) = *(*[4]float32)(s[4:8])
-	*(*[4]float32)(d[8:12]) = *(*[4]float32)(s[8:12])
-	*(*[4]float32)(d[12:16]) = *(*[4]float32)(s[12:16])
+// directOrigin reports whether the nr-wide panel at output column j0 is
+// direct — stride 1, full, inside one output row, and with every window
+// clear of the padding — and if so the index in x of its first window's
+// top-left pixel in channel 0. Im2col row t of a direct panel is then the nr
+// consecutive floats at that index + t.off.
+func (g *ConvGeom) directOrigin(outW, j0, cols, nr int) (int, bool) {
+	oh, ow := j0/outW, j0%outW
+	ih0, iw0 := oh*g.Stride-g.Pad, ow*g.Stride-g.Pad
+	if g.Stride == 1 && cols == nr && ow+nr <= outW &&
+		ih0 >= 0 && ih0+g.Ksize <= g.H && iw0 >= 0 && iw0+g.Ksize-1+nr <= g.W {
+		return ih0*g.W + iw0, true
+	}
+	return 0, false
 }
 
 // packBConvF32 packs cols [j0, j0+cols) of im2col rows taps (one K block of
 // g.taps) of x into dst (len nr*len(taps)) in packBF32's panel layout,
 // zero-padding missing columns. A stride-1 panel inside one output row reads
-// nr consecutive input floats per row; when its windows also clear the
-// padding on every side — the bulk of every 3×3 layer — the whole panel is
-// one such copy per tap.
+// nr consecutive input floats per row. A direct panel (directOrigin) is one
+// such copy per tap; taskConvTilesF32 packs it only on families without
+// f32Direct (sse2 and portable, both 8 wide).
 func packBConvF32(g *ConvGeom, outW int, taps []convTap, x []float32, j0, cols int, dst []float32, nr int) {
-	oh, ow := j0/outW, j0%outW
-	ih0, iw0 := oh*g.Stride-g.Pad, ow*g.Stride-g.Pad
-	direct := g.Stride == 1 && cols == nr && ow+nr <= outW
-	if direct && ih0 >= 0 && ih0+g.Ksize <= g.H && iw0 >= 0 && iw0+g.Ksize-1+nr <= g.W {
-		origin := x[ih0*g.W+iw0:]
+	if base, ok := g.directOrigin(outW, j0, cols, nr); ok {
+		origin := x[base:]
 		switch nr {
-		case 16:
-			for p, t := range taps {
-				move16((*[16]float32)(dst[p*16:]), (*[16]float32)(origin[t.off:]))
-			}
 		case 8:
 			for p, t := range taps {
 				move8((*[8]float32)(dst[p*8:]), (*[8]float32)(origin[t.off:]))
@@ -174,6 +203,9 @@ func packBConvF32(g *ConvGeom, outW int, taps []convTap, x []float32, j0, cols i
 		}
 		return
 	}
+	oh, ow := j0/outW, j0%outW
+	ih0, iw0 := oh*g.Stride-g.Pad, ow*g.Stride-g.Pad
+	direct := g.Stride == 1 && cols == nr && ow+nr <= outW
 	for p, t := range taps {
 		d := dst[p*nr : p*nr+nr]
 		ih, iw := ih0+t.kh, iw0+t.kw
@@ -212,13 +244,19 @@ func ConvPrepacked(pre *PackedA, g ConvGeom, x []float32, ep Epilogue, c []float
 	ctx.b, ctx.c, ctx.ldc = x, c, n
 	ctx.taps = reslice(ctx.taps, k)
 	g.taps(ctx.taps)
+	kern := currentKernels()
+	ctx.setKernels(kern)
 	if int64(m)*int64(n)*int64(k) < packThreshold {
 		ctx.pb = reslice(ctx.pb, n)
 		convNaive(pre, ctx)
 		return
 	}
-	kern := currentKernels()
-	ctx.setKernels(kern)
+	if kern.f32Direct != nil {
+		ctx.offs = reslice(ctx.offs, k)
+		for p, t := range ctx.taps {
+			ctx.offs[p] = t.off
+		}
+	}
 	ctx.nStrips = (m + kern.mr - 1) / kern.mr
 	packed := pre.data
 	if kern != pre.kern {
@@ -236,27 +274,35 @@ func ConvPrepacked(pre *PackedA, g ConvGeom, x []float32, ep Epilogue, c []float
 }
 
 // taskConvTilesF32 is the fused per-panel stage of ConvPrepacked for panels
-// [lo, hi) of the current K block: pack the B panel from the input, clear
-// the tile's C rows on the first K block, run every A strip, and apply the
-// epilogue on the last K block — each panel's working set stays in L1 from
-// the pack to the final store.
+// [lo, hi) of the current K block: clear the tile's C rows on the first K
+// block, run every A strip against the panel — read in place when it is
+// direct and the family has f32Direct, packed from the input otherwise —
+// and on the last K block apply the epilogue to each run of at least
+// epilogueRun finished columns, while they are still in cache.
 func taskConvTilesF32(ctx *gemmCtx, lo, hi int) {
 	ts := tileScratchPool.Get().(*tileScratch)
 	pb := ts.panel[:ctx.kc*ctx.nr]
-	outW, taps := ctx.geom.OutW(), ctx.taps[ctx.kk:ctx.kk+ctx.kc]
+	g := &ctx.geom
+	outW, taps := g.OutW(), ctx.taps[ctx.kk:ctx.kk+ctx.kc]
 	first, last := ctx.kk == 0, ctx.kk+ctx.kc == ctx.k
+	epFrom := lo * ctx.nr
 	for pn := lo; pn < hi; pn++ {
 		j0 := pn * ctx.nr
 		cols := min(ctx.nr, ctx.n-j0)
-		packBConvF32(&ctx.geom, outW, taps, ctx.b, j0, cols, pb, ctx.nr)
 		if first {
 			for i := 0; i < ctx.m; i++ {
 				clear(ctx.c[i*ctx.ldc+j0 : i*ctx.ldc+j0+cols])
 			}
 		}
-		ctx.panelTilesF32(ts, pb, j0, cols)
-		if last {
-			ctx.ep.apply(ctx.c, ctx.ldc, ctx.m, j0, cols)
+		if base, ok := g.directOrigin(outW, j0, cols, ctx.nr); ok && ctx.kf32Direct != nil {
+			ctx.panelTilesDirectF32(ts, ctx.b[base:], ctx.offs[ctx.kk:ctx.kk+ctx.kc], j0)
+		} else {
+			packBConvF32(g, outW, taps, ctx.b, j0, cols, pb, ctx.nr)
+			ctx.panelTilesF32(ts, pb, j0, cols)
+		}
+		if end := j0 + cols; last && (end-epFrom >= epilogueRun || pn == hi-1) {
+			ctx.ep.apply(ctx.kepi, ctx.c, ctx.ldc, ctx.m, epFrom, end-epFrom)
+			epFrom = end
 		}
 	}
 	tileScratchPool.Put(ts)
@@ -282,5 +328,5 @@ func convNaive(pre *PackedA, ctx *gemmCtx) {
 			}
 		}
 	}
-	ctx.ep.apply(c, n, ctx.m, 0, n)
+	ctx.ep.apply(ctx.kepi, c, n, ctx.m, 0, n)
 }

@@ -35,8 +35,10 @@ import (
 //
 // The inference convolution (conv.go) runs on the same tile stage with the B
 // side read in place: ConvPrepacked packs each B panel from the CHW input
-// into per-task scratch, right before the tiles that consume it, and applies
-// the layer's batch-norm/bias/activation epilogue to each finished tile.
+// into per-task scratch, right before the tiles that consume it — or, for
+// an interior panel on a family with a direct kernel, lets the kernel read
+// it in place — and applies the layer's batch-norm/bias/activation epilogue
+// to the finished tiles.
 //
 // Tiny problems fall through to the naive register-free loops at the bottom
 // of this file: below packThreshold the packing traffic would dominate.
@@ -122,10 +124,13 @@ func gemmNaive(ta, tb bool, m, n, k int, alpha float32, a []float32, lda int, b 
 type gemmCtx struct {
 	wg sync.WaitGroup
 
-	// Kernel family captured at Gemm entry: register tile and tile kernels.
-	mr, nr int
-	kf32   func(kc int, pa, pb []float32, c []float32, ldc int)
-	ki8    func(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, ldc int)
+	// Kernel family captured at Gemm entry: register tile, tile kernels and
+	// the convolution's vector stages (nil when the family has none).
+	mr, nr     int
+	kf32       func(kc int, pa, pb []float32, c []float32, ldc int)
+	ki8        func(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, ldc int)
+	kf32Direct func(kc int, pa, origin []float32, offs []int, c []float32, ldc int)
+	kepi       func(seg []float32, mu, gamma, inv, bias, slope float32)
 
 	ta, tb  bool
 	m, n, k int
@@ -160,6 +165,7 @@ type gemmCtx struct {
 	// through geom instead of as a k×n matrix; ep runs on finished tiles.
 	geom ConvGeom
 	taps []convTap // geom's im2col rows
+	offs []int     // taps[p].off, for kf32Direct
 	ep   Epilogue
 }
 
@@ -171,6 +177,7 @@ var gemmCtxPool = sync.Pool{New: func() any { return new(gemmCtx) }}
 func (ctx *gemmCtx) setKernels(kern *microKernels) {
 	ctx.mr, ctx.nr = kern.mr, kern.nr
 	ctx.kf32, ctx.ki8 = kern.f32, kern.i8
+	ctx.kf32Direct, ctx.kepi = kern.f32Direct, kern.epilogue
 }
 
 // release clears borrowed references and returns the context to the pool.
@@ -180,6 +187,7 @@ func (ctx *gemmCtx) release() {
 	ctx.paRO, ctx.pa16RO = nil, nil
 	ctx.requant, ctx.bias = nil, nil
 	ctx.kf32, ctx.ki8 = nil, nil
+	ctx.kf32Direct, ctx.kepi = nil, nil
 	ctx.ep = Epilogue{}
 	gemmCtxPool.Put(ctx)
 }
@@ -286,12 +294,37 @@ func (ctx *gemmCtx) panelTilesF32(ts *tileScratch, pb []float32, j0, cols int) {
 		}
 		clear(ts.tile[:ctx.mr*ctx.nr])
 		ctx.kf32(ctx.kc, pa, pb, ts.tile[:], ctx.nr)
-		for r := 0; r < rows; r++ {
-			crow := ctx.c[(i0+r)*ctx.ldc+j0:]
-			trow := ts.tile[r*ctx.nr:]
-			for j := 0; j < cols; j++ {
-				crow[j] += trow[j]
-			}
+		ctx.addEdgeTile(ts, i0, rows, j0, cols)
+	}
+}
+
+// panelTilesDirectF32 is panelTilesF32 for a direct convolution panel
+// (conv.go) read in place by kf32Direct: origin is the panel's first window
+// in the input and offs the current K block's tap offsets from it. The
+// panel is always nr columns wide; an edge strip runs the same kernel into
+// the scratch tile.
+func (ctx *gemmCtx) panelTilesDirectF32(ts *tileScratch, origin []float32, offs []int, j0 int) {
+	for s := 0; s < ctx.nStrips; s++ {
+		i0 := s * ctx.mr
+		rows := min(ctx.mr, ctx.m-i0)
+		pa := ctx.paRO[s*ctx.mr*ctx.kc:]
+		if rows == ctx.mr {
+			ctx.kf32Direct(ctx.kc, pa, origin, offs, ctx.c[i0*ctx.ldc+j0:], ctx.ldc)
+			continue
+		}
+		clear(ts.tile[:ctx.mr*ctx.nr])
+		ctx.kf32Direct(ctx.kc, pa, origin, offs, ts.tile[:], ctx.nr)
+		ctx.addEdgeTile(ts, i0, rows, j0, ctx.nr)
+	}
+}
+
+// addEdgeTile adds the valid rows × cols of the scratch tile to C at
+// (i0, j0).
+func (ctx *gemmCtx) addEdgeTile(ts *tileScratch, i0, rows, j0, cols int) {
+	for r := 0; r < rows; r++ {
+		crow := ctx.c[(i0+r)*ctx.ldc+j0:][:cols]
+		for j, v := range ts.tile[r*ctx.nr:][:cols] {
+			crow[j] += v
 		}
 	}
 }

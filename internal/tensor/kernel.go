@@ -28,10 +28,21 @@ import (
 // tiles and FMA contraction); the int8 kernels all compute the identical
 // int32 pairwise dataflow with an identical mul-then-add requantization, so
 // int8 results are bit-equal across every family.
+//
+// Besides the two tile kernels a family may carry three vector forms of
+// stages that are otherwise scalar Go: f32Direct (the fp32 tile kernel
+// reading an interior convolution panel in place instead of from a packed
+// copy), epilogue (one C row of the fused BN/bias/leaky epilogue) and
+// maxPool2x2 (blocks of eight 2×2/2 max-pool outputs). Each reproduces the
+// Go code it replaces bit for bit, and each follows the selected family like
+// the tile kernels do: a nil entry — every entry of sse2 and portable, so
+// under DRONET_KERNEL=sse2, SelectKernel("portable") or -tags purego — runs
+// the Go code.
 
 // microKernels describes one microkernel implementation family: the
 // register-tile geometry and the fp32/int8 tile kernels that consume the
-// MR/NR-interleaved packed panels of pack.go.
+// MR/NR-interleaved packed panels of pack.go, plus the optional vector
+// stages (nil when the family has none).
 type microKernels struct {
 	name string
 	// mr×nr is the register tile computed by one kernel call.
@@ -43,6 +54,17 @@ type microKernels struct {
 	// kPairs packed k-pairs, then requantizes on store (overwrite):
 	// c[r*ldc+j] = float32(acc[r][j])·requant[r] + bias[r].
 	i8 func(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, ldc int)
+
+	// f32Direct is f32 with k-step p's nr B values read from
+	// origin[offs[p]:] instead of pb[p*nr:] — bit-identical to f32 on the
+	// panel packBConvF32 would copy from those offsets (conv.go).
+	f32Direct func(kc int, pa, origin []float32, offs []int, c []float32, ldc int)
+	// epilogue applies seg[j] = v·(slope if v's sign bit is set, else 1) with
+	// v = float32(gamma·(seg[j]−mu)·inv) + bias to one C row, as
+	// Epilogue.apply's Go loop does (conv.go).
+	epilogue func(seg []float32, mu, gamma, inv, bias, slope float32)
+	// maxPool2x2 is the kernel MaxPool2x2Kernel returns.
+	maxPool2x2 func(r0, r1, d []float32) int
 }
 
 // maxMR/maxNR bound the register-tile geometry any registered kernel may
@@ -115,6 +137,16 @@ func currentKernels() *microKernels {
 // benchmark harness attributes its committed runs to a dispatch path.
 func KernelName() string {
 	return currentKernels().name
+}
+
+// MaxPool2x2Kernel returns the selected family's vector kernel for rows of
+// a 2×2 stride-2 max-pool, or nil when the family has none. The kernel
+// writes d[i] = max(r0[2i], r0[2i+1], r1[2i], r1[2i+1]) for whole blocks of
+// eight outputs and returns how many outputs it wrote. It stops before a
+// tail shorter than eight and at the first block that holds a NaN or whose
+// maximum is ±0 or −Inf, leaving both to the caller's scalar rule.
+func MaxPool2x2Kernel() func(r0, r1, d []float32) int {
+	return currentKernels().maxPool2x2
 }
 
 // AvailableKernels lists the registered families in preference order (the

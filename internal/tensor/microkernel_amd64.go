@@ -14,7 +14,10 @@ package tensor
 func archKernels() []*microKernels {
 	ks := make([]*microKernels, 0, 2)
 	if cpuHasAVX2FMA() {
-		ks = append(ks, &microKernels{name: "avx2", mr: 6, nr: 16, f32: kernF32AVX2, i8: kernI8AVX2})
+		ks = append(ks, &microKernels{
+			name: "avx2", mr: 6, nr: 16, f32: kernF32AVX2, i8: kernI8AVX2,
+			f32Direct: kernF32AVX2Direct, epilogue: epilogueRowAVX2, maxPool2x2: maxPool2x2AVX2,
+		})
 	}
 	ks = append(ks, &microKernels{name: "sse2", mr: 4, nr: 8, f32: kernF32SSE, i8: kernI8SSE})
 	return ks
@@ -72,6 +75,43 @@ func kernI8SSE(kPairs int, pa, pb []int16, requant, bias []float32, c []float32,
 //
 //go:noescape
 func kernF32AVX2(kc int, pa, pb []float32, c []float32, ldc int)
+
+// kernF32AVX2Direct is kernF32AVX2 with k-step p's two B loads taken from
+// origin[offs[p]:] — a stride-1 convolution panel read where it lies. The
+// assembly checks no bounds, so the furthest element each operand is read
+// at is checked here first: taps ascend, so offs[kc-1] is the furthest row.
+func kernF32AVX2Direct(kc int, pa, origin []float32, offs []int, c []float32, ldc int) {
+	_ = pa[6*kc-1]
+	_ = origin[offs[kc-1]+15]
+	_ = c[5*ldc+15]
+	kernF32AVX2DirectAsm(kc, pa, origin, offs, c, ldc)
+}
+
+//go:noescape
+func kernF32AVX2DirectAsm(kc int, pa, origin []float32, offs []int, c []float32, ldc int)
+
+// epilogueRowAVX2 is one C row of Epilogue.apply eight floats a step:
+// VSUBPS μ, VMULPS γ, VMULPS inv, VADDPS bias, then VMULPS slope blended
+// in by the sign bit — the Go expression's operations in its order, no
+// FMA — with a scalar VEX tail for the last len(seg)%8.
+//
+//go:noescape
+func epilogueRowAVX2(seg []float32, mu, gamma, inv, bias, slope float32)
+
+// maxPool2x2AVX2 is the avx2 maxPool2x2 entry (kernel.go): the reads it
+// makes, two inputs per output on each row, are checked here.
+func maxPool2x2AVX2(r0, r1, d []float32) int {
+	n := len(d) &^ 7
+	if n == 0 {
+		return 0
+	}
+	_ = r0[2*n-1]
+	_ = r1[2*n-1]
+	return maxPool2x2AVX2Asm(r0, r1, d[:n])
+}
+
+//go:noescape
+func maxPool2x2AVX2Asm(r0, r1, d []float32) int
 
 // kernI8AVX2 is the 6×16 AVX2 int8 tile kernel over int16 k-pairs:
 // VPBROADCASTD broadcasts one row's k-pair, VPMADDWD forms the pairwise
