@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke stream-soak chaos invariants fuzz fleet serve profile
+.PHONY: ci vet build test race bench bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke stream-soak chaos invariants fuzz serve profile
 
 ## ci: the full tier-1 + hygiene gate (what .github/workflows/ci.yml's main
 ## job runs step by step); bench-smoke runs the GEMM kernels a few iterations
@@ -15,7 +15,7 @@ ci: vet build race chaos invariants bench-smoke serve-smoke swap-smoke shard-smo
 ## benchmarks (10 iterations — catches crashes and gross slowdowns cheaply);
 ## the -run leg prints the dispatch report and asserts the selected family is
 ## avx2 on AVX2-capable boxes (TestSelectedKernel skips elsewhere), so a
-## silent fall-back to the SSE2 kernels breaks CI instead of just perf; the
+## silent fall-back to the portable kernels breaks CI instead of just perf; the
 ## layers leg runs the fused inference convolution at DroNet's nine 256×256
 ## conv shapes and the streaming 2×2 max-pool at its five pool shapes; the
 ## imgproc leg runs the /detect/raw pixel conversion on a decoded JPEG and PNG;
@@ -125,10 +125,10 @@ chaos:
 ## invariants: the system's exact contracts, by name, under the race
 ## detector in shuffled order — the one command a refactor runs to prove it
 ## changed nothing: batched ≡ serial byte for byte (one-shot, int8, routed
-## per model, streaming sessions, the stream fleet, the network's batch and
-## clone paths), every GEMM kernel family ≡ naive and prepacked ≡
-## pack-per-call, frame decode ≡ encoding/json bit for bit (and its pixel
-## parser ≡ strconv.ParseFloat), the typed /detect/raw pixel conversion ≡
+## per model, streaming sessions, the engine's concurrent replicas, the
+## network's batch and clone paths), every GEMM kernel family ≡ naive and
+## prepacked ≡ pack-per-call, frame decode ≡ encoding/json bit for bit (and
+## its pixel parser ≡ strconv.ParseFloat), the typed /detect/raw pixel conversion ≡
 ## the generic one bit for bit, the fused convolution ≡ im2col + GEMM + BN +
 ## bias + leaky, the streaming 2×2 pool ≡ the window loop and the vector
 ## epilogue row ≡ its Go loop bit for bit on every kernel family, NMS ≡ its
@@ -138,14 +138,14 @@ chaos:
 ## across a hot swap, the frozen /metrics wire shape, and goroutine hygiene
 ## after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFromGoImageMatchesGeneric|TestConvInferMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestFleetMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestSwapUnderTraffic|TestMetricsWireGolden|GoroutineHygiene' \
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFromGoImageMatchesGeneric|TestConvInferMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestSwapUnderTraffic|TestMetricsWireGolden|GoroutineHygiene' \
 	    ./internal/tensor/ ./internal/imgproc/ ./internal/layers/ ./internal/detect/ ./internal/network/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
-## fuzz: short bounded fuzz pass over the detect, kernel, quantization and
-## spec-grammar invariants (FuzzGemmPackedVsNaive cross-checks the packed
-## cache-blocked GEMM against the naive loops across EVERY registered
-## microkernel family — avx2/sse2/portable: exact for int8, <=1e-4 relative
-## for fp32; FuzzConvImplicitVsIm2col holds the fused inference convolution
+## fuzz: short bounded fuzz pass over the detect, kernel, quantization,
+## spec-grammar and fault-grammar invariants (FuzzGemmPackedVsNaive
+## cross-checks the packed cache-blocked GEMM against the naive loops across
+## EVERY registered microkernel family — avx2/portable: exact for int8,
+## <=1e-4 relative for fp32; FuzzConvImplicitVsIm2col holds the fused inference convolution
 ## to the im2col + GEMM + BN/bias/leaky reference bit for bit across the same
 ## families, FuzzMaxPoolFastVsGeneric the streaming 2×2 pool to the generic
 ## window loop, FuzzNMS NMS to its per-pair reference element for element;
@@ -161,7 +161,9 @@ invariants:
 ## FuzzDecodeRaw the /detect/raw PNG/JPEG decoder to no panic, accepted
 ## images within the 2048px side bound and pixels equal to the generic
 ## conversion bit for bit, FuzzReadMessage the server-side WebSocket frame reader to no panic, an
-## end, and no message over the size bound). FUZZTIME
+## end, and no message over the size bound, FuzzArm the internal/faults spec
+## grammar to no panic and accepted specs of one known kind per distinct site
+## with a positive slow delay and an error period of at least one). FUZZTIME
 ## tunes the per-target budget (CI's parallel fuzz job uses 15s; the nightly
 ## job runs this same target at 10m).
 FUZZTIME ?= 30s
@@ -181,6 +183,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime $(FUZZTIME) ./internal/ws
 	$(GO) test -run '^$$' -fuzz FuzzRingOwnership -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzArm -fuzztime $(FUZZTIME) ./internal/faults
 
 ## profile: CPU + heap pprof capture of the in-process serving path
 ## (BenchmarkServeThroughput: concurrent clients through the micro-batcher);
@@ -191,10 +194,6 @@ profile:
 	mkdir -p bin/pprof
 	$(GO) test -run '^$$' -bench ServeThroughput -benchtime 3s -o bin/pprof/serve.test \
 	    -cpuprofile bin/pprof/cpu.pprof -memprofile bin/pprof/heap.pprof ./internal/serve/
-
-## fleet: demo the multi-stream engine with a serial-vs-parallel comparison
-fleet:
-	$(GO) run ./cmd/dronet-fleet -streams 4 -workers 4 -frames 50 -compare
 
 ## serve: run the detection service locally with the default knobs
 serve:

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/demo"
-	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/layers"
 	"repro/internal/models"
@@ -139,62 +138,14 @@ func BenchmarkOdroidPipeline(b *testing.B) {
 	for i := range frames {
 		frames[i], _ = cam.Next()
 	}
-	runner := &pipeline.Runner{BatchRunner: pipeline.BatchRunner{Net: det.Net, Thresh: 0.2}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := frames[i%len(frames)]
-		dets, err := det.Net.Detect(f.Image.ToTensor(), runner.Thresh, 0.45)
+		dets, err := det.Net.Detect(f.Image.ToTensor(), det.Thresh, 0.45)
 		if err != nil {
 			b.Fatal(err)
 		}
 		_ = dets
-	}
-}
-
-// BenchmarkFleetScaling measures the multi-stream engine: four pre-rendered
-// camera streams drained serially (workers1) versus by a worker pool of
-// weight-sharing replicas (workers2/workers4). The workers4-to-workers1
-// ratio of the reported agg-FPS metric is the fleet speedup; it tracks the
-// host's usable core count (≈1x on a single-core CI box, ≥2x on 4+ cores).
-func BenchmarkFleetScaling(b *testing.B) {
-	det, err := demo.NewScaledDroNet(96, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const streams, frames = 4, 8
-	// Pre-render every stream so the timed region is pure inference fan-out,
-	// not scene generation.
-	sets := make([]*dataset.Dataset, streams)
-	for s := range sets {
-		sets[s] = dataset.Generate(demo.SceneConfig(96), frames, uint64(20+s))
-	}
-	newSources := func() []pipeline.Source {
-		srcs := make([]pipeline.Source, streams)
-		for s := range srcs {
-			srcs[s] = &pipeline.DatasetSource{Data: sets[s]}
-		}
-		return srcs
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			eng, err := engine.New(det.Net, engine.Config{Workers: workers, Thresh: 0.2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.Run(newSources()); err != nil {
-				b.Fatal(err) // warm the pooled replica buffers outside the timer
-			}
-			b.ResetTimer()
-			var last engine.FleetStats
-			for i := 0; i < b.N; i++ {
-				last, err = eng.Run(newSources())
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(last.AggregateFPS, "agg-FPS")
-			b.ReportMetric(float64(last.Frames), "frames/op")
-		})
 	}
 }
 

@@ -7,11 +7,10 @@
 // the paper-vs-measured results.
 //
 // Beyond the paper's single-camera loop, internal/engine scales one trained
-// detector to many concurrent camera streams: layers separate shared
-// read-only weights from per-instance workspace, Network.CloneForInference
-// produces weight-sharing replicas, and a worker pool fans streams across
-// replicas with per-stream and fleet-wide statistics (cmd/dronet-fleet,
-// examples/multicamera).
+// detector to many concurrent requests: layers separate shared read-only
+// weights from per-instance workspace, Network.CloneForInference produces
+// weight-sharing replicas, and Engine.ExecuteBatch runs a micro-batch on one
+// replica of the pool while other workers run theirs.
 //
 // On top of the engine, internal/serve exposes detectors as an HTTP
 // service (cmd/dronet-serve, examples/serveclient): the server hosts a
@@ -42,7 +41,7 @@
 //
 // Both precisions lower convolution onto one packed cache-blocked GEMM
 // (internal/tensor): BLIS-style MR×KC / KC×NR panel packing feeding a
-// register-blocked microkernel (AVX2 or SSE2 assembly on amd64, portable Go
+// register-blocked microkernel (AVX2 assembly on capable amd64, portable Go
 // elsewhere), parallel across row strips and column panels with a tile
 // decomposition independent of the worker count. fp32 inference runs it as
 // an implicit GEMM (tensor.ConvPrepacked): B panels are packed straight

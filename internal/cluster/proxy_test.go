@@ -232,6 +232,11 @@ func TestProxyForwardingPreservesSemantics(t *testing.T) {
 	t.Cleanup(p.Close)
 	ts := httptest.NewServer(p)
 	t.Cleanup(ts.Close)
+	// Responses name a shard by address until its first health probe has
+	// read its id; the comparison below needs the ids.
+	waitHealth(t, ts.URL, "every shard probed", func(h chaosHealth) bool {
+		return h.Shards[addr0].ShardID == "echo0" && h.Shards[addr1].ShardID == "echo1"
+	})
 
 	var echo struct {
 		Shard     string `json:"shard"`

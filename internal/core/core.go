@@ -29,7 +29,7 @@ import (
 )
 
 // Model is the precision-agnostic inference interface consumed by the
-// multi-stream engine and the serving micro-batcher: ForwardBatch,
+// engine's replica pool and the serving micro-batcher: ForwardBatch,
 // DetectBatch, CloneForInference, InShape/OutShape and WeightBytes. The
 // float32 *network.Network and the INT8 *quant.QNet both implement it, so
 // deployed bit-width is chosen where the model is built (see

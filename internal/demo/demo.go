@@ -1,14 +1,12 @@
-// Package demo provides the shared setup used by the runnable examples: a
-// quickly trainable, filter-scaled DroNet and matching close-up scene
-// configuration, so each example stays a short, self-contained main.
-//
-// The examples train in seconds on a laptop by using the scaled-study
-// protocol from DESIGN.md §6 (reduced input resolution, reduced filter
-// counts, low-altitude scenes whose vehicles span about one grid cell).
+// Package demo provides a quickly trainable, filter-scaled DroNet, its
+// training recipe and the matching close-up scene configuration. The
+// training sweep (cmd/dronet-sweep) and the root benchmarks use it: reduced
+// input resolution, halved filter counts and low-altitude scenes whose
+// vehicles span about one grid cell make a training run converge in seconds
+// on a laptop.
 package demo
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/augment"
@@ -50,7 +48,7 @@ func NewScaledDroNet(size int, seed uint64) (*core.Detector, error) {
 	return det, nil
 }
 
-// DemoTrainConfig is the training recipe the examples share: flips and
+// DemoTrainConfig is the shared demo-scale training recipe: flips and
 // translations (without them a small synthetic set is memorized rather than
 // learned), a BN-friendly learning rate, and a step decay at 5/6 of the
 // budget.
@@ -62,24 +60,4 @@ func DemoTrainConfig(batches int, seed uint64, log io.Writer) train.Config {
 		Aug:  augment.Config{FlipProb: 0.5, Translate: 0.15, Saturation: 0.3, Exposure: 0.3},
 		Seed: seed, Log: log, LogEvery: 200,
 	}
-}
-
-// TrainDemoDetector builds the scaled DroNet and trains it on freshly
-// generated close-up scenes. Progress lines go to log when non-nil.
-// It returns the trained detector and the training set.
-func TrainDemoDetector(size, scenes, batches int, seed uint64, log io.Writer) (*core.Detector, *dataset.Dataset, error) {
-	det, err := NewScaledDroNet(size, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	ds := dataset.Generate(SceneConfig(size), scenes, seed+100)
-	if _, err := det.TrainOn(ds, DemoTrainConfig(batches, seed, log)); err != nil {
-		return nil, nil, err
-	}
-	return det, ds, nil
-}
-
-// Banner prints a consistent example header.
-func Banner(w io.Writer, title string) {
-	fmt.Fprintf(w, "=== %s ===\n", title)
 }

@@ -1,9 +1,6 @@
 package demo
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestSceneConfigTightensDefaults(t *testing.T) {
 	c := SceneConfig(128)
@@ -48,13 +45,5 @@ func TestDemoTrainConfig(t *testing.T) {
 	}
 	if len(c.Steps) != 1 || c.Steps[0] != 1000 {
 		t.Fatalf("step schedule = %v", c.Steps)
-	}
-}
-
-func TestBanner(t *testing.T) {
-	var b strings.Builder
-	Banner(&b, "x")
-	if !strings.Contains(b.String(), "=== x ===") {
-		t.Fatalf("banner = %q", b.String())
 	}
 }

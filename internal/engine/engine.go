@@ -1,30 +1,18 @@
-// Package engine is the multi-stream concurrent inference engine: it fans
-// many camera streams (pipeline.Source) across a pool of workers, each
-// owning a weight-sharing model replica (Model.CloneForInference) and,
-// optionally, a per-stream IoU tracker. One set of trained weights thus
-// serves an entire camera fleet — the "heavy traffic, many scenarios"
-// scaling direction on top of the paper's single-camera §IV.B loop.
+// Package engine is the replica pool behind the serving subsystem
+// (internal/serve): one set of weights, a pool of weight-sharing worker
+// replicas (Model.CloneForInference), and ExecuteBatch, which runs a dynamic
+// micro-batch of images as one batched Forward on one pooled replica. It is
+// the one way this repository runs a model — the paper's single-camera
+// §IV.B loop scaled to concurrent requests.
 //
 // The engine is precision-agnostic: it operates on the network.Model
 // interface, so the same replica pool serves a float32 network.Network or an
 // INT8 quant.QNet without the layers above noticing.
-//
-// Streams are dispatched whole: a worker drains one stream before taking the
-// next, so frames within a stream stay in order (tracker state remains
-// per-stream) and per-stream detections are identical to a serial run of the
-// same sources.
-//
-// The same replica pool doubles as the batch executor behind the serving
-// subsystem (internal/serve): ExecuteBatch runs a dynamic micro-batch of
-// images as one batched Forward on a pooled worker, and RunContext threads
-// cancellation through the fleet loop for graceful shutdown.
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -34,83 +22,32 @@ import (
 	"repro/internal/layers"
 	"repro/internal/network"
 	"repro/internal/pipeline"
-	"repro/internal/tracking"
 )
 
-// Config tunes a fleet run.
+// Config tunes a replica pool.
 type Config struct {
 	// Workers is the worker-pool size; each worker owns one network replica.
-	// Values < 1 default to 1; the pool is clamped to the stream count.
+	// Values < 1 default to 1.
 	Workers int
-	// ShardID labels the process this engine runs in for fleet-wide
-	// attribution: FleetStats carries it, so when several dronet-serve or
-	// dronet-fleet processes report into one aggregator the numbers stay
-	// traceable to the shard that produced them. Empty means unlabelled
-	// (single-process deployment).
-	ShardID string
 	// Thresh and NMSThresh are the decode and suppression thresholds
 	// (pipeline.BatchRunner defaults apply when zero).
 	Thresh, NMSThresh float64
 	// AltitudeFilter, when non-nil, applies the §III.D size gating with each
-	// frame's altitude on every stream.
+	// image's altitude.
 	AltitudeFilter *detect.AltitudeFilter
-	// Track enables a per-stream IoU tracker, counting unique vehicles per
-	// stream; TrackerConfig tunes it (zero value = tracking defaults).
-	Track         bool
-	TrackerConfig tracking.Config
-	// OnFrame, when non-nil, observes every processed frame. Frames of one
-	// stream arrive in order from a single worker, but different streams
-	// call concurrently — the callback must be safe for cross-stream
-	// concurrent use.
-	OnFrame func(stream int, f pipeline.Frame, dets []detect.Detection)
 }
 
-// StreamStats reports one stream's run.
-type StreamStats struct {
-	// Stream is the index into the sources slice; Worker the pool worker
-	// that processed it.
-	Stream, Worker int
-	pipeline.Stats
-	// UniqueVehicles is the tracker's confirmed-track total for this stream
-	// (0 when tracking is disabled).
-	UniqueVehicles int
-}
-
-// FleetStats aggregates a whole fleet run.
-type FleetStats struct {
-	// ShardID is the owning process's shard label (Config.ShardID), carried
-	// on the stats so multi-process rollups stay per-shard attributable.
-	ShardID string
-	Streams []StreamStats
-	// Workers is the number of pool workers that actually ran.
-	Workers int
-	// Frames, Detections and UniqueVehicles sum over all streams.
-	Frames, Detections, UniqueVehicles int
-	// WallSeconds is the end-to-end wall-clock time of the run;
-	// AggregateFPS = Frames / WallSeconds, the fleet-wide throughput.
-	WallSeconds  float64
-	AggregateFPS float64
-	// MeanLatency and MaxLatency are per-frame processing times in seconds
-	// across every stream.
-	MeanLatency, MaxLatency float64
-}
-
-// Engine runs a detector over many streams concurrently, and doubles as the
-// batch executor behind the serving subsystem (internal/serve): each pooled
-// worker replica can execute whole-stream jobs (Run) or micro-batch jobs
-// (ExecuteBatch). An Engine is reusable but not reentrant per worker:
-// successive Run calls reuse the worker replicas (and their warmed
-// activation buffers), so only one Run may be in flight at a time, and
-// ExecuteBatch calls for the same worker id must not overlap Run or each
-// other. Distinct worker ids may execute batches concurrently — that is the
-// whole point of the pool.
+// Engine is a pool of weight-sharing model replicas that executes
+// micro-batches for the serving subsystem (internal/serve). ExecuteBatch
+// calls for the same worker id must not overlap; distinct worker ids may
+// execute batches concurrently — that is the whole point of the pool.
 type Engine struct {
 	base network.Model
 	cfg  Config
 
-	mu        sync.Mutex         // guards lazy pool growth, workerCap and Free
-	runners   []*pipeline.Runner // pooled worker replicas, grown lazily
-	workerCap int                // ExecuteBatch id bound when > Workers (idle-worker lending)
+	mu        sync.Mutex              // guards lazy pool growth, workerCap and Free
+	runners   []*pipeline.BatchRunner // pooled worker replicas, grown lazily
+	workerCap int                     // ExecuteBatch id bound when > Workers (idle-worker lending)
 
 	// Service-time estimate: a ring of recent ExecuteBatch wall durations
 	// feeding ServiceP50 — the "can this request still make its deadline"
@@ -128,8 +65,8 @@ const svcWindow = 64
 
 // New creates an engine around a base model — a float32 *network.Network or
 // any other network.Model implementation such as the INT8 *quant.QNet. The
-// base is never mutated by Run; workers clone it for inference, so training
-// it while a fleet run is in flight is not safe.
+// base is never mutated; workers clone it for inference, so training it
+// while batches are in flight is not safe.
 func New(m network.Model, cfg Config) (*Engine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("engine: nil model")
@@ -145,114 +82,24 @@ func New(m network.Model, cfg Config) (*Engine, error) {
 	return &Engine{base: m, cfg: cfg}, nil
 }
 
-// Run drains every source through the worker pool and returns the aggregated
-// fleet statistics. On a stream error the remaining streams still complete;
-// the first error is returned alongside the stats gathered so far.
-func (e *Engine) Run(sources []pipeline.Source) (FleetStats, error) {
-	return e.RunContext(context.Background(), sources)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled, no further
-// streams are dispatched, every worker finishes its in-flight frame and
-// stops, and the stats gathered so far are returned together with the
-// context error (wrapped in the first stream it interrupted).
-func (e *Engine) RunContext(ctx context.Context, sources []pipeline.Source) (FleetStats, error) {
-	fleet := FleetStats{ShardID: e.cfg.ShardID, Streams: make([]StreamStats, len(sources))}
-	if len(sources) == 0 {
-		return fleet, nil
-	}
-	workers := e.cfg.Workers
-	if workers > len(sources) {
-		workers = len(sources)
-	}
-	fleet.Workers = workers
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int, runner *pipeline.Runner) {
-			defer wg.Done()
-			for i := range jobs {
-				st, err := e.runStream(ctx, runner, i, sources[i])
-				st.Worker = id
-				mu.Lock()
-				fleet.Streams[i] = st
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("engine: stream %d: %w", i, err)
-				}
-				mu.Unlock()
-			}
-		}(w, e.runner(w))
-	}
-	dispatched := 0
-feed:
-	for i := range sources {
-		select {
-		case jobs <- i:
-			dispatched++
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr == nil && dispatched < len(sources) {
-		// Cancellation landed between streams: no runStream was interrupted,
-		// but undispatched sources were skipped — report it, or a partial
-		// run would be indistinguishable from a complete one.
-		firstErr = ctx.Err()
-	}
-	fleet.WallSeconds = time.Since(start).Seconds()
-
-	var latSum float64
-	for _, s := range fleet.Streams {
-		fleet.Frames += s.Frames
-		fleet.Detections += s.Detections
-		fleet.UniqueVehicles += s.UniqueVehicles
-		latSum += s.Stats.WallSeconds
-		if s.MaxLatency > fleet.MaxLatency {
-			fleet.MaxLatency = s.MaxLatency
-		}
-	}
-	if fleet.Frames > 0 {
-		fleet.MeanLatency = latSum / float64(fleet.Frames)
-	}
-	if fleet.WallSeconds > 0 {
-		fleet.AggregateFPS = float64(fleet.Frames) / fleet.WallSeconds
-	}
-	return fleet, firstErr
-}
-
-// runner returns the id-th pooled worker runner, cloning the base network on
-// first use; later Runs reuse it, keeping its activation buffers warm. The
-// one replica serves both job kinds — whole streams through Runner.RunContext
-// and micro-batches through its embedded BatchRunner — which is safe because
-// a worker executes either a stream job or a batch job at any moment, never
-// both.
-func (e *Engine) runner(id int) *pipeline.Runner {
+// runner returns the id-th pooled worker replica, cloning the base network
+// on first use; later batches reuse it, keeping its activation buffers warm.
+func (e *Engine) runner(id int) *pipeline.BatchRunner {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for len(e.runners) <= id {
-		e.runners = append(e.runners, &pipeline.Runner{BatchRunner: pipeline.BatchRunner{
+		e.runners = append(e.runners, &pipeline.BatchRunner{
 			Net:            e.base.CloneForInference(),
 			Thresh:         e.cfg.Thresh,
 			NMSThresh:      e.cfg.NMSThresh,
 			AltitudeFilter: e.cfg.AltitudeFilter,
-		}})
+		})
 	}
 	return e.runners[id]
 }
 
 // Workers returns the configured worker-pool size.
 func (e *Engine) Workers() int { return e.cfg.Workers }
-
-// ShardID returns the process shard label this engine was configured with
-// ("" when unlabelled).
-func (e *Engine) ShardID() string { return e.cfg.ShardID }
 
 // SetWorkerCap raises the number of worker ids ExecuteBatch accepts beyond
 // the nominal pool size — the lending hook behind the serving scheduler's
@@ -282,7 +129,7 @@ func (e *Engine) WorkerCap() int {
 
 // Free releases every pooled replica (and with them their workspace
 // arenas) so a drained, retired pool returns its steady-state memory to the
-// GC. The caller must have quiesced the pool: no Run or ExecuteBatch may be
+// GC. The caller must have quiesced the pool: no ExecuteBatch may be
 // in flight or arrive afterwards — a stale ExecuteBatch would silently
 // re-instantiate a replica. Retiring a model during a live swap is the
 // intended caller (internal/serve).
@@ -328,9 +175,10 @@ func (e *Engine) WarmBatch(batch int) {
 // ExecuteBatch runs one micro-batch of images on worker id's pooled replica
 // and returns each image's detections separately (see
 // pipeline.BatchRunner.Detect). Calls with distinct worker ids may run
-// concurrently; calls sharing a worker id must be serialized by the caller,
-// as must ExecuteBatch against a concurrent Run. This is the executor the
-// serving subsystem's batch workers drive.
+// concurrently; calls sharing a worker id must be serialized by the caller.
+// The outer result slice is that replica's workspace, valid until its next
+// call (see network.Network.DetectBatch); the inner slices may be retained.
+// This is the executor the serving subsystem's batch workers drive.
 func (e *Engine) ExecuteBatch(id int, imgs []*imgproc.Image, altitudes []float64) ([][]detect.Detection, error) {
 	if cap := e.WorkerCap(); id < 0 || id >= cap {
 		return nil, fmt.Errorf("engine: worker id %d outside pool cap of %d", id, cap)
@@ -374,47 +222,4 @@ func (e *Engine) ServiceP50() time.Duration {
 	copy(window, e.svcDur[:e.svcCount])
 	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
 	return window[e.svcCount/2]
-}
-
-// runStream processes one whole stream on the worker's runner, attaching a
-// fresh tracker when tracking is enabled.
-func (e *Engine) runStream(ctx context.Context, runner *pipeline.Runner, idx int, src pipeline.Source) (StreamStats, error) {
-	st := StreamStats{Stream: idx}
-	var tracker *tracking.Tracker
-	if e.cfg.Track {
-		tracker = tracking.New(e.cfg.TrackerConfig)
-	}
-	runner.OnFrame = func(f pipeline.Frame, dets []detect.Detection) {
-		if tracker != nil {
-			tracker.Update(dets)
-		}
-		if e.cfg.OnFrame != nil {
-			e.cfg.OnFrame(idx, f, dets)
-		}
-	}
-	stats, err := runner.RunContext(ctx, src)
-	runner.OnFrame = nil // don't retain the stream's tracker via the closure
-	st.Stats = stats
-	if tracker != nil {
-		st.UniqueVehicles = tracker.TotalConfirmed
-	}
-	return st, err
-}
-
-// String formats the fleet stats for logs: the aggregate line followed by
-// one line per stream.
-func (f FleetStats) String() string {
-	var b strings.Builder
-	if f.ShardID != "" {
-		fmt.Fprintf(&b, "[%s] ", f.ShardID)
-	}
-	fmt.Fprintf(&b, "fleet: %d streams on %d workers, %d frames, %d detections, %.2f FPS aggregate (wall %.2f s, mean latency %.1f ms, max %.1f ms)",
-		len(f.Streams), f.Workers, f.Frames, f.Detections, f.AggregateFPS, f.WallSeconds, f.MeanLatency*1e3, f.MaxLatency*1e3)
-	for _, s := range f.Streams {
-		fmt.Fprintf(&b, "\n  stream %d (worker %d): %s", s.Stream, s.Worker, s.Stats)
-		if s.UniqueVehicles > 0 {
-			fmt.Fprintf(&b, ", %d unique vehicles", s.UniqueVehicles)
-		}
-	}
-	return b.String()
 }

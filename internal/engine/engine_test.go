@@ -2,13 +2,13 @@ package engine_test
 
 import (
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/engine"
+	"repro/internal/imgproc"
 	"repro/internal/models"
 	"repro/internal/network"
 	"repro/internal/pipeline"
@@ -24,182 +24,95 @@ func buildNet(t *testing.T) *network.Network {
 	return net
 }
 
-// sceneConfig keeps engine tests fast: small frames matching the network
-// input so no resize happens in the hot loop.
-func sceneConfig() dataset.SceneConfig {
+// cameraFrames renders one deterministic simulated camera's frames; small
+// frames matching the network input keep resize out of the hot loop.
+func cameraFrames(seed uint64, frames int) []*imgproc.Image {
 	c := dataset.DefaultConfig(64)
 	c.VehiclesMin, c.VehiclesMax = 1, 3
-	return c
-}
-
-// newSources builds n deterministic simulated cameras; calling it again with
-// the same arguments replays the exact same frames, which is what lets the
-// serial-vs-parallel identity test compare runs.
-func newSources(n, frames int) []pipeline.Source {
-	srcs := make([]pipeline.Source, n)
-	for i := range srcs {
-		srcs[i] = pipeline.NewSimCamera(sceneConfig(), frames, uint64(100+i))
+	cam := pipeline.NewSimCamera(c, frames, seed)
+	imgs := make([]*imgproc.Image, frames)
+	for i := range imgs {
+		f, _ := cam.Next()
+		imgs[i] = f.Image
 	}
-	return srcs
+	return imgs
 }
 
-// collectRun executes one fleet run and returns the per-stream detection
-// history alongside the stats.
-func collectRun(t *testing.T, net *network.Network, workers, streams, frames int) (engine.FleetStats, [][][]detect.Detection) {
-	t.Helper()
-	history := make([][][]detect.Detection, streams)
-	var mu sync.Mutex
-	eng, err := engine.New(net, engine.Config{
-		Workers: workers,
-		Thresh:  0.1,
-		Track:   true,
-		OnFrame: func(stream int, f pipeline.Frame, dets []detect.Detection) {
-			mu.Lock()
-			history[stream] = append(history[stream], dets)
-			mu.Unlock()
-		},
-	})
+// TestExecuteBatchMatchesSerial is the engine's correctness anchor: two
+// workers executing micro-batches concurrently on weight-sharing replicas
+// must return, image for image, exactly the detections of a serial
+// per-image BatchRunner.Detect over the same frames.
+func TestExecuteBatchMatchesSerial(t *testing.T) {
+	net := buildNet(t)
+	const cameras, frames, workers = 4, 4, 2
+	batches := make([][]*imgproc.Image, cameras)
+	for c := range batches {
+		batches[c] = cameraFrames(uint64(100+c), frames)
+	}
+
+	serial := &pipeline.BatchRunner{Net: net.CloneForInference(), Thresh: 0.1}
+	want := make([][][]detect.Detection, cameras)
+	total := 0
+	for c, imgs := range batches {
+		for _, img := range imgs {
+			per, err := serial.Detect([]*imgproc.Image{img}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[c] = append(want[c], per[0])
+			total += len(per[0])
+		}
+	}
+	if total == 0 {
+		t.Fatal("test degenerated: no detections in the serial reference")
+	}
+
+	eng, err := engine.New(net, engine.Config{Workers: workers, Thresh: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := eng.Run(newSources(streams, frames))
-	if err != nil {
-		t.Fatal(err)
+	got := make([][][]detect.Detection, cameras)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for c := w; c < cameras; c += workers {
+				per, err := eng.ExecuteBatch(w, batches[c], nil)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				// The outer slice is the replica's workspace; keep a copy.
+				got[c] = append([][]detect.Detection(nil), per...)
+			}
+		}(w)
 	}
-	return stats, history
-}
-
-// TestFleetMatchesSerial is the engine's correctness anchor: a 4-stream
-// fleet on 4 workers must produce, stream by stream and frame by frame,
-// exactly the detections (and tracker counts) of the same streams run
-// serially on one worker.
-func TestFleetMatchesSerial(t *testing.T) {
-	net := buildNet(t)
-	const streams, frames = 4, 5
-
-	serial, serialDets := collectRun(t, net, 1, streams, frames)
-	parallel, parallelDets := collectRun(t, net, 4, streams, frames)
-
-	if serial.Workers != 1 || parallel.Workers != 4 {
-		t.Fatalf("worker counts: serial %d, parallel %d", serial.Workers, parallel.Workers)
-	}
-	if serial.Frames != streams*frames || parallel.Frames != streams*frames {
-		t.Fatalf("frame counts: serial %d, parallel %d, want %d", serial.Frames, parallel.Frames, streams*frames)
-	}
-	if serial.Detections == 0 {
-		t.Fatal("test degenerated: no detections in the serial run")
-	}
-	if serial.Detections != parallel.Detections {
-		t.Errorf("total detections: serial %d, parallel %d", serial.Detections, parallel.Detections)
-	}
-	for s := 0; s < streams; s++ {
-		if !reflect.DeepEqual(serialDets[s], parallelDets[s]) {
-			t.Errorf("stream %d: parallel detections differ from serial", s)
-		}
-		if serial.Streams[s].UniqueVehicles != parallel.Streams[s].UniqueVehicles {
-			t.Errorf("stream %d: unique vehicles serial %d, parallel %d",
-				s, serial.Streams[s].UniqueVehicles, parallel.Streams[s].UniqueVehicles)
-		}
-	}
-}
-
-// TestFleetSpeedup asserts the acceptance target — 4 streams on 4 workers
-// at ≥ 2x the aggregate FPS of the serial run — wherever the hardware can
-// express it. Parallel speedup is physically unobservable without multiple
-// cores, so the test skips below 4 usable CPUs (BenchmarkFleetScaling still
-// reports the per-host numbers there).
-func TestFleetSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	if raceEnabled {
-		t.Skip("race-detector serialization distorts wall-clock speedup")
-	}
-	// A bare 4-CPU runner shares its cores with the other package test
-	// binaries `go test ./...` runs in parallel, so the timing assertion
-	// needs headroom beyond the 4 workers to be reliable.
-	if runtime.GOMAXPROCS(0) < 6 {
-		t.Skipf("need >= 6 usable CPUs for a reliable speedup measurement, have %d", runtime.GOMAXPROCS(0))
-	}
-	net := buildNet(t)
-	const streams, frames = 4, 40
-	run := func(workers int) engine.FleetStats {
-		eng, err := engine.New(net, engine.Config{Workers: workers, Thresh: 0.1})
+	wg.Wait()
+	for w, err := range errs {
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("worker %d: %v", w, err)
 		}
-		stats, err := eng.Run(newSources(streams, frames))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
 	}
-	run(1) // warmup
-	serial := run(1)
-	parallel := run(4)
-	speedup := parallel.AggregateFPS / serial.AggregateFPS
-	t.Logf("serial %.1f FPS, parallel %.1f FPS, speedup %.2fx", serial.AggregateFPS, parallel.AggregateFPS, speedup)
-	if speedup < 2 {
-		t.Errorf("4-worker speedup %.2fx, want >= 2x", speedup)
+	for c := range want {
+		if !reflect.DeepEqual(got[c], want[c]) {
+			t.Errorf("camera %d: batched detections differ from the serial reference", c)
+		}
+	}
+
+	if _, err := eng.ExecuteBatch(workers, batches[0], nil); err == nil {
+		t.Error("ExecuteBatch accepted a worker id outside the pool")
 	}
 }
 
-// TestFleetMoreWorkersThanStreams checks the pool clamps to the stream count
-// and still drains everything.
-func TestFleetMoreWorkersThanStreams(t *testing.T) {
-	net := buildNet(t)
-	eng, err := engine.New(net, engine.Config{Workers: 8, Thresh: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := eng.Run(newSources(2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers != 2 {
-		t.Errorf("workers = %d, want clamped to 2", stats.Workers)
-	}
-	if stats.Frames != 6 {
-		t.Errorf("frames = %d, want 6", stats.Frames)
-	}
-}
-
-// TestFleetEmptyAndInvalid covers the degenerate inputs.
-func TestFleetEmptyAndInvalid(t *testing.T) {
+// TestNewRejectsInvalid covers the models New refuses.
+func TestNewRejectsInvalid(t *testing.T) {
 	if _, err := engine.New(nil, engine.Config{}); err == nil {
 		t.Error("New(nil) should fail")
 	}
 	headless := network.New("headless", 8, 8, 3)
 	if _, err := engine.New(headless, engine.Config{}); err == nil {
 		t.Error("New without region layer should fail")
-	}
-	eng, err := engine.New(buildNet(t), engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := eng.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Frames != 0 || len(stats.Streams) != 0 {
-		t.Errorf("empty run produced stats: %+v", stats)
-	}
-}
-
-// TestFleetStatsString sanity-checks the log formatting renders per-stream
-// lines.
-func TestFleetStatsString(t *testing.T) {
-	net := buildNet(t)
-	eng, err := engine.New(net, engine.Config{Workers: 2, Thresh: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := eng.Run(newSources(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := stats.String()
-	if len(s) == 0 {
-		t.Fatal("empty stats string")
 	}
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -111,4 +112,46 @@ func TestParseRejects(t *testing.T) {
 			t.Fatalf("Arm(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzArm holds the spec grammar to its contract: Arm never panics, and an
+// accepted spec arms exactly one fault per entry (no site twice), each one
+// of the four kinds, a slow with a positive delay and an error with a firing
+// period of at least one hit.
+func FuzzArm(f *testing.F) {
+	for _, seed := range []string{
+		"", "=error", "s=", "s=warp", "s=slow", "s=slow:-1ms",
+		"s=error:0", "s=error:2", "s=stall:arg", "s=error,s=stall",
+		"cluster.forward#127.0.0.1:4001=slow:300ms,serve.batch#high=stall",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		defer Disarm()
+		if err := Arm(spec); err != nil {
+			return
+		}
+		r := active.Load()
+		if r == nil {
+			t.Fatalf("Arm(%q) accepted but armed nothing", spec)
+		}
+		if n := len(strings.Split(spec, ",")); len(r.sites) != n {
+			t.Fatalf("Arm(%q): %d sites for %d entries (duplicate site accepted)", spec, len(r.sites), n)
+		}
+		for site, ft := range r.sites {
+			switch ft.kind {
+			case "slow":
+				if ft.d <= 0 {
+					t.Fatalf("Arm(%q): site %q slow by %v", spec, site, ft.d)
+				}
+			case "error":
+				if ft.every < 1 {
+					t.Fatalf("Arm(%q): site %q error period %d", spec, site, ft.every)
+				}
+			case "stall", "reset-conn":
+			default:
+				t.Fatalf("Arm(%q): site %q has unknown kind %q", spec, site, ft.kind)
+			}
+		}
+	})
 }

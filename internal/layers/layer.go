@@ -8,8 +8,8 @@
 // per-instance workspace (forward/backward caches and scratch buffers), so a
 // single instance must not be shared between concurrently-running networks —
 // instead, CloneForInference produces weight-sharing replicas whose
-// workspaces are independent, which is what the multi-stream inference
-// engine (internal/engine) builds on.
+// workspaces are independent, which is what the engine's replica pool
+// (internal/engine) builds on.
 package layers
 
 import (

@@ -110,8 +110,7 @@ var negInf = float32(math.Inf(-1))
 // back to max2x2 when any of its 32 inputs is NaN or any of its maxima is
 // ±0 or −Inf — exactly the windows where VMAXPS and max2x2 can differ.
 // Stride-1 pools, a row's last fewer-than-eight outputs and the clipped
-// last column stay scalar, as does every row on the sse2 and portable
-// families.
+// last column stay scalar, as does every row on the portable family.
 func (p *MaxPool) forward2x2(x, out *tensor.Tensor) {
 	inH, inW, outH, outW, stride := p.in.H, p.in.W, p.out.H, p.out.W, p.Stride
 	// Only the last output column's window can be clipped (Pad ≤ 1), and then

@@ -7,7 +7,7 @@ import (
 )
 
 // Model is the precision-agnostic inference contract the whole serving stack
-// — pipeline runners, the multi-stream engine's replica pool, and the HTTP
+// — pipeline.BatchRunner, the engine's replica pool, and the HTTP
 // micro-batcher — operates against. The float32 *Network implements it
 // directly and quant.QNet implements the INT8 path, so a detector's
 // deployed bit-width is a construction-time choice, not something the

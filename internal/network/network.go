@@ -82,8 +82,8 @@ func (n *Network) OutShape() layers.Shape { return n.nextShape() }
 // rolling statistics) but own fresh activation/scratch workspace. Replicas
 // may run Forward/Detect concurrently with each other and with the original;
 // they see weight updates made through any copy, so none of them may train
-// while others are running. This is the seam the multi-stream engine uses to
-// serve many camera streams from one set of weights. The result is typed as
+// while others are running. This is the seam the engine's replica pool uses
+// to serve many concurrent requests from one set of weights. The result is typed as
 // the precision-agnostic Model (its dynamic type is always *Network).
 func (n *Network) CloneForInference() Model {
 	c := &Network{Name: n.Name, InputW: n.InputW, InputH: n.InputH, InputC: n.InputC, arena: &tensor.Arena{}}

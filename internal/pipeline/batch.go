@@ -54,7 +54,7 @@ func (r *BatchRunner) ensureIn(n int) *tensor.Tensor {
 
 // Detect runs one micro-batch. altitudes may be nil (no gating) or must have
 // one entry per image. Images are resized to the network input as the
-// single-frame loop does. The returned slice has one entry per input image,
+// Darknet capture loop does. The returned slice has one entry per input image,
 // in order.
 func (r *BatchRunner) Detect(imgs []*imgproc.Image, altitudes []float64) ([][]detect.Detection, error) {
 	if r.Net == nil {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/dataset"
 	"repro/internal/detect"
+	"repro/internal/imgproc"
 	"repro/internal/network"
 	"repro/internal/tensor"
 )
@@ -78,48 +79,38 @@ func TestSimCameraProducesFrames(t *testing.T) {
 	}
 }
 
-func TestDatasetSourceReplays(t *testing.T) {
-	ds := dataset.Generate(camConfig(), 2, 3)
-	src := &DatasetSource{Data: ds}
-	n := 0
-	for {
-		_, ok := src.Next()
-		if !ok {
-			break
-		}
-		n++
+// camFrames renders n frames from a simulated camera as Detect's inputs.
+func camFrames(cfg dataset.SceneConfig, n int, seed uint64) ([]*imgproc.Image, []float64) {
+	cam := NewSimCamera(cfg, n, seed)
+	imgs := make([]*imgproc.Image, n)
+	alts := make([]float64, n)
+	for i := range imgs {
+		f, _ := cam.Next()
+		imgs[i], alts[i] = f.Image, f.Altitude
 	}
-	if n != 2 {
-		t.Fatalf("replayed %d frames, want 2", n)
-	}
+	return imgs, alts
 }
 
-func TestRunnerProcessesStream(t *testing.T) {
-	var seen int
-	r := &Runner{
-		BatchRunner: BatchRunner{Net: pipeNet(t), Thresh: 0.1},
-		OnFrame: func(f Frame, dets []detect.Detection) {
-			seen++
-		},
-	}
-	st, err := r.Run(NewSimCamera(camConfig(), 5, 2))
+// countDetections runs one batch and sums the detections over its images.
+func countDetections(t *testing.T, r *BatchRunner, imgs []*imgproc.Image, alts []float64) int {
+	t.Helper()
+	per, err := r.Detect(imgs, alts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Frames != 5 || seen != 5 {
-		t.Fatalf("frames = %d, callbacks = %d", st.Frames, seen)
+	if len(per) != len(imgs) {
+		t.Fatalf("%d results for %d images", len(per), len(imgs))
 	}
-	if st.FPS <= 0 || st.MeanLatency <= 0 || st.MaxLatency < st.MeanLatency {
-		t.Fatalf("stats implausible: %+v", st)
+	n := 0
+	for _, dets := range per {
+		n += len(dets)
 	}
-	if st.String() == "" {
-		t.Fatal("empty stats string")
-	}
+	return n
 }
 
 func TestRunnerRequiresNetwork(t *testing.T) {
-	r := &Runner{}
-	if _, err := r.Run(NewSimCamera(camConfig(), 1, 1)); err == nil {
+	imgs, alts := camFrames(camConfig(), 1, 1)
+	if _, err := (&BatchRunner{}).Detect(imgs, alts); err == nil {
 		t.Fatal("expected error for nil network")
 	}
 }
@@ -128,42 +119,29 @@ func TestRunnerResizesMismatchedFrames(t *testing.T) {
 	// 96px camera frames through a 48px network input.
 	cfg96 := camConfig()
 	cfg96.Width, cfg96.Height = 96, 96
-	r := &Runner{BatchRunner: BatchRunner{Net: pipeNet(t), Thresh: 0.1}}
-	st, err := r.Run(NewSimCamera(cfg96, 2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Frames != 2 {
-		t.Fatalf("frames = %d", st.Frames)
-	}
+	imgs, alts := camFrames(cfg96, 2, 3)
+	countDetections(t, &BatchRunner{Net: pipeNet(t), Thresh: 0.1}, imgs, alts)
 }
 
 func TestRunnerAltitudeFilterReducesDetections(t *testing.T) {
 	// With an untrained network and a low threshold, decode produces many
 	// boxes of arbitrary size; the altitude gate must prune some.
 	f := detect.NewVehicleAltitudeFilter()
-	base := &Runner{BatchRunner: BatchRunner{Net: pipeNet(t), Thresh: 0.01}}
-	st1, err := base.Run(NewSimCamera(camConfig(), 3, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gated := &Runner{BatchRunner: BatchRunner{Net: pipeNet(t), Thresh: 0.01, AltitudeFilter: &f}}
-	st2, err := gated.Run(NewSimCamera(camConfig(), 3, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Detections == 0 {
+	imgs, alts := camFrames(camConfig(), 3, 7)
+	raw := countDetections(t, &BatchRunner{Net: pipeNet(t), Thresh: 0.01}, imgs, alts)
+	gated := countDetections(t, &BatchRunner{Net: pipeNet(t), Thresh: 0.01, AltitudeFilter: &f}, imgs, alts)
+	if raw == 0 {
 		t.Skip("untrained net produced no raw detections; nothing to gate")
 	}
-	if st2.Detections > st1.Detections {
-		t.Fatalf("altitude filter added detections: %d > %d", st2.Detections, st1.Detections)
+	if gated > raw {
+		t.Fatalf("altitude filter added detections: %d > %d", gated, raw)
 	}
 }
 
 // TestSimCameraSeedsDistinct guards the per-camera seeding: consecutive
 // seeds must yield different frame sequences (a former `seed | 1` in the
 // camera's RNG seeding made even seed N collide with N+1, silently
-// duplicating fleet streams derived as base+i).
+// duplicating cameras derived as base+i).
 func TestSimCameraSeedsDistinct(t *testing.T) {
 	cfg := camConfig()
 	a, ok := NewSimCamera(cfg, 1, 8).Next()

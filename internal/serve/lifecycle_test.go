@@ -418,10 +418,9 @@ func TestWorkerLending(t *testing.T) {
 		t.Error("fleet aggregate lost the borrows_total counter")
 	}
 	// Quiescent: the gauge must come back down once nothing is borrowed.
-	time.Sleep(50 * time.Millisecond)
-	if st, _ := srv.ModelStats("busy"); st.BorrowedWorkers != 0 {
-		t.Errorf("borrowed_workers gauge stuck at %d after the burst drained", st.BorrowedWorkers)
-	}
+	waitStats(t, srv, "busy", "borrowed_workers to return to 0", func(st serve.Stats) bool {
+		return st.BorrowedWorkers == 0
+	})
 }
 
 // pr5Report is a FROZEN copy of the /metrics wire schema exactly as PR 5

@@ -291,8 +291,9 @@ func New(eng *engine.Engine, cfg Config) (*Server, error) {
 
 // NewRouted starts a routed multi-model server: one admission queue,
 // batcher and worker set per entry, all behind the shared endpoints. The
-// first entry is the default route. Each entry's engine must not be running
-// a fleet Run while the server is live — both sides share the replica pool.
+// first entry is the default route. Each entry's engine must not execute
+// batches for anyone else while the server is live — the server owns its
+// worker ids.
 func NewRouted(entries []ModelEntry) (*Server, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("serve: no models to host")

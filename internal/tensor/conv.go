@@ -15,8 +15,8 @@ import "math"
 // be im2col + B-pack + zeroing + three element-wise passes.
 //
 // Two stages have vector forms hung off the kernel family (kernel.go), and
-// like the tile kernels they follow the selected family — sse2 and portable
-// have neither, so they run the Go code below:
+// like the tile kernels they follow the selected family — portable has
+// neither, so it runs the Go code below:
 //
 //   - f32Direct: a stride-1 panel inside one output row whose windows clear
 //     the padding (the bulk of every 3×3 layer, and every full pointwise
@@ -187,7 +187,7 @@ func (g *ConvGeom) directOrigin(outW, j0, cols, nr int) (int, bool) {
 // zero-padding missing columns. A stride-1 panel inside one output row reads
 // nr consecutive input floats per row. A direct panel (directOrigin) is one
 // such copy per tap; taskConvTilesF32 packs it only on families without
-// f32Direct (sse2 and portable, both 8 wide).
+// f32Direct (portable, 8 wide).
 func packBConvF32(g *ConvGeom, outW int, taps []convTap, x []float32, j0, cols int, dst []float32, nr int) {
 	if base, ok := g.directOrigin(outW, j0, cols, nr); ok {
 		origin := x[base:]

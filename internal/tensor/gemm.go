@@ -15,8 +15,8 @@ import (
 //   - inside a chunk, an MR×NR register-blocked microkernel runs over
 //     MR-interleaved A strips and NR-interleaved B panels produced by
 //     pack.go, with MR×NR the register tile of the microkernel family
-//     selected at runtime (kernel.go): 6×16 AVX2/FMA, 4×8 SSE2, or the
-//     4×8 portable Go kernels.
+//     selected at runtime (kernel.go): 6×16 AVX2/FMA or the 4×8
+//     portable Go kernels.
 //
 // Work is parallelized across both row strips (packing A) and column panels
 // (packing B and running tiles) on a persistent worker pool; task payloads

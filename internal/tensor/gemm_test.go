@@ -126,8 +126,8 @@ func TestGemmInt8PackedMatchesNaive(t *testing.T) {
 
 // refKernF32 is a tile-shape-generic fp32 reference: per output element,
 // ascending-p accumulation with unfused multiply-then-add — the order of the
-// portable and SSE2 kernels. FMA families (AVX2) differ from it only by
-// contraction rounding.
+// portable kernels. FMA families (AVX2) differ from it only by contraction
+// rounding.
 func refKernF32(mr, nr, kc int, pa, pb, c []float32, ldc int) {
 	acc := make([]float32, mr*nr)
 	for p := 0; p < kc; p++ {
@@ -168,7 +168,7 @@ func refKernI8(mr, nr, kPairs int, pa, pb []int16, rq, bs, c []float32, ldc int)
 // TestMicrokernelAsmMatchesGo cross-checks every registered microkernel
 // family against the shape-generic references on random packed panels:
 // bit-exact for int8 on every family, bit-exact for fp32 on the unfused
-// families (portable, SSE2), and within FMA contraction rounding for AVX2.
+// portable family, and within FMA contraction rounding for AVX2.
 func TestMicrokernelAsmMatchesGo(t *testing.T) {
 	kernelOnce.Do(initKernelList)
 	rng := NewRNG(5)

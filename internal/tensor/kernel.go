@@ -15,14 +15,14 @@ import (
 // kernel pair here — the blocking driver, the pre-packed weight layout
 // (prepack.go) and the edge-tile handling never change.
 //
-// Selection is runtime, not build-time: amd64 binaries carry the SSE2
-// (baseline, 4×8) and — when the CPU supports AVX2+FMA with OS-enabled YMM
-// state — the AVX2 (6×16) kernels, while the portable Go kernels are always
-// registered last as the universal fallback and cross-check oracle. The
-// DRONET_KERNEL environment variable (or SelectKernel, which the serving
-// binaries expose as a flag) pins a specific family so every dispatch path
-// stays testable on any box: CI runs the full suite with DRONET_KERNEL=sse2
-// on AVX2 runners, and the fuzz harness iterates every registered family.
+// Selection is runtime, not build-time: amd64 binaries carry the AVX2
+// (6×16) kernels, registered when the CPU supports AVX2+FMA with OS-enabled
+// YMM state, while the portable Go kernels are always registered last as the
+// universal fallback and cross-check oracle. The DRONET_KERNEL environment
+// variable (or SelectKernel, which the serving binaries expose as a flag)
+// pins a specific family so both dispatch paths stay testable on any box: CI
+// runs the full suite under -tags purego, and the cross-family tests and
+// fuzz harness iterate every registered family.
 //
 // Switching families changes fp32 results only by reassociation (wider
 // tiles and FMA contraction); the int8 kernels all compute the identical
@@ -35,8 +35,8 @@ import (
 // copy), epilogue (one C row of the fused BN/bias/leaky epilogue) and
 // maxPool2x2 (blocks of eight 2×2/2 max-pool outputs). Each reproduces the
 // Go code it replaces bit for bit, and each follows the selected family like
-// the tile kernels do: a nil entry — every entry of sse2 and portable, so
-// under DRONET_KERNEL=sse2, SelectKernel("portable") or -tags purego — runs
+// the tile kernels do: a nil entry — every entry of portable, so under
+// DRONET_KERNEL=portable, SelectKernel("portable") or -tags purego — runs
 // the Go code.
 
 // microKernels describes one microkernel implementation family: the
@@ -75,10 +75,10 @@ const (
 )
 
 // KernelEnv is the environment variable that pins the microkernel family at
-// process start: one of the AvailableKernels names ("avx2", "sse2",
-// "portable"). An unavailable name falls back to the best family and
-// records a note (KernelInitNote) instead of failing, so a pinned config
-// keeps working when the binary moves to a smaller machine.
+// process start: one of the AvailableKernels names ("avx2", "portable").
+// An unavailable name falls back to the best family and records a note
+// (KernelInitNote) instead of failing, so a pinned config keeps working when
+// the binary moves to a smaller machine.
 const KernelEnv = "DRONET_KERNEL"
 
 // portableKernels is the pure-Go family: always available, on every
@@ -132,7 +132,7 @@ func currentKernels() *microKernels {
 	return activeKernels.Load()
 }
 
-// KernelName reports the active microkernel family: "avx2", "sse2" or
+// KernelName reports the active microkernel family: "avx2" or
 // "portable". /healthz labels a server with it, which is how the
 // benchmark harness attributes its committed runs to a dispatch path.
 func KernelName() string {

@@ -9,10 +9,9 @@ package tensor
 //
 // kernF32Go and kernI8Go are the portable 4×8 family: the only kernels on
 // non-amd64 architectures and under the purego build tag, and the oracle
-// the assembly families are cross-checked against. Within one family the
-// asm and Go kernels accumulate in the same order (p ascending, pairwise
-// for int8); across families fp32 differs by reassociation only (wider
-// tiles, FMA contraction on AVX2) while int8 is bit-exact everywhere —
+// the assembly family is cross-checked against. Every family accumulates
+// in the same order (p ascending, pairwise for int8), so fp32 differs across
+// families by FMA contraction on AVX2 only while int8 is bit-exact everywhere —
 // integer accumulation is associative and every family requantizes with the
 // same unfused multiply-then-add.
 

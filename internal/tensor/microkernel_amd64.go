@@ -2,25 +2,20 @@
 
 package tensor
 
-// amd64 registers the assembly microkernel families. SSE2 is part of the
-// amd64 baseline (GOAMD64=v1) so its 4×8 kernels are always available; the
-// 6×16 AVX2/FMA family is registered only when CPUID reports AVX2+FMA and
-// XGETBV confirms the OS saves YMM state. The `purego` build tag drops both
-// and leaves only the portable Go kernels, and DRONET_KERNEL=sse2 (or
-// SelectKernel) forces the narrow path on wide hardware — both of which CI
-// exercises so no dispatch path can rot behind the best one.
+// amd64 registers the 6×16 AVX2/FMA assembly family, and only when CPUID
+// reports AVX2+FMA and XGETBV confirms the OS saves YMM state. A CPU without
+// AVX2 runs the portable Go kernels, as does the `purego` build tag, which
+// CI runs so the fallback cannot rot behind the fast path.
 
 // archKernels returns the amd64 assembly families in preference order.
 func archKernels() []*microKernels {
-	ks := make([]*microKernels, 0, 2)
-	if cpuHasAVX2FMA() {
-		ks = append(ks, &microKernels{
-			name: "avx2", mr: 6, nr: 16, f32: kernF32AVX2, i8: kernI8AVX2,
-			f32Direct: kernF32AVX2Direct, epilogue: epilogueRowAVX2, maxPool2x2: maxPool2x2AVX2,
-		})
+	if !cpuHasAVX2FMA() {
+		return nil
 	}
-	ks = append(ks, &microKernels{name: "sse2", mr: 4, nr: 8, f32: kernF32SSE, i8: kernI8SSE})
-	return ks
+	return []*microKernels{{
+		name: "avx2", mr: 6, nr: 16, f32: kernF32AVX2, i8: kernI8AVX2,
+		f32Direct: kernF32AVX2Direct, epilogue: epilogueRowAVX2, maxPool2x2: maxPool2x2AVX2,
+	}}
 }
 
 // cpuHasAVX2FMA reports whether this CPU can run the AVX2 family: AVX2 and
@@ -54,20 +49,6 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //
 //go:noescape
 func xgetbv0() (eax, edx uint32)
-
-// kernF32SSE is the 4×8 SSE2 tile kernel: 8 XMM accumulators, one packed-A
-// quad load broadcast via PSHUFD against two packed-B vector loads per
-// k-step. C is updated with +=.
-//
-//go:noescape
-func kernF32SSE(kc int, pa, pb []float32, c []float32, ldc int)
-
-// kernI8SSE is the 4×8 SSE2 int8 tile kernel over int16 k-pairs: PMADDWD
-// forms the pairwise int32 products, PADDD accumulates them exactly, and the
-// store path requantizes with CVTDQ2PS·requant+bias (overwrite).
-//
-//go:noescape
-func kernI8SSE(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, ldc int)
 
 // kernF32AVX2 is the 6×16 AVX2/FMA tile kernel: 12 YMM accumulators (six
 // rows × two 8-lane column halves), two packed-B YMM loads and six

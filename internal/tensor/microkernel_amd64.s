@@ -6,8 +6,7 @@
 // only (VMOVD, VMOVSS, VBROADCASTSS — never MOVD, MOVSS or any other
 // legacy-SSE form) and ends with VZEROUPPER. One legacy-SSE instruction
 // while the upper YMM halves are dirty costs an SSE/AVX state transition of
-// roughly 150 ns, more than a whole pool row. The SSE2 kernels below touch
-// XMM registers only.
+// roughly 150 ns, more than a whole pool row.
 
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
@@ -26,226 +25,6 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
-	RET
-
-// func kernF32SSE(kc int, pa, pb []float32, c []float32, ldc int)
-//
-// Computes the 4×8 tile update c[r*ldc+j] += Σ_p pa[p*4+r]·pb[p*8+j].
-// Accumulators: X0..X7 (row r in X(2r) cols 0-3, X(2r+1) cols 4-7).
-// Per k-step: two 16-byte B loads, one 16-byte A load, four PSHUFD
-// broadcasts feeding eight MULPS/ADDPS pairs.
-TEXT ·kernF32SSE(SB), NOSPLIT, $0-88
-	MOVQ kc+0(FP), CX
-	MOVQ pa_base+8(FP), SI
-	MOVQ pb_base+32(FP), DI
-	MOVQ c_base+56(FP), DX
-	MOVQ ldc+80(FP), R8
-	SHLQ $2, R8              // row stride in bytes
-
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-
-	TESTQ CX, CX
-	JZ    f32store
-
-f32loop:
-	MOVUPS (DI), X8          // pb[p*8 + 0..3]
-	MOVUPS 16(DI), X9        // pb[p*8 + 4..7]
-	MOVUPS (SI), X12         // pa[p*4 + 0..3]
-
-	PSHUFD $0x00, X12, X10   // broadcast a row 0
-	PSHUFD $0x00, X12, X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X0
-	ADDPS  X11, X1
-
-	PSHUFD $0x55, X12, X10   // row 1
-	PSHUFD $0x55, X12, X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X2
-	ADDPS  X11, X3
-
-	PSHUFD $0xAA, X12, X10   // row 2
-	PSHUFD $0xAA, X12, X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X4
-	ADDPS  X11, X5
-
-	PSHUFD $0xFF, X12, X10   // row 3
-	PSHUFD $0xFF, X12, X11
-	MULPS  X8, X10
-	MULPS  X9, X11
-	ADDPS  X10, X6
-	ADDPS  X11, X7
-
-	ADDQ $16, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  f32loop
-
-f32store:
-	MOVUPS (DX), X8          // row 0: C += acc
-	MOVUPS 16(DX), X9
-	ADDPS  X0, X8
-	ADDPS  X1, X9
-	MOVUPS X8, (DX)
-	MOVUPS X9, 16(DX)
-	ADDQ   R8, DX
-
-	MOVUPS (DX), X8          // row 1
-	MOVUPS 16(DX), X9
-	ADDPS  X2, X8
-	ADDPS  X3, X9
-	MOVUPS X8, (DX)
-	MOVUPS X9, 16(DX)
-	ADDQ   R8, DX
-
-	MOVUPS (DX), X8          // row 2
-	MOVUPS 16(DX), X9
-	ADDPS  X4, X8
-	ADDPS  X5, X9
-	MOVUPS X8, (DX)
-	MOVUPS X9, 16(DX)
-	ADDQ   R8, DX
-
-	MOVUPS (DX), X8          // row 3
-	MOVUPS 16(DX), X9
-	ADDPS  X6, X8
-	ADDPS  X7, X9
-	MOVUPS X8, (DX)
-	MOVUPS X9, 16(DX)
-	RET
-
-// func kernI8SSE(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, ldc int)
-//
-// Computes the 4×8 int8 tile with exact int32 accumulation over packed
-// int16 k-pairs: per pair, PMADDWL(a-broadcast, b-pairs) yields the four
-// per-column int32 pair-products of one row, PADDD accumulates. The store
-// path requantizes: c[r*ldc+j] = float32(acc)·requant[r] + bias[r].
-TEXT ·kernI8SSE(SB), NOSPLIT, $0-136
-	MOVQ kPairs+0(FP), CX
-	MOVQ pa_base+8(FP), SI
-	MOVQ pb_base+32(FP), DI
-	MOVQ requant_base+56(FP), R9
-	MOVQ bias_base+80(FP), R10
-	MOVQ c_base+104(FP), DX
-	MOVQ ldc+128(FP), R8
-	SHLQ $2, R8              // row stride in bytes
-
-	PXOR X0, X0
-	PXOR X1, X1
-	PXOR X2, X2
-	PXOR X3, X3
-	PXOR X4, X4
-	PXOR X5, X5
-	PXOR X6, X6
-	PXOR X7, X7
-
-	TESTQ CX, CX
-	JZ    i8store
-
-i8loop:
-	MOVOU (SI), X12          // pa: rows 0-3 int16 pairs
-	MOVOU (DI), X8           // pb: cols 0-3 int16 pairs
-	MOVOU 16(DI), X9         // pb: cols 4-7 int16 pairs
-
-	PSHUFD  $0x00, X12, X10  // broadcast row-0 pair
-	PSHUFD  $0x00, X12, X11
-	PMADDWL X8, X10
-	PMADDWL X9, X11
-	PADDD   X10, X0
-	PADDD   X11, X1
-
-	PSHUFD  $0x55, X12, X10  // row 1
-	PSHUFD  $0x55, X12, X11
-	PMADDWL X8, X10
-	PMADDWL X9, X11
-	PADDD   X10, X2
-	PADDD   X11, X3
-
-	PSHUFD  $0xAA, X12, X10  // row 2
-	PSHUFD  $0xAA, X12, X11
-	PMADDWL X8, X10
-	PMADDWL X9, X11
-	PADDD   X10, X4
-	PADDD   X11, X5
-
-	PSHUFD  $0xFF, X12, X10  // row 3
-	PSHUFD  $0xFF, X12, X11
-	PMADDWL X8, X10
-	PMADDWL X9, X11
-	PADDD   X10, X6
-	PADDD   X11, X7
-
-	ADDQ $16, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  i8loop
-
-i8store:
-	MOVSS  (R9), X10         // row 0: requant broadcast
-	SHUFPS $0x00, X10, X10
-	MOVSS  (R10), X11        // bias broadcast
-	SHUFPS $0x00, X11, X11
-	CVTPL2PS X0, X0          // int32 → float32 (CVTDQ2PS)
-	CVTPL2PS X1, X1
-	MULPS  X10, X0
-	MULPS  X10, X1
-	ADDPS  X11, X0
-	ADDPS  X11, X1
-	MOVUPS X0, (DX)
-	MOVUPS X1, 16(DX)
-	ADDQ   R8, DX
-
-	MOVSS  4(R9), X10        // row 1
-	SHUFPS $0x00, X10, X10
-	MOVSS  4(R10), X11
-	SHUFPS $0x00, X11, X11
-	CVTPL2PS X2, X2
-	CVTPL2PS X3, X3
-	MULPS  X10, X2
-	MULPS  X10, X3
-	ADDPS  X11, X2
-	ADDPS  X11, X3
-	MOVUPS X2, (DX)
-	MOVUPS X3, 16(DX)
-	ADDQ   R8, DX
-
-	MOVSS  8(R9), X10        // row 2
-	SHUFPS $0x00, X10, X10
-	MOVSS  8(R10), X11
-	SHUFPS $0x00, X11, X11
-	CVTPL2PS X4, X4
-	CVTPL2PS X5, X5
-	MULPS  X10, X4
-	MULPS  X10, X5
-	ADDPS  X11, X4
-	ADDPS  X11, X5
-	MOVUPS X4, (DX)
-	MOVUPS X5, 16(DX)
-	ADDQ   R8, DX
-
-	MOVSS  12(R9), X10       // row 3
-	SHUFPS $0x00, X10, X10
-	MOVSS  12(R10), X11
-	SHUFPS $0x00, X11, X11
-	CVTPL2PS X6, X6
-	CVTPL2PS X7, X7
-	MULPS  X10, X6
-	MULPS  X10, X7
-	ADDPS  X11, X6
-	ADDPS  X11, X7
-	MOVUPS X6, (DX)
-	MOVUPS X7, 16(DX)
 	RET
 
 // AVX2_F32_STEP is one k-step of the 6×16 fp32 tile: the B row is in
@@ -315,8 +94,8 @@ i8store:
 // Computes the 6×16 tile update c[r*ldc+j] += Σ_p pa[p*6+r]·pb[p*16+j].
 // Per k-step: two 32-byte B loads and AVX2_F32_STEP — one fused
 // multiply-add per accumulator, so the products are contracted (fp32
-// results differ from the SSE2/portable families by
-// reassociation/contraction rounding only).
+// results differ from the portable family by reassociation/contraction
+// rounding only).
 TEXT ·kernF32AVX2(SB), NOSPLIT, $0-88
 	MOVQ kc+0(FP), CX
 	MOVQ pa_base+8(FP), SI

@@ -9,7 +9,7 @@ package tensor
 //
 // MR and NR are parameters, not constants: each packer takes the register
 // tile of the microkernel family selected at runtime (kernel.go), so the
-// same packing code feeds the 4×8 SSE2/portable kernels and the 6×16 AVX2
+// same packing code feeds the 4×8 portable kernels and the 6×16 AVX2
 // kernels. A packed buffer is therefore only meaningful to the family it was
 // packed for — the pre-packed weight caches (prepack.go) record the family
 // and fall back to repacking when dispatch changes.
