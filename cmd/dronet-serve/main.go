@@ -8,11 +8,11 @@
 //	dronet-serve -addr :8080 -model dronet -size 128 -scale 0.5 \
 //	    -weights dronet.weights -workers 4 -max-batch 8
 //
-// The engine is precision-agnostic (core.Model): -precision int8 serves the
-// INT8-quantized model (batch-norm folding, per-channel weight scales,
-// activation scales calibrated at startup on synthetic sample frames)
-// through exactly the same admission queue and batcher as fp32, and
-// /healthz, /metrics label the active precision.
+// The engine is precision-agnostic: -precision int8 serves the INT8-quantized
+// model (batch-norm folding, per-channel weight scales, activation scales
+// calibrated at startup on synthetic sample frames) — the same network type
+// with quant.QConv convolutions — through exactly the same admission queue
+// and batcher as fp32, and /healthz, /metrics label the active precision.
 //
 // With -models the server hosts a routed registry of models instead of one:
 //

@@ -27,14 +27,14 @@
 // pool on shutdown.
 //
 // The stack is precision-agnostic: engine, pipeline and serve all operate
-// on the core.Model interface (ForwardBatch, DetectBatch, CloneForInference,
-// InShape/OutShape, WeightBytes), implemented by the float32
-// network.Network and the INT8 quant.QNet alike. dronet-serve's -precision
-// knob selects the deployed bit-width (the paper's §V future work): int8
-// serving quantizes post-training at startup — batch-norm folding,
-// per-channel weight scales, activation scales calibrated on sample frames
-// — and runs batched int8 inference (int8 im2col + tensor.GemmInt8 with
-// exact int32 accumulation) through the identical micro-batching path,
+// on one model type, network.Network (core.Model), whose convolutions are
+// float32 layers.Conv2D or int8 quant.QConv layers. dronet-serve's
+// -precision knob selects the deployed bit-width (the paper's §V future
+// work): int8 serving quantizes post-training at startup — batch-norm
+// folding, per-channel weight scales, activation scales calibrated on
+// sample frames — and runs batched int8 inference (int8 im2col +
+// tensor.GemmInt8Prepacked with exact int32 accumulation) through the
+// identical micro-batching path,
 // labelling /metrics with the active precision; the repository benchmark
 // (bench/, BENCHMARK.json) serves int8 beside fp32 in its routed-mixed
 // workload and scores both against the fp32 serial oracle.

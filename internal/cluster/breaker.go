@@ -51,6 +51,10 @@ type breaker struct {
 	opened   uint64
 	halfOpen uint64
 	reclosed uint64
+
+	// now is the breaker's clock; nil means time.Now. Tests move it to
+	// cross the cooldown without sleeping.
+	now func() time.Time
 }
 
 func newBreaker(cfg breakerConfig) *breaker {
@@ -100,7 +104,7 @@ func (b *breaker) AllowProbe() bool {
 	if b.state != breakerOpen {
 		return true
 	}
-	if time.Since(b.openedAt) < b.cfg.cooldown {
+	if b.clock().Sub(b.openedAt) < b.cfg.cooldown {
 		return false
 	}
 	b.state = breakerHalfOpen
@@ -135,15 +139,23 @@ func (b *breaker) RecordProbe(ok bool) {
 		}
 	case breakerHalfOpen:
 		b.state = breakerOpen
-		b.openedAt = time.Now()
+		b.openedAt = b.clock()
 	}
 }
 
 // trip opens the breaker. Callers hold b.mu.
 func (b *breaker) trip() {
 	b.state = breakerOpen
-	b.openedAt = time.Now()
+	b.openedAt = b.clock()
 	b.opened++
+}
+
+// clock reads the breaker's clock. Callers hold b.mu.
+func (b *breaker) clock() time.Time {
+	if b.now == nil {
+		return time.Now()
+	}
+	return b.now()
 }
 
 // BreakerSnapshot is the observable state exported on /healthz + /metrics.

@@ -81,15 +81,18 @@ func TestBreakerProbeStreakOpens(t *testing.T) {
 // TestBreakerHalfOpenCycle drives open → half-open → open → half-open →
 // closed: probes are suppressed during the cooldown, the first probe after
 // it is the half-open trial, a failed trial re-opens (and re-arms the
-// cooldown), a successful one closes.
+// cooldown), a successful one closes. The breaker runs on a test clock, so
+// the cooldown is crossed by moving it, not by sleeping.
 func TestBreakerHalfOpenCycle(t *testing.T) {
 	b := testBreaker(30 * time.Millisecond)
+	now := time.Unix(0, 0)
+	b.now = func() time.Time { return now }
 	b.RecordProbe(false)
 	b.RecordProbe(false) // open
 	if b.AllowProbe() {
 		t.Fatal("probe allowed during cooldown")
 	}
-	time.Sleep(40 * time.Millisecond)
+	now = now.Add(40 * time.Millisecond)
 	if !b.AllowProbe() {
 		t.Fatal("probe still suppressed after cooldown")
 	}
@@ -104,7 +107,7 @@ func TestBreakerHalfOpenCycle(t *testing.T) {
 	if b.AllowProbe() {
 		t.Fatal("probe allowed immediately after a failed half-open trial")
 	}
-	time.Sleep(40 * time.Millisecond)
+	now = now.Add(40 * time.Millisecond)
 	if !b.AllowProbe() {
 		t.Fatal("second half-open trial suppressed after re-armed cooldown")
 	}

@@ -68,8 +68,11 @@ func TestStreamAffinityAndFailoverResume(t *testing.T) {
 	defer pts.Close()
 	frames := testFrames(64, 2, 77)
 
-	// Let the health loop learn shard_id labels before asserting on them.
-	time.Sleep(150 * time.Millisecond)
+	// A shard is labelled with its id only once a health probe has read it;
+	// wait for both labels before asserting on them.
+	waitHealth(t, pts.URL, "both shards labelled", func(h chaosHealth) bool {
+		return h.Shards[addrA].ShardID == "shard-a" && h.Shards[addrB].ShardID == "shard-b"
+	})
 
 	conn := dialProxyStream(t, pts, "?camera=affine1")
 	hello := readStreamMsg(t, conn)

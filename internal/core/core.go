@@ -28,13 +28,12 @@ import (
 	"repro/internal/weights"
 )
 
-// Model is the precision-agnostic inference interface consumed by the
-// engine's replica pool and the serving micro-batcher: ForwardBatch,
-// DetectBatch, CloneForInference, InShape/OutShape and WeightBytes. The
-// float32 *network.Network and the INT8 *quant.QNet both implement it, so
-// deployed bit-width is chosen where the model is built (see
-// Detector.QuantizeINT8), not in the serving layers.
-type Model = network.Model
+// Model is the inference model consumed by the engine's replica pool and
+// the serving micro-batcher: one network type whose convolutions are
+// float32 layers.Conv2D or int8 quant.QConv, so deployed bit-width is chosen
+// where the model is built (see Detector.QuantizeINT8), not in the serving
+// layers.
+type Model = *network.Network
 
 // Detector is a ready-to-use single-shot vehicle detector.
 type Detector struct {
@@ -151,16 +150,16 @@ func (d *Detector) PredictFPS(platformName string) (float64, error) {
 	return p.Predict(d.Net).FPS, nil
 }
 
-// Model returns the detector's float32 network as the precision-agnostic
-// Model the engine and serving stack consume.
+// Model returns the detector's float32 network as the Model the engine and
+// serving stack consume.
 func (d *Detector) Model() Model { return d.Net }
 
 // QuantizeINT8 builds the INT8 inference model of this detector (§V future
 // work: reduced deployed bit-width): batch norm is folded, weights get
 // per-output-channel scales, and activation scales are calibrated on the
-// given sample images. The result implements Model, so it drops into the
-// engine replica pool and the serving micro-batcher in place of the float32
-// network.
+// given sample images. The result is an inference-only Model that drops
+// into the engine replica pool and the serving micro-batcher in place of the
+// float32 network.
 func (d *Detector) QuantizeINT8(calibration []*tensor.Tensor) (Model, error) {
 	return quant.Quantize(d.Net, calibration)
 }

@@ -1,13 +1,13 @@
 // Package engine is the replica pool behind the serving subsystem
 // (internal/serve): one set of weights, a pool of weight-sharing worker
-// replicas (Model.CloneForInference), and ExecuteBatch, which runs a dynamic
-// micro-batch of images as one batched Forward on one pooled replica. It is
-// the one way this repository runs a model — the paper's single-camera
-// §IV.B loop scaled to concurrent requests.
+// replicas (network.Network.CloneForInference), and ExecuteBatch, which runs
+// a dynamic micro-batch of images as one batched Forward on one pooled
+// replica. It is the one way this repository runs a model — the paper's
+// single-camera §IV.B loop scaled to concurrent requests.
 //
-// The engine is precision-agnostic: it operates on the network.Model
-// interface, so the same replica pool serves a float32 network.Network or an
-// INT8 quant.QNet without the layers above noticing.
+// The engine is precision-agnostic: a network's convolutions are float32
+// layers.Conv2D or int8 quant.QConv, and the same replica pool serves either
+// without the layers above noticing.
 package engine
 
 import (
@@ -19,7 +19,6 @@ import (
 	"repro/internal/detect"
 	"repro/internal/faults"
 	"repro/internal/imgproc"
-	"repro/internal/layers"
 	"repro/internal/network"
 	"repro/internal/pipeline"
 )
@@ -42,7 +41,7 @@ type Config struct {
 // calls for the same worker id must not overlap; distinct worker ids may
 // execute batches concurrently — that is the whole point of the pool.
 type Engine struct {
-	base network.Model
+	base *network.Network
 	cfg  Config
 
 	mu        sync.Mutex              // guards lazy pool growth, workerCap and Free
@@ -63,17 +62,15 @@ type Engine struct {
 // load shift within tens of batches.
 const svcWindow = 64
 
-// New creates an engine around a base model — a float32 *network.Network or
-// any other network.Model implementation such as the INT8 *quant.QNet. The
+// New creates an engine around a base network of either precision. The
 // base is never mutated; workers clone it for inference, so training it
 // while batches are in flight is not safe.
-func New(m network.Model, cfg Config) (*Engine, error) {
+func New(m *network.Network, cfg Config) (*Engine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("engine: nil model")
 	}
-	// Both model implementations expose their terminal region layer; reject
-	// a headless model here rather than erroring on every DetectBatch.
-	if r, ok := m.(interface{ Region() *layers.Region }); ok && r.Region() == nil {
+	// Reject a headless model here rather than erroring on every DetectBatch.
+	if m.Region() == nil {
 		return nil, fmt.Errorf("engine: model must end in a region layer")
 	}
 	if cfg.Workers < 1 {
@@ -140,7 +137,7 @@ func (e *Engine) Free() {
 }
 
 // WorkspaceBytes sums the scratch-arena footprint of every instantiated
-// worker replica (models expose it via an optional ScratchBytes method).
+// worker replica.
 // Each replica owns exactly one grow-once arena for its transient
 // per-forward scratch, so after warm-up this is the engine's steady-state
 // transient memory — the quantity the zero-alloc serving path holds
@@ -150,9 +147,7 @@ func (e *Engine) WorkspaceBytes() int64 {
 	defer e.mu.Unlock()
 	var total int64
 	for _, r := range e.runners {
-		if s, ok := r.Net.(interface{ ScratchBytes() int64 }); ok {
-			total += s.ScratchBytes()
-		}
+		total += r.Net.ScratchBytes()
 	}
 	return total
 }

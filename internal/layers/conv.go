@@ -166,17 +166,19 @@ func (c *Conv2D) InvalidateWeightPack() {
 	}
 }
 
-// PackedBytes reports the resident size of the pre-packed filter cache, so
-// model-level weight accounting (WeightBytes, /healthz) does not
+// WeightBytes reports the layer's resident weight footprint: four bytes per
+// learnable parameter plus the pre-packed filter cache when built, so
+// model-level accounting (network.Network.WeightBytes, /healthz) does not
 // under-report memory.
-func (c *Conv2D) PackedBytes() int64 {
-	if c.packed == nil {
-		return 0
+func (c *Conv2D) WeightBytes() int64 {
+	var total int64
+	for _, p := range c.Params() {
+		total += 4 * int64(p.W.Len())
 	}
 	if pre := c.packed.pre.Load(); pre != nil {
-		return pre.Bytes()
+		total += pre.Bytes()
 	}
-	return 0
+	return total
 }
 
 // SetScratchArena implements ScratchUser: per-forward scratch (the training

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/models"
-	"repro/internal/network"
 	"repro/internal/tensor"
 )
 
@@ -44,7 +43,7 @@ func TestDetectBatchMatchesSerial(t *testing.T) {
 	}
 	const thresh, nms = 0.1, 0.45
 
-	serialNet := net.CloneForInference().(*network.Network)
+	serialNet := net.CloneForInference()
 	expected := make([][]detect.Detection, n)
 	for i, img := range imgs {
 		dets, err := serialNet.Detect(img, thresh, nms)

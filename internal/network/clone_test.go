@@ -25,7 +25,7 @@ func buildSmallDroNet(t *testing.T) *network.Network {
 // write into distinct output buffers.
 func TestCloneSharesParamsNotWorkspace(t *testing.T) {
 	net := buildSmallDroNet(t)
-	clone := net.CloneForInference().(*network.Network)
+	clone := net.CloneForInference()
 
 	op, cp := net.Params(), clone.Params()
 	if len(op) != len(cp) {
@@ -82,7 +82,7 @@ func TestCloneConcurrentDetectIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			rep := net.CloneForInference().(*network.Network)
+			rep := net.CloneForInference()
 			got[r] = make([][]detect.Detection, frames)
 			for i, x := range inputs {
 				dets, err := rep.Detect(x, 0.1, 0.45)
@@ -122,7 +122,7 @@ func TestScratchBytesInferenceHoldsNoColumnMatrix(t *testing.T) {
 	net := buildSmallDroNet(t)
 	x := tensor.New(2, 3, net.InputH, net.InputW)
 	tensor.NewRNG(4).FillUniform(x.Data, 0, 1)
-	replica := net.CloneForInference().(*network.Network)
+	replica := net.CloneForInference()
 	replica.ForwardBatch(x)
 	got := replica.ScratchBytes()
 	if got <= 0 || got >= 4*64*64 {

@@ -22,7 +22,6 @@ type Network struct {
 	InputW, InputH, InputC int
 	Layers                 []layers.Layer
 
-	lastOut *tensor.Tensor
 	// arena is this instance's scratch arena: every layer implementing
 	// layers.ScratchUser carves its transient per-forward buffers from it,
 	// and Forward resets it at the start of each pass. Replicas get their
@@ -69,9 +68,14 @@ func (n *Network) ScratchBytes() int64 {
 
 func (n *Network) nextShape() layers.Shape {
 	if len(n.Layers) == 0 {
-		return layers.Shape{C: n.InputC, H: n.InputH, W: n.InputW}
+		return n.InShape()
 	}
 	return n.Layers[len(n.Layers)-1].OutShape()
+}
+
+// InShape returns the per-sample input shape.
+func (n *Network) InShape() layers.Shape {
+	return layers.Shape{C: n.InputC, H: n.InputH, W: n.InputW}
 }
 
 // OutShape returns the per-sample output shape of the final layer.
@@ -83,9 +87,8 @@ func (n *Network) OutShape() layers.Shape { return n.nextShape() }
 // may run Forward/Detect concurrently with each other and with the original;
 // they see weight updates made through any copy, so none of them may train
 // while others are running. This is the seam the engine's replica pool uses
-// to serve many concurrent requests from one set of weights. The result is typed as
-// the precision-agnostic Model (its dynamic type is always *Network).
-func (n *Network) CloneForInference() Model {
+// to serve many concurrent requests from one set of weights.
+func (n *Network) CloneForInference() *Network {
 	c := &Network{Name: n.Name, InputW: n.InputW, InputH: n.InputH, InputC: n.InputC, arena: &tensor.Arena{}}
 	c.Layers = make([]layers.Layer, len(n.Layers))
 	for i, l := range n.Layers {
@@ -117,9 +120,11 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range n.Layers {
 		cur = l.Forward(cur, train)
 	}
-	n.lastOut = cur
 	return cur
 }
+
+// ForwardBatch runs an inference-mode Forward.
+func (n *Network) ForwardBatch(x *tensor.Tensor) *tensor.Tensor { return n.Forward(x, false) }
 
 // Backward back-propagates from the terminal (loss-computing) layer through
 // the stack. It must follow a Forward with train=true.
@@ -196,6 +201,19 @@ func (n *Network) ZeroGrads() {
 	for _, p := range n.Params() {
 		p.G.Zero()
 	}
+}
+
+// WeightBytes reports what the model holds in memory for its weights: the
+// sum of the WeightBytes of every layer that has weights (resident
+// pre-packed GEMM panels included; replicas share them, so they count once).
+func (n *Network) WeightBytes() int64 {
+	var total int64
+	for _, l := range n.Layers {
+		if wb, ok := l.(interface{ WeightBytes() int64 }); ok {
+			total += wb.WeightBytes()
+		}
+	}
+	return total
 }
 
 // NumParams returns the total learnable parameter count.

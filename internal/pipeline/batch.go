@@ -18,11 +18,10 @@ import (
 //
 // A BatchRunner is not safe for concurrent use: the packed input tensor and
 // the model's layer workspaces are per-instance state. Give each worker its
-// own BatchRunner over a CloneForInference replica.
-// Net is the precision-agnostic model interface: the same batcher drives a
-// float32 network.Network or an INT8 quant.QNet.
+// own BatchRunner over a CloneForInference replica. Net may be of either
+// precision (float32 layers.Conv2D or int8 quant.QConv convolutions).
 type BatchRunner struct {
-	Net network.Model
+	Net *network.Network
 	// Thresh and NMSThresh are the decode and suppression thresholds
 	// (defaults 0.5 / 0.45 when zero).
 	Thresh, NMSThresh float64

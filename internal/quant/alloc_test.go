@@ -74,8 +74,9 @@ func TestForwardZeroAlloc(t *testing.T) {
 }
 
 // TestForwardZeroAllocAfterBatchShrink guards the Reslice convergence story
-// end to end: warming at the maximum micro-batch and then serving a smaller
-// batch must not allocate either (buffers re-slice, never re-allocate).
+// end to end, fp32 and int8: warming at the maximum micro-batch and then
+// serving a smaller batch must not allocate either (arena carves and
+// activation buffers re-slice, never re-allocate).
 func TestForwardZeroAllocAfterBatchShrink(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops items at random; steady-state pooling is unobservable")
@@ -89,8 +90,17 @@ func TestForwardZeroAllocAfterBatchShrink(t *testing.T) {
 	small := tensor.New(2, 3, net.InputH, net.InputW)
 	copy(small.Data, big.Data[:small.Len()])
 
+	qnet, err := quant.Quantize(net, []*tensor.Tensor{big.Batch(0), big.Batch(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	net.ForwardBatch(big) // warm at max batch
+	qnet.ForwardBatch(big)
 	if allocs := testing.AllocsPerRun(10, func() { net.ForwardBatch(small) }); allocs > 0 {
 		t.Errorf("fp32 ForwardBatch at a shrunk batch allocates %.1f objects per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { qnet.ForwardBatch(small) }); allocs > 0 {
+		t.Errorf("int8 ForwardBatch at a shrunk batch allocates %.1f objects per call, want 0", allocs)
 	}
 }

@@ -4,24 +4,22 @@
 // post-training symmetric INT8 quantization with per-output-channel weight
 // scales and per-layer activation scales calibrated on sample images.
 //
-// The resulting QNet is a full serving-grade model, not just an accuracy
-// probe: it implements network.Model (batched ForwardBatch/DetectBatch over
-// the int8 kernels in internal/tensor, CloneForInference replicas with
-// Reslice-style workspace reuse), so the engine replica pool and the HTTP
-// micro-batcher drive it exactly like the float32 network — that is what
-// backs `dronet-serve -precision int8`.
+// Quantize returns an ordinary inference-only network.Network whose
+// convolutions are QConv layers (int8 kernels in internal/tensor) between
+// clones of the source network's pool and region layers. The engine replica
+// pool and the HTTP micro-batcher therefore drive it exactly like the
+// float32 network — that is what backs `dronet-serve -precision int8`.
 //
 // On the paper's platforms the benefit of INT8 is chiefly the 4× smaller
 // weight working set (cache residency in the roofline model) plus wider
 // integer SIMD; PredictFPS exposes the corresponding platform-model
-// estimate so the bit-width ablation of EXPERIMENTS.md can be regenerated.
+// estimate.
 package quant
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/detect"
 	"repro/internal/layers"
 	"repro/internal/network"
 	"repro/internal/platform"
@@ -88,19 +86,21 @@ func FoldBatchNorm(net *network.Network) (*network.Network, error) {
 
 // QConv is an INT8-quantized convolution: int8 weights with one scale per
 // output channel, int8 activations with a calibrated per-layer scale, and
-// int32 accumulation (tensor.GemmInt8). Bias addition and activation run in
-// float32, as do the values flowing between layers (the standard "fake-quant
-// inference" data path, which isolates the accuracy effect of the 8-bit
-// storage).
+// int32 accumulation (tensor.GemmInt8Prepacked). Bias addition and
+// activation run in float32, as do the values flowing between layers (the
+// standard "fake-quant inference" data path, which isolates the accuracy
+// effect of the 8-bit storage).
 //
-// Like the float layers, a QConv separates shared read-only parameters (W,
-// WScale, Bias, ActScale, requant) from its per-instance workspace (qx, col
-// and the output tensor), so cloneForInference replicas can run concurrently.
-// Forward is batched: it loops the batch dimension with per-image
-// quantize/im2col/GEMM, and because int32 accumulation is exact, an N-image
-// batch is byte-identical to N single-image calls.
+// QConv is an inference-only layers.Layer: Forward ignores train, Params is
+// nil and Backward panics. Like the float layers it separates shared
+// read-only parameters (W, WScale, Bias, ActScale, requant, the weight pack)
+// from its per-instance workspace (the arena binding and the output tensor),
+// so CloneForInference replicas can run concurrently. Forward loops the
+// batch dimension with per-image quantize/im2col/GEMM, and because int32
+// accumulation is exact, an N-image batch is byte-identical to N
+// single-image calls.
 type QConv struct {
-	in, out Shape
+	in, out layers.Shape
 	Filters int
 	Ksize   int
 	Stride  int
@@ -114,53 +114,25 @@ type QConv struct {
 	requant  []float32 // WScale[f]*ActScale, precomputed per output channel
 	// packed is W pre-packed as the int8 GEMM A operand, built eagerly at
 	// quantization time: quantized weights are immutable after Quantize, so
-	// the pack never invalidates and every replica shares it (struct copy in
-	// cloneForInference copies the pointer).
+	// the pack never invalidates and every replica shares it (the struct
+	// copy in CloneForInference copies the pointer).
 	packed *tensor.PackedAInt8
 
-	// Workspace (per replica): quantized input image, im2col scratch, and
-	// the batched output. qx and col are carved from the owning QNet's
-	// per-replica arena when one is bound (falling back to layer-owned
-	// Reslice buffers otherwise); out_ reuses backing storage
-	// Reslice-style. Either way, buffers converge to max-batch capacity
-	// with no realloc thrash — the same behavior as the fp32 layers.
+	// Workspace (per replica): the quantized input image and the int8
+	// im2col output are carved from the replica's scratch arena, which the
+	// owning network binds on Add and CloneForInference; out_ reuses its
+	// backing storage Reslice-style, converging to max-batch capacity.
 	arena *tensor.Arena
-	qx    []int8
-	col   []int8
 	out_  *tensor.Tensor
 }
 
-// Shape mirrors layers.Shape to keep the package's public surface small.
-type Shape = layers.Shape
-
-// QNet is a quantized inference network: quantized convolutions plus clones
-// of the original pooling and region layers. It implements network.Model, so
-// the engine replica pool and the serving micro-batcher can drive it exactly
-// like a float32 network.
-type QNet struct {
-	Name                   string
-	InputW, InputH, InputC int
-	Convs                  []*QConv       // in execution order, nil entries align with Others
-	Others                 []layers.Layer // pool/region layers
-	Order                  []bool         // true → next conv, false → next other
-	region                 *layers.Region
-	outShape               Shape
-
-	// arena is this replica's scratch arena (quantized activations, int8
-	// im2col output), reset at the start of every Forward; per is the
-	// reusable DetectBatch result holder. Same ownership rules as the fp32
-	// network.
-	arena *tensor.Arena
-	per   [][]detect.Detection
-}
-
-// QNet must satisfy the precision-agnostic serving contract.
-var _ network.Model = (*QNet)(nil)
-
 // Quantize converts a (BN-folded or BN-free) network to INT8 using the
 // calibration tensors to set activation scales (max-abs observed per conv
-// input). Networks with batch-normalized convolutions are folded first.
-func Quantize(net *network.Network, calibration []*tensor.Tensor) (*QNet, error) {
+// input). Networks with batch-normalized convolutions are folded first. The
+// result is an inference-only network of QConv layers plus clones of the
+// source network's pool and region layers, so it shares no workspace with
+// the source (which may keep running concurrently).
+func Quantize(net *network.Network, calibration []*tensor.Tensor) (*network.Network, error) {
 	if len(calibration) == 0 {
 		return nil, fmt.Errorf("quant: need at least one calibration image")
 	}
@@ -187,31 +159,22 @@ func Quantize(net *network.Network, calibration []*tensor.Tensor) (*QNet, error)
 			x = l.Forward(x, false)
 		}
 	}
-	q := &QNet{Name: net.Name + "-int8", InputW: net.InputW, InputH: net.InputH, InputC: net.InputC, arena: &tensor.Arena{}}
+	q := network.New(net.Name+"-int8", net.InputW, net.InputH, net.InputC)
 	for i, l := range net.Layers {
-		switch c := l.(type) {
-		case *layers.Conv2D:
+		if c, ok := l.(*layers.Conv2D); ok {
 			qc, err := quantizeConv(c, maxAbs[i])
 			if err != nil {
 				return nil, err
 			}
-			qc.arena = q.arena
-			q.Convs = append(q.Convs, qc)
-			q.Order = append(q.Order, true)
-		case *layers.Region:
-			// Clone so the QNet owns its workspace instead of aliasing the
-			// source network's (which may keep running concurrently).
-			r := c.CloneForInference().(*layers.Region)
-			q.Others = append(q.Others, r)
-			q.Order = append(q.Order, false)
-			q.region = r
-		default:
-			q.Others = append(q.Others, l.CloneForInference())
-			q.Order = append(q.Order, false)
+			l = qc
+		} else {
+			l = l.CloneForInference()
 		}
-		q.outShape = l.OutShape()
+		if err := q.Add(l); err != nil {
+			return nil, err
+		}
 	}
-	if q.region == nil {
+	if q.Region() == nil {
 		return nil, fmt.Errorf("quant: network has no region layer")
 	}
 	return q, nil
@@ -269,38 +232,74 @@ func roundf(v float32) float32 {
 	return float32(math.Ceil(float64(v) - 0.5))
 }
 
-// cloneForInference returns a replica QConv sharing the read-only quantized
-// parameters but owning a fresh workspace; the caller rebinds the replica's
+// Name implements layers.Layer.
+func (qc *QConv) Name() string {
+	return fmt.Sprintf("qconv %dx%d/%d %d %s", qc.Ksize, qc.Ksize, qc.Stride, qc.Filters, qc.Act)
+}
+
+// InShape implements layers.Layer.
+func (qc *QConv) InShape() layers.Shape { return qc.in }
+
+// OutShape implements layers.Layer.
+func (qc *QConv) OutShape() layers.Shape { return qc.out }
+
+// Params implements layers.Layer: a QConv has nothing to train.
+func (qc *QConv) Params() []*layers.Param { return nil }
+
+// Backward implements layers.Layer; a QConv is inference-only.
+func (qc *QConv) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	panic("quant: QConv.Backward: quantized convolutions are inference-only")
+}
+
+// FLOPs implements layers.Layer: 2 ops per multiply-accumulate, as for the
+// float convolution it replaces.
+func (qc *QConv) FLOPs() int64 {
+	return 2 * int64(qc.Filters) * int64(qc.in.C*qc.Ksize*qc.Ksize) * int64(qc.out.H*qc.out.W)
+}
+
+// IOBytes implements layers.Layer: float32 activations at the layer edges
+// plus the int8 weights and their float32 scales and biases.
+func (qc *QConv) IOBytes() int64 {
+	return 4*int64(qc.in.Size()+qc.out.Size()) + qc.storageBytes()
+}
+
+// WeightBytes reports everything resident for this layer's weights: the
+// INT8 parameter storage (scales and biases included) plus the pre-packed
+// GEMM panels (int16 k-pair layout, ~2× the raw int8 weights).
+func (qc *QConv) WeightBytes() int64 { return qc.storageBytes() + qc.packed.Bytes() }
+
+func (qc *QConv) storageBytes() int64 {
+	return int64(len(qc.W)) + 4*int64(len(qc.WScale)+len(qc.Bias))
+}
+
+// SetScratchArena implements layers.ScratchUser: the quantized input and the
+// int8 im2col output are carved from the replica's arena.
+func (qc *QConv) SetScratchArena(a *tensor.Arena) { qc.arena = a }
+
+// CloneForInference implements layers.Layer: the replica shares the
+// quantized weights, scales, biases and weight pack (all read-only after
+// Quantize) but owns a fresh workspace; the owning network rebinds its
 // arena.
-func (qc *QConv) cloneForInference() *QConv {
+func (qc *QConv) CloneForInference() layers.Layer {
 	cp := *qc
-	cp.arena, cp.qx, cp.col, cp.out_ = nil, nil, nil, nil
+	cp.arena, cp.out_ = nil, nil
 	return &cp
 }
 
-// Forward runs batched INT8 inference: per image, the input activations are
-// quantized with the calibrated scale, lowered with the int8 im2col, and
-// pushed through one int8 GEMM whose int32 accumulator is requantized back
-// to float32 at the layer edge.
-func (qc *QConv) Forward(x *tensor.Tensor) *tensor.Tensor {
+// Forward implements layers.Layer (train is ignored): per image, the input
+// activations are quantized with the calibrated scale, lowered with the int8
+// im2col, and pushed through one int8 GEMM whose int32 accumulator is
+// requantized back to float32 at the layer edge.
+func (qc *QConv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	qc.out_ = tensor.Reslice(qc.out_, x.N, qc.out.C, qc.out.H, qc.out.W)
 	out := qc.out_
 	fanIn := qc.in.C * qc.Ksize * qc.Ksize
 	spatial := qc.out.H * qc.out.W
 	pointwise := qc.Ksize == 1 && qc.Stride == 1 && qc.Pad == 0
-	var qx, qcol []int8
-	if qc.arena != nil {
-		qx = qc.arena.I8(qc.in.Size())
-		if !pointwise {
-			qcol = qc.arena.I8(fanIn * spatial)
-		}
-	} else {
-		qc.qx = tensor.ResliceI8(qc.qx, qc.in.Size())
-		qx = qc.qx
-		if !pointwise {
-			qc.col = tensor.ResliceI8(qc.col, fanIn*spatial)
-			qcol = qc.col
-		}
+	qx := qc.arena.I8(qc.in.Size())
+	var qcol []int8
+	if !pointwise {
+		qcol = qc.arena.I8(fanIn * spatial)
 	}
 	for b := 0; b < x.N; b++ {
 		QuantizeSymmetric(x.Batch(b).Data, qc.ActScale, qx)
@@ -309,144 +308,12 @@ func (qc *QConv) Forward(x *tensor.Tensor) *tensor.Tensor {
 			tensor.Im2colInt8(qx, qc.in.C, qc.in.H, qc.in.W, qc.Ksize, qc.Stride, qc.Pad, qcol)
 			col = qcol
 		}
-		if qc.packed != nil {
-			tensor.GemmInt8Prepacked(qc.packed, spatial, col, spatial, qc.requant, qc.Bias, out.Batch(b).Data, spatial)
-		} else {
-			tensor.GemmInt8(qc.Filters, spatial, fanIn, qc.W, fanIn, col, spatial, qc.requant, qc.Bias, out.Batch(b).Data, spatial)
-		}
+		tensor.GemmInt8Prepacked(qc.packed, spatial, col, spatial, qc.requant, qc.Bias, out.Batch(b).Data, spatial)
 	}
 	if qc.Act == layers.ActLeaky {
 		tensor.Leaky(out.Data)
 	}
 	return out
-}
-
-// Forward runs the whole quantized network on a batch tensor and returns
-// the region layer's activated output.
-func (q *QNet) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if q.arena != nil {
-		q.arena.Reset()
-	}
-	ci, oi := 0, 0
-	cur := x
-	for _, isConv := range q.Order {
-		if isConv {
-			cur = q.Convs[ci].Forward(cur)
-			ci++
-		} else {
-			cur = q.Others[oi].Forward(cur, false)
-			oi++
-		}
-	}
-	return cur
-}
-
-// InShape implements network.Model.
-func (q *QNet) InShape() Shape { return Shape{C: q.InputC, H: q.InputH, W: q.InputW} }
-
-// OutShape implements network.Model.
-func (q *QNet) OutShape() Shape { return q.outShape }
-
-// ForwardBatch implements network.Model.
-func (q *QNet) ForwardBatch(x *tensor.Tensor) *tensor.Tensor { return q.Forward(x) }
-
-// Region returns the terminal region layer (the engine checks it exists).
-func (q *QNet) Region() *layers.Region { return q.region }
-
-// CloneForInference implements network.Model: the replica shares the
-// quantized weights, scales and biases (all read-only after Quantize) and
-// the pool/region layers' learnable state, but owns fresh workspaces, so it
-// may run concurrently with the receiver.
-func (q *QNet) CloneForInference() network.Model {
-	c := &QNet{Name: q.Name, InputW: q.InputW, InputH: q.InputH, InputC: q.InputC,
-		Order: q.Order, outShape: q.outShape, arena: &tensor.Arena{}}
-	c.Convs = make([]*QConv, len(q.Convs))
-	for i, qc := range q.Convs {
-		c.Convs[i] = qc.cloneForInference()
-		c.Convs[i].arena = c.arena
-	}
-	c.Others = make([]layers.Layer, len(q.Others))
-	for i, l := range q.Others {
-		c.Others[i] = l.CloneForInference()
-		if r, ok := c.Others[i].(*layers.Region); ok {
-			c.region = r
-		}
-	}
-	return c
-}
-
-// Detect runs quantized inference plus decode and NMS, concatenated over the
-// batch (suppression is per image; for per-image results use DetectBatch).
-func (q *QNet) Detect(x *tensor.Tensor, thresh, nms float64) ([]detect.Detection, error) {
-	per, err := q.DetectBatch(x, thresh, nms)
-	if err != nil {
-		return nil, err
-	}
-	if len(per) == 1 {
-		return per[0], nil
-	}
-	var all []detect.Detection
-	for _, dets := range per {
-		all = append(all, dets...)
-	}
-	return all, nil
-}
-
-// DetectBatch implements network.Model: one batched INT8 forward with
-// per-image decode and NMS. Because every stage loops the batch dimension
-// with exact int32 accumulation, an N-image batch returns byte-identical
-// per-image detections to N serial single-image calls — the invariant the
-// serving micro-batcher requires of every Model.
-//
-// Ownership matches network.Network.DetectBatch: the outer slice is model
-// workspace valid until the next call; the inner slices may be retained.
-func (q *QNet) DetectBatch(x *tensor.Tensor, thresh, nms float64) ([][]detect.Detection, error) {
-	if q.region == nil {
-		return nil, fmt.Errorf("quant: QNet has no region layer")
-	}
-	out := q.Forward(x)
-	if cap(q.per) < x.N {
-		q.per = make([][]detect.Detection, x.N)
-	}
-	per := q.per[:x.N]
-	for b := 0; b < x.N; b++ {
-		per[b] = detect.NMS(q.region.Decode(out, b, thresh), nms)
-	}
-	return per, nil
-}
-
-// ScratchBytes reports the footprint of this replica's scratch arena,
-// mirroring network.Network.ScratchBytes for the engine's workspace
-// accounting.
-func (q *QNet) ScratchBytes() int64 {
-	if q.arena == nil {
-		return 0
-	}
-	return q.arena.Bytes()
-}
-
-// WeightBytes implements network.Model: everything resident per model for
-// weights — the INT8 parameter storage (scales and biases included) plus the
-// pre-packed GEMM operands, so /healthz does not under-report model memory.
-// Still well under half the float32 network's parameter bytes.
-func (q *QNet) WeightBytes() int64 {
-	var total int64
-	for _, c := range q.Convs {
-		total += int64(len(c.W)) + 4*int64(len(c.WScale)+len(c.Bias))
-	}
-	return total + q.PrepackedBytes()
-}
-
-// PrepackedBytes reports just the pre-packed weight-panel slabs (int16
-// k-pair layout, ~2× the raw int8 weights), shared across all replicas.
-func (q *QNet) PrepackedBytes() int64 {
-	var total int64
-	for _, c := range q.Convs {
-		if c.packed != nil {
-			total += c.packed.Bytes()
-		}
-	}
-	return total
 }
 
 // QuantizeSymmetric quantizes src into dst (which must be at least as long)

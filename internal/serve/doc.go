@@ -7,11 +7,12 @@
 // # Model registry and routing
 //
 // A Server hosts N ModelEntry values — any mix of float32 and INT8 models
-// at any input sizes (the engine operates on the precision-agnostic
-// network.Model interface). Every entry runs a complete private pipeline:
-// its own bounded admission queue, its own batcher goroutine, and one
-// batch worker per engine pool worker, so a slow large-input model
-// saturates (and sheds load) without stalling its faster neighbours.
+// at any input sizes (one network.Network type serves both: its
+// convolutions are float32 layers.Conv2D or int8 quant.QConv). Every entry
+// runs a complete private pipeline: its own bounded admission queue, its
+// own batcher goroutine, and one batch worker per engine pool worker, so a
+// slow large-input model saturates (and sheds load) without stalling its
+// faster neighbours.
 //
 // The registry is MUTABLE UNDER TRAFFIC. AddModel registers a new entry,
 // SwapModel atomically replaces a hosted model's weights (a fresh engine

@@ -27,9 +27,9 @@ const swapHammerCycles = 100
 // buildNets constructs n distinct-weight DroNet instances at the given
 // input size — the "weight versions" the swap hammer rotates through —
 // along with each one's serial single-image oracle on the shared frames.
-func buildNets(t *testing.T, n, size int, frames []*imgproc.Image) ([]network.Model, [][][]serve.DetectionJSON) {
+func buildNets(t *testing.T, n, size int, frames []*imgproc.Image) ([]*network.Network, [][][]serve.DetectionJSON) {
 	t.Helper()
-	nets := make([]network.Model, n)
+	nets := make([]*network.Network, n)
 	oracles := make([][][]serve.DetectionJSON, n)
 	for i := range nets {
 		net, _, err := models.Build(models.DroNet, size, tensor.NewRNG(uint64(11+i)))

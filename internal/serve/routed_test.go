@@ -39,7 +39,7 @@ func framesAt(size, k int, seed uint64) []*imgproc.Image {
 
 // newEngine wraps a model in a single-worker engine with the test
 // thresholds.
-func newEngine(t *testing.T, mdl network.Model, workers int) *engine.Engine {
+func newEngine(t *testing.T, mdl *network.Network, workers int) *engine.Engine {
 	t.Helper()
 	eng, err := engine.New(mdl, engine.Config{Workers: workers, Thresh: testThresh, NMSThresh: testNMS})
 	if err != nil {
@@ -93,7 +93,7 @@ func twoModelServer(t *testing.T, cfg serve.Config) (srv *serve.Server, lowFrame
 	return srv, lowFrames, highFrames, lowWant, highWant
 }
 
-func singleImageWant(t *testing.T, mdl network.Model, frames []*imgproc.Image) [][]serve.DetectionJSON {
+func singleImageWant(t *testing.T, mdl *network.Network, frames []*imgproc.Image) [][]serve.DetectionJSON {
 	t.Helper()
 	replica := mdl.CloneForInference()
 	want := make([][]serve.DetectionJSON, len(frames))

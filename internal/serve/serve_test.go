@@ -75,7 +75,7 @@ func newServer(t *testing.T, net *network.Network, workers int, cfg serve.Config
 // private replica — the ground truth the micro-batched server must match.
 func expectedDetections(t *testing.T, net *network.Network, frames []*imgproc.Image) [][]serve.DetectionJSON {
 	t.Helper()
-	replica := net.CloneForInference().(*network.Network)
+	replica := net.CloneForInference()
 	out := make([][]serve.DetectionJSON, len(frames))
 	for i, img := range frames {
 		dets, err := replica.Detect(img.ToTensor(), testThresh, testNMS)

@@ -96,7 +96,7 @@ func waitSessions(t *testing.T, srv *serve.Server, want int) {
 // match the wire round-trip (omitempty).
 func streamOracle(t *testing.T, net *network.Network, frames []*imgproc.Image) ([][]serve.DetectionJSON, [][]serve.TrackJSON) {
 	t.Helper()
-	replica := net.CloneForInference().(*network.Network)
+	replica := net.CloneForInference()
 	trk := tracking.New(tracking.Config{})
 	dets := make([][]serve.DetectionJSON, len(frames))
 	tracks := make([][]serve.TrackJSON, len(frames))
