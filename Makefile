@@ -186,7 +186,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzArm -fuzztime $(FUZZTIME) ./internal/faults
 
 ## profile: CPU + heap pprof capture of the in-process serving path
-## (BenchmarkServeThroughput: concurrent clients through the micro-batcher);
+## (BenchmarkServeThroughput: concurrent clients through the micro-batcher;
+## json64 = 64² JSON frames, raw256 = DroNet 256² over JPEG /detect/raw with
+## two workers, the detect-compute shape where conv tasks dominate);
 ## inspect with `go tool pprof bin/pprof/cpu.pprof` (see README "Profiling").
 ## To attribute end-to-end time to layers rather than functions, reach for
 ## `bash bench/run.sh --workload <w> --trace 1` instead.

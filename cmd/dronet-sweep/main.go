@@ -3,9 +3,10 @@
 // across input sizes) and Fig. 4 (the weighted composite Score of eq. 3).
 //
 // The FPS arm always uses the full-size networks on the platform model. The
-// accuracy arm trains each model's proportionally scaled variant once at
-// scaled size 128 (DESIGN.md §6) and evaluates the same weights across the
-// scaled sizes {96..160} that map to the paper's {352..608}, so the whole
+// accuracy arm trains each model's proportionally scaled variant
+// (models.ScaleWithFloor at studyScale's factor and floor) once at scaled
+// size 128 and evaluates the same weights across the scaled sizes
+// {96..160} that map to the paper's {352..608}, so the whole
 // sweep runs on a laptop-class CPU. Pass -train to run the accuracy arm;
 // without it the harness prints the FPS-only table.
 //

@@ -30,10 +30,11 @@ func (a Activation) String() string {
 // Conv2D is a 2-D convolution with square kernels, optional batch
 // normalization, and an optional activation — the workhorse layer of every
 // model in the paper. Inference runs each image as one implicit-GEMM pass
-// (tensor.ConvPrepacked: B panels packed straight from the input, batch norm
-// + bias + activation applied to each output tile); training lowers to
-// im2col + GEMM per image, exactly like Darknet, and keeps the intermediates
-// Backward needs.
+// (tensor.ConvPrepacked: B panels read in place or packed straight from the
+// input, batch norm + bias + activation applied to each output tile), a
+// padded stride-1 layer on a zero-bordered copy of the image; training
+// lowers to im2col + GEMM per image, exactly like Darknet, and keeps the
+// intermediates Backward needs.
 type Conv2D struct {
 	in, out   Shape
 	Filters   int
@@ -82,6 +83,7 @@ type convState struct {
 	batchVar []float32
 	col      []float32     // training im2col scratch (owned fallback when no arena)
 	invStd   []float32     // inference 1/√(σ²+ε) scratch (owned fallback when no arena)
+	padded   []float32     // inference zero-bordered input plane (owned fallback when no arena)
 	arena    *tensor.Arena // per-replica scratch arena, when bound
 	dx       *tensor.Tensor
 }
@@ -182,24 +184,29 @@ func (c *Conv2D) WeightBytes() int64 {
 }
 
 // SetScratchArena implements ScratchUser: per-forward scratch (the training
-// path's im2col output, inference's per-filter 1/σ vector) is carved from the
-// replica's arena instead of layer-owned buffers. The network rebinds the
-// arena on Add and CloneForInference, so every replica owns exactly one.
+// path's im2col output, inference's per-filter 1/σ vector and padded input
+// plane) is carved from the replica's arena instead of layer-owned buffers.
+// The network rebinds the arena on Add and CloneForInference, so every
+// replica owns exactly one.
 func (c *Conv2D) SetScratchArena(a *tensor.Arena) { c.st.arena = a }
 
-// ensureCol returns the training path's im2col scratch buffer for one image:
-// an arena carve when a per-replica arena is bound (one carve per
-// Forward/Backward phase, pure pointer bump at steady state), otherwise a
-// layer-owned buffer allocated on first use. Inference never calls it.
-func (c *Conv2D) ensureCol() []float32 {
-	need := c.in.C * c.Ksize * c.Ksize * c.out.H * c.out.W
+// scratch returns n floats of per-forward scratch: an arena carve when a
+// per-replica arena is bound (pure pointer bump at steady state), otherwise
+// the layer-owned *own, allocated on first use.
+func (c *Conv2D) scratch(own *[]float32, n int) []float32 {
 	if c.st.arena != nil {
-		return c.st.arena.F32(need)
+		return c.st.arena.F32(n)
 	}
-	if len(c.st.col) != need {
-		c.st.col = make([]float32, need)
+	if len(*own) != n {
+		*own = make([]float32, n)
 	}
-	return c.st.col
+	return *own
+}
+
+// ensureCol returns the training path's im2col scratch buffer for one image,
+// one carve per Forward/Backward phase. Inference never calls it.
+func (c *Conv2D) ensureCol() []float32 {
+	return c.scratch(&c.st.col, c.in.C*c.Ksize*c.Ksize*c.out.H*c.out.W)
 }
 
 // Name implements Layer.
@@ -254,33 +261,41 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // forwardInfer runs tensor.ConvPrepacked per image against the shared
 // pre-packed filters: implicit im2col, GEMM, and batch norm + bias +
 // activation on each output tile, with no column matrix and no further pass
-// over out.
+// over out. A padded stride-1 layer first copies each image into a
+// zero-bordered plane (tensor.PadCHW) and runs the Pad 0 geometry on it, so
+// that every full panel inside an output row is read in place. The plane and
+// the 1/σ vector go back to the arena on return, so the next layer reuses
+// the space and the arena holds only the largest plane.
 func (c *Conv2D) forwardInfer(x, out *tensor.Tensor) {
+	if a := c.st.arena; a != nil {
+		defer a.F32Release(a.F32Mark())
+	}
 	geom := tensor.ConvGeom{C: c.in.C, H: c.in.H, W: c.in.W, Ksize: c.Ksize, Stride: c.Stride, Pad: c.Pad}
 	ep := tensor.Epilogue{Bias: c.Biases.W.Data, Leaky: c.Act == ActLeaky}
 	if c.BatchNorm {
 		ep.Mean, ep.Scale, ep.InvStd = c.RollingMean.Data, c.Scales.W.Data, c.inferInvStd()
 	}
 	pre := c.inferencePack()
+	var plane []float32
+	if c.Stride == 1 && c.Pad > 0 {
+		geom.H, geom.W, geom.Pad = c.in.H+2*c.Pad, c.in.W+2*c.Pad, 0
+		plane = c.scratch(&c.st.padded, geom.C*geom.H*geom.W)
+	}
 	for b := 0; b < x.N; b++ {
-		tensor.ConvPrepacked(pre, geom, x.Batch(b).Data, ep, out.Batch(b).Data)
+		in := x.Batch(b).Data
+		if plane != nil {
+			tensor.PadCHW(in, c.in.C, c.in.H, c.in.W, c.Pad, plane)
+			in = plane
+		}
+		tensor.ConvPrepacked(pre, geom, in, ep, out.Batch(b).Data)
 	}
 }
 
 // inferInvStd computes 1/√(σ²+ε) per filter from the rolling variance into
-// per-forward scratch (arena carve when bound, layer-owned otherwise). It is
-// recomputed every pass rather than cached, so updates to the rolling
-// statistics need no invalidation hook.
+// per-forward scratch. It is recomputed every pass rather than cached, so
+// updates to the rolling statistics need no invalidation hook.
 func (c *Conv2D) inferInvStd() []float32 {
-	var inv []float32
-	if c.st.arena != nil {
-		inv = c.st.arena.F32(c.Filters)
-	} else {
-		if len(c.st.invStd) != c.Filters {
-			c.st.invStd = make([]float32, c.Filters)
-		}
-		inv = c.st.invStd
-	}
+	inv := c.scratch(&c.st.invStd, c.Filters)
 	for f := range inv {
 		inv[f] = 1 / sqrt32(c.RollingVar.Data[f]+bnEps)
 	}

@@ -128,6 +128,17 @@ func TestConvInferMatchesIm2colReference(t *testing.T) {
 		{"1x1 12→8 32², direct pointwise beside a short edge strip", 12, 32, 32, 8, 1, 1, 0, true, ActLinear, 2},
 		{"below the packing threshold", 3, 6, 6, 4, 3, 1, 1, true, ActLeaky, 3},
 		{"below the threshold, strided no bn", 2, 9, 7, 3, 3, 2, 1, false, ActLinear, 1},
+		{"3x3 24→64 16², every panel touches the padding", 24, 16, 16, 64, 3, 1, 1, true, ActLeaky, 2},
+		{"3x3 12→48 32², every panel touches the padding", 12, 32, 32, 48, 3, 1, 1, true, ActLeaky, 1},
+		{"3x3 24², row-crossing panels on the padded plane", 5, 24, 24, 10, 3, 1, 1, true, ActLeaky, 2},
+		{"3x3 12x20, row-crossing panels", 6, 12, 20, 9, 3, 1, 1, false, ActLeaky, 1},
+		{"3x3 6², every panel crosses rows", 16, 6, 6, 11, 3, 1, 1, true, ActLinear, 1},
+		{"5x5 pad2 16x32", 4, 16, 32, 8, 5, 1, 2, true, ActLeaky, 1},
+		{"3x3 one input row", 8, 1, 100, 10, 3, 1, 1, true, ActLeaky, 2},
+	}
+	for m := 7; m <= 11; m++ {
+		cases = append(cases, convCase{fmt.Sprintf("3x3 3→%d 16x32, finished edge strip of %d", m, m-6),
+			3, 16, 32, m, 3, 1, 1, m%2 == 0, Activation(m % 2), 1})
 	}
 	forEachKernel(t, func(t *testing.T) {
 		for _, tc := range cases {

@@ -2,7 +2,9 @@
 // — TinyYoloVoc, TinyYoloNet, SmallYoloV3 and DroNet — as Darknet-style cfg
 // documents, plus helpers to build them at any input size and to derive the
 // proportionally scaled variants used for the reduced-resolution training
-// study (DESIGN.md §6).
+// study: Scale multiplies every convolution's filter count except the final
+// predictor's, and core.NewScaledDetector builds such a variant at a given
+// input size.
 //
 // Fig. 1/2 of the paper are images, so the exact stacks are reconstructed
 // from the paper's stated constraints: nine convolutional layers per model,

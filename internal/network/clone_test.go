@@ -115,18 +115,20 @@ func TestCloneConcurrentDetectIdentical(t *testing.T) {
 
 // TestScratchBytesInferenceHoldsNoColumnMatrix pins the workspace accounting
 // of the implicit-GEMM inference path: after warming, a replica's arena holds
-// the per-filter batch-norm vectors and nothing the size of an im2col matrix
-// (the first layer's alone would be 27·64·64 floats), while a training pass
-// on the same network still carves its column buffers from the arena.
+// the largest padded input plane (the first layer's 3×66×66 floats; each
+// layer hands its plane back, so there is one at a time) and the per-filter
+// batch-norm vectors, and nothing the size of an im2col matrix (the first
+// layer's alone would be 27·64·64 floats), while a training pass on the same
+// network still carves its column buffers from the arena.
 func TestScratchBytesInferenceHoldsNoColumnMatrix(t *testing.T) {
 	net := buildSmallDroNet(t)
 	x := tensor.New(2, 3, net.InputH, net.InputW)
 	tensor.NewRNG(4).FillUniform(x.Data, 0, 1)
 	replica := net.CloneForInference()
 	replica.ForwardBatch(x)
-	got := replica.ScratchBytes()
-	if got <= 0 || got >= 4*64*64 {
-		t.Fatalf("warmed inference replica reports %d scratch bytes, want a few hundred floats", got)
+	plane := int64(4 * 3 * 66 * 66)
+	if got := replica.ScratchBytes(); got < plane || got >= 2*plane {
+		t.Fatalf("warmed inference replica reports %d scratch bytes, want the %d-byte padded plane and a few hundred floats", got, plane)
 	}
 	net.Forward(x, true)
 	if trained := net.ScratchBytes(); trained < 4*27*64*64 {

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"image/jpeg"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,11 +18,36 @@ import (
 // BenchmarkServeThroughput measures end-to-end serving throughput (HTTP
 // parse + queue + micro-batched inference) with parallel clients, all in
 // one process — the profiling target behind `make profile`; the end-to-end
-// numbers come from bench/run.sh against the real binary. Mean micro-batch
-// size is reported alongside images/sec: it grows with parallelism, since
-// a batch grows only while every worker is busy.
+// numbers come from bench/run.sh against the real binary. json64 posts a
+// 64² JSON frame to a 64² DroNet from eight clients per CPU; raw256 posts a
+// 256² JPEG to /detect/raw on the paper-size 256² DroNet from two clients
+// per CPU — detect-compute's shape, where the forward pass, convolution
+// above all, outweighs the request path. Both run two workers. Mean
+// micro-batch size is reported alongside images/sec: it grows with
+// parallelism, since a batch grows only while every worker is busy.
 func BenchmarkServeThroughput(b *testing.B) {
-	net, _, err := models.Build(models.DroNet, 64, tensor.NewRNG(1))
+	b.Run("json64", func(b *testing.B) {
+		f := testFrames(1)[0]
+		body, err := json.Marshal(serve.DetectRequest{Width: f.W, Height: f.H, Pixels: f.Pix})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchServe(b, testSize, "/detect", "application/json", body, 8)
+	})
+	b.Run("raw256", func(b *testing.B) {
+		var body bytes.Buffer
+		if err := jpeg.Encode(&body, framesAt(256, 1, 77)[0].ToNRGBA(), nil); err != nil {
+			b.Fatal(err)
+		}
+		benchServe(b, 256, "/detect/raw", "image/jpeg", body.Bytes(), 2)
+	})
+}
+
+// benchServe drives a two-worker server over a size² DroNet with
+// parallelism client goroutines per GOMAXPROCS, each posting body to path
+// in a loop; a 429 is retried, since shedding load is part of the design.
+func benchServe(b *testing.B, size int, path, contentType string, body []byte, parallelism int) {
+	net, _, err := models.Build(models.DroNet, size, tensor.NewRNG(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,19 +63,13 @@ func BenchmarkServeThroughput(b *testing.B) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	frames := testFrames(1)
-	body, err := json.Marshal(serve.DetectRequest{Width: frames[0].W, Height: frames[0].H, Pixels: frames[0].Pix})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.SetParallelism(8) // 8 client goroutines per GOMAXPROCS
+	b.SetParallelism(parallelism)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			for {
-				resp, err := http.Post(ts.URL+"/detect", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+path, contentType, bytes.NewReader(body))
 				if err != nil {
 					b.Error(err)
 					return
@@ -57,7 +77,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode == http.StatusTooManyRequests {
-					continue // shed load is part of the design; retry
+					continue
 				}
 				if resp.StatusCode != http.StatusOK {
 					b.Errorf("status %d", resp.StatusCode)

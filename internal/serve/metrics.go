@@ -262,10 +262,22 @@ type metrics struct {
 	latCount int
 	latSum   float64 // all-time, for the mean
 	latMax   float64
+
+	// now is the metrics' clock; nil means time.Now. Tests step it to lay
+	// out batch spans without sleeping.
+	now func() time.Time
 }
 
 func newMetrics() *metrics {
 	return &metrics{start: time.Now(), batchHist: make(map[int]int)}
+}
+
+// clock reads the metrics' clock. Callers hold m.mu.
+func (m *metrics) clock() time.Time {
+	if m.now == nil {
+		return time.Now()
+	}
+	return m.now()
 }
 
 func (m *metrics) admit() {
@@ -316,10 +328,10 @@ func (m *metrics) degrade() {
 func (m *metrics) p99Quick() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.p99At.IsZero() && time.Since(m.p99At) < 100*time.Millisecond {
+	if !m.p99At.IsZero() && m.clock().Sub(m.p99At) < 100*time.Millisecond {
 		return m.p99Cache
 	}
-	m.p99At = time.Now()
+	m.p99At = m.clock()
 	m.p99Cache = 0
 	if m.latCount > 0 {
 		window := make([]float64, m.latCount)
@@ -383,7 +395,7 @@ func (m *metrics) done(lat time.Duration, ok bool) {
 func (m *metrics) batchStart() {
 	m.mu.Lock()
 	if m.active == 0 {
-		m.activeSince = time.Now()
+		m.activeSince = m.clock()
 	}
 	m.active++
 	m.mu.Unlock()
@@ -397,7 +409,7 @@ func (m *metrics) batch(size int) {
 	m.batchHist[size]++
 	m.active--
 	if m.active == 0 {
-		m.busySeconds += time.Since(m.activeSince).Seconds()
+		m.busySeconds += m.clock().Sub(m.activeSince).Seconds()
 	}
 	m.mu.Unlock()
 }
@@ -408,7 +420,7 @@ func (m *metrics) snapshot(queueDepth, queueCap, workers, maxBatch int) Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := Stats{
-		UptimeSeconds:         time.Since(m.start).Seconds(),
+		UptimeSeconds:         m.clock().Sub(m.start).Seconds(),
 		Received:              m.received,
 		Rejected:              m.rejected,
 		Completed:             m.completed,
@@ -452,7 +464,7 @@ func (m *metrics) snapshot(queueDepth, queueCap, workers, maxBatch int) Stats {
 	}
 	s.BusySeconds = m.busySeconds
 	if m.active > 0 {
-		s.BusySeconds += time.Since(m.activeSince).Seconds() // open span
+		s.BusySeconds += m.clock().Sub(m.activeSince).Seconds() // open span
 	}
 	if s.BusySeconds > 0 {
 		s.AggregateFPS = float64(m.batchImages) / s.BusySeconds

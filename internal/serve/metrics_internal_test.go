@@ -8,37 +8,44 @@ import (
 
 // TestBusyUnionOverlappingSpans: overlapping batch executions reported out
 // of order must contribute their wall-clock union to busySeconds, not the
-// clamped or double-counted sum — the denominator of aggregate FPS.
+// clamped or double-counted sum — the denominator of aggregate FPS. The
+// metrics clock is stepped by hand, so every span is exact.
 func TestBusyUnionOverlappingSpans(t *testing.T) {
 	m := newMetrics()
+	now := time.Unix(1_000_000, 0)
+	m.now = func() time.Time { return now }
+	ms := func(n int) float64 { return (time.Duration(n) * time.Millisecond).Seconds() }
+
 	// Long span A starts, short span B starts and ends inside it, then A
-	// ends: the union is A's full duration.
+	// ends: the union is A's full 30 ms.
 	m.batchStart() // A
-	time.Sleep(10 * time.Millisecond)
+	now = now.Add(10 * time.Millisecond)
 	m.batchStart() // B
-	time.Sleep(10 * time.Millisecond)
+	now = now.Add(10 * time.Millisecond)
 	m.batch(1) // B ends first
-	time.Sleep(10 * time.Millisecond)
+	now = now.Add(10 * time.Millisecond)
 	m.batch(4) // A ends
 
 	s := m.snapshot(0, 1, 1, 4)
-	if s.BusySeconds < 0.025 {
-		t.Errorf("busy %.4fs, want the ~30ms union of the overlapping spans", s.BusySeconds)
+	if s.BusySeconds != ms(30) {
+		t.Errorf("busy %vs, want the %vs union of the overlapping spans", s.BusySeconds, ms(30))
 	}
-	if s.BusySeconds > 0.2 {
-		t.Errorf("busy %.4fs, want ~30ms — spans double-counted?", s.BusySeconds)
-	}
-	if s.AggregateFPS <= 0 {
-		t.Error("aggregate FPS not derived from busy time")
+	if want := 5 / ms(30); s.AggregateFPS != want {
+		t.Errorf("aggregate FPS %v, want 5 images over the busy time = %v", s.AggregateFPS, want)
 	}
 	if s.MeanBatchSize != 2.5 {
 		t.Errorf("mean batch %.2f, want 2.5", s.MeanBatchSize)
 	}
 
-	// An idle gap must not count: sleep with no active batch, then snapshot.
-	time.Sleep(20 * time.Millisecond)
-	if s2 := m.snapshot(0, 1, 1, 4); s2.BusySeconds > s.BusySeconds+0.001 {
-		t.Errorf("idle time leaked into busySeconds: %.4fs -> %.4fs", s.BusySeconds, s2.BusySeconds)
+	// An idle gap must not count; a span still open counts up to now.
+	now = now.Add(20 * time.Millisecond)
+	if s2 := m.snapshot(0, 1, 1, 4); s2.BusySeconds != s.BusySeconds {
+		t.Errorf("idle time leaked into busySeconds: %vs -> %vs", s.BusySeconds, s2.BusySeconds)
+	}
+	m.batchStart()
+	now = now.Add(5 * time.Millisecond)
+	if s3, want := m.snapshot(0, 1, 1, 4), ms(30)+ms(5); s3.BusySeconds != want {
+		t.Errorf("busy with a span open %vs, want %vs", s3.BusySeconds, want)
 	}
 }
 

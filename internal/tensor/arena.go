@@ -53,6 +53,14 @@ func (a *Arena) F32(n int) []float32 {
 	return s
 }
 
+// F32Mark returns the float32 carve position, for F32Release.
+func (a *Arena) F32Mark() int { return a.f32Off }
+
+// F32Release hands back every float32 carved since F32Mark returned mark:
+// scratch that dies inside one layer (a padded input plane) then costs the
+// slab its own size once, not once per layer.
+func (a *Arena) F32Release(mark int) { a.f32Off = mark }
+
 // I8 carves n int8s.
 func (a *Arena) I8(n int) []int8 {
 	if a.i8Off+n > len(a.i8) {

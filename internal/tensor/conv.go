@@ -14,22 +14,38 @@ import "math"
 // k-block's kernel call), so one pass over the output replaces what used to
 // be im2col + B-pack + zeroing + three element-wise passes.
 //
-// Two stages have vector forms hung off the kernel family (kernel.go), and
-// like the tile kernels they follow the selected family — portable has
-// neither, so it runs the Go code below:
+// The padded-plane rule: a panel is read in place, unpacked, only when it
+// is stride 1, full, inside one output row, and none of its windows reaches
+// into the padding. A caller that runs a padded stride-1 convolution
+// therefore copies its input once into zero-bordered planes (PadCHW) and
+// passes the Pad 0 geometry, as layers.Conv2D does per image. Every full
+// panel inside an output row is then read in place; only the panels that
+// cross an output row or end the map are packed.
 //
-//   - f32Direct: a stride-1 panel inside one output row whose windows clear
-//     the padding (the bulk of every 3×3 layer, and every full pointwise
-//     panel) is not packed at all; the kernel reads each tap's nr floats
-//     from the input where they lie, at the K block's tap offsets (offs).
-//   - epilogue: the per-channel BN/bias/leaky row, applied once per run of
-//     panels of at least epilogueRun columns rather than per panel.
+// Three stages have vector forms hung off the kernel family (kernel.go), and
+// like the tile kernels they follow the selected family — portable has
+// none, so it runs the Go code below:
+//
+//   - f32Direct: a panel the padded-plane rule admits (and every full
+//     pointwise panel) is not packed at all; the kernel reads each tap's nr
+//     floats from the input where they lie, at the K block's tap offsets
+//     (offs).
+//   - f32DirectFinish: when the whole fan-in fits one K block, such a panel
+//     leaves the kernel finished. Each strip stores the epilogue of acc+0
+//     straight into C, so the panel needs no clear, no load of C, no
+//     epilogue pass and, for an edge strip of fewer than MR filters, no
+//     scratch tile.
+//   - epilogue: the per-channel BN/bias/leaky row for every other panel,
+//     applied once per run of at least epilogueRun columns rather than per
+//     panel.
 //
 // The result is bit-identical to Im2col → GemmPrepacked → BN → bias → Leaky:
 // the packed panels (or the in-place rows) hold exactly the values packBF32
-// would read from the column matrix, the kernels and the k-block order are
-// the same, and the epilogue performs the same float32 operations in the
-// same order.
+// would read from the column matrix — a padded plane's border holds the
+// zeros fillRow writes — the kernels and the k-block order are the same,
+// and the epilogue performs the same float32 operations in the same order.
+// The finishing store's acc+0 equals a cleared C's 0+acc for every value,
+// −0 and NaN included, because IEEE addition is commutative.
 
 // ConvGeom is the geometry of a square-kernel convolution over one CHW
 // image: the view through which the driver reads im2col rows in place.
@@ -43,6 +59,31 @@ func (g ConvGeom) OutH() int { return ConvOutSize(g.H, g.Ksize, g.Stride, g.Pad)
 
 // OutW returns the output width.
 func (g ConvGeom) OutW() int { return ConvOutSize(g.W, g.Ksize, g.Stride, g.Pad) }
+
+// PadCHW copies the c×h×w image x into dst as c planes of
+// (h+2·pad)×(w+2·pad) floats with a zero border pad wide. A stride-1
+// convolution of x with padding pad equals, bit for bit, the same
+// convolution of dst with padding 0: the padded-plane rule above.
+func PadCHW(x []float32, c, h, w, pad int, dst []float32) {
+	pw := w + 2*pad
+	size := (h + 2*pad) * pw
+	for ch := 0; ch < c; ch++ {
+		src, plane := x[ch*h*w:(ch+1)*h*w], dst[ch*size:(ch+1)*size]
+		i := pad*pw + pad // the first interior pixel
+		clear(plane[:i])
+		for y := 0; y < h; y++ {
+			copy(plane[i:i+w], src[y*w:])
+			// A row's right border runs on into the next row's left one,
+			// and after the last row into the bottom border.
+			end := i + w + 2*pad
+			if y == h-1 {
+				end = size
+			}
+			clear(plane[i+w : end])
+			i = end
+		}
+	}
+}
 
 // Epilogue is the per-output-channel post-processing applied to C rows, in
 // this order: v = Scale·(v−Mean)·InvStd when Mean is non-nil (inference
@@ -171,7 +212,8 @@ func move8(d, s *[8]float32) {
 // direct — stride 1, full, inside one output row, and with every window
 // clear of the padding — and if so the index in x of its first window's
 // top-left pixel in channel 0. Im2col row t of a direct panel is then the nr
-// consecutive floats at that index + t.off.
+// consecutive floats at that index + t.off. On a PadCHW plane (Pad 0) the
+// last condition always holds.
 func (g *ConvGeom) directOrigin(outW, j0, cols, nr int) (int, bool) {
 	oh, ow := j0/outW, j0%outW
 	ih0, iw0 := oh*g.Stride-g.Pad, ow*g.Stride-g.Pad
@@ -184,10 +226,10 @@ func (g *ConvGeom) directOrigin(outW, j0, cols, nr int) (int, bool) {
 
 // packBConvF32 packs cols [j0, j0+cols) of im2col rows taps (one K block of
 // g.taps) of x into dst (len nr*len(taps)) in packBF32's panel layout,
-// zero-padding missing columns. A stride-1 panel inside one output row reads
-// nr consecutive input floats per row. A direct panel (directOrigin) is one
-// such copy per tap; taskConvTilesF32 packs it only on families without
-// f32Direct (portable, 8 wide).
+// zero-padding missing columns. A direct panel (directOrigin) is one copy of
+// nr consecutive input floats per tap; taskConvTilesF32 packs it only on
+// families without f32Direct (portable, 8 wide). Every other panel is filled
+// tap by tap through fillRow.
 func packBConvF32(g *ConvGeom, outW int, taps []convTap, x []float32, j0, cols int, dst []float32, nr int) {
 	if base, ok := g.directOrigin(outW, j0, cols, nr); ok {
 		origin := x[base:]
@@ -204,17 +246,10 @@ func packBConvF32(g *ConvGeom, outW int, taps []convTap, x []float32, j0, cols i
 		return
 	}
 	oh, ow := j0/outW, j0%outW
-	ih0, iw0 := oh*g.Stride-g.Pad, ow*g.Stride-g.Pad
-	direct := g.Stride == 1 && cols == nr && ow+nr <= outW
 	for p, t := range taps {
 		d := dst[p*nr : p*nr+nr]
-		ih, iw := ih0+t.kh, iw0+t.kw
-		if direct && ih >= 0 && ih < g.H && iw >= 0 && iw+nr <= g.W {
-			copy(d, x[ih0*g.W+iw0+t.off:])
-		} else {
-			g.fillRow(x, t, oh, ow, outW, d[:cols])
-			clear(d[cols:])
-		}
+		g.fillRow(x, t, oh, ow, outW, d[:cols])
+		clear(d[cols:])
 	}
 }
 
@@ -225,7 +260,10 @@ func packBConvF32(g *ConvGeom, outW int, taps []convTap, x []float32, j0, cols i
 // when the active kernel family no longer matches the pack, and runs
 // sub-threshold problems on serial loops in the naive GEMM's accumulation
 // order — so the output always equals the Im2col + GemmPrepacked lowering
-// bit for bit.
+// bit for bit. Any geometry is accepted; a padded stride-1 one runs fastest
+// as a PadCHW plane with Pad 0, where every full panel inside an output row
+// is read in place and, when the fan-in fits one K block on a family with
+// f32DirectFinish, stored finished.
 func ConvPrepacked(pre *PackedA, g ConvGeom, x []float32, ep Epilogue, c []float32) {
 	m, k := pre.m, pre.k
 	if k != g.C*g.Ksize*g.Ksize {
@@ -258,6 +296,10 @@ func ConvPrepacked(pre *PackedA, g ConvGeom, x []float32, ep Epilogue, c []float
 		}
 	}
 	ctx.nStrips = (m + kern.mr - 1) / kern.mr
+	if kern.f32DirectFinish != nil && k <= kcBlock {
+		ctx.kf32Finish = kern.f32DirectFinish
+		ctx.packEpilogue(kern.mr)
+	}
 	packed := pre.data
 	if kern != pre.kern {
 		ctx.pa = reslice(ctx.pa, ctx.nStrips*kern.mr*k)
@@ -273,12 +315,36 @@ func ConvPrepacked(pre *PackedA, g ConvGeom, x []float32, ep Epilogue, c []float
 	}
 }
 
+// packEpilogue lays ctx.ep out for kf32Finish strip by strip, like the
+// packed filters: strip s holds its mr rows' μ, then their γ, inv, bias and
+// slope, mr floats each. Without batch norm μ, γ, inv are 0, 1, 1, and a
+// linear layer's slope is 1: identities, as in apply.
+func (ctx *gemmCtx) packEpilogue(mr int) {
+	ep := &ctx.ep
+	slope := float32(1)
+	if ep.Leaky {
+		slope = leakyFactor[1]
+	}
+	ctx.epPack = reslice(ctx.epPack, ctx.nStrips*5*mr)
+	clear(ctx.epPack)
+	for i := 0; i < ctx.m; i++ {
+		p := ctx.epPack[i/mr*5*mr+i%mr:]
+		p[0], p[mr], p[2*mr], p[3*mr], p[4*mr] = 0, 1, 1, ep.Bias[i], slope
+		if ep.Mean != nil {
+			p[0], p[mr], p[2*mr] = ep.Mean[i], ep.Scale[i], ep.InvStd[i]
+		}
+	}
+}
+
 // taskConvTilesF32 is the fused per-panel stage of ConvPrepacked for panels
-// [lo, hi) of the current K block: clear the tile's C rows on the first K
-// block, run every A strip against the panel — read in place when it is
-// direct and the family has f32Direct, packed from the input otherwise —
-// and on the last K block apply the epilogue to each run of at least
-// epilogueRun finished columns, while they are still in cache.
+// [lo, hi) of the current K block. Under kf32Finish a direct panel is done
+// in one kernel call per strip, which stores finished rows. Every other
+// panel clears its C rows on the first K block, runs every A strip against
+// the panel — read in place when it is direct and the family has f32Direct,
+// packed from the input otherwise — and on the last K block takes the
+// epilogue with the run of unfinished columns before it, once the run is
+// epilogueRun columns long, a finished panel follows, or the task ends,
+// while the columns are still in cache.
 func taskConvTilesF32(ctx *gemmCtx, lo, hi int) {
 	ts := tileScratchPool.Get().(*tileScratch)
 	pb := ts.panel[:ctx.kc*ctx.nr]
@@ -289,12 +355,22 @@ func taskConvTilesF32(ctx *gemmCtx, lo, hi int) {
 	for pn := lo; pn < hi; pn++ {
 		j0 := pn * ctx.nr
 		cols := min(ctx.nr, ctx.n-j0)
+		base, direct := g.directOrigin(outW, j0, cols, ctx.nr)
+		direct = direct && ctx.kf32Direct != nil
+		if direct && ctx.kf32Finish != nil {
+			if epFrom < j0 {
+				ctx.ep.apply(ctx.kepi, ctx.c, ctx.ldc, ctx.m, epFrom, j0-epFrom)
+			}
+			ctx.panelTilesFinishF32(ctx.b[base:], j0)
+			epFrom = j0 + cols
+			continue
+		}
 		if first {
 			for i := 0; i < ctx.m; i++ {
 				clear(ctx.c[i*ctx.ldc+j0 : i*ctx.ldc+j0+cols])
 			}
 		}
-		if base, ok := g.directOrigin(outW, j0, cols, ctx.nr); ok && ctx.kf32Direct != nil {
+		if direct {
 			ctx.panelTilesDirectF32(ts, ctx.b[base:], ctx.offs[ctx.kk:ctx.kk+ctx.kc], j0)
 		} else {
 			packBConvF32(g, outW, taps, ctx.b, j0, cols, pb, ctx.nr)

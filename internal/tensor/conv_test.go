@@ -101,6 +101,86 @@ func TestDirectKernelMatchesPacked(t *testing.T) {
 				}()
 				kern.f32Direct(kc, pa, origin[:len(origin)-1], offs, make([]float32, mr*nr), nr)
 			}()
+			if kern.f32DirectFinish != nil {
+				checkDirectFinish(t, kern, kc, pa, origin, offs, rng)
+			}
 		}
+	}
+}
+
+// checkDirectFinish holds kern.f32DirectFinish on one panel to f32Direct
+// into a cleared tile followed by kern.epilogue on each of the first rows
+// rows, with C left alone elsewhere, for 1…mr rows, with and without batch
+// norm, leaky and linear. Row 0 of pa weights the first tap by 1e-30, so
+// the −1e-30 planted in that tap makes an accumulator of −0 when kc is 1
+// (the exact product is negative and rounds to zero); the NaN and ±Inf
+// planted beside it make NaN and ±Inf accumulators at every kc, and row 0's
+// bias of −0 tells acc+0 from acc. The wrapper must refuse a short origin
+// and a C too short for the last row it stores.
+func checkDirectFinish(t *testing.T, kern *microKernels, kc int, pa, origin []float32, offs []int, rng *RNG) {
+	t.Helper()
+	mr, nr := kern.mr, kern.nr
+	pa, origin = append([]float32(nil), pa...), append([]float32(nil), origin...)
+	pa[0] = 1e-30
+	specials := []float32{-1e-30, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for j := 0; j < nr; j += 2 {
+		origin[offs[0]+j] = specials[j/2%len(specials)]
+	}
+	for _, bn := range []bool{false, true} {
+		for _, leaky := range []bool{false, true} {
+			// packEpilogue's layout: μ, γ, inv, bias and slope, mr rows each.
+			ep := make([]float32, 5*mr)
+			for r := 0; r < mr; r++ {
+				ep[r], ep[mr+r], ep[2*mr+r], ep[4*mr+r] = 0, 1, 1, 1
+				if leaky {
+					ep[4*mr+r] = LeakySlope
+				}
+			}
+			if bn {
+				rng.FillUniform(ep[:mr], -0.3, 0.3)
+				rng.FillUniform(ep[mr:2*mr], 0.5, 1.5)
+				rng.FillUniform(ep[2*mr:3*mr], 0.2, 2)
+			}
+			rng.FillUniform(ep[3*mr:4*mr], -0.5, 0.5)
+			ep[3*mr] = float32(math.Copysign(0, -1))
+			for rows := 1; rows <= mr; rows++ {
+				for _, ldc := range []int{nr, nr + 7} {
+					want := make([]float32, mr*ldc)
+					rng.FillUniform(want, -1, 1)
+					got := append([]float32(nil), want...)
+					tile := make([]float32, mr*ldc)
+					kern.f32Direct(kc, pa, origin, offs, tile, ldc)
+					for r := 0; r < rows; r++ {
+						seg := tile[r*ldc : r*ldc+nr]
+						kern.epilogue(seg, ep[r], ep[mr+r], ep[2*mr+r], ep[3*mr+r], ep[4*mr+r])
+						copy(want[r*ldc:], seg)
+					}
+					kern.f32DirectFinish(kc, pa, origin, offs, ep, got, ldc, rows)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s finish kc=%d rows=%d ldc=%d bn=%v leaky=%v: c[%d] = %v (%#x), direct + epilogue %v (%#x)",
+								kern.name, kc, rows, ldc, bn, leaky, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+	ep, c := make([]float32, 5*mr), make([]float32, mr*nr)
+	for _, short := range []struct {
+		what      string
+		origin, c []float32
+	}{
+		{"an origin too short for the last offset", origin[:len(origin)-1], c},
+		{"a C too short for the last row", origin, c[:len(c)-1]},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s kc=%d: f32DirectFinish accepted %s without a panic", kern.name, kc, short.what)
+				}
+			}()
+			kern.f32DirectFinish(kc, pa, short.origin, offs, ep, short.c, nr, mr)
+		}()
 	}
 }

@@ -35,10 +35,12 @@ import (
 //
 // The inference convolution (conv.go) runs on the same tile stage with the B
 // side read in place: ConvPrepacked packs each B panel from the CHW input
-// into per-task scratch, right before the tiles that consume it — or, for
-// an interior panel on a family with a direct kernel, lets the kernel read
-// it in place — and applies the layer's batch-norm/bias/activation epilogue
-// to the finished tiles.
+// into per-task scratch, right before the tiles that consume it — or, for a
+// full panel inside one output row on a family with a direct kernel, lets
+// the kernel read it in place — and applies the layer's
+// batch-norm/bias/activation epilogue to the finished tiles, or has the
+// family's finishing kernel store them finished when the fan-in fits one K
+// block.
 //
 // Tiny problems fall through to the naive register-free loops at the bottom
 // of this file: below packThreshold the packing traffic would dominate.
@@ -131,6 +133,9 @@ type gemmCtx struct {
 	ki8        func(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, ldc int)
 	kf32Direct func(kc int, pa, origin []float32, offs []int, c []float32, ldc int)
 	kepi       func(seg []float32, mu, gamma, inv, bias, slope float32)
+	// kf32Finish is the family's f32DirectFinish while a ConvPrepacked
+	// fan-in fits one K block, nil otherwise.
+	kf32Finish func(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int)
 
 	ta, tb  bool
 	m, n, k int
@@ -163,10 +168,11 @@ type gemmCtx struct {
 
 	// Implicit-GEMM convolution state (conv.go): b is the CHW input, read
 	// through geom instead of as a k×n matrix; ep runs on finished tiles.
-	geom ConvGeom
-	taps []convTap // geom's im2col rows
-	offs []int     // taps[p].off, for kf32Direct
-	ep   Epilogue
+	geom   ConvGeom
+	taps   []convTap // geom's im2col rows
+	offs   []int     // taps[p].off, for kf32Direct
+	ep     Epilogue
+	epPack []float32 // ep strip by strip, for kf32Finish (packEpilogue)
 }
 
 var gemmCtxPool = sync.Pool{New: func() any { return new(gemmCtx) }}
@@ -187,7 +193,7 @@ func (ctx *gemmCtx) release() {
 	ctx.paRO, ctx.pa16RO = nil, nil
 	ctx.requant, ctx.bias = nil, nil
 	ctx.kf32, ctx.ki8 = nil, nil
-	ctx.kf32Direct, ctx.kepi = nil, nil
+	ctx.kf32Direct, ctx.kepi, ctx.kf32Finish = nil, nil, nil
 	ctx.ep = Epilogue{}
 	gemmCtxPool.Put(ctx)
 }
@@ -315,6 +321,17 @@ func (ctx *gemmCtx) panelTilesDirectF32(ts *tileScratch, origin []float32, offs 
 		clear(ts.tile[:ctx.mr*ctx.nr])
 		ctx.kf32Direct(ctx.kc, pa, origin, offs, ts.tile[:], ctx.nr)
 		ctx.addEdgeTile(ts, i0, rows, j0, ctx.nr)
+	}
+}
+
+// panelTilesFinishF32 is panelTilesDirectF32 under kf32Finish: the one K
+// block is the whole fan-in, so every strip, an edge strip of fewer than mr
+// filters included, stores its finished rows straight into C.
+func (ctx *gemmCtx) panelTilesFinishF32(origin []float32, j0 int) {
+	for s := 0; s < ctx.nStrips; s++ {
+		i0 := s * ctx.mr
+		ctx.kf32Finish(ctx.kc, ctx.paRO[s*ctx.mr*ctx.kc:], origin, ctx.offs[:ctx.kc], ctx.epPack[s*5*ctx.mr:],
+			ctx.c[i0*ctx.ldc+j0:], ctx.ldc, min(ctx.mr, ctx.m-i0))
 	}
 }
 

@@ -29,11 +29,13 @@ import (
 // int32 pairwise dataflow with an identical mul-then-add requantization, so
 // int8 results are bit-equal across every family.
 //
-// Besides the two tile kernels a family may carry three vector forms of
+// Besides the two tile kernels a family may carry four vector forms of
 // stages that are otherwise scalar Go: f32Direct (the fp32 tile kernel
-// reading an interior convolution panel in place instead of from a packed
-// copy), epilogue (one C row of the fused BN/bias/leaky epilogue) and
-// maxPool2x2 (blocks of eight 2×2/2 max-pool outputs). Each reproduces the
+// reading a full stride-1 convolution panel in place instead of from a
+// packed copy), f32DirectFinish (f32Direct storing the finished, epilogued
+// tile when the whole K fits one block), epilogue (one C row of the fused
+// BN/bias/leaky epilogue) and maxPool2x2 (blocks of eight 2×2/2 max-pool
+// outputs). Each reproduces the
 // Go code it replaces bit for bit, and each follows the selected family like
 // the tile kernels do: a nil entry — every entry of portable, so under
 // DRONET_KERNEL=portable, SelectKernel("portable") or -tags purego — runs
@@ -57,8 +59,17 @@ type microKernels struct {
 
 	// f32Direct is f32 with k-step p's nr B values read from
 	// origin[offs[p]:] instead of pb[p*nr:] — bit-identical to f32 on the
-	// panel packBConvF32 would copy from those offsets (conv.go).
+	// panel packBConvF32 would copy from those offsets (conv.go). Its panels
+	// are the full stride-1 ones inside one output row whose windows clear
+	// the padding: on a padded plane, every such panel.
 	f32Direct func(kc int, pa, origin []float32, offs []int, c []float32, ldc int)
+	// f32DirectFinish is f32Direct for a K that fits one block, finishing the
+	// tile in registers: it overwrites C's first rows rows (1 ≤ rows ≤ mr)
+	// with the epilogue of acc+0 instead of adding acc to C. ep holds the
+	// strip's per-row μ, γ, inv, bias and slope, mr floats each, as
+	// packEpilogue lays them out (conv.go); the result is bit-identical to
+	// f32Direct into a cleared C followed by the epilogue row kernel.
+	f32DirectFinish func(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int)
 	// epilogue applies seg[j] = v·(slope if v's sign bit is set, else 1) with
 	// v = float32(gamma·(seg[j]−mu)·inv) + bias to one C row, as
 	// Epilogue.apply's Go loop does (conv.go).

@@ -14,7 +14,8 @@ func archKernels() []*microKernels {
 	}
 	return []*microKernels{{
 		name: "avx2", mr: 6, nr: 16, f32: kernF32AVX2, i8: kernI8AVX2,
-		f32Direct: kernF32AVX2Direct, epilogue: epilogueRowAVX2, maxPool2x2: maxPool2x2AVX2,
+		f32Direct: kernF32AVX2Direct, f32DirectFinish: kernF32AVX2DirectFinish,
+		epilogue: epilogueRowAVX2, maxPool2x2: maxPool2x2AVX2,
 	}}
 }
 
@@ -65,11 +66,29 @@ func kernF32AVX2Direct(kc int, pa, origin []float32, offs []int, c []float32, ld
 	_ = pa[6*kc-1]
 	_ = origin[offs[kc-1]+15]
 	_ = c[5*ldc+15]
-	kernF32AVX2DirectAsm(kc, pa, origin, offs, c, ldc)
+	kernF32AVX2DirectAsm(kc, pa, origin, offs, nil, c, ldc, 0)
 }
 
+// kernF32AVX2DirectFinish is the avx2 f32DirectFinish entry (kernel.go):
+// the same accumulation, then the epilogue of each of the first rows rows
+// stored straight into C. The parameter block and C's last written element
+// are checked here with the reads.
+func kernF32AVX2DirectFinish(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int) {
+	if rows < 1 || rows > 6 {
+		panic("tensor: kernF32AVX2DirectFinish rows out of range")
+	}
+	_ = pa[6*kc-1]
+	_ = origin[offs[kc-1]+15]
+	_ = ep[5*6-1]
+	_ = c[(rows-1)*ldc+15]
+	kernF32AVX2DirectAsm(kc, pa, origin, offs, ep, c, ldc, rows)
+}
+
+// kernF32AVX2DirectAsm serves both direct entries: rows 0 adds all six
+// accumulated rows to C, rows 1–6 stores the first rows finished rows.
+//
 //go:noescape
-func kernF32AVX2DirectAsm(kc int, pa, origin []float32, offs []int, c []float32, ldc int)
+func kernF32AVX2DirectAsm(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int)
 
 // epilogueRowAVX2 is one C row of Epilogue.apply eight floats a step:
 // VSUBPS μ, VMULPS γ, VMULPS inv, VADDPS bias, then VMULPS slope blended

@@ -122,18 +122,61 @@ af32store:
 	VZEROUPPER
 	RET
 
-// func kernF32AVX2DirectAsm(kc int, pa, origin []float32, offs []int, c []float32, ldc int)
+// AVX2_F32_FINISH_ROW stores one finished row of 16 floats at (DX). It
+// forms acc+0 from the accumulators lo:hi (0+acc in AVX2_F32_ROW's operand
+// order: what a cleared C plus acc holds), then runs epilogueRowAVX2's
+// operations with their operands in its order: v−μ, γ·v, v·inv, v+bias,
+// and v·slope blended in on the sign bit. The row's μ, γ, inv, bias and
+// slope are at 0, 24, 48, 72 and 96(R11) (packEpilogue's layout for six
+// rows); μ, γ, inv and bias are held in Y12–Y15.
+#define AVX2_F32_FINISH_ROW(lo, hi) \
+	VXORPS       Y12, Y12, Y12;   \
+	VADDPS       lo, Y12, lo;     \
+	VADDPS       hi, Y12, hi;     \
+	VBROADCASTSS (R11), Y12;      \
+	VBROADCASTSS 24(R11), Y13;    \
+	VBROADCASTSS 48(R11), Y14;    \
+	VBROADCASTSS 72(R11), Y15;    \
+	VSUBPS       Y12, lo, lo;     \
+	VSUBPS       Y12, hi, hi;     \
+	VMULPS       lo, Y13, lo;     \
+	VMULPS       hi, Y13, hi;     \
+	VMULPS       Y14, lo, lo;     \
+	VMULPS       Y14, hi, hi;     \
+	VADDPS       Y15, lo, lo;     \
+	VADDPS       Y15, hi, hi;     \
+	VBROADCASTSS 96(R11), Y12;    \
+	VMULPS       Y12, lo, Y13;    \
+	VMULPS       Y12, hi, Y14;    \
+	VBLENDVPS    lo, Y13, lo, lo; \
+	VBLENDVPS    hi, Y14, hi, hi; \
+	VMOVUPS      lo, (DX);        \
+	VMOVUPS      hi, 32(DX)
+
+// AVX2_F32_FINISH_NEXT leaves after the last requested row, or steps DX and
+// R11 on to the next one.
+#define AVX2_F32_FINISH_NEXT \
+	DECQ BX;       \
+	JZ   ad32done; \
+	ADDQ R8, DX;   \
+	ADDQ $4, R11
+
+// func kernF32AVX2DirectAsm(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int)
 //
 // kernF32AVX2 with the B row of k-step p loaded from origin + offs[p]
-// floats instead of the packed panel: the same loads, FMAs and stores in
-// the same order, so the result is the packed kernel's bit for bit.
-TEXT ·kernF32AVX2DirectAsm(SB), NOSPLIT, $0-112
+// floats instead of the packed panel: the same loads and FMAs in the same
+// order, so the accumulators are the packed kernel's bit for bit. rows 0
+// adds them to C as kernF32AVX2 does; rows 1–6 overwrites C's first rows
+// rows with AVX2_F32_FINISH_ROW and leaves the rest of C alone.
+TEXT ·kernF32AVX2DirectAsm(SB), NOSPLIT, $0-144
 	MOVQ kc+0(FP), CX
 	MOVQ pa_base+8(FP), SI
 	MOVQ origin_base+32(FP), DI
 	MOVQ offs_base+56(FP), R9
-	MOVQ c_base+80(FP), DX
-	MOVQ ldc+104(FP), R8
+	MOVQ ep_base+80(FP), R11
+	MOVQ c_base+104(FP), DX
+	MOVQ ldc+128(FP), R8
+	MOVQ rows+136(FP), BX
 	SHLQ $2, R8              // row stride in bytes
 	AVX2_F32_ZERO
 
@@ -151,7 +194,26 @@ ad32loop:
 	JNZ  ad32loop
 
 ad32store:
+	TESTQ BX, BX
+	JNZ   ad32finish
 	AVX2_F32_STORE
+	VZEROUPPER
+	RET
+
+ad32finish:
+	AVX2_F32_FINISH_ROW(Y0, Y1)
+	AVX2_F32_FINISH_NEXT
+	AVX2_F32_FINISH_ROW(Y2, Y3)
+	AVX2_F32_FINISH_NEXT
+	AVX2_F32_FINISH_ROW(Y4, Y5)
+	AVX2_F32_FINISH_NEXT
+	AVX2_F32_FINISH_ROW(Y6, Y7)
+	AVX2_F32_FINISH_NEXT
+	AVX2_F32_FINISH_ROW(Y8, Y9)
+	AVX2_F32_FINISH_NEXT
+	AVX2_F32_FINISH_ROW(Y10, Y11)
+
+ad32done:
 	VZEROUPPER
 	RET
 

@@ -89,8 +89,9 @@ func microNet(t *testing.T, seed uint64) (*network.Network, *cfg.Hyper) {
 }
 
 // closeUpScenes generates small scenes with large, few vehicles, matching
-// the micro detector's coarse grid (the scaled-training protocol of
-// DESIGN.md §6).
+// the micro detector's coarse grid: the scaled-training protocol trains a
+// filter-scaled model (models.Scale) at a reduced input size and evaluates
+// it on scenes of that size.
 func closeUpScenes(n int, size int, seed uint64) *dataset.Dataset {
 	c := dataset.DefaultConfig(size)
 	c.AltMin, c.AltMax = 12, 20
