@@ -161,7 +161,10 @@ invariants:
 ## FuzzDecodeRaw the /detect/raw PNG/JPEG decoder to no panic, accepted
 ## images within the 2048px side bound and pixels equal to the generic
 ## conversion bit for bit, FuzzReadMessage the server-side WebSocket frame reader to no panic, an
-## end, and no message over the size bound, FuzzArm the internal/faults spec
+## end, and no message over the size bound, FuzzHandshake both ends of the
+## WebSocket handshake to no panic, a 101 from Accept exactly when the
+## request is a valid upgrade, and a *HandshakeError with a body of at most
+## 4 kB from Dial for every non-101 answer, FuzzArm the internal/faults spec
 ## grammar to no panic and accepted specs of one known kind per distinct site
 ## with a positive slow delay and an error period of at least one). FUZZTIME
 ## tunes the per-target budget (CI's parallel fuzz job uses 15s; the nightly
@@ -182,19 +185,21 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime $(FUZZTIME) ./internal/ws
+	$(GO) test -run '^$$' -fuzz FuzzHandshake -fuzztime $(FUZZTIME) ./internal/ws
 	$(GO) test -run '^$$' -fuzz FuzzRingOwnership -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzArm -fuzztime $(FUZZTIME) ./internal/faults
 
-## profile: CPU + heap pprof capture of the in-process serving path
-## (BenchmarkServeThroughput: concurrent clients through the micro-batcher;
-## json64 = 64² JSON frames, raw256 = DroNet 256² over JPEG /detect/raw with
-## two workers, the detect-compute shape where conv tasks dominate);
+## profile: CPU + heap pprof capture of the in-process serving path on its
+## conv-bound shape (BenchmarkServeThroughput/raw256: DroNet 256² over JPEG
+## /detect/raw with two workers, the detect-compute shape; the json64
+## sub-benchmark, 64² JSON frames, is left out so the profile holds one
+## shape);
 ## inspect with `go tool pprof bin/pprof/cpu.pprof` (see README "Profiling").
 ## To attribute end-to-end time to layers rather than functions, reach for
 ## `bash bench/run.sh --workload <w> --trace 1` instead.
 profile:
 	mkdir -p bin/pprof
-	$(GO) test -run '^$$' -bench ServeThroughput -benchtime 3s -o bin/pprof/serve.test \
+	$(GO) test -run '^$$' -bench 'ServeThroughput/raw256' -benchtime 3s -o bin/pprof/serve.test \
 	    -cpuprofile bin/pprof/cpu.pprof -memprofile bin/pprof/heap.pprof ./internal/serve/
 
 ## serve: run the detection service locally with the default knobs

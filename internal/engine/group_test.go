@@ -76,6 +76,11 @@ func TestGroupRegistry(t *testing.T) {
 	if smallWS <= 0 {
 		t.Fatal("warmed pool reports no workspace")
 	}
+	// The one replica's arena holds its largest padded input plane, conv1's
+	// 3×66×66 floats, so workspace_bytes counts it.
+	if plane := int64(4 * 3 * 66 * 66); smallWS < plane {
+		t.Errorf("warmed one-replica pool reports %d workspace bytes, under the %d-byte padded plane", smallWS, plane)
+	}
 	if ws := g.WorkspaceBytes(); ws != smallWS {
 		t.Errorf("group workspace = %d, want the one warmed pool's %d", ws, smallWS)
 	}

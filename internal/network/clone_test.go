@@ -116,10 +116,10 @@ func TestCloneConcurrentDetectIdentical(t *testing.T) {
 // TestScratchBytesInferenceHoldsNoColumnMatrix pins the workspace accounting
 // of the implicit-GEMM inference path: after warming, a replica's arena holds
 // the largest padded input plane (the first layer's 3×66×66 floats; each
-// layer hands its plane back, so there is one at a time) and the per-filter
-// batch-norm vectors, and nothing the size of an im2col matrix (the first
-// layer's alone would be 27·64·64 floats), while a training pass on the same
-// network still carves its column buffers from the arena.
+// layer hands its plane and 1/σ vector back, so there is one at a time) and
+// at most a few hundred floats more, so no 3×3 layer's im2col matrix fits
+// (the smallest, conv8's 216·4·4 floats, is 13.5 KB), while a training pass
+// on the same network still carves its column buffers from the arena.
 func TestScratchBytesInferenceHoldsNoColumnMatrix(t *testing.T) {
 	net := buildSmallDroNet(t)
 	x := tensor.New(2, 3, net.InputH, net.InputW)
@@ -127,7 +127,7 @@ func TestScratchBytesInferenceHoldsNoColumnMatrix(t *testing.T) {
 	replica := net.CloneForInference()
 	replica.ForwardBatch(x)
 	plane := int64(4 * 3 * 66 * 66)
-	if got := replica.ScratchBytes(); got < plane || got >= 2*plane {
+	if got := replica.ScratchBytes(); got < plane || got >= plane+4*1024 {
 		t.Fatalf("warmed inference replica reports %d scratch bytes, want the %d-byte padded plane and a few hundred floats", got, plane)
 	}
 	net.Forward(x, true)

@@ -308,7 +308,9 @@ func (ctx *gemmCtx) panelTilesF32(ts *tileScratch, pb []float32, j0, cols int) {
 // (conv.go) read in place by kf32Direct: origin is the panel's first window
 // in the input and offs the current K block's tap offsets from it. The
 // panel is always nr columns wide; an edge strip runs the same kernel into
-// the scratch tile.
+// the scratch tile. On a padded plane (the padded-plane rule, conv.go)
+// every full panel inside one output row comes here, or, when the fan-in
+// fits one K block, to panelTilesFinishF32.
 func (ctx *gemmCtx) panelTilesDirectF32(ts *tileScratch, origin []float32, offs []int, j0 int) {
 	for s := 0; s < ctx.nStrips; s++ {
 		i0 := s * ctx.mr

@@ -87,10 +87,11 @@ func acceptKey(key string) string {
 
 // headerHasToken reports whether a comma-separated header contains the
 // token (case-insensitive) — "Connection: keep-alive, Upgrade" must match.
+// Only spaces and tabs around a token are skipped (RFC 7230 §3.2.3).
 func headerHasToken(h http.Header, name, token string) bool {
 	for _, v := range h.Values(name) {
 		for _, t := range strings.Split(v, ",") {
-			if strings.EqualFold(strings.TrimSpace(t), token) {
+			if strings.EqualFold(strings.Trim(t, " \t"), token) {
 				return true
 			}
 		}
@@ -122,8 +123,8 @@ func Accept(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 		return nil, fmt.Errorf("ws: unsupported websocket version %q (want 13)", v)
 	}
 	key := r.Header.Get("Sec-WebSocket-Key")
-	if key == "" {
-		return nil, errors.New("ws: missing Sec-WebSocket-Key")
+	if nonce, err := base64.StdEncoding.DecodeString(key); err != nil || len(nonce) != 16 {
+		return nil, errors.New("ws: Sec-WebSocket-Key is not a base64 16-byte nonce")
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {

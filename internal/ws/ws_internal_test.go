@@ -3,10 +3,17 @@ package ws
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha1"
+	"encoding/base64"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"net/http"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestMaskMatchesBytewise holds the word-at-a-time mask to the byte loop it
@@ -128,6 +135,155 @@ func FuzzReadMessage(f *testing.F) {
 			if delivered += len(msg); delivered > len(wire) {
 				t.Fatalf("%d payload bytes delivered from %d on the wire", delivered, len(wire))
 			}
+		}
+	})
+}
+
+// recordConn is a hijacked connection that keeps what is written to it.
+type recordConn struct {
+	net.Conn
+	w *bytes.Buffer
+}
+
+func (c recordConn) Write(p []byte) (int, error) { return c.w.Write(p) }
+func (recordConn) Close() error                  { return nil }
+
+// hijackRecorder is a ResponseWriter that can be hijacked; every byte
+// written, before or after the hijack, lands in wrote.
+type hijackRecorder struct {
+	header http.Header
+	wrote  bytes.Buffer
+}
+
+func (h *hijackRecorder) Header() http.Header         { return h.header }
+func (h *hijackRecorder) Write(p []byte) (int, error) { return h.wrote.Write(p) }
+func (h *hijackRecorder) WriteHeader(int)             {}
+func (h *hijackRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	nc := recordConn{w: &h.wrote}
+	return nc, bufio.NewReadWriter(bufio.NewReader(strings.NewReader("")), bufio.NewWriter(nc)), nil
+}
+
+// validUpgrade is the RFC 6455 §4.2.1 rule, stated independently of
+// Accept: GET, "upgrade" among the Connection tokens, "websocket" among the
+// Upgrade tokens, version 13 and a key that is the base64 of 16 bytes.
+func validUpgrade(r *http.Request) bool {
+	hasToken := func(name, token string) bool {
+		for _, v := range r.Header.Values(name) {
+			for _, t := range strings.Split(v, ",") {
+				if strings.EqualFold(strings.Trim(t, " \t"), token) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	nonce, err := base64.StdEncoding.DecodeString(r.Header.Get("Sec-WebSocket-Key"))
+	return r.Method == "GET" && hasToken("Connection", "upgrade") && hasToken("Upgrade", "websocket") &&
+		r.Header.Get("Sec-WebSocket-Version") == "13" && err == nil && len(nonce) == 16
+}
+
+// FuzzHandshake drives both ends of the upgrade with fuzzed bytes. Accept
+// gets a request parsed from reqWire: it must not panic, must answer 101
+// with the right Sec-WebSocket-Accept exactly when the request is a valid
+// upgrade, and must write nothing when it refuses. Dial reads respWire from
+// a loopback listener: it must not panic, every parseable non-101 answer
+// must come back as a *HandshakeError with that status, its Retry-After and
+// at most 4 kB of body, and nothing else may.
+func FuzzHandshake(f *testing.F) {
+	const key = "dGhlIHNhbXBsZSBub25jZQ==" // RFC 6455 §1.3's example nonce
+	upgrade := func(method, conn, version, k string) []byte {
+		return []byte(method + " /stream HTTP/1.1\r\nHost: shard\r\nUpgrade: websocket\r\nConnection: " + conn +
+			"\r\nSec-WebSocket-Key: " + k + "\r\nSec-WebSocket-Version: " + version + "\r\n\r\n")
+	}
+	reqs := [][]byte{
+		upgrade("GET", "Upgrade", "13", key),
+		upgrade("GET", "keep-alive, Upgrade", "13", key),
+		upgrade("POST", "Upgrade", "13", key),
+		upgrade("GET", "keep-alive", "13", key),
+		upgrade("GET", "Upgrade\u00a0", "13", key),
+		upgrade("GET", "Upgrade", "8", key),
+		upgrade("GET", "Upgrade", "13", ""),
+		upgrade("GET", "Upgrade", "13", "c2hvcnQ="),
+		[]byte("GET / HTTP/1.1\r\nHost: shard\r\n\r\n"),
+		[]byte("garbage"),
+	}
+	resps := [][]byte{
+		[]byte("HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\nConnection: Upgrade\r\nSec-WebSocket-Accept: s3pPLMBiTxaQ9kYGzzhZRbK+xOo=\r\n\r\n"),
+		[]byte("HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 4\r\n\r\nbusy"),
+		[]byte("HTTP/1.1 200 OK\r\nContent-Length: 5000\r\n\r\n" + strings.Repeat("x", 5000)),
+		[]byte("HTTP/1.1 400 Bad Request\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nbad\r\n0\r\n\r\n"),
+		[]byte("HTTP/1.1 404 Not Found\r\nContent-Length: 100\r\n\r\nshort"),
+		[]byte("HTTP/1.1 999 Odd\r\n\r\n"),
+		[]byte("HTTP/1.1 503"),
+		[]byte("hello"),
+		nil,
+	}
+	for i := range max(len(reqs), len(resps)) {
+		f.Add(reqs[i%len(reqs)], resps[i%len(resps)])
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { ln.Close() })
+
+	f.Fuzz(func(t *testing.T, reqWire, respWire []byte) {
+		if r, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(reqWire))); err == nil {
+			w := &hijackRecorder{header: http.Header{}}
+			c, err := Accept(w, r)
+			switch valid := validUpgrade(r); {
+			case err != nil && valid:
+				t.Fatalf("valid upgrade refused: %v", err)
+			case err != nil && w.wrote.Len() > 0:
+				t.Fatalf("refusal %v wrote %q", err, w.wrote.String())
+			case err == nil && !valid:
+				t.Fatalf("invalid upgrade %s %v accepted", r.Method, r.Header)
+			case err == nil:
+				resp, rerr := http.ReadResponse(bufio.NewReader(&w.wrote), r)
+				sum := sha1.Sum([]byte(r.Header.Get("Sec-WebSocket-Key") + "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"))
+				if rerr != nil || resp.StatusCode != http.StatusSwitchingProtocols ||
+					resp.Header.Get("Sec-WebSocket-Accept") != base64.StdEncoding.EncodeToString(sum[:]) || c == nil {
+					t.Fatalf("accepted upgrade answered %q", w.wrote.String())
+				}
+			}
+		}
+
+		want, perr := http.ReadResponse(bufio.NewReader(bytes.NewReader(respWire)), &http.Request{Method: http.MethodGet})
+		done := make(chan struct{})
+		deadline := time.Now().Add(5 * time.Second) // a failed dial must not leave the server leg waiting
+		ln.(*net.TCPListener).SetDeadline(deadline)
+		go func() {
+			defer close(done)
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close()
+			nc.SetDeadline(deadline)
+			if _, err := http.ReadRequest(bufio.NewReader(nc)); err == nil {
+				nc.Write(respWire) // the client may hang up first; that is its business
+			}
+		}()
+		c, err := Dial(ln.Addr().String(), "/stream", nil, 5*time.Second)
+		<-done
+		if c != nil {
+			c.Close()
+		}
+		var he *HandshakeError
+		isHE := errors.As(err, &he)
+		switch {
+		case perr == nil && want.StatusCode != http.StatusSwitchingProtocols:
+			if !isHE || he.StatusCode != want.StatusCode || he.RetryAfter != want.Header.Get("Retry-After") {
+				t.Fatalf("status %d answered %v, want a *HandshakeError with that status", want.StatusCode, err)
+			}
+			if len(he.Body) > 4096 {
+				t.Fatalf("HandshakeError carries %d body bytes, over 4 kB", len(he.Body))
+			}
+		case isHE:
+			t.Fatalf("%v from a response that is not a parseable non-101 (%v)", err, perr)
+		}
+		if perr == nil {
+			io.Copy(io.Discard, want.Body)
 		}
 	})
 }
