@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -168,7 +169,15 @@ func NewProxy(cfg ProxyConfig) (*Proxy, error) {
 		stop:   make(chan struct{}),
 	}
 	if p.client == nil {
+		var dialer net.Dialer
 		p.client = &http.Client{Transport: &http.Transport{
+			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				c, err := dialer.DialContext(ctx, network, addr)
+				if err != nil {
+					return nil, err
+				}
+				return shardConn{c}, nil
+			},
 			MaxIdleConns:        cfg.MaxInflight * len(cfg.Shards),
 			MaxIdleConnsPerHost: cfg.MaxInflight,
 			IdleConnTimeout:     90 * time.Second,
@@ -318,26 +327,111 @@ func refuse(w http.ResponseWriter, status int, msg string) {
 	writeError(w, status, "%s", msg)
 }
 
-// readForwardBody buffers a request body, bounded by maxForwardBytes, for
-// the forward and its failover replays: one allocation of Content-Length
-// when the client declared it, io.ReadAll's doubling growth when not. The
-// buffer is deliberately not pooled: the transport only promises to Close a
-// request body, and may still be reading it after Do returns — a shard that
-// answers 429 before consuming the body is exactly that case — so a
-// recycled buffer could be overwritten under a read still in flight.
-func readForwardBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, maxForwardBytes)
-	if r.ContentLength < 0 || r.ContentLength > maxForwardBytes {
-		return io.ReadAll(body)
+// maxPooledForward caps the body buffers forwardPool keeps, as serve's
+// bodyPool is capped: a 96x96 frame is 300kB of JSON, while a buffer grown
+// for a rare 64MB upload would sit in the pool as resident memory.
+const maxPooledForward = 4 << 20
+
+// forwardPool recycles the buffers forwarded bodies are read into.
+var forwardPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// forwardBody is a request body read once into a pooled buffer, for the
+// forward and its failover replays. The buffer is reference counted: the
+// handler holds one reference, and every attempt's reader holds another
+// from its creation until the transport closes it. The transport only
+// promises to Close a request body, possibly after Do has returned — a shard
+// that answers 429 before reading the body leaves the write still running
+// — so the buffer goes back to the pool only when the last reference is
+// released: after the handler and every attempt are done with it.
+type forwardBody struct {
+	buf  *bytes.Buffer
+	refs atomic.Int32
+}
+
+// readForwardBody reads a request body, bounded by maxForwardBytes, into a
+// pooled buffer sized once from Content-Length. The caller holds the one
+// reference it returns with and must release it.
+func readForwardBody(w http.ResponseWriter, r *http.Request) (*forwardBody, error) {
+	b := &forwardBody{buf: forwardPool.Get().(*bytes.Buffer)}
+	b.buf.Reset()
+	b.refs.Store(1)
+	if n := r.ContentLength; n > 0 && n <= maxForwardBytes {
+		// ReadFrom wants MinRead bytes free for the read that finds EOF.
+		b.buf.Grow(int(n) + bytes.MinRead)
 	}
-	buf := make([]byte, r.ContentLength)
-	_, err := io.ReadFull(body, buf)
-	return buf, err
+	if _, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxForwardBytes)); err != nil {
+		b.release()
+		return nil, err
+	}
+	return b, nil
+}
+
+// release drops one reference; the last one returns the buffer to the pool.
+func (b *forwardBody) release() {
+	if b.refs.Add(-1) == 0 && b.buf.Cap() <= maxPooledForward {
+		forwardPool.Put(b.buf)
+	}
+}
+
+// attach makes the body req's: a reader over the bytes holding its own
+// reference, the exact Content-Length, and a GetBody for the transport's
+// own replays, whose readers hold references too. An empty body is
+// http.NoBody, as http.NewRequest makes it.
+func (b *forwardBody) attach(req *http.Request) {
+	if b.buf.Len() == 0 {
+		req.Body, req.ContentLength = http.NoBody, 0
+		req.GetBody = func() (io.ReadCloser, error) { return http.NoBody, nil }
+		return
+	}
+	req.GetBody = func() (io.ReadCloser, error) {
+		b.refs.Add(1)
+		return &attemptBody{body: b}, nil
+	}
+	req.Body, _ = req.GetBody()
+	req.ContentLength = int64(b.buf.Len())
+}
+
+// attemptBody is one attempt's reader over a forwardBody. Close releases
+// its reference under the mutex Read holds while copying, so once Close
+// has returned no Read of this reader is touching the buffer, and none
+// will: a Read after Close fails.
+type attemptBody struct {
+	mu   sync.Mutex
+	body *forwardBody // nil once closed
+	off  int
+}
+
+func (a *attemptBody) Read(p []byte) (int, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.body == nil {
+		return 0, http.ErrBodyReadAfterClose
+	}
+	data := a.body.buf.Bytes()
+	if a.off >= len(data) {
+		return 0, io.EOF
+	}
+	n := copy(p, data[a.off:])
+	a.off += n
+	return n, nil
+}
+
+func (a *attemptBody) Close() error {
+	a.mu.Lock()
+	b := a.body
+	a.body = nil
+	a.mu.Unlock()
+	if b != nil {
+		b.release()
+	}
+	return nil
 }
 
 // handleForward proxies one /detect or /detect/raw request to its owning
-// shard. The body is buffered once so a transport failure can fail over to
-// the next breaker-closed shard on the ring with the identical payload;
+// shard. The body is read once into a pooled forwardBody so a transport
+// failure can fail over to the next breaker-closed shard on the ring with
+// the identical payload; the handler's reference is released when it
+// returns, each attempt's when the transport closes its reader;
 // HTTP-level responses (200s, the shard's own 429/404/4xx) are passed
 // through verbatim with an X-Dronet-Shard header naming the serving
 // process. A shard whose in-flight pipe is full sheds here with a 429 —
@@ -376,6 +470,7 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
+	defer body.release()
 	stamp := func(attempts int) { w.Header().Set(AttemptsHeader, strconv.Itoa(attempts)) }
 	attempts, status, msg := p.walk(cameraKey(r), "", deadline, func(s *shardState, n int) bool {
 		if !s.acquire() {
@@ -427,7 +522,7 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 // about the true end-to-end deadline, not the client's original estimate.
 // The cluster.forward#<addr> fault site injects transport-level failures
 // before any bytes leave the proxy.
-func (p *Proxy) forward(ctx context.Context, r *http.Request, s *shardState, body []byte, deadline time.Time) (*http.Response, error) {
+func (p *Proxy) forward(ctx context.Context, r *http.Request, s *shardState, body *forwardBody, deadline time.Time) (*http.Response, error) {
 	if err := faults.Fire("cluster.forward", s.addr); err != nil {
 		return nil, err
 	}
@@ -435,10 +530,11 @@ func (p *Proxy) forward(ctx context.Context, r *http.Request, s *shardState, bod
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
 	if err != nil {
 		return nil, err
 	}
+	body.attach(req)
 	for k, vs := range r.Header {
 		for _, v := range vs {
 			req.Header.Add(k, v)
@@ -464,8 +560,26 @@ func relay(w http.ResponseWriter, resp *http.Response, shardLabel string) {
 	}
 	w.Header().Set("X-Dronet-Shard", shardLabel)
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	_, _ = copyPooled(w, resp.Body)
 }
+
+// copyBufs recycles the buffers bodies are copied through on their way to
+// and from a shard.
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// copyPooled copies src to dst through a pooled buffer. dst's own ReadFrom,
+// if it has one, is bypassed: net's allocates a fresh 32kB buffer per call.
+func copyPooled(dst io.Writer, src io.Reader) (int64, error) {
+	buf := copyBufs.Get().(*[32 << 10]byte)
+	defer copyBufs.Put(buf)
+	return io.CopyBuffer(struct{ io.Writer }{dst}, src, buf[:])
+}
+
+// shardConn is the proxy's connection to a shard. The transport writes
+// every request body through its ReadFrom.
+type shardConn struct{ net.Conn }
+
+func (c shardConn) ReadFrom(r io.Reader) (int64, error) { return copyPooled(c.Conn, r) }
 
 // liveCount is the number of shards whose breaker is closed — the shards
 // the data plane will route to right now.

@@ -69,7 +69,7 @@ func testFrames(size, k int, seed uint64) []*imgproc.Image {
 	}
 }
 
-func frameBody(t *testing.T, img *imgproc.Image) []byte {
+func frameBody(t testing.TB, img *imgproc.Image) []byte {
 	t.Helper()
 	body, err := json.Marshal(serve.DetectRequest{Width: img.W, Height: img.H, Pixels: img.Pix})
 	if err != nil {

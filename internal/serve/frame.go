@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -19,6 +21,11 @@ import (
 // nothing but whitespace may follow the object, and width and height that
 // precede pixels bind it — the array is refused at its first element past
 // 3*width*height instead of being materialised for checkFrame to count.
+//
+// The pixel array is nearly all of a frame's bytes, and nearly every pixel
+// json.Marshal writes is a fraction: "0." and a handful of digits. Those
+// take scanFractions, which reads eight digits a step and stores the float32
+// strconv would; every other spelling takes the per-token parsePixel.
 
 // frameKeys are the object keys the decoder stores, matched the way
 // encoding/json matches struct fields: under Unicode simple case folding.
@@ -460,6 +467,10 @@ func (f *StreamFrame) scanPixels(buf []byte, i int, dims bool) (int, error) {
 		return i + 1, nil
 	}
 	for {
+		n, i = scanFractions(buf, i, pix[:min(len(pix), limit)], n)
+		if i < len(buf) && buf[i] <= ' ' {
+			i = skipSpace(buf, i)
+		}
 		if n == limit {
 			if dims {
 				return 0, fmt.Errorf("%w: more than 3*%d*%d elements", errPixelBound, f.Width, f.Height)
@@ -526,8 +537,7 @@ func parsePixel(buf []byte, i int) (float32, int, error) {
 		} else {
 			v *= pow10[exp10]
 		}
-		const dropped = 1<<29 - 1 // float64 mantissa bits a float32 has no room for
-		if mant == 0 || v >= 0x1p-126 && v <= math.MaxFloat32 && math.Float64bits(v)&dropped != 1<<28 {
+		if mant == 0 || v >= 0x1p-126 && v <= math.MaxFloat32 && math.Float64bits(v)&dropped != midpoint {
 			if buf[i] == '-' {
 				v = -v
 			}
@@ -539,4 +549,101 @@ func parsePixel(buf []byte, i int) (float32, int, error) {
 		return 0, 0, fmt.Errorf("%s at offset %d is outside the float32 range", buf[i:end], i)
 	}
 	return float32(v), end, nil
+}
+
+// fractionRun is the span of body scanFractions reads for one token: "0.",
+// sixteen bytes holding up to fifteen digits and the comma after them.
+const fractionRun = 2 + 16
+
+// scanFractions is scanPixels' inner loop. It converts the run of elements
+// at buf[i] that are spelled the way json.Marshal spells every float32 in
+// [1e-6, 1) — "0.", one to fifteen digits, then the comma before the next
+// element — into pix[n:], and returns the new n and the index of the first
+// element it did not take. The digits are classified and converted eight
+// at a time in two little-endian words (Lemire, "Number Parsing at a
+// Gigabyte per Second", 2021), giving exactly the mantissa and exponent
+// scanNumber would. An element it does not take stops the run and goes to
+// parsePixel: a sign, an exponent, sixteen or more digits, no digit at all,
+// whitespace, ']' or anything else after the digits, fewer than
+// fractionRun bytes left, or a decimal within a few float64 ulps of a
+// float32 rounding midpoint (see below). So the value stored is always
+// strconv.ParseFloat(token, 32)'s.
+func scanFractions(buf []byte, i int, pix []float32, n int) (int, int) {
+	for ; n < len(pix) && i <= len(buf)-fractionRun; n++ {
+		b := buf[i : i+fractionRun]
+		if binary.LittleEndian.Uint16(b) != '0'|'.'<<8 {
+			break
+		}
+		lo := binary.LittleEndian.Uint64(b[2:]) ^ asciiZeros
+		hi := binary.LittleEndian.Uint64(b[10:]) ^ asciiZeros
+		// d, the digit count, is the byte index of the first non-digit: in
+		// lo, or past lo's eight digits in hi (tlo>>6 is 1 only when lo has
+		// no non-digit). 0 and 16 are refusals.
+		tlo, thi := bits.TrailingZeros64(nonDigits(lo)), bits.TrailingZeros64(nonDigits(hi))
+		d := tlo>>3 + tlo>>6*(thi>>3)
+		if uint(d-1) >= 15 || b[2+d] != ',' {
+			break
+		}
+		// Shifting out the bytes past the digits leaves zeros in front of
+		// them; the &63s only tell the compiler the counts stay below 64.
+		var mant uint64
+		if d <= 8 {
+			mant = eightDigits(lo << ((64 - 8*d) & 63))
+		} else {
+			mant = eightDigits(lo)*pow10u[(d-8)&7] + eightDigits(hi<<((128-8*d)&63))
+		}
+		// mant is exact in a float64 (it is below 10^15 < 2^53); 10^-d and
+		// the product are each rounded once, so v is within 2^-52 of the
+		// decimal relative to it, under 2.0001 ulps of v. A float32 rounding
+		// midpoint more than midSlack ulps from v therefore cannot lie
+		// between v and the decimal, and narrowing rounds both to the same
+		// float32. A v nearer a midpoint stops the run: parsePixel's
+		// correctly rounded divide takes the token.
+		v := float64(mant) * negPow10[d&15]
+		if math.Float64bits(v)&dropped-(midpoint-midSlack) <= 2*midSlack {
+			break
+		}
+		pix[n] = float32(v)
+		i += 3 + d
+	}
+	return n, i
+}
+
+// The float64 mantissa bits a float32 has no room for, their pattern at a
+// float32 rounding midpoint, and how many float64 ulps from one a product
+// of scanFractions must stay.
+const (
+	dropped  = 1<<29 - 1
+	midpoint = 1 << 28
+	midSlack = 8
+)
+
+// negPow10[d] is the float64 nearest 10^-d.
+var negPow10 = [...]float64{
+	1e-0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15,
+}
+
+// pow10u holds the powers of ten below 10^8.
+var pow10u = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7}
+
+// asciiZeros is '0' in every byte: XORed into a word of ASCII digits it
+// leaves each digit's value in its byte.
+const asciiZeros = 0x3030303030303030
+
+// nonDigits takes a word of body bytes XORed with asciiZeros and returns
+// it with the top bit set in every byte that was not an ASCII digit — the
+// bytes that are not 0–9 after the XOR — and every other bit clear. The
+// low seven bits of each byte plus 0x76 cannot carry out of the byte.
+func nonDigits(x uint64) uint64 {
+	return ((x&0x7f7f7f7f7f7f7f7f + 0x7676767676767676) | x) & 0x8080808080808080
+}
+
+// eightDigits is the value of the eight decimal digits held one per byte,
+// the most significant in the lowest byte, as nonDigits' XOR leaves them:
+// pairs, then quadruples, are combined by multiplies that keep each partial
+// sum inside its own byte or 32-bit half. A word shifted left by 8*(8-k)
+// bits holds k digits behind zeros and converts to their value.
+func eightDigits(x uint64) uint64 {
+	x = x*10 + x>>8
+	return ((x&0x000000ff000000ff)*(100+1000000<<32) + (x>>16&0x000000ff000000ff)*(1+10000<<32)) >> 32
 }

@@ -11,6 +11,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/pipeline"
 )
 
 // frameSeeds are the stream-frame bodies FuzzDecodeStreamFrame and
@@ -85,8 +88,70 @@ var frameSeeds = func() []string {
 	} {
 		seeds = append(seeds, fmt.Sprintf(`{"width":1,"height":1,"pixels":[%s,0.5,%s]}`, px, px))
 	}
-	return seeds
+	return append(seeds, fractionEdgeFrames()...)
 }()
+
+// fractionEdgeTokens are pixel spellings at the edges of scanFractions'
+// fast loop: digit runs on either side of its word boundary and of its
+// fifteen-digit limit, zeros, an exponent or a sign after "0.", and
+// fifteen-digit decimals whose nearest float64 is a float32 rounding
+// midpoint (midpointFractions).
+var fractionEdgeTokens = append([]string{
+	"0.5", "0.1234567", "0.12345678", "0.123456789", "0.123456789012345", "0.1234567890123456", "0.12345678901234567",
+	"0.0", "0.000000000000001", "0.5e3", "0.5E-40", "-0.5",
+}, midpointFractions(6)...)
+
+// midpointFractions returns k tokens of "0." and fifteen digits whose
+// nearest float64 is exactly halfway between two float32s while the
+// decimal itself lies on the side away from the even one: narrowing the
+// float64 rounds them the wrong way, so only a midpoint guard gets them
+// right.
+func midpointFractions(k int) []string {
+	rng := rand.New(rand.NewSource(4))
+	var toks []string
+	for len(toks) < k {
+		lo := 0.5 + 0.5*rng.Float32()
+		hi := math.Nextafter32(lo, 1)
+		mid := (float64(lo) + float64(hi)) / 2
+		tok := strconv.FormatFloat(mid, 'f', 15, 64)
+		if v, _ := strconv.ParseFloat(tok, 64); v != mid {
+			continue
+		}
+		if want, _ := strconv.ParseFloat(tok, 32); float32(want) != float32(mid) {
+			toks = append(toks, tok)
+		}
+	}
+	return toks
+}
+
+// fractionEdgeFrames spells fractionEdgeTokens the ways a body can put them
+// in front of scanFractions: back to back as json.Marshal writes them, with
+// whitespace around the commas, each one last before ']' and within
+// fractionRun bytes of the body's end, before a '}' that should have been a
+// ']', and beside the malformed fractions "0.," and "0.x".
+func fractionEdgeFrames() []string {
+	toks := fractionEdgeTokens
+	frame := func(pixels string, n int) string {
+		return fmt.Sprintf(`{"width":%d,"height":1,"pixels":[%s]}`, n, pixels)
+	}
+	all := strings.Repeat(strings.Join(toks, ",")+",", 3)
+	frames := []string{
+		frame(all[:len(all)-1], len(toks)),
+		frame(strings.Join(toks, " , ")+" , "+strings.Join(toks, " , ")+","+strings.Join(toks, "\n,\t"), len(toks)),
+		`{"width":1,"height":1,"pixels":[0.,0.5,0.5]}`,
+		`{"width":1,"height":1,"pixels":[0.5,0.x,0.5]}`,
+		`{"width":1,"height":1,"pixels":[0.5,0.5,0.]}`,
+		`{"width":2,"height":1,"pixels":[0.125,0.25,0.375,0.5,0.625,0.75]}`,
+	}
+	for _, tok := range toks {
+		frames = append(frames,
+			frame("0.25,"+tok+","+tok, 1),
+			frame(tok+" ,0.25,"+tok+"\t", 1),
+			`{"width":1,"height":1,"pixels":[0.25,0.25,`+tok+`}`,
+			`{"width":1,"height":1,"pixels":[0.25,0.25,`+tok)
+	}
+	return frames
+}
 
 // dimsRepeat reports whether a width or height key occurs more than once
 // in raw (null values included) — the one shape of document on which
@@ -195,6 +260,12 @@ func TestParsePixelMatchesStrconv(t *testing.T) {
 		if gerr == nil && (end != len(tok) || math.Float32bits(got) != math.Float32bits(float32(want))) {
 			t.Fatalf("%s: parsePixel %v (%#x) ending at %d, strconv %v (%#x)", tok, got, math.Float32bits(got), end, float32(want), math.Float32bits(float32(want)))
 		}
+		// The fast loop, where it takes the token, must agree as well.
+		var pix [1]float32
+		if n, end := scanFractions([]byte(tok+","+strings.Repeat(" ", fractionRun)), 0, pix[:], 0); n == 1 &&
+			(end != len(tok)+1 || math.Float32bits(pix[0]) != math.Float32bits(float32(want))) {
+			t.Fatalf("%s: scanFractions %v (%#x) ending at %d, strconv %v (%#x)", tok, pix[0], math.Float32bits(pix[0]), end, float32(want), math.Float32bits(float32(want)))
+		}
 	}
 	digits := func(n int) string {
 		b := make([]byte, n)
@@ -234,6 +305,19 @@ func TestParsePixelMatchesStrconv(t *testing.T) {
 			check(strings.Replace(tok, "e", "1e", 1))
 		}
 		check(strconv.FormatFloat(mid, 'f', -1, 64))
+	}
+	// The same for the fast loop's fractions: midpoints in [0, 1) written
+	// in at most fifteen digits, the last one nudged either way.
+	for i := 0; i < 20000; i++ {
+		lo := rng.Float32()
+		mid := (float64(lo) + float64(math.Nextafter32(lo, 1))) / 2
+		for _, prec := range []int{8, 9, 12, 15} {
+			tok := strconv.FormatFloat(mid, 'f', prec, 64)
+			check(tok)
+			for _, nudge := range []float64{-1, 1} {
+				check(strconv.FormatFloat(mid+nudge*math.Pow(10, float64(-prec)), 'f', prec, 64))
+			}
+		}
 	}
 }
 
@@ -305,30 +389,56 @@ func TestDecodeFrameBoundsPixels(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeFrame against BenchmarkDecodeFrameEncodingJSON is the
-// ratio the decoder exists for, on the detect-ingest workload's 96x96
-// frame: go test -run '^$' -bench DecodeFrame ./internal/serve
-func BenchmarkDecodeFrame(b *testing.B) {
-	raw := testFrameBody(b, 96)
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodeFrame(raw); err != nil {
-			b.Fatal(err)
-		}
+// cameraFrameBody is a json.Marshal-ed side x side frame from the
+// simulated camera: the bytes the detect-ingest and sharded bench
+// workloads post, about 10.8 bytes a pixel.
+func cameraFrameBody(tb testing.TB, side int) []byte {
+	tb.Helper()
+	f, _ := pipeline.NewSimCamera(dataset.DefaultConfig(side), 1, 7).Next()
+	raw, err := json.Marshal(DetectRequest{Width: side, Height: side, Pixels: f.Image.Pix})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// benchFrames runs fn on the two 96x96 bodies the decoder is measured on:
+// random floats over [0, 1) and a simulated camera frame.
+func benchFrames(b *testing.B, fn func(b *testing.B, raw []byte)) {
+	for _, c := range []struct {
+		name string
+		body func(testing.TB, int) []byte
+	}{{"random", testFrameBody}, {"camera", cameraFrameBody}} {
+		b.Run(c.name, func(b *testing.B) {
+			raw := c.body(b, 96)
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			fn(b, raw)
+		})
 	}
 }
 
-func BenchmarkDecodeFrameEncodingJSON(b *testing.B) {
-	raw := testFrameBody(b, 96)
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var f StreamFrame
-		if err := json.Unmarshal(raw, &f); err != nil {
-			b.Fatal(err)
+// BenchmarkDecodeFrame against BenchmarkDecodeFrameEncodingJSON is the
+// ratio the decoder exists for, on the 96x96 frames of the detect-ingest
+// and sharded workloads: go test -run '^$' -bench DecodeFrame ./internal/serve
+func BenchmarkDecodeFrame(b *testing.B) {
+	benchFrames(b, func(b *testing.B, raw []byte) {
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeFrame(raw); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+}
+
+func BenchmarkDecodeFrameEncodingJSON(b *testing.B) {
+	benchFrames(b, func(b *testing.B, raw []byte) {
+		for i := 0; i < b.N; i++ {
+			var f StreamFrame
+			if err := json.Unmarshal(raw, &f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

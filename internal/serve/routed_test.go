@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -345,7 +344,7 @@ func TestRoutedShutdownDrainsAllPools(t *testing.T) {
 			statuses <- status
 		}()
 	}
-	time.Sleep(5 * time.Millisecond)
+	waitAdmitted(t, srv)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -347,6 +348,19 @@ func TestOverloadReturns429(t *testing.T) {
 	}
 }
 
+// waitAdmitted polls srv until it has admitted at least one request, so
+// the shutdown that follows always races live work.
+func waitAdmitted(t *testing.T, srv *serve.Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for st := srv.Stats(); st.Received <= st.Rejected; st = srv.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("no request admitted within 10s")
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestShutdownDrainsAndRejects: Close answers everything already admitted,
 // and later requests get 503.
 func TestShutdownDrains(t *testing.T) {
@@ -374,7 +388,7 @@ func TestShutdownDrains(t *testing.T) {
 			statuses <- resp.StatusCode
 		}()
 	}
-	time.Sleep(5 * time.Millisecond)
+	waitAdmitted(t, srv)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
