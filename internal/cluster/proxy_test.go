@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -414,7 +415,8 @@ func TestProxyNoLiveShard503(t *testing.T) {
 
 // TestFleetMetricsRollup scrapes two real shards through the proxy and
 // checks the fleet document: per-shard blocks carry their identity and
-// scraped metrics, and the flattened rollup sums the shards' counters.
+// scraped metrics, the flattened rollup sums the shards' counters, and its
+// latency histogram is the sum of theirs with p50/p99 read from that sum.
 func TestFleetMetricsRollup(t *testing.T) {
 	addr0, _ := realShard(t, "shard0", 1)
 	addr1, _ := realShard(t, "shard1", 2)
@@ -443,6 +445,7 @@ func TestFleetMetricsRollup(t *testing.T) {
 		t.Fatalf("fleet shape: %d/%d live", rep.LiveShards, rep.TotalShards)
 	}
 	var sumCompleted, sumForwarded uint64
+	sumHist := map[int]int{}
 	for addr, sm := range rep.Shards {
 		if sm.Metrics == nil {
 			t.Fatalf("shard %s: no scraped metrics", addr)
@@ -455,6 +458,15 @@ func TestFleetMetricsRollup(t *testing.T) {
 		}
 		sumCompleted += sm.Metrics.Stats.Completed
 		sumForwarded += sm.ForwardedTotal
+		for us, k := range sm.Metrics.Stats.LatencyHist {
+			sumHist[us] += k
+		}
+	}
+	if !reflect.DeepEqual(rep.Stats.LatencyHist, sumHist) {
+		t.Fatalf("rollup latency_hist_us %v, want the shards' sum %v", rep.Stats.LatencyHist, sumHist)
+	}
+	if p50, p99 := histQuantileMs(sumHist, 0.50), histQuantileMs(sumHist, 0.99); rep.Stats.LatencyP50Ms != p50 || rep.Stats.LatencyP99Ms != p99 || p50 == 0 {
+		t.Fatalf("rollup p50/p99 %v/%v ms, want %v/%v from the summed buckets", rep.Stats.LatencyP50Ms, rep.Stats.LatencyP99Ms, p50, p99)
 	}
 	if sumForwarded != uint64(total) {
 		t.Fatalf("forwarded_total sums to %d, proxied %d", sumForwarded, total)
@@ -468,6 +480,25 @@ func TestFleetMetricsRollup(t *testing.T) {
 	if rep.Stats.ShardID != "" {
 		t.Fatalf("rollup carries a per-process shard_id %q", rep.Stats.ShardID)
 	}
+}
+
+// histQuantileMs reads the nearest-rank p-quantile (rank round(p·n),
+// clamped to [1, n]) off a sparse latency histogram keyed by bucket upper
+// bounds in µs, in milliseconds.
+func histQuantileMs(hist map[int]int, p float64) float64 {
+	bounds, n := make([]int, 0, len(hist)), 0
+	for us, k := range hist {
+		bounds = append(bounds, us)
+		n += k
+	}
+	sort.Ints(bounds)
+	rank := min(max(int(p*float64(n)+0.5), 1), n)
+	for _, us := range bounds {
+		if rank -= hist[us]; rank <= 0 {
+			return float64(us) / 1e3
+		}
+	}
+	return 0
 }
 
 func getJSON(t *testing.T, url string, v any) {

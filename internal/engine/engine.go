@@ -5,6 +5,8 @@
 // replica. It is the one way this repository runs a model — the paper's
 // single-camera §IV.B loop scaled to concurrent requests.
 //
+// It keeps no statistics: the serving pool that drives it times its calls.
+//
 // The engine is precision-agnostic: a network's convolutions are float32
 // layers.Conv2D or int8 quant.QConv, and the same replica pool serves either
 // without the layers above noticing.
@@ -12,9 +14,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/detect"
 	"repro/internal/faults"
@@ -47,20 +47,7 @@ type Engine struct {
 	mu        sync.Mutex              // guards lazy pool growth, workerCap and Free
 	runners   []*pipeline.BatchRunner // pooled worker replicas, grown lazily
 	workerCap int                     // ExecuteBatch id bound when > Workers (idle-worker lending)
-
-	// Service-time estimate: a ring of recent ExecuteBatch wall durations
-	// feeding ServiceP50 — the "can this request still make its deadline"
-	// input the serving batcher consults before spending a kernel on it.
-	svcMu    sync.Mutex
-	svcDur   [svcWindow]time.Duration
-	svcNext  int
-	svcCount int
 }
-
-// svcWindow is how many recent batch executions the service-time estimate
-// remembers: enough to smooth batch-size jitter, small enough to track a
-// load shift within tens of batches.
-const svcWindow = 64
 
 // New creates an engine around a base network of either precision. The
 // base is never mutated; workers clone it for inference, so training it
@@ -178,43 +165,13 @@ func (e *Engine) ExecuteBatch(id int, imgs []*imgproc.Image, altitudes []float64
 	if cap := e.WorkerCap(); id < 0 || id >= cap {
 		return nil, fmt.Errorf("engine: worker id %d outside pool cap of %d", id, cap)
 	}
-	start := time.Now()
-	// The injection site sits inside the timed span on purpose: a chaos test
-	// arming engine.execute=slow:<d> inflates the observed service time the
-	// same way a genuinely slow kernel would, so the deadline-drop logic the
+	// The injection site sits inside the span the serving pool times as its
+	// service estimate on purpose: a chaos test arming
+	// engine.execute=slow:<d> inflates the observed service time the same
+	// way a genuinely slow kernel would, so the deadline-drop logic the
 	// estimate feeds is exercised against the estimate it will see in life.
 	if err := faults.Fire("engine.execute", ""); err != nil {
 		return nil, err
 	}
-	per, err := e.runner(id).Detect(imgs, altitudes)
-	e.recordService(time.Since(start))
-	return per, err
-}
-
-// recordService appends one batch-execution duration to the estimate ring.
-func (e *Engine) recordService(d time.Duration) {
-	e.svcMu.Lock()
-	e.svcDur[e.svcNext] = d
-	e.svcNext = (e.svcNext + 1) % svcWindow
-	if e.svcCount < svcWindow {
-		e.svcCount++
-	}
-	e.svcMu.Unlock()
-}
-
-// ServiceP50 returns the median wall duration of recent ExecuteBatch calls
-// (0 before any batch has executed). The serving batcher compares a
-// request's remaining deadline budget against it: a request that cannot
-// cover even the typical batch service time is dropped before it reaches a
-// kernel instead of burning GEMM time on an answer that will arrive dead.
-func (e *Engine) ServiceP50() time.Duration {
-	e.svcMu.Lock()
-	defer e.svcMu.Unlock()
-	if e.svcCount == 0 {
-		return 0
-	}
-	window := make([]time.Duration, e.svcCount)
-	copy(window, e.svcDur[:e.svcCount])
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	return window[e.svcCount/2]
+	return e.runner(id).Detect(imgs, altitudes)
 }

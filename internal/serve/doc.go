@@ -118,23 +118,22 @@
 // (milliseconds remaining) or ?deadline_ms= — and the server refuses to
 // spend compute on answers nobody can use. A budget already expired at
 // admission is a 504 before the request touches a queue; a budget smaller
-// than the pool's observed p50 service time is dropped by the batcher at
-// assembly, again 504, BEFORE the batch reaches a kernel. Both paths
-// count deadline_exceeded_total, and the accounting identity
-// sum(batch_size*count) == completed+failed over the batch histogram
-// proves dropped-expired work never executed. A budget over
-// maxDeadlineBudget (one day) is refused as malformed — 400 on the HTTP
-// and stream-open paths, an in-band 400 per stream frame — so an
-// overflowing millisecond count cannot wrap into a negative budget.
+// than the pool's median batch service time (over its last 32–64
+// batches) is dropped by the batcher at assembly, again 504, BEFORE the
+// batch reaches a kernel. Both paths count deadline_exceeded_total, and
+// the accounting identity sum(batch_size*count) == completed+failed over
+// the batch histogram proves dropped-expired work never executed. A
+// budget over maxDeadlineBudget (one day) is refused as malformed — 400
+// on the HTTP and stream-open paths, an in-band 400 per stream frame — so
+// an overflowing millisecond count cannot wrap into a negative budget.
 //
 // # Brownout degradation and budgeted retries
 //
 // A model entry may declare a cheaper sibling (ModelEntry.Degrade, the
 // degrade= field of the -models grammar). When the primary's queue is deep
-// (Config.BrownoutEnter fraction of capacity) or its p99 breaches the
-// brownout trigger, implicitly-routed requests shed to the sibling until
-// depth falls below Config.BrownoutExit — enter/exit hysteresis, so the
-// router doesn't flap. Degraded responses carry "degraded":true plus the
+// (Config.BrownoutEnter fraction of capacity), implicitly-routed requests
+// shed to the sibling until depth falls below Config.BrownoutExit —
+// enter/exit hysteresis, so the router doesn't flap. Degraded responses carry "degraded":true plus the
 // serving model's name, and count degraded_total on the model that shed.
 // Explicit ?model=/X-Model selections are never degraded — the caller
 // asked for that model by name.
@@ -180,8 +179,10 @@
 //	                  queue depth/cap, altitude band, workspace bytes)
 //	GET  /metrics     JSON serving statistics (MetricsReport): the fleet
 //	                  aggregate flattened at the top level — queue depth,
-//	                  p50/p99/mean/max latency, batch-size histogram,
-//	                  aggregate FPS — plus per-model Stats under "models"
+//	                  p50/p99/mean/max latency, the latency histogram
+//	                  (latency_hist_us, the last 2,048–4,096 requests),
+//	                  batch-size histogram, aggregate FPS — plus
+//	                  per-model Stats under "models"
 //
 // Both detect endpoints accept ?model= / X-Model and respond with
 //

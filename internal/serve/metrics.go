@@ -1,15 +1,10 @@
 package serve
 
 import (
-	"sort"
+	"math/bits"
 	"sync"
 	"time"
 )
-
-// latWindow is the sliding window of request latencies kept for percentile
-// estimation. 4096 completed requests of history is enough to make p99
-// meaningful while bounding memory.
-const latWindow = 4096
 
 // Stats is the machine-readable snapshot served by /metrics. A routed
 // server produces one Stats per hosted model plus a fleet aggregate (see
@@ -128,12 +123,14 @@ type Stats struct {
 	BatchHist     map[int]int `json:"batch_hist"`
 
 	// End-to-end request latencies (queue wait + inference) in
-	// milliseconds. Percentiles are over the last latWindow requests; Max
-	// is all-time.
-	LatencyP50Ms  float64 `json:"latency_p50_ms"`
-	LatencyP99Ms  float64 `json:"latency_p99_ms"`
-	LatencyMeanMs float64 `json:"latency_mean_ms"`
-	LatencyMaxMs  float64 `json:"latency_max_ms"`
+	// milliseconds; Mean and Max are all-time. LatencyHist holds the last
+	// 2,048–4,096 requests, each non-zero bucket's count keyed by its upper
+	// bound in µs (see bucketOf), and P50/P99 are read from it.
+	LatencyP50Ms  float64     `json:"latency_p50_ms"`
+	LatencyP99Ms  float64     `json:"latency_p99_ms"`
+	LatencyMeanMs float64     `json:"latency_mean_ms"`
+	LatencyMaxMs  float64     `json:"latency_max_ms"`
+	LatencyHist   map[int]int `json:"latency_hist_us"`
 
 	// BusySeconds is the wall-clock time at least one batch was executing
 	// (overlapping worker spans merged), and AggregateFPS the images pushed
@@ -149,12 +146,13 @@ type Stats struct {
 // both; a fronting proxy rolls its shards up by folding them into the zero
 // Stats. Counters, gauges, queue occupancy, workers, busy time and
 // throughput sum; uptime, MaxBatch and the latency max take the larger
-// side; Precision turns "mixed" when the sides differ. Latency percentiles
-// cannot be merged exactly from summaries, so p50/p99 and the mean are
-// completion-weighted averages (documented approximation). The labels of
-// one process or pool (Model, ShardID, Addr, MaxAltitude, Generation) are
-// not carried. TestStatsMergeCoversEveryField fails when a numeric field
-// is added to Stats and not merged here.
+// side; Precision turns "mixed" when the sides differ. Latency histograms
+// add and p50/p99 are re-read from the sum, exactly as one process serving
+// both streams would report them (a side without a histogram adds no
+// samples); the mean is weighted by completed+failed. The labels of one
+// process or pool (Model, ShardID, Addr, MaxAltitude, Generation) are not
+// carried. TestStatsMergeCoversEveryField fails when a numeric field is
+// added to Stats and not merged here.
 func (s *Stats) Merge(o Stats) {
 	s.UptimeSeconds = max(s.UptimeSeconds, o.UptimeSeconds)
 	switch {
@@ -165,11 +163,8 @@ func (s *Stats) Merge(o Stats) {
 	}
 
 	// The weighted means go first: they need both sides' pre-merge weights.
-	if n := float64(s.Completed + o.Completed); n > 0 {
-		ws, wo := float64(s.Completed)/n, float64(o.Completed)/n
-		s.LatencyP50Ms = ws*s.LatencyP50Ms + wo*o.LatencyP50Ms
-		s.LatencyP99Ms = ws*s.LatencyP99Ms + wo*o.LatencyP99Ms
-		s.LatencyMeanMs = ws*s.LatencyMeanMs + wo*o.LatencyMeanMs
+	if ns, no := float64(s.Completed+s.Failed), float64(o.Completed+o.Failed); ns+no > 0 {
+		s.LatencyMeanMs = (s.LatencyMeanMs*ns + o.LatencyMeanMs*no) / (ns + no)
 	}
 	if n := float64(s.Batches + o.Batches); n > 0 {
 		s.MeanBatchSize = (s.MeanBatchSize*float64(s.Batches) + o.MeanBatchSize*float64(o.Batches)) / n
@@ -205,6 +200,13 @@ func (s *Stats) Merge(o Stats) {
 	for k, v := range o.BatchHist {
 		s.BatchHist[k] += v
 	}
+	if s.LatencyHist == nil && o.LatencyHist != nil {
+		s.LatencyHist = make(map[int]int, len(o.LatencyHist))
+	}
+	for k, v := range o.LatencyHist {
+		s.LatencyHist[k] += v
+	}
+	s.setPercentiles()
 	s.BusySeconds += o.BusySeconds
 	s.AggregateFPS += o.AggregateFPS
 }
@@ -233,12 +235,6 @@ type metrics struct {
 	deadline  uint64 // deadline breaches: on arrival, at assembly, or late
 	degraded  uint64 // requests downgraded to the brownout sibling
 
-	// p99Cache memoizes the window p99 for the brownout latency trigger,
-	// which is consulted on the request path — recomputing a sorted
-	// percentile over 4096 samples per request would be its own overload.
-	p99Cache float64
-	p99At    time.Time
-
 	borrowedNow  int    // borrowed batch executions in flight
 	borrowsTotal uint64 // granted borrows, all-time
 
@@ -257,11 +253,9 @@ type metrics struct {
 	active      int       // batches executing right now
 	activeSince time.Time // when active last rose from zero
 
-	lat      [latWindow]float64 // seconds, ring buffer
-	latNext  int
-	latCount int
-	latSum   float64 // all-time, for the mean
-	latMax   float64
+	lat    latencyHist // the last 2,048–4,096 requests: enough for a p99
+	latSum float64     // seconds, all-time, for the mean
+	latMax float64
 
 	// now is the metrics' clock; nil means time.Now. Tests step it to lay
 	// out batch spans without sleeping.
@@ -269,7 +263,7 @@ type metrics struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{start: time.Now(), batchHist: make(map[int]int)}
+	return &metrics{start: time.Now(), batchHist: make(map[int]int), lat: latencyHist{half: 2048}}
 }
 
 // clock reads the metrics' clock. Callers hold m.mu.
@@ -323,25 +317,6 @@ func (m *metrics) degrade() {
 	m.mu.Unlock()
 }
 
-// p99Quick returns the window p99 in milliseconds, recomputed at most every
-// 100ms (the brownout trigger's consult path).
-func (m *metrics) p99Quick() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.p99At.IsZero() && m.clock().Sub(m.p99At) < 100*time.Millisecond {
-		return m.p99Cache
-	}
-	m.p99At = m.clock()
-	m.p99Cache = 0
-	if m.latCount > 0 {
-		window := make([]float64, m.latCount)
-		copy(window, m.lat[:m.latCount])
-		sort.Float64s(window)
-		m.p99Cache = percentile(window, 0.99) * 1e3
-	}
-	return m.p99Cache
-}
-
 // Streaming-session recorders: one session opened, one idle eviction, one
 // frame received, one frame displaced by drop-oldest, one in-band 429, one
 // tracker track retired.
@@ -375,11 +350,7 @@ func (m *metrics) done(lat time.Duration, ok bool) {
 	} else {
 		m.failed++
 	}
-	m.lat[m.latNext] = sec
-	m.latNext = (m.latNext + 1) % latWindow
-	if m.latCount < latWindow {
-		m.latCount++
-	}
+	m.lat.record(lat)
 	m.latSum += sec
 	if sec > m.latMax {
 		m.latMax = sec
@@ -455,13 +426,13 @@ func (m *metrics) snapshot(queueDepth, queueCap, workers, maxBatch int) Stats {
 	if finished > 0 {
 		s.LatencyMeanMs = m.latSum / float64(finished) * 1e3
 	}
-	if m.latCount > 0 {
-		window := make([]float64, m.latCount)
-		copy(window, m.lat[:m.latCount])
-		sort.Float64s(window)
-		s.LatencyP50Ms = percentile(window, 0.50) * 1e3
-		s.LatencyP99Ms = percentile(window, 0.99) * 1e3
+	s.LatencyHist = make(map[int]int)
+	for i := range histBuckets {
+		if k := m.lat.counts[0][i] + m.lat.counts[1][i]; k > 0 {
+			s.LatencyHist[int(bucketUpperUs(i))] = k
+		}
 	}
+	s.setPercentiles()
 	s.BusySeconds = m.busySeconds
 	if m.active > 0 {
 		s.BusySeconds += m.clock().Sub(m.activeSince).Seconds() // open span
@@ -472,18 +443,75 @@ func (m *metrics) snapshot(queueDepth, queueCap, workers, maxBatch int) Stats {
 	return s
 }
 
-// percentile returns the p-quantile of an ascending-sorted slice using the
-// nearest-rank method.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
+// The latency histogram's buckets are log-linear over whole microseconds,
+// as in HdrHistogram: below 16 µs each microsecond is a bucket, and from
+// 16 µs up each power of two splits into histSub buckets, so a bucket is at
+// most 1/16 = 6.25 % of its lower bound wide. The ends clamp: under 1 µs
+// counts as 0 µs, and the last bucket holds everything from 2^26 µs (~67 s).
+const (
+	histSub     = 16
+	histMaxUs   = 1<<26 - 1
+	histBuckets = 368 // bucketOf(histMaxUs) + 1
+)
+
+// bucketOf returns the bucket of a latency of us microseconds: its top
+// five significant bits.
+func bucketOf(us int64) int {
+	us = min(max(us, 0), histMaxUs)
+	e := max(bits.Len64(uint64(us))-5, 0)
+	return e*histSub + int(us>>e)
+}
+
+// bucketUpperUs is bucket i's exclusive upper bound in µs, the value a
+// quantile in the bucket reports: above its samples by at most its width.
+func bucketUpperUs(i int) int64 {
+	e := max(i/histSub-1, 0)
+	return int64(i-e*histSub+1) << e
+}
+
+// latencyHist is a window of latencies as bucket counts in two halves.
+// Samples go into the current half; once it holds half of them, the other
+// half is cleared and takes over. Quantiles read both halves, so they cover
+// the last half to 2·half samples. Nothing allocates; callers serialise.
+type latencyHist struct {
+	half   int
+	counts [2][histBuckets]int
+	n      [2]int
+	cur    int
+}
+
+func (h *latencyHist) record(d time.Duration) {
+	if h.n[h.cur] == h.half {
+		h.cur ^= 1
+		h.counts[h.cur], h.n[h.cur] = [histBuckets]int{}, 0
+	}
+	h.counts[h.cur][bucketOf(d.Microseconds())]++
+	h.n[h.cur]++
+}
+
+// quantile returns the upper bound of the bucket holding the nearest-rank
+// p-quantile sample (rank round(p·n), clamped to [1, n]); 0 with no samples.
+func (h *latencyHist) quantile(p float64) time.Duration {
+	n := h.n[0] + h.n[1]
+	if n <= 0 {
 		return 0
 	}
-	i := int(p*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
+	rank := min(max(int(p*float64(n)+0.5), 1), n)
+	for i := range histBuckets {
+		if rank -= h.counts[0][i] + h.counts[1][i]; rank <= 0 {
+			return time.Duration(bucketUpperUs(i)) * time.Microsecond
+		}
 	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
+	return 0
+}
+
+// setPercentiles re-reads LatencyP50Ms and LatencyP99Ms from LatencyHist.
+func (s *Stats) setPercentiles() {
+	var h latencyHist
+	for us, k := range s.LatencyHist {
+		h.counts[0][bucketOf(int64(us)-1)] += k
+		h.n[0] += k
 	}
-	return sorted[i]
+	s.LatencyP50Ms = float64(h.quantile(0.50)) / 1e6
+	s.LatencyP99Ms = float64(h.quantile(0.99)) / 1e6
 }

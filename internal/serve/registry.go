@@ -39,8 +39,8 @@ type ModelEntry struct {
 	// (equal shares).
 	Weight float64
 	// Degrade names the cheaper sibling model brownout degradation serves
-	// implicitly-routed requests from while this model's queue depth (or
-	// p99) is over its watermark (see Config.BrownoutEnter). Empty
+	// implicitly-routed requests from while this model's queue depth is
+	// over its watermark (see Config.BrownoutEnter). Empty
 	// disables degradation for this model. The name is resolved against
 	// the live table per request, so a hot-removed sibling simply stops
 	// absorbing downgrades.

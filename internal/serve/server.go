@@ -59,11 +59,6 @@ type Config struct {
 	// 0.75 and 0.25.
 	BrownoutEnter float64
 	BrownoutExit  float64
-	// BrownoutP99Ms, when > 0, adds a latency trigger: a p99 at or above
-	// this many milliseconds (over the recent latency window) also enters
-	// brownout, and brownout is not left until p99 falls below half of it.
-	// 0 disables the latency trigger (depth-only brownout).
-	BrownoutP99Ms float64
 }
 
 // withDefaults normalizes the zero-value knobs.
@@ -167,10 +162,15 @@ type hosted struct {
 	gen     uint64
 
 	// brownout is the hysteresis latch of the degradation watermark: set
-	// when queue depth (or p99) crosses the enter threshold, cleared only
-	// when pressure falls below the lower exit threshold, so the downgrade
-	// decision cannot flap on every queue-length wiggle.
+	// when queue depth crosses the enter threshold, cleared only when it
+	// falls below the lower exit threshold, so the downgrade decision
+	// cannot flap on every queue-length wiggle.
 	brownout atomic.Bool
+
+	// svc times this pool's last 32–64 successful batch executions, the
+	// deadline yardstick (see serviceMedian).
+	svcMu sync.Mutex
+	svc   latencyHist
 
 	// queue is the bounded admission queue (capacity cfg.QueueDepth, the
 	// 429 threshold); the batcher drains it into batches.
@@ -400,6 +400,7 @@ func (s *Server) startHosted(e ModelEntry, met *metrics) (*hosted, error) {
 		gen:     s.genCounter.Add(1),
 		queue:   make(chan *request, cfg.QueueDepth),
 		batches: make(chan []*request),
+		svc:     latencyHist{half: 32},
 	}
 	if cfg.Warm {
 		h.eng.WarmBatch(cfg.MaxBatch)
@@ -828,12 +829,11 @@ func (h *hosted) dropExpired(r *request) {
 }
 
 // brownoutActive evaluates (and latches) this pool's degradation state.
-// Entering needs queue depth at or above the enter watermark — or, with
-// the latency trigger configured, a recent-window p99 at or above it;
-// leaving needs pressure below the LOWER exit watermark (and p99 below
-// half the trigger), so the decision has a hysteresis band instead of
-// flapping with every queue-length wiggle. Races between concurrent
-// evaluators are benign: both sides converge on the same thresholds.
+// Entering needs queue depth at or above the enter watermark; leaving needs
+// depth at or below the LOWER exit watermark, so the decision has a
+// hysteresis band instead of flapping with every queue-length wiggle.
+// Races between concurrent evaluators are benign: both sides converge on
+// the same thresholds.
 func (h *hosted) brownoutActive() bool {
 	if h.degrade == "" {
 		return false
@@ -844,15 +844,11 @@ func (h *hosted) brownoutActive() bool {
 		enter = 1
 	}
 	exit := int(h.cfg.BrownoutExit * float64(capacity))
-	var p99 float64
-	if h.cfg.BrownoutP99Ms > 0 {
-		p99 = h.met.p99Quick()
-	}
 	if h.brownout.Load() {
-		if depth <= exit && (h.cfg.BrownoutP99Ms <= 0 || p99 < h.cfg.BrownoutP99Ms/2) {
+		if depth <= exit {
 			h.brownout.Store(false)
 		}
-	} else if depth >= enter || (h.cfg.BrownoutP99Ms > 0 && p99 >= h.cfg.BrownoutP99Ms) {
+	} else if depth >= enter {
 		h.brownout.Store(true)
 	}
 	return h.brownout.Load()
@@ -895,7 +891,7 @@ func (h *hosted) batchLoop() {
 		// svc is this assembly pass's deadline yardstick: a request whose
 		// remaining budget cannot cover the pool's typical batch service
 		// time would come back expired, so spend nothing on it.
-		svc := h.eng.ServiceP50()
+		svc := h.serviceMedian()
 		if h.dropDead(first, svc) {
 			continue
 		}
@@ -1009,7 +1005,13 @@ func (h *hosted) runBatch(id int, batch []*request, imgs []*imgproc.Image, alts 
 	}
 	h.met.batchStart()
 	h.fleet.batchStart()
+	start := time.Now()
 	per, err := h.executeBatch(id, imgs, alts)
+	if err == nil {
+		h.svcMu.Lock()
+		h.svc.record(time.Since(start))
+		h.svcMu.Unlock()
+	}
 	if ferr := faults.Fire("serve.batch", h.name); ferr != nil && err == nil {
 		// An injected batcher fault fails the whole batch the way a real
 		// execution error would; the requests still count as executed
@@ -1037,6 +1039,17 @@ func (h *hosted) runBatch(id int, batch []*request, imgs []*imgproc.Image, alts 
 		imgs[i] = nil
 	}
 	return imgs, alts
+}
+
+// serviceMedian returns the median wall time of this pool's recent
+// successful batch executions (0 before the first): enough batches to
+// smooth size jitter, few enough to follow a load shift. A request whose
+// remaining deadline budget cannot cover it is dropped before it reaches a
+// kernel instead of burning GEMM time on an answer that will arrive dead.
+func (h *hosted) serviceMedian() time.Duration {
+	h.svcMu.Lock()
+	defer h.svcMu.Unlock()
+	return h.svc.quantile(0.50)
 }
 
 // executeBatch wraps the engine call with panic recovery: the batch workers

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -88,6 +89,27 @@ func waitSessions(t *testing.T, srv *serve.Server, want int) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// waitFleet polls srv's fleet Stats until ok holds.
+func waitFleet(t *testing.T, srv *serve.Server, what string, ok func(serve.Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !ok(srv.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("waited 5s for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// batchOpen holds once a batch has started executing: busy time counts an
+// open span, and warm-up forwards never touch the metrics.
+func batchOpen(s serve.Stats) bool { return s.BusySeconds > 0 }
+
+// framesReceived holds once the sessions have received n frames.
+func framesReceived(n uint64) func(serve.Stats) bool {
+	return func(s serve.Stats) bool { return s.StreamFramesTotal >= n }
 }
 
 // streamOracle replays one session's frame sequence through single-image
@@ -314,9 +336,9 @@ func TestStreamBackpressureReject(t *testing.T) {
 	}
 
 	sendFrame(t, conn, 1, frames[0], 0) // into the worker, stalls in the kernel
-	time.Sleep(150 * time.Millisecond)
+	waitFleet(t, srv, "frame 1's batch to start", batchOpen)
 	sendFrame(t, conn, 2, frames[0], 0) // buffered
-	time.Sleep(50 * time.Millisecond)
+	waitFleet(t, srv, "frame 2 to arrive", framesReceived(2))
 	sendFrame(t, conn, 3, frames[0], 0) // buffer full → reject
 	sendFrame(t, conn, 4, frames[0], 0) // buffer full → reject
 
@@ -364,9 +386,9 @@ func TestStreamBackpressureDropOldest(t *testing.T) {
 	conn := dialStream(t, ts, "?inflight=1&policy=drop")
 	readHello(t, conn)
 	sendFrame(t, conn, 1, frames[0], 0) // executing (stalled)
-	time.Sleep(150 * time.Millisecond)
+	waitFleet(t, srv, "frame 1's batch to start", batchOpen)
 	sendFrame(t, conn, 2, frames[0], 0) // buffered
-	time.Sleep(50 * time.Millisecond)
+	waitFleet(t, srv, "frame 2 to arrive", framesReceived(2))
 	sendFrame(t, conn, 3, frames[0], 0) // displaces 2
 	sendFrame(t, conn, 4, frames[0], 0) // displaces 3
 
@@ -417,15 +439,17 @@ func TestStreamCancelledFrameDropped(t *testing.T) {
 	conn := dialStream(t, ts, "")
 	readHello(t, conn)
 	sendFrame(t, conn, 1, frames[0], 0) // reaches the kernel, stalls
-	time.Sleep(150 * time.Millisecond)
+	waitFleet(t, srv, "frame 1's batch to start", batchOpen)
 	sendFrame(t, conn, 2, frames[0], 0) // buffered behind it
-	time.Sleep(50 * time.Millisecond)
+	waitFleet(t, srv, "frame 2 to arrive", framesReceived(2))
 
 	// The client vanishes without a close handshake: the reader cancels the
 	// session context, so frame 2 must be dropped at batch assembly. The
 	// stall is released only after the reader has had time to notice the
 	// dead socket — otherwise frame 2 races the cancellation into the
-	// kernel.
+	// kernel. Nothing outside the session shows the reader's exit while the
+	// kernel is stalled (the session deregisters only once its worker is
+	// done), so this one wait stays a sleep.
 	conn.Close()
 	time.Sleep(150 * time.Millisecond)
 	faults.Disarm()
@@ -638,7 +662,7 @@ func TestStreamDisconnectGoroutineHygiene(t *testing.T) {
 	conn := dialStream(t, ts, "")
 	readHello(t, conn)
 	sendFrame(t, conn, 1, frames[0], 0)
-	time.Sleep(150 * time.Millisecond)
+	waitFleet(t, srv, "frame 1's batch to start", batchOpen)
 	sendFrame(t, conn, 2, frames[0], 0)
 	conn.Close()
 	faults.Disarm()
