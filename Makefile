@@ -18,12 +18,16 @@ ci: vet build race chaos invariants bench-smoke serve-smoke swap-smoke shard-smo
 ## silent fall-back to the portable kernels breaks CI instead of just perf; the
 ## layers leg runs the fused inference convolution at DroNet's nine 256×256
 ## conv shapes and the streaming 2×2 max-pool at its five pool shapes; the
-## imgproc leg runs the /detect/raw pixel conversion on a decoded JPEG and PNG;
-## the detect leg runs NMS on random boxes and on DroNet's 320 region candidates
+## imgproc leg runs the /detect/raw pixel conversion on a decoded JPEG and PNG
+## and the bilinear resample of a 128×96 camera frame to 64² and 96²; the quant
+## leg runs the quarter-scale DroNet at 64² as fp32 and as int8 and prints
+## their per-layer µs table (-v); the detect leg runs NMS on random boxes and on
+## DroNet's 320 region candidates
 bench-smoke:
 	$(GO) test -run 'TestKernelDispatchInfo|TestSelectedKernel' -v -bench Gemm -benchtime 10x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'ConvForwardDroNet256|MaxPool2x2' -benchtime 10x ./internal/layers/
-	$(GO) test -run '^$$' -bench FromGoImage -benchtime 10x ./internal/imgproc/
+	$(GO) test -run '^$$' -bench 'FromGoImage|Resize' -benchtime 10x ./internal/imgproc/
+	$(GO) test -run '^$$' -v -bench ForwardDroNet64 -benchtime 10x ./internal/quant/
 	$(GO) test -run '^$$' -bench NMS -benchtime 10x ./internal/detect/
 
 ## vet: static analysis plus the gofmt cleanliness gate — unformatted files
@@ -129,8 +133,9 @@ chaos:
 ## network's batch and clone paths at fp32 and int8), every GEMM kernel family ≡ naive and
 ## prepacked ≡ pack-per-call, frame decode ≡ encoding/json bit for bit (and
 ## its pixel parser ≡ strconv.ParseFloat), the typed /detect/raw pixel conversion ≡
-## the generic one bit for bit, the fused convolution ≡ im2col + GEMM + BN +
-## bias + leaky, the streaming 2×2 pool ≡ the window loop and the vector
+## the generic one bit for bit, the bilinear resize ≡ its per-pixel loop bit for
+## bit, the fused convolution ≡ im2col + GEMM + BN + bias + leaky and the int8
+## convolution ≡ quantize + im2col + int8 GEMM + leaky, the streaming 2×2 pool ≡ the window loop and the vector
 ## epilogue row ≡ its Go loop bit for bit on every kernel family, NMS ≡ its
 ## per-pair reference element for element, the batcher's dispatch rule (a request waits
 ## only while every worker is busy), the accounting identity that proves expired
@@ -140,7 +145,7 @@ chaos:
 ## latency percentiles merge exactly (and sit within one 6.25 % bucket of
 ## the exact nearest-rank sample), and goroutine hygiene after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFromGoImageMatchesGeneric|TestConvInferMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFromGoImageMatchesGeneric|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
 	    ./internal/tensor/ ./internal/imgproc/ ./internal/layers/ ./internal/detect/ ./internal/network/ ./internal/quant/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization,
@@ -149,7 +154,10 @@ invariants:
 ## EVERY registered microkernel family — avx2/portable: exact for int8,
 ## <=1e-4 relative for fp32; FuzzConvImplicitVsIm2col holds the fused inference convolution
 ## to the im2col + GEMM + BN/bias/leaky reference bit for bit across the same
-## families, FuzzMaxPoolFastVsGeneric the streaming 2×2 pool to the generic
+## families, FuzzQConvVsIm2colReference the int8 convolution to the quantize +
+## im2col + int8 GEMM + leaky reference bit for bit across the same families,
+## FuzzResize the bilinear resize to its per-pixel loop bit for bit,
+## FuzzMaxPoolFastVsGeneric the streaming 2×2 pool to the generic
 ## window loop, FuzzNMS NMS to its per-pair reference element for element;
 ## the leading dispatch-info run logs which families this box
 ## detected so fuzz logs are attributable; FuzzParseModelSpecs holds -models
@@ -177,10 +185,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIoU -fuzztime $(FUZZTIME) ./internal/detect
 	$(GO) test -run '^$$' -fuzz FuzzNMS -fuzztime $(FUZZTIME) ./internal/detect
 	$(GO) test -run '^$$' -fuzz FuzzGemmPackedVsNaive -fuzztime $(FUZZTIME) ./internal/tensor
-	$(GO) test -run '^$$' -fuzz FuzzIm2colInt8 -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzConvImplicitVsIm2col -fuzztime $(FUZZTIME) ./internal/layers
 	$(GO) test -run '^$$' -fuzz FuzzMaxPoolFastVsGeneric -fuzztime $(FUZZTIME) ./internal/layers
 	$(GO) test -run '^$$' -fuzz FuzzQuantDequant -fuzztime $(FUZZTIME) ./internal/quant
+	$(GO) test -run '^$$' -fuzz FuzzQConvVsIm2colReference -fuzztime $(FUZZTIME) ./internal/quant
+	$(GO) test -run '^$$' -fuzz FuzzResize -fuzztime $(FUZZTIME) ./internal/imgproc
 	$(GO) test -run '^$$' -fuzz FuzzParseModelSpecs -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseDeadline -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStreamFrame -fuzztime $(FUZZTIME) ./internal/serve

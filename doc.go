@@ -32,9 +32,10 @@
 // -precision knob selects the deployed bit-width (the paper's §V future
 // work): int8 serving quantizes post-training at startup — batch-norm
 // folding, per-channel weight scales, activation scales calibrated on
-// sample frames — and runs batched int8 inference (int8 im2col +
-// tensor.GemmInt8Prepacked with exact int32 accumulation) through the
-// identical micro-batching path,
+// sample frames — and runs batched int8 inference (tensor.ConvPrepackedInt8:
+// the input quantized once into a zero-bordered plane the int8 kernels read
+// in place, exact int32 accumulation, requantization and leaky fused into
+// the store) through the identical micro-batching path,
 // labelling /metrics with the active precision; the repository benchmark
 // (bench/, BENCHMARK.json) serves int8 beside fp32 in its routed-mixed
 // workload and scores both against the fp32 serial oracle.

@@ -103,30 +103,67 @@ func FromTensor(t *tensor.Tensor) (*Image, error) {
 // Resize returns the image bilinearly resampled to w×h.
 func (m *Image) Resize(w, h int) *Image {
 	out := NewImage(w, h)
+	m.ResizeInto(out)
+	return out
+}
+
+// bilinearTap is one output coordinate's two source indices and weights,
+// the same along every row (columns) or every column (rows) of a resample.
+type bilinearTap struct {
+	i0, i1 int32
+	w0, w1 float32 // 1-f and f
+}
+
+// stackTaps is how many column taps ResizeInto keeps on its stack; wider
+// outputs allocate theirs.
+const stackTaps = 512
+
+// tapAt returns the bilinear tap of output coordinate o when n source
+// samples are resampled by ratio (source over output size): pixel centres
+// map as (o+0.5)·ratio−0.5, and the two neighbours clamp to the edge.
+func tapAt(o, n int, ratio float64) bilinearTap {
+	s := (float64(o)+0.5)*ratio - 0.5
+	i0 := int(math.Floor(s))
+	f := float32(s - float64(i0))
+	return bilinearTap{i0: int32(clampInt(i0, n-1)), i1: int32(clampInt(i0+1, n-1)), w0: 1 - f, w1: f}
+}
+
+// ResizeInto bilinearly resamples the image to dst's size, overwriting all
+// of dst.Pix. Column taps are computed once per call and row taps once per
+// row, so each output sample costs four loads and the float32 expression
+//
+//	top = s00·(1−fx) + s01·fx;  bot = s10·(1−fx) + s11·fx;  top·(1−fy) + bot·fy
+//
+// with the same values, bit for bit, as computing every sample's source
+// coordinates afresh. Up to stackTaps output columns it allocates nothing,
+// so a caller can resample straight into a batch slot.
+func (m *Image) ResizeInto(dst *Image) {
+	w, h := dst.W, dst.H
+	var buf [stackTaps]bilinearTap
+	cols := buf[:min(w, stackTaps)]
+	if w > stackTaps {
+		cols = make([]bilinearTap, w)
+	}
 	xRatio := float64(m.W) / float64(w)
+	for x := range cols {
+		cols[x] = tapAt(x, m.W, xRatio)
+	}
 	yRatio := float64(m.H) / float64(h)
-	for c := 0; c < 3; c++ {
-		src := m.Pix[c*m.W*m.H:]
-		dst := out.Pix[c*w*h:]
-		for y := 0; y < h; y++ {
-			sy := (float64(y)+0.5)*yRatio - 0.5
-			y0 := int(math.Floor(sy))
-			fy := float32(sy - float64(y0))
-			y1 := y0 + 1
-			y0c, y1c := clampInt(y0, m.H-1), clampInt(y1, m.H-1)
-			for x := 0; x < w; x++ {
-				sx := (float64(x)+0.5)*xRatio - 0.5
-				x0 := int(math.Floor(sx))
-				fx := float32(sx - float64(x0))
-				x1 := x0 + 1
-				x0c, x1c := clampInt(x0, m.W-1), clampInt(x1, m.W-1)
-				top := src[y0c*m.W+x0c]*(1-fx) + src[y0c*m.W+x1c]*fx
-				bot := src[y1c*m.W+x0c]*(1-fx) + src[y1c*m.W+x1c]*fx
-				dst[y*w+x] = top*(1-fy) + bot*fy
+	plane, oplane := m.W*m.H, w*h
+	for y := 0; y < h; y++ {
+		ty := tapAt(y, m.H, yRatio)
+		y0, y1 := int(ty.i0)*m.W, int(ty.i1)*m.W
+		for c := 0; c < 3; c++ {
+			r0 := m.Pix[c*plane+y0 : c*plane+y0+m.W]
+			r1 := m.Pix[c*plane+y1 : c*plane+y1+m.W]
+			out := dst.Pix[c*oplane+y*w : c*oplane+(y+1)*w]
+			for x, tx := range cols {
+				top := r0[tx.i0]*tx.w0 + r0[tx.i1]*tx.w1
+				bot := r1[tx.i0]*tx.w0 + r1[tx.i1]*tx.w1
+				out[x] = top*ty.w0 + bot*ty.w1
 			}
 		}
 	}
-	return out
 }
 
 func clampInt(v, hi int) int {

@@ -53,8 +53,8 @@ func (r *BatchRunner) ensureIn(n int) *tensor.Tensor {
 
 // Detect runs one micro-batch. altitudes may be nil (no gating) or must have
 // one entry per image. Images are resized to the network input as the
-// Darknet capture loop does. The returned slice has one entry per input image,
-// in order.
+// Darknet capture loop does, straight into their slots of the batch input.
+// The returned slice has one entry per input image, in order.
 func (r *BatchRunner) Detect(imgs []*imgproc.Image, altitudes []float64) ([][]detect.Detection, error) {
 	if r.Net == nil {
 		return nil, fmt.Errorf("pipeline: BatchRunner requires a model")
@@ -86,10 +86,13 @@ func (r *BatchRunner) Detect(imgs []*imgproc.Image, altitudes []float64) ([][]de
 		if img == nil {
 			return nil, fmt.Errorf("pipeline: nil image at batch index %d", i)
 		}
+		slot := x.Data[i*sample : (i+1)*sample]
 		if img.W != in.W || img.H != in.H {
-			img = img.Resize(in.W, in.H)
+			// Resample straight into the image's slot of the batch input.
+			img.ResizeInto(&imgproc.Image{W: in.W, H: in.H, Pix: slot})
+			continue
 		}
-		copy(x.Data[i*sample:(i+1)*sample], img.Pix)
+		copy(slot, img.Pix)
 	}
 	per, err := r.Net.DetectBatch(x, thresh, nms)
 	if err != nil {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cfg"
@@ -121,6 +122,42 @@ func TestRunnerResizesMismatchedFrames(t *testing.T) {
 	cfg96.Width, cfg96.Height = 96, 96
 	imgs, alts := camFrames(cfg96, 2, 3)
 	countDetections(t, &BatchRunner{Net: pipeNet(t), Thresh: 0.1}, imgs, alts)
+}
+
+// TestRunnerResizesIntoBatchSlot pins the resample-into-slot path: frames
+// of another size give the detections of the same frames resized first, and
+// resizing them costs no allocation beyond what a batch of network-sized
+// frames costs (not checked under the race detector, whose sync.Pool drops
+// pooled kernel scratch at random).
+func TestRunnerResizesIntoBatchSlot(t *testing.T) {
+	cfg96 := camConfig()
+	cfg96.Width, cfg96.Height = 96, 72
+	imgs, _ := camFrames(cfg96, 3, 5)
+	pre := make([]*imgproc.Image, len(imgs))
+	for i, img := range imgs {
+		pre[i] = img.Resize(48, 48)
+	}
+	r := &BatchRunner{Net: pipeNet(t), Thresh: 1.01} // no detections: Detect's own allocations are fixed
+	r.Warm(len(imgs))
+	got, err := r.Detect(imgs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &BatchRunner{Net: pipeNet(t), Thresh: 0.01}
+	want, _ := ref.Detect(pre, nil)
+	r.Thresh = 0.01
+	if got, _ = r.Detect(imgs, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("detections on resized-in-slot frames differ from pre-resized frames")
+	}
+	if raceEnabled {
+		return
+	}
+	r.Thresh = 1.01
+	resized := testing.AllocsPerRun(10, func() { r.Detect(imgs, nil) })
+	sized := testing.AllocsPerRun(10, func() { r.Detect(pre, nil) })
+	if resized > sized {
+		t.Fatalf("a batch of %d frames to resize allocates %.1f objects, network-sized frames %.1f", len(imgs), resized, sized)
+	}
 }
 
 func TestRunnerAltitudeFilterReducesDetections(t *testing.T) {

@@ -1,0 +1,113 @@
+package quant_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cfg"
+	"repro/internal/layers"
+	"repro/internal/models"
+	"repro/internal/network"
+	"repro/internal/quant"
+	"repro/internal/tensor"
+)
+
+// quarterDroNet64 builds the quarter-scale DroNet at 64² (the low route of
+// `-models low=dronet:64:int8:150` with `-scale 0.25`) and its int8 model,
+// calibrated on two random images.
+func quarterDroNet64(tb testing.TB) (fp, q *network.Network) {
+	tb.Helper()
+	text, err := models.Cfg(models.DroNet, 64)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if text, err = models.Scale(text, 0.25); err != nil {
+		tb.Fatal(err)
+	}
+	def, err := cfg.ParseString(text)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fp, _, err = cfg.Build("dronet-x0.25", def, tensor.NewRNG(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	calib := []*tensor.Tensor{tensor.New(1, 3, 64, 64), tensor.New(1, 3, 64, 64)}
+	for i, c := range calib {
+		tensor.NewRNG(uint64(10+i)).FillUniform(c.Data, 0, 1)
+	}
+	if q, err = quant.Quantize(fp, calib); err != nil {
+		tb.Fatal(err)
+	}
+	return fp, q
+}
+
+// layerTimer runs a network one layer at a time on its own scratch arena,
+// summing each layer's wall time.
+type layerTimer struct {
+	net   *network.Network
+	arena tensor.Arena
+	ns    []time.Duration
+}
+
+func newLayerTimer(net *network.Network) *layerTimer {
+	lt := &layerTimer{net: net, ns: make([]time.Duration, len(net.Layers))}
+	for _, l := range net.Layers {
+		if s, ok := l.(layers.ScratchUser); ok {
+			s.SetScratchArena(&lt.arena)
+		}
+	}
+	return lt
+}
+
+func (lt *layerTimer) forward(x *tensor.Tensor) {
+	lt.arena.Reset()
+	for i, l := range lt.net.Layers {
+		t0 := time.Now()
+		x = l.Forward(x, false)
+		lt.ns[i] += time.Since(t0)
+	}
+}
+
+// BenchmarkForwardDroNet64 runs the quarter-scale DroNet at 64² as fp32 and
+// as int8 on the same single image, layer by layer, and logs a per-layer µs
+// table of the two: the int8 route's cost next to the fp32 forward it
+// stands in for. Run it with
+//
+//	go test -run '^$' -bench ForwardDroNet64 -benchtime 2000x ./internal/quant
+func BenchmarkForwardDroNet64(b *testing.B) {
+	fp, q := quarterDroNet64(b)
+	x := tensor.New(1, 3, 64, 64)
+	tensor.NewRNG(3).FillUniform(x.Data, 0, 1)
+	tf, tq := newLayerTimer(fp), newLayerTimer(q)
+	tf.forward(x) // warm-up: arenas, activation buffers, GEMM pools
+	tq.forward(x)
+	clear(tf.ns)
+	clear(tq.ns)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tf.forward(x)
+		tq.forward(x)
+	}
+	b.StopTimer()
+
+	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 / float64(b.N) }
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "\n%-3s %-27s %-12s %9s %9s %7s\n", "#", "fp32 layer", "out", "fp32 µs", "int8 µs", "ratio")
+	var sf, sq time.Duration
+	for i, l := range fp.Layers {
+		o := l.OutShape()
+		f, qd := us(tf.ns[i]), us(tq.ns[i])
+		fmt.Fprintf(&sb, "%-3d %-27s %-12s %9.1f %9.1f %7.2f\n", i, l.Name(),
+			fmt.Sprintf("%dx%dx%d", o.C, o.H, o.W), f, qd, qd/f)
+		sf += tf.ns[i]
+		sq += tq.ns[i]
+	}
+	fmt.Fprintf(&sb, "%-3s %-27s %-12s %9.1f %9.1f %7.2f", "", "total", "", us(sf), us(sq), us(sq)/us(sf))
+	b.Log(sb.String())
+	b.ReportMetric(us(sf), "fp32-µs/img")
+	b.ReportMetric(us(sq), "int8-µs/img")
+	b.ReportMetric(us(sq)/us(sf), "int8/fp32")
+}

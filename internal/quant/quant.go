@@ -86,7 +86,7 @@ func FoldBatchNorm(net *network.Network) (*network.Network, error) {
 
 // QConv is an INT8-quantized convolution: int8 weights with one scale per
 // output channel, int8 activations with a calibrated per-layer scale, and
-// int32 accumulation (tensor.GemmInt8Prepacked). Bias addition and
+// int32 accumulation (tensor.ConvPrepackedInt8). Bias addition and
 // activation run in float32, as do the values flowing between layers (the
 // standard "fake-quant inference" data path, which isolates the accuracy
 // effect of the 8-bit storage).
@@ -96,8 +96,8 @@ func FoldBatchNorm(net *network.Network) (*network.Network, error) {
 // read-only parameters (W, WScale, Bias, ActScale, requant, the weight pack)
 // from its per-instance workspace (the arena binding and the output tensor),
 // so CloneForInference replicas can run concurrently. Forward loops the
-// batch dimension with per-image quantize/im2col/GEMM, and because int32
-// accumulation is exact, an N-image batch is byte-identical to N
+// batch dimension with one ConvPrepackedInt8 call per image, and because
+// int32 accumulation is exact, an N-image batch is byte-identical to N
 // single-image calls.
 type QConv struct {
 	in, out layers.Shape
@@ -112,16 +112,16 @@ type QConv struct {
 	Bias     []float32
 	ActScale float32   // input activation quantization scale
 	requant  []float32 // WScale[f]*ActScale, precomputed per output channel
-	// packed is W pre-packed as the int8 GEMM A operand, built eagerly at
-	// quantization time: quantized weights are immutable after Quantize, so
-	// the pack never invalidates and every replica shares it (the struct
-	// copy in CloneForInference copies the pointer).
-	packed *tensor.PackedAInt8
+	// packed is W permuted and pre-packed for tensor.ConvPrepackedInt8,
+	// built eagerly at quantization time: quantized weights are immutable
+	// after Quantize, so the pack never invalidates and every replica shares
+	// it (the struct copy in CloneForInference copies the pointer).
+	packed *tensor.PackedConvInt8
 
-	// Workspace (per replica): the quantized input image and the int8
-	// im2col output are carved from the replica's scratch arena, which the
-	// owning network binds on Add and CloneForInference; out_ reuses its
-	// backing storage Reslice-style, converging to max-batch capacity.
+	// Workspace (per replica): the quantized input's pair plane is carved
+	// from the replica's scratch arena, which the owning network binds on
+	// Add and CloneForInference; out_ reuses its backing storage
+	// Reslice-style, converging to max-batch capacity.
 	arena *tensor.Arena
 	out_  *tensor.Tensor
 }
@@ -214,7 +214,8 @@ func quantizeConv(c *layers.Conv2D, inMaxAbs float32) (*QConv, error) {
 		qc.requant[f] = scale * qc.ActScale
 		QuantizeSymmetric(row, scale, qc.W[f*fanIn:(f+1)*fanIn])
 	}
-	qc.packed = tensor.PackAInt8(qc.Filters, fanIn, qc.W, fanIn)
+	g := tensor.ConvGeom{C: qc.in.C, H: qc.in.H, W: qc.in.W, Ksize: qc.Ksize, Stride: qc.Stride, Pad: qc.Pad}
+	qc.packed = tensor.PackConvInt8(g, qc.Filters, qc.W)
 	return qc, nil
 }
 
@@ -223,13 +224,6 @@ func abs32(v float32) float32 {
 		return -v
 	}
 	return v
-}
-
-func roundf(v float32) float32 {
-	if v >= 0 {
-		return float32(math.Floor(float64(v) + 0.5))
-	}
-	return float32(math.Ceil(float64(v) - 0.5))
 }
 
 // Name implements layers.Layer.
@@ -264,16 +258,17 @@ func (qc *QConv) IOBytes() int64 {
 }
 
 // WeightBytes reports everything resident for this layer's weights: the
-// INT8 parameter storage (scales and biases included) plus the pre-packed
-// GEMM panels (int16 k-pair layout, ~2× the raw int8 weights).
+// INT8 parameter storage (scales and biases included) plus the permuted
+// filters and their pre-packed panels (int16 k-pair layout, ~2× the raw
+// int8 weights).
 func (qc *QConv) WeightBytes() int64 { return qc.storageBytes() + qc.packed.Bytes() }
 
 func (qc *QConv) storageBytes() int64 {
 	return int64(len(qc.W)) + 4*int64(len(qc.WScale)+len(qc.Bias))
 }
 
-// SetScratchArena implements layers.ScratchUser: the quantized input and the
-// int8 im2col output are carved from the replica's arena.
+// SetScratchArena implements layers.ScratchUser: the quantized input's pair
+// plane is carved from the replica's arena.
 func (qc *QConv) SetScratchArena(a *tensor.Arena) { qc.arena = a }
 
 // CloneForInference implements layers.Layer: the replica shares the
@@ -286,32 +281,18 @@ func (qc *QConv) CloneForInference() layers.Layer {
 	return &cp
 }
 
-// Forward implements layers.Layer (train is ignored): per image, the input
-// activations are quantized with the calibrated scale, lowered with the int8
-// im2col, and pushed through one int8 GEMM whose int32 accumulator is
-// requantized back to float32 at the layer edge.
+// Forward implements layers.Layer (train is ignored): per image, one
+// tensor.ConvPrepackedInt8 call quantizes the input activations with the
+// calibrated scale into a zero-bordered plane, runs the int8 kernels on it
+// in place, and stores the int32 sums requantized to float32 with the
+// activation applied.
 func (qc *QConv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	qc.out_ = tensor.Reslice(qc.out_, x.N, qc.out.C, qc.out.H, qc.out.W)
 	out := qc.out_
-	fanIn := qc.in.C * qc.Ksize * qc.Ksize
-	spatial := qc.out.H * qc.out.W
-	pointwise := qc.Ksize == 1 && qc.Stride == 1 && qc.Pad == 0
-	qx := qc.arena.I8(qc.in.Size())
-	var qcol []int8
-	if !pointwise {
-		qcol = qc.arena.I8(fanIn * spatial)
-	}
+	plane := qc.arena.I16(qc.packed.PlaneLen())
+	leaky := qc.Act == layers.ActLeaky
 	for b := 0; b < x.N; b++ {
-		QuantizeSymmetric(x.Batch(b).Data, qc.ActScale, qx)
-		col := qx
-		if !pointwise {
-			tensor.Im2colInt8(qx, qc.in.C, qc.in.H, qc.in.W, qc.Ksize, qc.Stride, qc.Pad, qcol)
-			col = qcol
-		}
-		tensor.GemmInt8Prepacked(qc.packed, spatial, col, spatial, qc.requant, qc.Bias, out.Batch(b).Data, spatial)
-	}
-	if qc.Act == layers.ActLeaky {
-		tensor.Leaky(out.Data)
+		tensor.ConvPrepackedInt8(qc.packed, x.Batch(b).Data, qc.ActScale, qc.requant, qc.Bias, leaky, plane, out.Batch(b).Data)
 	}
 	return out
 }
@@ -320,50 +301,10 @@ func (qc *QConv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // with the symmetric map q = clamp(round(v/scale), ±127), rounding halves
 // away from zero. A zero scale (or a NaN input) maps to zero. Dequantize
 // inverts it up to the guaranteed round-trip error of scale/2 per element
-// (see FuzzQuantDequant).
-//
-// This runs once per quantized convolution per image (the whole input
-// activation map), so the hot loop stays in float32 end to end: adding a
-// sign-matched 0.5 and truncating implements round-half-away-from-zero
-// without the float64 floor/ceil round trip, which roughly halves the
-// quantization stage's cost on the serving path.
+// (see FuzzQuantDequant). It is tensor.QuantizeSymmetric, the quantizer
+// every QConv applies to its input.
 func QuantizeSymmetric(src []float32, scale float32, dst []int8) {
-	if scale == 0 {
-		for i := range src {
-			dst[i] = 0
-		}
-		return
-	}
-	inv := 1 / scale
-	if math.IsInf(float64(inv), 0) {
-		// scale is subnormal: multiplying by the overflowed inverse would
-		// produce ±Inf, so divide instead (IEEE division is correctly
-		// rounded for subnormal operands too).
-		for i, v := range src {
-			dst[i] = clampInt8(roundf(v / scale))
-		}
-		return
-	}
-	for i, v := range src {
-		t := v * inv
-		if t != t { // NaN: pick zero rather than a platform-defined conversion
-			dst[i] = 0
-			continue
-		}
-		// Clamp in float space first so the int32 conversion below can never
-		// see an out-of-range value (whose result Go leaves to the platform).
-		if t >= 127 {
-			dst[i] = 127
-			continue
-		}
-		if t <= -127 {
-			dst[i] = -127
-			continue
-		}
-		// ±0.5 with t's sign, then truncate: round-half-away-from-zero.
-		half := math.Float32frombits(0x3F000000 | math.Float32bits(t)&0x80000000)
-		dst[i] = int8(int32(t + half))
-	}
+	tensor.QuantizeSymmetric(src, scale, dst)
 }
 
 // Dequantize expands quantized values back to float32: dst[i] = src[i]*scale.
@@ -371,18 +312,6 @@ func Dequantize(src []int8, scale float32, dst []float32) {
 	for i, v := range src {
 		dst[i] = float32(v) * scale
 	}
-}
-
-func clampInt8(q float32) int8 {
-	switch {
-	case q != q: // NaN input: pick zero rather than a platform-defined conversion
-		return 0
-	case q > 127:
-		return 127
-	case q < -127:
-		return -127
-	}
-	return int8(q)
 }
 
 // PredictFPS estimates the quantized network's throughput on a platform:

@@ -316,3 +316,33 @@ func TestFoldRejectsUnknownLayer(t *testing.T) {
 		t.Fatal("expected error for missing region layer")
 	}
 }
+
+// TestQuantizeSymmetricRoundsHalfAwayFromZero pins the rounding rule at and
+// next to the ties: 0.49999997 (the float32 just below ½) must round to 0 —
+// adding ½ in float32 would round the sum up to 1 — while ±0.5, ±1.5 and
+// ±2.5 round away from zero; both the multiply path and the divide path of
+// a subnormal scale agree.
+func TestQuantizeSymmetricRoundsHalfAwayFromZero(t *testing.T) {
+	below := math.Nextafter32(0.5, 0)
+	src := []float32{below, -below, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 126.5, -126.5,
+		math.Nextafter32(126.5, 0), math.Nextafter32(1.5, 0), 0, float32(math.Copysign(0, -1))}
+	want := []int8{0, 0, 1, -1, 2, -2, 3, -3, 127, -127, 126, 1, 0, 0}
+	got := make([]int8, len(src))
+	QuantizeSymmetric(src, 1, got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scale 1: %v quantize to %v, want %v", src, got, want)
+	}
+	// The ties ±0.5 … ±126.5 stay exact when scaled to the subnormal scale
+	// 2^-147 (whose inverse overflows), so the divide path must round them
+	// the same way.
+	scale := float32(1.0 / (1 << 126) / (1 << 21))
+	ties := src[2:10]
+	scaled := make([]float32, len(ties))
+	for i, v := range ties {
+		scaled[i] = v * scale
+	}
+	QuantizeSymmetric(scaled, scale, got)
+	if !reflect.DeepEqual(got[:len(ties)], want[2:10]) {
+		t.Fatalf("subnormal scale: %v quantize to %v, want %v", ties, got[:len(ties)], want[2:10])
+	}
+}

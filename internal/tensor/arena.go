@@ -3,10 +3,11 @@ package tensor
 import "sync/atomic"
 
 // Arena is a grow-once bump allocator for the transient per-forward scratch
-// of a model replica: int8 and training im2col output, quantized-activation
-// staging, and any other buffer whose contents do not need to survive into
-// the next forward pass. A replica resets its arena at the start of every forward and each
-// layer carves what it needs; after one warm-up pass the slabs have
+// of a model replica: training im2col output, padded input planes, the
+// int8 convolutions' quantized pair planes, and any other buffer whose
+// contents do not need to survive into the next forward pass. A replica
+// resets its arena at the start of every forward and each layer carves
+// what it needs; after one warm-up pass the slabs have
 // converged to the high-water demand and steady-state carving is pure
 // pointer bumping — zero allocations, the same convergence behavior as the
 // Reslice workspace convention but consolidated into one slab per element
@@ -23,8 +24,8 @@ import "sync/atomic"
 type Arena struct {
 	f32    []float32
 	f32Off int
-	i8     []int8
-	i8Off  int
+	i16    []int16
+	i16Off int
 	// bytes mirrors the slab footprint for Bytes(): updated atomically on
 	// the rare grow so observers (engine workspace accounting polled from
 	// /healthz) can read it concurrently with a forward pass in flight.
@@ -35,7 +36,7 @@ type Arena struct {
 // unspecified and may be handed out again by the next carve.
 func (a *Arena) Reset() {
 	a.f32Off = 0
-	a.i8Off = 0
+	a.i16Off = 0
 }
 
 // F32 carves n float32s.
@@ -46,7 +47,7 @@ func (a *Arena) F32(n int) []float32 {
 			grown = a.f32Off + n
 		}
 		a.f32 = make([]float32, grown)
-		a.bytes.Store(4*int64(len(a.f32)) + int64(len(a.i8)))
+		a.bytes.Store(4*int64(len(a.f32)) + 2*int64(len(a.i16)))
 	}
 	s := a.f32[a.f32Off : a.f32Off+n : a.f32Off+n]
 	a.f32Off += n
@@ -61,18 +62,18 @@ func (a *Arena) F32Mark() int { return a.f32Off }
 // slab its own size once, not once per layer.
 func (a *Arena) F32Release(mark int) { a.f32Off = mark }
 
-// I8 carves n int8s.
-func (a *Arena) I8(n int) []int8 {
-	if a.i8Off+n > len(a.i8) {
-		grown := 2 * len(a.i8)
-		if grown < a.i8Off+n {
-			grown = a.i8Off + n
+// I16 carves n int16s.
+func (a *Arena) I16(n int) []int16 {
+	if a.i16Off+n > len(a.i16) {
+		grown := 2 * len(a.i16)
+		if grown < a.i16Off+n {
+			grown = a.i16Off + n
 		}
-		a.i8 = make([]int8, grown)
-		a.bytes.Store(4*int64(len(a.f32)) + int64(len(a.i8)))
+		a.i16 = make([]int16, grown)
+		a.bytes.Store(4*int64(len(a.f32)) + 2*int64(len(a.i16)))
 	}
-	s := a.i8[a.i8Off : a.i8Off+n : a.i8Off+n]
-	a.i8Off += n
+	s := a.i16[a.i16Off : a.i16Off+n : a.i16Off+n]
+	a.i16Off += n
 	return s
 }
 

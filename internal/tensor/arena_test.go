@@ -8,14 +8,14 @@ import "testing"
 func TestArenaCarveAndConverge(t *testing.T) {
 	var a Arena
 	f1 := a.F32(100)
-	i1 := a.I8(33)
+	i1 := a.I16(33)
 	if len(f1) != 100 || len(i1) != 33 {
 		t.Fatalf("carve lengths %d/%d, want 100/33", len(f1), len(i1))
 	}
 	f1[99] = 7
 	bytes := a.Bytes()
-	if bytes < 4*100+33 {
-		t.Fatalf("Bytes() = %d, want >= %d", bytes, 4*100+33)
+	if bytes < 4*100+2*33 {
+		t.Fatalf("Bytes() = %d, want >= %d", bytes, 4*100+2*33)
 	}
 
 	a.Reset()
@@ -75,7 +75,7 @@ func TestArenaBytesConcurrentWithCarving(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		a.Reset()
 		_ = a.F32(i % 509)
-		_ = a.I8(i % 253)
+		_ = a.I16(i % 253)
 	}
 	<-done
 }

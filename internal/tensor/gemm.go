@@ -130,7 +130,8 @@ type gemmCtx struct {
 	// the convolution's vector stages (nil when the family has none).
 	mr, nr     int
 	kf32       func(kc int, pa, pb []float32, c []float32, ldc int)
-	ki8        func(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, ldc int)
+	ki8        func(kPairs int, pa, pb []int16, requant, bias []float32, slope float32, c []float32, ldc int)
+	ki8Direct  func(kPairs int, pa, origin []int16, offs []int, requant, bias []float32, slope float32, c []float32, ldc, rows int)
 	kf32Direct func(kc int, pa, origin []float32, offs []int, c []float32, ldc int)
 	kepi       func(seg []float32, mu, gamma, inv, bias, slope float32)
 	// kf32Finish is the family's f32DirectFinish while a ConvPrepacked
@@ -158,21 +159,27 @@ type gemmCtx struct {
 	// reuse shared read-only data as scratch for a later call.
 	paRO []float32
 
-	// INT8 driver state (int8.go): same blocking, int16-pair panels.
+	// INT8 driver state (int8.go): same blocking, int16-pair panels, and
+	// the slope the store applies on the sign bit (1: none).
 	a8, b8     []int8
 	pa16, pb16 []int16
 	pa16RO     []int16
 	requant    []float32
 	bias       []float32
+	slope      float32
 	kPairs     int
 
 	// Implicit-GEMM convolution state (conv.go): b is the CHW input, read
 	// through geom instead of as a k×n matrix; ep runs on finished tiles.
 	geom   ConvGeom
 	taps   []convTap // geom's im2col rows
-	offs   []int     // taps[p].off, for kf32Direct
+	offs   []int     // taps[p].off, for kf32Direct (int16s of plane for ki8Direct)
 	ep     Epilogue
 	epPack []float32 // ep strip by strip, for kf32Finish (packEpilogue)
+
+	// Int8 convolution state (convint8.go): the quantized input's pair
+	// plane.
+	plane []int16
 }
 
 var gemmCtxPool = sync.Pool{New: func() any { return new(gemmCtx) }}
@@ -182,17 +189,17 @@ var gemmCtxPool = sync.Pool{New: func() any { return new(gemmCtx) }}
 // families or mismatch pack layout and kernel shape.
 func (ctx *gemmCtx) setKernels(kern *microKernels) {
 	ctx.mr, ctx.nr = kern.mr, kern.nr
-	ctx.kf32, ctx.ki8 = kern.f32, kern.i8
+	ctx.kf32, ctx.ki8, ctx.ki8Direct = kern.f32, kern.i8, kern.i8Direct
 	ctx.kf32Direct, ctx.kepi = kern.f32Direct, kern.epilogue
 }
 
 // release clears borrowed references and returns the context to the pool.
 func (ctx *gemmCtx) release() {
 	ctx.a, ctx.b, ctx.c = nil, nil, nil
-	ctx.a8, ctx.b8 = nil, nil
+	ctx.a8, ctx.b8, ctx.plane = nil, nil, nil
 	ctx.paRO, ctx.pa16RO = nil, nil
 	ctx.requant, ctx.bias = nil, nil
-	ctx.kf32, ctx.ki8 = nil, nil
+	ctx.kf32, ctx.ki8, ctx.ki8Direct = nil, nil, nil
 	ctx.kf32Direct, ctx.kepi, ctx.kf32Finish = nil, nil, nil
 	ctx.ep = Epilogue{}
 	gemmCtxPool.Put(ctx)
@@ -200,15 +207,17 @@ func (ctx *gemmCtx) release() {
 
 // tileScratch is the per-task workspace: a full register tile at the largest
 // geometry any kernel family may declare for edge tiles, padded per-row
-// requant/bias vectors for the int8 kernel, and one packed B panel for the
-// fused convolution task (conv.go), which packs and consumes a panel at a
-// time. Pooled so tile handling stays allocation-free (a stack array would
-// escape through the kernel function variable).
+// requant/bias vectors for the int8 kernel, and one packed B panel for each
+// fused convolution task (conv.go, convint8.go), which packs and consumes a
+// panel at a time; the int8 panel spans the whole fan-in, so it grows once
+// to the largest seen. Pooled so tile handling stays allocation-free (a
+// stack array would escape through the kernel function variable).
 type tileScratch struct {
-	tile  [maxMR * maxNR]float32
-	rq    [maxMR]float32
-	bs    [maxMR]float32
-	panel [kcBlock * maxNR]float32
+	tile    [maxMR * maxNR]float32
+	rq      [maxMR]float32
+	bs      [maxMR]float32
+	panel   [kcBlock * maxNR]float32
+	panel16 []int16
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}

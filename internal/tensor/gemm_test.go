@@ -146,9 +146,9 @@ func refKernF32(mr, nr, kc int, pa, pb, c []float32, ldc int) {
 }
 
 // refKernI8 is the tile-shape-generic int8 reference: pairwise int32
-// accumulation and an unfused requantizing store — every kernel family must
-// match it bit for bit.
-func refKernI8(mr, nr, kPairs int, pa, pb []int16, rq, bs, c []float32, ldc int) {
+// accumulation and an unfused requantizing store, then the slope on a set
+// sign bit — every kernel family must match it bit for bit.
+func refKernI8(mr, nr, kPairs int, pa, pb []int16, rq, bs []float32, slope float32, c []float32, ldc int) {
 	acc := make([]int32, mr*nr)
 	for t := 0; t < kPairs; t++ {
 		for r := 0; r < mr; r++ {
@@ -160,15 +160,21 @@ func refKernI8(mr, nr, kPairs int, pa, pb []int16, rq, bs, c []float32, ldc int)
 	}
 	for r := 0; r < mr; r++ {
 		for j := 0; j < nr; j++ {
-			c[r*ldc+j] = float32(acc[r*nr+j])*rq[r] + bs[r]
+			v := float32(float32(acc[r*nr+j])*rq[r]) + bs[r]
+			if math.Signbit(float64(v)) {
+				v *= slope
+			}
+			c[r*ldc+j] = v
 		}
 	}
 }
 
 // TestMicrokernelAsmMatchesGo cross-checks every registered microkernel
 // family against the shape-generic references on random packed panels:
-// bit-exact for int8 on every family, bit-exact for fp32 on the unfused
-// portable family, and within FMA contraction rounding for AVX2.
+// bit-exact for int8 on every family, with and without the leaky slope and,
+// where the family has one, for the in-place int8 kernel at every row
+// count; bit-exact for fp32 on the unfused portable family, and within FMA
+// contraction rounding for AVX2.
 func TestMicrokernelAsmMatchesGo(t *testing.T) {
 	kernelOnce.Do(initKernelList)
 	rng := NewRNG(5)
@@ -209,13 +215,42 @@ func TestMicrokernelAsmMatchesGo(t *testing.T) {
 				rq[r] = 0.001 * float32(r+1)
 				bs[r] = float32(r%3) - 1
 			}
-			q1 := make([]float32, mr*nr)
-			q2 := make([]float32, mr*nr)
-			kern.i8(kc, pa16, pb16, rq, bs, q1, nr)
-			refKernI8(mr, nr, kc, pa16, pb16, rq, bs, q2, nr)
-			for i := range q1 {
-				if q1[i] != q2[i] {
-					t.Fatalf("%s kernI8 kPairs=%d: c[%d] = %v, reference %v (must be exact)", kern.name, kc, i, q1[i], q2[i])
+			// The direct kernel's B: each k-pair's 2·nr int16s at an
+			// ascending offset of a larger buffer, gaps filled with noise.
+			offs := make([]int, kc)
+			origin := make([]int16, kc*(2*nr+3)+5)
+			for i := range origin {
+				origin[i] = int16(rng.Intn(255) - 127)
+			}
+			for p := range offs {
+				offs[p] = 5 + p*(2*nr+3)
+				copy(origin[offs[p]:], pb16[p*2*nr:(p+1)*2*nr])
+			}
+			for _, slope := range []float32{1, LeakySlope} {
+				q1 := make([]float32, mr*nr)
+				q2 := make([]float32, mr*nr)
+				kern.i8(kc, pa16, pb16, rq, bs, slope, q1, nr)
+				refKernI8(mr, nr, kc, pa16, pb16, rq, bs, slope, q2, nr)
+				for i := range q1 {
+					if math.Float32bits(q1[i]) != math.Float32bits(q2[i]) {
+						t.Fatalf("%s kernI8 kPairs=%d slope=%v: c[%d] = %v, reference %v (must be exact)", kern.name, kc, slope, i, q1[i], q2[i])
+					}
+				}
+				if kern.i8Direct == nil {
+					continue
+				}
+				for rows := 1; rows <= mr; rows++ {
+					q3 := make([]float32, mr*nr)
+					kern.i8Direct(kc, pa16, origin, offs, rq, bs, slope, q3, nr, rows)
+					for i := range q3 {
+						want := q2[i]
+						if i >= rows*nr {
+							want = 0 // rows past the requested ones stay untouched
+						}
+						if math.Float32bits(q3[i]) != math.Float32bits(want) {
+							t.Fatalf("%s i8Direct kPairs=%d slope=%v rows=%d: c[%d] = %v, want %v", kern.name, kc, slope, rows, i, q3[i], want)
+						}
+					}
 				}
 			}
 		}

@@ -1,8 +1,10 @@
 package tensor
 
-// This file holds the INT8 counterparts of the float32 convolution kernels:
-// an int8 im2col with the exact patch layout of Im2col, and an int8 GEMM
-// that accumulates in int32 and requantizes each output tile back to float32
+import "math"
+
+// This file holds the INT8 arithmetic under the quantized convolution
+// (convint8.go): the symmetric activation quantizer, and an int8 GEMM that
+// accumulates in int32 and requantizes each output tile back to float32
 // with a per-channel scale. Integer accumulation is exact and associative,
 // so results are independent of blocking, batching, and worker count — the
 // property the quantized serving path relies on for batched == serial
@@ -16,8 +18,9 @@ package tensor
 // K-panel split: keeping the whole k inside one kernel call keeps the int32
 // accumulators in registers, and the packed slabs stay cache-sized by
 // chunking n instead. A can arrive pre-packed (GemmInt8Prepacked,
-// prepack.go) — the quantized weights never change after Quantize, so the
-// serving path packs them exactly once.
+// prepack.go); the serving path's ConvPrepackedInt8 always does — the
+// quantized weights never change after Quantize, so they are packed
+// exactly once.
 
 // ResliceI8 returns an int8 slice of length n, reusing s's backing array
 // whenever its capacity suffices and allocating only when it does not — the
@@ -30,41 +33,64 @@ func ResliceI8(s []int8, n int) []int8 {
 	return make([]int8, n)
 }
 
-// Im2colInt8 unrolls a single-image CHW int8 input into the column matrix
-// used to lower convolution onto GEMM. It produces exactly the same patch
-// layout as the float Im2col: (channels*ksize*ksize) rows by (outH*outW)
-// columns, row-major, with zeros for pixels outside the padded image.
-func Im2colInt8(img []int8, channels, height, width, ksize, stride, pad int, col []int8) {
-	outH := (height+2*pad-ksize)/stride + 1
-	outW := (width+2*pad-ksize)/stride + 1
-	colsPerRow := outH * outW
-	rows := channels * ksize * ksize
-	for r := 0; r < rows; r++ {
-		wOff := r % ksize
-		hOff := (r / ksize) % ksize
-		ch := r / (ksize * ksize)
-		src := img[ch*height*width:]
-		dst := col[r*colsPerRow:]
-		for oh := 0; oh < outH; oh++ {
-			ih := oh*stride - pad + hOff
-			base := oh * outW
-			if ih < 0 || ih >= height {
-				for ow := 0; ow < outW; ow++ {
-					dst[base+ow] = 0
-				}
-				continue
-			}
-			srow := src[ih*width:]
-			for ow := 0; ow < outW; ow++ {
-				iw := ow*stride - pad + wOff
-				if iw < 0 || iw >= width {
-					dst[base+ow] = 0
-				} else {
-					dst[base+ow] = srow[iw]
-				}
-			}
+// QuantizeSymmetric quantizes src into dst (which must be at least as long)
+// with the symmetric map q = clamp(round(v/scale), ±127), rounding halves
+// away from zero. A zero scale (or a NaN input) maps to zero. It is the one
+// activation quantizer of the int8 path: ConvPrepackedInt8 quantizes its
+// input with it, written into the pair plane.
+func QuantizeSymmetric(src []float32, scale float32, dst []int8) {
+	quantize(src, scale, dst, 1)
+}
+
+// quantizeStrided is QuantizeSymmetric writing q(src[i]) to dst[2·i]: one
+// channel of a pair plane row (convint8.go).
+func quantizeStrided(src []float32, scale float32, dst []int16) {
+	quantize(src, scale, dst, 2)
+}
+
+// quantize writes q(src[i]) to dst[i·step] for both entry points above.
+func quantize[T int8 | int16](src []float32, scale float32, dst []T, step int) {
+	if scale == 0 {
+		for i := range src {
+			dst[i*step] = 0
 		}
+		return
 	}
+	inv := 1 / scale
+	if math.IsInf(float64(inv), 0) {
+		// scale is subnormal: multiplying by the overflowed inverse would
+		// produce ±Inf, so divide instead (IEEE division is correctly
+		// rounded for subnormal operands too).
+		for i, v := range src {
+			dst[i*step] = T(roundQuant(v / scale))
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i*step] = T(roundQuant(v * inv))
+	}
+}
+
+// roundQuant rounds the scaled value t half away from zero and clamps it to
+// ±127; NaN maps to zero rather than to a platform-defined conversion. The
+// clamps run in float space first, so the int32 conversion never sees an
+// out-of-range value. Rounding adds a sign-matched 0.49999997 (the float32
+// just below ½) and truncates. Adding ½ itself would round 0.49999997 up:
+// 0.49999997 + 0.5 is 1 − 2⁻²⁵, which float32 rounds to 1. With the
+// smaller half, a tie n+½ still rounds away from zero (to 1 by ties-to-even
+// for n = 0, and because ½·ulp exceeds 2⁻²⁵ for n ≥ 1), and nothing below a
+// tie reaches the next integer.
+func roundQuant(t float32) int32 {
+	switch {
+	case t != t:
+		return 0
+	case t >= 127:
+		return 127
+	case t <= -127:
+		return -127
+	}
+	half := math.Float32frombits(0x3EFFFFFF | math.Float32bits(t)&0x80000000)
+	return int32(t + half)
 }
 
 // GemmInt8 computes C = requant ⊙ (A·B) + bias for row-major int8 matrices:
@@ -96,7 +122,7 @@ func gemmInt8Packed(kern *microKernels, m, n, k int, a []int8, lda int, b []int8
 	ctx.m, ctx.n, ctx.k = m, n, k
 	ctx.a8, ctx.b8, ctx.c = a, b, c
 	ctx.lda, ctx.ldb, ctx.ldc = lda, ldb, ldc
-	ctx.requant, ctx.bias = requant, bias
+	ctx.requant, ctx.bias, ctx.slope = requant, bias, 1
 	ctx.kPairs = (k + 1) / 2
 	ctx.nStrips = (m + ctx.mr - 1) / ctx.mr
 
@@ -145,47 +171,42 @@ func taskPackBI8(ctx *gemmCtx, lo, hi int) {
 }
 
 // taskTilesI8 runs the int8 microkernel over panels [lo, hi) × every A
-// strip. Full tiles requantize straight into C; edge tiles go through a
-// pooled scratch tile with zero-padded requant/bias rows, then copy the
-// valid region (overwrite semantics).
+// strip.
 func taskTilesI8(ctx *gemmCtx, lo, hi int) {
-	var ts *tileScratch
-	stripLen := ctx.mr * 2 * ctx.kPairs
+	ts := tileScratchPool.Get().(*tileScratch)
 	panelLen := ctx.nr * 2 * ctx.kPairs
 	for pn := lo; pn < hi; pn++ {
 		j0 := ctx.jj + pn*ctx.nr
-		cols := min(ctx.nr, ctx.n-j0)
-		pb := ctx.pb16[pn*panelLen:]
-		for s := 0; s < ctx.nStrips; s++ {
-			i0 := s * ctx.mr
-			rows := min(ctx.mr, ctx.m-i0)
-			pa := ctx.pa16RO[s*stripLen:]
-			if rows == ctx.mr && cols == ctx.nr {
-				ctx.ki8(ctx.kPairs, pa, pb, ctx.requant[i0:], ctx.bias[i0:], ctx.c[i0*ctx.ldc+j0:], ctx.ldc)
-				continue
-			}
-			if ts == nil {
-				ts = tileScratchPool.Get().(*tileScratch)
-			}
-			for r := 0; r < ctx.mr; r++ {
-				if r < rows {
-					ts.rq[r], ts.bs[r] = ctx.requant[i0+r], ctx.bias[i0+r]
-				} else {
-					ts.rq[r], ts.bs[r] = 0, 0
-				}
-			}
-			ctx.ki8(ctx.kPairs, pa, pb, ts.rq[:], ts.bs[:], ts.tile[:], ctx.nr)
-			for r := 0; r < rows; r++ {
-				crow := ctx.c[(i0+r)*ctx.ldc+j0:]
-				trow := ts.tile[r*ctx.nr:]
-				for j := 0; j < cols; j++ {
-					crow[j] = trow[j]
-				}
+		ctx.panelTilesI8(ts, ctx.pb16[pn*panelLen:], j0, min(ctx.nr, ctx.n-j0))
+	}
+	tileScratchPool.Put(ts)
+}
+
+// panelTilesI8 runs every A strip against one packed int16 B panel covering
+// C columns [j0, j0+cols). Full tiles are stored finished straight into C;
+// edge tiles go through the scratch tile with zero-padded requant/bias rows,
+// then copy the valid region (overwrite semantics).
+func (ctx *gemmCtx) panelTilesI8(ts *tileScratch, pb []int16, j0, cols int) {
+	stripLen := ctx.mr * 2 * ctx.kPairs
+	for s := 0; s < ctx.nStrips; s++ {
+		i0 := s * ctx.mr
+		rows := min(ctx.mr, ctx.m-i0)
+		pa := ctx.pa16RO[s*stripLen:]
+		if rows == ctx.mr && cols == ctx.nr {
+			ctx.ki8(ctx.kPairs, pa, pb, ctx.requant[i0:], ctx.bias[i0:], ctx.slope, ctx.c[i0*ctx.ldc+j0:], ctx.ldc)
+			continue
+		}
+		for r := 0; r < ctx.mr; r++ {
+			if r < rows {
+				ts.rq[r], ts.bs[r] = ctx.requant[i0+r], ctx.bias[i0+r]
+			} else {
+				ts.rq[r], ts.bs[r] = 0, 0
 			}
 		}
-	}
-	if ts != nil {
-		tileScratchPool.Put(ts)
+		ctx.ki8(ctx.kPairs, pa, pb, ts.rq[:], ts.bs[:], ctx.slope, ts.tile[:], ctx.nr)
+		for r := 0; r < rows; r++ {
+			copy(ctx.c[(i0+r)*ctx.ldc+j0:][:cols], ts.tile[r*ctx.nr:])
+		}
 	}
 }
 
@@ -203,7 +224,7 @@ func gemmInt8Naive(m, n, k int, a []int8, lda int, b []int8, ldb int, requant, b
 			for p := 0; p < k; p++ {
 				acc += int32(arow[p]) * int32(b[p*ldb+j])
 			}
-			crow[j] = float32(acc)*scale + off
+			crow[j] = float32(float32(acc)*scale) + off
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // quantizeForTest maps floats in [-1,1] to int8 with a fixed scale of 1/127,
-// enough structure to exercise every patch path.
+// enough structure to exercise every tile path.
 func quantizeForTest(src []float32) []int8 {
 	out := make([]int8, len(src))
 	for i, v := range src {
@@ -19,60 +19,6 @@ func quantizeForTest(src []float32) []int8 {
 		out[i] = int8(q)
 	}
 	return out
-}
-
-// FuzzIm2colInt8 cross-checks the int8 im2col against the float reference on
-// random shapes: quantizing the input and unrolling must commute, i.e.
-// Im2colInt8(quantize(img)) == quantize(Im2col(img)) element for element,
-// proving the two kernels produce the identical patch layout (offsets,
-// padding zeros, strides).
-func FuzzIm2colInt8(f *testing.F) {
-	f.Add(uint64(1), 3, 8, 8, 3, 1, 1)
-	f.Add(uint64(2), 1, 5, 7, 2, 2, 0)
-	f.Add(uint64(3), 4, 6, 6, 1, 1, 0)
-	f.Add(uint64(4), 2, 9, 4, 3, 2, 2)
-	f.Fuzz(func(t *testing.T, seed uint64, channels, height, width, ksize, stride, pad int) {
-		// Clamp the fuzzed geometry to valid, small convolution shapes.
-		clamp := func(v, lo, hi int) int {
-			if v < lo {
-				return lo
-			}
-			if v > hi {
-				return hi
-			}
-			return v
-		}
-		channels = clamp(channels, 1, 4)
-		height = clamp(height, 1, 12)
-		width = clamp(width, 1, 12)
-		ksize = clamp(ksize, 1, 5)
-		stride = clamp(stride, 1, 3)
-		pad = clamp(pad, 0, 3)
-		if height+2*pad < ksize || width+2*pad < ksize {
-			t.Skip("window larger than padded input")
-		}
-
-		img := make([]float32, channels*height*width)
-		NewRNG(seed).FillUniform(img, -1, 1)
-		qimg := quantizeForTest(img)
-
-		outH := ConvOutSize(height, ksize, stride, pad)
-		outW := ConvOutSize(width, ksize, stride, pad)
-		rows := channels * ksize * ksize
-		fcol := make([]float32, rows*outH*outW)
-		Im2col(img, channels, height, width, ksize, stride, pad, fcol)
-		want := quantizeForTest(fcol)
-
-		got := make([]int8, rows*outH*outW)
-		Im2colInt8(qimg, channels, height, width, ksize, stride, pad, got)
-
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("col[%d] = %d, float reference %d (c=%d h=%d w=%d k=%d s=%d p=%d)",
-					i, got[i], want[i], channels, height, width, ksize, stride, pad)
-			}
-		}
-	})
 }
 
 // TestGemmInt8MatchesNaive pins GemmInt8 (strip/panel-blocked) to the

@@ -29,14 +29,14 @@ import (
 // int32 pairwise dataflow with an identical mul-then-add requantization, so
 // int8 results are bit-equal across every family.
 //
-// Besides the two tile kernels a family may carry four vector forms of
-// stages that are otherwise scalar Go: f32Direct (the fp32 tile kernel
-// reading a full stride-1 convolution panel in place instead of from a
-// packed copy), f32DirectFinish (f32Direct storing the finished, epilogued
-// tile when the whole K fits one block), epilogue (one C row of the fused
-// BN/bias/leaky epilogue) and maxPool2x2 (blocks of eight 2×2/2 max-pool
-// outputs). Each reproduces the
-// Go code it replaces bit for bit, and each follows the selected family like
+// Besides the two tile kernels a family may carry five vector forms of
+// stages that are otherwise scalar Go: f32Direct and i8Direct (the fp32 and
+// int8 tile kernels reading a full stride-1 convolution panel in place
+// instead of from a packed copy), f32DirectFinish (f32Direct storing the
+// finished, epilogued tile when the whole K fits one block), epilogue (one
+// C row of the fused BN/bias/leaky epilogue) and maxPool2x2 (blocks of
+// eight 2×2/2 max-pool outputs). Each reproduces the Go code it replaces
+// bit for bit, and each follows the selected family like
 // the tile kernels do: a nil entry — every entry of portable, so under
 // DRONET_KERNEL=portable, SelectKernel("portable") or -tags purego — runs
 // the Go code.
@@ -54,8 +54,15 @@ type microKernels struct {
 	f32 func(kc int, pa, pb []float32, c []float32, ldc int)
 	// i8 computes the full-k int8 tile with exact int32 accumulation over
 	// kPairs packed k-pairs, then requantizes on store (overwrite):
-	// c[r*ldc+j] = float32(acc[r][j])·requant[r] + bias[r].
-	i8 func(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, ldc int)
+	// c[r*ldc+j] = v·(slope if v's sign bit is set, else 1) with
+	// v = float32(acc[r][j])·requant[r] + bias[r], each operation rounded
+	// (no FMA). Slope 1 leaves v as it is; leaky-ReLU passes its slope.
+	i8 func(kPairs int, pa, pb []int16, requant, bias []float32, slope float32, c []float32, ldc int)
+	// i8Direct is i8 with k-pair t's nr B pairs read from origin[offs[t]:]
+	// (offs ascending, in int16s) instead of pb, and only the first rows
+	// rows (1 ≤ rows ≤ mr) stored — bit-identical to i8 on the panel
+	// packBConvI8 would copy from those offsets (convint8.go).
+	i8Direct func(kPairs int, pa, origin []int16, offs []int, requant, bias []float32, slope float32, c []float32, ldc, rows int)
 
 	// f32Direct is f32 with k-step p's nr B values read from
 	// origin[offs[p]:] instead of pb[p*nr:] — bit-identical to f32 on the

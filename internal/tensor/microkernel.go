@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Register-blocked MR×NR microkernels: the innermost compute stage of the
 // packed GEMM driver. Every kernel consumes the packed panel layouts
 // produced by pack.go at its own MR/NR interleave (see kernel.go for the
@@ -56,8 +58,10 @@ func kernF32Go(kc int, pa, pb []float32, c []float32, ldc int) {
 // a0·b0 + a1·b1 computed in int32 before accumulation — exactly the
 // dataflow of the PMADDWD/VPMADDWD kernels, so every family produces
 // identical int32 sums (integer addition is associative, and int8 products
-// cannot overflow the pairwise int16→int32 widening).
-func kernI8Go(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, ldc int) {
+// cannot overflow the pairwise int16→int32 widening). The store rounds the
+// multiply before the add, as the vector kernels do, on targets that would
+// fuse them too.
+func kernI8Go(kPairs int, pa, pb []int16, requant, bias []float32, slope float32, c []float32, ldc int) {
 	var acc [portableMR][portableNR]int32
 	for t := 0; t < kPairs; t++ {
 		a := pa[t*2*portableMR : t*2*portableMR+2*portableMR]
@@ -71,11 +75,13 @@ func kernI8Go(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, 
 			}
 		}
 	}
+	factor := [2]float32{1, slope}
 	for r := 0; r < portableMR; r++ {
 		scale, off := requant[r], bias[r]
 		crow := c[r*ldc : r*ldc+portableNR]
 		for j := 0; j < portableNR; j++ {
-			crow[j] = float32(acc[r][j])*scale + off
+			v := float32(float32(acc[r][j])*scale) + off
+			crow[j] = v * factor[math.Float32bits(v)>>31]
 		}
 	}
 }

@@ -13,7 +13,7 @@ func archKernels() []*microKernels {
 		return nil
 	}
 	return []*microKernels{{
-		name: "avx2", mr: 6, nr: 16, f32: kernF32AVX2, i8: kernI8AVX2,
+		name: "avx2", mr: 6, nr: 16, f32: kernF32AVX2, i8: kernI8AVX2, i8Direct: kernI8AVX2Direct,
 		f32Direct: kernF32AVX2Direct, f32DirectFinish: kernF32AVX2DirectFinish,
 		epilogue: epilogueRowAVX2, maxPool2x2: maxPool2x2AVX2,
 	}}
@@ -113,12 +113,34 @@ func maxPool2x2AVX2(r0, r1, d []float32) int {
 //go:noescape
 func maxPool2x2AVX2Asm(r0, r1, d []float32) int
 
-// kernI8AVX2 is the 6×16 AVX2 int8 tile kernel over int16 k-pairs:
-// VPBROADCASTD broadcasts one row's k-pair, VPMADDWD forms the pairwise
-// int32 products against two 16-pair packed-B YMM loads, VPADDD accumulates
-// exactly, and the store path requantizes with VCVTDQ2PS then an UNFUSED
-// multiply-then-add (bit-identical to the naive Go loop — FMA here would
-// change rounding and break the int8 exactness contract).
+// kernI8AVX2 is the avx2 i8 entry (kernel.go): the 6×16 int8 tile over
+// int16 k-pairs — VPBROADCASTD, VPMADDWD and VPADDD accumulate exactly —
+// stored with VCVTDQ2PS then an UNFUSED multiply-then-add and the slope
+// blend (bit-identical to the Go kernel — FMA here would change rounding
+// and break the int8 exactness contract). The driver hands it full tiles.
+func kernI8AVX2(kPairs int, pa, pb []int16, requant, bias []float32, slope float32, c []float32, ldc int) {
+	kernI8AVX2Asm(kPairs, pa, pb, nil, requant, bias, slope, c, ldc, 6)
+}
+
+// kernI8AVX2Direct is the avx2 i8Direct entry (kernel.go). The assembly
+// checks no bounds, so the furthest element each operand is read or
+// written at is checked here first: offs ascend, so offs[kPairs-1] is the
+// furthest B row.
+func kernI8AVX2Direct(kPairs int, pa, origin []int16, offs []int, requant, bias []float32, slope float32, c []float32, ldc, rows int) {
+	if rows < 1 || rows > 6 || kPairs < 1 {
+		panic("tensor: kernI8AVX2Direct rows or k out of range")
+	}
+	_ = pa[12*kPairs-1]
+	_ = origin[offs[kPairs-1]+31]
+	_ = requant[rows-1]
+	_ = bias[rows-1]
+	_ = c[(rows-1)*ldc+15]
+	kernI8AVX2Asm(kPairs, pa, origin, offs[:kPairs], requant, bias, slope, c, ldc, rows)
+}
+
+// kernI8AVX2Asm serves both int8 entries: an empty offs reads the packed
+// panel b, a non-empty one reads b in place at the offsets; rows 1–6 rows
+// of the finished tile are stored.
 //
 //go:noescape
-func kernI8AVX2(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, ldc int)
+func kernI8AVX2Asm(kPairs int, pa, b []int16, offs []int, requant, bias []float32, slope float32, c []float32, ldc, rows int)

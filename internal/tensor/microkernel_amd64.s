@@ -217,23 +217,91 @@ ad32done:
 	VZEROUPPER
 	RET
 
-// func kernI8AVX2(kPairs int, pa, pb []int16, requant, bias []float32, c []float32, ldc int)
+// AVX2_I8_STEP is one k-pair of the 6×16 int8 tile: the B pairs are in
+// Y12:Y13, the six rows' packed-A pairs at (SI). Per row, VPBROADCASTD
+// broadcasts its (a0,a1) pair, VPMADDWD against the two B halves yields the
+// per-column int32 pair products, and VPADDD accumulates them exactly into
+// Y0..Y11 (row r in Y(2r) cols 0-7, Y(2r+1) cols 8-15).
+#define AVX2_I8_STEP \
+	VPBROADCASTD (SI), Y14;    \
+	VPMADDWD     Y12, Y14, Y15; \
+	VPADDD       Y15, Y0, Y0;   \
+	VPMADDWD     Y13, Y14, Y15; \
+	VPADDD       Y15, Y1, Y1;   \
+	VPBROADCASTD 4(SI), Y14;   \
+	VPMADDWD     Y12, Y14, Y15; \
+	VPADDD       Y15, Y2, Y2;   \
+	VPMADDWD     Y13, Y14, Y15; \
+	VPADDD       Y15, Y3, Y3;   \
+	VPBROADCASTD 8(SI), Y14;   \
+	VPMADDWD     Y12, Y14, Y15; \
+	VPADDD       Y15, Y4, Y4;   \
+	VPMADDWD     Y13, Y14, Y15; \
+	VPADDD       Y15, Y5, Y5;   \
+	VPBROADCASTD 12(SI), Y14;  \
+	VPMADDWD     Y12, Y14, Y15; \
+	VPADDD       Y15, Y6, Y6;   \
+	VPMADDWD     Y13, Y14, Y15; \
+	VPADDD       Y15, Y7, Y7;   \
+	VPBROADCASTD 16(SI), Y14;  \
+	VPMADDWD     Y12, Y14, Y15; \
+	VPADDD       Y15, Y8, Y8;   \
+	VPMADDWD     Y13, Y14, Y15; \
+	VPADDD       Y15, Y9, Y9;   \
+	VPBROADCASTD 20(SI), Y14;  \
+	VPMADDWD     Y12, Y14, Y15; \
+	VPADDD       Y15, Y10, Y10; \
+	VPMADDWD     Y13, Y14, Y15; \
+	VPADDD       Y15, Y11, Y11
+
+// AVX2_I8_ROW stores the 16 finished floats of accumulators lo:hi at (DX):
+// v = float32(acc)·requant + bias with the row's requant at (R9) and bias
+// at (R10) — VCVTDQ2PS, then a separate VMULPS and VADDPS, never an FMA —
+// then v·slope (slope in Y12) blended in on v's sign bit.
+#define AVX2_I8_ROW(lo, hi) \
+	VCVTDQ2PS    lo, lo;          \
+	VCVTDQ2PS    hi, hi;          \
+	VBROADCASTSS (R9), Y14;       \
+	VBROADCASTSS (R10), Y15;      \
+	VMULPS       Y14, lo, lo;     \
+	VMULPS       Y14, hi, hi;     \
+	VADDPS       Y15, lo, lo;     \
+	VADDPS       Y15, hi, hi;     \
+	VMULPS       Y12, lo, Y13;    \
+	VMULPS       Y12, hi, Y14;    \
+	VBLENDVPS    lo, Y13, lo, lo; \
+	VBLENDVPS    hi, Y14, hi, hi; \
+	VMOVUPS      lo, (DX);        \
+	VMOVUPS      hi, 32(DX)
+
+// AVX2_I8_NEXT leaves after the last requested row, or steps DX, R9 and
+// R10 on to the next one.
+#define AVX2_I8_NEXT \
+	DECQ BX;       \
+	JZ   ai8done;  \
+	ADDQ R8, DX;   \
+	ADDQ $4, R9;   \
+	ADDQ $4, R10
+
+// func kernI8AVX2Asm(kPairs int, pa, b []int16, offs []int, requant, bias []float32, slope float32, c []float32, ldc, rows int)
 //
-// Computes the 6×16 int8 tile with exact int32 accumulation over packed
-// int16 k-pairs: per pair, VPBROADCASTD broadcasts one row's (a0,a1) pair,
-// VPMADDWD against the two 16-pair packed-B loads yields the per-column
-// int32 pair-products, VPADDD accumulates. The store path requantizes with
-// VCVTDQ2PS then separate VMULPS + VADDPS — deliberately NOT an FMA, so
-// c[r*ldc+j] = float32(acc)·requant[r] + bias[r] rounds exactly like the
-// naive Go loop and results stay bit-identical across every kernel family.
-TEXT ·kernI8AVX2(SB), NOSPLIT, $0-136
+// The 6×16 int8 tile with exact int32 accumulation over kPairs k-pairs,
+// finished on store by AVX2_I8_ROW into C's first rows rows (1–6). With
+// offs empty, b is the packed panel and k-pair t's B pairs are its 32
+// int16s at 64·t bytes; otherwise they are the 32 int16s at b + offs[t]
+// int16s, a convolution panel read in place. The loads differ, the
+// arithmetic does not.
+TEXT ·kernI8AVX2Asm(SB), NOSPLIT, $0-176
 	MOVQ kPairs+0(FP), CX
 	MOVQ pa_base+8(FP), SI
-	MOVQ pb_base+32(FP), DI
-	MOVQ requant_base+56(FP), R9
-	MOVQ bias_base+80(FP), R10
-	MOVQ c_base+104(FP), DX
-	MOVQ ldc+128(FP), R8
+	MOVQ b_base+32(FP), DI
+	MOVQ offs_base+56(FP), R11
+	MOVQ offs_len+64(FP), AX
+	MOVQ requant_base+80(FP), R9
+	MOVQ bias_base+104(FP), R10
+	MOVQ c_base+136(FP), DX
+	MOVQ ldc+160(FP), R8
+	MOVQ rows+168(FP), BX
 	SHLQ $2, R8              // row stride in bytes
 
 	VPXOR Y0, Y0, Y0
@@ -251,123 +319,44 @@ TEXT ·kernI8AVX2(SB), NOSPLIT, $0-136
 
 	TESTQ CX, CX
 	JZ    ai8store
+	TESTQ AX, AX
+	JNZ   ai8direct
 
 ai8loop:
 	VMOVDQU (DI), Y12        // pb: cols 0-7 int16 pairs
 	VMOVDQU 32(DI), Y13      // pb: cols 8-15 int16 pairs
-
-	VPBROADCASTD (SI), Y14   // row-0 pair
-	VPMADDWD     Y12, Y14, Y15
-	VPADDD       Y15, Y0, Y0
-	VPMADDWD     Y13, Y14, Y15
-	VPADDD       Y15, Y1, Y1
-
-	VPBROADCASTD 4(SI), Y14  // row 1
-	VPMADDWD     Y12, Y14, Y15
-	VPADDD       Y15, Y2, Y2
-	VPMADDWD     Y13, Y14, Y15
-	VPADDD       Y15, Y3, Y3
-
-	VPBROADCASTD 8(SI), Y14  // row 2
-	VPMADDWD     Y12, Y14, Y15
-	VPADDD       Y15, Y4, Y4
-	VPMADDWD     Y13, Y14, Y15
-	VPADDD       Y15, Y5, Y5
-
-	VPBROADCASTD 12(SI), Y14 // row 3
-	VPMADDWD     Y12, Y14, Y15
-	VPADDD       Y15, Y6, Y6
-	VPMADDWD     Y13, Y14, Y15
-	VPADDD       Y15, Y7, Y7
-
-	VPBROADCASTD 16(SI), Y14 // row 4
-	VPMADDWD     Y12, Y14, Y15
-	VPADDD       Y15, Y8, Y8
-	VPMADDWD     Y13, Y14, Y15
-	VPADDD       Y15, Y9, Y9
-
-	VPBROADCASTD 20(SI), Y14 // row 5
-	VPMADDWD     Y12, Y14, Y15
-	VPADDD       Y15, Y10, Y10
-	VPMADDWD     Y13, Y14, Y15
-	VPADDD       Y15, Y11, Y11
-
+	AVX2_I8_STEP
 	ADDQ $24, SI
 	ADDQ $64, DI
 	DECQ CX
 	JNZ  ai8loop
+	JMP  ai8store
+
+ai8direct:
+	MOVQ    (R11), AX        // offs[t]
+	VMOVDQU (DI)(AX*2), Y12
+	VMOVDQU 32(DI)(AX*2), Y13
+	AVX2_I8_STEP
+	ADDQ $24, SI
+	ADDQ $8, R11
+	DECQ CX
+	JNZ  ai8direct
 
 ai8store:
-	VCVTDQ2PS    Y0, Y0      // row 0: float32(acc)·requant + bias
-	VCVTDQ2PS    Y1, Y1
-	VBROADCASTSS (R9), Y14
-	VBROADCASTSS (R10), Y15
-	VMULPS       Y14, Y0, Y0
-	VMULPS       Y14, Y1, Y1
-	VADDPS       Y15, Y0, Y0
-	VADDPS       Y15, Y1, Y1
-	VMOVUPS      Y0, (DX)
-	VMOVUPS      Y1, 32(DX)
-	ADDQ         R8, DX
+	VBROADCASTSS slope+128(FP), Y12
+	AVX2_I8_ROW(Y0, Y1)
+	AVX2_I8_NEXT
+	AVX2_I8_ROW(Y2, Y3)
+	AVX2_I8_NEXT
+	AVX2_I8_ROW(Y4, Y5)
+	AVX2_I8_NEXT
+	AVX2_I8_ROW(Y6, Y7)
+	AVX2_I8_NEXT
+	AVX2_I8_ROW(Y8, Y9)
+	AVX2_I8_NEXT
+	AVX2_I8_ROW(Y10, Y11)
 
-	VCVTDQ2PS    Y2, Y2      // row 1
-	VCVTDQ2PS    Y3, Y3
-	VBROADCASTSS 4(R9), Y14
-	VBROADCASTSS 4(R10), Y15
-	VMULPS       Y14, Y2, Y2
-	VMULPS       Y14, Y3, Y3
-	VADDPS       Y15, Y2, Y2
-	VADDPS       Y15, Y3, Y3
-	VMOVUPS      Y2, (DX)
-	VMOVUPS      Y3, 32(DX)
-	ADDQ         R8, DX
-
-	VCVTDQ2PS    Y4, Y4      // row 2
-	VCVTDQ2PS    Y5, Y5
-	VBROADCASTSS 8(R9), Y14
-	VBROADCASTSS 8(R10), Y15
-	VMULPS       Y14, Y4, Y4
-	VMULPS       Y14, Y5, Y5
-	VADDPS       Y15, Y4, Y4
-	VADDPS       Y15, Y5, Y5
-	VMOVUPS      Y4, (DX)
-	VMOVUPS      Y5, 32(DX)
-	ADDQ         R8, DX
-
-	VCVTDQ2PS    Y6, Y6      // row 3
-	VCVTDQ2PS    Y7, Y7
-	VBROADCASTSS 12(R9), Y14
-	VBROADCASTSS 12(R10), Y15
-	VMULPS       Y14, Y6, Y6
-	VMULPS       Y14, Y7, Y7
-	VADDPS       Y15, Y6, Y6
-	VADDPS       Y15, Y7, Y7
-	VMOVUPS      Y6, (DX)
-	VMOVUPS      Y7, 32(DX)
-	ADDQ         R8, DX
-
-	VCVTDQ2PS    Y8, Y8      // row 4
-	VCVTDQ2PS    Y9, Y9
-	VBROADCASTSS 16(R9), Y14
-	VBROADCASTSS 16(R10), Y15
-	VMULPS       Y14, Y8, Y8
-	VMULPS       Y14, Y9, Y9
-	VADDPS       Y15, Y8, Y8
-	VADDPS       Y15, Y9, Y9
-	VMOVUPS      Y8, (DX)
-	VMOVUPS      Y9, 32(DX)
-	ADDQ         R8, DX
-
-	VCVTDQ2PS    Y10, Y10    // row 5
-	VCVTDQ2PS    Y11, Y11
-	VBROADCASTSS 20(R9), Y14
-	VBROADCASTSS 20(R10), Y15
-	VMULPS       Y14, Y10, Y10
-	VMULPS       Y14, Y11, Y11
-	VADDPS       Y15, Y10, Y10
-	VADDPS       Y15, Y11, Y11
-	VMOVUPS      Y10, (DX)
-	VMOVUPS      Y11, 32(DX)
+ai8done:
 	VZEROUPPER
 	RET
 

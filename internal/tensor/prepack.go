@@ -6,10 +6,10 @@ package tensor
 // the im2col view of fresh activations. The blocked driver normally re-packs
 // A into MR-interleaved strips on every call; PackA/PackAInt8 perform that
 // pack exactly once at model build (or clone) time and GemmPrepacked/
-// GemmInt8Prepacked — and ConvPrepacked (conv.go), which also packs B
-// straight from the activations — run the same tile stage against the shared
-// read-only slab: steady-state packing traffic drops to the activation side
-// only.
+// GemmInt8Prepacked — and ConvPrepacked (conv.go) and ConvPrepackedInt8
+// (convint8.go), which read B straight from the activations — run the same
+// tile stage against the shared read-only slab: steady-state packing traffic
+// drops to the activation side only.
 //
 // The packed layout is the concatenation of the driver's per-K-panel packs:
 // for each K panel [kk, kk+kc) (kc = min(kcBlock, k-kk)), nStrips strips of
