@@ -21,8 +21,9 @@ ci: vet build race chaos invariants bench-smoke serve-smoke swap-smoke shard-smo
 ## imgproc leg runs the /detect/raw pixel conversion on a decoded JPEG and PNG
 ## and the bilinear resample of a 128×96 camera frame to 64² and 96²; the quant
 ## leg runs the quarter-scale DroNet at 64² as fp32 and as int8 and prints
-## their per-layer µs table (-v); the detect leg runs NMS on random boxes and on
-## DroNet's 320 region candidates
+## their per-layer µs table (-v); the detect leg runs NMS on random boxes, on
+## DroNet's 320 region candidates and on the quarter-scale model's 20 and 45
+## (the sets detect-ingest and routed-mixed hand it)
 bench-smoke:
 	$(GO) test -run 'TestKernelDispatchInfo|TestSelectedKernel' -v -bench Gemm -benchtime 10x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'ConvForwardDroNet256|MaxPool2x2' -benchtime 10x ./internal/layers/
@@ -133,11 +134,12 @@ chaos:
 ## network's batch and clone paths at fp32 and int8), every GEMM kernel family ≡ naive and
 ## prepacked ≡ pack-per-call, frame decode ≡ encoding/json bit for bit (and
 ## its pixel parser ≡ strconv.ParseFloat), the typed /detect/raw pixel conversion ≡
-## the generic one bit for bit, the bilinear resize ≡ its per-pixel loop bit for
+## the generic one bit for bit on every kernel family (and the YCbCr row kernel ≡
+## color.YCbCr.RGBA on all 2^24 triples), the bilinear resize ≡ its per-pixel loop bit for
 ## bit, the fused convolution ≡ im2col + GEMM + BN + bias + leaky and the int8
 ## convolution ≡ quantize + im2col + int8 GEMM + leaky, the streaming 2×2 pool ≡ the window loop and the vector
-## epilogue row ≡ its Go loop bit for bit on every kernel family, NMS ≡ its
-## per-pair reference element for element, the batcher's dispatch rule (a request waits
+## epilogue row ≡ its Go loop bit for bit on every kernel family, NMS (area
+## window and merge sort) ≡ its per-pair reference element for element, the batcher's dispatch rule (a request waits
 ## only while every worker is busy), the accounting identity that proves expired
 ## work never reaches a kernel, minimal ring remap, a forwarded body's pooled
 ## buffer never recycled while a shard's transport may still read it, zero
@@ -145,7 +147,7 @@ chaos:
 ## latency percentiles merge exactly (and sit within one 6.25 % bucket of
 ## the exact nearest-rank sample), and goroutine hygiene after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFromGoImageMatchesGeneric|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
 	    ./internal/tensor/ ./internal/imgproc/ ./internal/layers/ ./internal/detect/ ./internal/network/ ./internal/quant/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization,
@@ -158,7 +160,8 @@ invariants:
 ## im2col + int8 GEMM + leaky reference bit for bit across the same families,
 ## FuzzResize the bilinear resize to its per-pixel loop bit for bit,
 ## FuzzMaxPoolFastVsGeneric the streaming 2×2 pool to the generic
-## window loop, FuzzNMS NMS to its per-pair reference element for element;
+## window loop, FuzzNMS NMS to its per-pair reference element for element
+## (grid boxes, and raw float64 boxes and scores: NaN, ±Inf, tiny, huge, far);
 ## the leading dispatch-info run logs which families this box
 ## detected so fuzz logs are attributable; FuzzParseModelSpecs holds -models
 ## parsing to a no-panic + parse/format/parse fixed-point contract,

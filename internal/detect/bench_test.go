@@ -22,16 +22,22 @@ func randDets(n int, seed uint64) []Detection {
 // of cells × 5 anchors = 320 candidates, each box near its cell centre with
 // an anchor-sized extent, so neighbours overlap the way a real decode does
 // (164 survive at 0.45, against 165 on a DroNet frame).
-func regionDets(seed uint64) []Detection {
+func regionDets(seed uint64) []Detection { return regionGridDets(8, seed) }
+
+// regionGridDets is regionDets on a cells×cells grid, with anchor sides that
+// scale with the cell as the region layer's do: cells 2 and 3 are the
+// quarter-scale model's 20 and 45 candidates at 64² and 96².
+func regionGridDets(cells int, seed uint64) []Detection {
 	rng := tensor.NewRNG(seed)
-	dets := make([]Detection, 0, 320)
-	for cy := 0; cy < 8; cy++ {
-		for cx := 0; cx < 8; cx++ {
+	n := float64(cells)
+	dets := make([]Detection, 0, 5*cells*cells)
+	for cy := 0; cy < cells; cy++ {
+		for cx := 0; cx < cells; cx++ {
 			for a := 0; a < 5; a++ {
-				side := 0.12 * float64(a+1)
+				side := 0.96 * float64(a+1) / n
 				dets = append(dets, Detection{
 					Box: Box{
-						X: (float64(cx) + rng.Float64()) / 8, Y: (float64(cy) + rng.Float64()) / 8,
+						X: (float64(cx) + rng.Float64()) / n, Y: (float64(cy) + rng.Float64()) / n,
 						W: side * rng.Range(0.7, 1.3), H: side * rng.Range(0.7, 1.3),
 					},
 					Score: rng.Float64(),
@@ -43,7 +49,8 @@ func regionDets(seed uint64) []Detection {
 }
 
 // BenchmarkNMS measures suppression over a few hundred random boxes above
-// threshold on a busy frame, and over DroNet's 320 region candidates.
+// threshold on a busy frame, over DroNet's 320 region candidates, and over
+// the quarter-scale model's 20 and 45.
 func BenchmarkNMS(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -51,6 +58,8 @@ func BenchmarkNMS(b *testing.B) {
 	}{
 		{"random300", randDets(300, 1)},
 		{"region320", regionDets(1)},
+		{"region45", regionGridDets(3, 1)},
+		{"region20", regionGridDets(2, 1)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

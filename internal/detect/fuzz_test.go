@@ -1,7 +1,9 @@
 package detect
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -63,11 +65,31 @@ func FuzzIoU(f *testing.F) {
 	})
 }
 
-// decodeDetections derives a deterministic detection list from fuzz bytes:
-// five bytes per detection give center, size, score and class. Coordinates
-// may exceed [0,1] and sizes may be zero — NMS must cope with both.
+// decodeDetections derives a deterministic detection list from fuzz bytes.
+// An even leading byte selects the grid leg: five bytes per detection give
+// center, size, score and class on a 1/128 grid near the origin —
+// coordinates may exceed [0,1] and sizes may be zero. An odd one selects
+// the raw leg: five little-endian float64s per detection (X, Y, W, H,
+// Score), class from the score's low bits, so centres far from the origin,
+// tiny and huge sides, zero, negative, NaN and ±Inf fields all occur — the
+// boxes NMS's area window must leave to the full scan.
 func decodeDetections(data []byte) []Detection {
+	if len(data) == 0 {
+		return nil
+	}
+	leg, data := data[0], data[1:]
 	var dets []Detection
+	if leg&1 == 1 {
+		f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:])) }
+		for i := 0; 8*(i+5) <= len(data); i += 5 {
+			dets = append(dets, Detection{
+				Box:   Box{X: f(i), Y: f(i + 1), W: f(i + 2), H: f(i + 3)},
+				Score: f(i + 4),
+				Class: int(data[8*(i+4)] % 3),
+			})
+		}
+		return dets
+	}
 	for i := 0; i+5 <= len(data); i += 5 {
 		dets = append(dets, Detection{
 			Box: Box{
@@ -81,6 +103,29 @@ func decodeDetections(data []byte) []Detection {
 		})
 	}
 	return dets
+}
+
+// encodeRawDetections writes dets as raw-leg input. The leg derives each
+// class from its score's bits, so classes do not round-trip.
+func encodeRawDetections(dets []Detection) []byte {
+	data := []byte{1}
+	for _, d := range dets {
+		for _, v := range []float64{d.Box.X, d.Box.Y, d.Box.W, d.Box.H, d.Score} {
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+		}
+	}
+	return data
+}
+
+// farPair is two boxes 2^52 from the origin, where the smaller one's edges
+// round outward to twice its width: their IoU is 2/3 although their areas
+// differ fourfold, so an area window would skip the pair. NMS must test it
+// with the full scan and suppress the second box.
+func farPair() []Detection {
+	return []Detection{
+		{Box: Box{X: 0x1p52 + 1, Y: 0.5, W: 4, H: 0.1}, Score: 0.9},
+		{Box: Box{X: 0x1p52 + 1, Y: 0.5, W: 1, H: 0.1}, Score: 0.8},
+	}
 }
 
 // iouReference is IoU as it was written before the edges and areas were
@@ -175,6 +220,42 @@ func TestNMSMatchesReferenceOnSpecials(t *testing.T) {
 	for _, thresh := range []float64{-1, nz, 0, 0.3, 0.45, 1, 2} {
 		assertNMSMatchesReference(t, dets, thresh)
 	}
+
+	// The area window's inputs: tame region candidates alone, then with a
+	// box that is not tame — far from the origin in widths, a side too tiny
+	// or too huge, a zero, negative, NaN or infinite field — ranked first,
+	// in the middle and last, so the full scan takes over at every point.
+	region := regionDets(1)
+	far := farPair()
+	if got := NMS(far, 0.45); len(got) != 1 {
+		t.Fatalf("far pair (IoU %v): kept %d, want 1", IoU(far[0].Box, far[1].Box), len(got))
+	}
+	wild := []Box{
+		far[0].Box, {X: 0.5, Y: 0.5, W: 1e-40, H: 0.1}, {X: 0.5, Y: 0.5, W: 0.1, H: 1e40},
+		{X: 0.5, Y: 0.5, W: 0, H: 0.1}, {X: 0.5, Y: 0.5, W: -0.1, H: 0.1}, {X: nan, Y: 0.5, W: 0.1, H: 0.1},
+		{X: 0.5, Y: 0.5, W: 0.1, H: inf}, {X: -inf, Y: 0.5, W: 0.1, H: 0.1},
+	}
+	// Tied scores across the merge sort's runs of eight, ±0 among them:
+	// the stable order keeps input order within a tie.
+	var ties []Detection
+	for i := range 40 {
+		score := float64(i%3) / 4
+		if i%5 == 0 {
+			score = nz
+		}
+		ties = append(ties, Detection{Box: Box{X: float64(i%8) / 8, Y: float64(i/8) / 8, W: 0.1, H: 0.1}, Score: score})
+	}
+	sets := [][]Detection{region, far, ties}
+	for _, b := range wild {
+		for _, score := range []float64{2, 0.5, -1} {
+			sets = append(sets, append(slices.Clone(region), Detection{Box: b, Score: score}))
+		}
+	}
+	for _, set := range sets {
+		for _, thresh := range []float64{-1, 0, 1e-300, 0.3, 0.45, 0.9, 1, 2, nan} {
+			assertNMSMatchesReference(t, set, thresh)
+		}
+	}
 }
 
 // FuzzNMS holds NMS to nmsReference on arbitrary detection sets and checks
@@ -183,12 +264,11 @@ func TestNMSMatchesReferenceOnSpecials(t *testing.T) {
 // class overlap above the threshold.
 func FuzzNMS(f *testing.F) {
 	f.Add([]byte{}, 0.45)
-	f.Add([]byte{64, 64, 128, 128, 200, 64, 64, 128, 128, 100}, 0.45)
-	f.Add([]byte{0, 0, 0, 0, 0, 255, 255, 255, 255, 255}, 0.0)
+	f.Add([]byte{0, 64, 64, 128, 128, 200, 64, 64, 128, 128, 100}, 0.45)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 255, 255, 255, 255, 255}, 0.0)
+	f.Add(encodeRawDetections(regionDets(1)), 0.45)
+	f.Add(encodeRawDetections(farPair()), 0.45)
 	f.Fuzz(func(t *testing.T, data []byte, thresh float64) {
-		if math.IsNaN(thresh) || math.IsInf(thresh, 0) {
-			t.Skip("non-finite threshold")
-		}
 		dets := decodeDetections(data)
 		input := make([]Detection, len(dets))
 		copy(input, dets)
@@ -199,25 +279,29 @@ func FuzzNMS(f *testing.F) {
 			t.Fatalf("NMS grew the set: %d -> %d", len(dets), len(kept))
 		}
 		for i, d := range dets {
-			if d != input[i] {
+			if detBits(d) != detBits(input[i]) {
 				t.Fatal("NMS mutated its input slice")
 			}
 		}
 		// Subset: every kept detection appears in the input at least as often
 		// as it is kept (duplicates are legal input).
-		counts := make(map[Detection]int)
+		counts := make(map[[6]uint64]int)
 		for _, d := range input {
-			counts[d]++
+			counts[detBits(d)]++
 		}
 		for _, k := range kept {
-			counts[k]--
-			if counts[k] < 0 {
+			counts[detBits(k)]--
+			if counts[detBits(k)] < 0 {
 				t.Fatalf("kept detection %+v not in (or kept more often than) input", k)
 			}
 		}
-		for i := 1; i < len(kept); i++ {
-			if kept[i].Score > kept[i-1].Score {
-				t.Fatalf("kept scores not descending at %d: %v after %v", i, kept[i].Score, kept[i-1].Score)
+		// A NaN score is unordered, so the stable sort need not leave the
+		// others descending around it.
+		if !slices.ContainsFunc(input, func(d Detection) bool { return math.IsNaN(d.Score) }) {
+			for i := 1; i < len(kept); i++ {
+				if kept[i].Score > kept[i-1].Score {
+					t.Fatalf("kept scores not descending at %d: %v after %v", i, kept[i].Score, kept[i-1].Score)
+				}
 			}
 		}
 		for i := 0; i < len(kept); i++ {
@@ -229,4 +313,11 @@ func FuzzNMS(f *testing.F) {
 			}
 		}
 	})
+}
+
+// detBits is a detection as bits, a map key and comparison NaN fields do
+// not defeat.
+func detBits(d Detection) [6]uint64 {
+	b := math.Float64bits
+	return [6]uint64{b(d.Box.X), b(d.Box.Y), b(d.Box.W), b(d.Box.H), uint64(d.Class), b(d.Score)}
 }

@@ -6,6 +6,8 @@ import (
 	"image/color"
 	"image/png"
 	"os"
+
+	"repro/internal/tensor"
 )
 
 // ToNRGBA converts the image to an 8-bit standard-library image.
@@ -37,7 +39,11 @@ func to8(v float32) uint8 {
 // The types the JPEG and PNG decoders return for colour frames,
 // *image.YCbCr and *image.RGBA, are read through their concrete pixel types
 // instead of At, which boxes every pixel into a color.Color; the result is
-// bit-identical either way.
+// bit-identical either way. On a kernel family with a YCbCr row kernel
+// (tensor.YCbCrRowKernel: avx2), rows of 4:4:4, 4:4:0, 4:2:2 and 4:2:0
+// frames convert eight pixels a step; the Go loop takes a row's last fewer
+// than eight pixels, the first pixel of a row whose 2:1 chroma pairs start
+// mid-pair, and every row on the portable family.
 func FromGoImage(src image.Image) *Image {
 	b := src.Bounds()
 	m := NewImage(b.Dx(), b.Dy())
@@ -50,21 +56,24 @@ func FromGoImage(src image.Image) *Image {
 		// unknown ratio) keeps the per-pixel YCbCrAt path.
 		hs, vs, ok := chromaShifts(s.SubsampleRatio)
 		if ok && b.Min.X >= 0 && b.Min.Y >= 0 {
+			var vec func(y, cb, cr []byte, hs uint, r, g, b []float32) int
+			x0 := 0 // the kernel's first pixel: with 2:1 chroma, the start of a pair
+			if hs <= 1 {
+				vec = tensor.YCbCrRowKernel()
+				x0 = b.Min.X & int(hs)
+			}
 			for y := b.Min.Y; y < b.Max.Y; y++ {
 				yRow := s.Y[(y-b.Min.Y)*s.YStride:][:m.W]
 				cBase := (y>>vs-b.Min.Y>>vs)*s.CStride - b.Min.X>>hs
 				i := (y - b.Min.Y) * m.W
 				rr, gg, bb := r[i:][:m.W], g[i:][:m.W], bl[i:][:m.W]
-				for x, yv := range yRow {
-					// color.YCbCr.RGBA's integer arithmetic, inlined.
-					ci := cBase + (b.Min.X+x)>>hs
-					yy1 := int32(yv) * 0x10101
-					cb1 := int32(s.Cb[ci]) - 128
-					cr1 := int32(s.Cr[ci]) - 128
-					rr[x] = float32(clamp16(yy1+91881*cr1)) / 65535
-					gg[x] = float32(clamp16(yy1-22554*cb1-46802*cr1)) / 65535
-					bb[x] = float32(clamp16(yy1+116130*cb1)) / 65535
+				n := 0
+				if vec != nil && x0 < m.W {
+					ci := cBase + (b.Min.X+x0)>>hs
+					n = vec(yRow[x0:], s.Cb[ci:], s.Cr[ci:], hs, rr[x0:], gg[x0:], bb[x0:])
 				}
+				ycbcrPixels(s, yRow, cBase, b.Min.X, hs, rr, gg, bb, 0, x0)
+				ycbcrPixels(s, yRow, cBase, b.Min.X, hs, rr, gg, bb, x0+n, m.W)
 			}
 			break
 		}
@@ -93,6 +102,22 @@ func FromGoImage(src image.Image) *Image {
 		}
 	}
 	return m
+}
+
+// ycbcrPixels converts pixels [lo, hi) of one row of s: yRow is the row's
+// luma from the image's left edge minX, and pixel x's chroma is at
+// cBase + (minX+x)>>hs in s.Cb and s.Cr.
+func ycbcrPixels(s *image.YCbCr, yRow []byte, cBase, minX int, hs uint, rr, gg, bb []float32, lo, hi int) {
+	for x := lo; x < hi; x++ {
+		// color.YCbCr.RGBA's integer arithmetic, inlined.
+		ci := cBase + (minX+x)>>hs
+		yy1 := int32(yRow[x]) * 0x10101
+		cb1 := int32(s.Cb[ci]) - 128
+		cr1 := int32(s.Cr[ci]) - 128
+		rr[x] = float32(clamp16(yy1+91881*cr1)) / 65535
+		gg[x] = float32(clamp16(yy1-22554*cb1-46802*cr1)) / 65535
+		bb[x] = float32(clamp16(yy1+116130*cb1)) / 65535
+	}
 }
 
 // chromaShifts returns the horizontal and vertical log2 subsampling of a

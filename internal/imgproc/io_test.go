@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"image"
+	"image/color"
 	"image/color/palette"
 	"image/jpeg"
 	"image/png"
@@ -35,10 +36,26 @@ func noise(buf []byte, seed uint64) {
 	}
 }
 
+// forEachKernel runs fn once under every registered kernel family.
+func forEachKernel(t *testing.T, fn func(t *testing.T)) {
+	t.Cleanup(func() {
+		if err := tensor.SelectKernel(""); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, name := range tensor.AvailableKernels() {
+		if err := tensor.SelectKernel(name); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, fn)
+	}
+}
+
 // goImageCases returns one source of every kind FromGoImage must handle:
 // YCbCr at every subsample ratio, opaque and translucent RGBA, each also as
 // a sub-image whose Bounds().Min is not the origin, plus the types that
-// take the generic path.
+// take the generic path. Frame-sized YCbCr cases give a vector row kernel
+// many blocks, a tail (250 wide) and an even and an odd left edge.
 func goImageCases(t testing.TB) map[string]image.Image {
 	t.Helper()
 	r := image.Rect(3, 5, 20, 16) // odd origin and sides
@@ -61,6 +78,19 @@ func goImageCases(t testing.TB) map[string]image.Image {
 		noise(neg.Cb, uint64(3*i+21))
 		noise(neg.Cr, uint64(3*i+22))
 		cases["ycbcr-"+ratio.String()+"-negative"] = neg
+	}
+	for i, ratio := range ratios[:4] { // the ratios a row kernel takes
+		for name, rect := range map[string]image.Rectangle{
+			"256x256":     image.Rect(0, 0, 256, 256),
+			"250-even-at": image.Rect(2, 4, 252, 9),
+			"250-odd-at":  image.Rect(7, 3, 257, 8),
+		} {
+			m := image.NewYCbCr(rect, ratio)
+			noise(m.Y, uint64(3*i+60))
+			noise(m.Cb, uint64(3*i+61))
+			noise(m.Cr, uint64(3*i+62))
+			cases["ycbcr-"+ratio.String()+"-"+name] = m
+		}
 	}
 	opaque := image.NewRGBA(r)
 	noise(opaque.Pix, 40)
@@ -104,6 +134,20 @@ func goImageCases(t testing.TB) map[string]image.Image {
 		t.Fatal(err)
 	}
 	cases["jpeg-decoded"] = dec
+	frame := image.NewRGBA(image.Rect(0, 0, 256, 256))
+	noise(frame.Pix, 48)
+	buf.Reset()
+	if err := jpeg.Encode(&buf, frame, nil); err != nil {
+		t.Fatal(err)
+	}
+	if dec, err = jpeg.Decode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if ratio := dec.(*image.YCbCr).SubsampleRatio; ratio != image.YCbCrSubsampleRatio420 {
+		t.Fatalf("jpeg.Encode wrote %v, want 4:2:0", ratio)
+	}
+	cases["jpeg-256x256"] = dec
+	cases["jpeg-256x256-odd-sub"] = dec.(*image.YCbCr).SubImage(image.Rect(3, 1, 254, 255))
 	buf.Reset()
 	if err := png.Encode(&buf, opaque); err != nil {
 		t.Fatal(err)
@@ -116,21 +160,71 @@ func goImageCases(t testing.TB) map[string]image.Image {
 }
 
 // TestFromGoImageMatchesGeneric pins FromGoImage's typed fast paths to the
-// generic At().RGBA() conversion, compared by float bits.
+// generic At().RGBA() conversion, compared by float bits, under every
+// kernel family.
 func TestFromGoImageMatchesGeneric(t *testing.T) {
-	for name, src := range goImageCases(t) {
-		got, want := FromGoImage(src), genericFromGoImage(src)
-		if got.W != want.W || got.H != want.H {
-			t.Errorf("%s (%T): %dx%d, want %dx%d", name, src, got.W, got.H, want.W, want.H)
-			continue
-		}
-		for i := range want.Pix {
-			if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
-				t.Errorf("%s (%T): sample %d = %v, want %v", name, src, i, got.Pix[i], want.Pix[i])
-				break
+	cases := goImageCases(t)
+	forEachKernel(t, func(t *testing.T) {
+		for name, src := range cases {
+			got, want := FromGoImage(src), genericFromGoImage(src)
+			if got.W != want.W || got.H != want.H {
+				t.Errorf("%s (%T): %dx%d, want %dx%d", name, src, got.W, got.H, want.W, want.H)
+				continue
+			}
+			for i := range want.Pix {
+				if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
+					t.Errorf("%s (%T): sample %d = %v, want %v", name, src, i, got.Pix[i], want.Pix[i])
+					break
+				}
 			}
 		}
+	})
+}
+
+// TestYCbCrRowKernelExhaustive holds every family's YCbCr row kernel to
+// color.YCbCr.RGBA on all 2^24 (Y, Cb, Cr) triples, at both chroma shifts
+// it takes: float32(v)/65535 of each channel, compared by bits. Under
+// -short it checks one Y value in seventeen.
+func TestYCbCrRowKernelExhaustive(t *testing.T) {
+	step := 1
+	if testing.Short() {
+		step = 17
 	}
+	const pairs = 1 << 16 // every (Cb, Cr)
+	forEachKernel(t, func(t *testing.T) {
+		vec := tensor.YCbCrRowKernel()
+		if vec == nil {
+			t.Skip("no YCbCr row kernel in this family")
+		}
+		cb, cr := make([]byte, pairs), make([]byte, pairs)
+		for j := range cb {
+			cb[j], cr[j] = byte(j), byte(j>>8)
+		}
+		for hs := uint(0); hs <= 1; hs++ {
+			n := pairs << hs
+			y := make([]byte, n)
+			r, g, b := make([]float32, n), make([]float32, n), make([]float32, n)
+			// At hs 1 the two pixels of a chroma pair carry Y and 255−Y, so
+			// Y values 0–127 cover every triple.
+			for yv := 0; yv < 256>>hs; yv += step {
+				for i := range y {
+					y[i] = byte(yv ^ -(i & int(hs)))
+				}
+				if got := vec(y, cb, cr, hs, r, g, b); got != n {
+					t.Fatalf("hs %d: converted %d of %d pixels", hs, got, n)
+				}
+				for i := range y {
+					c := color.YCbCr{Y: y[i], Cb: cb[i>>hs], Cr: cr[i>>hs]}
+					wr, wg, wb, _ := c.RGBA()
+					if math.Float32bits(r[i]) != math.Float32bits(float32(wr)/65535) ||
+						math.Float32bits(g[i]) != math.Float32bits(float32(wg)/65535) ||
+						math.Float32bits(b[i]) != math.Float32bits(float32(wb)/65535) {
+						t.Fatalf("hs %d: %+v -> (%v, %v, %v), want %d, %d, %d /65535", hs, c, r[i], g[i], b[i], wr, wg, wb)
+					}
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkFromGoImage times the /detect/raw conversion on what the

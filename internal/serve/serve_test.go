@@ -289,10 +289,9 @@ func TestInt8ServingBatchedIdentical(t *testing.T) {
 // TestOverloadReturns429 drives far more concurrent requests than the
 // 1-deep admission queue can hold: the server must shed load with 429
 // instead of queueing unboundedly, and every accepted request must still
-// succeed.
+// succeed. The worker is held until every request has reached admission
+// and one has been turned away, so no forward can drain the queue first.
 func TestOverloadReturns429(t *testing.T) {
-	// A larger input makes each forward far slower than request arrival, so
-	// the 1-deep queue reliably overflows while the worker is busy.
 	net, _, err := models.Build(models.DroNet, 192, tensor.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
@@ -307,6 +306,7 @@ func TestOverloadReturns429(t *testing.T) {
 	defer ts.Close()
 
 	const inFlight = 16
+	armFaults(t, "serve.batch=stall")
 	statuses := make(chan int, inFlight)
 	var wg sync.WaitGroup
 	for i := 0; i < inFlight; i++ {
@@ -328,6 +328,15 @@ func TestOverloadReturns429(t *testing.T) {
 			statuses <- resp.StatusCode
 		}()
 	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st := srv.Stats(); st.Received < inFlight || st.Rejected == 0; st = srv.Stats() {
+		if time.Now().After(deadline) {
+			faults.Disarm()
+			t.Fatalf("waiting for every request to reach admission and one 429: stats %+v", st)
+		}
+		runtime.Gosched()
+	}
+	faults.Disarm()
 	wg.Wait()
 	close(statuses)
 	counts := map[int]int{}

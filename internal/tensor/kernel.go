@@ -29,13 +29,14 @@ import (
 // int32 pairwise dataflow with an identical mul-then-add requantization, so
 // int8 results are bit-equal across every family.
 //
-// Besides the two tile kernels a family may carry five vector forms of
+// Besides the two tile kernels a family may carry six vector forms of
 // stages that are otherwise scalar Go: f32Direct and i8Direct (the fp32 and
 // int8 tile kernels reading a full stride-1 convolution panel in place
 // instead of from a packed copy), f32DirectFinish (f32Direct storing the
 // finished, epilogued tile when the whole K fits one block), epilogue (one
-// C row of the fused BN/bias/leaky epilogue) and maxPool2x2 (blocks of
-// eight 2×2/2 max-pool outputs). Each reproduces the Go code it replaces
+// C row of the fused BN/bias/leaky epilogue), maxPool2x2 (blocks of
+// eight 2×2/2 max-pool outputs) and ycbcrRow (blocks of eight YCbCr pixels
+// converted to float RGB). Each reproduces the Go code it replaces
 // bit for bit, and each follows the selected family like
 // the tile kernels do: a nil entry — every entry of portable, so under
 // DRONET_KERNEL=portable, SelectKernel("portable") or -tags purego — runs
@@ -83,6 +84,8 @@ type microKernels struct {
 	epilogue func(seg []float32, mu, gamma, inv, bias, slope float32)
 	// maxPool2x2 is the kernel MaxPool2x2Kernel returns.
 	maxPool2x2 func(r0, r1, d []float32) int
+	// ycbcrRow is the kernel YCbCrRowKernel returns.
+	ycbcrRow func(y, cb, cr []byte, hs uint, r, g, b []float32) int
 }
 
 // maxMR/maxNR bound the register-tile geometry any registered kernel may
@@ -165,6 +168,17 @@ func KernelName() string {
 // maximum is ±0 or −Inf, leaving both to the caller's scalar rule.
 func MaxPool2x2Kernel() func(r0, r1, d []float32) int {
 	return currentKernels().maxPool2x2
+}
+
+// YCbCrRowKernel returns the selected family's vector kernel for a row of
+// image.YCbCr pixels, or nil when the family has none. Pixel i is
+// color.YCbCr{y[i], cb[i>>hs], cr[i>>hs]}; the kernel stores its RGBA
+// channels v as float32(v)/65535 in r[i], g[i] and b[i] — the same bits as
+// the Go expression — for whole blocks of eight pixels, and returns how many
+// it wrote: len(r) rounded down to a multiple of eight, or 0 when hs is not
+// 0 or 1.
+func YCbCrRowKernel() func(y, cb, cr []byte, hs uint, r, g, b []float32) int {
+	return currentKernels().ycbcrRow
 }
 
 // AvailableKernels lists the registered families in preference order (the

@@ -15,7 +15,7 @@ func archKernels() []*microKernels {
 	return []*microKernels{{
 		name: "avx2", mr: 6, nr: 16, f32: kernF32AVX2, i8: kernI8AVX2, i8Direct: kernI8AVX2Direct,
 		f32Direct: kernF32AVX2Direct, f32DirectFinish: kernF32AVX2DirectFinish,
-		epilogue: epilogueRowAVX2, maxPool2x2: maxPool2x2AVX2,
+		epilogue: epilogueRowAVX2, maxPool2x2: maxPool2x2AVX2, ycbcrRow: ycbcrRowAVX2,
 	}}
 }
 
@@ -112,6 +112,25 @@ func maxPool2x2AVX2(r0, r1, d []float32) int {
 
 //go:noescape
 func maxPool2x2AVX2Asm(r0, r1, d []float32) int
+
+// ycbcrRowAVX2 is the avx2 ycbcrRow entry (kernel.go): the furthest byte
+// and float it reads or writes are checked here.
+func ycbcrRowAVX2(y, cb, cr []byte, hs uint, r, g, b []float32) int {
+	n := len(r) &^ 7
+	if n == 0 || hs > 1 {
+		return 0
+	}
+	_ = y[n-1]
+	_ = cb[(n-1)>>hs]
+	_ = cr[(n-1)>>hs]
+	_ = g[n-1]
+	_ = b[n-1]
+	ycbcrRowAVX2Asm(y, cb, cr, hs, r[:n], g, b)
+	return n
+}
+
+//go:noescape
+func ycbcrRowAVX2Asm(y, cb, cr []byte, hs uint, r, g, b []float32)
 
 // kernI8AVX2 is the avx2 i8 entry (kernel.go): the 6×16 int8 tile over
 // int16 k-pairs — VPBROADCASTD, VPMADDWD and VPADDD accumulate exactly —

@@ -470,3 +470,112 @@ pooldone:
 	MOVQ AX, ret+72(FP)
 	VZEROUPPER
 	RET
+
+// YCBCR_STORE clamps the eight int32 channel values in v as RGBA does and
+// stores them at (dst) as float32(v)/65535.
+#define YCBCR_STORE(v, dst) \
+	VPSRAD    $8, v, v;      \
+	VPMAXSD   Y8, v, v;      \
+	VPMINSD   Y9, v, v;      \
+	VCVTDQ2PS v, v;          \
+	VDIVPS    Y7, v, v;      \
+	VMOVUPS   v, (dst)
+
+// YCBCR_BLOCK converts the eight pixels whose Y bytes are at (SI) and whose
+// widened chroma is in Y1 (Cb) and Y2 (Cr), storing R, G and B at (R10),
+// (R11) and (R12), and steps SI and the three stores on.
+#define YCBCR_BLOCK \
+	VPMOVZXBD (SI), Y0;      \
+	VPMULLD   Y15, Y0, Y0;   \
+	VPSUBD    Y14, Y1, Y1;   \
+	VPSUBD    Y14, Y2, Y2;   \
+	VPMULLD   Y13, Y2, Y3;   \
+	VPADDD    Y0, Y3, Y3;    \
+	VPMULLD   Y12, Y1, Y4;   \
+	VPMULLD   Y11, Y2, Y5;   \
+	VPADDD    Y0, Y4, Y4;    \
+	VPADDD    Y5, Y4, Y4;    \
+	VPMULLD   Y10, Y1, Y1;   \
+	VPADDD    Y0, Y1, Y1;    \
+	YCBCR_STORE(Y3, R10);    \
+	YCBCR_STORE(Y4, R11);    \
+	YCBCR_STORE(Y1, R12);    \
+	ADDQ      $8, SI;        \
+	ADDQ      $32, R10;      \
+	ADDQ      $32, R11;      \
+	ADDQ      $32, R12
+
+// func ycbcrRowAVX2Asm(y, cb, cr []byte, hs uint, r, g, b []float32)
+//
+// color.YCbCr.RGBA eight pixels a step, each channel stored as
+// float32(v)/65535. Y and the chroma bytes widen with VPMOVZXBD; at hs 1 a
+// block's four chroma bytes are first doubled by VPUNPCKLBW. The products
+// and sums are RGBA's int32 arithmetic in VPMULLD and VPADDD (the sums stay
+// far inside int32, so neither wrap nor order can differ). RGBA's clamp —
+// v>>8 when 0 ≤ v < 2^24, 0 below, 0xffff above — is VPSRAD 8, VPMAXSD 0,
+// VPMINSD 0xffff; VCVTDQ2PS is exact below 2^24 and VDIVPS rounds as the Go
+// division does. len(r) is a positive multiple of 8; y, g and b are at least
+// as long, cb and cr at least len(r)>>hs; hs is 0 or 1.
+TEXT ·ycbcrRowAVX2Asm(SB), NOSPLIT, $0-152
+	MOVQ         y_base+0(FP), SI
+	MOVQ         cb_base+24(FP), R8
+	MOVQ         cr_base+48(FP), R9
+	MOVQ         hs+72(FP), BX
+	MOVQ         r_base+80(FP), R10
+	MOVQ         r_len+88(FP), CX
+	MOVQ         g_base+104(FP), R11
+	MOVQ         b_base+128(FP), R12
+	SHRQ         $3, CX          // blocks of eight pixels
+	MOVL         $0x10101, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15        // Y·0x10101
+	MOVL         $128, AX
+	VMOVD        AX, X14
+	VPBROADCASTD X14, Y14        // chroma bias
+	MOVL         $91881, AX
+	VMOVD        AX, X13
+	VPBROADCASTD X13, Y13        // R: +91881·Cr
+	MOVL         $-22554, AX
+	VMOVD        AX, X12
+	VPBROADCASTD X12, Y12        // G: −22554·Cb
+	MOVL         $-46802, AX
+	VMOVD        AX, X11
+	VPBROADCASTD X11, Y11        // G: −46802·Cr
+	MOVL         $116130, AX
+	VMOVD        AX, X10
+	VPBROADCASTD X10, Y10        // B: +116130·Cb
+	MOVL         $0xffff, AX
+	VMOVD        AX, X9
+	VPBROADCASTD X9, Y9          // clamp ceiling
+	VPXOR        Y8, Y8, Y8      // clamp floor
+	MOVL         $0x477fff00, AX // 65535.0
+	VMOVD        AX, X7
+	VPBROADCASTD X7, Y7
+	TESTQ        BX, BX
+	JNZ          ychalf
+
+ycfull:
+	VPMOVZXBD (R8), Y1
+	VPMOVZXBD (R9), Y2
+	ADDQ      $8, R8
+	ADDQ      $8, R9
+	YCBCR_BLOCK
+	DECQ      CX
+	JNZ       ycfull
+	VZEROUPPER
+	RET
+
+ychalf:
+	VMOVD      (R8), X1
+	VMOVD      (R9), X2
+	VPUNPCKLBW X1, X1, X1        // c0 c0 c1 c1 c2 c2 c3 c3
+	VPUNPCKLBW X2, X2, X2
+	VPMOVZXBD  X1, Y1
+	VPMOVZXBD  X2, Y2
+	ADDQ       $4, R8
+	ADDQ       $4, R9
+	YCBCR_BLOCK
+	DECQ       CX
+	JNZ        ychalf
+	VZEROUPPER
+	RET
