@@ -23,13 +23,16 @@ ci: vet build race chaos invariants bench-smoke serve-smoke swap-smoke shard-smo
 ## leg runs the quarter-scale DroNet at 64² as fp32 and as int8 and prints
 ## their per-layer µs table (-v); the detect leg runs NMS on random boxes, on
 ## DroNet's 320 region candidates and on the quarter-scale model's 20 and 45
-## (the sets detect-ingest and routed-mixed hand it)
+## (the sets detect-ingest and routed-mixed hand it); the serve leg decodes
+## the 96² JSON frames detect-ingest posts, through the fractions kernel, and
+## the same frames through encoding/json
 bench-smoke:
 	$(GO) test -run 'TestKernelDispatchInfo|TestSelectedKernel' -v -bench Gemm -benchtime 10x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'ConvForwardDroNet256|MaxPool2x2' -benchtime 10x ./internal/layers/
 	$(GO) test -run '^$$' -bench 'FromGoImage|Resize' -benchtime 10x ./internal/imgproc/
 	$(GO) test -run '^$$' -v -bench ForwardDroNet64 -benchtime 10x ./internal/quant/
 	$(GO) test -run '^$$' -bench NMS -benchtime 10x ./internal/detect/
+	$(GO) test -run '^$$' -bench DecodeFrame -benchtime 10x ./internal/serve/
 
 ## vet: static analysis plus the gofmt cleanliness gate — unformatted files
 ## fail the build with their names listed
@@ -133,7 +136,8 @@ chaos:
 ## per model, streaming sessions, the engine's concurrent replicas, the
 ## network's batch and clone paths at fp32 and int8), every GEMM kernel family ≡ naive and
 ## prepacked ≡ pack-per-call, frame decode ≡ encoding/json bit for bit (and
-## its pixel parser ≡ strconv.ParseFloat), the typed /detect/raw pixel conversion ≡
+## its pixel parser ≡ strconv.ParseFloat, and its fractions kernel plus
+## Go loop ≡ the Go loop alone on every kernel family), the typed /detect/raw pixel conversion ≡
 ## the generic one bit for bit on every kernel family (and the YCbCr row kernel ≡
 ## color.YCbCr.RGBA on all 2^24 triples), the bilinear resize ≡ its per-pixel loop bit for
 ## bit, the fused convolution ≡ im2col + GEMM + BN + bias + leaky and the int8
@@ -147,7 +151,7 @@ chaos:
 ## latency percentiles merge exactly (and sit within one 6.25 % bucket of
 ## the exact nearest-rank sample), and goroutine hygiene after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
 	    ./internal/tensor/ ./internal/imgproc/ ./internal/layers/ ./internal/detect/ ./internal/network/ ./internal/quant/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization,
@@ -171,6 +175,8 @@ invariants:
 ## geometry, pixel-count and deadline bounds, FuzzDecodeFrame the
 ## hand-written /detect + stream frame decoder to encoding/json — the same
 ## accept or reject and every field equal, pixels bit for bit —
+## FuzzScanFractions the pixel fractions loop with each family's fractions
+## kernel to the Go loop alone — the same count and end, pixels bit for bit —
 ## FuzzDecodeRaw the /detect/raw PNG/JPEG decoder to no panic, accepted
 ## images within the 2048px side bound and pixels equal to the generic
 ## conversion bit for bit, FuzzReadMessage the server-side WebSocket frame reader to no panic, an
@@ -197,6 +203,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseDeadline -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStreamFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzScanFractions -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime $(FUZZTIME) ./internal/ws
 	$(GO) test -run '^$$' -fuzz FuzzHandshake -fuzztime $(FUZZTIME) ./internal/ws
@@ -205,9 +212,10 @@ fuzz:
 
 ## profile: CPU + heap pprof capture of the in-process serving path on its
 ## conv-bound shape (BenchmarkServeThroughput/raw256: DroNet 256² over JPEG
-## /detect/raw with two workers, the detect-compute shape; the json64
-## sub-benchmark, 64² JSON frames, is left out so the profile holds one
-## shape);
+## /detect/raw with two workers, the detect-compute shape) into cpu.pprof
+## and heap.pprof, then a CPU capture of its ingest-bound shape
+## (BenchmarkServeThroughput/json64: 64² JSON frames over /detect, where the
+## frame decoder shows) into cpu-json.pprof, one shape a profile;
 ## inspect with `go tool pprof bin/pprof/cpu.pprof` (see README "Profiling").
 ## To attribute end-to-end time to layers rather than functions, reach for
 ## `bash bench/run.sh --workload <w> --trace 1` instead.
@@ -215,6 +223,8 @@ profile:
 	mkdir -p bin/pprof
 	$(GO) test -run '^$$' -bench 'ServeThroughput/raw256' -benchtime 3s -o bin/pprof/serve.test \
 	    -cpuprofile bin/pprof/cpu.pprof -memprofile bin/pprof/heap.pprof ./internal/serve/
+	$(GO) test -run '^$$' -bench 'ServeThroughput/json64' -benchtime 3s -o bin/pprof/serve.test \
+	    -cpuprofile bin/pprof/cpu-json.pprof ./internal/serve/
 
 ## serve: run the detection service locally with the default knobs
 serve:

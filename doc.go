@@ -3,8 +3,8 @@
 // (Kyrkou et al., DATE 2018): a Darknet-style CNN framework, the paper's
 // four detector architectures, a synthetic aerial-vehicle dataset, the
 // evaluation metrics, and calibrated platform models for the paper's three
-// deployment targets. See README.md for the layout and EXPERIMENTS.md for
-// the paper-vs-measured results.
+// deployment targets. See README.md for the layout; the benchmarks in
+// bench_test.go regenerate the paper's tables and figures on the host CPU.
 //
 // Beyond the paper's single-camera loop, internal/engine scales one trained
 // detector to many concurrent requests: layers separate shared read-only

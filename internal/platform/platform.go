@@ -5,8 +5,8 @@
 // available, a calibrated roofline model predicts per-layer execution time
 // from exact FLOP counts, weight working-set size (cache residency) and
 // activation traffic. The three platform parameter sets are calibrated
-// against the paper's published anchor points (see EXPERIMENTS.md); the
-// calibration is asserted by this package's tests.
+// against the paper's published anchor points (listed with the platform
+// values below); the calibration is asserted by this package's tests.
 package platform
 
 import (

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"repro/internal/tensor"
 )
 
 // The frame decoder: one hand-written single pass over the JSON body of
@@ -24,8 +26,10 @@ import (
 //
 // The pixel array is nearly all of a frame's bytes, and nearly every pixel
 // json.Marshal writes is a fraction: "0." and a handful of digits. Those
-// take scanFractions, which reads eight digits a step and stores the float32
-// strconv would; every other spelling takes the per-token parsePixel.
+// take scanFractions — an AVX2 kernel four tokens a step where the CPU has
+// one, a Go loop reading eight digits a step otherwise — which stores the
+// float32 strconv would; every other spelling takes the per-token
+// parsePixel.
 
 // frameKeys are the object keys the decoder stores, matched the way
 // encoding/json matches struct fields: under Unicode simple case folding.
@@ -559,16 +563,36 @@ const fractionRun = 2 + 16
 // at buf[i] that are spelled the way json.Marshal spells every float32 in
 // [1e-6, 1) — "0.", one to fifteen digits, then the comma before the next
 // element — into pix[n:], and returns the new n and the index of the first
-// element it did not take. The digits are classified and converted eight
-// at a time in two little-endian words (Lemire, "Number Parsing at a
-// Gigabyte per Second", 2021), giving exactly the mantissa and exponent
-// scanNumber would. An element it does not take stops the run and goes to
-// parsePixel: a sign, an exponent, sixteen or more digits, no digit at all,
-// whitespace, ']' or anything else after the digits, fewer than
+// element it did not take. The selected kernel family's fractions kernel
+// (tensor.FractionsKernel) takes four elements a step while it can; the
+// group it declines, the tail and every element on a family without one
+// take fractionsSWAR, whose rules the kernel copies, so the kernel changes
+// the speed and never the result.
+func scanFractions(buf []byte, i int, pix []float32, n int) (int, int) {
+	kernel := tensor.FractionsKernel()
+	if kernel == nil {
+		return fractionsSWAR(buf, i, pix, n)
+	}
+	for {
+		dn, di := kernel(buf[i:], pix[n:])
+		n, i = n+dn, i+di
+		stop := min(n+4, len(pix))
+		if n, i = fractionsSWAR(buf, i, pix[:stop], n); n < stop || n == len(pix) {
+			return n, i
+		}
+	}
+}
+
+// fractionsSWAR is scanFractions in Go. The digits are classified and
+// converted eight at a time in two little-endian words (Lemire, "Number
+// Parsing at a Gigabyte per Second", 2021), giving exactly the mantissa and
+// exponent scanNumber would. An element it does not take stops the run and
+// goes to parsePixel: a sign, an exponent, sixteen or more digits, no digit
+// at all, whitespace, ']' or anything else after the digits, fewer than
 // fractionRun bytes left, or a decimal within a few float64 ulps of a
 // float32 rounding midpoint (see below). So the value stored is always
 // strconv.ParseFloat(token, 32)'s.
-func scanFractions(buf []byte, i int, pix []float32, n int) (int, int) {
+func fractionsSWAR(buf []byte, i int, pix []float32, n int) (int, int) {
 	for ; n < len(pix) && i <= len(buf)-fractionRun; n++ {
 		b := buf[i : i+fractionRun]
 		if binary.LittleEndian.Uint16(b) != '0'|'.'<<8 {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
+	"repro/internal/tensor"
 )
 
 // frameSeeds are the stream-frame bodies FuzzDecodeStreamFrame and
@@ -128,7 +129,9 @@ func midpointFractions(k int) []string {
 // in front of scanFractions: back to back as json.Marshal writes them, with
 // whitespace around the commas, each one last before ']' and within
 // fractionRun bytes of the body's end, before a '}' that should have been a
-// ']', and beside the malformed fractions "0.," and "0.x".
+// ']', beside the malformed fractions "0.," and "0.x", and inside a run of
+// fractions long enough for the fractions kernel, at each of a group's four
+// slots in turn.
 func fractionEdgeFrames() []string {
 	toks := fractionEdgeTokens
 	frame := func(pixels string, n int) string {
@@ -150,7 +153,29 @@ func fractionEdgeFrames() []string {
 			`{"width":1,"height":1,"pixels":[0.25,0.25,`+tok+`}`,
 			`{"width":1,"height":1,"pixels":[0.25,0.25,`+tok)
 	}
+	for k, tok := range toks {
+		before, after := 16+k%4, 16
+		for (before+1+after)%3 != 0 {
+			after++
+		}
+		frames = append(frames, frame(strings.Repeat("0.25,", before)+tok+strings.Repeat(",0.5", after), (before+1+after)/3))
+	}
 	return frames
+}
+
+// forEachKernel runs fn once under every registered kernel family.
+func forEachKernel(t *testing.T, fn func(t *testing.T)) {
+	t.Cleanup(func() {
+		if err := tensor.SelectKernel(""); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, name := range tensor.AvailableKernels() {
+		if err := tensor.SelectKernel(name); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, fn)
+	}
 }
 
 // dimsRepeat reports whether a width or height key occurs more than once
@@ -214,35 +239,167 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // TestDecodeFrameMatchesEncodingJSON is the named contract "frame decode ≡
-// encoding/json, bit for bit": the fuzz seeds, the nesting bound on either
-// side of encoding/json's, and whole frames of json.Marshal-ed float32s
-// drawn over every exponent plus the [0,1] pixel range.
+// encoding/json, bit for bit", under every kernel family: the fuzz seeds,
+// the nesting bound on either side of encoding/json's, and whole frames of
+// json.Marshal-ed float32s drawn over every exponent plus the [0,1] pixel
+// range.
 func TestDecodeFrameMatchesEncodingJSON(t *testing.T) {
-	for _, s := range frameSeeds {
-		checkAgainstEncodingJSON(t, []byte(s))
-	}
-	for _, depth := range []int{maxFrameDepth - 2, maxFrameDepth - 1, maxFrameDepth} {
-		raw := `{"x":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `,"width":1,"height":1,"pixels":[0,0,0]}`
-		checkAgainstEncodingJSON(t, []byte(raw))
-	}
-	rng := rand.New(rand.NewSource(1))
-	const side = 100 // 30,000 floats a frame
-	for round := 0; round < 10; round++ {
-		f := StreamFrame{Seq: round, Width: side, Height: side, Pixels: make([]float32, 3*side*side), Altitude: rng.NormFloat64() * 100}
-		for i := range f.Pixels {
-			switch v := math.Float32frombits(rng.Uint32()); {
-			case i%2 == 0:
-				f.Pixels[i] = rng.Float32()
-			case v == v && !math.IsInf(float64(v), 0):
-				f.Pixels[i] = v
+	forEachKernel(t, func(t *testing.T) {
+		for _, s := range frameSeeds {
+			checkAgainstEncodingJSON(t, []byte(s))
+		}
+		for _, depth := range []int{maxFrameDepth - 2, maxFrameDepth - 1, maxFrameDepth} {
+			raw := `{"x":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `,"width":1,"height":1,"pixels":[0,0,0]}`
+			checkAgainstEncodingJSON(t, []byte(raw))
+		}
+		rng := rand.New(rand.NewSource(1))
+		const side = 100 // 30,000 floats a frame
+		for round := 0; round < 10; round++ {
+			f := StreamFrame{Seq: round, Width: side, Height: side, Pixels: make([]float32, 3*side*side), Altitude: rng.NormFloat64() * 100}
+			for i := range f.Pixels {
+				switch v := math.Float32frombits(rng.Uint32()); {
+				case i%2 == 0:
+					f.Pixels[i] = rng.Float32()
+				case v == v && !math.IsInf(float64(v), 0):
+					f.Pixels[i] = v
+				}
+			}
+			raw, err := json.Marshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstEncodingJSON(t, raw)
+		}
+	})
+}
+
+// checkFractionsMatchSWAR holds scanFractions — the selected family's
+// fractions kernel, then fractionsSWAR — to fractionsSWAR alone with limit
+// slots: the same count, the same end index, the pixels bit for bit. It
+// reads the run at buf[0], then on from where each read stopped: at once
+// when the slots ran out, else past the element it stopped at, as
+// scanPixels goes on after handing that element to parsePixel.
+func checkFractionsMatchSWAR(t *testing.T, buf []byte, limit int) {
+	t.Helper()
+	got, want := make([]float32, limit), make([]float32, limit)
+	for i := 0; i < len(buf); {
+		gn, gi := scanFractions(buf, i, got, 0)
+		wn, wi := fractionsSWAR(buf, i, want, 0)
+		if gn != wn || gi != wi {
+			t.Fatalf("%q from %d, %d slots: scanFractions took %d ending at %d, fractionsSWAR %d ending at %d", buf, i, limit, gn, gi, wn, wi)
+		}
+		for k := range wn {
+			if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+				t.Fatalf("%q from %d, %d slots: pixel %d = %v (%#x), fractionsSWAR has %v (%#x)", buf, i, limit, k,
+					got[k], math.Float32bits(got[k]), want[k], math.Float32bits(want[k]))
 			}
 		}
-		raw, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
+		if wn == limit && limit > 0 {
+			i = wi
+			continue
 		}
-		checkAgainstEncodingJSON(t, raw)
+		comma := bytes.IndexByte(buf[wi:], ',')
+		if comma < 0 {
+			return
+		}
+		i = wi + comma + 1
 	}
+}
+
+// fractionRuns are the bodies TestFractionsKernelMatchesSWAR and
+// FuzzScanFractions start from, each read from its first byte: the pixel
+// arrays of both 96² bench bodies; every fractionEdgeTokens entry at each
+// of a group's four slots of a run longer than the kernel's window; digit
+// runs of one to seventeen digits; "0.," and "0.x"; the fourth comma of a
+// group on either side of the 64-byte window's last byte; and random runs
+// of tokens of every digit count with an occasional malformed one.
+func fractionRuns(tb testing.TB) [][]byte {
+	var runs [][]byte
+	for _, body := range [][]byte{testFrameBody(tb, 96), cameraFrameBody(tb, 96)} {
+		runs = append(runs, body[bytes.IndexByte(body, '[')+1:])
+	}
+	filler := strings.Repeat("0.25,", 24)
+	for _, tok := range append(fractionEdgeTokens, "0.", "0.x", "0.5x", "1", "0") {
+		for slot := 0; slot < 4; slot++ {
+			runs = append(runs, []byte(filler[:5*slot]+tok+","+filler))
+			runs = append(runs, []byte(filler[:5*(4+slot)]+tok+","+filler))
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	digits := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+		}
+		return string(b)
+	}
+	for d := 1; d <= 17; d++ {
+		var sb strings.Builder
+		for sb.Len() < 200 {
+			sb.WriteString("0." + digits(d) + ",")
+		}
+		runs = append(runs, []byte(sb.String()))
+	}
+	// Four tokens of 13, 13, 13 and 13+extra digits put the group's fourth
+	// comma at byte 63+extra.
+	for extra := -1; extra <= 1; extra++ {
+		group := "0." + digits(13) + ",0." + digits(13) + ",0." + digits(13) + ",0." + digits(13+extra) + ","
+		runs = append(runs, []byte(group+filler))
+	}
+	for r := 0; r < 2000; r++ {
+		var sb strings.Builder
+		for sb.Len() < 100+rng.Intn(200) {
+			switch rng.Intn(40) {
+			case 0:
+				sb.WriteString("0.,")
+			case 1:
+				sb.WriteString("1." + digits(3) + ",")
+			case 2:
+				sb.WriteString(midpointFractions(1)[0] + ",")
+			default:
+				sb.WriteString("0." + digits(1+rng.Intn(15)) + ",")
+			}
+		}
+		runs = append(runs, []byte(sb.String()))
+	}
+	return runs
+}
+
+// fractionLimits are the pixel slot counts a run is read with: the whole
+// array, and limits ending inside and on the edges of the first groups.
+var fractionLimits = []int{1, 3, 4, 5, 7, 8, 9, 3 * 96 * 96}
+
+// TestFractionsKernelMatchesSWAR is the named contract "the fractions
+// kernel plus the Go loop ≡ the Go loop alone", on every kernel family:
+// see checkFractionsMatchSWAR and fractionRuns.
+func TestFractionsKernelMatchesSWAR(t *testing.T) {
+	runs := fractionRuns(t)
+	forEachKernel(t, func(t *testing.T) {
+		for _, run := range runs {
+			for _, limit := range fractionLimits {
+				checkFractionsMatchSWAR(t, run, limit)
+			}
+		}
+	})
+}
+
+// FuzzScanFractions is TestFractionsKernelMatchesSWAR on raw bytes and a
+// raw slot count, under every kernel family. Its seeds are the test's runs
+// but for the two 300 kB bench bodies and most of the random runs.
+func FuzzScanFractions(f *testing.F) {
+	for _, run := range fractionRuns(f)[2:200] {
+		f.Add(run, uint16(1<<15))
+		f.Add(run, uint16(5))
+	}
+	f.Fuzz(func(t *testing.T, buf []byte, limit uint16) {
+		defer tensor.SelectKernel("")
+		for _, name := range tensor.AvailableKernels() {
+			if err := tensor.SelectKernel(name); err != nil {
+				t.Fatal(err)
+			}
+			checkFractionsMatchSWAR(t, buf, int(limit))
+		}
+	})
 }
 
 // TestParsePixelMatchesStrconv draws decimal tokens json.Marshal would not

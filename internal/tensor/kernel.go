@@ -29,14 +29,15 @@ import (
 // int32 pairwise dataflow with an identical mul-then-add requantization, so
 // int8 results are bit-equal across every family.
 //
-// Besides the two tile kernels a family may carry six vector forms of
+// Besides the two tile kernels a family may carry seven vector forms of
 // stages that are otherwise scalar Go: f32Direct and i8Direct (the fp32 and
 // int8 tile kernels reading a full stride-1 convolution panel in place
 // instead of from a packed copy), f32DirectFinish (f32Direct storing the
 // finished, epilogued tile when the whole K fits one block), epilogue (one
 // C row of the fused BN/bias/leaky epilogue), maxPool2x2 (blocks of
-// eight 2×2/2 max-pool outputs) and ycbcrRow (blocks of eight YCbCr pixels
-// converted to float RGB). Each reproduces the Go code it replaces
+// eight 2×2/2 max-pool outputs), ycbcrRow (blocks of eight YCbCr pixels
+// converted to float RGB) and fractions (groups of four JSON pixel
+// fractions parsed to float32). Each reproduces the Go code it replaces
 // bit for bit, and each follows the selected family like
 // the tile kernels do: a nil entry — every entry of portable, so under
 // DRONET_KERNEL=portable, SelectKernel("portable") or -tags purego — runs
@@ -86,6 +87,8 @@ type microKernels struct {
 	maxPool2x2 func(r0, r1, d []float32) int
 	// ycbcrRow is the kernel YCbCrRowKernel returns.
 	ycbcrRow func(y, cb, cr []byte, hs uint, r, g, b []float32) int
+	// fractions is the kernel FractionsKernel returns.
+	fractions func(buf []byte, pix []float32) (n, end int)
 }
 
 // maxMR/maxNR bound the register-tile geometry any registered kernel may
@@ -179,6 +182,21 @@ func MaxPool2x2Kernel() func(r0, r1, d []float32) int {
 // 0 or 1.
 func YCbCrRowKernel() func(y, cb, cr []byte, hs uint, r, g, b []float32) int {
 	return currentKernels().ycbcrRow
+}
+
+// FractionsKernel returns the selected family's vector kernel for runs of
+// JSON pixel fractions, or nil when the family has none. From buf[0] on it
+// takes groups of four tokens, each "0.", one to fifteen digits and a
+// comma, stores token k of a group as float32(m·10^-d) — m the digits'
+// integer value, 10^-d the float64 nearest it, the product rounded once in
+// float64 — in pix[k], and returns how many it stored and the offset just
+// past the last comma it took. It stops before a group holding any other
+// token or a product within eight float64 ulps of a float32 rounding
+// midpoint, and when fewer than 96 bytes of buf or four slots of pix
+// remain. These are the rules of the Go loop in internal/serve
+// (fractionsSWAR), which takes whatever the kernel leaves.
+func FractionsKernel() func(buf []byte, pix []float32) (n, end int) {
+	return currentKernels().fractions
 }
 
 // AvailableKernels lists the registered families in preference order (the

@@ -3,9 +3,9 @@
 package tensor
 
 // amd64 registers the 6×16 AVX2/FMA assembly family, and only when CPUID
-// reports AVX2+FMA and XGETBV confirms the OS saves YMM state. A CPU without
-// AVX2 runs the portable Go kernels, as does the `purego` build tag, which
-// CI runs so the fallback cannot rot behind the fast path.
+// reports AVX2, FMA and BMI1 and XGETBV confirms the OS saves YMM state. A
+// CPU without them runs the portable Go kernels, as does the `purego` build
+// tag, which CI runs so the fallback cannot rot behind the fast path.
 
 // archKernels returns the amd64 assembly families in preference order.
 func archKernels() []*microKernels {
@@ -16,12 +16,14 @@ func archKernels() []*microKernels {
 		name: "avx2", mr: 6, nr: 16, f32: kernF32AVX2, i8: kernI8AVX2, i8Direct: kernI8AVX2Direct,
 		f32Direct: kernF32AVX2Direct, f32DirectFinish: kernF32AVX2DirectFinish,
 		epilogue: epilogueRowAVX2, maxPool2x2: maxPool2x2AVX2, ycbcrRow: ycbcrRowAVX2,
+		fractions: fractionsAVX2,
 	}}
 }
 
-// cpuHasAVX2FMA reports whether this CPU can run the AVX2 family: AVX2 and
-// FMA instruction support plus OSXSAVE with XMM|YMM state enabled in XCR0
-// (without which AVX instructions #UD even when CPUID advertises them).
+// cpuHasAVX2FMA reports whether this CPU can run the AVX2 family: AVX2, FMA
+// and BMI1 (TZCNT, BLSR: the fractions kernel) instruction support plus
+// OSXSAVE with XMM|YMM state enabled in XCR0 (without which AVX
+// instructions #UD even when CPUID advertises them).
 func cpuHasAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	if maxLeaf < 7 {
@@ -37,8 +39,8 @@ func cpuHasAVX2FMA() bool {
 		return false
 	}
 	_, ebx7, _, _ := cpuidex(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
+	const bmi1, avx2 = 1 << 3, 1 << 5
+	return ebx7&bmi1 != 0 && ebx7&avx2 != 0
 }
 
 // cpuidex executes CPUID with the given leaf/subleaf.
@@ -131,6 +133,39 @@ func ycbcrRowAVX2(y, cb, cr []byte, hs uint, r, g, b []float32) int {
 
 //go:noescape
 func ycbcrRowAVX2Asm(y, cb, cr []byte, hs uint, r, g, b []float32)
+
+// fractionsAVX2 is the avx2 fractions entry (kernel.go). The assembly
+// checks no bounds: it reads at most 96 bytes from a step's first token and
+// stores four floats, so it is entered only with a window and four slots.
+func fractionsAVX2(buf []byte, pix []float32) (n, end int) {
+	if len(buf) < 96 || len(pix) < 4 {
+		return 0, 0
+	}
+	return fractionsAVX2Asm(buf, pix)
+}
+
+//go:noescape
+func fractionsAVX2Asm(buf []byte, pix []float32) (n, end int)
+
+// fracShuffle[d] is the VPSHUFB row that right-aligns d digits in sixteen
+// bytes: byte j takes digit j−(16−d), and those before the digits are
+// zeroed (0x80).
+var fracShuffle = func() (rows [16][16]byte) {
+	for d := range rows {
+		for j := range rows[d] {
+			rows[d][j] = 0x80
+			if k := j - (16 - d); k >= 0 {
+				rows[d][j] = byte(k)
+			}
+		}
+	}
+	return rows
+}()
+
+// fracNegPow10[d] is the float64 nearest 10^-d.
+var fracNegPow10 = [16]float64{
+	1e-0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15,
+}
 
 // kernI8AVX2 is the avx2 i8 entry (kernel.go): the 6×16 int8 tile over
 // int16 k-pairs — VPBROADCASTD, VPMADDWD and VPADDD accumulate exactly —

@@ -579,3 +579,191 @@ ychalf:
 	JNZ        ychalf
 	VZEROUPPER
 	RET
+
+// fracConst holds the fractions kernel's broadcast constants: the bytes ','
+// '0' and 9; the VPMADDUBSW/VPMADDWD weights that fold digit pairs, pairs
+// of pairs and halves of eight (10·hi + lo, 100·hi + lo, 10000·hi + lo);
+// 10^8; the bits of 2^52; the float64 mantissa bits a float32 drops; the
+// pattern they hold at a float32 rounding midpoint; and the slack in ulps
+// a product must keep from one (serve's dropped, midpoint and midSlack).
+DATA fracConst<>+0(SB)/4, $0x2c2c2c2c
+DATA fracConst<>+4(SB)/4, $0x30303030
+DATA fracConst<>+8(SB)/4, $0x09090909
+DATA fracConst<>+12(SB)/4, $0x010a010a
+DATA fracConst<>+16(SB)/4, $0x00010064
+DATA fracConst<>+20(SB)/4, $0x00012710
+DATA fracConst<>+24(SB)/8, $100000000
+DATA fracConst<>+32(SB)/8, $0x4330000000000000
+DATA fracConst<>+40(SB)/8, $0x1fffffff
+DATA fracConst<>+48(SB)/4, $0x10000000
+DATA fracConst<>+52(SB)/4, $8
+GLOBL fracConst<>(SB), RODATA|NOPTR, $56
+
+// FRAC_TOKEN checks the token that follows the comma at (SI) + prev and
+// ends at the comma at (SI) + comma: it starts "0.", and AX = comma − prev
+// − 4, its digit count less one, is 0–14. AX becomes 8·AX, which addresses
+// the token's shuffle row at 16(R12)(AX*2) and its 10^-d at 8(R13)(AX*1).
+#define FRAC_TOKEN(prev, comma) \
+	LEAQ -4(comma), AX;          \
+	SUBQ prev, AX;               \
+	CMPQ AX, $14;                \
+	JHI  fracdone;               \
+	CMPW 1(SI)(prev*1), $0x2e30; \
+	JNE  fracdone;               \
+	SHLQ $3, AX
+
+// func fractionsAVX2Asm(buf []byte, pix []float32) (n, end int)
+//
+// Four tokens a step, each "0.", one to fifteen digits and a comma. The
+// step's 64-byte window is compared against ',' and against the digits
+// (VPCMPEQB, VPMINUB), VPMOVMSKB makes the two masks, and TZCNT/BLSR take
+// its first four commas c0..c3. The step holds four fractions exactly when,
+// up to c3, the only bytes neither digit nor comma are each token's second
+// byte, each token starts "0." and each has one to fifteen digits. Each
+// token's sixteen bytes after "0." are
+// then loaded, '0' subtracted, and right-aligned by VPSHUFB with the row of
+// fracShuffle for its digit count, so zeros lead the digits. VPMADDUBSW,
+// VPMADDWD, VPACKUSDW and VPMADDWD fold them into two halves of eight
+// digits, and VPMULUDQ by 10^8 plus the low half gives the exact mantissa
+// (below 10^15 < 2^52). ORing in the bits of 2^52 and subtracting 2^52
+// makes it a float64 without rounding, VMULPD by 10^-d rounds once —
+// serve's fractionsSWAR product bit for bit — and the step is stored, by
+// VCVTPD2PS, only when no product lies within the slack of a float32
+// rounding midpoint. The loop stops at the first step that fails any of
+// this, or when fewer than 96 bytes of buf or four slots of pix remain; n
+// is the count stored and end the offset just past the last comma taken.
+// len(buf) ≥ 96 and len(pix) ≥ 4 on entry.
+TEXT ·fractionsAVX2Asm(SB), NOSPLIT, $0-64
+	MOVQ         buf_base+0(FP), SI
+	MOVQ         buf_len+8(FP), BX
+	LEAQ         -96(SI)(BX*1), BX   // last group start with 96 bytes left
+	MOVQ         pix_base+24(FP), DI
+	MOVQ         pix_len+32(FP), CX
+	LEAQ         ·fracShuffle(SB), R12
+	LEAQ         ·fracNegPow10(SB), R13
+	VPBROADCASTB fracConst<>+0(SB), Y15
+	VPBROADCASTB fracConst<>+4(SB), Y14
+	VPBROADCASTB fracConst<>+8(SB), Y13
+	VPBROADCASTD fracConst<>+12(SB), Y12
+	VPBROADCASTD fracConst<>+16(SB), Y11
+	VPBROADCASTD fracConst<>+20(SB), Y10
+	VPBROADCASTQ fracConst<>+24(SB), Y9
+	VPBROADCASTQ fracConst<>+32(SB), Y8
+
+fracloop:
+	CMPQ SI, BX
+	JHI  fracdone
+	CMPQ CX, $4
+	JLT  fracdone
+
+	// The masks: AX the commas, DX the digits and commas.
+	VMOVDQU   (SI), Y0
+	VMOVDQU   32(SI), Y1
+	VPCMPEQB  Y15, Y0, Y2
+	VPCMPEQB  Y15, Y1, Y3
+	VPMOVMSKB Y2, AX
+	VPMOVMSKB Y3, DX
+	SHLQ      $32, DX
+	ORQ       DX, AX
+	VPSUBB    Y14, Y0, Y0
+	VPSUBB    Y14, Y1, Y1
+	VPMINUB   Y13, Y0, Y2
+	VPMINUB   Y13, Y1, Y3
+	VPCMPEQB  Y2, Y0, Y2            // byte − '0' ≤ 9
+	VPCMPEQB  Y3, Y1, Y3
+	VPMOVMSKB Y2, DX
+	VPMOVMSKB Y3, R8
+	SHLQ      $32, R8
+	ORQ       R8, DX
+	ORQ       AX, DX
+
+	// c0..c3 in R8..R11; fewer than four commas leaves TZCNT's source 0,
+	// which sets CF.
+	TZCNTQ AX, R8
+	BLSRQ  AX, R14
+	TZCNTQ R14, R9
+	BLSRQ  R14, R14
+	TZCNTQ R14, R10
+	BLSRQ  R14, R14
+	TZCNTQ R14, R11
+	JCS    fracdone
+
+	// Up to c3 the only bytes neither digit nor comma are the tokens'
+	// second ones: 1, c0+2, c1+2 and c2+2.
+	BLSMSKQ R14, R14                // bytes 0..c3
+	ANDQ    R14, AX
+	SHLQ    $2, AX
+	ORQ     $2, AX
+	ANDQ    R14, AX
+	ANDNQ   R14, DX, DX
+	CMPQ    DX, AX
+	JNE     fracdone
+
+	// Each token: its checks, digits (Y4 tokens 0|1, Y5 2|3), shuffle row
+	// (Y6, Y7) and 10^-d (X3 tokens 0,1; X2 tokens 2,3).
+	MOVQ        $-1, DX             // token 0 follows a comma at −1
+	FRAC_TOKEN(DX, R8)
+	VMOVDQU     2(SI), X4
+	VMOVDQU     16(R12)(AX*2), X6
+	VMOVSD      8(R13)(AX*1), X3
+	FRAC_TOKEN(R8, R9)
+	VINSERTI128 $1, 3(SI)(R8*1), Y4, Y4
+	VINSERTI128 $1, 16(R12)(AX*2), Y6, Y6
+	VMOVHPD     8(R13)(AX*1), X3, X3
+	FRAC_TOKEN(R9, R10)
+	VMOVDQU     3(SI)(R9*1), X5
+	VMOVDQU     16(R12)(AX*2), X7
+	VMOVSD      8(R13)(AX*1), X2
+	FRAC_TOKEN(R10, R11)
+	VINSERTI128 $1, 3(SI)(R10*1), Y5, Y5
+	VINSERTI128 $1, 16(R12)(AX*2), Y7, Y7
+	VMOVHPD     8(R13)(AX*1), X2, X2
+	VINSERTF128 $1, X2, Y3, Y3
+
+	// The mantissas, in qwords ordered tokens 0, 2, 1, 3 until VPERMQ.
+	VPSUBB     Y14, Y4, Y4
+	VPSUBB     Y14, Y5, Y5
+	VPSHUFB    Y6, Y4, Y4
+	VPSHUFB    Y7, Y5, Y5
+	VPMADDUBSW Y12, Y4, Y4          // 8 pairs of digits a token
+	VPMADDUBSW Y12, Y5, Y5
+	VPMADDWD   Y11, Y4, Y4          // 4 groups of four
+	VPMADDWD   Y11, Y5, Y5
+	VPACKUSDW  Y5, Y4, Y4
+	VPMADDWD   Y10, Y4, Y4          // 2 halves of eight
+	VPMULUDQ   Y9, Y4, Y5
+	VPSRLQ     $32, Y4, Y4
+	VPADDQ     Y5, Y4, Y4
+	VPERMQ     $0xD8, Y4, Y4
+
+	// The products, and the midpoint guard on their dropped bits.
+	VPOR         Y8, Y4, Y4
+	VSUBPD       Y8, Y4, Y4
+	VMULPD       Y3, Y4, Y4
+	VPBROADCASTQ fracConst<>+40(SB), Y5
+	VPAND        Y5, Y4, Y5
+	VPBROADCASTD fracConst<>+48(SB), Y6
+	VPSUBD       Y6, Y5, Y5
+	VPABSD       Y5, Y5
+	VPBROADCASTD fracConst<>+52(SB), Y6
+	VPCMPGTD     Y6, Y5, Y5         // farther than the slack, in every dword
+	VPMOVMSKB    Y5, AX
+	CMPL         AX, $-1
+	JNE          fracdone
+
+	VCVTPD2PSY Y4, X4
+	VMOVUPS    X4, (DI)
+	ADDQ       $16, DI
+	SUBQ       $4, CX
+	LEAQ       1(SI)(R11*1), SI
+	JMP        fracloop
+
+fracdone:
+	MOVQ pix_base+24(FP), AX
+	SUBQ AX, DI
+	SHRQ $2, DI
+	MOVQ DI, n+48(FP)
+	SUBQ buf_base+0(FP), SI
+	MOVQ SI, end+56(FP)
+	VZEROUPPER
+	RET
