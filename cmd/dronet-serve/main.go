@@ -14,7 +14,11 @@
 // with quant.QConv convolutions — through exactly the same admission queue
 // and batcher as fp32, and /healthz, /metrics label the active precision.
 //
-// With -models the server hosts a routed registry of models instead of one:
+// The server always hosts a routed registry of models, and every hosted
+// model is built one way, from a name=model:size:precision spec. Without
+// -models the single-model flags are the one-entry registry
+// "default=<model>:<size>:<precision>", and -weights loads into that entry
+// (it is refused beside -models). With -models the registry holds several:
 //
 //	dronet-serve -addr :8080 -models "low=dronet:96:int8:150,high=dronet:128:fp32"
 //
@@ -112,25 +116,24 @@ func main() {
 	}
 	log.Printf("gemm kernel: %s (available: %s)", tensor.KernelName(), strings.Join(tensor.AvailableKernels(), ", "))
 
-	if *precision != "fp32" && *precision != "int8" {
-		log.Fatalf("unknown -precision %q (want fp32 or int8)", *precision)
+	// Without -models the single-model flags are the one-entry registry
+	// "default=model:size:precision", the only spec -weights applies to.
+	modelsSpec := *modelsFlag
+	if modelsSpec == "" {
+		modelsSpec = fmt.Sprintf("default=%s:%d:%s", *model, *size, *precision)
+		if *weightsPath == "" {
+			log.Print("warning: no -weights given, using random initialization")
+		}
+	} else if *weightsPath != "" {
+		log.Fatal("-weights is single-model only and incompatible with -models")
 	}
-	var specs []serve.ModelSpec
-	if *modelsFlag != "" {
-		if *weightsPath != "" {
-			log.Fatal("-weights is single-model only and incompatible with -models")
-		}
-		var err error
-		specs, err = serve.ParseModelSpecs(*modelsFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
+	specs, err := serve.ParseModelSpecs(modelsSpec)
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	// NMSThresh is deliberately left zero here: every serving path fills it
-	// from its detector (buildEntries / the single-model branch), so a path
-	// that forgot would surface as the runners' zero-value default rather
-	// than masquerading as a deliberate constant.
+	// NMSThresh is deliberately left zero here: buildEntry fills it from
+	// each spec's detector.
 	cfg := engine.Config{Workers: *workers, Thresh: *thresh}
 	if *altFilter {
 		gate := detect.NewVehicleAltitudeFilter()
@@ -142,45 +145,24 @@ func main() {
 		Warm:       true,
 	}
 
-	// builder backs the admin endpoints: specs posted at runtime are built
-	// with the same command-level scale, calibration budget and engine/batch
-	// knobs as the startup -models entries, off the serving path.
-	builder := func(spec serve.ModelSpec) (serve.ModelEntry, error) {
-		return buildEntry(spec, *scale, *calibFrames, cfg, scfg)
+	entries := make([]serve.ModelEntry, 0, len(specs))
+	for _, spec := range specs {
+		e, err := buildEntry(spec, *weightsPath, *scale, *calibFrames, cfg, scfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		entries = append(entries, e)
 	}
-
-	var srv *serve.Server
-	if specs != nil {
-		entries, err := buildEntries(specs, *scale, *calibFrames, cfg, scfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv, err = serve.NewRouted(entries)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		det, err := buildDetector(*model, *size, *scale, *weightsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.NMSThresh = det.NMSThresh
-		mdl, err := buildModel(det, *precision, *size, *calibFrames)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng, err := engine.New(mdl, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		scfg.Precision = *precision
-		srv, err = serve.New(eng, scfg)
-		if err != nil {
-			log.Fatal(err)
-		}
+	srv, err := serve.NewRouted(entries)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	srv.SetModelBuilder(builder)
+	// The admin endpoints build posted specs with the same command-level
+	// scale, calibration budget and engine/batch knobs as the startup
+	// entries, off the serving path, and never with -weights.
+	srv.SetModelBuilder(func(spec serve.ModelSpec) (serve.ModelEntry, error) {
+		return buildEntry(spec, "", *scale, *calibFrames, cfg, scfg)
+	})
 	srv.ConfigureStreams(serve.StreamConfig{
 		MaxSessions: *maxSessions,
 		IdleTimeout: *sessionIdle,
@@ -209,13 +191,8 @@ func main() {
 			}
 		}()
 	}
-	if specs != nil {
-		log.Printf("routed models %v (default %s), %d workers per pool, max-batch %d",
-			srv.Models(), srv.Models()[0], *workers, *maxBatch)
-	} else {
-		log.Printf("model %s size %d scale %.2f precision %s, %d workers, max-batch %d, queue %d",
-			*model, *size, *scale, *precision, *workers, *maxBatch, srv.Stats().QueueCap)
-	}
+	log.Printf("routed models %v (default %s), %d workers per pool, max-batch %d",
+		srv.Models(), srv.Models()[0], *workers, *maxBatch)
 
 	httpSrv := &http.Server{Handler: srv}
 	errCh := make(chan error, 1)
@@ -247,34 +224,23 @@ func main() {
 	log.Printf("final stats: %+v", srv.Stats())
 }
 
-// buildDetector constructs the scaled detector and loads weights when a
-// path was given (random init with a warning otherwise).
-func buildDetector(model string, size int, scale float64, weightsPath string) (*core.Detector, error) {
-	det, err := core.NewScaledDetector(model, size, scale, 1)
-	if err != nil {
-		return nil, err
-	}
-	if weightsPath != "" {
-		if err := det.LoadWeights(weightsPath); err != nil {
-			return nil, err
-		}
-	} else {
-		log.Print("warning: no -weights given, using random initialization")
-	}
-	return det, nil
-}
-
 // buildEntry turns one parsed model spec into a hosted entry: a scaled
-// detector (quantized when the spec says int8), an engine replica pool and
-// a batching config. The pool inherits the command-level worker count and
-// batching knobs; precision, input size, altitude band and lending weight
-// come from the spec. This is also the admin endpoints' ModelBuilder, so
-// hot-added and hot-swapped models are constructed exactly like startup
-// ones.
-func buildEntry(spec serve.ModelSpec, scale float64, calibFrames int, cfg engine.Config, scfg serve.Config) (serve.ModelEntry, error) {
+// detector (its weights loaded from weightsPath when non-empty, quantized
+// when the spec says int8), an engine replica pool and a batching config.
+// The pool inherits the command-level worker count and batching knobs;
+// precision, input size, altitude band and lending weight come from the
+// spec. It is the one way a hosted model is built: startup entries, the
+// single-model flags' "default" spec and the admin endpoints' ModelBuilder
+// all come through here.
+func buildEntry(spec serve.ModelSpec, weightsPath string, scale float64, calibFrames int, cfg engine.Config, scfg serve.Config) (serve.ModelEntry, error) {
 	det, err := core.NewScaledDetector(spec.Model, spec.Size, scale, 1)
 	if err != nil {
 		return serve.ModelEntry{}, fmt.Errorf("model %s: %w", spec.Name, err)
+	}
+	if weightsPath != "" {
+		if err := det.LoadWeights(weightsPath); err != nil {
+			return serve.ModelEntry{}, fmt.Errorf("model %s: %w", spec.Name, err)
+		}
 	}
 	mdl, err := buildModel(det, spec.Precision, spec.Size, calibFrames)
 	if err != nil {
@@ -302,19 +268,6 @@ func buildEntry(spec serve.ModelSpec, scale float64, calibFrames int, cfg engine
 		Weight:      spec.Weight,
 		Degrade:     spec.Degrade,
 	}, nil
-}
-
-// buildEntries maps buildEntry over every startup -models spec.
-func buildEntries(specs []serve.ModelSpec, scale float64, calibFrames int, cfg engine.Config, scfg serve.Config) ([]serve.ModelEntry, error) {
-	entries := make([]serve.ModelEntry, 0, len(specs))
-	for _, spec := range specs {
-		e, err := buildEntry(spec, scale, calibFrames, cfg, scfg)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, e)
-	}
-	return entries, nil
 }
 
 func altLabel(maxAlt float64) string {

@@ -16,10 +16,12 @@
 // service (cmd/dronet-serve, examples/serveclient): the server hosts a
 // routed registry of named models — any mix of precisions and input sizes,
 // one engine replica pool, bounded admission queue (429 on overload) and
-// micro-batcher per model (engine.Group tracks the pools) — and routes
-// each request by explicit ?model=/X-Model selection, else by altitude
-// band (the paper's operating-scenario trade-off: small fast model low,
-// larger model high), else to the default. Admitted requests are coalesced
+// micro-batcher per model, all held in one atomically swapped route table
+// (dronet-serve builds every model, a lone -model included, from the same
+// name=model:size:precision spec) — and routes each request by explicit
+// ?model=/X-Model selection, else by altitude band (the paper's
+// operating-scenario trade-off: small fast model low, larger model high),
+// else to the default. Admitted requests are coalesced
 // into dynamic micro-batches — one N-image batched Forward per batch, with
 // per-image detections byte-identical to single-image inference — with
 // /metrics reporting latency percentiles, batch-size histogram and

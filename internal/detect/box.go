@@ -68,11 +68,6 @@ func Intersection(a, b Box) float64 {
 	return ea.intersection(&eb)
 }
 
-// Union returns the union area of a and b.
-func Union(a, b Box) float64 {
-	return a.Area() + b.Area() - Intersection(a, b)
-}
-
 // IoU returns the intersection-over-union similarity of a and b in [0,1].
 // Two degenerate boxes have IoU 0. The result is clamped: Intersection is
 // computed from the box edges while Area is w·h, so for boxes centered far

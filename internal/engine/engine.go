@@ -19,6 +19,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/faults"
 	"repro/internal/imgproc"
+	"repro/internal/layers"
 	"repro/internal/network"
 	"repro/internal/pipeline"
 )
@@ -138,6 +139,10 @@ func (e *Engine) WorkspaceBytes() int64 {
 	}
 	return total
 }
+
+// InShape returns the engine's per-sample input shape — the resolution the
+// served model consumes, which a routed registry reports per model.
+func (e *Engine) InShape() layers.Shape { return e.base.InShape() }
 
 // WeightBytes reports the base model's resident weight footprint, including
 // any pre-packed GEMM weight panels. Worker replicas share the base's

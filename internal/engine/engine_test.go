@@ -116,3 +116,50 @@ func TestNewRejectsInvalid(t *testing.T) {
 		t.Error("New without region layer should fail")
 	}
 }
+
+// TestWorkerCap covers the lazily-raised worker cap behind idle-worker
+// lending: ids at or above the cap are rejected, SetWorkerCap only ever
+// raises, and a raised cap admits batch execution on the grown replica.
+func TestWorkerCap(t *testing.T) {
+	net, _, err := models.Build(models.DroNet, 64, tensor.NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.New(net, engine.Config{Workers: 1, Thresh: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Free()
+	if e.WorkerCap() != 1 {
+		t.Fatalf("initial cap = %d, want the nominal worker count 1", e.WorkerCap())
+	}
+
+	img := &imgproc.Image{W: 64, H: 64, Pix: make([]float32, 3*64*64)}
+	batch := []*imgproc.Image{img}
+	want, err := e.ExecuteBatch(0, batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ExecuteBatch(1, batch, nil); err == nil {
+		t.Fatal("worker id above the cap accepted")
+	}
+	if _, err := e.ExecuteBatch(-1, batch, nil); err == nil {
+		t.Fatal("negative worker id accepted")
+	}
+
+	e.SetWorkerCap(3)
+	if e.WorkerCap() != 3 {
+		t.Fatalf("cap after raise = %d, want 3", e.WorkerCap())
+	}
+	e.SetWorkerCap(2) // lowering is a no-op: in-flight borrowed ids stay valid
+	if e.WorkerCap() != 3 {
+		t.Fatalf("cap after attempted lower = %d, want 3 (never lowers)", e.WorkerCap())
+	}
+	got, err := e.ExecuteBatch(2, batch, nil)
+	if err != nil {
+		t.Fatalf("borrowed replica id rejected after raise: %v", err)
+	}
+	if len(got) != len(want) || len(got[0]) != len(want[0]) {
+		t.Errorf("borrowed replica diverges from worker 0: %d dets vs %d", len(got[0]), len(want[0]))
+	}
+}

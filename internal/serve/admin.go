@@ -36,7 +36,6 @@ func (s *Server) modelBuilder() ModelBuilder {
 type adminModelJSON struct {
 	Name        string  `json:"name"`
 	Generation  uint64  `json:"generation"`
-	Spec        string  `json:"spec,omitempty"` // builder-produced entries only
 	Precision   string  `json:"precision"`
 	Workers     int     `json:"workers"`
 	Weight      float64 `json:"weight"`

@@ -130,10 +130,10 @@
 // # Brownout degradation and budgeted retries
 //
 // A model entry may declare a cheaper sibling (ModelEntry.Degrade, the
-// degrade= field of the -models grammar). When the primary's queue is deep
-// (Config.BrownoutEnter fraction of capacity), implicitly-routed requests
-// shed to the sibling until depth falls below Config.BrownoutExit —
-// enter/exit hysteresis, so the router doesn't flap. Degraded responses carry "degraded":true plus the
+// degrade= field of the -models grammar). When the primary's queue is at
+// least three quarters full, implicitly-routed requests shed to the sibling
+// until it is at most a quarter full — enter/exit hysteresis, so the
+// router doesn't flap. Degraded responses carry "degraded":true plus the
 // serving model's name, and count degraded_total on the model that shed.
 // Explicit ?model=/X-Model selections are never degraded — the caller
 // asked for that model by name.

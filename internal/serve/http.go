@@ -442,10 +442,14 @@ func toJSON(dets []detect.Detection) []DetectionJSON {
 // lending weight and currently-borrowed worker count.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	t := s.table.Load()
-	queueCap := 0
+	queueCap, workers := 0, 0
+	var workspace int64
 	models := make(map[string]any, len(t.order))
 	for _, h := range t.order {
 		queueCap += h.cfg.QueueDepth
+		ws := h.eng.WorkspaceBytes()
+		workers += h.eng.Workers()
+		workspace += ws
 		in := h.eng.InShape()
 		models[h.name] = map[string]any{
 			"precision":        h.cfg.Precision,
@@ -455,7 +459,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"queue_cap":        cap(h.queue),
 			"queue_depth":      len(h.queue),
 			"max_altitude_m":   h.maxAlt,
-			"workspace_bytes":  h.eng.WorkspaceBytes(),
+			"workspace_bytes":  ws,
 			"weight_bytes":     h.eng.WeightBytes(),
 			"default":          h == t.def,
 			"generation":       h.gen,
@@ -470,10 +474,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"addr":            addr,
 		"kernel":          tensor.KernelName(),
 		"precision":       t.def.cfg.Precision,
-		"workers":         s.group.Workers(),
+		"workers":         workers,
 		"max_batch":       t.def.cfg.MaxBatch,
 		"queue_cap":       queueCap,
-		"workspace_bytes": s.group.WorkspaceBytes(),
+		"workspace_bytes": workspace,
 		"default_model":   t.def.name,
 		"models":          models,
 		"streaming":       s.streamHealth(),

@@ -40,8 +40,8 @@ type ModelEntry struct {
 	Weight float64
 	// Degrade names the cheaper sibling model brownout degradation serves
 	// implicitly-routed requests from while this model's queue depth is
-	// over its watermark (see Config.BrownoutEnter). Empty
-	// disables degradation for this model. The name is resolved against
+	// over its watermark (three quarters of its queue capacity, see
+	// brownoutEnter). Empty disables degradation for this model. The name is resolved against
 	// the live table per request, so a hot-removed sibling simply stops
 	// absorbing downgrades.
 	Degrade string

@@ -263,7 +263,7 @@ func TestBrownoutDegradesAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := serve.Config{MaxBatch: 1, QueueDepth: 4, BrownoutEnter: 0.5, BrownoutExit: 0.25}
+	cfg := serve.Config{MaxBatch: 1, QueueDepth: 4}
 	srv, err := serve.NewRouted([]serve.ModelEntry{
 		{Name: "main", Engine: newEngine(t, mainNet, 1), Config: cfg, Degrade: "cheap"},
 		{Name: "cheap", Engine: newEngine(t, cheapNet, 1), Config: serve.Config{MaxBatch: 4, QueueDepth: 16}},

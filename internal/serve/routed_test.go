@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -438,6 +439,113 @@ func TestRoutedObservability(t *testing.T) {
 			t.Errorf("model %s metrics: ok=%v completed=%d, want 1", name, ok, st.Completed)
 		}
 	}
+}
+
+// healthTotals is the part of a /healthz document that is summed over the
+// hosted pools: the top level carries the fleet totals, each per-model
+// block its own pool's share.
+type healthTotals struct {
+	Workers        int   `json:"workers"`
+	QueueCap       int   `json:"queue_cap"`
+	WorkspaceBytes int64 `json:"workspace_bytes"`
+}
+
+// TestHealthzFleetSums: /healthz's top-level workers, workspace_bytes and
+// queue_cap are the sums of its per-model blocks at rest after traffic and
+// after every registry mutation (add, swap, remove) — the route table is
+// the one registry both are read from. A duplicate, nameless or engineless
+// add and a swap or remove of an unknown name are refused and change
+// nothing.
+func TestHealthzFleetSums(t *testing.T) {
+	srv, lowFrames, highFrames, _, _ := twoModelServer(t, serve.Config{MaxBatch: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	check := func(stage string, wantWorkers int, wantModels ...string) {
+		t.Helper()
+		hr, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		var health struct {
+			healthTotals
+			Models map[string]healthTotals `json:"models"`
+		}
+		if err := json.NewDecoder(hr.Body).Decode(&health); err != nil {
+			t.Fatal(err)
+		}
+		var sum healthTotals
+		for _, m := range health.Models {
+			sum.Workers += m.Workers
+			sum.QueueCap += m.QueueCap
+			sum.WorkspaceBytes += m.WorkspaceBytes
+		}
+		if health.healthTotals != sum {
+			t.Errorf("%s: top-level totals %+v, want the per-model sums %+v", stage, health.healthTotals, sum)
+		}
+		if health.Workers != wantWorkers || health.WorkspaceBytes <= 0 {
+			t.Errorf("%s: %d workers, %d workspace bytes; want %d workers and a warmed workspace",
+				stage, health.Workers, health.WorkspaceBytes, wantWorkers)
+		}
+		if len(health.Models) != len(wantModels) {
+			t.Errorf("%s: models %v, want %v", stage, health.Models, wantModels)
+		}
+		for _, name := range wantModels {
+			if _, ok := health.Models[name]; !ok {
+				t.Errorf("%s: models %v, missing %s", stage, health.Models, name)
+			}
+		}
+	}
+
+	for _, r := range []struct {
+		name string
+		img  *imgproc.Image
+	}{{"low", lowFrames[0]}, {"high", highFrames[0]}} {
+		if _, status, err := postRouted(ts, r.img, r.name, "", 0); err != nil || status != http.StatusOK {
+			t.Fatalf("%s request: status %d err %v", r.name, status, err)
+		}
+	}
+	check("after traffic", 2, "low", "high")
+
+	net, _, err := models.Build(models.DroNet, 64, tensor.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := serve.Config{MaxBatch: 2, QueueDepth: 5, Warm: true}
+	if _, err := srv.AddModel(serve.ModelEntry{Name: "extra", Engine: newEngine(t, net, 2), Config: warm}); err != nil {
+		t.Fatal(err)
+	}
+	check("after AddModel", 4, "low", "high", "extra")
+
+	// Refused mutations leave the registry, and so the totals, as they were.
+	if _, err := srv.AddModel(serve.ModelEntry{Name: "extra", Engine: newEngine(t, net, 1)}); !errors.Is(err, serve.ErrDuplicateModel) {
+		t.Errorf("duplicate AddModel: %v, want ErrDuplicateModel", err)
+	}
+	if _, err := srv.AddModel(serve.ModelEntry{Engine: newEngine(t, net, 1)}); err == nil {
+		t.Error("AddModel accepted an entry without a name")
+	}
+	if _, err := srv.AddModel(serve.ModelEntry{Name: "nil"}); err == nil {
+		t.Error("AddModel accepted an entry without an engine")
+	}
+	if _, _, err := srv.SwapModel(serve.ModelEntry{Name: "absent", Engine: newEngine(t, net, 1)}); !errors.Is(err, serve.ErrUnknownModel) {
+		t.Errorf("SwapModel(absent): %v, want ErrUnknownModel", err)
+	}
+	if err := srv.RemoveModel("absent"); !errors.Is(err, serve.ErrUnknownModel) {
+		t.Errorf("RemoveModel(absent): %v, want ErrUnknownModel", err)
+	}
+	check("after refused mutations", 4, "low", "high", "extra")
+
+	warm.QueueDepth = 7
+	if _, _, err := srv.SwapModel(serve.ModelEntry{Name: "high", Engine: newEngine(t, net, 3), Config: warm}); err != nil {
+		t.Fatal(err)
+	}
+	check("after SwapModel", 6, "low", "high", "extra")
+
+	if err := srv.RemoveModel("low"); err != nil {
+		t.Fatal(err)
+	}
+	check("after RemoveModel", 5, "high", "extra")
 }
 
 // TestParseModelSpecs covers the -models grammar.

@@ -49,17 +49,19 @@ type Config struct {
 	// /healthz and /metrics. Purely informational — the engine already
 	// encapsulates the actual model — and defaults to "fp32".
 	Precision string
-	// BrownoutEnter and BrownoutExit are the degradation watermarks as
-	// fractions of the queue capacity, active only on a model with a
-	// declared degrade sibling (ModelEntry.Degrade): queue depth at or
-	// above ceil(BrownoutEnter*cap) enters brownout (implicitly-routed
-	// requests are served by the cheaper sibling), depth at or below
-	// BrownoutExit*cap leaves it. The gap between the two is the
-	// hysteresis band that keeps the downgrade from flapping. Defaults
-	// 0.75 and 0.25.
-	BrownoutEnter float64
-	BrownoutExit  float64
 }
+
+// brownoutEnter and brownoutExit are the degradation watermarks as
+// fractions of the queue capacity, active only on a model with a declared
+// degrade sibling (ModelEntry.Degrade): queue depth at or above
+// ceil(brownoutEnter*cap) enters brownout (implicitly-routed requests are
+// served by the cheaper sibling), depth at or below brownoutExit*cap leaves
+// it. The gap between the two is the hysteresis band that keeps the
+// downgrade from flapping.
+const (
+	brownoutEnter = 0.75
+	brownoutExit  = 0.25
+)
 
 // withDefaults normalizes the zero-value knobs.
 func (c Config) withDefaults() Config {
@@ -71,17 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Precision == "" {
 		c.Precision = "fp32"
-	}
-	if c.BrownoutEnter <= 0 || c.BrownoutEnter > 1 {
-		c.BrownoutEnter = 0.75
-	}
-	if c.BrownoutExit <= 0 {
-		c.BrownoutExit = 0.25
-	}
-	if c.BrownoutExit >= c.BrownoutEnter {
-		// No hysteresis band means flapping on every queue wiggle; force a
-		// gap rather than erroring.
-		c.BrownoutExit = c.BrownoutEnter / 2
 	}
 	return c
 }
@@ -227,7 +218,6 @@ func newTable(order []*hosted) *routeTable {
 type Server struct {
 	mux   *http.ServeMux
 	adm   *http.ServeMux
-	group *engine.Group
 	sched *scheduler
 
 	table atomic.Pointer[routeTable]
@@ -299,7 +289,6 @@ func NewRouted(entries []ModelEntry) (*Server, error) {
 		return nil, fmt.Errorf("serve: no models to host")
 	}
 	s := &Server{
-		group: engine.NewGroup(),
 		sched: newScheduler(),
 		fleet: newMetrics(),
 		retry: NewRetryBudget(serverRetryBudget, serverRetryRefill),
@@ -446,12 +435,8 @@ func (s *Server) AddModel(e ModelEntry) (uint64, error) {
 	if _, dup := t.byName[e.Name]; dup {
 		return 0, fmt.Errorf("%w: %q", ErrDuplicateModel, e.Name)
 	}
-	if err := s.group.Add(e.Name, e.Engine); err != nil {
-		return 0, err
-	}
 	h, err := s.startHosted(e, nil)
 	if err != nil {
-		_ = s.group.Remove(e.Name)
 		return 0, err
 	}
 	order := append(append([]*hosted(nil), t.order...), h)
@@ -481,10 +466,6 @@ func (s *Server) SwapModel(e ModelEntry) (oldGen, newGen uint64, err error) {
 	}
 	h, err := s.startHosted(e, old.met)
 	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := s.group.Replace(e.Name, e.Engine); err != nil {
-		// Unreachable while the table and group agree; surface it anyway.
 		return 0, 0, err
 	}
 	order := append([]*hosted(nil), t.order...)
@@ -524,9 +505,6 @@ func (s *Server) RemoveModel(name string) error {
 		if cur != h {
 			order = append(order, cur)
 		}
-	}
-	if err := s.group.Remove(name); err != nil {
-		return err
 	}
 	s.install(order)
 	s.retire(h)
@@ -839,11 +817,8 @@ func (h *hosted) brownoutActive() bool {
 		return false
 	}
 	depth, capacity := len(h.queue), cap(h.queue)
-	enter := int(math.Ceil(h.cfg.BrownoutEnter * float64(capacity)))
-	if enter < 1 {
-		enter = 1
-	}
-	exit := int(h.cfg.BrownoutExit * float64(capacity))
+	enter := int(math.Ceil(brownoutEnter * float64(capacity)))
+	exit := int(brownoutExit * float64(capacity))
 	if h.brownout.Load() {
 		if depth <= exit {
 			h.brownout.Store(false)

@@ -22,17 +22,6 @@ import "math"
 // quantized weights never change after Quantize, so they are packed
 // exactly once.
 
-// ResliceI8 returns an int8 slice of length n, reusing s's backing array
-// whenever its capacity suffices and allocating only when it does not — the
-// Reslice workspace-reuse primitive for raw int8 scratch buffers. Reused
-// contents are unspecified; callers must fully overwrite.
-func ResliceI8(s []int8, n int) []int8 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int8, n)
-}
-
 // QuantizeSymmetric quantizes src into dst (which must be at least as long)
 // with the symmetric map q = clamp(round(v/scale), ±127), rounding halves
 // away from zero. A zero scale (or a NaN input) maps to zero. It is the one

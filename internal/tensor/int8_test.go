@@ -63,22 +63,3 @@ func TestGemmInt8MatchesNaive(t *testing.T) {
 		}
 	}
 }
-
-// TestResliceI8ReusesStorage pins the workspace-reuse contract.
-func TestResliceI8ReusesStorage(t *testing.T) {
-	s := ResliceI8(nil, 16)
-	if len(s) != 16 {
-		t.Fatalf("len = %d", len(s))
-	}
-	shrunk := ResliceI8(s, 4)
-	if len(shrunk) != 4 || &shrunk[0] != &s[0] {
-		t.Fatal("shrinking did not reuse backing storage")
-	}
-	grown := ResliceI8(shrunk, 16)
-	if len(grown) != 16 || &grown[0] != &s[0] {
-		t.Fatal("regrowing within capacity did not reuse backing storage")
-	}
-	if bigger := ResliceI8(grown, 17); len(bigger) != 17 {
-		t.Fatalf("grow beyond capacity: len = %d", len(bigger))
-	}
-}

@@ -14,12 +14,6 @@ func Sigmoid(x float32) float32 {
 // SigmoidGrad returns dσ/dx given y = σ(x).
 func SigmoidGrad(y float32) float32 { return y * (1 - y) }
 
-// Exp32 is a float32 convenience wrapper around math.Exp.
-func Exp32(x float32) float32 { return float32(math.Exp(float64(x))) }
-
-// Log32 is a float32 convenience wrapper around math.Log.
-func Log32(x float32) float32 { return float32(math.Log(float64(x))) }
-
 // leakyFactor is the leaky-ReLU multiplier indexed by the sign bit. Scaling
 // by it replaces the data-dependent `v < 0` branch, which mispredicts on
 // every other activation: v·1 is exact, and −0 (whose sign bit selects the

@@ -42,11 +42,6 @@ func (t *Tensor) Len() int { return t.N * t.C * t.H * t.W }
 // Shape returns the four dimensions.
 func (t *Tensor) Shape() (n, c, h, w int) { return t.N, t.C, t.H, t.W }
 
-// SameShape reports whether t and o have identical dimensions.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	return t.N == o.N && t.C == o.C && t.H == o.H && t.W == o.W
-}
-
 // At returns the element at (n, c, h, w).
 func (t *Tensor) At(n, c, h, w int) float32 {
 	return t.Data[((n*t.C+c)*t.H+h)*t.W+w]
