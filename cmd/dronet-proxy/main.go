@@ -15,8 +15,14 @@
 //	    -size 96 -scale 0.25 -workers 2 -precision int8
 //
 // Spawned shards listen on free loopback ports and are labelled shard0..N-1
-// via dronet-serve's -shard-id; the proxy SIGTERMs them on shutdown. The
-// proxy actively probes every shard's /healthz, ejects shards that fail
+// via dronet-serve's -shard-id; the proxy SIGTERMs them on shutdown. They
+// take -size, -scale, -workers, -max-batch, -precision and -models from the
+// proxy's flags of the same names, and every other dronet-serve setting at
+// its default. Breaker and retry tuning are cluster.ProxyConfig fields left
+// at their defaults; fault injection is armed by DRONET_FAULTS, which
+// spawned shards inherit.
+//
+// The proxy actively probes every shard's /healthz, ejects shards that fail
 // consecutively and re-admits them when probes succeed again; a killed
 // shard only costs capacity — its cameras fail over to ring successors and
 // clients only ever see 200/429/503. GET /metrics serves the fleet
@@ -25,16 +31,13 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -44,73 +47,59 @@ import (
 	"repro/internal/faults"
 )
 
+var (
+	addr           = flag.String("addr", ":9090", "proxy listen address (host:0 picks a free port)")
+	shardsFlag     = flag.String("shards", "", "comma-separated shard addresses (host:port,...) of an already-running fleet")
+	spawn          = flag.Int("spawn", 0, "spawn this many local dronet-serve shard processes instead of -shards")
+	serveBin       = flag.String("serve-bin", "bin/dronet-serve", "dronet-serve binary for -spawn")
+	maxInflight    = flag.Int("max-inflight", 32, "per-shard bound on concurrently forwarded requests (429 beyond it)")
+	healthInterval = flag.Duration("health-interval", 500*time.Millisecond, "active /healthz probe interval")
+	failThreshold  = flag.Int("fail-threshold", 3, "consecutive probe failures before a shard's breaker opens")
+	maxStreams     = flag.Int("max-streams", 256, "proxy-wide cap on relayed /stream sessions (503 + Retry-After beyond)")
+)
+
+// The spawned shards' settings need no variables: shardArgs reads each of
+// shardFlags back by name.
+var (
+	_ = flag.Int("size", 96, "spawned shards: network input resolution")
+	_ = flag.Float64("scale", 0.25, "spawned shards: filter-count scale")
+	_ = flag.Int("workers", 2, "spawned shards: batch worker pool size")
+	_ = flag.Int("max-batch", 4, "spawned shards: maximum images per micro-batch")
+	_ = flag.String("precision", "fp32", "spawned shards: inference precision (fp32 or int8)")
+	_ = flag.String("models", "", "spawned shards: routed multi-model registry spec (passed through to dronet-serve -models)")
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dronet-proxy: ")
-	addr := flag.String("addr", ":9090", "proxy listen address (host:0 picks a free port)")
-	shardsFlag := flag.String("shards", "", "comma-separated shard addresses (host:port,...) of an already-running fleet")
-	spawn := flag.Int("spawn", 0, "spawn this many local dronet-serve shard processes instead of -shards")
-	serveBin := flag.String("serve-bin", "bin/dronet-serve", "dronet-serve binary for -spawn")
-	size := flag.Int("size", 96, "spawned shards: network input resolution")
-	scale := flag.Float64("scale", 0.25, "spawned shards: filter-count scale")
-	workers := flag.Int("workers", 2, "spawned shards: batch worker pool size")
-	maxBatch := flag.Int("max-batch", 4, "spawned shards: maximum images per micro-batch")
-	precision := flag.String("precision", "fp32", "spawned shards: inference precision (fp32 or int8)")
-	modelsFlag := flag.String("models", "", "spawned shards: routed multi-model registry spec (passed through to dronet-serve -models)")
-	shardMaxSessions := flag.Int("shard-max-sessions", 64, "spawned shards: per-shard cap on open /stream sessions (dronet-serve -max-sessions)")
-	shardSessionIdle := flag.Duration("shard-session-idle", 60*time.Second, "spawned shards: streaming idle-eviction timeout (dronet-serve -session-idle)")
-	shardSessionInflight := flag.Int("shard-session-inflight", 4, "spawned shards: per-session in-flight frame bound (dronet-serve -session-inflight)")
-	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the consistent-hash ring")
-	maxInflight := flag.Int("max-inflight", 32, "per-shard bound on concurrently forwarded requests (429 beyond it)")
-	healthInterval := flag.Duration("health-interval", 500*time.Millisecond, "active /healthz probe interval")
-	failThreshold := flag.Int("fail-threshold", 3, "consecutive probe failures before a shard's breaker opens")
-	breakerWindow := flag.Int("breaker-window", 20, "per-shard breaker: data-plane outcome window size")
-	breakerMinSamples := flag.Int("breaker-min-samples", 5, "per-shard breaker: minimum windowed samples before the error rate can trip")
-	breakerErrorRate := flag.Float64("breaker-error-rate", 0.5, "per-shard breaker: windowed error rate that opens the breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "per-shard breaker: open-state cooldown before a half-open probe (0 = 2x health-interval)")
-	maxStreams := flag.Int("max-streams", 256, "proxy-wide cap on relayed /stream sessions (503 + Retry-After beyond)")
-	retryBudget := flag.Float64("retry-budget", 10, "failover retry token bucket capacity (exhausted retries answer 503 + Retry-After)")
-	retryRefill := flag.Float64("retry-refill", 0.1, "retry tokens refilled per successful forward")
-	faultsFlag := flag.String("faults", "", "arm fault injection, e.g. 'cluster.forward#HOST:PORT=error' (testing only; also via DRONET_FAULTS)")
 	flag.Parse()
 
 	if (*shardsFlag == "") == (*spawn == 0) {
 		log.Fatal("exactly one of -shards or -spawn must be given")
 	}
-	if *faultsFlag != "" {
-		if err := faults.Arm(*faultsFlag); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("warning: fault injection armed: %s", *faultsFlag)
+	if faults.Enabled() {
+		log.Print("warning: fault injection armed")
 	}
 
-	var fleet *shardFleet
 	var addrs []string
 	if *spawn > 0 {
-		var err error
-		fleet, err = spawnFleet(*serveBin, *spawn, shardArgs(*size, *scale, *workers, *maxBatch, *precision, *modelsFlag,
-			*shardMaxSessions, *shardSessionIdle, *shardSessionInflight))
+		fleet, err := spawnFleet(*serveBin, *spawn, shardArgs(flag.CommandLine))
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer fleet.stop()
-		addrs = fleet.addrs
+		defer stopFleet(fleet)
+		for _, p := range fleet {
+			addrs = append(addrs, p.Addr)
+		}
 	} else {
 		addrs = strings.Split(*shardsFlag, ",")
 	}
 
 	p, err := cluster.NewProxy(cluster.ProxyConfig{
 		Shards:            addrs,
-		VNodes:            *vnodes,
 		MaxInflight:       *maxInflight,
 		HealthInterval:    *healthInterval,
 		FailThreshold:     *failThreshold,
-		BreakerWindow:     *breakerWindow,
-		BreakerMinSamples: *breakerMinSamples,
-		BreakerErrorRate:  *breakerErrorRate,
-		BreakerCooldown:   *breakerCooldown,
-		RetryBudget:       *retryBudget,
-		RetryRefill:       *retryRefill,
 		MaxStreamSessions: *maxStreams,
 	})
 	if err != nil {
@@ -144,107 +133,50 @@ func main() {
 	}
 }
 
+// shardFlags are the dronet-serve settings a spawned shard takes from the
+// proxy's flags of the same name.
+var shardFlags = []string{"size", "scale", "workers", "max-batch", "precision", "models"}
+
 // shardArgs builds the dronet-serve argument list shared by every spawned
-// shard; the per-shard -shard-id and -addr are appended at spawn time.
-func shardArgs(size int, scale float64, workers, maxBatch int, precision, modelsSpec string,
-	maxSessions int, sessionIdle time.Duration, sessionInflight int) []string {
-	args := []string{
-		"-addr", "127.0.0.1:0",
-		"-size", fmt.Sprint(size),
-		"-scale", fmt.Sprint(scale),
-		"-workers", fmt.Sprint(workers),
-		"-max-batch", fmt.Sprint(maxBatch),
-		"-max-sessions", fmt.Sprint(maxSessions),
-		"-session-idle", sessionIdle.String(),
-		"-session-inflight", fmt.Sprint(sessionInflight),
-	}
-	if modelsSpec != "" {
-		args = append(args, "-models", modelsSpec)
-	} else {
-		args = append(args, "-precision", precision)
+// shard: a free loopback port plus each of shardFlags as fs holds it. The
+// per-shard -shard-id is appended at spawn time; dronet-serve ignores
+// -precision when -models is set.
+func shardArgs(fs *flag.FlagSet) []string {
+	args := []string{"-addr", "127.0.0.1:0"}
+	for _, name := range shardFlags {
+		args = append(args, "-"+name, fs.Lookup(name).Value.String())
 	}
 	return args
 }
 
-// shardFleet is a set of locally spawned dronet-serve processes.
-type shardFleet struct {
-	cmds  []*exec.Cmd
-	addrs []string
-}
-
-// spawnFleet starts n shard processes labelled shard0..n-1 on free loopback
-// ports and waits for each to announce its address. Any spawn failure tears
-// down what already started.
-func spawnFleet(bin string, n int, baseArgs []string) (*shardFleet, error) {
-	f := &shardFleet{}
+// spawnFleet starts n shard processes labelled shard0..n-1 and waits for
+// each to announce its address. Any spawn failure stops what already
+// started.
+func spawnFleet(bin string, n int, args []string) ([]*cluster.Process, error) {
+	var fleet []*cluster.Process
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("shard%d", i)
-		cmd := exec.Command(bin, append(append([]string{}, baseArgs...), "-shard-id", id)...)
-		cmd.Stderr = os.Stderr
-		stdout, err := cmd.StdoutPipe()
+		p, err := cluster.Spawn(bin, append(append([]string{}, args...), "-shard-id", id), false)
 		if err != nil {
-			f.stop()
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			f.stop()
+			stopFleet(fleet)
 			return nil, fmt.Errorf("spawn %s: %w", id, err)
 		}
-		f.cmds = append(f.cmds, cmd)
-		addr, err := awaitListenLine(stdout)
-		if err != nil {
-			f.stop()
-			return nil, fmt.Errorf("%s: %w", id, err)
-		}
-		log.Printf("spawned %s on %s", id, addr)
-		f.addrs = append(f.addrs, addr)
+		log.Printf("spawned %s on %s", id, p.Addr)
+		fleet = append(fleet, p)
 	}
-	return f, nil
+	return fleet, nil
 }
 
-// awaitListenLine scans a shard's stdout for the "listening on HOST:PORT"
-// announcement (30s cap) and keeps draining the pipe afterwards so the
-// child never blocks on a full pipe.
-func awaitListenLine(stdout io.ReadCloser) (string, error) {
-	sc := bufio.NewScanner(stdout)
-	addrCh := make(chan string, 1)
-	go func() {
-		announced := false
-		for sc.Scan() {
-			if line := sc.Text(); !announced && strings.HasPrefix(line, "listening on ") {
-				addrCh <- strings.TrimPrefix(line, "listening on ")
-				announced = true
-			}
-		}
-		if !announced {
-			close(addrCh)
-		}
-	}()
-	select {
-	case addr, ok := <-addrCh:
-		if !ok || addr == "" {
-			return "", fmt.Errorf("shard exited before announcing its port")
-		}
-		return addr, nil
-	case <-time.After(30 * time.Second):
-		return "", fmt.Errorf("shard never announced its port")
+// stopFleet SIGTERMs every shard before waiting for any, so the shards
+// drain in parallel, then reaps each (Drain's second SIGTERM finds it
+// already draining), killing one still running after 10s.
+func stopFleet(fleet []*cluster.Process) {
+	for _, p := range fleet {
+		_ = p.Cmd.Process.Signal(syscall.SIGTERM) // a failure resurfaces in Drain
 	}
-}
-
-// stop SIGTERMs every spawned shard (the drain path) and reaps it, falling
-// back to SIGKILL after 10s.
-func (f *shardFleet) stop() {
-	for _, cmd := range f.cmds {
-		_ = cmd.Process.Signal(syscall.SIGTERM)
-	}
-	for _, cmd := range f.cmds {
-		done := make(chan struct{})
-		go func(c *exec.Cmd) { _ = c.Wait(); close(done) }(cmd)
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			_ = cmd.Process.Kill()
-			<-done
+	for _, p := range fleet {
+		if err := p.Drain(10 * time.Second); err != nil {
+			log.Printf("shard %s: %v", p.Addr, err)
 		}
 	}
 }

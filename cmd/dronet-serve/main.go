@@ -96,22 +96,12 @@ func main() {
 	sessionInflight := flag.Int("session-inflight", 4, "streaming: per-session bound on buffered frames before backpressure (reject or drop-oldest)")
 	thresh := flag.Float64("thresh", 0.24, "detection confidence threshold")
 	altFilter := flag.Bool("altfilter", false, "apply the altitude size gate when requests carry an altitude")
-	kernelPin := flag.String("kernel", "", "pin the GEMM microkernel family (one of "+strings.Join(tensor.AvailableKernels(), ", ")+"; default: auto-detect, env "+tensor.KernelEnv+")")
-	faultsFlag := flag.String("faults", "", `fault-injection spec "site[#key]=kind[:arg],..." (internal/faults; chaos testing only — also honours DRONET_FAULTS)`)
 	flag.Parse()
 
-	if *faultsFlag != "" {
-		if err := faults.Arm(*faultsFlag); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("warning: fault injection armed: %s", *faultsFlag)
+	if faults.Enabled() {
+		log.Print("warning: fault injection armed")
 	}
-
-	if *kernelPin != "" {
-		if err := tensor.SelectKernel(*kernelPin); err != nil {
-			log.Fatal(err)
-		}
-	} else if note := tensor.KernelInitNote(); note != "" {
+	if note := tensor.KernelInitNote(); note != "" {
 		log.Printf("warning: %s", note)
 	}
 	log.Printf("gemm kernel: %s (available: %s)", tensor.KernelName(), strings.Join(tensor.AvailableKernels(), ", "))

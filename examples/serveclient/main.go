@@ -41,7 +41,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -51,21 +50,22 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
-	"os"
-	"os/exec"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/imgproc"
 	"repro/internal/pipeline"
 	"repro/internal/serve"
 )
+
+// drainTimeout bounds how long a SIGTERMed process may take to exit.
+const drainTimeout = 30 * time.Second
 
 func main() {
 	log.SetFlags(0)
@@ -98,36 +98,42 @@ func main() {
 		if spec == "" {
 			spec = fmt.Sprintf("default=dronet:%d:%s", *size, *precision)
 		}
-		cmd, dataURL, adminURL, err := spawnAdmin(*server, *size, *precision, spec)
+		p, err := cluster.Spawn(*server, append(serverArgs(*size, *precision, spec), "-admin", "127.0.0.1:0"), true)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer func() { _ = cmd.Process.Kill() }()
-		swapWalk(dataURL, adminURL, spec)
-		drain(cmd)
+		defer func() { _ = p.Cmd.Process.Kill() }()
+		swapWalk("http://"+p.Addr, "http://"+p.AdminAddr, spec)
+		if err := p.Drain(drainTimeout); err != nil {
+			log.Fatalf("server exit: %v", err)
+		}
+		fmt.Println("server drained and exited cleanly")
 		fmt.Println("OK")
 		return
 	}
 
-	var cmd *exec.Cmd
+	var p *cluster.Process
 	if *url == "" {
 		if *server == "" {
 			log.Fatal("need -url or -server")
 		}
 		var err error
-		cmd, *url, err = spawn(*server, *size, *precision, *modelsFlag)
-		if err != nil {
+		if p, err = cluster.Spawn(*server, serverArgs(*size, *precision, *modelsFlag), false); err != nil {
 			log.Fatal(err)
 		}
-		defer func() { _ = cmd.Process.Kill() }()
+		defer func() { _ = p.Cmd.Process.Kill() }()
+		*url = "http://" + p.Addr
 	}
 
 	if *modelsFlag != "" {
-		if cmd == nil {
+		if p == nil {
 			log.Fatal("-models needs -server (it validates the spawned registry)")
 		}
 		walkRouted(*url, *modelsFlag)
-		drain(cmd)
+		if err := p.Drain(drainTimeout); err != nil {
+			log.Fatalf("server exit: %v", err)
+		}
+		fmt.Println("server drained and exited cleanly")
 		fmt.Println("OK")
 		return
 	}
@@ -164,7 +170,7 @@ func main() {
 	if health["status"] != "ok" {
 		log.Fatalf("healthz: %v", health)
 	}
-	if cmd != nil && health["precision"] != *precision {
+	if p != nil && health["precision"] != *precision {
 		log.Fatalf("healthz precision = %v, want %v", health["precision"], *precision)
 	}
 	var stats serve.Stats
@@ -176,21 +182,13 @@ func main() {
 	}
 
 	// 4. Graceful drain when we own the server process.
-	if cmd != nil {
-		drain(cmd)
+	if p != nil {
+		if err := p.Drain(drainTimeout); err != nil {
+			log.Fatalf("server exit: %v", err)
+		}
+		fmt.Println("server drained and exited cleanly")
 	}
 	fmt.Println("OK")
-}
-
-// drain asks the spawned server to shut down gracefully and waits for it.
-func drain(cmd *exec.Cmd) {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		log.Fatal(err)
-	}
-	if err := cmd.Wait(); err != nil {
-		log.Fatalf("server exit: %v", err)
-	}
-	fmt.Println("server drained and exited cleanly")
 }
 
 // walkRouted validates a routed spawn end to end: per-model explicit
@@ -417,41 +415,32 @@ func swapWalk(dataURL, adminURL, spec string) {
 // proxy ejects it from the fleet view.
 func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 	type shardProc struct {
-		id   string
-		addr string
-		cmd  *exec.Cmd
+		id string
+		*cluster.Process
 	}
 	shards := make([]shardProc, 2)
 	for i := range shards {
 		id := fmt.Sprintf("shard%d", i)
-		cmd, addr, err := spawnWithArgs(serverBin, []string{
-			"-addr", "127.0.0.1:0",
-			"-size", fmt.Sprint(size),
-			"-scale", "0.25",
-			"-workers", "2",
-			"-max-batch", "4",
-			"-precision", precision,
-			"-shard-id", id,
-		})
+		p, err := cluster.Spawn(serverBin, append(serverArgs(size, precision, ""), "-shard-id", id), false)
 		if err != nil {
 			log.Fatalf("spawn %s: %v", id, err)
 		}
-		defer func() { _ = cmd.Process.Kill() }()
-		shards[i] = shardProc{id: id, addr: addr, cmd: cmd}
-		fmt.Printf("spawned %s on %s\n", id, addr)
+		defer func() { _ = p.Cmd.Process.Kill() }()
+		shards[i] = shardProc{id: id, Process: p}
+		fmt.Printf("spawned %s on %s\n", id, p.Addr)
 	}
-	proxyCmd, proxyAddr, err := spawnWithArgs(proxyBin, []string{
+	proxy, err := cluster.Spawn(proxyBin, []string{
 		"-addr", "127.0.0.1:0",
-		"-shards", shards[0].addr + "," + shards[1].addr,
+		"-shards", shards[0].Addr + "," + shards[1].Addr,
 		"-health-interval", "50ms",
 		"-fail-threshold", "2",
-	})
+	}, false)
 	if err != nil {
 		log.Fatalf("spawn proxy: %v", err)
 	}
-	defer func() { _ = proxyCmd.Process.Kill() }()
-	url := "http://" + proxyAddr
-	fmt.Printf("spawned proxy on %s\n", proxyAddr)
+	defer func() { _ = proxy.Cmd.Process.Kill() }()
+	url := "http://" + proxy.Addr
+	fmt.Printf("spawned proxy on %s\n", proxy.Addr)
 
 	cam := pipeline.NewSimCamera(dataset.DefaultConfig(size), 1, 80)
 	f, _ := cam.Next()
@@ -559,10 +548,10 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 		}(c)
 	}
 	time.Sleep(100 * time.Millisecond)
-	if err := victimProc.cmd.Process.Kill(); err != nil {
+	if err := victimProc.Cmd.Process.Kill(); err != nil {
 		log.Fatal(err)
 	}
-	_, _ = victimProc.cmd.Process.Wait()
+	_ = victimProc.Cmd.Wait() // reports the kill
 	time.Sleep(600 * time.Millisecond)
 	close(stop)
 	wg.Wait()
@@ -599,51 +588,17 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 	fmt.Printf("proxy ejected %s; all %d cameras fail over to the survivor\n", victim, cameras)
 
 	// Graceful teardown: proxy first, then the surviving shard.
-	drainNamed(proxyCmd, "proxy")
+	if err := proxy.Drain(drainTimeout); err != nil {
+		log.Fatalf("proxy exit: %v", err)
+	}
 	for i := range shards {
 		if shards[i].id != victim {
-			drainNamed(shards[i].cmd, shards[i].id)
-		}
-	}
-}
-
-// spawnWithArgs boots a binary that announces "listening on HOST:PORT" on
-// stdout and returns the process plus the parsed address.
-func spawnWithArgs(bin string, args []string) (*exec.Cmd, string, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, "", err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, "", err
-	}
-	sc := bufio.NewScanner(stdout)
-	addrCh := make(chan string, 1)
-	go func() {
-		announced := false
-		for sc.Scan() {
-			if line := sc.Text(); !announced && strings.HasPrefix(line, "listening on ") {
-				addrCh <- strings.TrimPrefix(line, "listening on ")
-				announced = true
+			if err := shards[i].Drain(drainTimeout); err != nil {
+				log.Fatalf("%s exit: %v", shards[i].id, err)
 			}
 		}
-		if !announced {
-			close(addrCh)
-		}
-	}()
-	select {
-	case addr, ok := <-addrCh:
-		if !ok || addr == "" {
-			_ = cmd.Process.Kill()
-			return nil, "", fmt.Errorf("process exited before announcing its port")
-		}
-		return cmd, addr, nil
-	case <-time.After(30 * time.Second):
-		_ = cmd.Process.Kill()
-		return nil, "", fmt.Errorf("timed out waiting for the listen announcement")
 	}
+	fmt.Println("proxy and surviving shards drained and exited cleanly")
 }
 
 // postStatus posts a detect body and returns the status code plus the
@@ -667,17 +622,6 @@ func postStatus(url string, body []byte, extra http.Header) (int, string) {
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode, resp.Header.Get("X-Dronet-Shard")
-}
-
-// drainNamed SIGTERMs one spawned process and waits for a clean exit.
-func drainNamed(cmd *exec.Cmd, name string) {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		log.Fatal(err)
-	}
-	if err := cmd.Wait(); err != nil {
-		log.Fatalf("%s exit: %v", name, err)
-	}
-	fmt.Printf("%s drained and exited cleanly\n", name)
 }
 
 // adminJSON issues one admin request with an optional JSON body, decodes
@@ -713,82 +657,12 @@ func marshalFrame(img *imgproc.Image, altitude float64) []byte {
 	return body
 }
 
-// spawn boots the server binary on a random loopback port — single-model
-// at the given precision, or a routed registry when modelsSpec is set —
-// and returns the process plus the base URL parsed from its "listening on"
-// line.
-func spawn(bin string, size int, precision, modelsSpec string) (*exec.Cmd, string, error) {
-	cmd, dataURL, _, err := spawnAddrs(bin, size, precision, modelsSpec, false)
-	return cmd, dataURL, err
-}
-
-// spawnAdmin boots the server with its admin listener bound on a second
-// random loopback port, returning both base URLs.
-func spawnAdmin(bin string, size int, precision, modelsSpec string) (*exec.Cmd, string, string, error) {
-	return spawnAddrs(bin, size, precision, modelsSpec, true)
-}
-
-func spawnAddrs(bin string, size int, precision, modelsSpec string, admin bool) (*exec.Cmd, string, string, error) {
-	args := []string{
-		"-addr", "127.0.0.1:0",
-		"-size", fmt.Sprint(size),
-		"-scale", "0.25",
-		"-workers", "2",
-		"-max-batch", "4",
-		"-precision", precision,
-	}
-	if modelsSpec != "" {
-		args = append(args, "-models", modelsSpec)
-	}
-	if admin {
-		args = append(args, "-admin", "127.0.0.1:0")
-	}
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, "", "", err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, "", "", err
-	}
-	sc := bufio.NewScanner(stdout)
-	deadline := time.After(30 * time.Second)
-	lineCh := make(chan [2]string, 1)
-	go func() {
-		// The server announces the data listener first, then (when bound)
-		// the admin listener on the next line.
-		var dataAddr, adminAddr string
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "listening on "):
-				dataAddr = strings.TrimPrefix(line, "listening on ")
-			case strings.HasPrefix(line, "admin listening on "):
-				adminAddr = strings.TrimPrefix(line, "admin listening on ")
-			}
-			if dataAddr != "" && (!admin || adminAddr != "") {
-				lineCh <- [2]string{dataAddr, adminAddr}
-				break
-			}
-		}
-		close(lineCh)
-	}()
-	select {
-	case addrs, ok := <-lineCh:
-		if !ok || addrs[0] == "" {
-			_ = cmd.Process.Kill()
-			return nil, "", "", fmt.Errorf("server exited before announcing its port")
-		}
-		adminURL := ""
-		if addrs[1] != "" {
-			adminURL = "http://" + addrs[1]
-		}
-		return cmd, "http://" + addrs[0], adminURL, nil
-	case <-deadline:
-		_ = cmd.Process.Kill()
-		return nil, "", "", fmt.Errorf("timed out waiting for the server to listen")
-	}
+// serverArgs is a spawned dronet-serve's command line: a free loopback port
+// and a quarter-scale model at size and precision, or the registry
+// modelsSpec when it is set, on two workers batching up to four images.
+func serverArgs(size int, precision, modelsSpec string) []string {
+	return []string{"-addr", "127.0.0.1:0", "-size", fmt.Sprint(size), "-scale", "0.25",
+		"-workers", "2", "-max-batch", "4", "-precision", precision, "-models", modelsSpec}
 }
 
 func postJSON(url string, img *imgproc.Image, altitude float64) serve.DetectResponse {

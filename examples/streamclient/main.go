@@ -13,7 +13,8 @@
 // re-home the session to the survivor and inject the resumed:true marker,
 // after which the replacement session's tracker starts fresh at frame 1.
 // A short -spawn leg also boots the proxy in self-spawning mode to prove
-// the -shard-session-* pass-through flags reach the child servers.
+// the shard flags it forwards by name (here -max-batch) reach the child
+// servers.
 //
 // Usage:
 //
@@ -22,25 +23,25 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"os"
-	"os/exec"
-	"strings"
+	"net/http"
 	"syscall"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/imgproc"
 	"repro/internal/pipeline"
 	"repro/internal/serve"
 	"repro/internal/ws"
 )
+
+// drainTimeout bounds how long a SIGTERMed process may take to exit.
+const drainTimeout = 30 * time.Second
 
 func main() {
 	log.SetFlags(0)
@@ -68,13 +69,14 @@ func main() {
 // directWalk exercises one server's whole session lifecycle: stream,
 // session cap, bad-frame in-band error, idle eviction, SIGTERM drain.
 func directWalk(serverBin string, size, frames int) {
-	cmd, addr, err := spawnWithArgs(serverBin, []string{
+	server, err := cluster.Spawn(serverBin, []string{
 		"-addr", "127.0.0.1:0", "-size", fmt.Sprint(size), "-scale", "0.25", "-workers", "2",
 		"-max-sessions", "2", "-session-idle", "700ms", "-session-inflight", "4",
-	})
+	}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
+	addr := server.Addr
 	fmt.Printf("server up on %s (max-sessions 2, session-idle 700ms)\n", addr)
 
 	imgs := renderFrames(size, frames, 42)
@@ -146,7 +148,7 @@ func directWalk(serverBin string, size, frames int) {
 	if msg := readMsg(connD); msg.Type != serve.MsgResult {
 		log.Fatalf("drain session frame: %+v, want a result", msg)
 	}
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := server.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		log.Fatal(err)
 	}
 	if msg := readMsg(connD); msg.Type != serve.MsgBye || msg.Reason != serve.ByeReasonDrain {
@@ -155,7 +157,7 @@ func directWalk(serverBin string, size, frames int) {
 	if _, err := connD.ReadMessage(); !errors.Is(err, ws.ErrPeerClosed) {
 		log.Fatalf("after drain bye: %v, want the server's close frame", err)
 	}
-	if err := cmd.Wait(); err != nil {
+	if err := server.Cmd.Wait(); err != nil {
 		log.Fatalf("server exit: %v", err)
 	}
 	fmt.Println("SIGTERM drain: bye \"drain\" to the live session, server exited cleanly")
@@ -164,32 +166,32 @@ func directWalk(serverBin string, size, frames int) {
 
 // shardedWalk exercises the relayed tier: session affinity on the camera
 // ring, transparent failover with the resumed marker when the owner shard
-// drains, and the -spawn pass-through of the shard streaming flags.
+// drains, and the shard flags -spawn forwards.
 func shardedWalk(serverBin, proxyBin string, size, frames int) {
 	type shard struct {
-		id   string
-		cmd  *exec.Cmd
-		addr string
+		id string
+		*cluster.Process
 	}
 	shards := []shard{{id: "shard-a"}, {id: "shard-b"}}
 	for i := range shards {
-		cmd, addr, err := spawnWithArgs(serverBin, []string{
+		p, err := cluster.Spawn(serverBin, []string{
 			"-addr", "127.0.0.1:0", "-size", fmt.Sprint(size), "-scale", "0.25", "-workers", "2",
 			"-shard-id", shards[i].id, "-max-sessions", "8", "-session-inflight", "4",
-		})
+		}, false)
 		if err != nil {
 			log.Fatal(err)
 		}
-		shards[i].cmd, shards[i].addr = cmd, addr
-		fmt.Printf("%s up on %s\n", shards[i].id, addr)
+		shards[i].Process = p
+		fmt.Printf("%s up on %s\n", shards[i].id, p.Addr)
 	}
-	proxyCmd, proxyAddr, err := spawnWithArgs(proxyBin, []string{
-		"-addr", "127.0.0.1:0", "-shards", shards[0].addr + "," + shards[1].addr,
+	proxy, err := cluster.Spawn(proxyBin, []string{
+		"-addr", "127.0.0.1:0", "-shards", shards[0].Addr + "," + shards[1].Addr,
 		"-health-interval", "100ms", "-max-streams", "8",
-	})
+	}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
+	proxyAddr := proxy.Addr
 	fmt.Printf("proxy up on %s fronting both shards\n", proxyAddr)
 	// Give the health loop a beat to learn the shards' identity labels.
 	time.Sleep(400 * time.Millisecond)
@@ -233,7 +235,7 @@ func shardedWalk(serverBin, proxyBin string, size, frames int) {
 			survivor = &shards[i]
 		}
 	}
-	if err := ownerProc.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := ownerProc.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		log.Fatal(err)
 	}
 	resumed := readMsg(conn)
@@ -253,36 +255,55 @@ func shardedWalk(serverBin, proxyBin string, size, frames int) {
 	}
 	fmt.Println("post-resume result came from a fresh per-session tracker (frame 1, track ids restart)")
 	closeSession(conn)
-	if err := ownerProc.cmd.Wait(); err != nil {
+	if err := ownerProc.Cmd.Wait(); err != nil {
 		log.Fatalf("%s exit: %v", ownerProc.id, err)
 	}
 
-	drainNamed(proxyCmd, "proxy")
-	drainNamed(survivor.cmd, survivor.id)
+	if err := proxy.Drain(drainTimeout); err != nil {
+		log.Fatalf("proxy exit: %v", err)
+	}
+	if err := survivor.Drain(drainTimeout); err != nil {
+		log.Fatalf("%s exit: %v", survivor.id, err)
+	}
+	fmt.Printf("proxy and %s drained and exited cleanly\n", survivor.id)
 
-	// Spawn-mode sanity: the proxy boots its own shard children and the
-	// -shard-session-* flags must reach them (a session opens and answers).
-	spawnCmd, spawnAddr, err := spawnWithArgs(proxyBin, []string{
+	// Spawn-mode sanity: the proxy boots its own shard children, which must
+	// get the -max-batch it was given (a session opens and answers, and
+	// every shard's metrics report the batch bound).
+	spawned, err := cluster.Spawn(proxyBin, []string{
 		"-addr", "127.0.0.1:0", "-spawn", "2", "-serve-bin", serverBin,
-		"-size", fmt.Sprint(size), "-scale", "0.25", "-workers", "2",
-		"-shard-max-sessions", "4", "-shard-session-idle", "30s", "-shard-session-inflight", "2",
-	})
+		"-size", fmt.Sprint(size), "-scale", "0.25", "-workers", "2", "-max-batch", "2",
+	}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("spawn-mode proxy up on %s\n", spawnAddr)
-	sconn := dialStream(spawnAddr, "?camera=spawn-cam")
-	sh := readMsg(sconn)
-	if sh.Type != serve.MsgHello || sh.MaxInflight != 2 {
-		log.Fatalf("spawn-mode hello %+v, want max_inflight 2 passed through to the child shard", sh)
+	fmt.Printf("spawn-mode proxy up on %s\n", spawned.Addr)
+	sconn := dialStream(spawned.Addr, "?camera=spawn-cam")
+	if sh := readMsg(sconn); sh.Type != serve.MsgHello {
+		log.Fatalf("spawn-mode first message %+v, want hello", sh)
 	}
 	sendFrame(sconn, 1, imgs[0])
 	if msg := readMsg(sconn); msg.Type != serve.MsgResult {
 		log.Fatalf("spawn-mode frame: %+v, want a result", msg)
 	}
-	fmt.Println("spawn-mode shards inherited the streaming flags (max_inflight 2 on hello)")
 	closeSession(sconn)
-	drainNamed(spawnCmd, "spawn-mode proxy")
+	fleet := fleetMetrics(spawned.Addr)
+	if len(fleet.Shards) != 2 {
+		log.Fatalf("spawn-mode fleet metrics list %d shards, want 2", len(fleet.Shards))
+	}
+	for addr, sm := range fleet.Shards {
+		if sm.Metrics == nil {
+			log.Fatalf("spawn-mode shard %s: no metrics block", addr)
+		}
+		if sm.Metrics.MaxBatch != 2 {
+			log.Fatalf("spawn-mode shard %s: max_batch %d, want the 2 the proxy was given", addr, sm.Metrics.MaxBatch)
+		}
+	}
+	fmt.Println("spawn-mode shards got the forwarded -max-batch (max_batch 2 on every shard's metrics)")
+	if err := spawned.Drain(drainTimeout); err != nil {
+		log.Fatalf("spawn-mode proxy exit: %v", err)
+	}
+	fmt.Println("spawn-mode proxy drained and exited cleanly")
 	fmt.Println("stream smoke (sharded) passed")
 }
 
@@ -350,52 +371,19 @@ func closeSession(conn *ws.Conn) {
 	}
 }
 
-// spawnWithArgs boots a binary that announces "listening on HOST:PORT" on
-// stdout and returns the process plus the parsed address.
-func spawnWithArgs(bin string, args []string) (*exec.Cmd, string, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
+// fleetMetrics fetches a proxy's fleet /metrics document.
+func fleetMetrics(addr string) cluster.FleetReport {
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
-		return nil, "", err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, "", err
-	}
-	addrCh := make(chan string, 1)
-	go func(stdout io.ReadCloser) {
-		sc := bufio.NewScanner(stdout)
-		announced := false
-		for sc.Scan() {
-			if line := sc.Text(); !announced && strings.HasPrefix(line, "listening on ") {
-				addrCh <- strings.TrimPrefix(line, "listening on ")
-				announced = true
-			}
-		}
-		if !announced {
-			close(addrCh)
-		}
-	}(stdout)
-	select {
-	case addr, ok := <-addrCh:
-		if !ok || addr == "" {
-			_ = cmd.Process.Kill()
-			return nil, "", fmt.Errorf("process exited before announcing its port")
-		}
-		return cmd, addr, nil
-	case <-time.After(30 * time.Second):
-		_ = cmd.Process.Kill()
-		return nil, "", fmt.Errorf("timed out waiting for the listen announcement")
-	}
-}
-
-// drainNamed SIGTERMs one spawned process and waits for a clean exit.
-func drainNamed(cmd *exec.Cmd, name string) {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		log.Fatal(err)
 	}
-	if err := cmd.Wait(); err != nil {
-		log.Fatalf("%s exit: %v", name, err)
+	defer resp.Body.Close()
+	var rep cluster.FleetReport
+	if resp.StatusCode != http.StatusOK {
+		log.Fatalf("GET %s/metrics: %s", addr, resp.Status)
 	}
-	fmt.Printf("%s drained and exited cleanly\n", name)
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		log.Fatalf("GET %s/metrics: bad JSON: %v", addr, err)
+	}
+	return rep
 }

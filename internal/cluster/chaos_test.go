@@ -1,17 +1,14 @@
 package cluster_test
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,15 +21,26 @@ import (
 	"repro/internal/tensor"
 )
 
-// shardHelperEnv marks a re-exec of this test binary as a shard process:
-// the chaos test needs real OS processes it can kill -9 mid-request, which
-// no in-process fixture can emulate.
-const shardHelperEnv = "DRONET_CLUSTER_SHARD_HELPER"
+// shardHelperArg, followed by a shard id, marks a re-exec of this test
+// binary as a shard process: the chaos test needs real OS processes it can
+// kill -9 mid-request, which no in-process fixture can emulate.
+// spawnHelperArg, followed by a mode, marks one of the children the Spawn
+// tests drive.
+const (
+	shardHelperArg = "cluster-shard-helper"
+	spawnHelperArg = "cluster-spawn-helper"
+)
 
 func TestMain(m *testing.M) {
-	if id := os.Getenv(shardHelperEnv); id != "" {
-		runShardHelper(id)
-		return
+	if len(os.Args) >= 3 {
+		switch os.Args[1] {
+		case shardHelperArg:
+			runShardHelper(os.Args[2])
+			return
+		case spawnHelperArg:
+			runSpawnHelper(os.Args[2], os.Args[3:])
+			return
+		}
 	}
 	os.Exit(m.Run())
 }
@@ -75,49 +83,23 @@ func runShardHelper(id string) {
 	}
 }
 
-// spawnShardProc re-execs the test binary as one shard process and returns
-// its address. Cleanup kills whatever is still running.
-func spawnShardProc(t *testing.T, id string) (string, *exec.Cmd) {
+// spawnShardProc re-execs the test binary as one shard process. Cleanup
+// kills whatever is still running.
+func spawnShardProc(t *testing.T, id string) *cluster.Process {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), shardHelperEnv+"="+id)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
+	p, err := cluster.Spawn(exe, []string{shardHelperArg, id}, false)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("shard %s: %v", id, err)
 	}
 	t.Cleanup(func() {
-		_ = cmd.Process.Kill()
-		_, _ = cmd.Process.Wait()
+		_ = p.Cmd.Process.Kill()
+		_ = p.Cmd.Wait()
 	})
-	sc := bufio.NewScanner(stdout)
-	addrCh := make(chan string, 1)
-	go func() {
-		for sc.Scan() {
-			if line := sc.Text(); strings.HasPrefix(line, "listening on ") {
-				addrCh <- strings.TrimPrefix(line, "listening on ")
-				return
-			}
-		}
-		close(addrCh)
-	}()
-	select {
-	case addr, ok := <-addrCh:
-		if !ok || addr == "" {
-			t.Fatalf("shard %s exited before announcing its port", id)
-		}
-		return addr, cmd
-	case <-time.After(30 * time.Second):
-		t.Fatalf("shard %s never announced its port", id)
-	}
-	return "", nil
+	return p
 }
 
 // TestChaosKillShardMidTraffic is the sharded tier's headline failure
@@ -134,9 +116,10 @@ func TestChaosKillShardMidTraffic(t *testing.T) {
 	}
 	const shards = 3
 	addrs := make([]string, shards)
-	cmds := make([]*exec.Cmd, shards)
+	procs := make([]*cluster.Process, shards)
 	for i := range addrs {
-		addrs[i], cmds[i] = spawnShardProc(t, fmt.Sprintf("chaos%d", i))
+		procs[i] = spawnShardProc(t, fmt.Sprintf("chaos%d", i))
+		addrs[i] = procs[i].Addr
 	}
 	p, err := cluster.NewProxy(cluster.ProxyConfig{
 		Shards:         addrs,
@@ -223,7 +206,7 @@ func TestChaosKillShardMidTraffic(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	if err := cmds[victimIdx].Process.Kill(); err != nil {
+	if err := procs[victimIdx].Cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	// Keep the traffic going until the proxy has ejected the victim.

@@ -54,7 +54,8 @@
 // shards a request visited.
 //
 // cmd/dronet-proxy wires the pieces into a binary (static -shards list or
-// -spawn K local shard processes for bench/smoke); examples/serveclient
+// -spawn K local shard processes for bench/smoke, started by Spawn, the one
+// parser of the "listening on" handshake); examples/serveclient
 // -sharded and `make shard-smoke` exercise the whole tier end to end, and
 // `make chaos` drives the breaker lifecycle and deadline plumbing against
 // injected faults (internal/faults) under the race detector.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -91,16 +90,4 @@ func (p *Proxy) probe(s *shardState) {
 	}
 	s.setLabel(h.ShardID)
 	s.br.RecordProbe(true)
-}
-
-// writeJSON / writeError mirror internal/serve's uniform response shape so
-// proxy-originated errors are indistinguishable in form from shard ones.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

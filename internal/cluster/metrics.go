@@ -134,5 +134,5 @@ func (p *Proxy) scrape(s *shardState) *serve.MetricsReport {
 
 // handleMetrics serves GET /metrics: the fleet report assembled on demand.
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, p.FleetReport())
+	serve.WriteJSON(w, http.StatusOK, p.FleetReport())
 }

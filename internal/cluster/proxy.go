@@ -27,9 +27,6 @@ const maxForwardBytes = 64 << 20
 type ProxyConfig struct {
 	// Shards is the fleet: one host:port per dronet-serve process.
 	Shards []string
-	// VNodes is the consistent-hash ring's virtual-node count per shard
-	// (DefaultVNodes when < 1).
-	VNodes int
 	// MaxInflight bounds concurrently-forwarded requests per shard
 	// (default 32): the proxy-side backpressure layer composing with each
 	// shard's own admission queue.
@@ -64,7 +61,8 @@ type ProxyConfig struct {
 	RetryBudget float64
 	// RetryRefill is the fraction of a token returned to the bucket per
 	// successfully relayed response (default 0.1: one free retry per ten
-	// successes).
+	// successes). A negative value refills nothing, so the budget is spent
+	// for good.
 	RetryRefill float64
 	// MaxStreamSessions bounds concurrently relayed /stream sessions
 	// across the whole proxy (default 256). An open over the bound is a
@@ -101,7 +99,7 @@ func (c *ProxyConfig) withDefaults() {
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 10
 	}
-	if c.RetryRefill < 0 {
+	if c.RetryRefill == 0 {
 		c.RetryRefill = 0.1
 	}
 	if c.MaxStreamSessions < 1 {
@@ -161,7 +159,7 @@ func NewProxy(cfg ProxyConfig) (*Proxy, error) {
 	}
 	p := &Proxy{
 		cfg:    cfg,
-		ring:   NewRing(cfg.VNodes),
+		ring:   NewRing(DefaultVNodes),
 		shards: make(map[string]*shardState, len(cfg.Shards)),
 		client: cfg.Client,
 		retry:  serve.NewRetryBudget(cfg.RetryBudget, cfg.RetryRefill),
@@ -324,7 +322,7 @@ func refuse(w http.ResponseWriter, status int, msg string) {
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", retryAfterBackpressure)
 	}
-	writeError(w, status, "%s", msg)
+	serve.WriteError(w, status, "%s", msg)
 }
 
 // maxPooledForward caps the body buffers forwardPool keeps, as serve's
@@ -449,12 +447,12 @@ func (a *attemptBody) Close() error {
 func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 	p.received.Add(1)
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	budget, err := serve.ParseDeadline(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var deadline time.Time
@@ -467,7 +465,7 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := readForwardBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	defer body.release()
@@ -477,7 +475,7 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 			stamp(n)
 			w.Header().Set("Retry-After", retryAfterBackpressure)
 			w.Header().Set("X-Dronet-Shard", s.label())
-			writeError(w, http.StatusTooManyRequests, "shard %s at forwarding capacity", s.label())
+			serve.WriteError(w, http.StatusTooManyRequests, "shard %s at forwarding capacity", s.label())
 			return true
 		}
 		resp, err := p.forward(ctx, r, s, body, deadline)
@@ -489,7 +487,7 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 				// is no time left to spend on one).
 				p.deadlineExceeded.Add(1)
 				stamp(n)
-				writeError(w, http.StatusGatewayTimeout, "deadline exceeded forwarding to %s after %d attempts", s.label(), n)
+				serve.WriteError(w, http.StatusGatewayTimeout, "deadline exceeded forwarding to %s after %d attempts", s.label(), n)
 				return true
 			}
 			// Transport-level failure: the shard never produced an HTTP
@@ -628,7 +626,7 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"errors_total":            s.errors.Load(),
 		}
 	}
-	writeJSON(w, code, map[string]any{
+	serve.WriteJSON(w, code, map[string]any{
 		"status":              status,
 		"role":                "proxy",
 		"ring_members":        p.ring.Members(),

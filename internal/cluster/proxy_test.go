@@ -408,8 +408,11 @@ func TestProxyNoLiveShard503(t *testing.T) {
 		runtime.Gosched()
 	}
 	code, _, raw := postVia(t, ts.URL, "/detect?camera=c", []byte("{}"), nil)
-	if code != http.StatusServiceUnavailable || !bytes.Contains(raw, []byte("no live shard (fleet 2, live 0)")) {
-		t.Fatalf("fleet-down POST: status %d, body %s; want 503 no live shard (fleet 2, live 0)", code, raw)
+	var body struct {
+		Error string `json:"error"`
+	}
+	if code != http.StatusServiceUnavailable || json.Unmarshal(raw, &body) != nil || body.Error != "no live shard (fleet 2, live 0)" {
+		t.Fatalf("fleet-down POST: status %d, body %s; want 503 {\"error\": \"no live shard (fleet 2, live 0)\"}", code, raw)
 	}
 }
 

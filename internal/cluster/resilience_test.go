@@ -185,7 +185,7 @@ func TestChaosRetryBudgetExhaustion(t *testing.T) {
 		FailThreshold:     1000, // probes are healthy; keep the streak trigger out of play
 		BreakerMinSamples: 1000, // error-rate trigger unreachable (window caps below it)
 		RetryBudget:       2,
-		RetryRefill:       0,
+		RetryRefill:       -1, // no refill: the budget is spent for good
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,17 +30,17 @@ const streamDialTimeout = 5 * time.Second
 func (p *Proxy) handleStream(w http.ResponseWriter, r *http.Request) {
 	p.streamsTotal.Add(1)
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET (websocket upgrade) required")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "GET (websocket upgrade) required")
 		return
 	}
 	if !ws.IsUpgrade(r) {
-		writeError(w, http.StatusUpgradeRequired, "/stream requires a websocket upgrade")
+		serve.WriteError(w, http.StatusUpgradeRequired, "/stream requires a websocket upgrade")
 		return
 	}
 	if n := p.streamSessions.Add(1); n > int64(p.cfg.MaxStreamSessions) {
 		p.streamSessions.Add(-1)
 		w.Header().Set("Retry-After", retryAfterBackpressure)
-		writeError(w, http.StatusServiceUnavailable, "proxy stream limit reached (%d open)", p.cfg.MaxStreamSessions)
+		serve.WriteError(w, http.StatusServiceUnavailable, "proxy stream limit reached (%d open)", p.cfg.MaxStreamSessions)
 		return
 	}
 	defer p.streamSessions.Add(-1)
@@ -68,7 +68,7 @@ func (p *Proxy) handleStream(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Retry-After", he.RetryAfter)
 			}
 			w.Header().Set("X-Dronet-Shard", s.label())
-			writeError(w, he.StatusCode, "shard %s refused the session: %s", s.label(), strings.TrimSpace(string(he.Body)))
+			serve.WriteError(w, he.StatusCode, "shard %s refused the session: %s", s.label(), strings.TrimSpace(string(he.Body)))
 			return true
 		}
 		if err != nil {
@@ -91,7 +91,7 @@ func (p *Proxy) handleStream(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		_ = rl.shard.WriteClose(1001, "client upgrade failed")
 		_ = rl.shard.Close()
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rl.client = client

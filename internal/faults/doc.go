@@ -8,9 +8,8 @@
 // admission queue ("serve.queue", keyed by model), the batcher
 // ("serve.batch", keyed by model) and the engine's batch executor
 // ("engine.execute"). Tests declare WHAT happens there by arming a spec —
-// via Arm, the -faults flag on cmd/dronet-serve and cmd/dronet-proxy, or
-// the DRONET_FAULTS environment variable (inherited by spawned shard
-// processes):
+// via Arm, or for cmd/dronet-serve and cmd/dronet-proxy the DRONET_FAULTS
+// environment variable (inherited by spawned shard processes):
 //
 //	site[#key]=kind[:arg][,site[#key]=kind[:arg]...]
 //

@@ -95,7 +95,7 @@ func (s *Server) handleAdminList(w http.ResponseWriter, r *http.Request) {
 			Default:     h == t.def,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"models": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"models": out})
 }
 
 // decodeSpec reads and parses the single-spec request body shared by add
@@ -156,40 +156,40 @@ func lifecycleStatus(err error) int {
 func (s *Server) handleAdminAdd(w http.ResponseWriter, r *http.Request) {
 	spec, err := decodeSpec(r, "")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	entry, code, err := s.build(spec)
 	if err != nil {
-		writeError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
 	gen, err := s.AddModel(entry)
 	if err != nil {
-		writeError(w, lifecycleStatus(err), "%v", err)
+		WriteError(w, lifecycleStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, adminChangeJSON{Name: entry.Name, Generation: gen})
+	WriteJSON(w, http.StatusCreated, adminChangeJSON{Name: entry.Name, Generation: gen})
 }
 
 func (s *Server) handleAdminSwap(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	spec, err := decodeSpec(r, name)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	entry, code, err := s.build(spec)
 	if err != nil {
-		writeError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
 	oldGen, newGen, err := s.SwapModel(entry)
 	if err != nil {
-		writeError(w, lifecycleStatus(err), "%v", err)
+		WriteError(w, lifecycleStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, adminChangeJSON{Name: name, Generation: newGen, OldGeneration: oldGen})
+	WriteJSON(w, http.StatusOK, adminChangeJSON{Name: name, Generation: newGen, OldGeneration: oldGen})
 }
 
 func (s *Server) handleAdminRemove(w http.ResponseWriter, r *http.Request) {
@@ -200,8 +200,8 @@ func (s *Server) handleAdminRemove(w http.ResponseWriter, r *http.Request) {
 		oldGen = h.gen
 	}
 	if err := s.RemoveModel(name); err != nil {
-		writeError(w, lifecycleStatus(err), "%v", err)
+		WriteError(w, lifecycleStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, adminChangeJSON{Name: name, OldGeneration: oldGen})
+	WriteJSON(w, http.StatusOK, adminChangeJSON{Name: name, OldGeneration: oldGen})
 }

@@ -38,16 +38,14 @@ const maxImageDim = 2048
 // usually listening for this code — it exists for access logs.
 const statusClientClosedRequest = 499
 
-// DetectRequest is the body of POST /detect: a planar CHW float RGB image
-// (Pixels has length 3*Width*Height, channel-major, values in [0,1] — the
-// same layout imgproc.Image uses) plus an optional UAV altitude in metres
-// for the §III.D size gate.
-type DetectRequest struct {
-	Width    int       `json:"width"`
-	Height   int       `json:"height"`
-	Pixels   []float32 `json:"pixels"`
-	Altitude float64   `json:"altitude,omitempty"`
-}
+// DetectRequest is the body of POST /detect, the same type as a stream
+// frame: a planar CHW float RGB image (Pixels has length 3*Width*Height,
+// channel-major, values in [0,1] — the same layout imgproc.Image uses) plus
+// an optional UAV altitude in metres for the §III.D size gate. /detect
+// ignores Seq and takes its deadline from the X-Dronet-Deadline header or
+// ?deadline_ms=, never from DeadlineMs; both are omitted from a marshalled
+// body when zero.
+type DetectRequest = StreamFrame
 
 // DetectionJSON is one detection on the wire: a center-format box in
 // normalized image coordinates.
@@ -85,14 +83,18 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v encoded as a JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
+// WriteError answers with status and the uniform error body
+// {"error": message}, the one shape every error of the serving tier and
+// the proxy in front of it takes.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
 // tryAcquire reserves an in-flight slot for one decoded request image — an
@@ -119,7 +121,7 @@ func (s *Server) acquire(w http.ResponseWriter) bool {
 		s.fleet.admit()
 		s.fleet.reject()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, msgInflightFull)
+		WriteError(w, http.StatusTooManyRequests, msgInflightFull)
 		return false
 	}
 	return true
@@ -176,7 +178,7 @@ func stampDeadline(budget time.Duration) time.Time {
 func budgetOf(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 	budget, err := ParseDeadline(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 	return budget, err == nil
 }
@@ -191,7 +193,7 @@ func altitudeOf(w http.ResponseWriter, r *http.Request) (float64, bool) {
 	}
 	v, err := strconv.ParseFloat(q, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad altitude %q: %v", q, err)
+		WriteError(w, http.StatusBadRequest, "bad altitude %q: %v", q, err)
 	}
 	return v, err == nil
 }
@@ -273,7 +275,7 @@ func (s *Server) checkExplicit(w http.ResponseWriter, r *http.Request) (string, 
 		return "", true
 	}
 	if _, code, err := s.resolve(routeSel{explicit: name}); err != nil {
-		writeError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return "", false
 	}
 	return name, true
@@ -282,7 +284,7 @@ func (s *Server) checkExplicit(w http.ResponseWriter, r *http.Request) (string, 
 // handleDetectJSON serves POST /detect.
 func (s *Server) handleDetectJSON(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	name, ok := s.checkExplicit(w, r)
@@ -300,13 +302,13 @@ func (s *Server) handleDetectJSON(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	req, err := readFrame(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	// A deadline_ms in the body is a stream-frame field: /detect takes its
 	// budget from the header or query, as stamped above.
 	if err := checkFrame(req.Width, req.Height, len(req.Pixels), 0); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// req.Pixels is a private, just-decoded slice of exactly 3*W*H floats in
@@ -350,7 +352,7 @@ func readFrame(w http.ResponseWriter, r *http.Request) (StreamFrame, error) {
 // with the altitude (metres) in the ?altitude query parameter.
 func (s *Server) handleDetectRaw(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if !s.acquire(w) {
@@ -372,12 +374,12 @@ func (s *Server) handleDetectRaw(w http.ResponseWriter, r *http.Request) {
 	deadline := stampDeadline(budget)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	img, err := decodeRaw(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.respond(w, r.Context(), routeSel{explicit: name, altitude: altitude}, img, deadline)
@@ -410,10 +412,10 @@ func (s *Server) respond(w http.ResponseWriter, ctx context.Context, sel routeSe
 		if out.retryAfter {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, out.status, "%s", out.msg)
+		WriteError(w, out.status, "%s", out.msg)
 		return
 	}
-	writeJSON(w, http.StatusOK, DetectResponse{
+	WriteJSON(w, http.StatusOK, DetectResponse{
 		Detections: toJSON(out.resp.dets),
 		Model:      out.pool.name,
 		Generation: out.pool.gen,
@@ -468,7 +470,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	shardID, addr := s.Identity()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":          "ok",
 		"shard_id":        shardID,
 		"addr":            addr,
@@ -487,5 +489,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves GET /metrics: the fleet-aggregate Stats flattened at
 // the top level plus per-model snapshots under "models".
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Report())
+	WriteJSON(w, http.StatusOK, s.Report())
 }

@@ -22,10 +22,10 @@ const (
 	MsgResumed = "resumed" // proxy-injected: session re-homed after failover
 )
 
-// StreamFrame is one client→server frame on a streaming session: the same
-// planar CHW float layout as DetectRequest, plus a client sequence number
-// echoed on the answer and an optional per-frame deadline budget that
-// overrides the session default.
+// StreamFrame is one client→server frame on a streaming session, and the
+// body of POST /detect (DetectRequest): a planar CHW float image with an
+// optional altitude, plus a client sequence number echoed on the answer and
+// an optional per-frame deadline budget that overrides the session default.
 type StreamFrame struct {
 	Seq        int       `json:"seq,omitempty"`
 	Width      int       `json:"width"`
@@ -143,11 +143,11 @@ func cameraLabel(r *http.Request) string {
 // in-flight bound only downward).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET (websocket upgrade) required")
+		WriteError(w, http.StatusMethodNotAllowed, "GET (websocket upgrade) required")
 		return
 	}
 	if !ws.IsUpgrade(r) {
-		writeError(w, http.StatusUpgradeRequired, "/stream requires a websocket upgrade")
+		WriteError(w, http.StatusUpgradeRequired, "/stream requires a websocket upgrade")
 		return
 	}
 	name, ok := s.checkExplicit(w, r)
@@ -166,7 +166,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	policy := cfg.Policy
 	if q := r.URL.Query().Get("policy"); q != "" {
 		if q != PolicyReject && q != PolicyDrop {
-			writeError(w, http.StatusBadRequest, "bad policy %q: want %q or %q", q, PolicyReject, PolicyDrop)
+			WriteError(w, http.StatusBadRequest, "bad policy %q: want %q or %q", q, PolicyReject, PolicyDrop)
 			return
 		}
 		policy = q
@@ -175,7 +175,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("inflight"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 {
-			writeError(w, http.StatusBadRequest, "bad inflight %q: want a positive integer", q)
+			WriteError(w, http.StatusBadRequest, "bad inflight %q: want a positive integer", q)
 			return
 		}
 		if v < inflight {
@@ -204,7 +204,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if refusal := s.streams.open(sess); refusal != "" {
 		cancel()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%s", refusal)
+		WriteError(w, http.StatusServiceUnavailable, "%s", refusal)
 		return
 	}
 	conn, err := ws.Accept(w, r)
@@ -212,7 +212,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// Accept fails before hijacking, so the HTTP answer still works.
 		s.streams.unregister(sess)
 		cancel()
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	sess.start(conn)

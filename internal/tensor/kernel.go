@@ -19,10 +19,10 @@ import (
 // (6×16) kernels, registered when the CPU supports AVX2+FMA with OS-enabled
 // YMM state, while the portable Go kernels are always registered last as the
 // universal fallback and cross-check oracle. The DRONET_KERNEL environment
-// variable (or SelectKernel, which the serving binaries expose as a flag)
-// pins a specific family so both dispatch paths stay testable on any box: CI
-// runs the full suite under -tags purego, and the cross-family tests and
-// fuzz harness iterate every registered family.
+// variable (or SelectKernel, in tests) pins a specific family so both
+// dispatch paths stay testable on any box: CI runs the full suite under
+// -tags purego, and the cross-family tests and fuzz harness iterate every
+// registered family.
 //
 // Switching families changes fp32 results only by reassociation (wider
 // tiles and FMA contraction); the int8 kernels all compute the identical
