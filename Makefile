@@ -20,8 +20,9 @@ ci: vet build race chaos invariants bench-smoke serve-smoke swap-smoke shard-smo
 ## conv shapes and the streaming 2×2 max-pool at its five pool shapes; the
 ## imgproc leg runs the /detect/raw pixel conversion on a decoded JPEG and PNG
 ## and the bilinear resample of a 128×96 camera frame to 64² and 96²; the quant
-## leg runs the quarter-scale DroNet at 64² as fp32 and as int8 and prints
-## their per-layer µs table (-v); the detect leg runs NMS on random boxes, on
+## leg runs the quarter-scale DroNet at 64² (the routed low model) and 96²
+## (detect-ingest's model) as fp32 and as int8 and prints their per-layer µs
+## tables (-v); the detect leg runs NMS on random boxes, on
 ## DroNet's 320 region candidates and on the quarter-scale model's 20 and 45
 ## (the sets detect-ingest and routed-mixed hand it); the serve leg decodes
 ## the 96² JSON frames detect-ingest posts, through the fractions kernel, and
@@ -30,7 +31,7 @@ bench-smoke:
 	$(GO) test -run 'TestKernelDispatchInfo|TestSelectedKernel' -v -bench Gemm -benchtime 10x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'ConvForwardDroNet256|MaxPool2x2' -benchtime 10x ./internal/layers/
 	$(GO) test -run '^$$' -bench 'FromGoImage|Resize' -benchtime 10x ./internal/imgproc/
-	$(GO) test -run '^$$' -v -bench ForwardDroNet64 -benchtime 10x ./internal/quant/
+	$(GO) test -run '^$$' -v -bench ForwardDroNet -benchtime 10x ./internal/quant/
 	$(GO) test -run '^$$' -bench NMS -benchtime 10x ./internal/detect/
 	$(GO) test -run '^$$' -bench DecodeFrame -benchtime 10x ./internal/serve/
 
@@ -142,7 +143,9 @@ chaos:
 ## color.YCbCr.RGBA on all 2^24 triples), the bilinear resize ≡ its per-pixel loop bit for
 ## bit, the fused convolution ≡ im2col + GEMM + BN + bias + leaky and the int8
 ## convolution ≡ quantize + im2col + int8 GEMM + leaky, the streaming 2×2 pool ≡ the window loop and the vector
-## epilogue row ≡ its Go loop bit for bit on every kernel family, NMS (area
+## epilogue row ≡ its Go loop bit for bit on every kernel family, each family's
+## rank-1 row update ≡ its Go loop and its finishing direct kernel (live rows,
+## grouped panels) ≡ direct kernel + epilogue bit for bit, NMS (area
 ## window and merge sort) ≡ its per-pair reference element for element, the batcher's dispatch rule (a request waits
 ## only while every worker is busy), the accounting identity that proves expired
 ## work never reaches a kernel, minimal ring remap, a forwarded body's pooled
@@ -153,7 +156,7 @@ chaos:
 ## latency percentiles merge exactly (and sit within one 6.25 % bucket of
 ## the exact nearest-rank sample), and goroutine hygiene after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestMicrokernelAsmMatchesGo|TestDirectKernelMatchesPacked|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
 	    ./internal/tensor/ ./internal/imgproc/ ./internal/layers/ ./internal/detect/ ./internal/network/ ./internal/quant/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization,
@@ -212,20 +215,20 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRingOwnership -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzArm -fuzztime $(FUZZTIME) ./internal/faults
 
-## profile: CPU + heap pprof capture of the in-process serving path on its
-## conv-bound shape (BenchmarkServeThroughput/raw256: DroNet 256² over JPEG
-## /detect/raw with two workers, the detect-compute shape) into cpu.pprof
-## and heap.pprof, then a CPU capture of its ingest-bound shape
-## (BenchmarkServeThroughput/json64: 64² JSON frames over /detect, where the
-## frame decoder shows) into cpu-json.pprof, one shape a profile;
-## inspect with `go tool pprof bin/pprof/cpu.pprof` (see README "Profiling").
+## profile: CPU + heap pprof capture of the in-process serving path, one
+## shape a profile. BenchmarkServeThroughput/raw256 (DroNet 256² over JPEG
+## /detect/raw with two workers, the detect-compute shape, conv-bound) feeds
+## cpu.pprof and heap.pprof; BenchmarkServeThroughput/json96 (96² JSON
+## frames over /detect to the quarter-scale model `dronet-serve -scale 0.25
+## -size 96` builds, the detect-ingest shape) feeds cpu-json.pprof.
+## Inspect with `go tool pprof bin/pprof/cpu.pprof` (see README "Profiling").
 ## To attribute end-to-end time to layers rather than functions, reach for
 ## `bash bench/run.sh --workload <w> --trace 1` instead.
 profile:
 	mkdir -p bin/pprof
 	$(GO) test -run '^$$' -bench 'ServeThroughput/raw256' -benchtime 3s -o bin/pprof/serve.test \
 	    -cpuprofile bin/pprof/cpu.pprof -memprofile bin/pprof/heap.pprof ./internal/serve/
-	$(GO) test -run '^$$' -bench 'ServeThroughput/json64' -benchtime 3s -o bin/pprof/serve.test \
+	$(GO) test -run '^$$' -bench 'ServeThroughput/json96' -benchtime 3s -o bin/pprof/serve.test \
 	    -cpuprofile bin/pprof/cpu-json.pprof ./internal/serve/
 
 ## serve: run the detection service locally with the default knobs

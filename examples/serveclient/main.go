@@ -50,6 +50,7 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,9 +68,27 @@ import (
 // drainTimeout bounds how long a SIGTERMed process may take to exit.
 const drainTimeout = 30 * time.Second
 
+// children are the processes this program spawned. Every failure goes
+// through fatal, which stops them before exiting, so a failed walk leaves
+// no server running.
+var children cluster.Children
+
+// fatal logs v, drains (or kills) every spawned process and exits 1.
+func fatal(v ...any) {
+	log.Print(v...)
+	children.Stop(drainTimeout)
+	os.Exit(1)
+}
+
+// fatalf is fatal with a format.
+func fatalf(format string, args ...any) {
+	fatal(fmt.Sprintf(format, args...))
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serveclient: ")
+	defer children.Stop(drainTimeout) // a panic in main stops them too
 	url := flag.String("url", "", "base URL of a running dronet-serve (skips spawning)")
 	server := flag.String("server", "", "path to a dronet-serve binary to spawn on a random port")
 	size := flag.Int("size", 96, "frame size to send (and model input when spawning)")
@@ -83,7 +102,7 @@ func main() {
 
 	if *shardedFlag {
 		if *server == "" || *proxyBin == "" {
-			log.Fatal("-sharded needs -server and -proxy (it spawns the shard fleet and the proxy)")
+			fatal("-sharded needs -server and -proxy (it spawns the shard fleet and the proxy)")
 		}
 		shardedWalk(*server, *proxyBin, *size, *precision)
 		fmt.Println("OK")
@@ -92,20 +111,19 @@ func main() {
 
 	if *swapFlag {
 		if *server == "" {
-			log.Fatal("-swap needs -server (it drives the spawned server's admin listener)")
+			fatal("-swap needs -server (it drives the spawned server's admin listener)")
 		}
 		spec := *modelsFlag
 		if spec == "" {
 			spec = fmt.Sprintf("default=dronet:%d:%s", *size, *precision)
 		}
-		p, err := cluster.Spawn(*server, append(serverArgs(*size, *precision, spec), "-admin", "127.0.0.1:0"), true)
+		p, err := children.Spawn(*server, append(serverArgs(*size, *precision, spec), "-admin", "127.0.0.1:0"), true)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
-		defer func() { _ = p.Cmd.Process.Kill() }()
 		swapWalk("http://"+p.Addr, "http://"+p.AdminAddr, spec)
 		if err := p.Drain(drainTimeout); err != nil {
-			log.Fatalf("server exit: %v", err)
+			fatalf("server exit: %v", err)
 		}
 		fmt.Println("server drained and exited cleanly")
 		fmt.Println("OK")
@@ -115,23 +133,22 @@ func main() {
 	var p *cluster.Process
 	if *url == "" {
 		if *server == "" {
-			log.Fatal("need -url or -server")
+			fatal("need -url or -server")
 		}
 		var err error
-		if p, err = cluster.Spawn(*server, serverArgs(*size, *precision, *modelsFlag), false); err != nil {
-			log.Fatal(err)
+		if p, err = children.Spawn(*server, serverArgs(*size, *precision, *modelsFlag), false); err != nil {
+			fatal(err)
 		}
-		defer func() { _ = p.Cmd.Process.Kill() }()
 		*url = "http://" + p.Addr
 	}
 
 	if *modelsFlag != "" {
 		if p == nil {
-			log.Fatal("-models needs -server (it validates the spawned registry)")
+			fatal("-models needs -server (it validates the spawned registry)")
 		}
 		walkRouted(*url, *modelsFlag)
 		if err := p.Drain(drainTimeout); err != nil {
-			log.Fatalf("server exit: %v", err)
+			fatalf("server exit: %v", err)
 		}
 		fmt.Println("server drained and exited cleanly")
 		fmt.Println("OK")
@@ -159,7 +176,7 @@ func main() {
 	f, _ := pngCam.Next()
 	var buf bytes.Buffer
 	if err := png.Encode(&buf, f.Image.ToNRGBA()); err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	raw := post(*url+fmt.Sprintf("/detect/raw?altitude=%.1f", f.Altitude), "image/png", buf.Bytes())
 	fmt.Printf("raw PNG endpoint: %d detections (batch %d)\n", len(raw.Detections), raw.BatchSize)
@@ -168,23 +185,23 @@ func main() {
 	var health map[string]any
 	getJSON(*url+"/healthz", &health)
 	if health["status"] != "ok" {
-		log.Fatalf("healthz: %v", health)
+		fatalf("healthz: %v", health)
 	}
 	if p != nil && health["precision"] != *precision {
-		log.Fatalf("healthz precision = %v, want %v", health["precision"], *precision)
+		fatalf("healthz precision = %v, want %v", health["precision"], *precision)
 	}
 	var stats serve.Stats
 	getJSON(*url+"/metrics", &stats)
 	fmt.Printf("metrics: %d completed, mean batch %.2f, p50 %.2f ms, p99 %.2f ms, %.1f FPS aggregate\n",
 		stats.Completed, stats.MeanBatchSize, stats.LatencyP50Ms, stats.LatencyP99Ms, stats.AggregateFPS)
 	if stats.Completed == 0 {
-		log.Fatal("metrics report zero completed requests")
+		fatal("metrics report zero completed requests")
 	}
 
 	// 4. Graceful drain when we own the server process.
 	if p != nil {
 		if err := p.Drain(drainTimeout); err != nil {
-			log.Fatalf("server exit: %v", err)
+			fatalf("server exit: %v", err)
 		}
 		fmt.Println("server drained and exited cleanly")
 	}
@@ -198,7 +215,7 @@ func main() {
 func walkRouted(url, spec string) {
 	specs, err := serve.ParseModelSpecs(spec)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 
 	// Per-model explicit routing, alternating query and header selection.
@@ -217,7 +234,7 @@ func walkRouted(url, spec string) {
 			}
 			resp := postWithHeader(target, "application/json", marshalFrame(f.Image, 0), header)
 			if resp.Model != sp.Name {
-				log.Fatalf("request for %s served by %q", sp.Name, resp.Model)
+				fatalf("request for %s served by %q", sp.Name, resp.Model)
 			}
 			fmt.Printf("model %s frame %d: %d detections (batch %d)\n", sp.Name, j, len(resp.Detections), resp.BatchSize)
 		}
@@ -242,7 +259,7 @@ func walkRouted(url, spec string) {
 		f, _ := cam.Next()
 		resp := postWithHeader(url+"/detect", "application/json", marshalFrame(f.Image, alt), nil)
 		if resp.Model != sp.Name {
-			log.Fatalf("altitude %.0fm routed to %q, want %s", alt, resp.Model, sp.Name)
+			fatalf("altitude %.0fm routed to %q, want %s", alt, resp.Model, sp.Name)
 		}
 		fmt.Printf("altitude %.0fm routed to %s\n", alt, resp.Model)
 		floor = sp.MaxAltitude
@@ -253,11 +270,11 @@ func walkRouted(url, spec string) {
 	f, _ := cam.Next()
 	r, err := http.Post(url+"/detect?model=no-such-model", "application/json", bytes.NewReader(marshalFrame(f.Image, 0)))
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
-		log.Fatalf("unknown model: status %d, want 404", r.StatusCode)
+		fatalf("unknown model: status %d, want 404", r.StatusCode)
 	}
 	fmt.Println("unknown model rejected with 404")
 
@@ -269,23 +286,23 @@ func walkRouted(url, spec string) {
 	}
 	getJSON(url+"/healthz", &health)
 	if health.Status != "ok" || health.DefaultModel != specs[0].Name {
-		log.Fatalf("healthz: %+v", health)
+		fatalf("healthz: %+v", health)
 	}
 	var rep serve.MetricsReport
 	getJSON(url+"/metrics", &rep)
 	for _, sp := range specs {
 		h, ok := health.Models[sp.Name]
 		if !ok || h["precision"] != sp.Precision {
-			log.Fatalf("healthz models[%s] = %v, want precision %s", sp.Name, h, sp.Precision)
+			fatalf("healthz models[%s] = %v, want precision %s", sp.Name, h, sp.Precision)
 		}
 		st, ok := rep.Models[sp.Name]
 		if !ok || st.Completed == 0 {
-			log.Fatalf("metrics models[%s]: ok=%v completed=%d", sp.Name, ok, st.Completed)
+			fatalf("metrics models[%s]: ok=%v completed=%d", sp.Name, ok, st.Completed)
 		}
 		fmt.Printf("metrics %s: %d completed, %.1f FPS aggregate\n", sp.Name, st.Completed, st.AggregateFPS)
 	}
 	if rep.Completed == 0 {
-		log.Fatal("fleet metrics report zero completed requests")
+		fatal("fleet metrics report zero completed requests")
 	}
 }
 
@@ -296,7 +313,7 @@ func walkRouted(url, spec string) {
 func swapWalk(dataURL, adminURL, spec string) {
 	specs, err := serve.ParseModelSpecs(spec)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	primary := specs[0]
 	cam := pipeline.NewSimCamera(dataset.DefaultConfig(primary.Size), 1, 70)
@@ -317,7 +334,7 @@ func swapWalk(dataURL, adminURL, spec string) {
 			}
 			resp, err := http.Post(dataURL+"/detect", "application/json", bytes.NewReader(body))
 			if err != nil {
-				log.Fatalf("traffic during lifecycle churn: %v", err)
+				fatalf("traffic during lifecycle churn: %v", err)
 			}
 			resp.Body.Close()
 			switch resp.StatusCode {
@@ -326,7 +343,7 @@ func swapWalk(dataURL, adminURL, spec string) {
 			case http.StatusTooManyRequests:
 				shed.Add(1)
 			default:
-				log.Fatalf("traffic during lifecycle churn: status %d (want 200 or 429)", resp.StatusCode)
+				fatalf("traffic during lifecycle churn: status %d (want 200 or 429)", resp.StatusCode)
 			}
 		}
 	}()
@@ -338,10 +355,10 @@ func swapWalk(dataURL, adminURL, spec string) {
 		} `json:"models"`
 	}
 	if code := adminJSON(http.MethodGet, adminURL+"/admin/models", "", &list); code != http.StatusOK {
-		log.Fatalf("admin list: status %d", code)
+		fatalf("admin list: status %d", code)
 	}
 	if len(list.Models) != len(specs) {
-		log.Fatalf("admin list: %d models, spawned with %d", len(list.Models), len(specs))
+		fatalf("admin list: %d models, spawned with %d", len(list.Models), len(specs))
 	}
 	fmt.Printf("admin: %d models hosted\n", len(list.Models))
 
@@ -352,11 +369,11 @@ func swapWalk(dataURL, adminURL, spec string) {
 		Generation uint64 `json:"generation"`
 	}
 	if code := adminJSON(http.MethodPost, adminURL+"/admin/models", `{"spec": "`+hotSpec+`"}`, &added); code != http.StatusCreated {
-		log.Fatalf("hot add: status %d", code)
+		fatalf("hot add: status %d", code)
 	}
 	resp := post(dataURL+"/detect?model=hot", "application/json", body)
 	if resp.Model != "hot" || resp.Generation != added.Generation {
-		log.Fatalf("hot-added model served model=%q gen=%d, want hot gen %d", resp.Model, resp.Generation, added.Generation)
+		fatalf("hot-added model served model=%q gen=%d, want hot gen %d", resp.Model, resp.Generation, added.Generation)
 	}
 	fmt.Printf("hot add: model %s serving at generation %d\n", added.Name, added.Generation)
 
@@ -367,41 +384,41 @@ func swapWalk(dataURL, adminURL, spec string) {
 		OldGeneration uint64 `json:"old_generation"`
 	}
 	if code := adminJSON(http.MethodPut, adminURL+"/admin/models/hot", `{"spec": "`+hotSpec+`"}`, &swapped); code != http.StatusOK {
-		log.Fatalf("swap hot: status %d", code)
+		fatalf("swap hot: status %d", code)
 	}
 	if swapped.OldGeneration != added.Generation || swapped.Generation <= swapped.OldGeneration {
-		log.Fatalf("swap hot: generations %+v (added at %d)", swapped, added.Generation)
+		fatalf("swap hot: generations %+v (added at %d)", swapped, added.Generation)
 	}
 	resp = post(dataURL+"/detect?model=hot", "application/json", body)
 	if resp.Generation != swapped.Generation {
-		log.Fatalf("post-swap response generation %d, want %d", resp.Generation, swapped.Generation)
+		fatalf("post-swap response generation %d, want %d", resp.Generation, swapped.Generation)
 	}
 	fmt.Printf("swap: hot advanced generation %d -> %d\n", swapped.OldGeneration, swapped.Generation)
 
 	// Swap the primary model too — this is the pool the background traffic
 	// is riding, so it proves drain-then-retire under live load.
 	if code := adminJSON(http.MethodPut, adminURL+"/admin/models/"+primary.Name, `{"spec": "`+primary.String()+`"}`, &swapped); code != http.StatusOK {
-		log.Fatalf("swap %s: status %d", primary.Name, code)
+		fatalf("swap %s: status %d", primary.Name, code)
 	}
 	fmt.Printf("swap: %s advanced generation %d -> %d under traffic\n", primary.Name, swapped.OldGeneration, swapped.Generation)
 
 	// Retire the added model; explicit selection must 404 afterwards.
 	if code := adminJSON(http.MethodDelete, adminURL+"/admin/models/hot", "", nil); code != http.StatusOK {
-		log.Fatalf("remove hot: status %d", code)
+		fatalf("remove hot: status %d", code)
 	}
 	r, err := http.Post(dataURL+"/detect?model=hot", "application/json", bytes.NewReader(body))
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
-		log.Fatalf("removed model still routable: status %d, want 404", r.StatusCode)
+		fatalf("removed model still routable: status %d, want 404", r.StatusCode)
 	}
 
 	close(stop)
 	wg.Wait()
 	if served.Load() == 0 {
-		log.Fatal("background traffic served zero requests during the lifecycle walk")
+		fatal("background traffic served zero requests during the lifecycle walk")
 	}
 	fmt.Printf("swap smoke: %d served, %d shed, zero failures across the lifecycle\n", served.Load(), shed.Load())
 }
@@ -421,24 +438,22 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 	shards := make([]shardProc, 2)
 	for i := range shards {
 		id := fmt.Sprintf("shard%d", i)
-		p, err := cluster.Spawn(serverBin, append(serverArgs(size, precision, ""), "-shard-id", id), false)
+		p, err := children.Spawn(serverBin, append(serverArgs(size, precision, ""), "-shard-id", id), false)
 		if err != nil {
-			log.Fatalf("spawn %s: %v", id, err)
+			fatalf("spawn %s: %v", id, err)
 		}
-		defer func() { _ = p.Cmd.Process.Kill() }()
 		shards[i] = shardProc{id: id, Process: p}
 		fmt.Printf("spawned %s on %s\n", id, p.Addr)
 	}
-	proxy, err := cluster.Spawn(proxyBin, []string{
+	proxy, err := children.Spawn(proxyBin, []string{
 		"-addr", "127.0.0.1:0",
 		"-shards", shards[0].Addr + "," + shards[1].Addr,
 		"-health-interval", "50ms",
 		"-fail-threshold", "2",
 	}, false)
 	if err != nil {
-		log.Fatalf("spawn proxy: %v", err)
+		fatalf("spawn proxy: %v", err)
 	}
-	defer func() { _ = proxy.Cmd.Process.Kill() }()
 	url := "http://" + proxy.Addr
 	fmt.Printf("spawned proxy on %s\n", proxy.Addr)
 
@@ -455,24 +470,24 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 		id := fmt.Sprintf("smoke-cam-%d", i)
 		code, shard := postStatus(url+"/detect?camera="+id, body, nil)
 		if code != http.StatusOK || shard == "" {
-			log.Fatalf("camera %s: status %d, shard %q", id, code, shard)
+			fatalf("camera %s: status %d, shard %q", id, code, shard)
 		}
 		code2, shard2 := postStatus(url+"/detect", body, http.Header{"X-Camera-ID": []string{id}})
 		if code2 != http.StatusOK || shard2 != shard {
-			log.Fatalf("camera %s: header spelling landed on %q, query on %q", id, shard2, shard)
+			fatalf("camera %s: header spelling landed on %q, query on %q", id, shard2, shard)
 		}
 		owner[id] = shard
 		hit[shard]++
 	}
 	if len(hit) != 2 {
-		log.Fatalf("16 cameras all landed on one shard: %v", hit)
+		fatalf("16 cameras all landed on one shard: %v", hit)
 	}
 	fmt.Printf("camera affinity: %d cameras pinned across %d shards %v\n", cameras, len(hit), hit)
 
 	// Raw-PNG forwarding with altitude preserved through the proxy.
 	var buf bytes.Buffer
 	if err := png.Encode(&buf, f.Image.ToNRGBA()); err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	raw := post(url+"/detect/raw?altitude=42.0", "image/png", buf.Bytes())
 	fmt.Printf("raw PNG via proxy: %d detections (batch %d)\n", len(raw.Detections), raw.BatchSize)
@@ -490,7 +505,7 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 	}
 	getJSON(url+"/metrics", &fleet)
 	if fleet.LiveShards != 2 || len(fleet.Shards) != 2 {
-		log.Fatalf("fleet metrics: live=%d shards=%d, want 2/2", fleet.LiveShards, len(fleet.Shards))
+		fatalf("fleet metrics: live=%d shards=%d, want 2/2", fleet.LiveShards, len(fleet.Shards))
 	}
 	var sum uint64
 	labels := make(map[string]bool, 2)
@@ -501,10 +516,10 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 		}
 	}
 	if !labels["shard0"] || !labels["shard1"] {
-		log.Fatalf("fleet metrics missing shard identity labels: %v", labels)
+		fatalf("fleet metrics missing shard identity labels: %v", labels)
 	}
 	if fleet.Completed != sum {
-		log.Fatalf("fleet rollup completed %d != per-shard sum %d", fleet.Completed, sum)
+		fatalf("fleet rollup completed %d != per-shard sum %d", fleet.Completed, sum)
 	}
 	fmt.Printf("fleet metrics: rollup %d completed == per-shard sum, labels shard0+shard1 present\n", fleet.Completed)
 
@@ -517,7 +532,7 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 		}
 	}
 	if victimProc == nil {
-		log.Fatalf("victim shard %q not among spawned shards", victim)
+		fatalf("victim shard %q not among spawned shards", victim)
 	}
 	var served, shed, noShard atomic.Int64
 	stop := make(chan struct{})
@@ -542,21 +557,21 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 				case http.StatusServiceUnavailable:
 					noShard.Add(1)
 				default:
-					log.Fatalf("traffic during shard kill: status %d (want 200, 429 or 503)", code)
+					fatalf("traffic during shard kill: status %d (want 200, 429 or 503)", code)
 				}
 			}
 		}(c)
 	}
 	time.Sleep(100 * time.Millisecond)
 	if err := victimProc.Cmd.Process.Kill(); err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	_ = victimProc.Cmd.Wait() // reports the kill
 	time.Sleep(600 * time.Millisecond)
 	close(stop)
 	wg.Wait()
 	if served.Load() == 0 {
-		log.Fatal("no request succeeded around the shard kill")
+		fatal("no request succeeded around the shard kill")
 	}
 	fmt.Printf("killed %s under traffic: %d served, %d shed, %d no-shard, zero other statuses\n",
 		victim, served.Load(), shed.Load(), noShard.Load())
@@ -574,7 +589,7 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 			break
 		}
 		if time.Now().After(deadline) {
-			log.Fatalf("proxy never ejected the killed shard: %+v", health)
+			fatalf("proxy never ejected the killed shard: %+v", health)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
@@ -582,19 +597,19 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 		id := fmt.Sprintf("smoke-cam-%d", i)
 		code, shard := postStatus(url+"/detect?camera="+id, body, nil)
 		if code != http.StatusOK || shard == victim {
-			log.Fatalf("post-kill camera %s: status %d via %q (victim %q)", id, code, shard, victim)
+			fatalf("post-kill camera %s: status %d via %q (victim %q)", id, code, shard, victim)
 		}
 	}
 	fmt.Printf("proxy ejected %s; all %d cameras fail over to the survivor\n", victim, cameras)
 
 	// Graceful teardown: proxy first, then the surviving shard.
 	if err := proxy.Drain(drainTimeout); err != nil {
-		log.Fatalf("proxy exit: %v", err)
+		fatalf("proxy exit: %v", err)
 	}
 	for i := range shards {
 		if shards[i].id != victim {
 			if err := shards[i].Drain(drainTimeout); err != nil {
-				log.Fatalf("%s exit: %v", shards[i].id, err)
+				fatalf("%s exit: %v", shards[i].id, err)
 			}
 		}
 	}
@@ -607,7 +622,7 @@ func shardedWalk(serverBin, proxyBin string, size int, precision string) {
 func postStatus(url string, body []byte, extra http.Header) (int, string) {
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	for k, vs := range extra {
@@ -617,7 +632,7 @@ func postStatus(url string, body []byte, extra http.Header) (int, string) {
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		log.Fatalf("POST %s: %v", url, err)
+		fatalf("POST %s: %v", url, err)
 	}
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, resp.Body)
@@ -629,19 +644,19 @@ func postStatus(url string, body []byte, extra http.Header) (int, string) {
 func adminJSON(method, url, body string, out any) int {
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	if body != "" {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	defer resp.Body.Close()
 	if out != nil && resp.StatusCode < 300 {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			log.Fatalf("%s %s: bad response JSON: %v", method, url, err)
+			fatalf("%s %s: bad response JSON: %v", method, url, err)
 		}
 	}
 	return resp.StatusCode
@@ -652,7 +667,7 @@ func marshalFrame(img *imgproc.Image, altitude float64) []byte {
 		Width: img.W, Height: img.H, Pixels: img.Pix, Altitude: altitude,
 	})
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	return body
 }
@@ -670,7 +685,7 @@ func postJSON(url string, img *imgproc.Image, altitude float64) serve.DetectResp
 		Width: img.W, Height: img.H, Pixels: img.Pix, Altitude: altitude,
 	})
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	return post(url+"/detect", "application/json", body)
 }
@@ -688,7 +703,7 @@ func postWithHeader(url, contentType string, body []byte, extra http.Header) ser
 	for attempt := 0; ; attempt++ {
 		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		req.Header.Set("Content-Type", contentType)
 		for k, vs := range extra {
@@ -698,7 +713,7 @@ func postWithHeader(url, contentType string, body []byte, extra http.Header) ser
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		if d, ok := retryAfter(resp); ok && attempt < 3 {
 			io.Copy(io.Discard, resp.Body)
@@ -710,14 +725,14 @@ func postWithHeader(url, contentType string, body []byte, extra http.Header) ser
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			log.Fatalf("POST %s: %s", url, resp.Status)
+			fatalf("POST %s: %s", url, resp.Status)
 		}
 		var out serve.DetectResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			log.Fatalf("POST %s: bad response JSON: %v", url, err)
+			fatalf("POST %s: bad response JSON: %v", url, err)
 		}
 		if out.Detections == nil {
-			log.Fatalf("POST %s: response missing detections array", url)
+			fatalf("POST %s: response missing detections array", url)
 		}
 		return out
 	}
@@ -740,13 +755,13 @@ func retryAfter(resp *http.Response) (time.Duration, bool) {
 func getJSON(url string, v any) {
 	resp, err := http.Get(url)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("GET %s: %s", url, resp.Status)
+		fatalf("GET %s: %s", url, resp.Status)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		log.Fatalf("GET %s: bad JSON: %v", url, err)
+		fatalf("GET %s: bad JSON: %v", url, err)
 	}
 }

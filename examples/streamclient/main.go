@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"os"
 	"syscall"
 	"time"
 
@@ -43,9 +44,27 @@ import (
 // drainTimeout bounds how long a SIGTERMed process may take to exit.
 const drainTimeout = 30 * time.Second
 
+// children are the processes this program spawned. Every failure goes
+// through fatal, which stops them before exiting, so a failed walk leaves
+// no server running.
+var children cluster.Children
+
+// fatal logs v, drains (or kills) every spawned process and exits 1.
+func fatal(v ...any) {
+	log.Print(v...)
+	children.Stop(drainTimeout)
+	os.Exit(1)
+}
+
+// fatalf is fatal with a format.
+func fatalf(format string, args ...any) {
+	fatal(fmt.Sprintf(format, args...))
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("streamclient: ")
+	defer children.Stop(drainTimeout) // a panic in main stops them too
 	server := flag.String("server", "", "path to a dronet-serve binary to spawn on a random port")
 	proxyBin := flag.String("proxy", "", "path to a dronet-proxy binary (required with -sharded)")
 	size := flag.Int("size", 96, "frame size to send (and model input when spawning)")
@@ -54,11 +73,11 @@ func main() {
 	flag.Parse()
 
 	if *server == "" {
-		log.Fatal("-server is required (build it with: go build -o bin/dronet-serve ./cmd/dronet-serve)")
+		fatal("-server is required (build it with: go build -o bin/dronet-serve ./cmd/dronet-serve)")
 	}
 	if *sharded {
 		if *proxyBin == "" {
-			log.Fatal("-sharded needs -proxy (build it with: go build -o bin/dronet-proxy ./cmd/dronet-proxy)")
+			fatal("-sharded needs -proxy (build it with: go build -o bin/dronet-proxy ./cmd/dronet-proxy)")
 		}
 		shardedWalk(*server, *proxyBin, *size, *frames)
 		return
@@ -69,12 +88,12 @@ func main() {
 // directWalk exercises one server's whole session lifecycle: stream,
 // session cap, bad-frame in-band error, idle eviction, SIGTERM drain.
 func directWalk(serverBin string, size, frames int) {
-	server, err := cluster.Spawn(serverBin, []string{
+	server, err := children.Spawn(serverBin, []string{
 		"-addr", "127.0.0.1:0", "-size", fmt.Sprint(size), "-scale", "0.25", "-workers", "2",
 		"-max-sessions", "2", "-session-idle", "700ms", "-session-inflight", "4",
 	}, false)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	addr := server.Addr
 	fmt.Printf("server up on %s (max-sessions 2, session-idle 700ms)\n", addr)
@@ -86,7 +105,7 @@ func directWalk(serverBin string, size, frames int) {
 	connA := dialStream(addr, "?camera=walk-a")
 	hello := readMsg(connA)
 	if hello.Type != serve.MsgHello || hello.Session == "" {
-		log.Fatalf("first message %+v, want a hello with a session id", hello)
+		fatalf("first message %+v, want a hello with a session id", hello)
 	}
 	fmt.Printf("session %s open for camera %q (inflight %d, policy %s)\n",
 		hello.Session, hello.Camera, hello.MaxInflight, hello.Policy)
@@ -94,10 +113,10 @@ func directWalk(serverBin string, size, frames int) {
 		sendFrame(connA, i+1, img)
 		msg := readMsg(connA)
 		if msg.Type != serve.MsgResult || msg.Seq != i+1 {
-			log.Fatalf("frame %d: got type %q seq %d (err %q), want an in-order result", i+1, msg.Type, msg.Seq, msg.Error)
+			fatalf("frame %d: got type %q seq %d (err %q), want an in-order result", i+1, msg.Type, msg.Seq, msg.Error)
 		}
 		if msg.Frame != i+1 {
-			log.Fatalf("frame %d: tracker frame %d — per-session tracker state is off", i+1, msg.Frame)
+			fatalf("frame %d: tracker frame %d — per-session tracker state is off", i+1, msg.Frame)
 		}
 		fmt.Printf("frame %d: %d detections, %d tracks, batch %d, %.1f ms\n",
 			msg.Seq, len(msg.Detections), len(msg.Tracks), msg.BatchSize, msg.LatencyMs)
@@ -105,25 +124,25 @@ func directWalk(serverBin string, size, frames int) {
 
 	// A malformed frame is an in-band error, not a dead session.
 	if err := connA.WriteMessage([]byte(`{"width":0,"height":0}`)); err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	if msg := readMsg(connA); msg.Type != serve.MsgError || msg.Code != 400 {
-		log.Fatalf("bad frame answered %+v, want an in-band 400", msg)
+		fatalf("bad frame answered %+v, want an in-band 400", msg)
 	}
 	fmt.Println("malformed frame rejected in-band with code 400; session still live")
 
 	// Fill the session budget: B fits, C is refused with plain HTTP.
 	connB := dialStream(addr, "?camera=walk-b")
 	if h := readMsg(connB); h.Type != serve.MsgHello {
-		log.Fatalf("session b: first message %+v, want hello", h)
+		fatalf("session b: first message %+v, want hello", h)
 	}
 	_, err = ws.Dial(addr, "/stream?camera=walk-c", nil, 5*time.Second)
 	var he *ws.HandshakeError
 	if !errors.As(err, &he) || he.StatusCode != 503 {
-		log.Fatalf("third session: got %v, want a 503 handshake refusal", err)
+		fatalf("third session: got %v, want a 503 handshake refusal", err)
 	}
 	if he.RetryAfter == "" {
-		log.Fatal("session-cap 503 is missing Retry-After")
+		fatal("session-cap 503 is missing Retry-After")
 	}
 	fmt.Printf("third session refused: 503 with Retry-After %ss\n", he.RetryAfter)
 	closeSession(connB)
@@ -132,33 +151,33 @@ func directWalk(serverBin string, size, frames int) {
 	// Session A goes quiet: the sweeper must evict it with a bye "idle".
 	msg := readMsg(connA)
 	if msg.Type != serve.MsgBye || msg.Reason != serve.ByeReasonIdle {
-		log.Fatalf("idle session got %+v, want bye/idle", msg)
+		fatalf("idle session got %+v, want bye/idle", msg)
 	}
 	if _, err := connA.ReadMessage(); !errors.Is(err, ws.ErrPeerClosed) {
-		log.Fatalf("after bye: %v, want the server's close frame", err)
+		fatalf("after bye: %v, want the server's close frame", err)
 	}
 	fmt.Println("idle session evicted: bye \"idle\" then a clean close")
 
 	// Drain: a live session must get bye "drain" and the process must exit.
 	connD := dialStream(addr, "?camera=walk-d")
 	if h := readMsg(connD); h.Type != serve.MsgHello {
-		log.Fatalf("drain session: first message %+v, want hello", h)
+		fatalf("drain session: first message %+v, want hello", h)
 	}
 	sendFrame(connD, 1, imgs[0])
 	if msg := readMsg(connD); msg.Type != serve.MsgResult {
-		log.Fatalf("drain session frame: %+v, want a result", msg)
+		fatalf("drain session frame: %+v, want a result", msg)
 	}
 	if err := server.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	if msg := readMsg(connD); msg.Type != serve.MsgBye || msg.Reason != serve.ByeReasonDrain {
-		log.Fatalf("on SIGTERM got %+v, want bye/drain", msg)
+		fatalf("on SIGTERM got %+v, want bye/drain", msg)
 	}
 	if _, err := connD.ReadMessage(); !errors.Is(err, ws.ErrPeerClosed) {
-		log.Fatalf("after drain bye: %v, want the server's close frame", err)
+		fatalf("after drain bye: %v, want the server's close frame", err)
 	}
 	if err := server.Cmd.Wait(); err != nil {
-		log.Fatalf("server exit: %v", err)
+		fatalf("server exit: %v", err)
 	}
 	fmt.Println("SIGTERM drain: bye \"drain\" to the live session, server exited cleanly")
 	fmt.Println("stream smoke (direct) passed")
@@ -174,22 +193,22 @@ func shardedWalk(serverBin, proxyBin string, size, frames int) {
 	}
 	shards := []shard{{id: "shard-a"}, {id: "shard-b"}}
 	for i := range shards {
-		p, err := cluster.Spawn(serverBin, []string{
+		p, err := children.Spawn(serverBin, []string{
 			"-addr", "127.0.0.1:0", "-size", fmt.Sprint(size), "-scale", "0.25", "-workers", "2",
 			"-shard-id", shards[i].id, "-max-sessions", "8", "-session-inflight", "4",
 		}, false)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		shards[i].Process = p
 		fmt.Printf("%s up on %s\n", shards[i].id, p.Addr)
 	}
-	proxy, err := cluster.Spawn(proxyBin, []string{
+	proxy, err := children.Spawn(proxyBin, []string{
 		"-addr", "127.0.0.1:0", "-shards", shards[0].Addr + "," + shards[1].Addr,
 		"-health-interval", "100ms", "-max-streams", "8",
 	}, false)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	proxyAddr := proxy.Addr
 	fmt.Printf("proxy up on %s fronting both shards\n", proxyAddr)
@@ -201,18 +220,18 @@ func shardedWalk(serverBin, proxyBin string, size, frames int) {
 	conn := dialStream(proxyAddr, "?camera=affine-cam")
 	hello := readMsg(conn)
 	if hello.Type != serve.MsgHello {
-		log.Fatalf("first message %+v, want hello", hello)
+		fatalf("first message %+v, want hello", hello)
 	}
 	owner := hello.ShardID
 	if owner != "shard-a" && owner != "shard-b" {
-		log.Fatalf("hello shard_id %q, want one of the configured shards", owner)
+		fatalf("hello shard_id %q, want one of the configured shards", owner)
 	}
 	fmt.Printf("session pinned to ring owner %s\n", owner)
 
 	// Same camera, second session: must land on the same shard.
 	conn2 := dialStream(proxyAddr, "?camera=affine-cam")
 	if h := readMsg(conn2); h.ShardID != owner {
-		log.Fatalf("same-camera session landed on %q, owner is %q — affinity broken", h.ShardID, owner)
+		fatalf("same-camera session landed on %q, owner is %q — affinity broken", h.ShardID, owner)
 	}
 	closeSession(conn2)
 	fmt.Println("same-camera session landed on the same shard; affinity holds")
@@ -221,7 +240,7 @@ func shardedWalk(serverBin, proxyBin string, size, frames int) {
 		sendFrame(conn, i+1, imgs[i%len(imgs)])
 		msg := readMsg(conn)
 		if msg.Type != serve.MsgResult || msg.Frame != i+1 {
-			log.Fatalf("frame %d: %+v, want result with tracker frame %d", i+1, msg, i+1)
+			fatalf("frame %d: %+v, want result with tracker frame %d", i+1, msg, i+1)
 		}
 	}
 
@@ -236,14 +255,14 @@ func shardedWalk(serverBin, proxyBin string, size, frames int) {
 		}
 	}
 	if err := ownerProc.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	resumed := readMsg(conn)
 	if resumed.Type != serve.MsgResumed || !resumed.Resumed {
-		log.Fatalf("after owner drain got %+v, want a resumed marker", resumed)
+		fatalf("after owner drain got %+v, want a resumed marker", resumed)
 	}
 	if resumed.ShardID != survivor.id {
-		log.Fatalf("resumed on %q, want the survivor %q", resumed.ShardID, survivor.id)
+		fatalf("resumed on %q, want the survivor %q", resumed.ShardID, survivor.id)
 	}
 	fmt.Printf("owner drained; session resumed on %s with resumed:true\n", resumed.ShardID)
 
@@ -251,57 +270,57 @@ func shardedWalk(serverBin, proxyBin string, size, frames int) {
 	sendFrame(conn, 3, imgs[0])
 	msg := readMsg(conn)
 	if msg.Type != serve.MsgResult || msg.Frame != 1 {
-		log.Fatalf("post-resume frame: %+v, want a result from a fresh tracker (frame 1)", msg)
+		fatalf("post-resume frame: %+v, want a result from a fresh tracker (frame 1)", msg)
 	}
 	fmt.Println("post-resume result came from a fresh per-session tracker (frame 1, track ids restart)")
 	closeSession(conn)
 	if err := ownerProc.Cmd.Wait(); err != nil {
-		log.Fatalf("%s exit: %v", ownerProc.id, err)
+		fatalf("%s exit: %v", ownerProc.id, err)
 	}
 
 	if err := proxy.Drain(drainTimeout); err != nil {
-		log.Fatalf("proxy exit: %v", err)
+		fatalf("proxy exit: %v", err)
 	}
 	if err := survivor.Drain(drainTimeout); err != nil {
-		log.Fatalf("%s exit: %v", survivor.id, err)
+		fatalf("%s exit: %v", survivor.id, err)
 	}
 	fmt.Printf("proxy and %s drained and exited cleanly\n", survivor.id)
 
 	// Spawn-mode sanity: the proxy boots its own shard children, which must
 	// get the -max-batch it was given (a session opens and answers, and
 	// every shard's metrics report the batch bound).
-	spawned, err := cluster.Spawn(proxyBin, []string{
+	spawned, err := children.Spawn(proxyBin, []string{
 		"-addr", "127.0.0.1:0", "-spawn", "2", "-serve-bin", serverBin,
 		"-size", fmt.Sprint(size), "-scale", "0.25", "-workers", "2", "-max-batch", "2",
 	}, false)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	fmt.Printf("spawn-mode proxy up on %s\n", spawned.Addr)
 	sconn := dialStream(spawned.Addr, "?camera=spawn-cam")
 	if sh := readMsg(sconn); sh.Type != serve.MsgHello {
-		log.Fatalf("spawn-mode first message %+v, want hello", sh)
+		fatalf("spawn-mode first message %+v, want hello", sh)
 	}
 	sendFrame(sconn, 1, imgs[0])
 	if msg := readMsg(sconn); msg.Type != serve.MsgResult {
-		log.Fatalf("spawn-mode frame: %+v, want a result", msg)
+		fatalf("spawn-mode frame: %+v, want a result", msg)
 	}
 	closeSession(sconn)
 	fleet := fleetMetrics(spawned.Addr)
 	if len(fleet.Shards) != 2 {
-		log.Fatalf("spawn-mode fleet metrics list %d shards, want 2", len(fleet.Shards))
+		fatalf("spawn-mode fleet metrics list %d shards, want 2", len(fleet.Shards))
 	}
 	for addr, sm := range fleet.Shards {
 		if sm.Metrics == nil {
-			log.Fatalf("spawn-mode shard %s: no metrics block", addr)
+			fatalf("spawn-mode shard %s: no metrics block", addr)
 		}
 		if sm.Metrics.MaxBatch != 2 {
-			log.Fatalf("spawn-mode shard %s: max_batch %d, want the 2 the proxy was given", addr, sm.Metrics.MaxBatch)
+			fatalf("spawn-mode shard %s: max_batch %d, want the 2 the proxy was given", addr, sm.Metrics.MaxBatch)
 		}
 	}
 	fmt.Println("spawn-mode shards got the forwarded -max-batch (max_batch 2 on every shard's metrics)")
 	if err := spawned.Drain(drainTimeout); err != nil {
-		log.Fatalf("spawn-mode proxy exit: %v", err)
+		fatalf("spawn-mode proxy exit: %v", err)
 	}
 	fmt.Println("spawn-mode proxy drained and exited cleanly")
 	fmt.Println("stream smoke (sharded) passed")
@@ -324,7 +343,7 @@ func renderFrames(size, n int, seed uint64) []*imgproc.Image {
 func dialStream(addr, query string) *ws.Conn {
 	conn, err := ws.Dial(addr, "/stream"+query, nil, 10*time.Second)
 	if err != nil {
-		log.Fatalf("dial /stream%s: %v", query, err)
+		fatalf("dial /stream%s: %v", query, err)
 	}
 	// A wedged walk should fail loudly, not hang the smoke target.
 	_ = conn.SetReadDeadline(time.Now().Add(60 * time.Second))
@@ -334,11 +353,11 @@ func dialStream(addr, query string) *ws.Conn {
 func readMsg(conn *ws.Conn) serve.StreamMessage {
 	raw, err := conn.ReadMessage()
 	if err != nil {
-		log.Fatalf("read stream message: %v", err)
+		fatalf("read stream message: %v", err)
 	}
 	var msg serve.StreamMessage
 	if err := json.Unmarshal(raw, &msg); err != nil {
-		log.Fatalf("decode %q: %v", raw, err)
+		fatalf("decode %q: %v", raw, err)
 	}
 	return msg
 }
@@ -346,10 +365,10 @@ func readMsg(conn *ws.Conn) serve.StreamMessage {
 func sendFrame(conn *ws.Conn, seq int, img *imgproc.Image) {
 	body, err := json.Marshal(serve.StreamFrame{Seq: seq, Width: img.W, Height: img.H, Pixels: img.Pix})
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	if err := conn.WriteMessage(body); err != nil {
-		log.Fatalf("send frame %d: %v", seq, err)
+		fatalf("send frame %d: %v", seq, err)
 	}
 }
 
@@ -357,7 +376,7 @@ func sendFrame(conn *ws.Conn, seq int, img *imgproc.Image) {
 // the peer's close comes back.
 func closeSession(conn *ws.Conn) {
 	if err := conn.WriteClose(1000, "done"); err != nil {
-		log.Fatalf("write close: %v", err)
+		fatalf("write close: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	_ = conn.SetReadDeadline(deadline)
@@ -366,7 +385,7 @@ func closeSession(conn *ws.Conn) {
 			return
 		}
 		if time.Now().After(deadline) {
-			log.Fatal("peer never answered the close frame")
+			fatal("peer never answered the close frame")
 		}
 	}
 }
@@ -375,15 +394,15 @@ func closeSession(conn *ws.Conn) {
 func fleetMetrics(addr string) cluster.FleetReport {
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	defer resp.Body.Close()
 	var rep cluster.FleetReport
 	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("GET %s/metrics: %s", addr, resp.Status)
+		fatalf("GET %s/metrics: %s", addr, resp.Status)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		log.Fatalf("GET %s/metrics: bad JSON: %v", addr, err)
+		fatalf("GET %s/metrics: bad JSON: %v", addr, err)
 	}
 	return rep
 }

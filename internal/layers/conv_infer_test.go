@@ -100,14 +100,56 @@ func assertBitEqual(t *testing.T, what string, got, want *tensor.Tensor) {
 	}
 }
 
+// plantSpecials zeroes about one weight in five (+0 and −0 in turn) and
+// sets about one input in 29 to −0, NaN, +Inf or −Inf in turn. Below the
+// packing threshold a zero weight is skipped, so a zero weight against an
+// infinite or NaN input tells the skip from a product taken; above it the
+// kernels take every product, as the reference does.
+func plantSpecials(c *Conv2D, x *tensor.Tensor, rng *tensor.RNG) {
+	negZero := float32(math.Copysign(0, -1))
+	for i := range c.Weights.W.Data {
+		if rng.Intn(5) == 0 {
+			c.Weights.W.Data[i] = [2]float32{0, negZero}[i%2]
+		}
+	}
+	specials := []float32{negZero, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i := range x.Data {
+		if rng.Intn(29) == 0 {
+			x.Data[i] = specials[i%len(specials)]
+		}
+	}
+}
+
+// finishCases are the geometries of the finishing direct kernel's live-row
+// and grouped-panel paths: 3×3 3→M convolutions for M = 1…5, 7 and 8 (a
+// strip of M or M−6 live filters) on maps 16·P wide for P = 1, 2, 3, 5 and 6
+// direct panels per output row, so every grouping of adjacent panels (6/r
+// panels for a strip of r ≤ 3 filters) ends in a remainder somewhere, each
+// map just tall enough to stay above the packing threshold.
+func finishCases() []convCase {
+	var cases []convCase
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 8} {
+		for _, p := range []int{1, 2, 3, 5, 6} {
+			w := 16 * p
+			h := (1<<15)/(m*27*w) + 2
+			cases = append(cases, convCase{fmt.Sprintf("3x3 3→%d %dx%d, %d direct panels a row", m, h, w, p),
+				3, h, w, m, 3, 1, 1, m%2 == 1, Activation(m % 2), 1})
+		}
+	}
+	return cases
+}
+
 // TestConvInferMatchesIm2colReference pins Conv2D.Forward(x, false) to the
 // staged reference bit for bit, for every kernel family and at GOMAXPROCS
 // 1/2/4: panels that stay inside an output row, straddle rows (8×8, 6×6),
 // end in a partial panel, hit the padding on every side, strided and
 // pointwise geometries, a fan-in above kcBlock (clear on the first K block,
 // epilogue on the last only), panels read in place by a direct kernel next
-// to an edge strip of fewer than MR filters, problems below the packing
-// threshold, and batches of 1/3/8.
+// to an edge strip of fewer than MR filters, the finishing kernel's live
+// rows and panel groups (finishCases), problems below the packing threshold
+// — padded, pointwise, strided, with n < 8 and n % 8 ≠ 0 — and batches of
+// 1/3/8. The special cases rerun a sample of these with zero weights and
+// −0, NaN and ±Inf inputs planted (plantSpecials).
 func TestConvInferMatchesIm2colReference(t *testing.T) {
 	cases := []convCase{
 		{"3x3 pad1 96 wide, bn leaky", 3, 20, 96, 8, 3, 1, 1, true, ActLeaky, 1},
@@ -140,11 +182,39 @@ func TestConvInferMatchesIm2colReference(t *testing.T) {
 		cases = append(cases, convCase{fmt.Sprintf("3x3 3→%d 16x32, finished edge strip of %d", m, m-6),
 			3, 16, 32, m, 3, 1, 1, m%2 == 0, Activation(m % 2), 1})
 	}
+	cases = append(cases, finishCases()...)
+	subThreshold := []convCase{
+		{"below the threshold, 3x3 pad1 6x6 16 filters", 6, 6, 6, 16, 3, 1, 1, true, ActLeaky, 2},
+		{"below the threshold, 3x3 pad1 n=5", 4, 1, 5, 9, 3, 1, 1, true, ActLeaky, 1},
+		{"below the threshold, 3x3 pad1 n=21", 3, 3, 7, 5, 3, 1, 1, false, ActLinear, 1},
+		{"below the threshold, 1x1 n=9 30 filters", 16, 3, 3, 30, 1, 1, 0, false, ActLinear, 2},
+		{"below the threshold, 1x1 n=7", 8, 1, 7, 6, 1, 1, 0, true, ActLeaky, 1},
+		{"below the threshold, 1x1 n=44", 12, 4, 11, 6, 1, 1, 0, true, ActLeaky, 1},
+		{"below the threshold, 3x3 pad0 n=15", 5, 5, 7, 4, 3, 1, 0, true, ActLeaky, 1},
+		{"below the threshold, 1x1 stride2 n=12", 3, 7, 5, 2, 1, 2, 0, true, ActLeaky, 1},
+	}
+	cases = append(cases, subThreshold...)
+	specials := append([]convCase{
+		{"specials, 3x3 3→8 64², direct panels beside a short edge strip", 3, 64, 64, 8, 3, 1, 1, true, ActLeaky, 1},
+		{"specials, 1x1 12→8 32², direct pointwise", 12, 32, 32, 8, 1, 1, 0, true, ActLinear, 1},
+		{"specials, 3x3 stride2 pad1", 6, 31, 33, 10, 3, 2, 1, true, ActLeaky, 1},
+		{"specials, fan-in 288 spans two K blocks", 32, 12, 20, 14, 3, 1, 1, true, ActLeaky, 1},
+	}, subThreshold...)
+	for _, p := range []int{1, 3, 6} {
+		for _, m := range []int{2, 3, 5} {
+			w := 16 * p
+			specials = append(specials, convCase{fmt.Sprintf("specials, 3x3 3→%d %d wide", m, w),
+				3, (1<<15)/(m*27*w) + 2, w, m, 3, 1, 1, true, ActLeaky, 1})
+		}
+	}
 	forEachKernel(t, func(t *testing.T) {
-		for _, tc := range cases {
+		for i, tc := range append(cases, specials...) {
 			rng := tensor.NewRNG(uint64(len(tc.name)) + 11)
 			c := newRandomConv(t, tc, rng)
 			x := randInput(rng, tc.batch, tc.inC, tc.h, tc.w)
+			if i >= len(cases) {
+				plantSpecials(c, x, rng)
+			}
 			prev := runtime.GOMAXPROCS(1)
 			want := convReference(c, x)
 			for _, procs := range []int{1, 2, 4} {
@@ -176,12 +246,24 @@ func TestConvInferAfterKernelSwitch(t *testing.T) {
 }
 
 // FuzzConvImplicitVsIm2col drives the same bit-for-bit comparison over
-// fuzzer-chosen geometries, through every registered kernel family.
+// fuzzer-chosen geometries, through every registered kernel family at
+// GOMAXPROCS 1/2/4. Flag bit 3 plants zero weights and −0, NaN and ±Inf
+// inputs (plantSpecials). The seeds include the finishing kernel's thin
+// strips on 1, 2, 3, 5 and 6 direct panels a row and sub-threshold maps of
+// fewer than eight outputs and of n % 8 ≠ 0.
 func FuzzConvImplicitVsIm2col(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(20), uint8(96), uint8(8), uint8(1), uint8(0), uint8(1), uint8(3))
 	f.Add(uint64(2), uint8(12), uint8(8), uint8(8), uint8(48), uint8(1), uint8(0), uint8(1), uint8(1))
 	f.Add(uint64(3), uint8(32), uint8(9), uint8(11), uint8(7), uint8(2), uint8(1), uint8(2), uint8(0))
 	f.Add(uint64(4), uint8(24), uint8(16), uint8(16), uint8(12), uint8(0), uint8(0), uint8(0), uint8(2))
+	f.Add(uint64(5), uint8(3), uint8(39), uint8(96), uint8(2), uint8(1), uint8(0), uint8(1), uint8(11))
+	f.Add(uint64(6), uint8(2), uint8(39), uint8(48), uint8(3), uint8(1), uint8(0), uint8(1), uint8(3))
+	f.Add(uint64(7), uint8(3), uint8(39), uint8(80), uint8(1), uint8(1), uint8(0), uint8(1), uint8(9))
+	f.Add(uint64(8), uint8(3), uint8(39), uint8(16), uint8(7), uint8(1), uint8(0), uint8(1), uint8(1))
+	f.Add(uint64(9), uint8(3), uint8(30), uint8(32), uint8(4), uint8(1), uint8(0), uint8(1), uint8(8))
+	f.Add(uint64(10), uint8(6), uint8(6), uint8(6), uint8(16), uint8(1), uint8(0), uint8(1), uint8(11))
+	f.Add(uint64(11), uint8(16), uint8(3), uint8(3), uint8(30), uint8(0), uint8(0), uint8(0), uint8(8))
+	f.Add(uint64(12), uint8(5), uint8(1), uint8(7), uint8(4), uint8(1), uint8(0), uint8(1), uint8(9))
 	f.Fuzz(func(t *testing.T, seed uint64, inC, h, w, filters, kHalf, strideM1, pad, flags uint8) {
 		tc := convCase{
 			name: "fuzz",
@@ -195,8 +277,17 @@ func FuzzConvImplicitVsIm2col(f *testing.F) {
 		rng := tensor.NewRNG(seed)
 		c := newRandomConv(t, tc, rng)
 		x := randInput(rng, tc.batch, tc.inC, tc.h, tc.w)
+		if flags&8 != 0 {
+			plantSpecials(c, x, rng)
+		}
 		forEachKernel(t, func(t *testing.T) {
-			assertBitEqual(t, fmt.Sprintf("%+v", tc), c.Forward(x, false), convReference(c, x))
+			prev := runtime.GOMAXPROCS(1)
+			defer runtime.GOMAXPROCS(prev)
+			want := convReference(c, x)
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				assertBitEqual(t, fmt.Sprintf("%+v GOMAXPROCS=%d", tc, procs), c.Forward(x, false), want)
+			}
 		})
 	})
 }

@@ -14,12 +14,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// quarterDroNet64 builds the quarter-scale DroNet at 64² (the low route of
-// `-models low=dronet:64:int8:150` with `-scale 0.25`) and its int8 model,
-// calibrated on two random images.
-func quarterDroNet64(tb testing.TB) (fp, q *network.Network) {
+// quarterDroNet builds the quarter-scale DroNet at size² (64² is the low
+// route of `-models low=dronet:64:int8:150` with `-scale 0.25`, 96² the model
+// of `dronet-serve -scale 0.25 -size 96`) and its int8 model, calibrated on
+// two random images.
+func quarterDroNet(tb testing.TB, size int) (fp, q *network.Network) {
 	tb.Helper()
-	text, err := models.Cfg(models.DroNet, 64)
+	text, err := models.Cfg(models.DroNet, size)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func quarterDroNet64(tb testing.TB) (fp, q *network.Network) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	calib := []*tensor.Tensor{tensor.New(1, 3, 64, 64), tensor.New(1, 3, 64, 64)}
+	calib := []*tensor.Tensor{tensor.New(1, 3, size, size), tensor.New(1, 3, size, size)}
 	for i, c := range calib {
 		tensor.NewRNG(uint64(10+i)).FillUniform(c.Data, 0, 1)
 	}
@@ -71,15 +72,22 @@ func (lt *layerTimer) forward(x *tensor.Tensor) {
 	}
 }
 
-// BenchmarkForwardDroNet64 runs the quarter-scale DroNet at 64² as fp32 and
-// as int8 on the same single image, layer by layer, and logs a per-layer µs
-// table of the two: the int8 route's cost next to the fp32 forward it
-// stands in for. Run it with
+// BenchmarkForwardDroNet runs the quarter-scale DroNet as fp32 and as int8
+// on the same single image, layer by layer, at 64² (the routed low model)
+// and 96² (the model detect-ingest, sharded and stream serve), and logs a
+// per-layer µs table of the two: the int8 route's cost next to the fp32
+// forward it stands in for. Run it with
 //
-//	go test -run '^$' -bench ForwardDroNet64 -benchtime 2000x ./internal/quant
-func BenchmarkForwardDroNet64(b *testing.B) {
-	fp, q := quarterDroNet64(b)
-	x := tensor.New(1, 3, 64, 64)
+//	go test -run '^$' -v -bench ForwardDroNet -benchtime 2000x -cpu 1 ./internal/quant
+func BenchmarkForwardDroNet(b *testing.B) {
+	for _, size := range []int{64, 96} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) { benchForwardLayers(b, size) })
+	}
+}
+
+func benchForwardLayers(b *testing.B, size int) {
+	fp, q := quarterDroNet(b, size)
+	x := tensor.New(1, 3, size, size)
 	tensor.NewRNG(3).FillUniform(x.Data, 0, 1)
 	tf, tq := newLayerTimer(fp), newLayerTimer(q)
 	tf.forward(x) // warm-up: arenas, activation buffers, GEMM pools

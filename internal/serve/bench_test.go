@@ -9,8 +9,10 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/models"
+	"repro/internal/network"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 )
@@ -18,39 +20,45 @@ import (
 // BenchmarkServeThroughput measures end-to-end serving throughput (HTTP
 // parse + queue + micro-batched inference) with parallel clients, all in
 // one process — the profiling target behind `make profile`; the end-to-end
-// numbers come from bench/run.sh against the real binary. json64 posts a
-// 64² JSON frame to a 64² DroNet from eight clients per CPU; raw256 posts a
-// 256² JPEG to /detect/raw on the paper-size 256² DroNet from two clients
-// per CPU — detect-compute's shape, where the forward pass, convolution
-// above all, outweighs the request path. Both run two workers. Mean
-// micro-batch size is reported alongside images/sec: it grows with
-// parallelism, since a batch grows only while every worker is busy.
+// numbers come from bench/run.sh against the real binary. json96 posts a
+// 96² JSON frame to the quarter-scale 96² DroNet, built as `dronet-serve
+// -scale 0.25 -size 96` builds it (detect-ingest's model), from eight
+// clients per CPU; raw256 posts a 256² JPEG to /detect/raw on the
+// paper-size 256² DroNet from two clients per CPU — detect-compute's shape,
+// where the forward pass, convolution above all, outweighs the request
+// path. Both run two workers. Mean micro-batch size is reported alongside
+// images/sec: it grows with parallelism, since a batch grows only while
+// every worker is busy.
 func BenchmarkServeThroughput(b *testing.B) {
-	b.Run("json64", func(b *testing.B) {
-		f := testFrames(1)[0]
+	b.Run("json96", func(b *testing.B) {
+		det, err := core.NewScaledDetector(models.DroNet, 96, 0.25, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := framesAt(96, 1, 77)[0]
 		body, err := json.Marshal(serve.DetectRequest{Width: f.W, Height: f.H, Pixels: f.Pix})
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchServe(b, testSize, "/detect", "application/json", body, 8)
+		benchServe(b, det.Net, "/detect", "application/json", body, 8)
 	})
 	b.Run("raw256", func(b *testing.B) {
+		net, _, err := models.Build(models.DroNet, 256, tensor.NewRNG(1))
+		if err != nil {
+			b.Fatal(err)
+		}
 		var body bytes.Buffer
 		if err := jpeg.Encode(&body, framesAt(256, 1, 77)[0].ToNRGBA(), nil); err != nil {
 			b.Fatal(err)
 		}
-		benchServe(b, 256, "/detect/raw", "image/jpeg", body.Bytes(), 2)
+		benchServe(b, net, "/detect/raw", "image/jpeg", body.Bytes(), 2)
 	})
 }
 
-// benchServe drives a two-worker server over a size² DroNet with
-// parallelism client goroutines per GOMAXPROCS, each posting body to path
-// in a loop; a 429 is retried, since shedding load is part of the design.
-func benchServe(b *testing.B, size int, path, contentType string, body []byte, parallelism int) {
-	net, _, err := models.Build(models.DroNet, size, tensor.NewRNG(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+// benchServe drives a two-worker server over net with parallelism client
+// goroutines per GOMAXPROCS, each posting body to path in a loop; a 429 is
+// retried, since shedding load is part of the design.
+func benchServe(b *testing.B, net *network.Network, path, contentType string, body []byte, parallelism int) {
 	eng, err := engine.New(net, engine.Config{Workers: 2, Thresh: 0.1})
 	if err != nil {
 		b.Fatal(err)

@@ -22,7 +22,7 @@ import "math"
 // panel inside an output row is then read in place; only the panels that
 // cross an output row or end the map are packed.
 //
-// Three stages have vector forms hung off the kernel family (kernel.go), and
+// Four stages have vector forms hung off the kernel family (kernel.go), and
 // like the tile kernels they follow the selected family — portable has
 // none, so it runs the Go code below:
 //
@@ -34,7 +34,12 @@ import "math"
 //     leaves the kernel finished. Each strip stores the epilogue of acc+0
 //     straight into C, so the panel needs no clear, no load of C, no
 //     epilogue pass and, for an edge strip of fewer than MR filters, no
-//     scratch tile.
+//     scratch tile. The kernel computes the strip's live rows only, and a
+//     last strip of r ≤ MR/2 filters takes MR/r adjacent direct panels of
+//     one output row a call, so a thin strip keeps as many independent
+//     accumulators as a full one.
+//   - f32Rank1: below packThreshold, one tap's im2col row updates every
+//     filter's C row in one call (convNaive).
 //   - epilogue: the per-channel BN/bias/leaky row for every other panel,
 //     applied once per run of at least epilogueRun columns rather than per
 //     panel.
@@ -285,7 +290,6 @@ func ConvPrepacked(pre *PackedA, g ConvGeom, x []float32, ep Epilogue, c []float
 	kern := currentKernels()
 	ctx.setKernels(kern)
 	if int64(m)*int64(n)*int64(k) < packThreshold {
-		ctx.pb = reslice(ctx.pb, n)
 		convNaive(pre, ctx)
 		return
 	}
@@ -299,6 +303,13 @@ func ConvPrepacked(pre *PackedA, g ConvGeom, x []float32, ep Epilogue, c []float
 	if kern.f32DirectFinish != nil && k <= kcBlock {
 		ctx.kf32Finish = kern.f32DirectFinish
 		ctx.packEpilogue(kern.mr)
+		// A last strip of r ≤ mr/2 filters takes mr/r adjacent panels a
+		// call: the area of one full strip's tile, so as many independent
+		// accumulators.
+		ctx.finishPanels = 1
+		if r := m - (ctx.nStrips-1)*kern.mr; 2*r <= kern.mr {
+			ctx.finishPanels = kern.mr / r
+		}
 	}
 	packed := pre.data
 	if kern != pre.kern {
@@ -361,8 +372,19 @@ func taskConvTilesF32(ctx *gemmCtx, lo, hi int) {
 			if epFrom < j0 {
 				ctx.ep.apply(ctx.kepi, ctx.c, ctx.ldc, ctx.m, epFrom, j0-epFrom)
 			}
-			ctx.panelTilesFinishF32(ctx.b[base:], j0)
-			epFrom = j0 + cols
+			// The direct panels that follow in this task and output row
+			// read on from the same origin.
+			panels := 1
+			for ; panels < ctx.finishPanels && pn+panels < hi; panels++ {
+				jn := j0 + panels*ctx.nr
+				b, ok := g.directOrigin(outW, jn, min(ctx.nr, ctx.n-jn), ctx.nr)
+				if !ok || b != base+panels*ctx.nr {
+					break
+				}
+			}
+			ctx.panelTilesFinishF32(ctx.b[base:], j0, panels)
+			pn += panels - 1
+			epFrom = j0 + panels*ctx.nr
 			continue
 		}
 		if first {
@@ -384,25 +406,72 @@ func taskConvTilesF32(ctx *gemmCtx, lo, hi int) {
 	tileScratchPool.Put(ts)
 }
 
-// convNaive is ConvPrepacked below packThreshold: one im2col row at a time
-// through ctx.pb (len n), accumulated in gemmNaive's order — for every
-// output element, p ascending with zero weights skipped.
+// convNaive is ConvPrepacked below packThreshold, in gemmNaive's
+// accumulation order: for every output element, taps ascending, zero
+// weights skipped, each product rounded before its add. It takes one tap at
+// a time and updates every filter's C row with the tap's im2col row and its
+// column of weights (PackedA.tapMajor) in one call: the family's f32Rank1,
+// or rank1Go.
+//
+// On a stride-1 Pad 0 geometry — a padded plane, or a pointwise layer's
+// channel planes — output pixel (oh, ow) of tap t reads x[t.off+oh·W+ow],
+// so every tap's row is read in place as the span of x from t.off, and C is
+// accumulated W columns a row (into ctx.pb, unless W is the output width or
+// the map one row high) and compacted once the taps are done; the columns
+// past the output width are never kept. Any other geometry fills each
+// im2col row into ctx.pb.
 func convNaive(pre *PackedA, ctx *gemmCtx) {
-	g, n, c, row := &ctx.geom, ctx.n, ctx.c, ctx.pb
+	g, m, n := &ctx.geom, ctx.m, ctx.n
 	outW := g.OutW()
-	clear(c[:ctx.m*n])
+	pw := pre.tapMajor()
+	rank1 := ctx.kRank1
+	if rank1 == nil {
+		rank1 = rank1Go
+	}
+	inPlace := g.Stride == 1 && g.Pad == 0
+	c, ldc := ctx.c, n
+	if inPlace {
+		ldc = (n/outW-1)*g.W + outW
+	}
+	switch {
+	case !inPlace:
+		ctx.pb = reslice(ctx.pb, n)
+	case ldc != n:
+		ctx.pb = reslice(ctx.pb, m*ldc)
+		c = ctx.pb
+	}
+	clear(c[:m*ldc])
 	for p, t := range ctx.taps {
-		g.fillRow(ctx.b, t, 0, 0, outW, row)
-		for i := 0; i < ctx.m; i++ {
-			av := pre.alpha * aAt(pre.ta, pre.a, pre.lda, i, p)
-			if av == 0 {
-				continue
-			}
-			crow := c[i*n : (i+1)*n]
-			for j, bv := range row {
-				crow[j] += av * bv
+		row := ctx.pb
+		if inPlace {
+			row = ctx.b[t.off : t.off+ldc]
+		} else {
+			g.fillRow(ctx.b, t, 0, 0, outW, row)
+		}
+		rank1(pw[p*m:(p+1)*m], row, c, ldc)
+	}
+	if ldc != n {
+		for i := 0; i < m; i++ {
+			for oh := 0; oh*outW < n; oh++ {
+				copy(ctx.c[i*n+oh*outW:i*n+(oh+1)*outW], c[i*ldc+oh*g.W:])
 			}
 		}
 	}
-	ctx.ep.apply(ctx.kepi, c, n, ctx.m, 0, n)
+	ctx.ep.apply(ctx.kepi, ctx.c, n, m, 0, n)
+}
+
+// rank1Go is the Go form of the f32Rank1 family entry (kernel.go): for every
+// i < len(w) whose w[i] is not zero, c[i·ldc+j] += float32(w[i]·row[j]) for
+// every j < len(row), the product rounded before the add on FMA-fusing
+// targets too, as gemmNN rounds it.
+func rank1Go(w, row, c []float32, ldc int) {
+	for i, av := range w {
+		if av == 0 {
+			continue
+		}
+		crow := c[i*ldc : i*ldc+len(row)]
+		for j, bv := range row {
+			crow[j] += float32(av * bv)
+		}
+	}
 }

@@ -102,28 +102,33 @@ func TestDirectKernelMatchesPacked(t *testing.T) {
 				kern.f32Direct(kc, pa, origin[:len(origin)-1], offs, make([]float32, mr*nr), nr)
 			}()
 			if kern.f32DirectFinish != nil {
-				checkDirectFinish(t, kern, kc, pa, origin, offs, rng)
+				checkDirectFinish(t, kern, kc, pa, offs, rng)
 			}
 		}
 	}
 }
 
-// checkDirectFinish holds kern.f32DirectFinish on one panel to f32Direct
-// into a cleared tile followed by kern.epilogue on each of the first rows
-// rows, with C left alone elsewhere, for 1…mr rows, with and without batch
-// norm, leaky and linear. Row 0 of pa weights the first tap by 1e-30, so
-// the −1e-30 planted in that tap makes an accumulator of −0 when kc is 1
-// (the exact product is negative and rounds to zero); the NaN and ±Inf
-// planted beside it make NaN and ±Inf accumulators at every kc, and row 0's
-// bias of −0 tells acc+0 from acc. The wrapper must refuse a short origin
-// and a C too short for the last row it stores.
-func checkDirectFinish(t *testing.T, kern *microKernels, kc int, pa, origin []float32, offs []int, rng *RNG) {
+// checkDirectFinish holds kern.f32DirectFinish over 1…7 adjacent panels —
+// every wide grouping of a thin strip, with and without a remainder — to
+// f32Direct into a cleared tile followed by kern.epilogue on each of the
+// first rows rows of each panel, with C left alone elsewhere, for 1…mr
+// rows, with and without batch norm, leaky and linear. Row 0 of pa weights
+// the first tap by 1e-30, so the −1e-30 planted in that tap makes an
+// accumulator of −0 when kc is 1 (the exact product is negative and rounds
+// to zero); the NaN and ±Inf planted beside it make NaN and ±Inf
+// accumulators at every kc, and row 0's bias of −0 tells acc+0 from acc.
+// The wrapper must refuse a short origin and a C too short for the last
+// row it stores.
+func checkDirectFinish(t *testing.T, kern *microKernels, kc int, pa []float32, offs []int, rng *RNG) {
 	t.Helper()
+	const maxPanels = 7
 	mr, nr := kern.mr, kern.nr
-	pa, origin = append([]float32(nil), pa...), append([]float32(nil), origin...)
+	pa = append([]float32(nil), pa...)
 	pa[0] = 1e-30
+	origin := make([]float32, offs[kc-1]+maxPanels*nr)
+	rng.FillUniform(origin, -1, 1)
 	specials := []float32{-1e-30, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
-	for j := 0; j < nr; j += 2 {
+	for j := 0; j < maxPanels*nr; j += 2 {
 		origin[offs[0]+j] = specials[j/2%len(specials)]
 	}
 	for _, bn := range []bool{false, true} {
@@ -144,43 +149,52 @@ func checkDirectFinish(t *testing.T, kern *microKernels, kc int, pa, origin []fl
 			rng.FillUniform(ep[3*mr:4*mr], -0.5, 0.5)
 			ep[3*mr] = float32(math.Copysign(0, -1))
 			for rows := 1; rows <= mr; rows++ {
-				for _, ldc := range []int{nr, nr + 7} {
-					want := make([]float32, mr*ldc)
-					rng.FillUniform(want, -1, 1)
-					got := append([]float32(nil), want...)
-					tile := make([]float32, mr*ldc)
-					kern.f32Direct(kc, pa, origin, offs, tile, ldc)
-					for r := 0; r < rows; r++ {
-						seg := tile[r*ldc : r*ldc+nr]
-						kern.epilogue(seg, ep[r], ep[mr+r], ep[2*mr+r], ep[3*mr+r], ep[4*mr+r])
-						copy(want[r*ldc:], seg)
-					}
-					kern.f32DirectFinish(kc, pa, origin, offs, ep, got, ldc, rows)
-					for i := range want {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("%s finish kc=%d rows=%d ldc=%d bn=%v leaky=%v: c[%d] = %v (%#x), direct + epilogue %v (%#x)",
-								kern.name, kc, rows, ldc, bn, leaky, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				for panels := 1; panels <= maxPanels; panels++ {
+					for _, ldc := range []int{panels * nr, panels*nr + 7} {
+						want := make([]float32, mr*ldc)
+						rng.FillUniform(want, -1, 1)
+						got := append([]float32(nil), want...)
+						for q := 0; q < panels; q++ {
+							tile := make([]float32, mr*nr)
+							kern.f32Direct(kc, pa, origin[q*nr:], offs, tile, nr)
+							for r := 0; r < rows; r++ {
+								seg := tile[r*nr : (r+1)*nr]
+								kern.epilogue(seg, ep[r], ep[mr+r], ep[2*mr+r], ep[3*mr+r], ep[4*mr+r])
+								copy(want[r*ldc+q*nr:], seg)
+							}
+						}
+						kern.f32DirectFinish(kc, pa, origin, offs, ep, got, ldc, rows, panels)
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("%s finish kc=%d rows=%d panels=%d ldc=%d bn=%v leaky=%v: c[%d] = %v (%#x), direct + epilogue %v (%#x)",
+									kern.name, kc, rows, panels, ldc, bn, leaky, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-	ep, c := make([]float32, 5*mr), make([]float32, mr*nr)
-	for _, short := range []struct {
-		what      string
-		origin, c []float32
-	}{
-		{"an origin too short for the last offset", origin[:len(origin)-1], c},
-		{"a C too short for the last row", origin, c[:len(c)-1]},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s kc=%d: f32DirectFinish accepted %s without a panic", kern.name, kc, short.what)
-				}
+	for _, panels := range []int{1, 3, 6} {
+		end := offs[kc-1] + panels*nr
+		ep, c := make([]float32, 5*mr), make([]float32, mr*panels*nr)
+		for _, short := range []struct {
+			what      string
+			origin, c []float32
+			rows      int
+		}{
+			{"an origin too short for the last offset", origin[:end-1], c, mr},
+			{"a C too short for the last row", origin[:end], c[:len(c)-1], mr},
+			{"a C too short for the last row of a thin strip", origin[:end], c[:panels*nr-1], 1},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s kc=%d panels=%d: f32DirectFinish accepted %s without a panic", kern.name, kc, panels, short.what)
+					}
+				}()
+				kern.f32DirectFinish(kc, pa, short.origin, offs, ep, short.c, panels*nr, short.rows, panels)
 			}()
-			kern.f32DirectFinish(kc, pa, short.origin, offs, ep, short.c, nr, mr)
-		}()
+		}
 	}
 }

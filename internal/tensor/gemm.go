@@ -135,8 +135,11 @@ type gemmCtx struct {
 	kf32Direct func(kc int, pa, origin []float32, offs []int, c []float32, ldc int)
 	kepi       func(seg []float32, mu, gamma, inv, bias, slope float32)
 	// kf32Finish is the family's f32DirectFinish while a ConvPrepacked
-	// fan-in fits one K block, nil otherwise.
-	kf32Finish func(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int)
+	// fan-in fits one K block, nil otherwise; finishPanels is the most
+	// adjacent direct panels one of its calls covers.
+	kf32Finish   func(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows, panels int)
+	finishPanels int
+	kRank1       func(w, row, c []float32, ldc int)
 
 	ta, tb  bool
 	m, n, k int
@@ -190,7 +193,7 @@ var gemmCtxPool = sync.Pool{New: func() any { return new(gemmCtx) }}
 func (ctx *gemmCtx) setKernels(kern *microKernels) {
 	ctx.mr, ctx.nr = kern.mr, kern.nr
 	ctx.kf32, ctx.ki8, ctx.ki8Direct = kern.f32, kern.i8, kern.i8Direct
-	ctx.kf32Direct, ctx.kepi = kern.f32Direct, kern.epilogue
+	ctx.kf32Direct, ctx.kepi, ctx.kRank1 = kern.f32Direct, kern.epilogue, kern.f32Rank1
 }
 
 // release clears borrowed references and returns the context to the pool.
@@ -200,7 +203,7 @@ func (ctx *gemmCtx) release() {
 	ctx.paRO, ctx.pa16RO = nil, nil
 	ctx.requant, ctx.bias = nil, nil
 	ctx.kf32, ctx.ki8, ctx.ki8Direct = nil, nil, nil
-	ctx.kf32Direct, ctx.kepi, ctx.kf32Finish = nil, nil, nil
+	ctx.kf32Direct, ctx.kepi, ctx.kf32Finish, ctx.kRank1 = nil, nil, nil, nil
 	ctx.ep = Epilogue{}
 	gemmCtxPool.Put(ctx)
 }
@@ -335,14 +338,16 @@ func (ctx *gemmCtx) panelTilesDirectF32(ts *tileScratch, origin []float32, offs 
 	}
 }
 
-// panelTilesFinishF32 is panelTilesDirectF32 under kf32Finish: the one K
-// block is the whole fan-in, so every strip, an edge strip of fewer than mr
-// filters included, stores its finished rows straight into C.
-func (ctx *gemmCtx) panelTilesFinishF32(origin []float32, j0 int) {
+// panelTilesFinishF32 is panelTilesDirectF32 under kf32Finish for panels
+// adjacent direct panels of one output row, the first at C column j0: the
+// one K block is the whole fan-in, so every strip, an edge strip of fewer
+// than mr filters included, stores its finished rows straight into C, in
+// one kernel call for all the panels.
+func (ctx *gemmCtx) panelTilesFinishF32(origin []float32, j0, panels int) {
 	for s := 0; s < ctx.nStrips; s++ {
 		i0 := s * ctx.mr
 		ctx.kf32Finish(ctx.kc, ctx.paRO[s*ctx.mr*ctx.kc:], origin, ctx.offs[:ctx.kc], ctx.epPack[s*5*ctx.mr:],
-			ctx.c[i0*ctx.ldc+j0:], ctx.ldc, min(ctx.mr, ctx.m-i0))
+			ctx.c[i0*ctx.ldc+j0:], ctx.ldc, min(ctx.mr, ctx.m-i0), panels)
 	}
 }
 
@@ -452,7 +457,10 @@ func gemmNN(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb i
 				}
 				brow := b[p*ldb : p*ldb+n]
 				for j, bv := range brow {
-					crow[j] += av * bv
+					// The conversion rounds the product before the add on
+					// FMA-fusing targets too, as rank1Go and the f32Rank1
+					// kernels do.
+					crow[j] += float32(av * bv)
 				}
 			}
 		}

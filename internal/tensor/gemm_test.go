@@ -174,11 +174,17 @@ func refKernI8(mr, nr, kPairs int, pa, pb []int16, rq, bs []float32, slope float
 // bit-exact for int8 on every family, with and without the leaky slope and,
 // where the family has one, for the in-place int8 kernel at every row
 // count; bit-exact for fp32 on the unfused portable family, and within FMA
-// contraction rounding for AVX2.
+// contraction rounding for AVX2. A family's f32Rank1 must equal rank1Go bit
+// for bit (checkRank1); its finishing direct kernel is held to its direct
+// kernel and epilogue by TestDirectKernelMatchesPacked, over every row
+// count and panel grouping.
 func TestMicrokernelAsmMatchesGo(t *testing.T) {
 	kernelOnce.Do(initKernelList)
 	rng := NewRNG(5)
 	for _, kern := range kernelList {
+		if kern.f32Rank1 != nil {
+			checkRank1(t, kern, rng)
+		}
 		mr, nr := kern.mr, kern.nr
 		f32Tol := 0.0
 		if kern.name == "avx2" {
@@ -255,6 +261,67 @@ func TestMicrokernelAsmMatchesGo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkRank1 holds kern.f32Rank1 to rank1Go by float bits: row lengths
+// 0–17 and a few longer ones, whole multiples of eight and not, against up
+// to nine filters at a C stride past the row, with ±0 weights (skipped), a
+// NaN weight, and rows and C holding −0, ±Inf and NaNs of either sign and
+// other payloads, where the operand order of the multiply and the add
+// decides which NaN comes out.
+func checkRank1(t *testing.T, kern *microKernels, rng *RNG) {
+	t.Helper()
+	nan := func(bits uint32) float32 { return math.Float32frombits(bits) }
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		nan(0x7fc00000), nan(0xffc00000), nan(0x7fc00123), nan(0xffe00042), 1e-39}
+	plant := func(v []float32) {
+		for i := range v {
+			if rng.Intn(6) == 0 {
+				v[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	lens := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 36, 46, 64, 71, 576}
+	for _, n := range lens {
+		for _, m := range []int{0, 1, 2, 5, 9} {
+			ldc := n + 3
+			w := make([]float32, m)
+			rng.FillUniform(w, -1, 1)
+			for i := range w {
+				switch rng.Intn(5) {
+				case 0:
+					w[i] = 0
+				case 1:
+					w[i] = float32(math.Copysign(0, -1))
+				case 2:
+					w[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			row := make([]float32, n)
+			rng.FillUniform(row, -2, 2)
+			plant(row)
+			want := make([]float32, m*ldc+5)
+			rng.FillUniform(want, -2, 2)
+			plant(want)
+			got := append([]float32(nil), want...)
+			rank1Go(w, row, want, ldc)
+			kern.f32Rank1(w, row, got, ldc)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s f32Rank1 n=%d m=%d: c[%d] = %v (%#x), rank1Go %v (%#x)", kern.name, n, m,
+						i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s f32Rank1 wrote past the end of C without a panic", kern.name)
+			}
+		}()
+		kern.f32Rank1([]float32{1, 1}, make([]float32, 9), make([]float32, 2*9-1), 9)
+	}()
 }
 
 // TestGemmPackedDeterministicAcrossWorkers pins worker-count independence:

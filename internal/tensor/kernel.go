@@ -29,17 +29,19 @@ import (
 // int32 pairwise dataflow with an identical mul-then-add requantization, so
 // int8 results are bit-equal across every family.
 //
-// Besides the two tile kernels a family may carry seven vector forms of
+// Besides the two tile kernels a family may carry eight vector forms of
 // stages that are otherwise scalar Go: f32Direct and i8Direct (the fp32 and
 // int8 tile kernels reading a full stride-1 convolution panel in place
 // instead of from a packed copy), f32DirectFinish (f32Direct storing the
-// finished, epilogued tile when the whole K fits one block), epilogue (one
-// C row of the fused BN/bias/leaky epilogue), maxPool2x2 (blocks of
-// eight 2×2/2 max-pool outputs), ycbcrRow (blocks of eight YCbCr pixels
-// converted to float RGB) and fractions (groups of four JSON pixel
-// fractions parsed to float32). Each reproduces the Go code it replaces
-// bit for bit, and each follows the selected family like
-// the tile kernels do: a nil entry — every entry of portable, so under
+// finished, epilogued tiles of adjacent panels when the whole K fits one
+// block, computing only the live rows of a strip), f32Rank1 (one im2col
+// row's unfused update of every filter's C row, the sub-threshold
+// convolution), epilogue (one C row of the fused BN/bias/leaky epilogue),
+// maxPool2x2 (blocks of eight 2×2/2 max-pool outputs), ycbcrRow (blocks of
+// eight YCbCr pixels converted to float RGB) and fractions (groups of four
+// JSON pixel fractions parsed to float32). Each reproduces the Go code it
+// replaces bit for bit, and each follows the selected family like the tile
+// kernels do: a nil entry — every entry of portable, so under
 // DRONET_KERNEL=portable, SelectKernel("portable") or -tags purego — runs
 // the Go code.
 
@@ -73,12 +75,21 @@ type microKernels struct {
 	// the padding: on a padded plane, every such panel.
 	f32Direct func(kc int, pa, origin []float32, offs []int, c []float32, ldc int)
 	// f32DirectFinish is f32Direct for a K that fits one block, finishing the
-	// tile in registers: it overwrites C's first rows rows (1 ≤ rows ≤ mr)
-	// with the epilogue of acc+0 instead of adding acc to C. ep holds the
-	// strip's per-row μ, γ, inv, bias and slope, mr floats each, as
-	// packEpilogue lays them out (conv.go); the result is bit-identical to
-	// f32Direct into a cleared C followed by the epilogue row kernel.
-	f32DirectFinish func(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int)
+	// tiles in registers over panels adjacent direct panels of one output
+	// row: panel q's k-step p reads origin[offs[p]+q·nr:] and stores to
+	// c[q·nr:]. It overwrites C's first rows rows (1 ≤ rows ≤ mr) of each
+	// panel with the epilogue of acc+0 instead of adding acc to C, and
+	// computes the products of those rows only, so a strip of few live
+	// filters costs only their work. ep holds the strip's per-row μ, γ, inv,
+	// bias and slope, mr floats each, as packEpilogue lays them out
+	// (conv.go); the result is bit-identical to f32Direct into a cleared C
+	// followed by the epilogue row kernel, panel by panel.
+	f32DirectFinish func(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows, panels int)
+	// f32Rank1 is rank1Go (conv.go): c[i·ldc+j] += float32(w[i]·row[j]) for
+	// every j < len(row) and every i < len(w) whose w[i] is not zero, the
+	// product rounded before the add — one tap of a sub-threshold
+	// convolution across all its filters.
+	f32Rank1 func(w, row, c []float32, ldc int)
 	// epilogue applies seg[j] = v·(slope if v's sign bit is set, else 1) with
 	// v = float32(gamma·(seg[j]−mu)·inv) + bias to one C row, as
 	// Epilogue.apply's Go loop does (conv.go).

@@ -14,7 +14,7 @@ func archKernels() []*microKernels {
 	}
 	return []*microKernels{{
 		name: "avx2", mr: 6, nr: 16, f32: kernF32AVX2, i8: kernI8AVX2, i8Direct: kernI8AVX2Direct,
-		f32Direct: kernF32AVX2Direct, f32DirectFinish: kernF32AVX2DirectFinish,
+		f32Direct: kernF32AVX2Direct, f32DirectFinish: kernF32AVX2DirectFinish, f32Rank1: rank1AVX2,
 		epilogue: epilogueRowAVX2, maxPool2x2: maxPool2x2AVX2, ycbcrRow: ycbcrRowAVX2,
 		fractions: fractionsAVX2,
 	}}
@@ -71,26 +71,56 @@ func kernF32AVX2Direct(kc int, pa, origin []float32, offs []int, c []float32, ld
 	kernF32AVX2DirectAsm(kc, pa, origin, offs, nil, c, ldc, 0)
 }
 
-// kernF32AVX2DirectFinish is the avx2 f32DirectFinish entry (kernel.go):
-// the same accumulation, then the epilogue of each of the first rows rows
-// stored straight into C. The parameter block and C's last written element
-// are checked here with the reads.
-func kernF32AVX2DirectFinish(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int) {
-	if rows < 1 || rows > 6 {
-		panic("tensor: kernF32AVX2DirectFinish rows out of range")
+// kernF32AVX2DirectFinish is the avx2 f32DirectFinish entry (kernel.go).
+// A strip of rows ≤ 3 filters takes 6/rows panels a call on the 1×96, 2×48
+// or 3×32 tile, twelve accumulators like the 6×16 one; a shorter remainder,
+// and any other strip, runs panel by panel on the live rows of the 6×16
+// tile. The parameter block, the furthest read of each operand and C's
+// last written element are checked here.
+func kernF32AVX2DirectFinish(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows, panels int) {
+	if rows < 1 || rows > 6 || panels < 1 {
+		panic("tensor: kernF32AVX2DirectFinish rows or panels out of range")
 	}
 	_ = pa[6*kc-1]
-	_ = origin[offs[kc-1]+15]
+	_ = origin[offs[kc-1]+16*panels-1]
 	_ = ep[5*6-1]
-	_ = c[(rows-1)*ldc+15]
-	kernF32AVX2DirectAsm(kc, pa, origin, offs, ep, c, ldc, rows)
+	_ = c[(rows-1)*ldc+16*panels-1]
+	q := 0
+	if rows <= 3 {
+		for wide := 6 / rows; q+wide <= panels; q += wide {
+			kernF32AVX2DirectWideAsm(kc, pa, origin[16*q:], offs, ep, c[16*q:], ldc, rows)
+		}
+	}
+	for ; q < panels; q++ {
+		kernF32AVX2DirectAsm(kc, pa, origin[16*q:], offs, ep, c[16*q:], ldc, rows)
+	}
 }
 
 // kernF32AVX2DirectAsm serves both direct entries: rows 0 adds all six
-// accumulated rows to C, rows 1–6 stores the first rows finished rows.
+// accumulated rows to C, rows 1–6 computes and stores the first rows
+// finished rows of one panel.
 //
 //go:noescape
 func kernF32AVX2DirectAsm(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int)
+
+// kernF32AVX2DirectWideAsm finishes rows = 1, 2 or 3 rows of 6/rows
+// adjacent panels.
+//
+//go:noescape
+func kernF32AVX2DirectWideAsm(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int)
+
+// rank1AVX2 is the avx2 f32Rank1 entry (kernel.go): C's last written
+// element is checked here.
+func rank1AVX2(w, row, c []float32, ldc int) {
+	if len(w) == 0 || len(row) == 0 {
+		return
+	}
+	_ = c[(len(w)-1)*ldc+len(row)-1]
+	rank1AVX2Asm(w, row, c, ldc)
+}
+
+//go:noescape
+func rank1AVX2Asm(w, row, c []float32, ldc int)
 
 // epilogueRowAVX2 is one C row of Epilogue.apply eight floats a step:
 // VSUBPS μ, VMULPS γ, VMULPS inv, VADDPS bias, then VMULPS slope blended

@@ -27,29 +27,24 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// AVX2_F32_STEP is one k-step of the 6×16 fp32 tile: the B row is in
-// Y12:Y13, the six packed-A values at (SI); six VBROADCASTSS feed twelve
-// VFMADD231PS into the accumulators Y0..Y11 (row r in Y(2r) cols 0-7,
-// Y(2r+1) cols 8-15).
+// AVX2_F32_ROWSTEP is one row of a k-step of the fp32 tile: the B row is
+// in Y12:Y13, the row's packed-A value at off(SI); VBROADCASTSS feeds two
+// VFMADD231PS into the row's accumulators lo:hi.
+#define AVX2_F32_ROWSTEP(off, lo, hi) \
+	VBROADCASTSS off(SI), Y14;  \
+	VFMADD231PS  Y12, Y14, lo;  \
+	VFMADD231PS  Y13, Y14, hi
+
+// AVX2_F32_STEP is one k-step of the 6×16 fp32 tile: six AVX2_F32_ROWSTEPs
+// into the accumulators Y0..Y11 (row r in Y(2r) cols 0-7, Y(2r+1) cols
+// 8-15).
 #define AVX2_F32_STEP \
-	VBROADCASTSS (SI), Y14;   \
-	VFMADD231PS  Y12, Y14, Y0; \
-	VFMADD231PS  Y13, Y14, Y1; \
-	VBROADCASTSS 4(SI), Y14;  \
-	VFMADD231PS  Y12, Y14, Y2; \
-	VFMADD231PS  Y13, Y14, Y3; \
-	VBROADCASTSS 8(SI), Y14;  \
-	VFMADD231PS  Y12, Y14, Y4; \
-	VFMADD231PS  Y13, Y14, Y5; \
-	VBROADCASTSS 12(SI), Y14; \
-	VFMADD231PS  Y12, Y14, Y6; \
-	VFMADD231PS  Y13, Y14, Y7; \
-	VBROADCASTSS 16(SI), Y14; \
-	VFMADD231PS  Y12, Y14, Y8; \
-	VFMADD231PS  Y13, Y14, Y9; \
-	VBROADCASTSS 20(SI), Y14; \
-	VFMADD231PS  Y12, Y14, Y10; \
-	VFMADD231PS  Y13, Y14, Y11
+	AVX2_F32_ROWSTEP(0, Y0, Y1);   \
+	AVX2_F32_ROWSTEP(4, Y2, Y3);   \
+	AVX2_F32_ROWSTEP(8, Y4, Y5);   \
+	AVX2_F32_ROWSTEP(12, Y6, Y7);  \
+	AVX2_F32_ROWSTEP(16, Y8, Y9);  \
+	AVX2_F32_ROWSTEP(20, Y10, Y11)
 
 // AVX2_F32_ROW adds accumulators lo:hi to the 16 floats of C at (DX).
 #define AVX2_F32_ROW(lo, hi) \
@@ -122,14 +117,14 @@ af32store:
 	VZEROUPPER
 	RET
 
-// AVX2_F32_FINISH_ROW stores one finished row of 16 floats at (DX). It
+// AVX2_F32_FINISH_AT stores 16 finished floats at o0(DX) and o1(DX). It
 // forms acc+0 from the accumulators lo:hi (0+acc in AVX2_F32_ROW's operand
 // order: what a cleared C plus acc holds), then runs epilogueRowAVX2's
 // operations with their operands in its order: v−μ, γ·v, v·inv, v+bias,
 // and v·slope blended in on the sign bit. The row's μ, γ, inv, bias and
 // slope are at 0, 24, 48, 72 and 96(R11) (packEpilogue's layout for six
 // rows); μ, γ, inv and bias are held in Y12–Y15.
-#define AVX2_F32_FINISH_ROW(lo, hi) \
+#define AVX2_F32_FINISH_AT(lo, hi, o0, o1) \
 	VXORPS       Y12, Y12, Y12;   \
 	VADDPS       lo, Y12, lo;     \
 	VADDPS       hi, Y12, hi;     \
@@ -150,8 +145,11 @@ af32store:
 	VMULPS       Y12, hi, Y14;    \
 	VBLENDVPS    lo, Y13, lo, lo; \
 	VBLENDVPS    hi, Y14, hi, hi; \
-	VMOVUPS      lo, (DX);        \
-	VMOVUPS      hi, 32(DX)
+	VMOVUPS      lo, o0(DX);      \
+	VMOVUPS      hi, o1(DX)
+
+// AVX2_F32_FINISH_ROW stores one finished row of 16 floats at (DX).
+#define AVX2_F32_FINISH_ROW(lo, hi) AVX2_F32_FINISH_AT(lo, hi, 0, 32)
 
 // AVX2_F32_FINISH_NEXT leaves after the last requested row, or steps DX and
 // R11 on to the next one.
@@ -161,13 +159,30 @@ af32store:
 	ADDQ R8, DX;   \
 	ADDQ $4, R11
 
+// AVX2_F32_DIRECT_LOADB loads k-step p's B row, origin + offs[p] floats,
+// into Y12:Y13.
+#define AVX2_F32_DIRECT_LOADB \
+	MOVQ    (R9), R10;          \
+	VMOVUPS (DI)(R10*4), Y12;   \
+	VMOVUPS 32(DI)(R10*4), Y13
+
+// AVX2_F32_DIRECT_NEXTK steps the packed A and the offsets to the next
+// k-step and loops to label while k-steps remain.
+#define AVX2_F32_DIRECT_NEXTK(label) \
+	ADDQ $24, SI; \
+	ADDQ $8, R9;  \
+	DECQ CX;      \
+	JNZ  label
+
 // func kernF32AVX2DirectAsm(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int)
 //
 // kernF32AVX2 with the B row of k-step p loaded from origin + offs[p]
 // floats instead of the packed panel: the same loads and FMAs in the same
 // order, so the accumulators are the packed kernel's bit for bit. rows 0
-// adds them to C as kernF32AVX2 does; rows 1–6 overwrites C's first rows
-// rows with AVX2_F32_FINISH_ROW and leaves the rest of C alone.
+// adds all six rows to C as kernF32AVX2 does; rows 1–6 runs the FMAs of
+// the first rows rows only (each row's accumulators see the same chain
+// whatever the others do), overwrites C's first rows rows with
+// AVX2_F32_FINISH_ROW and leaves the rest of C alone.
 TEXT ·kernF32AVX2DirectAsm(SB), NOSPLIT, $0-144
 	MOVQ kc+0(FP), CX
 	MOVQ pa_base+8(FP), SI
@@ -182,16 +197,21 @@ TEXT ·kernF32AVX2DirectAsm(SB), NOSPLIT, $0-144
 
 	TESTQ CX, CX
 	JZ    ad32store
+	CMPQ  BX, $1
+	JEQ   ad32loop1
+	CMPQ  BX, $2
+	JEQ   ad32loop2
+	CMPQ  BX, $3
+	JEQ   ad32loop3
+	CMPQ  BX, $4
+	JEQ   ad32loop4
+	CMPQ  BX, $5
+	JEQ   ad32loop5
 
 ad32loop:
-	MOVQ    (R9), R10        // offs[p]
-	VMOVUPS (DI)(R10*4), Y12
-	VMOVUPS 32(DI)(R10*4), Y13
+	AVX2_F32_DIRECT_LOADB
 	AVX2_F32_STEP
-	ADDQ $24, SI
-	ADDQ $8, R9
-	DECQ CX
-	JNZ  ad32loop
+	AVX2_F32_DIRECT_NEXTK(ad32loop)
 
 ad32store:
 	TESTQ BX, BX
@@ -199,6 +219,45 @@ ad32store:
 	AVX2_F32_STORE
 	VZEROUPPER
 	RET
+
+ad32loop1:
+	AVX2_F32_DIRECT_LOADB
+	AVX2_F32_ROWSTEP(0, Y0, Y1)
+	AVX2_F32_DIRECT_NEXTK(ad32loop1)
+	JMP ad32finish
+
+ad32loop2:
+	AVX2_F32_DIRECT_LOADB
+	AVX2_F32_ROWSTEP(0, Y0, Y1)
+	AVX2_F32_ROWSTEP(4, Y2, Y3)
+	AVX2_F32_DIRECT_NEXTK(ad32loop2)
+	JMP ad32finish
+
+ad32loop3:
+	AVX2_F32_DIRECT_LOADB
+	AVX2_F32_ROWSTEP(0, Y0, Y1)
+	AVX2_F32_ROWSTEP(4, Y2, Y3)
+	AVX2_F32_ROWSTEP(8, Y4, Y5)
+	AVX2_F32_DIRECT_NEXTK(ad32loop3)
+	JMP ad32finish
+
+ad32loop4:
+	AVX2_F32_DIRECT_LOADB
+	AVX2_F32_ROWSTEP(0, Y0, Y1)
+	AVX2_F32_ROWSTEP(4, Y2, Y3)
+	AVX2_F32_ROWSTEP(8, Y4, Y5)
+	AVX2_F32_ROWSTEP(12, Y6, Y7)
+	AVX2_F32_DIRECT_NEXTK(ad32loop4)
+	JMP ad32finish
+
+ad32loop5:
+	AVX2_F32_DIRECT_LOADB
+	AVX2_F32_ROWSTEP(0, Y0, Y1)
+	AVX2_F32_ROWSTEP(4, Y2, Y3)
+	AVX2_F32_ROWSTEP(8, Y4, Y5)
+	AVX2_F32_ROWSTEP(12, Y6, Y7)
+	AVX2_F32_ROWSTEP(16, Y8, Y9)
+	AVX2_F32_DIRECT_NEXTK(ad32loop5)
 
 ad32finish:
 	AVX2_F32_FINISH_ROW(Y0, Y1)
@@ -214,6 +273,246 @@ ad32finish:
 	AVX2_F32_FINISH_ROW(Y10, Y11)
 
 ad32done:
+	VZEROUPPER
+	RET
+
+// AVX2_F32_WIDE2 is one 8-column B vector of a 2×48 k-step: loaded from
+// off(AX) and multiplied into row 0's accumulator r0 by the A value in Y12
+// and row 1's r1 by the one in Y13.
+#define AVX2_F32_WIDE2(off, r0, r1) \
+	VMOVUPS     off(AX), Y15;  \
+	VFMADD231PS Y15, Y12, r0;  \
+	VFMADD231PS Y15, Y13, r1
+
+// AVX2_F32_WIDE3 is AVX2_F32_WIDE2 for a 3×32 k-step, row 2's A value in
+// Y14.
+#define AVX2_F32_WIDE3(off, r0, r1, r2) \
+	VMOVUPS     off(AX), Y15;  \
+	VFMADD231PS Y15, Y12, r0;  \
+	VFMADD231PS Y15, Y13, r1;  \
+	VFMADD231PS Y15, Y14, r2
+
+// AVX2_F32_WIDE_NEXTROW steps DX and R11 on to the next row.
+#define AVX2_F32_WIDE_NEXTROW \
+	ADDQ R8, DX; \
+	ADDQ $4, R11
+
+// func kernF32AVX2DirectWideAsm(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows int)
+//
+// The finishing direct kernel for a strip of rows = 1, 2 or 3 live filters
+// over 6/rows adjacent panels of one output row — a 1×96, 2×48 or 3×32 tile,
+// whose twelve accumulators Y0..Y11 hold the rows in order, 96/rows columns
+// each. k-step p's B row is the 96/rows floats at origin + offs[p]; every
+// accumulator takes one VFMADD231PS per k-step in ascending p, from zero, as
+// in kernF32AVX2DirectAsm, so each output element has the same chain and
+// the same bits as there. The rows are stored by AVX2_F32_FINISH_AT.
+TEXT ·kernF32AVX2DirectWideAsm(SB), NOSPLIT, $0-144
+	MOVQ kc+0(FP), CX
+	MOVQ pa_base+8(FP), SI
+	MOVQ origin_base+32(FP), DI
+	MOVQ offs_base+56(FP), R9
+	MOVQ ep_base+80(FP), R11
+	MOVQ c_base+104(FP), DX
+	MOVQ ldc+128(FP), R8
+	MOVQ rows+136(FP), BX
+	SHLQ $2, R8              // row stride in bytes
+	AVX2_F32_ZERO
+
+	TESTQ CX, CX
+	JZ    aw32store
+	CMPQ  BX, $2
+	JEQ   aw32loop2
+	JA    aw32loop3
+
+aw32loop1:
+	MOVQ         (R9), R10
+	LEAQ         (DI)(R10*4), AX
+	VBROADCASTSS (SI), Y12
+	VFMADD231PS  (AX), Y12, Y0
+	VFMADD231PS  32(AX), Y12, Y1
+	VFMADD231PS  64(AX), Y12, Y2
+	VFMADD231PS  96(AX), Y12, Y3
+	VFMADD231PS  128(AX), Y12, Y4
+	VFMADD231PS  160(AX), Y12, Y5
+	VFMADD231PS  192(AX), Y12, Y6
+	VFMADD231PS  224(AX), Y12, Y7
+	VFMADD231PS  256(AX), Y12, Y8
+	VFMADD231PS  288(AX), Y12, Y9
+	VFMADD231PS  320(AX), Y12, Y10
+	VFMADD231PS  352(AX), Y12, Y11
+	AVX2_F32_DIRECT_NEXTK(aw32loop1)
+	JMP          aw32store
+
+aw32loop2:
+	MOVQ         (R9), R10
+	LEAQ         (DI)(R10*4), AX
+	VBROADCASTSS (SI), Y12
+	VBROADCASTSS 4(SI), Y13
+	AVX2_F32_WIDE2(0, Y0, Y6)
+	AVX2_F32_WIDE2(32, Y1, Y7)
+	AVX2_F32_WIDE2(64, Y2, Y8)
+	AVX2_F32_WIDE2(96, Y3, Y9)
+	AVX2_F32_WIDE2(128, Y4, Y10)
+	AVX2_F32_WIDE2(160, Y5, Y11)
+	AVX2_F32_DIRECT_NEXTK(aw32loop2)
+	JMP          aw32store
+
+aw32loop3:
+	MOVQ         (R9), R10
+	LEAQ         (DI)(R10*4), AX
+	VBROADCASTSS (SI), Y12
+	VBROADCASTSS 4(SI), Y13
+	VBROADCASTSS 8(SI), Y14
+	AVX2_F32_WIDE3(0, Y0, Y4, Y8)
+	AVX2_F32_WIDE3(32, Y1, Y5, Y9)
+	AVX2_F32_WIDE3(64, Y2, Y6, Y10)
+	AVX2_F32_WIDE3(96, Y3, Y7, Y11)
+	AVX2_F32_DIRECT_NEXTK(aw32loop3)
+
+aw32store:
+	CMPQ BX, $2
+	JEQ  aw32store2
+	JA   aw32store3
+	AVX2_F32_FINISH_AT(Y0, Y1, 0, 32)
+	AVX2_F32_FINISH_AT(Y2, Y3, 64, 96)
+	AVX2_F32_FINISH_AT(Y4, Y5, 128, 160)
+	AVX2_F32_FINISH_AT(Y6, Y7, 192, 224)
+	AVX2_F32_FINISH_AT(Y8, Y9, 256, 288)
+	AVX2_F32_FINISH_AT(Y10, Y11, 320, 352)
+	VZEROUPPER
+	RET
+
+aw32store2:
+	AVX2_F32_FINISH_AT(Y0, Y1, 0, 32)
+	AVX2_F32_FINISH_AT(Y2, Y3, 64, 96)
+	AVX2_F32_FINISH_AT(Y4, Y5, 128, 160)
+	AVX2_F32_WIDE_NEXTROW
+	AVX2_F32_FINISH_AT(Y6, Y7, 0, 32)
+	AVX2_F32_FINISH_AT(Y8, Y9, 64, 96)
+	AVX2_F32_FINISH_AT(Y10, Y11, 128, 160)
+	VZEROUPPER
+	RET
+
+aw32store3:
+	AVX2_F32_FINISH_AT(Y0, Y1, 0, 32)
+	AVX2_F32_FINISH_AT(Y2, Y3, 64, 96)
+	AVX2_F32_WIDE_NEXTROW
+	AVX2_F32_FINISH_AT(Y4, Y5, 0, 32)
+	AVX2_F32_FINISH_AT(Y6, Y7, 64, 96)
+	AVX2_F32_WIDE_NEXTROW
+	AVX2_F32_FINISH_AT(Y8, Y9, 0, 32)
+	AVX2_F32_FINISH_AT(Y10, Y11, 64, 96)
+	VZEROUPPER
+	RET
+
+// func rank1AVX2Asm(w, row, c []float32, ldc int)
+//
+// For each i < len(w) whose w[i] is not ±0: c[i·ldc+j] += row[j]·w[i] for
+// every j < len(row), the product rounded (VMULPS) before the add (VADDPS),
+// each with its operands in the order Go's scalar loop gives them — row[j]
+// then w[i], the product then c — so a NaN operand propagates the same
+// payload. Eight floats a step. When len(row) is not a multiple of eight,
+// the last eight floats are one more step, computed before the others are
+// stored and stored after them: where it overlaps the last whole step both
+// hold c+row·w of the same operands, so the overlap is written twice with
+// the same bits. A row shorter than eight runs the VEX scalar forms.
+TEXT ·rank1AVX2Asm(SB), NOSPLIT, $0-80
+	MOVQ  w_base+0(FP), SI
+	MOVQ  w_len+8(FP), CX
+	MOVQ  row_base+24(FP), DI
+	MOVQ  row_len+32(FP), BX
+	MOVQ  c_base+48(FP), DX
+	MOVQ  ldc+72(FP), R8
+	SHLQ  $2, R8             // row stride in bytes
+	TESTQ CX, CX
+	JZ    r1done
+	CMPQ  BX, $8
+	JB    r1short
+	LEAQ  -32(BX*4), R10     // byte offset of the last eight floats
+	XORQ  R9, R9             // R9: row's last eight, or 0 without a tail
+	TESTQ $7, BX
+	JZ    r1whole
+	LEAQ  (DI)(R10*1), R9
+
+r1whole:
+	SHRQ $3, BX
+	SHLQ $5, BX              // bytes in whole steps
+
+r1filter:
+	MOVL         (SI), AX
+	TESTL        $0x7fffffff, AX
+	JZ           r1next      // w[i] is ±0: skipped
+	VBROADCASTSS (SI), Y0
+	TESTQ        R9, R9
+	JZ           r1steps
+	VMOVUPS      (R9), Y2    // the last eight, before any store
+	VMULPS       Y0, Y2, Y2
+	VADDPS       (DX)(R10*1), Y2, Y2
+
+r1steps:
+	XORQ  R13, R13
+	TESTQ $32, BX
+	JZ    r1pair             // an even number of whole steps
+	VMOVUPS (DI), Y1
+	VMULPS  Y0, Y1, Y1       // row·w
+	VADDPS  (DX), Y1, Y1     // + c
+	VMOVUPS Y1, (DX)
+	MOVQ    $32, R13
+	CMPQ    R13, BX
+	JAE     r1stepped
+
+r1pair:
+	VMOVUPS (DI)(R13*1), Y1
+	VMOVUPS 32(DI)(R13*1), Y3
+	VMULPS  Y0, Y1, Y1
+	VMULPS  Y0, Y3, Y3
+	VADDPS  (DX)(R13*1), Y1, Y1
+	VADDPS  32(DX)(R13*1), Y3, Y3
+	VMOVUPS Y1, (DX)(R13*1)
+	VMOVUPS Y3, 32(DX)(R13*1)
+	ADDQ    $64, R13
+	CMPQ    R13, BX
+	JB      r1pair
+
+r1stepped:
+	TESTQ   R9, R9
+	JZ      r1next
+	VMOVUPS Y2, (DX)(R10*1)
+
+r1next:
+	ADDQ $4, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  r1filter
+	JMP  r1done
+
+r1short:
+	TESTQ BX, BX
+	JZ    r1done
+
+r1sfilter:
+	MOVL   (SI), AX
+	TESTL  $0x7fffffff, AX
+	JZ     r1snext
+	VMOVSS (SI), X0
+	XORQ   R13, R13
+
+r1sstep:
+	VMOVSS (DI)(R13*4), X1
+	VMULSS X0, X1, X1
+	VADDSS (DX)(R13*4), X1, X1
+	VMOVSS X1, (DX)(R13*4)
+	INCQ   R13
+	CMPQ   R13, BX
+	JB     r1sstep
+
+r1snext:
+	ADDQ $4, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  r1sfilter
+
+r1done:
 	VZEROUPPER
 	RET
 

@@ -1,5 +1,7 @@
 package tensor
 
+import "sync/atomic"
+
 // Pre-packed weight-side A operands. In the serving path the A matrix of
 // every GEMM is a weight matrix that does not change between calls (fp32
 // conv filters in inference mode, int8 quantized filters always), while B is
@@ -27,7 +29,8 @@ package tensor
 
 // PackedA is a pre-packed fp32 weight operand: op(A) with alpha folded in,
 // packed at one kernel family's MR. Safe for concurrent use by any number of
-// GEMMs once built (it is never written after PackA returns), which is what
+// GEMMs once built (its pack is never written after PackA returns, and its
+// tap-major copy is built once and published atomically), which is what
 // lets cloned inference replicas share one slab.
 type PackedA struct {
 	kern  *microKernels
@@ -40,6 +43,26 @@ type PackedA struct {
 	lda int
 
 	data []float32
+	// taps is alpha·op(A) tap by tap — k runs of m weights, the order a
+	// sub-threshold convolution reads them in — built by the first one
+	// (tapMajor), so only packs that run below packThreshold hold it.
+	taps atomic.Pointer[[]float32]
+}
+
+// tapMajor returns pa.taps, building it on the first call. Callers racing
+// on that call build equal tables and all return the one published first.
+func (pa *PackedA) tapMajor() []float32 {
+	if t := pa.taps.Load(); t != nil {
+		return *t
+	}
+	t := make([]float32, pa.m*pa.k)
+	for i := 0; i < pa.m; i++ {
+		for p := 0; p < pa.k; p++ {
+			t[p*pa.m+i] = pa.alpha * aAt(pa.ta, pa.a, pa.lda, i, p)
+		}
+	}
+	pa.taps.CompareAndSwap(nil, &t)
+	return *pa.taps.Load()
 }
 
 // PackA packs the m×k matrix op(A) (alpha folded in) for the active
