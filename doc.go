@@ -7,8 +7,9 @@
 // bench_test.go regenerate the paper's tables and figures on the host CPU.
 //
 // Beyond the paper's single-camera loop, internal/engine scales one trained
-// detector to many concurrent requests: layers separate shared read-only
-// weights from per-instance workspace, Network.CloneForInference produces
+// detector to many concurrent requests: layers hold shared read-only
+// weights and run inference into memory the network owns (two activation
+// slabs and a scratch arena per replica), Network.CloneForInference produces
 // weight-sharing replicas, and Engine.ExecuteBatch runs a micro-batch on one
 // replica of the pool while other workers run theirs.
 //
@@ -54,7 +55,8 @@
 // training path still uses. The int8 kernel
 // accumulates exactly in int32 over packed int16 pairs and requantizes on
 // store, so its results are blocking- and concurrency-invariant. The
-// steady-state serving path is allocation-free: each model replica owns a
-// grow-once scratch arena (tensor.Arena) for its transient per-forward
-// buffers, reset at the start of every pass.
+// steady-state serving path is allocation-free: each model replica runs its
+// layers' Infer steps over two activation slabs sized from the static
+// output shapes and a grow-once scratch arena (tensor.Arena) reset before
+// every step.
 package repro

@@ -112,8 +112,8 @@ func (e *Engine) WorkerCap() int {
 	return e.cfg.Workers
 }
 
-// Free releases every pooled replica (and with them their workspace
-// arenas) so a drained, retired pool returns its steady-state memory to the
+// Free releases every pooled replica (and with them their activation slabs
+// and arenas) so a drained, retired pool returns its steady-state memory to the
 // GC. The caller must have quiesced the pool: no ExecuteBatch may be
 // in flight or arrive afterwards — a stale ExecuteBatch would silently
 // re-instantiate a replica. Retiring a model during a live swap is the
@@ -124,12 +124,12 @@ func (e *Engine) Free() {
 	e.mu.Unlock()
 }
 
-// WorkspaceBytes sums the scratch-arena footprint of every instantiated
-// worker replica.
-// Each replica owns exactly one grow-once arena for its transient
-// per-forward scratch, so after warm-up this is the engine's steady-state
-// transient memory — the quantity the zero-alloc serving path holds
-// constant. Replicas not yet instantiated (never used) contribute zero.
+// WorkspaceBytes sums the inference memory of every instantiated worker
+// replica: its two activation slabs and its scratch arena
+// (network.Network.ScratchBytes). After warm-up this is the engine's whole
+// steady-state transient memory — the quantity the zero-alloc serving path
+// holds constant. Replicas not yet instantiated (never used) contribute
+// zero.
 func (e *Engine) WorkspaceBytes() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -151,8 +151,8 @@ func (e *Engine) InShape() layers.Shape { return e.base.InShape() }
 func (e *Engine) WeightBytes() int64 { return e.base.WeightBytes() }
 
 // WarmBatch pre-runs one throwaway forward at the given batch size on every
-// pooled worker replica, so serving starts with all workspaces sized for the
-// maximum micro-batch instead of growing them on the first live requests.
+// pooled worker replica, so serving starts with every replica's slabs and
+// arena sized for the maximum micro-batch instead of growing them on the first live requests.
 func (e *Engine) WarmBatch(batch int) {
 	for id := 0; id < e.cfg.Workers; id++ {
 		e.runner(id).Warm(batch)

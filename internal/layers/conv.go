@@ -69,10 +69,10 @@ type packedWeights struct {
 	pre atomic.Pointer[tensor.PackedA]
 }
 
-// convState is the per-instance workspace of a Conv2D: everything Forward
-// and Backward mutate, as opposed to the shared read-only parameters above.
-// CloneForInference resets it to the zero value so replicas never alias
-// scratch memory; buffers are (re)allocated lazily on first use.
+// convState is the per-instance training workspace of a Conv2D: everything
+// Forward and Backward mutate, as opposed to the shared read-only parameters
+// above. Infer touches none of it. CloneForInference resets it to the zero
+// value; buffers are (re)allocated lazily on first use.
 type convState struct {
 	x        *tensor.Tensor // input reference
 	out      *tensor.Tensor // post-activation output
@@ -81,10 +81,7 @@ type convState struct {
 	xhat     *tensor.Tensor // normalized values (BatchNorm only)
 	batchMu  []float32
 	batchVar []float32
-	col      []float32     // training im2col scratch (owned fallback when no arena)
-	invStd   []float32     // inference 1/√(σ²+ε) scratch (owned fallback when no arena)
-	padded   []float32     // inference zero-bordered input plane (owned fallback when no arena)
-	arena    *tensor.Arena // per-replica scratch arena, when bound
+	col      []float32 // training im2col scratch
 	dx       *tensor.Tensor
 }
 
@@ -130,7 +127,7 @@ func NewConv2D(in Shape, filters, ksize, stride, pad int, batchNorm bool, act Ac
 // CloneForInference implements Layer: the clone shares Weights, Biases,
 // Scales, the rolling batch-norm statistics and the pre-packed filter cache
 // with the receiver but starts with an empty workspace, so it can run
-// Forward concurrently with the original as long as no instance is
+// Infer concurrently with the original as long as no instance is
 // training. Cloning packs eagerly: replica fleets are built before traffic
 // arrives, so the first request should not pay the pack.
 func (c *Conv2D) CloneForInference() Layer {
@@ -183,30 +180,12 @@ func (c *Conv2D) WeightBytes() int64 {
 	return total
 }
 
-// SetScratchArena implements ScratchUser: per-forward scratch (the training
-// path's im2col output, inference's per-filter 1/σ vector and padded input
-// plane) is carved from the replica's arena instead of layer-owned buffers.
-// The network rebinds the arena on Add and CloneForInference, so every
-// replica owns exactly one.
-func (c *Conv2D) SetScratchArena(a *tensor.Arena) { c.st.arena = a }
-
-// scratch returns n floats of per-forward scratch: an arena carve when a
-// per-replica arena is bound (pure pointer bump at steady state), otherwise
-// the layer-owned *own, allocated on first use.
-func (c *Conv2D) scratch(own *[]float32, n int) []float32 {
-	if c.st.arena != nil {
-		return c.st.arena.F32(n)
-	}
-	if len(*own) != n {
-		*own = make([]float32, n)
-	}
-	return *own
-}
-
-// ensureCol returns the training path's im2col scratch buffer for one image,
-// one carve per Forward/Backward phase. Inference never calls it.
+// ensureCol returns the training path's im2col scratch buffer for one image.
 func (c *Conv2D) ensureCol() []float32 {
-	return c.scratch(&c.st.col, c.in.C*c.Ksize*c.Ksize*c.out.H*c.out.W)
+	if n := c.in.C * c.Ksize * c.Ksize * c.out.H * c.out.W; len(c.st.col) != n {
+		c.st.col = make([]float32, n)
+	}
+	return c.st.col
 }
 
 // Name implements Layer.
@@ -245,41 +224,24 @@ func (c *Conv2D) IOBytes() int64 {
 	return 4 * (int64(c.in.Size()) + int64(c.out.Size()) + weights)
 }
 
-// Forward implements Layer. Inference is one fused pass per image; training
-// keeps the staged lowering whose intermediates Backward consumes.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	c.st.x = x
-	out := ensure(&c.st.out, x.N, c.out)
-	if train {
-		c.forwardTrain(x, out)
-	} else {
-		c.forwardInfer(x, out)
-	}
-	return out
-}
-
-// forwardInfer runs tensor.ConvPrepacked per image against the shared
-// pre-packed filters: implicit im2col, GEMM, and batch norm + bias +
+// Infer implements Layer: tensor.ConvPrepacked per image against the shared
+// pre-packed filters — implicit im2col, GEMM, and batch norm + bias +
 // activation on each output tile, with no column matrix and no further pass
 // over out. A padded stride-1 layer first copies each image into a
-// zero-bordered plane (tensor.PadCHW) and runs the Pad 0 geometry on it, so
-// that every full panel inside an output row is read in place. The plane and
-// the 1/σ vector go back to the arena on return, so the next layer reuses
-// the space and the arena holds only the largest plane.
-func (c *Conv2D) forwardInfer(x, out *tensor.Tensor) {
-	if a := c.st.arena; a != nil {
-		defer a.F32Release(a.F32Mark())
-	}
+// zero-bordered plane carved from a (tensor.PadCHW) and runs the Pad 0
+// geometry on it, so that every full panel inside an output row is read in
+// place.
+func (c *Conv2D) Infer(x, out *tensor.Tensor, a *tensor.Arena) {
 	geom := tensor.ConvGeom{C: c.in.C, H: c.in.H, W: c.in.W, Ksize: c.Ksize, Stride: c.Stride, Pad: c.Pad}
 	ep := tensor.Epilogue{Bias: c.Biases.W.Data, Leaky: c.Act == ActLeaky}
 	if c.BatchNorm {
-		ep.Mean, ep.Scale, ep.InvStd = c.RollingMean.Data, c.Scales.W.Data, c.inferInvStd()
+		ep.Mean, ep.Scale, ep.InvStd = c.RollingMean.Data, c.Scales.W.Data, c.inferInvStd(a)
 	}
 	pre := c.inferencePack()
 	var plane []float32
 	if c.Stride == 1 && c.Pad > 0 {
 		geom.H, geom.W, geom.Pad = c.in.H+2*c.Pad, c.in.W+2*c.Pad, 0
-		plane = c.scratch(&c.st.padded, geom.C*geom.H*geom.W)
+		plane = a.F32(geom.C * geom.H * geom.W)
 	}
 	for b := 0; b < x.N; b++ {
 		in := x.Batch(b).Data
@@ -292,27 +254,29 @@ func (c *Conv2D) forwardInfer(x, out *tensor.Tensor) {
 }
 
 // inferInvStd computes 1/√(σ²+ε) per filter from the rolling variance into
-// per-forward scratch. It is recomputed every pass rather than cached, so
+// scratch carved from a. It is recomputed every pass rather than cached, so
 // updates to the rolling statistics need no invalidation hook.
-func (c *Conv2D) inferInvStd() []float32 {
-	inv := c.scratch(&c.st.invStd, c.Filters)
+func (c *Conv2D) inferInvStd(a *tensor.Arena) []float32 {
+	inv := a.F32(c.Filters)
 	for f := range inv {
 		inv[f] = 1 / sqrt32(c.RollingVar.Data[f]+bnEps)
 	}
 	return inv
 }
 
-// forwardTrain lowers to im2col + GEMM per image, exactly like Darknet, then
-// batch-statistics batch norm, bias and activation as separate passes,
+// Forward implements Layer: im2col + GEMM per image, exactly like Darknet,
+// then batch-statistics batch norm, bias and activation as separate passes,
 // keeping preBN and preAct for Backward.
-func (c *Conv2D) forwardTrain(x, out *tensor.Tensor) {
+func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
+	c.st.x = x
+	out := ensure(&c.st.out, x.N, c.out)
 	m := c.Filters
 	k := c.in.C * c.Ksize * c.Ksize
 	n := c.out.H * c.out.W
 	pointwise := c.Ksize == 1 && c.Stride == 1 && c.Pad == 0
 	var col []float32
 	if !pointwise {
-		col = c.ensureCol() // one carve per Forward, shared by the batch loop
+		col = c.ensureCol()
 	}
 	for b := 0; b < x.N; b++ {
 		lowered := x.Batch(b).Data
@@ -343,6 +307,7 @@ func (c *Conv2D) forwardTrain(x, out *tensor.Tensor) {
 	if c.Act == ActLeaky {
 		tensor.Leaky(out.Data)
 	}
+	return out
 }
 
 func ensureLike(t, like *tensor.Tensor) *tensor.Tensor {
@@ -434,11 +399,10 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	pointwise := c.Ksize == 1 && c.Stride == 1 && c.Pad == 0
 	var col, dcol []float32
 	if !pointwise {
-		// With an arena these are two distinct carves; in the legacy
-		// layer-owned mode both name the same buffer, which is safe because
-		// col's contents are consumed (dW GEMM) before dcol is zeroed.
+		// One buffer serves both: col's contents are consumed (dW GEMM)
+		// before dcol is zeroed.
 		col = c.ensureCol()
-		dcol = c.ensureCol()
+		dcol = col
 	}
 	for b := 0; b < delta.N; b++ {
 		src := c.st.x.Batch(b).Data

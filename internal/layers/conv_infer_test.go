@@ -139,7 +139,7 @@ func finishCases() []convCase {
 	return cases
 }
 
-// TestConvInferMatchesIm2colReference pins Conv2D.Forward(x, false) to the
+// TestConvInferMatchesIm2colReference pins Conv2D.Infer to the
 // staged reference bit for bit, for every kernel family and at GOMAXPROCS
 // 1/2/4: panels that stay inside an output row, straddle rows (8×8, 6×6),
 // end in a partial panel, hit the padding on every side, strided and
@@ -219,7 +219,7 @@ func TestConvInferMatchesIm2colReference(t *testing.T) {
 			want := convReference(c, x)
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
-				got := c.Forward(x, false)
+				got := infer(c, x)
 				assertBitEqual(t, fmt.Sprintf("%s, GOMAXPROCS=%d", tc.name, procs), got, want)
 			}
 			runtime.GOMAXPROCS(prev)
@@ -229,7 +229,7 @@ func TestConvInferMatchesIm2colReference(t *testing.T) {
 
 // TestConvInferAfterKernelSwitch covers the pack/dispatch mismatch: filters
 // pre-packed under one family must still produce the reference bits of the
-// family active at Forward time (the driver repacks on the fly).
+// family active at Infer time (the driver repacks on the fly).
 func TestConvInferAfterKernelSwitch(t *testing.T) {
 	names := tensor.AvailableKernels()
 	tc := convCase{"switch", 8, 16, 24, 12, 3, 1, 1, true, ActLeaky, 1}
@@ -241,7 +241,7 @@ func TestConvInferAfterKernelSwitch(t *testing.T) {
 	}
 	c.inferencePack()
 	forEachKernel(t, func(t *testing.T) {
-		assertBitEqual(t, "packed for "+names[0], c.Forward(x, false), convReference(c, x))
+		assertBitEqual(t, "packed for "+names[0], infer(c, x), convReference(c, x))
 	})
 }
 
@@ -286,7 +286,7 @@ func FuzzConvImplicitVsIm2col(f *testing.F) {
 			want := convReference(c, x)
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
-				assertBitEqual(t, fmt.Sprintf("%+v GOMAXPROCS=%d", tc, procs), c.Forward(x, false), want)
+				assertBitEqual(t, fmt.Sprintf("%+v GOMAXPROCS=%d", tc, procs), infer(c, x), want)
 			}
 		})
 	})
@@ -312,10 +312,12 @@ func BenchmarkConvForwardDroNet256(b *testing.B) {
 			rng := tensor.NewRNG(1)
 			c := newRandomConv(b, tc, rng)
 			x := randInput(rng, 1, tc.inC, tc.h, tc.w)
-			c.Forward(x, false)
+			out := infer(c, x)
+			var a tensor.Arena
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Forward(x, false)
+				a.Reset()
+				c.Infer(x, out, &a)
 			}
 			b.ReportMetric(float64(c.FLOPs())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

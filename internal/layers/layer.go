@@ -4,12 +4,14 @@
 // predictions and produces the YOLO training loss.
 //
 // Layers are created with their input shape fixed; batch size is flexible.
-// Each layer separates its shared, read-only learnable parameters from a
-// per-instance workspace (forward/backward caches and scratch buffers), so a
-// single instance must not be shared between concurrently-running networks —
-// instead, CloneForInference produces weight-sharing replicas whose
-// workspaces are independent, which is what the engine's replica pool
-// (internal/engine) builds on.
+// Each layer has two forward passes. Infer is inference: it writes into an
+// output tensor and carves its scratch from an arena, both owned by the
+// caller (network.Network owns one pair of activation slabs and one arena
+// per replica), so it keeps no state between calls and a layer's replicas
+// (CloneForInference) can run it concurrently. Forward is training: it keeps
+// its output and the intermediates Backward needs in per-instance
+// workspace, so a training instance must not be shared between
+// concurrently-running networks.
 package layers
 
 import (
@@ -53,13 +55,18 @@ type Layer interface {
 	// InShape and OutShape give the fixed per-sample activation shapes.
 	InShape() Shape
 	OutShape() Shape
-	// Forward computes the layer output for a batch. When train is true the
-	// layer caches intermediates for Backward and (for batch norm) uses
-	// batch statistics.
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	// Infer computes the inference output for a batch into out, whose shape
+	// is x.N × OutShape, carving any scratch from a (valid only until the
+	// call returns). It fully overwrites out, never reads what out held
+	// before, and keeps no reference to x, out or a.
+	Infer(x, out *tensor.Tensor, a *tensor.Arena)
+	// Forward is the training forward: it returns an output the layer owns,
+	// caches intermediates for Backward and (for batch norm) uses batch
+	// statistics.
+	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Backward consumes the gradient w.r.t. the layer output and returns the
 	// gradient w.r.t. the layer input, accumulating parameter gradients.
-	// It must be called after a Forward with train=true.
+	// It must be called after a Forward.
 	Backward(dout *tensor.Tensor) *tensor.Tensor
 	// Params returns the learnable parameters (empty for maxpool/region).
 	Params() []*Param
@@ -72,27 +79,15 @@ type Layer interface {
 	IOBytes() int64
 	// CloneForInference returns a replica that shares the layer's learnable
 	// parameters (Param tensors and, for batch norm, the rolling statistics)
-	// but owns fresh scratch/activation workspace. Replicas may run Forward
-	// with train=false concurrently with each other and with the original;
-	// training any instance while replicas run is not safe, since training
-	// mutates the shared parameters.
+	// but owns a fresh training workspace. Replicas may run Infer
+	// concurrently with each other and with the original; training any
+	// instance while replicas run is not safe, since training mutates the
+	// shared parameters.
 	CloneForInference() Layer
 }
 
-// ScratchUser is implemented by layers whose transient per-forward scratch
-// (training im2col output, per-filter inference vectors) can be rebound to a
-// shared per-replica arena (tensor.Arena). The owning network binds one arena per
-// replica — on Add and again on CloneForInference — so all of a replica's
-// transient scratch lives in one grow-once slab that is reset at the start
-// of each forward pass; layers without the method keep their private
-// buffers.
-type ScratchUser interface {
-	SetScratchArena(*tensor.Arena)
-}
-
-// ensure allocates (or reuses) an output tensor for the given batch size;
-// tensor.Reslice keeps the backing storage when capacity suffices, so
-// workspaces converge to max-batch capacity under varying batch sizes.
+// ensure allocates (or reuses) a training output tensor for the given batch
+// size; tensor.Reslice keeps the backing storage when capacity suffices.
 // Reused contents are unspecified: every layer Forward fully overwrites.
 func ensure(t **tensor.Tensor, n int, s Shape) *tensor.Tensor {
 	*t = tensor.Reslice(*t, n, s.C, s.H, s.W)

@@ -32,7 +32,7 @@ func sseGrad(out, target *tensor.Tensor) *tensor.Tensor {
 func checkInputGrad(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
 	rng := tensor.NewRNG(99)
-	out := l.Forward(x, true)
+	out := l.Forward(x)
 	target := tensor.New(out.N, out.C, out.H, out.W)
 	rng.FillUniform(target.Data, -1, 1)
 	dx := l.Backward(sseGrad(out, target))
@@ -41,9 +41,9 @@ func checkInputGrad(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	for _, i := range sampleIndices(rng, x.Len(), 24) {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp := sseLoss(l.Forward(x, true), target)
+		lp := sseLoss(l.Forward(x), target)
 		x.Data[i] = orig - eps
-		lm := sseLoss(l.Forward(x, true), target)
+		lm := sseLoss(l.Forward(x), target)
 		x.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		ana := float64(dx.Data[i])
@@ -58,23 +58,23 @@ func checkInputGrad(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 func checkParamGrad(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
 	rng := tensor.NewRNG(77)
-	out := l.Forward(x, true)
+	out := l.Forward(x)
 	target := tensor.New(out.N, out.C, out.H, out.W)
 	rng.FillUniform(target.Data, -1, 1)
 	for _, p := range l.Params() {
 		p.G.Zero()
 	}
-	l.Forward(x, true)
-	l.Backward(sseGrad(l.Forward(x, true), target))
+	l.Forward(x)
+	l.Backward(sseGrad(l.Forward(x), target))
 
 	const eps = 1e-2
 	for _, p := range l.Params() {
 		for _, i := range sampleIndices(rng, p.W.Len(), 10) {
 			orig := p.W.Data[i]
 			p.W.Data[i] = orig + eps
-			lp := sseLoss(l.Forward(x, true), target)
+			lp := sseLoss(l.Forward(x), target)
 			p.W.Data[i] = orig - eps
-			lm := sseLoss(l.Forward(x, true), target)
+			lm := sseLoss(l.Forward(x), target)
 			p.W.Data[i] = orig
 			num := (lp - lm) / (2 * eps)
 			ana := float64(p.G.Data[i])
@@ -106,6 +106,15 @@ func gradClose(num, ana, tol float64) bool {
 	return diff/scale < tol
 }
 
+// infer runs l's inference pass on x into a fresh output tensor over a
+// fresh scratch arena.
+func infer(l Layer, x *tensor.Tensor) *tensor.Tensor {
+	s := l.OutShape()
+	out := tensor.New(x.N, s.C, s.H, s.W)
+	l.Infer(x, out, new(tensor.Arena))
+	return out
+}
+
 func randInput(rng *tensor.RNG, n, c, h, w int) *tensor.Tensor {
 	x := tensor.New(n, c, h, w)
 	rng.FillUniform(x.Data, -1, 1)
@@ -121,7 +130,7 @@ func TestConvOutputShape(t *testing.T) {
 	if c.OutShape() != (Shape{C: 16, H: 8, W: 8}) {
 		t.Fatalf("OutShape = %+v", c.OutShape())
 	}
-	out := c.Forward(randInput(rng, 2, 3, 8, 8), false)
+	out := infer(c, randInput(rng, 2, 3, 8, 8))
 	if out.N != 2 || out.C != 16 || out.H != 8 || out.W != 8 {
 		t.Fatalf("forward shape = %v", out)
 	}
@@ -148,7 +157,7 @@ func TestConvKnownValues(t *testing.T) {
 	c.Biases.W.Data[0] = 1
 	x := tensor.New(1, 1, 2, 2)
 	copy(x.Data, []float32{1, 2, 3, 4})
-	out := c.Forward(x, false)
+	out := infer(c, x)
 	want := []float32{3, 5, 7, 9}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -167,7 +176,7 @@ func TestConvLeakyActivation(t *testing.T) {
 	c.Biases.W.Data[0] = 0
 	x := tensor.New(1, 1, 1, 2)
 	copy(x.Data, []float32{-1, 1})
-	out := c.Forward(x, false)
+	out := infer(c, x)
 	if math.Abs(float64(out.Data[0]+0.1)) > 1e-6 || out.Data[1] != 1 {
 		t.Fatalf("leaky output = %v", out.Data)
 	}
@@ -228,13 +237,13 @@ func TestConvBatchNormTrainVsInferConsistency(t *testing.T) {
 	x := randInput(rng, 4, 1, 4, 4)
 	var trainOut *tensor.Tensor
 	for i := 0; i < 1200; i++ {
-		trainOut = c.Forward(x, true)
+		trainOut = c.Forward(x)
 	}
 	train := trainOut.Clone()
-	infer := c.Forward(x, false)
+	inferred := infer(c, x)
 	var maxDiff float64
 	for i := range train.Data {
-		if d := math.Abs(float64(train.Data[i] - infer.Data[i])); d > maxDiff {
+		if d := math.Abs(float64(train.Data[i] - inferred.Data[i])); d > maxDiff {
 			maxDiff = d
 		}
 	}
@@ -258,7 +267,7 @@ func TestMaxPoolForwardKnown(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	})
-	out := p.Forward(x, false)
+	out := infer(p, x)
 	want := []float32{6, 8, 14, 16}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -306,7 +315,7 @@ func TestMaxPoolGradientRoutesToArgmax(t *testing.T) {
 	}
 	x := tensor.New(1, 1, 2, 2)
 	copy(x.Data, []float32{1, 9, 2, 3})
-	p.Forward(x, true)
+	p.Forward(x)
 	dout := tensor.New(1, 1, 1, 1)
 	dout.Data[0] = 5
 	dx := p.Backward(dout)
@@ -344,7 +353,7 @@ func TestRegionForwardActivations(t *testing.T) {
 	r := newTestRegion(t, 3, 1, 0)
 	rng := tensor.NewRNG(10)
 	x := randInput(rng, 1, r.InShape().C, 3, 3)
-	out := r.Forward(x, false)
+	out := infer(r, x)
 	d := out.Data
 	for a := 0; a < 2; a++ {
 		for row := 0; row < 3; row++ {
@@ -384,7 +393,7 @@ func TestRegionDecodeRoundTrip(t *testing.T) {
 	d[r.entry(a, 2, row, col)] = float32(math.Log(truth.W * 4 / testAnchors()[a][0]))
 	d[r.entry(a, 3, row, col)] = float32(math.Log(truth.H * 4 / testAnchors()[a][1]))
 	d[r.entry(a, 4, row, col)] = 8 // σ ≈ 0.9997
-	out := r.Forward(x, false)
+	out := infer(r, x)
 	dets := r.Decode(out, 0, 0.5)
 	if len(dets) != 1 {
 		t.Fatalf("got %d detections, want 1", len(dets))
@@ -403,13 +412,13 @@ func TestRegionLossDecreasesConfWithoutObjects(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	x := randInput(rng, 1, r.InShape().C, 3, 3)
 	r.SetTruths([][]Truth{{}})
-	r.Forward(x, true)
+	r.Forward(x)
 	loss0 := r.Loss
 	delta := r.Backward(nil)
 	// One SGD step on the input should reduce the loss.
 	x.AddScaled(-0.5, delta)
 	r.SetTruths([][]Truth{{}})
-	r.Forward(x, true)
+	r.Forward(x)
 	if r.Loss >= loss0 {
 		t.Fatalf("loss did not decrease: %v -> %v", loss0, r.Loss)
 	}
@@ -432,7 +441,7 @@ func TestRegionInputGradientNumeric(t *testing.T) {
 		{Box: detect.Box{X: 0.18, Y: 0.82, W: 0.12, H: 0.1}},
 	}}
 	r.SetTruths(truths)
-	r.Forward(x, true)
+	r.Forward(x)
 	ana := r.Backward(nil).Clone()
 
 	const eps = 5e-3
@@ -440,11 +449,11 @@ func TestRegionInputGradientNumeric(t *testing.T) {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
 		r.SetTruths(truths)
-		r.Forward(x, true)
+		r.Forward(x)
 		lp := r.Loss
 		x.Data[i] = orig - eps
 		r.SetTruths(truths)
-		r.Forward(x, true)
+		r.Forward(x)
 		lm := r.Loss
 		x.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
@@ -463,7 +472,7 @@ func TestRegionMultiClassSoftmax(t *testing.T) {
 	}
 	rng := tensor.NewRNG(14)
 	x := randInput(rng, 1, 16, 2, 2)
-	out := r.Forward(x, false)
+	out := infer(r, x)
 	for a := 0; a < 2; a++ {
 		var sum float64
 		for c := 0; c < 3; c++ {
@@ -480,7 +489,7 @@ func TestRegionBurnInCounter(t *testing.T) {
 	rng := tensor.NewRNG(15)
 	x := randInput(rng, 3, r.InShape().C, 2, 2)
 	r.SetTruths([][]Truth{{}, {}, {}})
-	r.Forward(x, true)
+	r.Forward(x)
 	if r.Seen() != 3 {
 		t.Fatalf("Seen = %d, want 3", r.Seen())
 	}

@@ -21,8 +21,8 @@ type MaxPool struct {
 	st poolState
 }
 
-// poolState is the per-instance workspace of a MaxPool; CloneForInference
-// resets it so replicas never share buffers.
+// poolState is the per-instance training workspace of a MaxPool;
+// CloneForInference resets it so replicas never share buffers.
 type poolState struct {
 	x   *tensor.Tensor
 	out *tensor.Tensor
@@ -83,18 +83,24 @@ func (p *MaxPool) IOBytes() int64 {
 	return 4 * (int64(p.in.Size()) + int64(p.out.Size()))
 }
 
-// Forward implements Layer. Inference over 2×2 windows anchored inside the
-// image (Pad ≤ 1: every pool in the paper's models, ceil-mode edges
-// included) takes the streaming fast path; training — which needs the
-// argmax — and every other geometry run the generic window loop.
-func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	p.st.x = x
-	out := ensure(&p.st.out, x.N, p.out)
-	if !train && p.Size == 2 && p.Pad <= 1 {
+// Infer implements Layer. 2×2 windows anchored inside the image (Pad ≤ 1:
+// every pool in the paper's models, ceil-mode edges included) take the
+// streaming fast path; every other geometry runs the generic window loop.
+// A pool needs no scratch.
+func (p *MaxPool) Infer(x, out *tensor.Tensor, _ *tensor.Arena) {
+	if p.Size == 2 && p.Pad <= 1 {
 		p.forward2x2(x, out)
 	} else {
-		p.forwardWindows(x, out, train)
+		p.forwardWindows(x, out, false)
 	}
+}
+
+// Forward implements Layer: the generic window loop, recording each
+// window's argmax for Backward.
+func (p *MaxPool) Forward(x *tensor.Tensor) *tensor.Tensor {
+	p.st.x = x
+	out := ensure(&p.st.out, x.N, p.out)
+	p.forwardWindows(x, out, true)
 	return out
 }
 

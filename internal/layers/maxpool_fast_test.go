@@ -31,16 +31,16 @@ func poolInput(rng *tensor.RNG, n int, s Shape, lo, hi float64, every int) *tens
 	return x
 }
 
-// checkPoolFastVsGeneric asserts the inference Forward equals the generic
+// checkPoolFastVsGeneric asserts the inference pass equals the generic
 // window loop bit for bit, and that a training Forward agrees with both and
 // records the argmax of every window.
 func checkPoolFastVsGeneric(t *testing.T, p *MaxPool, x *tensor.Tensor) {
 	t.Helper()
 	want := tensor.New(x.N, p.out.C, p.out.H, p.out.W)
 	p.forwardWindows(x, want, false)
-	assertBitEqual(t, p.Name()+" inference", p.Forward(x, false), want)
+	assertBitEqual(t, p.Name()+" inference", infer(p, x), want)
 
-	trained := p.Forward(x, true)
+	trained := p.Forward(x)
 	assertBitEqual(t, p.Name()+" training", trained, want)
 	for b := 0; b < x.N; b++ {
 		for i, v := range trained.Batch(b).Data {
@@ -139,7 +139,7 @@ func TestMaxPoolSignedZeroAndNaNWindows(t *testing.T) {
 		}
 		x := tensor.New(1, 1, 2, 2)
 		copy(x.Data, tc.window[:])
-		if got := p.Forward(x, false).Data[0]; math.Float32bits(got) != math.Float32bits(tc.want) {
+		if got := infer(p, x).Data[0]; math.Float32bits(got) != math.Float32bits(tc.want) {
 			t.Errorf("window %v: got %v (%#x), want %v (%#x)", tc.window, got, math.Float32bits(got), tc.want, math.Float32bits(tc.want))
 		}
 		checkPoolFastVsGeneric(t, p, x)
@@ -173,10 +173,11 @@ func BenchmarkMaxPool2x2(b *testing.B) {
 				b.Fatal(err)
 			}
 			x := poolInput(tensor.NewRNG(1), 1, s, -1, 1, 0)
+			out := infer(p, x)
 			b.SetBytes(4 * int64(s.Size()))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.Forward(x, false)
+				p.Infer(x, out, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.out.Size()), "ns/out")
 		})

@@ -53,9 +53,9 @@ func DefaultRegionConfig(classes int, anchors [][2]float64) RegionConfig {
 
 // Region is the YOLOv2 single-shot detection head. Its input is a
 // B·(5+classes) channel map over an S×S grid; per anchor the entries are
-// (tx, ty, tw, th, tobj, class logits...). Forward applies the decoding
-// activations; during training it also computes the YOLO loss and the input
-// gradient directly, as Darknet's region layer does.
+// (tx, ty, tw, th, tobj, class logits...). Infer applies the decoding
+// activations; the training Forward also computes the YOLO loss and the
+// input gradient directly, as Darknet's region layer does.
 type Region struct {
 	in  Shape
 	cfg RegionConfig
@@ -73,13 +73,12 @@ type Region struct {
 	Count    int
 }
 
-// regionState is the per-instance workspace of a Region; CloneForInference
-// resets it so replicas decode into private buffers.
+// regionState is the per-instance training workspace of a Region;
+// CloneForInference resets it.
 type regionState struct {
 	truths [][]Truth // per batch image, set before a training Forward
 	out    *tensor.Tensor
 	delta  *tensor.Tensor // gradient w.r.t. the (pre-activation) input
-	cls    []float32      // per-cell softmax scratch, reused across Forwards
 }
 
 // NewRegion validates the configuration against the input shape.
@@ -98,8 +97,8 @@ func NewRegion(in Shape, cfg RegionConfig) (*Region, error) {
 }
 
 // CloneForInference implements Layer: the clone carries the same
-// configuration but decodes into a private output buffer and starts with no
-// installed truths or training statistics.
+// configuration but starts with no training workspace, installed truths or
+// training statistics.
 func (r *Region) CloneForInference() Layer {
 	cp := *r
 	cp.st = regionState{}
@@ -147,17 +146,27 @@ func (r *Region) entry(a, e, row, col int) int {
 	return ((a*per+e)*r.in.H+row)*r.in.W + col
 }
 
-// Forward implements Layer.
-func (r *Region) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+// Infer implements Layer: the decoding activations, with the softmax row
+// carved from a.
+func (r *Region) Infer(x, out *tensor.Tensor, a *tensor.Arena) {
+	r.activate(x, out, a.F32(r.cfg.Classes))
+}
+
+// Forward implements Layer: the decoding activations, then the YOLO loss
+// and its input gradient against the installed truths.
+func (r *Region) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := ensure(&r.st.out, x.N, r.in)
+	r.activate(x, out, make([]float32, r.cfg.Classes))
+	r.computeLoss(x, out)
+	return out
+}
+
+// activate copies x into out and applies σ(tx), σ(ty), σ(tobj) and the
+// softmax over each cell's class logits, through the scratch row.
+func (r *Region) activate(x, out *tensor.Tensor, scratch []float32) {
 	out.Copy(x)
 	nAnchors := len(r.cfg.Anchors)
 	classes := r.cfg.Classes
-	// Activate: σ(tx), σ(ty), σ(tobj); softmax over class logits per cell.
-	if len(r.st.cls) != classes {
-		r.st.cls = make([]float32, classes)
-	}
-	scratch := r.st.cls
 	for b := 0; b < x.N; b++ {
 		d := out.Batch(b).Data
 		for a := 0; a < nAnchors; a++ {
@@ -184,10 +193,6 @@ func (r *Region) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	if train {
-		r.computeLoss(x, out)
-	}
-	return out
 }
 
 // boxAt decodes the predicted box of anchor a at (row, col) from activated

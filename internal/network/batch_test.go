@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -81,6 +82,45 @@ func TestDetectBatchMatchesSerial(t *testing.T) {
 		for j, idx := range sub {
 			if !reflect.DeepEqual(got[j], expected[idx]) {
 				t.Errorf("sub-batch %v image %d: detections differ after batch-size change", sub, idx)
+			}
+		}
+	}
+}
+
+// poisonFrames returns n frames filled, frame by frame, with NaN, +Inf,
+// −Inf, and ±3e38 in runs of seven (finite, but its products overflow): a
+// forward on them leaves NaN and ±Inf in both of a replica's activation
+// slabs, as pooling drops NaN but keeps an infinity.
+func poisonFrames(n, c, h, w int) *tensor.Tensor {
+	x := tensor.New(n, c, h, w)
+	for b := 0; b < n; b++ {
+		d := x.Batch(b).Data
+		for i := range d {
+			d[i] = [4]float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), [2]float32{3e38, -3e38}[i/7%2]}[b%4]
+		}
+	}
+	return x
+}
+
+// TestForwardIgnoresStaleSlabs pins the inference steps' memory contract:
+// each Infer fully overwrites its output before reading it, and reads only
+// the step before it. A batch-8 forward on non-finite frames leaves NaN and
+// ±Inf in both activation slabs, beyond what a smaller batch uses too; a
+// batch-3 forward on real frames must then give, image by image, the bytes
+// of a fresh replica's batch-1 forward.
+func TestForwardIgnoresStaleSlabs(t *testing.T) {
+	net := buildSmallDroNet(t)
+	x := tensor.New(3, 3, net.InputH, net.InputW)
+	tensor.NewRNG(5).FillUniform(x.Data, 0, 1)
+
+	used := net.CloneForInference()
+	used.ForwardBatch(poisonFrames(8, 3, net.InputH, net.InputW))
+	got := used.ForwardBatch(x)
+	for b := 0; b < x.N; b++ {
+		want := net.CloneForInference().ForwardBatch(x.Batch(b))
+		for i, v := range want.Data {
+			if g := got.Batch(b).Data[i]; math.Float32bits(g) != math.Float32bits(v) {
+				t.Fatalf("image %d: out[%d] = %v after a poisoned batch-8 pass, fresh replica %v", b, i, g, v)
 			}
 		}
 	}

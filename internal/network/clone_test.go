@@ -114,24 +114,28 @@ func TestCloneConcurrentDetectIdentical(t *testing.T) {
 }
 
 // TestScratchBytesInferenceHoldsNoColumnMatrix pins the workspace accounting
-// of the implicit-GEMM inference path: after warming, a replica's arena holds
-// the largest padded input plane (the first layer's 3×66×66 floats; each
-// layer hands its plane and 1/σ vector back, so there is one at a time) and
-// at most a few hundred floats more, so no 3×3 layer's im2col matrix fits
-// (the smallest, conv8's 216·4·4 floats, is 13.5 KB), while a training pass
-// on the same network still carves its column buffers from the arena.
+// of the implicit-GEMM inference path: after warming at batch 2, a replica
+// reports its two activation slabs — the largest even-step and the largest
+// odd-step output, times the batch — plus its arena, and the arena holds the
+// largest padded input plane (the first layer's 3×66×66 floats; the arena is
+// reset before every step, so there is one plane at a time) and at most a
+// few hundred floats more, so no 3×3 layer's im2col matrix fits (the
+// smallest, conv8's 216·4·4 floats, is 13.5 KB).
 func TestScratchBytesInferenceHoldsNoColumnMatrix(t *testing.T) {
 	net := buildSmallDroNet(t)
-	x := tensor.New(2, 3, net.InputH, net.InputW)
+	const batch = 2
+	x := tensor.New(batch, 3, net.InputH, net.InputW)
 	tensor.NewRNG(4).FillUniform(x.Data, 0, 1)
 	replica := net.CloneForInference()
 	replica.ForwardBatch(x)
-	plane := int64(4 * 3 * 66 * 66)
-	if got := replica.ScratchBytes(); got < plane || got >= plane+4*1024 {
-		t.Fatalf("warmed inference replica reports %d scratch bytes, want the %d-byte padded plane and a few hundred floats", got, plane)
+	var perImage [2]int64
+	for i, l := range replica.Layers {
+		perImage[i%2] = max(perImage[i%2], int64(l.OutShape().Size()))
 	}
-	net.Forward(x, true)
-	if trained := net.ScratchBytes(); trained < 4*27*64*64 {
-		t.Fatalf("training pass reports %d scratch bytes, want at least the first layer's column matrix", trained)
+	slabs := 4 * batch * (perImage[0] + perImage[1])
+	plane := int64(4 * 3 * 66 * 66)
+	if arena := replica.ScratchBytes() - slabs; arena < plane || arena >= plane+4*1024 {
+		t.Fatalf("warmed inference replica reports %d scratch bytes, %d beyond its %d slab bytes; want the %d-byte padded plane and a few hundred floats",
+			replica.ScratchBytes(), arena, slabs, plane)
 	}
 }

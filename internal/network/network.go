@@ -7,6 +7,7 @@ package network
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/detect"
 	"repro/internal/layers"
@@ -22,48 +23,43 @@ type Network struct {
 	InputW, InputH, InputC int
 	Layers                 []layers.Layer
 
-	// arena is this instance's scratch arena: every layer implementing
-	// layers.ScratchUser carves its transient per-forward buffers from it,
-	// and Forward resets it at the start of each pass. Replicas get their
-	// own (CloneForInference), so the whole transient footprint of one
-	// replica is a single grow-once slab — the zero-alloc steady state the
-	// serving path relies on, with ScratchBytes reporting the footprint.
-	arena *tensor.Arena
+	// Inference memory, owned per instance (replicas get their own): the
+	// steps ping-pong between two activation slabs — step i writes
+	// slab[i%2] through the output header steps[i] — and each step carves
+	// its scratch from arena, reset before it runs. The slabs are sized
+	// from the static output shapes (perImage[p] is the largest output of
+	// the steps writing slab p) and grow only when a larger batch arrives.
+	slab      [2][]float32
+	perImage  [2]int
+	steps     []tensor.Tensor
+	arena     tensor.Arena
+	slabBytes atomic.Int64 // 4·(len(slab[0])+len(slab[1])), for ScratchBytes
 	// per is the reusable result holder of DetectBatch (see its contract).
 	per [][]detect.Detection
 }
 
 // New creates an empty network for the given input geometry.
 func New(name string, w, h, c int) *Network {
-	return &Network{Name: name, InputW: w, InputH: h, InputC: c, arena: &tensor.Arena{}}
+	return &Network{Name: name, InputW: w, InputH: h, InputC: c}
 }
 
 // Add appends a layer; its input shape must chain from the previous layer.
-// Layers implementing layers.ScratchUser are bound to the network's scratch
-// arena.
 func (n *Network) Add(l layers.Layer) error {
 	want := n.nextShape()
 	got := l.InShape()
 	if got != want {
 		return fmt.Errorf("network: layer %q input %+v does not chain from %+v", l.Name(), got, want)
 	}
-	if n.arena == nil { // zero-literal constructed network
-		n.arena = &tensor.Arena{}
-	}
-	if su, ok := l.(layers.ScratchUser); ok {
-		su.SetScratchArena(n.arena)
-	}
 	n.Layers = append(n.Layers, l)
 	return nil
 }
 
-// ScratchBytes reports the footprint of this instance's scratch arena — the
-// per-replica transient workspace the engine aggregates for observability.
+// ScratchBytes reports this instance's inference memory — both activation
+// slabs and the scratch arena, the whole transient footprint of a replica
+// that the engine aggregates for observability. It is safe to call while a
+// forward pass runs.
 func (n *Network) ScratchBytes() int64 {
-	if n.arena == nil {
-		return 0
-	}
-	return n.arena.Bytes()
+	return n.slabBytes.Load() + n.arena.Bytes()
 }
 
 func (n *Network) nextShape() layers.Shape {
@@ -83,19 +79,16 @@ func (n *Network) OutShape() layers.Shape { return n.nextShape() }
 
 // CloneForInference returns a replica network whose layers share the
 // receiver's learnable parameters (weights, biases, batch-norm scales and
-// rolling statistics) but own fresh activation/scratch workspace. Replicas
+// rolling statistics) but own their inference memory. Replicas
 // may run Forward/Detect concurrently with each other and with the original;
 // they see weight updates made through any copy, so none of them may train
 // while others are running. This is the seam the engine's replica pool uses
 // to serve many concurrent requests from one set of weights.
 func (n *Network) CloneForInference() *Network {
-	c := &Network{Name: n.Name, InputW: n.InputW, InputH: n.InputH, InputC: n.InputC, arena: &tensor.Arena{}}
+	c := &Network{Name: n.Name, InputW: n.InputW, InputH: n.InputH, InputC: n.InputC}
 	c.Layers = make([]layers.Layer, len(n.Layers))
 	for i, l := range n.Layers {
 		c.Layers[i] = l.CloneForInference()
-		if su, ok := c.Layers[i].(layers.ScratchUser); ok {
-			su.SetScratchArena(c.arena)
-		}
 	}
 	return c
 }
@@ -110,17 +103,48 @@ func (n *Network) Region() *layers.Region {
 	return r
 }
 
-// Forward runs the network on a batch. The returned tensor is owned by the
-// final layer and is valid until the next Forward.
+// Forward runs the network on a batch: the layers' training Forward when
+// train is set, else inference. The returned tensor is owned by the network
+// (inference) or the final layer (training) and is valid until the next
+// Forward.
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if n.arena != nil {
-		n.arena.Reset() // transient scratch from the previous pass is dead
-	}
 	cur := x
-	for _, l := range n.Layers {
-		cur = l.Forward(cur, train)
+	if train {
+		for _, l := range n.Layers {
+			cur = l.Forward(cur)
+		}
+		return cur
+	}
+	if len(n.steps) != len(n.Layers) {
+		n.plan()
+	}
+	for p, per := range n.perImage {
+		if need := x.N * per; need > len(n.slab[p]) {
+			n.slab[p] = make([]float32, need)
+			n.slabBytes.Store(4 * int64(len(n.slab[0])+len(n.slab[1])))
+		}
+	}
+	for i, l := range n.Layers {
+		out := &n.steps[i]
+		out.N = x.N
+		out.Data = n.slab[i%2][:x.N*out.C*out.H*out.W]
+		n.arena.Reset()
+		l.Infer(cur, out, &n.arena)
+		cur = out
 	}
 	return cur
+}
+
+// plan lays the inference steps out from the layers' static output shapes:
+// one output header per step and the per-image size of each slab.
+func (n *Network) plan() {
+	n.steps = make([]tensor.Tensor, len(n.Layers))
+	n.perImage = [2]int{}
+	for i, l := range n.Layers {
+		s := l.OutShape()
+		n.steps[i] = tensor.Tensor{C: s.C, H: s.H, W: s.W}
+		n.perImage[i%2] = max(n.perImage[i%2], s.Size())
+	}
 }
 
 // ForwardBatch runs an inference-mode Forward.

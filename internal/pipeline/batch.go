@@ -17,7 +17,7 @@ import (
 // changing what any caller observes.
 //
 // A BatchRunner is not safe for concurrent use: the packed input tensor and
-// the model's layer workspaces are per-instance state. Give each worker its
+// the model's inference memory are per-instance state. Give each worker its
 // own BatchRunner over a CloneForInference replica. Net may be of either
 // precision (float32 layers.Conv2D or int8 quant.QConv convolutions).
 type BatchRunner struct {
@@ -32,8 +32,8 @@ type BatchRunner struct {
 	in *tensor.Tensor // packed batch input, reused across calls
 }
 
-// Warm runs one throwaway forward at the given batch size so every layer
-// workspace (activation buffers, arena scratch) is allocated at full
+// Warm runs one throwaway forward at the given batch size so the model's
+// inference memory (activation slabs, arena scratch) is allocated at full
 // micro-batch capacity before the first real request arrives. Subsequent
 // smaller batches re-slice the same storage.
 func (r *BatchRunner) Warm(batch int) {

@@ -11,10 +11,10 @@ import (
 // TestForwardZeroAlloc is the steady-state allocation contract of the
 // serving hot path: after one warm-up pass at the converged batch size,
 // batched forward inference — fp32 and int8 — must perform ZERO heap
-// allocations per call. Everything transient (im2col output, quantized
-// activations, GEMM pack panels, microkernel edge tiles) lives in the
-// per-replica scratch arena or in pooled GEMM contexts, and every
-// activation buffer has Reslice-converged.
+// allocations per call. Every activation lives in the network's two slabs,
+// everything transient (padded planes, quantized activations) in its
+// scratch arena, and GEMM pack panels and microkernel edge tiles in pooled
+// GEMM contexts; slabs and arena have grown to the batch.
 //
 // DetectBatch is additionally pinned at zero allocations when no detection
 // fires (thresh > 1): decode scratch and the outer result slice are model
@@ -38,7 +38,7 @@ func TestForwardZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Warm-up: grows arenas, converges Reslice buffers, primes GEMM pools.
+	// Warm-up: grows slabs and arenas, primes GEMM pools.
 	net.ForwardBatch(x)
 	qnet.ForwardBatch(x)
 
@@ -73,10 +73,10 @@ func TestForwardZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestForwardZeroAllocAfterBatchShrink guards the Reslice convergence story
-// end to end, fp32 and int8: warming at the maximum micro-batch and then
-// serving a smaller batch must not allocate either (arena carves and
-// activation buffers re-slice, never re-allocate).
+// TestForwardZeroAllocAfterBatchShrink guards the grow-only slabs end to
+// end, fp32 and int8: warming at the maximum micro-batch and then serving a
+// smaller batch must not allocate either (arena carves and step outputs
+// re-slice the grown slabs, never re-allocate).
 func TestForwardZeroAllocAfterBatchShrink(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops items at random; steady-state pooling is unobservable")

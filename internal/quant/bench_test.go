@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cfg"
-	"repro/internal/layers"
 	"repro/internal/models"
 	"repro/internal/network"
 	"repro/internal/quant"
@@ -45,30 +44,32 @@ func quarterDroNet(tb testing.TB, size int) (fp, q *network.Network) {
 	return fp, q
 }
 
-// layerTimer runs a network one layer at a time on its own scratch arena,
-// summing each layer's wall time.
+// layerTimer runs a network's inference one layer at a time, each layer's
+// Infer into its own output over one scratch arena, summing each layer's
+// wall time.
 type layerTimer struct {
 	net   *network.Network
+	outs  []*tensor.Tensor
 	arena tensor.Arena
 	ns    []time.Duration
 }
 
-func newLayerTimer(net *network.Network) *layerTimer {
-	lt := &layerTimer{net: net, ns: make([]time.Duration, len(net.Layers))}
-	for _, l := range net.Layers {
-		if s, ok := l.(layers.ScratchUser); ok {
-			s.SetScratchArena(&lt.arena)
-		}
+func newLayerTimer(net *network.Network, batch int) *layerTimer {
+	lt := &layerTimer{net: net, outs: make([]*tensor.Tensor, len(net.Layers)), ns: make([]time.Duration, len(net.Layers))}
+	for i, l := range net.Layers {
+		s := l.OutShape()
+		lt.outs[i] = tensor.New(batch, s.C, s.H, s.W)
 	}
 	return lt
 }
 
 func (lt *layerTimer) forward(x *tensor.Tensor) {
-	lt.arena.Reset()
 	for i, l := range lt.net.Layers {
 		t0 := time.Now()
-		x = l.Forward(x, false)
+		lt.arena.Reset()
+		l.Infer(x, lt.outs[i], &lt.arena)
 		lt.ns[i] += time.Since(t0)
+		x = lt.outs[i]
 	}
 }
 
@@ -89,8 +90,8 @@ func benchForwardLayers(b *testing.B, size int) {
 	fp, q := quarterDroNet(b, size)
 	x := tensor.New(1, 3, size, size)
 	tensor.NewRNG(3).FillUniform(x.Data, 0, 1)
-	tf, tq := newLayerTimer(fp), newLayerTimer(q)
-	tf.forward(x) // warm-up: arenas, activation buffers, GEMM pools
+	tf, tq := newLayerTimer(fp, x.N), newLayerTimer(q, x.N)
+	tf.forward(x) // warm-up: arenas, GEMM pools
 	tq.forward(x)
 	clear(tf.ns)
 	clear(tq.ns)

@@ -35,7 +35,7 @@ func im2colInt8(img []int8, channels, height, width, ksize, stride, pad int, col
 	}
 }
 
-// qconvReference is QConv.Forward as a staged lowering, per image: quantize
+// qconvReference is QConv.Infer as a staged lowering, per image: quantize
 // the input, im2col it, one GemmInt8 with the requantizing store, then a
 // separate leaky-ReLU pass over the whole output.
 func qconvReference(qc *QConv, x *tensor.Tensor) *tensor.Tensor {
@@ -88,8 +88,16 @@ func newRandomQConv(t testing.TB, tc qconvCase, rng *tensor.RNG) (*QConv, *tenso
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc.SetScratchArena(new(tensor.Arena))
 	return qc, x
+}
+
+// infer runs l's inference pass on x into a fresh output tensor over a
+// fresh scratch arena.
+func infer(l layers.Layer, x *tensor.Tensor) *tensor.Tensor {
+	s := l.OutShape()
+	out := tensor.New(x.N, s.C, s.H, s.W)
+	l.Infer(x, out, new(tensor.Arena))
+	return out
 }
 
 func assertBitEqual(t testing.TB, what string, got, want *tensor.Tensor) {
@@ -117,7 +125,7 @@ func forEachKernel(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// TestQConvMatchesIm2colReference pins QConv.Forward — the im2col-free
+// TestQConvMatchesIm2colReference pins QConv.Infer — the im2col-free
 // tensor.ConvPrepackedInt8 — to the staged quantize → im2col → GemmInt8 →
 // Leaky lowering bit for bit, on every kernel family and at GOMAXPROCS 1, 2
 // and 4: panels read in place, gathered across output rows and strided,
@@ -159,7 +167,7 @@ func TestQConvMatchesIm2colReference(t *testing.T) {
 			prev := runtime.GOMAXPROCS(1)
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
-				assertBitEqual(t, fmt.Sprintf("%s, GOMAXPROCS=%d", tc.name, procs), qc.Forward(x, false), want)
+				assertBitEqual(t, fmt.Sprintf("%s, GOMAXPROCS=%d", tc.name, procs), infer(qc, x), want)
 			}
 			runtime.GOMAXPROCS(prev)
 		}
@@ -181,7 +189,7 @@ func TestQConvAfterKernelSwitch(t *testing.T) {
 			if err := tensor.SelectKernel(run); err != nil {
 				t.Fatal(err)
 			}
-			assertBitEqual(t, fmt.Sprintf("packed %s, run %s", packed, run), qc.Forward(x, false), qconvReference(qc, x))
+			assertBitEqual(t, fmt.Sprintf("packed %s, run %s", packed, run), infer(qc, x), qconvReference(qc, x))
 		}
 	}
 }
@@ -211,7 +219,7 @@ func FuzzQConvVsIm2colReference(f *testing.F) {
 				t.Fatal(err)
 			}
 			qc, x := newRandomQConv(t, tc, tensor.NewRNG(seed))
-			assertBitEqual(t, fmt.Sprintf("%s %+v", name, tc), qc.Forward(x, false), qconvReference(qc, x))
+			assertBitEqual(t, fmt.Sprintf("%s %+v", name, tc), infer(qc, x), qconvReference(qc, x))
 		}
 	})
 }

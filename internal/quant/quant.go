@@ -91,14 +91,13 @@ func FoldBatchNorm(net *network.Network) (*network.Network, error) {
 // standard "fake-quant inference" data path, which isolates the accuracy
 // effect of the 8-bit storage).
 //
-// QConv is an inference-only layers.Layer: Forward ignores train, Params is
-// nil and Backward panics. Like the float layers it separates shared
-// read-only parameters (W, WScale, Bias, ActScale, requant, the weight pack)
-// from its per-instance workspace (the arena binding and the output tensor),
-// so CloneForInference replicas can run concurrently. Forward loops the
-// batch dimension with one ConvPrepackedInt8 call per image, and because
-// int32 accumulation is exact, an N-image batch is byte-identical to N
-// single-image calls.
+// QConv is an inference-only layers.Layer: Params is nil and Forward and
+// Backward panic. It holds only read-only parameters (W, WScale, Bias,
+// ActScale, requant, the weight pack) and no workspace — Infer writes the
+// caller's output and carves the caller's arena — so one instance serves
+// every replica concurrently. Infer loops the batch dimension with one
+// ConvPrepackedInt8 call per image, and because int32 accumulation is
+// exact, an N-image batch is byte-identical to N single-image calls.
 type QConv struct {
 	in, out layers.Shape
 	Filters int
@@ -115,15 +114,8 @@ type QConv struct {
 	// packed is W permuted and pre-packed for tensor.ConvPrepackedInt8,
 	// built eagerly at quantization time: quantized weights are immutable
 	// after Quantize, so the pack never invalidates and every replica shares
-	// it (the struct copy in CloneForInference copies the pointer).
+	// it.
 	packed *tensor.PackedConvInt8
-
-	// Workspace (per replica): the quantized input's pair plane is carved
-	// from the replica's scratch arena, which the owning network binds on
-	// Add and CloneForInference; out_ reuses its backing storage
-	// Reslice-style, converging to max-batch capacity.
-	arena *tensor.Arena
-	out_  *tensor.Tensor
 }
 
 // Quantize converts a (BN-folded or BN-free) network to INT8 using the
@@ -146,8 +138,10 @@ func Quantize(net *network.Network, calibration []*tensor.Tensor) (*network.Netw
 			break
 		}
 	}
-	// Observe per-conv input ranges over the calibration set.
+	// Observe per-conv input ranges over the calibration set, running the
+	// layers' inference pass one step at a time.
 	maxAbs := make([]float32, len(net.Layers))
+	var a tensor.Arena
 	for _, img := range calibration {
 		x := img
 		for i, l := range net.Layers {
@@ -156,7 +150,11 @@ func Quantize(net *network.Network, calibration []*tensor.Tensor) (*network.Netw
 					maxAbs[i] = m
 				}
 			}
-			x = l.Forward(x, false)
+			s := l.OutShape()
+			out := tensor.New(x.N, s.C, s.H, s.W)
+			a.Reset()
+			l.Infer(x, out, &a)
+			x = out
 		}
 	}
 	q := network.New(net.Name+"-int8", net.InputW, net.InputH, net.InputC)
@@ -240,6 +238,11 @@ func (qc *QConv) OutShape() layers.Shape { return qc.out }
 // Params implements layers.Layer: a QConv has nothing to train.
 func (qc *QConv) Params() []*layers.Param { return nil }
 
+// Forward implements layers.Layer; a QConv is inference-only.
+func (qc *QConv) Forward(x *tensor.Tensor) *tensor.Tensor {
+	panic("quant: QConv.Forward: quantized convolutions are inference-only")
+}
+
 // Backward implements layers.Layer; a QConv is inference-only.
 func (qc *QConv) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	panic("quant: QConv.Backward: quantized convolutions are inference-only")
@@ -267,34 +270,21 @@ func (qc *QConv) storageBytes() int64 {
 	return int64(len(qc.W)) + 4*int64(len(qc.WScale)+len(qc.Bias))
 }
 
-// SetScratchArena implements layers.ScratchUser: the quantized input's pair
-// plane is carved from the replica's arena.
-func (qc *QConv) SetScratchArena(a *tensor.Arena) { qc.arena = a }
+// CloneForInference implements layers.Layer: a QConv holds nothing but
+// read-only parameters, so it is its own replica.
+func (qc *QConv) CloneForInference() layers.Layer { return qc }
 
-// CloneForInference implements layers.Layer: the replica shares the
-// quantized weights, scales, biases and weight pack (all read-only after
-// Quantize) but owns a fresh workspace; the owning network rebinds its
-// arena.
-func (qc *QConv) CloneForInference() layers.Layer {
-	cp := *qc
-	cp.arena, cp.out_ = nil, nil
-	return &cp
-}
-
-// Forward implements layers.Layer (train is ignored): per image, one
-// tensor.ConvPrepackedInt8 call quantizes the input activations with the
-// calibrated scale into a zero-bordered plane, runs the int8 kernels on it
-// in place, and stores the int32 sums requantized to float32 with the
+// Infer implements layers.Layer: per image, one tensor.ConvPrepackedInt8
+// call quantizes the input activations with the calibrated scale into a
+// zero-bordered pair plane carved from a, runs the int8 kernels on it in
+// place, and stores the int32 sums requantized to float32 with the
 // activation applied.
-func (qc *QConv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	qc.out_ = tensor.Reslice(qc.out_, x.N, qc.out.C, qc.out.H, qc.out.W)
-	out := qc.out_
-	plane := qc.arena.I16(qc.packed.PlaneLen())
+func (qc *QConv) Infer(x, out *tensor.Tensor, a *tensor.Arena) {
+	plane := a.I16(qc.packed.PlaneLen())
 	leaky := qc.Act == layers.ActLeaky
 	for b := 0; b < x.N; b++ {
 		tensor.ConvPrepackedInt8(qc.packed, x.Batch(b).Data, qc.ActScale, qc.requant, qc.Bias, leaky, plane, out.Batch(b).Data)
 	}
-	return out
 }
 
 // QuantizeSymmetric quantizes src into dst (which must be at least as long)

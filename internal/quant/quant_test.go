@@ -192,6 +192,42 @@ func TestInt8DetectBatchMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestInt8ForwardIgnoresStaleSlabs is the int8 twin of
+// network.TestForwardIgnoresStaleSlabs: after a batch-8 forward on frames of
+// NaN, +Inf, −Inf and ±3e38, which leaves saturated and non-finite values in
+// the replica's activation slabs and arena, a batch-3 forward on real
+// frames must give, image by image, the bytes of a fresh replica's batch-1
+// forward — so no QConv, pool or region step reads its output, or a stale
+// step, before writing it.
+func TestInt8ForwardIgnoresStaleSlabs(t *testing.T) {
+	net := buildDroNet(t, 64)
+	q, err := Quantize(net, randImages(2, 3, 64, 64, 71))
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := tensor.New(8, 3, 64, 64)
+	for b := 0; b < poison.N; b++ {
+		d := poison.Batch(b).Data
+		for i := range d {
+			d[i] = [4]float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), [2]float32{3e38, -3e38}[i/7%2]}[b%4]
+		}
+	}
+	x := tensor.New(3, 3, 64, 64)
+	tensor.NewRNG(72).FillUniform(x.Data, 0, 1)
+
+	used := q.CloneForInference()
+	used.ForwardBatch(poison)
+	got := used.ForwardBatch(x)
+	for b := 0; b < x.N; b++ {
+		want := q.CloneForInference().ForwardBatch(x.Batch(b))
+		for i, v := range want.Data {
+			if g := got.Batch(b).Data[i]; math.Float32bits(g) != math.Float32bits(v) {
+				t.Fatalf("image %d: out[%d] = %v after a poisoned batch-8 pass, fresh replica %v", b, i, g, v)
+			}
+		}
+	}
+}
+
 // TestInt8CloneConcurrent proves the replica contract int8-side: clones
 // share quantized parameters, own their workspaces, and produce identical
 // detections when run concurrently (meaningful under -race).

@@ -1031,8 +1031,8 @@ func (h *hosted) serviceMedian() time.Duration {
 // run outside net/http's per-request recovery, so without this a panic on
 // one poisoned input would kill the whole process and strand every
 // co-batched caller on its response channel. The panicking batch's callers
-// all get a 500; the worker keeps serving (layer workspaces are fully
-// overwritten by the next forward, so no corrupt state survives).
+// all get a 500; the worker keeps serving (every inference step fully
+// overwrites its output, so no corrupt state survives).
 func (h *hosted) executeBatch(id int, imgs []*imgproc.Image, alts []float64) (per [][]detect.Detection, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -2,25 +2,23 @@ package tensor
 
 import "sync/atomic"
 
-// Arena is a grow-once bump allocator for the transient per-forward scratch
-// of a model replica: training im2col output, padded input planes, the
-// int8 convolutions' quantized pair planes, and any other buffer whose
-// contents do not need to survive into the next forward pass. A replica
-// resets its arena at the start of every forward and each layer carves
-// what it needs; after one warm-up pass the slabs have
-// converged to the high-water demand and steady-state carving is pure
-// pointer bumping — zero allocations, the same convergence behavior as the
-// Reslice workspace convention but consolidated into one slab per element
-// type, whose footprint ScratchBytes reports per replica.
+// Arena is a grow-once bump allocator for the scratch of one inference
+// step: a convolution's padded input plane and 1/σ vector, an int8
+// convolution's quantized pair plane, the region layer's softmax row — any
+// buffer that dies when the step returns. Each model replica owns one
+// (network.Network, beside its two activation slabs), resets it before every
+// step and hands it to the layer's Infer; after one warm-up pass the slabs
+// have converged to the largest step's demand and carving is pure pointer
+// bumping — zero allocations, one slab per element type, whose footprint
+// Bytes reports.
 //
-// An Arena is single-goroutine state, like every other piece of replica
-// workspace: clones get a fresh arena via the layers' workspace rebinding,
-// never a shared one. Carved slices alias earlier slab generations when the
-// slab grows mid-pass; that is fine — they stay valid, and the next Reset
-// starts carving from the grown slab.
+// An Arena is single-goroutine state: each replica has its own, never a
+// shared one. Carved slices alias earlier slab generations when the slab
+// grows mid-step; that is fine — they stay valid, and the next Reset starts
+// carving from the grown slab.
 //
-// Carved contents are unspecified (previous-pass data); callers must fully
-// overwrite, exactly as with Reslice.
+// Carved contents are unspecified (an earlier step's data); callers must
+// fully overwrite.
 type Arena struct {
 	f32    []float32
 	f32Off int
@@ -53,14 +51,6 @@ func (a *Arena) F32(n int) []float32 {
 	a.f32Off += n
 	return s
 }
-
-// F32Mark returns the float32 carve position, for F32Release.
-func (a *Arena) F32Mark() int { return a.f32Off }
-
-// F32Release hands back every float32 carved since F32Mark returned mark:
-// scratch that dies inside one layer (a padded input plane) then costs the
-// slab its own size once, not once per layer.
-func (a *Arena) F32Release(mark int) { a.f32Off = mark }
 
 // I16 carves n int16s.
 func (a *Arena) I16(n int) []int16 {
