@@ -35,10 +35,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench NMS -benchtime 10x ./internal/detect/
 	$(GO) test -run '^$$' -bench DecodeFrame -benchtime 10x ./internal/serve/
 
-## vet: static analysis plus the gofmt cleanliness gate — unformatted files
+## vet: static analysis of the root module and the nested bench module, plus
+## the gofmt cleanliness gate — unformatted files
 ## fail the build with their names listed
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 	    echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 

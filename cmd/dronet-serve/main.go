@@ -101,9 +101,6 @@ func main() {
 	if faults.Enabled() {
 		log.Print("warning: fault injection armed")
 	}
-	if note := tensor.KernelInitNote(); note != "" {
-		log.Printf("warning: %s", note)
-	}
 	log.Printf("gemm kernel: %s (available: %s)", tensor.KernelName(), strings.Join(tensor.AvailableKernels(), ", "))
 
 	// Without -models the single-model flags are the one-entry registry

@@ -3,7 +3,9 @@
 // (Kyrkou et al., DATE 2018): a Darknet-style CNN framework, the paper's
 // four detector architectures, a synthetic aerial-vehicle dataset, the
 // evaluation metrics, and calibrated platform models for the paper's three
-// deployment targets. See README.md for the layout; the benchmarks in
+// deployment targets. See README.md for the layout. The dronet command
+// (cmd/dronet) runs the paper's offline pipeline as subcommands — arch,
+// data, train, detect, platform and sweep — and the benchmarks in
 // bench_test.go regenerate the paper's tables and figures on the host CPU.
 //
 // Beyond the paper's single-camera loop, internal/engine scales one trained

@@ -212,8 +212,6 @@ func shardedWalk(serverBin, proxyBin string, size, frames int) {
 	}
 	proxyAddr := proxy.Addr
 	fmt.Printf("proxy up on %s fronting both shards\n", proxyAddr)
-	// Give the health loop a beat to learn the shards' identity labels.
-	time.Sleep(400 * time.Millisecond)
 
 	imgs := renderFrames(size, frames, 43)
 

@@ -17,8 +17,9 @@ type shardHealth struct {
 	ShardID string `json:"shard_id"`
 }
 
-// healthLoop actively probes every shard's /healthz each HealthInterval.
-// Probes run concurrently (one slow shard must not delay the others'
+// healthLoop actively probes every shard's /healthz each HealthInterval;
+// NewProxy runs the first round itself, so labels are known before it
+// returns. Probes run concurrently (one slow shard must not delay the others'
 // verdicts) and complement the passive forward-error path: passive marks
 // catch a dead shard within FailThreshold requests, active probes catch it
 // within FailThreshold intervals even with zero traffic — and active
@@ -28,7 +29,6 @@ func (p *Proxy) healthLoop() {
 	defer p.wg.Done()
 	t := time.NewTicker(p.cfg.HealthInterval)
 	defer t.Stop()
-	p.probeAll() // immediate first pass: don't wait an interval to learn labels
 	for {
 		select {
 		case <-p.stop:

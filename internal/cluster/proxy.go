@@ -151,7 +151,9 @@ type Proxy struct {
 	wg   sync.WaitGroup
 }
 
-// NewProxy builds the proxy and starts its health-check loop.
+// NewProxy builds the proxy, probes every shard once — so each shard's
+// shard_id label is known before the first request — and starts the
+// health-check loop.
 func NewProxy(cfg ProxyConfig) (*Proxy, error) {
 	cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
@@ -197,6 +199,7 @@ func NewProxy(cfg ProxyConfig) (*Proxy, error) {
 	p.mux.HandleFunc("/stream", p.handleStream)
 	p.mux.HandleFunc("/healthz", p.handleHealthz)
 	p.mux.HandleFunc("/metrics", p.handleMetrics)
+	p.probeAll()
 	p.wg.Add(1)
 	go p.healthLoop()
 	return p, nil

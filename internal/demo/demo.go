@@ -1,6 +1,6 @@
 // Package demo provides a quickly trainable, filter-scaled DroNet, its
 // training recipe and the matching close-up scene configuration. The
-// training sweep (cmd/dronet-sweep) and the root benchmarks use it: reduced
+// training sweep (dronet sweep) and the root benchmarks use it: reduced
 // input resolution, halved filter counts and low-altitude scenes whose
 // vehicles span about one grid cell make a training run converge in seconds
 // on a laptop.

@@ -304,32 +304,21 @@ func Dequantize(src []int8, scale float32, dst []float32) {
 	}
 }
 
-// PredictFPS estimates the quantized network's throughput on a platform:
-// FLOP counts are unchanged but the weight working set shrinks 4×, which
-// moves large layers back into cache in the roofline model, and integer
-// arithmetic gets the platform's INT8 throughput bonus (conservatively 2×
-// on these NEON/SSE-class CPUs).
+// PredictFPS estimates the quantized network's throughput on a platform
+// with the roofline of platform.Platform.LayerTime: the weight working set
+// shrinks 4×, which moves large layers back into cache; integer arithmetic
+// gets the platform's INT8 throughput bonus (conservatively 2× on these
+// NEON/SSE-class CPUs), modelled as half the FLOPs; and int8 activations
+// halve traffic vs float (conservative).
 func PredictFPS(p platform.Platform, net *network.Network) float64 {
-	const int8Speedup = 2.0
+	const int8Speedup = 2
 	var seconds float64
 	for _, l := range net.Layers {
 		var wBytes int64
 		for _, prm := range l.Params() {
 			wBytes += int64(prm.W.Len()) // 1 byte per weight
 		}
-		flops := l.FLOPs()
-		io := l.IOBytes() / 4 * 2 // int8 activations halve traffic vs float (conservative)
-		gf := p.CachedGFLOPS
-		if wBytes > p.CacheBytes {
-			gf = p.SpilledGFLOPS
-		}
-		compute := float64(flops) / (gf * 1e9 * int8Speedup)
-		traffic := float64(io) / (p.MemBWGBps * 1e9)
-		t := compute
-		if traffic > t {
-			t = traffic
-		}
-		seconds += t + p.LayerOverheadSec
+		seconds += p.LayerTime(l.FLOPs()/int8Speedup, wBytes, l.IOBytes()/4*2)
 	}
 	if seconds <= 0 {
 		return 0

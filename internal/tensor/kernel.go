@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,8 +17,8 @@ import (
 // Selection is runtime, not build-time: amd64 binaries carry the AVX2
 // (6×16) kernels, registered when the CPU supports AVX2+FMA with OS-enabled
 // YMM state, while the portable Go kernels are always registered last as the
-// universal fallback and cross-check oracle. The DRONET_KERNEL environment
-// variable (or SelectKernel, in tests) pins a specific family so both
+// universal fallback and cross-check oracle. The purego build tag registers
+// only the portable family and SelectKernel pins one in tests, so both
 // dispatch paths stay testable on any box: CI runs the full suite under
 // -tags purego, and the cross-family tests and fuzz harness iterate every
 // registered family.
@@ -42,8 +41,7 @@ import (
 // JSON pixel fractions parsed to float32). Each reproduces the Go code it
 // replaces bit for bit, and each follows the selected family like the tile
 // kernels do: a nil entry — every entry of portable, so under
-// DRONET_KERNEL=portable, SelectKernel("portable") or -tags purego — runs
-// the Go code.
+// SelectKernel("portable") or -tags purego — runs the Go code.
 
 // microKernels describes one microkernel implementation family: the
 // register-tile geometry and the fp32/int8 tile kernels that consume the
@@ -109,13 +107,6 @@ const (
 	maxNR = 16
 )
 
-// KernelEnv is the environment variable that pins the microkernel family at
-// process start: one of the AvailableKernels names ("avx2", "portable").
-// An unavailable name falls back to the best family and records a note
-// (KernelInitNote) instead of failing, so a pinned config keeps working when
-// the binary moves to a smaller machine.
-const KernelEnv = "DRONET_KERNEL"
-
 // portableKernels is the pure-Go family: always available, on every
 // architecture and under the purego build tag, and the oracle the asm
 // families are cross-checked against.
@@ -124,29 +115,18 @@ var portableKernels = &microKernels{name: "portable", mr: 4, nr: 8, f32: kernF32
 var (
 	kernelOnce    sync.Once
 	kernelList    []*microKernels // preference order, best first
-	kernelEnvNote string
 	activeKernels atomic.Pointer[microKernels]
 )
 
 // initKernelList builds the registry (arch-specific families first, the
-// portable Go family as the universal fallback) and applies the KernelEnv
-// pin. It runs once, lazily, before the first dispatch or registry query.
+// portable Go family as the universal fallback) and selects the first. It
+// runs once, lazily, before the first dispatch or registry query.
 func initKernelList() {
 	kernelList = append(archKernels(), portableKernels)
 	for _, k := range kernelList {
 		if k.mr > maxMR || k.nr > maxNR {
 			panic(fmt.Sprintf("tensor: kernel %q tile %dx%d exceeds maxMR/maxNR %dx%d", k.name, k.mr, k.nr, maxMR, maxNR))
 		}
-	}
-	if want := os.Getenv(KernelEnv); want != "" {
-		for _, k := range kernelList {
-			if k.name == want {
-				activeKernels.Store(k)
-				return
-			}
-		}
-		kernelEnvNote = fmt.Sprintf("%s=%q is not available on this CPU/build (have %s); using %q",
-			KernelEnv, want, strings.Join(kernelNames(), ","), kernelList[0].name)
 	}
 	activeKernels.Store(kernelList[0])
 }
@@ -230,8 +210,8 @@ func KernelSupported(name string) bool {
 }
 
 // SelectKernel switches the active microkernel family: one of the
-// AvailableKernels names, or "" to re-run auto-selection (KernelEnv pin if
-// set and available, best registered family otherwise). Unknown or
+// AvailableKernels names, or "" to re-run auto-selection (the best
+// registered family). Unknown or
 // unavailable names return an error and leave the selection unchanged.
 //
 // In-flight GEMMs are unaffected (each captures the family at entry), and
@@ -241,14 +221,6 @@ func KernelSupported(name string) bool {
 func SelectKernel(name string) error {
 	kernelOnce.Do(initKernelList)
 	if name == "" {
-		if want := os.Getenv(KernelEnv); want != "" {
-			for _, k := range kernelList {
-				if k.name == want {
-					activeKernels.Store(k)
-					return nil
-				}
-			}
-		}
 		activeKernels.Store(kernelList[0])
 		return nil
 	}
@@ -259,12 +231,4 @@ func SelectKernel(name string) error {
 		}
 	}
 	return fmt.Errorf("tensor: kernel %q not available on this CPU/build (have %s)", name, strings.Join(kernelNames(), ","))
-}
-
-// KernelInitNote returns a human-readable warning when the KernelEnv pin
-// named an unavailable family at startup ("" when selection was clean), so
-// binaries can surface the silent fallback in their logs.
-func KernelInitNote() string {
-	kernelOnce.Do(initKernelList)
-	return kernelEnvNote
 }

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"os"
 	"strings"
 	"testing"
 )
@@ -15,9 +14,6 @@ func TestKernelDispatchInfo(t *testing.T) {
 	names := AvailableKernels()
 	t.Logf("kernels available: %s", strings.Join(names, ","))
 	t.Logf("kernel selected: %s", KernelName())
-	if note := KernelInitNote(); note != "" {
-		t.Logf("kernel init note: %s", note)
-	}
 	if len(names) == 0 || names[len(names)-1] != "portable" {
 		t.Fatalf("portable family must be registered last, have %v", names)
 	}
@@ -42,12 +38,8 @@ func TestKernelDispatchInfo(t *testing.T) {
 // on hardware that supports it — the guard `make bench-smoke` runs so a
 // silently rotted dispatch chain (detection regression, registration order
 // bug) fails loudly instead of benchmarking the slow path. Skips when the
-// CPU/build doesn't carry the AVX2 family or when the environment pins a
-// different one on purpose.
+// CPU/build doesn't carry the AVX2 family.
 func TestSelectedKernel(t *testing.T) {
-	if pin := os.Getenv(KernelEnv); pin != "" {
-		t.Skipf("%s=%s pins the family; auto-selection not in effect", KernelEnv, pin)
-	}
 	if !KernelSupported("avx2") {
 		t.Skipf("AVX2 family not available on this CPU/build (have %s)", strings.Join(AvailableKernels(), ","))
 	}

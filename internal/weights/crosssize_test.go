@@ -10,7 +10,7 @@ import (
 )
 
 // TestCrossResolutionTransfer validates the multi-scale evaluation
-// mechanism used by cmd/dronet-sweep: convolution weights are independent
+// mechanism used by dronet sweep: convolution weights are independent
 // of the spatial input size, so weights trained at one resolution load into
 // the same architecture built at another.
 func TestCrossResolutionTransfer(t *testing.T) {
