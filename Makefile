@@ -137,7 +137,8 @@ chaos:
 ## detector in shuffled order — the one command a refactor runs to prove it
 ## changed nothing: batched ≡ serial byte for byte (one-shot, int8, routed
 ## per model, streaming sessions, the engine's concurrent replicas, the
-## network's batch and clone paths at fp32 and int8), no inference step
+## network's batch and clone paths at fp32 and int8), every replica running
+## the model's one set of layers, no inference step
 ## reading its output or a stale step before writing it (a batch after a
 ## poisoned larger batch ≡ a fresh replica, fp32 and int8), every GEMM kernel family ≡ naive and
 ## prepacked ≡ pack-per-call, frame decode ≡ encoding/json bit for bit (and
@@ -160,7 +161,7 @@ chaos:
 ## latency percentiles merge exactly (and sit within one 6.25 % bucket of
 ## the exact nearest-rank sample), and goroutine hygiene after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestMicrokernelAsmMatchesGo|TestDirectKernelMatchesPacked|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestForwardIgnoresStaleSlabs|TestInt8ForwardIgnoresStaleSlabs|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestMicrokernelAsmMatchesGo|TestDirectKernelMatchesPacked|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneSharesParamsNotWorkspace|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestForwardIgnoresStaleSlabs|TestInt8ForwardIgnoresStaleSlabs|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
 	    ./internal/tensor/ ./internal/imgproc/ ./internal/layers/ ./internal/detect/ ./internal/network/ ./internal/quant/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization,

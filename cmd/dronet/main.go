@@ -170,10 +170,10 @@ func platformCmd(fs *flag.FlagSet) func(io.Writer) error {
 					fps[models.SmallYoloV3][p.Name]/voc)
 			}
 		}
-		// The per-layer tables follow, the last model × platform first.
+		// The per-layer tables follow, in table order.
 		if *breakdown {
-			for i := len(tables) - 1; i >= 0; i-- {
-				fmt.Fprintln(w, tables[i])
+			for _, t := range tables {
+				fmt.Fprintln(w, t)
 			}
 		}
 		return nil

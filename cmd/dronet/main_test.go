@@ -61,6 +61,15 @@ func TestPlatformBreakdown(t *testing.T) {
 	if n := strings.Count(out, " FPS\n"); n != 12 {
 		t.Errorf("%d per-layer tables, want 4 models × 3 platforms", n)
 	}
+	var heads []string // "<model> on <platform>", one a table
+	for _, l := range strings.Split(out, "\n") {
+		if model, _, ok := strings.Cut(l, " on "); ok && model != "" && !strings.Contains(model, " ") {
+			heads = append(heads, l)
+		}
+	}
+	if len(heads) != 12 || heads[0] != "tinyyolovoc on Intel i5-2520M @3.2GHz" || heads[11] != "dronet on Raspberry Pi 3 (Cortex-A53)" {
+		t.Errorf("per-layer tables out of table order: %q", heads)
+	}
 	out = mustRun(t, "platform", "-platform", "odroid", "-model", "dronet", "-breakdown")
 	wantLines(t, out, "dronet on Odroid-XU4 (Exynos 5422)", "total 119.1 ms → 8.40 FPS")
 	if strings.Contains(out, "faster than") {

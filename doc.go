@@ -9,11 +9,12 @@
 // bench_test.go regenerate the paper's tables and figures on the host CPU.
 //
 // Beyond the paper's single-camera loop, internal/engine scales one trained
-// detector to many concurrent requests: layers hold shared read-only
-// weights and run inference into memory the network owns (two activation
-// slabs and a scratch arena per replica), Network.CloneForInference produces
-// weight-sharing replicas, and Engine.ExecuteBatch runs a micro-batch on one
-// replica of the pool while other workers run theirs.
+// detector to many concurrent requests: layers hold read-only weights and
+// run inference into memory the network owns (two activation slabs and a
+// scratch arena per replica), Network.CloneForInference produces replicas
+// that run the model's one set of layers over memory of their own, and
+// Engine.ExecuteBatch runs a micro-batch on one replica of the pool while
+// other workers run theirs.
 //
 // On top of the engine, internal/serve exposes detectors as an HTTP
 // service (cmd/dronet-serve, examples/serveclient): the server hosts a

@@ -220,16 +220,6 @@ func (p *Proxy) Close() {
 // ServeHTTP implements http.Handler.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.mux.ServeHTTP(w, r) }
 
-// cameraKey extracts the routing key: the ?camera= query parameter, then
-// the X-Camera-ID header. Empty means the request has no stream identity
-// and is balanced round-robin instead of hashed.
-func cameraKey(r *http.Request) string {
-	if k := r.URL.Query().Get("camera"); k != "" {
-		return k
-	}
-	return r.Header.Get("X-Camera-ID")
-}
-
 // pick selects the shard for a key, excluding already-tried shards. Keyed
 // requests walk the ring from the key's owner (fail-open); keyless
 // requests round-robin across live candidates.
@@ -473,7 +463,7 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 	}
 	defer body.release()
 	stamp := func(attempts int) { w.Header().Set(AttemptsHeader, strconv.Itoa(attempts)) }
-	attempts, status, msg := p.walk(cameraKey(r), "", deadline, func(s *shardState, n int) bool {
+	attempts, status, msg := p.walk(serve.CameraKey(r), "", deadline, func(s *shardState, n int) bool {
 		if !s.acquire() {
 			stamp(n)
 			w.Header().Set("Retry-After", retryAfterBackpressure)

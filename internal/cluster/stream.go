@@ -47,7 +47,7 @@ func (p *Proxy) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	rl := &streamRelay{
 		p:     p,
-		key:   cameraKey(r),
+		key:   serve.CameraKey(r),
 		pathq: r.URL.Path,
 		hdr:   streamForwardHeader(r),
 	}

@@ -1,6 +1,7 @@
 // Package engine is the replica pool behind the serving subsystem
-// (internal/serve): one set of weights, a pool of weight-sharing worker
-// replicas (network.Network.CloneForInference), and ExecuteBatch, which runs
+// (internal/serve): one set of layers, a pool of worker replicas that run
+// them over inference memory of their own
+// (network.Network.CloneForInference), and ExecuteBatch, which runs
 // a dynamic micro-batch of images as one batched Forward on one pooled
 // replica. It is the one way this repository runs a model — the paper's
 // single-camera §IV.B loop scaled to concurrent requests.
@@ -37,7 +38,7 @@ type Config struct {
 	AltitudeFilter *detect.AltitudeFilter
 }
 
-// Engine is a pool of weight-sharing model replicas that executes
+// Engine is a pool of model replicas over one set of layers that executes
 // micro-batches for the serving subsystem (internal/serve). ExecuteBatch
 // calls for the same worker id must not overlap; distinct worker ids may
 // execute batches concurrently — that is the whole point of the pool.
@@ -51,8 +52,8 @@ type Engine struct {
 }
 
 // New creates an engine around a base network of either precision. The
-// base is never mutated; workers clone it for inference, so training it
-// while batches are in flight is not safe.
+// base is never mutated; every worker replica runs its layers, so training
+// it while batches are in flight is not safe.
 func New(m *network.Network, cfg Config) (*Engine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("engine: nil model")
@@ -89,10 +90,10 @@ func (e *Engine) Workers() int { return e.cfg.Workers }
 // SetWorkerCap raises the number of worker ids ExecuteBatch accepts beyond
 // the nominal pool size — the lending hook behind the serving scheduler's
 // idle-worker borrowing: a borrowed execution runs on an extra replica of
-// THIS engine's model (replicas are weight-sharing and created lazily on
-// first use), so lending capacity never executes a batch on the wrong
-// weights. The cap only ever grows; in-flight borrowed ids stay valid when
-// fleet capacity later shrinks.
+// THIS engine's model (replicas run its one set of layers and are created
+// lazily on first use), so lending capacity never executes a batch on the
+// wrong weights. The cap only ever grows; in-flight borrowed ids stay valid
+// when fleet capacity later shrinks.
 func (e *Engine) SetWorkerCap(n int) {
 	e.mu.Lock()
 	if n > e.workerCap {
@@ -145,9 +146,8 @@ func (e *Engine) WorkspaceBytes() int64 {
 func (e *Engine) InShape() layers.Shape { return e.base.InShape() }
 
 // WeightBytes reports the base model's resident weight footprint, including
-// any pre-packed GEMM weight panels. Worker replicas share the base's
-// parameters and packs, so this counts them exactly once regardless of pool
-// size.
+// any pre-packed GEMM weight panels. Worker replicas run the base's layers,
+// so this counts them exactly once regardless of pool size.
 func (e *Engine) WeightBytes() int64 { return e.base.WeightBytes() }
 
 // WarmBatch pre-runs one throwaway forward at the given batch size on every

@@ -51,28 +51,20 @@ type Conv2D struct {
 	// Rolling statistics for inference-time batch norm.
 	RollingMean, RollingVar *tensor.Tensor
 
-	// packed caches the filter matrix pre-packed as the GEMM A operand
-	// (tensor.PackA). The holder is allocated once in NewConv2D and shared
-	// by every CloneForInference copy — like the weights themselves — so the
-	// pack is built once per model, not once per replica, and invalidation
-	// through any copy is visible to all.
-	packed *packedWeights
+	// pack caches the filter matrix pre-packed as the GEMM A operand
+	// (tensor.PackA): built on the first Infer (double-checked under
+	// packMu), dropped whenever the weights mutate (InvalidateWeightPack),
+	// rebuilt on the next Infer. Every replica runs this one layer, so the
+	// pack is built once per model.
+	packMu sync.Mutex
+	pack   atomic.Pointer[tensor.PackedA]
 
 	st convState
 }
 
-// packedWeights is the shared pre-packed filter cache: filled lazily on the
-// first inference Forward (double-checked under mu), dropped whenever the
-// weights mutate (InvalidateWeightPack), rebuilt on the next inference pass.
-type packedWeights struct {
-	mu  sync.Mutex
-	pre atomic.Pointer[tensor.PackedA]
-}
-
-// convState is the per-instance training workspace of a Conv2D: everything
-// Forward and Backward mutate, as opposed to the shared read-only parameters
-// above. Infer touches none of it. CloneForInference resets it to the zero
-// value; buffers are (re)allocated lazily on first use.
+// convState is the training workspace of a Conv2D: everything Forward and
+// Backward mutate, as opposed to the read-only parameters above. Infer
+// touches none of it; buffers are (re)allocated lazily on first use.
 type convState struct {
 	x        *tensor.Tensor // input reference
 	out      *tensor.Tensor // post-activation output
@@ -111,7 +103,6 @@ func NewConv2D(in Shape, filters, ksize, stride, pad int, batchNorm bool, act Ac
 	w := tensor.New(1, 1, filters, fanIn)
 	rng.FillHe(w.Data, fanIn)
 	c.Weights = newParam("weights", w, true)
-	c.packed = &packedWeights{}
 	c.Biases = newParam("biases", tensor.NewVec(filters), false)
 	if batchNorm {
 		s := tensor.NewVec(filters)
@@ -124,46 +115,32 @@ func NewConv2D(in Shape, filters, ksize, stride, pad int, batchNorm bool, act Ac
 	return c, nil
 }
 
-// CloneForInference implements Layer: the clone shares Weights, Biases,
-// Scales, the rolling batch-norm statistics and the pre-packed filter cache
-// with the receiver but starts with an empty workspace, so it can run
-// Infer concurrently with the original as long as no instance is
-// training. Cloning packs eagerly: replica fleets are built before traffic
-// arrives, so the first request should not pay the pack.
-func (c *Conv2D) CloneForInference() Layer {
-	cp := *c
-	cp.st = convState{}
-	cp.inferencePack()
-	return &cp
-}
+// CloneForInference implements Layer: Infer reads only the parameters and
+// the shared pack, so the layer is its own replica.
+func (c *Conv2D) CloneForInference() Layer { return c }
 
-// inferencePack returns the shared pre-packed filter matrix, building it on
-// first use. Concurrent replicas race benignly to the double-checked lock;
+// inferencePack returns the pre-packed filter matrix, building it on first
+// use. Concurrent replicas race benignly to the double-checked lock;
 // whoever wins publishes one slab for everyone.
 func (c *Conv2D) inferencePack() *tensor.PackedA {
-	if pre := c.packed.pre.Load(); pre != nil {
+	if pre := c.pack.Load(); pre != nil {
 		return pre
 	}
-	c.packed.mu.Lock()
-	defer c.packed.mu.Unlock()
-	if pre := c.packed.pre.Load(); pre != nil {
+	c.packMu.Lock()
+	defer c.packMu.Unlock()
+	if pre := c.pack.Load(); pre != nil {
 		return pre
 	}
 	k := c.in.C * c.Ksize * c.Ksize
 	pre := tensor.PackA(false, c.Filters, k, 1, c.Weights.W.Data, k)
-	c.packed.pre.Store(pre)
+	c.pack.Store(pre)
 	return pre
 }
 
 // InvalidateWeightPack drops the pre-packed filter cache. Every mutation of
 // Weights.W — an optimizer step, loading a checkpoint, folding batch norm —
-// must call it (through any clone; the cache is shared), or inference would
-// keep serving the stale pack.
-func (c *Conv2D) InvalidateWeightPack() {
-	if c.packed != nil {
-		c.packed.pre.Store(nil)
-	}
-}
+// must call it, or inference would keep serving the stale pack.
+func (c *Conv2D) InvalidateWeightPack() { c.pack.Store(nil) }
 
 // WeightBytes reports the layer's resident weight footprint: four bytes per
 // learnable parameter plus the pre-packed filter cache when built, so
@@ -174,7 +151,7 @@ func (c *Conv2D) WeightBytes() int64 {
 	for _, p := range c.Params() {
 		total += 4 * int64(p.W.Len())
 	}
-	if pre := c.packed.pre.Load(); pre != nil {
+	if pre := c.pack.Load(); pre != nil {
 		total += pre.Bytes()
 	}
 	return total

@@ -7,11 +7,10 @@
 // Each layer has two forward passes. Infer is inference: it writes into an
 // output tensor and carves its scratch from an arena, both owned by the
 // caller (network.Network owns one pair of activation slabs and one arena
-// per replica), so it keeps no state between calls and a layer's replicas
-// (CloneForInference) can run it concurrently. Forward is training: it keeps
-// its output and the intermediates Backward needs in per-instance
-// workspace, so a training instance must not be shared between
-// concurrently-running networks.
+// per replica), so it keeps no state between calls and every replica of a
+// network runs the same layer instances concurrently. Forward is training:
+// it keeps its output and the intermediates Backward needs in the layer's
+// own workspace, so only one network may train a layer at a time.
 package layers
 
 import (
@@ -77,12 +76,10 @@ type Layer interface {
 	// output activations + weights, 4 bytes each) used by the roofline
 	// platform model.
 	IOBytes() int64
-	// CloneForInference returns a replica that shares the layer's learnable
-	// parameters (Param tensors and, for batch norm, the rolling statistics)
-	// but owns a fresh training workspace. Replicas may run Infer
-	// concurrently with each other and with the original; training any
-	// instance while replicas run is not safe, since training mutates the
-	// shared parameters.
+	// CloneForInference returns the layer for an inference replica. Every
+	// layer returns its receiver: Infer keeps no state, so replicas run one
+	// instance concurrently. Training the layer while replicas run is not
+	// safe, since training mutates the parameters they read.
 	CloneForInference() Layer
 }
 

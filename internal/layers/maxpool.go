@@ -21,8 +21,8 @@ type MaxPool struct {
 	st poolState
 }
 
-// poolState is the per-instance training workspace of a MaxPool;
-// CloneForInference resets it so replicas never share buffers.
+// poolState is the training workspace of a MaxPool; Infer touches none of
+// it.
 type poolState struct {
 	x   *tensor.Tensor
 	out *tensor.Tensor
@@ -53,13 +53,9 @@ func NewMaxPool(in Shape, size, stride, pad int) (*MaxPool, error) {
 	}, nil
 }
 
-// CloneForInference implements Layer: max-pooling has no parameters, so the
-// clone is an independent instance with the same geometry and fresh buffers.
-func (p *MaxPool) CloneForInference() Layer {
-	cp := *p
-	cp.st = poolState{}
-	return &cp
-}
+// CloneForInference implements Layer: Infer reads only the geometry, so the
+// layer is its own replica.
+func (p *MaxPool) CloneForInference() Layer { return p }
 
 // Name implements Layer.
 func (p *MaxPool) Name() string { return fmt.Sprintf("maxpool %dx%d/%d", p.Size, p.Size, p.Stride) }

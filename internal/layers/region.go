@@ -73,8 +73,8 @@ type Region struct {
 	Count    int
 }
 
-// regionState is the per-instance training workspace of a Region;
-// CloneForInference resets it.
+// regionState is the training workspace of a Region; Infer touches none of
+// it.
 type regionState struct {
 	truths [][]Truth // per batch image, set before a training Forward
 	out    *tensor.Tensor
@@ -96,15 +96,9 @@ func NewRegion(in Shape, cfg RegionConfig) (*Region, error) {
 	return &Region{in: in, cfg: cfg}, nil
 }
 
-// CloneForInference implements Layer: the clone carries the same
-// configuration but starts with no training workspace, installed truths or
-// training statistics.
-func (r *Region) CloneForInference() Layer {
-	cp := *r
-	cp.st = regionState{}
-	cp.Loss, cp.AvgIoU, cp.AvgObj, cp.AvgNoObj, cp.Recall, cp.Count = 0, 0, 0, 0, 0, 0
-	return &cp
-}
+// CloneForInference implements Layer: Infer and Decode read only the
+// configuration, so the layer is its own replica.
+func (r *Region) CloneForInference() Layer { return r }
 
 // Name implements Layer.
 func (r *Region) Name() string {

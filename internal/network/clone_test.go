@@ -20,13 +20,21 @@ func buildSmallDroNet(t *testing.T) *network.Network {
 	return net
 }
 
-// TestCloneSharesParamsNotWorkspace pins the clone contract: parameter and
-// rolling-statistic tensors are the very same objects, while forward passes
-// write into distinct output buffers.
+// TestCloneSharesParamsNotWorkspace pins the clone contract: the layers,
+// and with them the parameter tensors, are the very same objects, while
+// forward passes write into distinct output buffers.
 func TestCloneSharesParamsNotWorkspace(t *testing.T) {
 	net := buildSmallDroNet(t)
 	clone := net.CloneForInference()
 
+	if len(clone.Layers) != len(net.Layers) {
+		t.Fatalf("layer count mismatch: %d vs %d", len(net.Layers), len(clone.Layers))
+	}
+	for i, l := range net.Layers {
+		if clone.Layers[i] != l {
+			t.Fatalf("layer %d (%s): clone does not share the layer instance", i, l.Name())
+		}
+	}
 	op, cp := net.Params(), clone.Params()
 	if len(op) != len(cp) {
 		t.Fatalf("param count mismatch: %d vs %d", len(op), len(cp))

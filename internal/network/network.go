@@ -77,20 +77,15 @@ func (n *Network) InShape() layers.Shape {
 // OutShape returns the per-sample output shape of the final layer.
 func (n *Network) OutShape() layers.Shape { return n.nextShape() }
 
-// CloneForInference returns a replica network whose layers share the
-// receiver's learnable parameters (weights, biases, batch-norm scales and
-// rolling statistics) but own their inference memory. Replicas
-// may run Forward/Detect concurrently with each other and with the original;
-// they see weight updates made through any copy, so none of them may train
-// while others are running. This is the seam the engine's replica pool uses
-// to serve many concurrent requests from one set of weights.
+// CloneForInference returns a replica: a network with the receiver's name,
+// input geometry and Layers slice over inference memory of its own.
+// Replicas may run Forward/Detect concurrently with each other and with the
+// original; none of them may train while others are running, since
+// training mutates the layers they all run. This is the seam the engine's
+// replica pool uses to serve many concurrent requests from one set of
+// weights.
 func (n *Network) CloneForInference() *Network {
-	c := &Network{Name: n.Name, InputW: n.InputW, InputH: n.InputH, InputC: n.InputC}
-	c.Layers = make([]layers.Layer, len(n.Layers))
-	for i, l := range n.Layers {
-		c.Layers[i] = l.CloneForInference()
-	}
-	return c
+	return &Network{Name: n.Name, InputW: n.InputW, InputH: n.InputH, InputC: n.InputC, Layers: n.Layers}
 }
 
 // Region returns the terminal region layer, or nil if the network does not

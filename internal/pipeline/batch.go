@@ -17,8 +17,9 @@ import (
 // changing what any caller observes.
 //
 // A BatchRunner is not safe for concurrent use: the packed input tensor and
-// the model's inference memory are per-instance state. Give each worker its
-// own BatchRunner over a CloneForInference replica. Net may be of either
+// the network's inference memory are per-instance state. Give each worker
+// its own BatchRunner over a CloneForInference replica, which runs the
+// model's layers over inference memory of its own. Net may be of either
 // precision (float32 layers.Conv2D or int8 quant.QConv convolutions).
 type BatchRunner struct {
 	Net *network.Network

@@ -6,7 +6,7 @@
 //
 // Quantize returns an ordinary inference-only network.Network whose
 // convolutions are QConv layers (int8 kernels in internal/tensor) between
-// clones of the source network's pool and region layers. The engine replica
+// the source network's own pool and region layers. The engine replica
 // pool and the HTTP micro-batcher therefore drive it exactly like the
 // float32 network — that is what backs `dronet-serve -precision int8`.
 //
@@ -121,9 +121,9 @@ type QConv struct {
 // Quantize converts a (BN-folded or BN-free) network to INT8 using the
 // calibration tensors to set activation scales (max-abs observed per conv
 // input). Networks with batch-normalized convolutions are folded first. The
-// result is an inference-only network of QConv layers plus clones of the
-// source network's pool and region layers, so it shares no workspace with
-// the source (which may keep running concurrently).
+// result is an inference-only network of QConv layers plus the source
+// network's pool and region layers, which keep no inference state, so the
+// source may keep running concurrently.
 func Quantize(net *network.Network, calibration []*tensor.Tensor) (*network.Network, error) {
 	if len(calibration) == 0 {
 		return nil, fmt.Errorf("quant: need at least one calibration image")
@@ -165,8 +165,6 @@ func Quantize(net *network.Network, calibration []*tensor.Tensor) (*network.Netw
 				return nil, err
 			}
 			l = qc
-		} else {
-			l = l.CloneForInference()
 		}
 		if err := q.Add(l); err != nil {
 			return nil, err

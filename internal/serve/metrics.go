@@ -221,9 +221,11 @@ type MetricsReport struct {
 }
 
 // metrics accumulates serving statistics. All methods are safe for
-// concurrent use.
+// concurrent use. A pool's metrics link up to the fleet aggregate: every
+// pool-level recorder counts in both, each under its own lock.
 type metrics struct {
 	mu sync.Mutex
+	up *metrics // the fleet aggregate a pool's events also count in; nil on the fleet
 
 	start     time.Time
 	received  uint64
@@ -266,6 +268,16 @@ func newMetrics() *metrics {
 	return &metrics{start: time.Now(), batchHist: make(map[int]int), lat: latencyHist{half: 2048}}
 }
 
+// each runs record on m and then on the aggregate above it, each under its
+// own lock.
+func (m *metrics) each(record func(*metrics)) {
+	for ; m != nil; m = m.up {
+		m.mu.Lock()
+		record(m)
+		m.mu.Unlock()
+	}
+}
+
 // clock reads the metrics' clock. Callers hold m.mu.
 func (m *metrics) clock() time.Time {
 	if m.now == nil {
@@ -274,25 +286,12 @@ func (m *metrics) clock() time.Time {
 	return m.now()
 }
 
-func (m *metrics) admit() {
-	m.mu.Lock()
-	m.received++
-	m.mu.Unlock()
-}
-
-func (m *metrics) reject() {
-	m.mu.Lock()
-	m.rejected++
-	m.mu.Unlock()
-}
+func (m *metrics) admit()  { m.each(func(m *metrics) { m.received++ }) }
+func (m *metrics) reject() { m.each(func(m *metrics) { m.rejected++ }) }
 
 // cancel records one admitted request dropped at batch assembly because
 // its client context was already done.
-func (m *metrics) cancel() {
-	m.mu.Lock()
-	m.cancelled++
-	m.mu.Unlock()
-}
+func (m *metrics) cancel() { m.each(func(m *metrics) { m.cancelled++ }) }
 
 // retryExhausted records one request 503'd because the bounded re-resolve
 // loop ran out of attempts (or retry-budget tokens) during registry churn.
@@ -304,18 +303,10 @@ func (m *metrics) retryExhausted() {
 
 // deadlineExceeded records one end-to-end deadline breach (on arrival, at
 // batch assembly, or a late-completed execution).
-func (m *metrics) deadlineExceeded() {
-	m.mu.Lock()
-	m.deadline++
-	m.mu.Unlock()
-}
+func (m *metrics) deadlineExceeded() { m.each(func(m *metrics) { m.deadline++ }) }
 
 // degrade records one request downgraded to the brownout sibling.
-func (m *metrics) degrade() {
-	m.mu.Lock()
-	m.degraded++
-	m.mu.Unlock()
-}
+func (m *metrics) degrade() { m.each(func(m *metrics) { m.degraded++ }) }
 
 // Streaming-session recorders: one session opened, one idle eviction, one
 // frame received, one frame displaced by drop-oldest, one in-band 429, one
@@ -330,32 +321,28 @@ func (m *metrics) trackRetired()  { m.mu.Lock(); m.tracksRetired++; m.mu.Unlock(
 // borrowStart / borrowEnd bracket one borrowed batch execution, maintaining
 // the borrowed_workers gauge and borrows_total counter.
 func (m *metrics) borrowStart() {
-	m.mu.Lock()
-	m.borrowedNow++
-	m.borrowsTotal++
-	m.mu.Unlock()
+	m.each(func(m *metrics) {
+		m.borrowedNow++
+		m.borrowsTotal++
+	})
 }
 
-func (m *metrics) borrowEnd() {
-	m.mu.Lock()
-	m.borrowedNow--
-	m.mu.Unlock()
-}
+func (m *metrics) borrowEnd() { m.each(func(m *metrics) { m.borrowedNow-- }) }
 
 func (m *metrics) done(lat time.Duration, ok bool) {
 	sec := lat.Seconds()
-	m.mu.Lock()
-	if ok {
-		m.completed++
-	} else {
-		m.failed++
-	}
-	m.lat.record(lat)
-	m.latSum += sec
-	if sec > m.latMax {
-		m.latMax = sec
-	}
-	m.mu.Unlock()
+	m.each(func(m *metrics) {
+		if ok {
+			m.completed++
+		} else {
+			m.failed++
+		}
+		m.lat.record(lat)
+		m.latSum += sec
+		if sec > m.latMax {
+			m.latMax = sec
+		}
+	})
 }
 
 // batchStart marks a batch execution beginning. Together with batch (the
@@ -364,25 +351,25 @@ func (m *metrics) done(lat time.Duration, ok bool) {
 // active counter, so neither double-counting nor out-of-order completion
 // can skew the aggregate-FPS denominator.
 func (m *metrics) batchStart() {
-	m.mu.Lock()
-	if m.active == 0 {
-		m.activeSince = m.clock()
-	}
-	m.active++
-	m.mu.Unlock()
+	m.each(func(m *metrics) {
+		if m.active == 0 {
+			m.activeSince = m.clock()
+		}
+		m.active++
+	})
 }
 
 // batch records one executed micro-batch ending now.
 func (m *metrics) batch(size int) {
-	m.mu.Lock()
-	m.batches++
-	m.batchImages += size
-	m.batchHist[size]++
-	m.active--
-	if m.active == 0 {
-		m.busySeconds += m.clock().Sub(m.activeSince).Seconds()
-	}
-	m.mu.Unlock()
+	m.each(func(m *metrics) {
+		m.batches++
+		m.batchImages += size
+		m.batchHist[size]++
+		m.active--
+		if m.active == 0 {
+			m.busySeconds += m.clock().Sub(m.activeSince).Seconds()
+		}
+	})
 }
 
 // snapshot assembles a Stats; queueDepth/queueCap/workers/maxBatch come from

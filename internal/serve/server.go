@@ -144,8 +144,7 @@ type hosted struct {
 	name    string
 	eng     *engine.Engine
 	cfg     Config
-	met     *metrics
-	fleet   *metrics // shared server-wide aggregate
+	met     *metrics // links up to the server-wide aggregate
 	sched   *scheduler
 	maxAlt  float64
 	weight  float64
@@ -375,13 +374,13 @@ func (s *Server) startHosted(e ModelEntry, met *metrics) (*hosted, error) {
 	}
 	if met == nil {
 		met = newMetrics()
+		met.up = s.fleet
 	}
 	h := &hosted{
 		name:    e.Name,
 		eng:     e.Engine,
 		cfg:     cfg,
 		met:     met,
-		fleet:   s.fleet,
 		sched:   s.sched,
 		maxAlt:  e.MaxAltitude,
 		weight:  weight,
@@ -689,7 +688,6 @@ func (s *Server) infer(ctx context.Context, sel routeSel, img *imgproc.Image, de
 			// degraded request that ends up 429'd by the sibling is that
 			// sibling's rejection, not a successful degradation.
 			degradedFrom.met.degrade()
-			s.fleet.degrade()
 		}
 		return outcome{status: http.StatusOK, pool: h, resp: resp, lat: lat, degraded: degradedFrom != nil}
 	}
@@ -708,16 +706,12 @@ func (s *Server) infer(ctx context.Context, sel routeSel, img *imgproc.Image, de
 // frame deadline is indistinguishable from a failure to the caller.
 func (s *Server) detect(ctx context.Context, h *hosted, img *imgproc.Image, altitude float64, deadline time.Time) (response, time.Duration, error) {
 	if err := faults.Fire("serve.queue", h.name); err != nil {
-		s.fleet.admit()
 		h.met.admit()
-		s.fleet.reject()
 		h.met.reject()
 		return response{}, 0, fmt.Errorf("admission fault: %w", err)
 	}
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		s.fleet.admit()
 		h.met.admit()
-		s.fleet.deadlineExceeded()
 		h.met.deadlineExceeded()
 		return response{}, 0, errDeadline
 	}
@@ -726,13 +720,10 @@ func (s *Server) detect(ctx context.Context, h *hosted, img *imgproc.Image, alti
 		if errors.Is(err, errRetired) {
 			return response{}, 0, err
 		}
-		s.fleet.admit()
 		h.met.admit()
-		s.fleet.reject()
 		h.met.reject()
 		return response{}, 0, err
 	}
-	s.fleet.admit()
 	h.met.admit()
 	resp := <-req.resp
 	if errors.Is(resp.err, errCancelled) || errors.Is(resp.err, errDeadline) {
@@ -749,13 +740,10 @@ func (s *Server) detect(ctx context.Context, h *hosted, img *imgproc.Image, alti
 		// the batch histogram), so completed+failed must still account for
 		// it — that bookkeeping identity is what lets the chaos suite prove
 		// dropped-expired work never reached a kernel.
-		s.fleet.deadlineExceeded()
 		h.met.deadlineExceeded()
-		s.fleet.done(lat, false)
 		h.met.done(lat, false)
 		return response{}, lat, errDeadline
 	}
-	s.fleet.done(lat, resp.err == nil)
 	h.met.done(lat, resp.err == nil)
 	return resp, lat, nil
 }
@@ -778,7 +766,6 @@ func (r *request) cancelled() bool {
 // drop answers a cancelled request without spending a batch slot on it.
 func (h *hosted) drop(r *request) {
 	h.met.cancel()
-	h.fleet.cancel()
 	r.img = nil
 	r.resp <- response{err: errCancelled}
 }
@@ -801,7 +788,6 @@ func (r *request) doomed(svc time.Duration) bool {
 // invariant the chaos suite pins expired-work-never-reaches-a-kernel with.
 func (h *hosted) dropExpired(r *request) {
 	h.met.deadlineExceeded()
-	h.fleet.deadlineExceeded()
 	r.img = nil
 	r.resp <- response{err: errDeadline}
 }
@@ -939,10 +925,8 @@ func (h *hosted) runBorrowed(id int, batch []*request) {
 	go func() {
 		defer h.execWG.Done()
 		h.met.borrowStart()
-		h.fleet.borrowStart()
 		h.runBatch(id, batch, nil, nil)
 		h.met.borrowEnd()
-		h.fleet.borrowEnd()
 		h.sched.endBorrow(h, id)
 	}()
 }
@@ -979,7 +963,6 @@ func (h *hosted) runBatch(id int, batch []*request, imgs []*imgproc.Image, alts 
 		alts = append(alts, r.altitude)
 	}
 	h.met.batchStart()
-	h.fleet.batchStart()
 	start := time.Now()
 	per, err := h.executeBatch(id, imgs, alts)
 	if err == nil {
@@ -995,7 +978,6 @@ func (h *hosted) runBatch(id int, batch []*request, imgs []*imgproc.Image, alts 
 		per, err = nil, ferr
 	}
 	h.met.batch(len(batch))
-	h.fleet.batch(len(batch))
 	for i, r := range batch {
 		if err != nil {
 			r.resp <- response{err: err}

@@ -123,9 +123,11 @@ func decodeStreamFrame(raw []byte) (*StreamFrame, *StreamMessage) {
 	return &f, nil
 }
 
-// cameraLabel extracts the client's camera identity (?camera= query, then
-// the X-Camera-ID header) — the same affinity key the cluster ring pins.
-func cameraLabel(r *http.Request) string {
+// CameraKey extracts the client's camera identity: the ?camera= query
+// parameter, then the X-Camera-ID header. It labels a session here and is
+// the affinity key the cluster ring pins; empty means the request has no
+// stream identity.
+func CameraKey(r *http.Request) string {
 	if c := r.URL.Query().Get("camera"); c != "" {
 		return c
 	}
@@ -188,7 +190,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	trkCfg.OnRetire = func(*tracking.Track) { s.fleet.trackRetired() }
 	sess := &session{
 		id:       fmt.Sprintf("s%d", s.streams.nextID.Add(1)),
-		camera:   cameraLabel(r),
+		camera:   CameraKey(r),
 		sel:      routeSel{explicit: name, altitude: altitude},
 		srv:      s,
 		mgr:      s.streams,

@@ -7,7 +7,7 @@ import "sync/atomic"
 // conv filters in inference mode, int8 quantized filters always), while B is
 // the im2col view of fresh activations. The blocked driver normally re-packs
 // A into MR-interleaved strips on every call; PackA/PackAInt8 perform that
-// pack exactly once at model build (or clone) time and GemmPrepacked/
+// pack exactly once per model and GemmPrepacked/
 // GemmInt8Prepacked — and ConvPrepacked (conv.go) and ConvPrepackedInt8
 // (convint8.go), which read B straight from the activations — run the same
 // tile stage against the shared read-only slab: steady-state packing traffic
@@ -31,7 +31,7 @@ import "sync/atomic"
 // packed at one kernel family's MR. Safe for concurrent use by any number of
 // GEMMs once built (its pack is never written after PackA returns, and its
 // tap-major copy is built once and published atomically), which is what
-// lets cloned inference replicas share one slab.
+// lets every inference replica share one slab.
 type PackedA struct {
 	kern  *microKernels
 	m, k  int
