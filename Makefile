@@ -147,7 +147,10 @@ chaos:
 ## the generic one bit for bit on every kernel family (and the YCbCr row kernel ≡
 ## color.YCbCr.RGBA on all 2^24 triples), the bilinear resize ≡ its per-pixel loop bit for
 ## bit, the fused convolution ≡ im2col + GEMM + BN + bias + leaky and the int8
-## convolution ≡ quantize + im2col + int8 GEMM + leaky, the streaming 2×2 pool ≡ the window loop and the vector
+## convolution ≡ quantize + im2col + int8 GEMM + leaky, the compiled plan (each
+## conv and its 2×2/2 pool one step, a batch in image groups) ≡ the
+## layer-by-layer Infer chain bit for bit on every kernel family, the
+## streaming 2×2 pool ≡ the window loop and the vector
 ## epilogue row ≡ its Go loop bit for bit on every kernel family, each family's
 ## rank-1 row update ≡ its Go loop and its finishing direct kernel (live rows,
 ## grouped panels) ≡ direct kernel + epilogue bit for bit, NMS (area
@@ -161,7 +164,7 @@ chaos:
 ## latency percentiles merge exactly (and sit within one 6.25 % bucket of
 ## the exact nearest-rank sample), and goroutine hygiene after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestEpilogueRowMatchesGo|TestMicrokernelAsmMatchesGo|TestDirectKernelMatchesPacked|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneSharesParamsNotWorkspace|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestForwardIgnoresStaleSlabs|TestInt8ForwardIgnoresStaleSlabs|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestFusedConvPoolMatchesLayers|TestEpilogueRowMatchesGo|TestMicrokernelAsmMatchesGo|TestDirectKernelMatchesPacked|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneSharesParamsNotWorkspace|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestForwardIgnoresStaleSlabs|TestInt8ForwardIgnoresStaleSlabs|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
 	    ./internal/tensor/ ./internal/imgproc/ ./internal/layers/ ./internal/detect/ ./internal/network/ ./internal/quant/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization,
@@ -174,7 +177,9 @@ invariants:
 ## im2col + int8 GEMM + leaky reference bit for bit across the same families,
 ## FuzzResize the bilinear resize to its per-pixel loop bit for bit,
 ## FuzzMaxPoolFastVsGeneric the streaming 2×2 pool to the generic
-## window loop, FuzzNMS NMS to its per-pair reference element for element
+## window loop, FuzzConvPool2x2Fused a conv → 2×2 pool network's plan to its
+## layer-by-layer Infer chain bit for bit on every family (odd maps and a
+## fan-in past one K block included), FuzzNMS NMS to its per-pair reference element for element
 ## (grid boxes, and raw float64 boxes and scores: NaN, ±Inf, tiny, huge, far);
 ## the leading dispatch-info run logs which families this box
 ## detected so fuzz logs are attributable; FuzzParseModelSpecs holds -models
@@ -206,6 +211,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGemmPackedVsNaive -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzConvImplicitVsIm2col -fuzztime $(FUZZTIME) ./internal/layers
 	$(GO) test -run '^$$' -fuzz FuzzMaxPoolFastVsGeneric -fuzztime $(FUZZTIME) ./internal/layers
+	$(GO) test -run '^$$' -fuzz FuzzConvPool2x2Fused -fuzztime $(FUZZTIME) ./internal/network
 	$(GO) test -run '^$$' -fuzz FuzzQuantDequant -fuzztime $(FUZZTIME) ./internal/quant
 	$(GO) test -run '^$$' -fuzz FuzzQConvVsIm2colReference -fuzztime $(FUZZTIME) ./internal/quant
 	$(GO) test -run '^$$' -fuzz FuzzResize -fuzztime $(FUZZTIME) ./internal/imgproc

@@ -55,11 +55,16 @@
 // from the CHW input, never through a materialised im2col matrix, and batch
 // norm, bias and leaky-ReLU are applied to each output tile as it is
 // finished — bit-identical to the staged im2col + GEMM lowering the
-// training path still uses. The int8 kernel
+// training path still uses. A convolution followed by a 2×2/2 max-pool
+// over an even-sized map is one inference step
+// (tensor.ConvPool2x2Prepacked): it runs over bands of output row pairs
+// into cache-sized per-task scratch and pools each band straight into its
+// output, so the full-resolution activation is never stored. The int8 kernel
 // accumulates exactly in int32 over packed int16 pairs and requantizes on
 // store, so its results are blocking- and concurrency-invariant. The
-// steady-state serving path is allocation-free: each model replica runs its
-// layers' Infer steps over two activation slabs sized from the static
-// output shapes and a grow-once scratch arena (tensor.Arena) reset before
-// every step.
+// steady-state serving path is allocation-free: each model replica runs the
+// steps its network compiles from the layers over two activation slabs
+// sized from the steps' static output shapes, a final output buffer and a
+// grow-once scratch arena (tensor.Arena) reset before every step, one
+// cache-sized group of images at a time.
 package repro

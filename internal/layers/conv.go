@@ -32,7 +32,8 @@ func (a Activation) String() string {
 // model in the paper. Inference runs each image as one implicit-GEMM pass
 // (tensor.ConvPrepacked: B panels read in place or packed straight from the
 // input, batch norm + bias + activation applied to each output tile), a
-// padded stride-1 layer on a zero-bordered copy of the image; training
+// padded stride-1 layer on a zero-bordered copy of the image, and with a
+// 2×2/2 max-pool after it as one pass (InferPool2x2); training
 // lowers to im2col + GEMM per image, exactly like Darknet, and keeps the
 // intermediates Backward needs.
 type Conv2D struct {
@@ -207,9 +208,37 @@ func (c *Conv2D) IOBytes() int64 {
 // over out. A padded stride-1 layer first copies each image into a
 // zero-bordered plane carved from a (tensor.PadCHW) and runs the Pad 0
 // geometry on it, so that every full panel inside an output row is read in
-// place.
+// place. network.Network's plan calls it only for a conv whose output no
+// fusable pool reads; before a 2×2/2 pool that FusesPool accepts it runs
+// InferPool2x2, the same pass with the pool inside.
 func (c *Conv2D) Infer(x, out *tensor.Tensor, a *tensor.Arena) {
-	geom := tensor.ConvGeom{C: c.in.C, H: c.in.H, W: c.in.W, Ksize: c.Ksize, Stride: c.Stride, Pad: c.Pad}
+	c.infer(x, out, a, tensor.ConvPrepacked)
+}
+
+// FusesPool reports whether p, reading this layer's output, can run inside
+// its inference pass (InferPool2x2): p is a 2×2 stride-2 pool whose windows
+// all lie inside an even-sized output, and the fan-in fits one K block
+// (tensor.ConvGeom.Pool2x2Fused). It depends on geometry only.
+func (c *Conv2D) FusesPool(p *MaxPool) bool {
+	return p.Size == 2 && p.Stride == 2 && p.Pad <= 1 && p.in == c.out && c.geom().Pool2x2Fused()
+}
+
+// InferPool2x2 is Infer followed by a 2×2 stride-2 max-pool of its output,
+// in one pass per image (tensor.ConvPool2x2Prepacked): out is x.N ×
+// Filters × OutH/2 × OutW/2, and the full-resolution output is never
+// stored. It equals Infer and then the pool's Infer bit for bit; a pool the
+// layer FusesPool accepts is the only one it may stand in for.
+func (c *Conv2D) InferPool2x2(x, out *tensor.Tensor, a *tensor.Arena) {
+	c.infer(x, out, a, tensor.ConvPool2x2Prepacked)
+}
+
+func (c *Conv2D) geom() tensor.ConvGeom {
+	return tensor.ConvGeom{C: c.in.C, H: c.in.H, W: c.in.W, Ksize: c.Ksize, Stride: c.Stride, Pad: c.Pad}
+}
+
+// infer runs conv, ConvPrepacked or ConvPool2x2Prepacked, on every image.
+func (c *Conv2D) infer(x, out *tensor.Tensor, a *tensor.Arena, conv func(*tensor.PackedA, tensor.ConvGeom, []float32, tensor.Epilogue, []float32)) {
+	geom := c.geom()
 	ep := tensor.Epilogue{Bias: c.Biases.W.Data, Leaky: c.Act == ActLeaky}
 	if c.BatchNorm {
 		ep.Mean, ep.Scale, ep.InvStd = c.RollingMean.Data, c.Scales.W.Data, c.inferInvStd(a)
@@ -226,7 +255,7 @@ func (c *Conv2D) Infer(x, out *tensor.Tensor, a *tensor.Arena) {
 			tensor.PadCHW(in, c.in.C, c.in.H, c.in.W, c.Pad, plane)
 			in = plane
 		}
-		tensor.ConvPrepacked(pre, geom, in, ep, out.Batch(b).Data)
+		conv(pre, geom, in, ep, out.Batch(b).Data)
 	}
 }
 

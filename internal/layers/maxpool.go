@@ -102,87 +102,19 @@ func (p *MaxPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 var negInf = float32(math.Inf(-1))
 
-// forward2x2 streams two input rows per output row: no per-element window
-// clamp (a window clipped by the bottom or right edge re-reads its own row
-// or column, which cannot change a maximum) and no argmax bookkeeping.
-//
-// A stride-2 row on a kernel family with a vector pool
-// (tensor.MaxPool2x2Kernel: avx2) takes eight outputs per step. VMAXPS
-// answers its second operand on a NaN or a tie of zeros, so a block goes
-// back to max2x2 when any of its 32 inputs is NaN or any of its maxima is
-// ±0 or −Inf — exactly the windows where VMAXPS and max2x2 can differ.
-// Stride-1 pools, a row's last fewer-than-eight outputs and the clipped
-// last column stay scalar, as does every row on the portable family.
+// forward2x2 pools plane by plane through tensor.MaxPoolPlane2x2: no
+// per-element window clamp (a clipped window re-reads its last row or
+// column) and no argmax bookkeeping.
 func (p *MaxPool) forward2x2(x, out *tensor.Tensor) {
-	inH, inW, outH, outW, stride := p.in.H, p.in.W, p.out.H, p.out.W, p.Stride
-	// Only the last output column's window can be clipped (Pad ≤ 1), and then
-	// to the last input column alone.
-	full := outW
-	if (outW-1)*stride+1 >= inW {
-		full--
-	}
-	var vec func(r0, r1, d []float32) int
-	if stride == 2 {
-		vec = tensor.MaxPool2x2Kernel()
-	}
+	inSize, outSize := p.in.H*p.in.W, p.out.H*p.out.W
 	for b := 0; b < x.N; b++ {
 		src := x.Batch(b).Data
 		dst := out.Batch(b).Data
 		for ch := 0; ch < p.in.C; ch++ {
-			plane := src[ch*inH*inW : (ch+1)*inH*inW]
-			for oh := 0; oh < outH; oh++ {
-				h0 := oh * stride
-				h1 := min(h0+1, inH-1)
-				r0 := plane[h0*inW : (h0+1)*inW]
-				r1 := plane[h1*inW : (h1+1)*inW]
-				d := dst[(ch*outH+oh)*outW : (ch*outH+oh+1)*outW]
-				for ow := 0; ow < full; {
-					end := full
-					if vec != nil {
-						// The vector kernel stops before the tail and before a
-						// block it cannot decide; that block (or the tail)
-						// takes max2x2, then the kernel resumes.
-						if full-ow >= 8 {
-							ow += vec(r0[2*ow:], r1[2*ow:], d[ow:full])
-						}
-						end = min(ow+8, full)
-					}
-					for ; ow < end; ow++ {
-						i := ow * stride
-						d[ow] = max2x2(r0[i], r0[i+1], r1[i], r1[i+1])
-					}
-				}
-				if full < outW {
-					d[full] = max2x2(r0[inW-1], r0[inW-1], r1[inW-1], r1[inW-1])
-				}
-			}
+			tensor.MaxPoolPlane2x2(src[ch*inSize:(ch+1)*inSize], p.in.H, p.in.W,
+				dst[ch*outSize:(ch+1)*outSize], p.out.W, p.Stride)
 		}
 	}
-}
-
-// max2x2 is the generic loop's window maximum for one row-major 2×2 window:
-// the first element, in scan order, that no other exceeds, with NaNs never
-// selected and 0 for a window holding nothing above -Inf. The comparisons
-// mispredict on every other window, so the common case goes through Go's
-// branch-free min (one negated min tree: max compiles to a negated min per
-// call). min propagates NaN and orders -0 below +0, so its answer is taken
-// only when it is a non-zero number above -Inf — then every maximal element
-// has the same bits and scan order cannot matter; the rare rest (a NaN, a ±0
-// or a -Inf result) is rescanned exactly.
-func max2x2(a, b, c, d float32) float32 {
-	if r := -min(min(-a, -b), min(-c, -d)); r > negInf && r != 0 {
-		return r
-	}
-	best := negInf
-	for _, v := range [4]float32{a, b, c, d} {
-		if v > best {
-			best = v
-		}
-	}
-	if best == negInf {
-		return 0
-	}
-	return best
 }
 
 // forwardWindows is the generic window loop. The window bounds are clamped

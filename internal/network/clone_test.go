@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/detect"
+	"repro/internal/layers"
 	"repro/internal/models"
 	"repro/internal/network"
 	"repro/internal/tensor"
@@ -124,11 +125,14 @@ func TestCloneConcurrentDetectIdentical(t *testing.T) {
 // TestScratchBytesInferenceHoldsNoColumnMatrix pins the workspace accounting
 // of the implicit-GEMM inference path: after warming at batch 2, a replica
 // reports its two activation slabs — the largest even-step and the largest
-// odd-step output, times the batch — plus its arena, and the arena holds the
-// largest padded input plane (the first layer's 3×66×66 floats; the arena is
-// reset before every step, so there is one plane at a time) and at most a
-// few hundred floats more, so no 3×3 layer's im2col matrix fits (the
-// smallest, conv8's 216·4·4 floats, is 13.5 KB).
+// odd-step output, times the batch (the batch is one image group at 64²),
+// where a conv and the 2×2/2 pool it fuses are one step writing the pooled
+// output and the last step writes the final buffer instead — plus the final
+// buffer and its arena, and the arena holds the largest padded input plane
+// (the first layer's 3×66×66 floats; the arena is reset before every step,
+// so there is one plane at a time) and at most a few hundred floats more, so
+// no 3×3 layer's im2col matrix fits (the smallest, conv8's 216·4·4 floats,
+// is 13.5 KB).
 func TestScratchBytesInferenceHoldsNoColumnMatrix(t *testing.T) {
 	net := buildSmallDroNet(t)
 	const batch = 2
@@ -136,11 +140,22 @@ func TestScratchBytesInferenceHoldsNoColumnMatrix(t *testing.T) {
 	tensor.NewRNG(4).FillUniform(x.Data, 0, 1)
 	replica := net.CloneForInference()
 	replica.ForwardBatch(x)
-	var perImage [2]int64
-	for i, l := range replica.Layers {
-		perImage[i%2] = max(perImage[i%2], int64(l.OutShape().Size()))
+	var outs []int64
+	for i := 0; i < len(replica.Layers); i++ {
+		s := replica.Layers[i].OutShape()
+		if c, ok := replica.Layers[i].(*layers.Conv2D); ok && i+1 < len(replica.Layers) {
+			if p, ok := replica.Layers[i+1].(*layers.MaxPool); ok && c.FusesPool(p) {
+				s = p.OutShape()
+				i++
+			}
+		}
+		outs = append(outs, int64(s.Size()))
 	}
-	slabs := 4 * batch * (perImage[0] + perImage[1])
+	var perImage [2]int64
+	for i, size := range outs[:len(outs)-1] {
+		perImage[i%2] = max(perImage[i%2], size)
+	}
+	slabs := 4 * batch * (perImage[0] + perImage[1] + outs[len(outs)-1])
 	plane := int64(4 * 3 * 66 * 66)
 	if arena := replica.ScratchBytes() - slabs; arena < plane || arena >= plane+4*1024 {
 		t.Fatalf("warmed inference replica reports %d scratch bytes, %d beyond its %d slab bytes; want the %d-byte padded plane and a few hundred floats",

@@ -77,7 +77,9 @@ func (lt *layerTimer) forward(x *tensor.Tensor) {
 // on the same single image, layer by layer, at 64² (the routed low model)
 // and 96² (the model detect-ingest, sharded and stream serve), and logs a
 // per-layer µs table of the two: the int8 route's cost next to the fp32
-// forward it stands in for. Run it with
+// forward it stands in for. Layer by layer, no step is fused, so it also
+// times the fp32 image through Network.Forward, whose plan runs each conv
+// and its 2×2/2 pool as one step (fp32-net-µs/img). Run it with
 //
 //	go test -run '^$' -v -bench ForwardDroNet -benchtime 2000x -cpu 1 ./internal/quant
 func BenchmarkForwardDroNet(b *testing.B) {
@@ -91,14 +93,20 @@ func benchForwardLayers(b *testing.B, size int) {
 	x := tensor.New(1, 3, size, size)
 	tensor.NewRNG(3).FillUniform(x.Data, 0, 1)
 	tf, tq := newLayerTimer(fp, x.N), newLayerTimer(q, x.N)
-	tf.forward(x) // warm-up: arenas, GEMM pools
+	net := fp.CloneForInference()
+	tf.forward(x) // warm-up: arenas, slabs, GEMM pools
 	tq.forward(x)
+	net.ForwardBatch(x)
 	clear(tf.ns)
 	clear(tq.ns)
+	var tn time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tf.forward(x)
 		tq.forward(x)
+		t0 := time.Now()
+		net.ForwardBatch(x)
+		tn += time.Since(t0)
 	}
 	b.StopTimer()
 
@@ -114,9 +122,11 @@ func benchForwardLayers(b *testing.B, size int) {
 		sf += tf.ns[i]
 		sq += tq.ns[i]
 	}
-	fmt.Fprintf(&sb, "%-3s %-27s %-12s %9.1f %9.1f %7.2f", "", "total", "", us(sf), us(sq), us(sq)/us(sf))
+	fmt.Fprintf(&sb, "%-3s %-27s %-12s %9.1f %9.1f %7.2f\n", "", "total", "", us(sf), us(sq), us(sq)/us(sf))
+	fmt.Fprintf(&sb, "%-3s %-27s %-12s %9.1f", "", "fp32 Network.Forward", "", us(tn))
 	b.Log(sb.String())
 	b.ReportMetric(us(sf), "fp32-µs/img")
+	b.ReportMetric(us(tn), "fp32-net-µs/img")
 	b.ReportMetric(us(sq), "int8-µs/img")
 	b.ReportMetric(us(sq)/us(sf), "int8/fp32")
 }

@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"runtime"
+)
 
 // Implicit-GEMM convolution for the inference path. A convolution is the
 // GEMM  C = W · im2col(x); ConvPrepacked runs it on the blocked driver of
@@ -270,6 +273,81 @@ func packBConvF32(g *ConvGeom, outW int, taps []convTap, x []float32, j0, cols i
 // is read in place and, when the fan-in fits one K block on a family with
 // f32DirectFinish, stored finished.
 func ConvPrepacked(pre *PackedA, g ConvGeom, x []float32, ep Epilogue, c []float32) {
+	ctx, packed := startConv(pre, g, x, ep)
+	defer ctx.release()
+	ctx.c, ctx.ldc = c, ctx.n
+	if packed == nil {
+		convNaive(pre, ctx)
+		return
+	}
+	nPanels := (ctx.n + ctx.nr - 1) / ctx.nr
+	for kk := 0; kk < ctx.k; kk += kcBlock {
+		ctx.kk = kk
+		ctx.kc = min(kcBlock, ctx.k-kk)
+		ctx.paRO = packed[ctx.nStrips*ctx.mr*kk : ctx.nStrips*ctx.mr*(kk+ctx.kc)]
+		gemmParallel(ctx, nPanels, taskConvTilesF32)
+	}
+}
+
+// Pool2x2Fused reports whether ConvPool2x2Prepacked runs the geometry: an
+// output of even height and width, so that every 2×2/2 window lies inside
+// it, and a fan-in that fits one K block, so that a band of output rows is
+// finished in one pass over its panels.
+func (g ConvGeom) Pool2x2Fused() bool {
+	return g.OutH()%2 == 0 && g.OutW()%2 == 0 && g.C*g.Ksize*g.Ksize <= kcBlock
+}
+
+// poolBandFloats bounds the conv rows one ConvPool2x2Prepacked task holds
+// at a time (32 KB, about one L1 data cache), unless a single row pair of
+// every filter is larger.
+const poolBandFloats = 8 << 10
+
+// ConvPool2x2Prepacked is ConvPrepacked followed by a 2×2 stride-2 max-pool
+// of its output, in one pass that never stores the full-resolution map: c
+// is the pooled output, pre.M() planes of OutH/2 × OutW/2. The geometry must
+// satisfy Pool2x2Fused. The tasks run the convolution over bands of output
+// row pairs into per-task scratch (tileScratch.band) — the same panels,
+// kernels and epilogue as ConvPrepacked, and below packThreshold the same
+// convNaive over the whole map — and pool each band into c through
+// MaxPoolPlane2x2's code, so c equals ConvPrepacked followed by
+// layers.MaxPool's 2×2/2 inference pass bit for bit.
+func ConvPool2x2Prepacked(pre *PackedA, g ConvGeom, x []float32, ep Epilogue, c []float32) {
+	if !g.Pool2x2Fused() {
+		panic("tensor: ConvPool2x2Prepacked needs an even output and a fan-in of one K block")
+	}
+	outH, outW := g.OutH(), g.OutW()
+	ctx, packed := startConv(pre, g, x, ep)
+	defer ctx.release()
+	ctx.pool, ctx.poolH, ctx.poolW = c, outH, outW
+	if packed == nil {
+		ts := tileScratchPool.Get().(*tileScratch)
+		ts.band = reslice(ts.band, ctx.m*ctx.n)
+		ctx.c, ctx.ldc = ts.band, ctx.n
+		convNaive(pre, ctx)
+		ctx.poolBand(ts.band, 0, outH)
+		tileScratchPool.Put(ts)
+		return
+	}
+	ctx.kk, ctx.kc = 0, ctx.k
+	ctx.paRO = packed[:ctx.nStrips*ctx.mr*ctx.k]
+	// As few bands as poolBandFloats allows, but as many as gemmParallel has
+	// workers, in a multiple of them, and of even size, so that the workers
+	// share the map evenly.
+	pairs, most := outH/2, max(1, poolBandFloats/(2*ctx.m*outW))
+	bands := (pairs + most - 1) / most
+	if w := min(runtime.GOMAXPROCS(0), maxGemmWorkers); bands%w != 0 {
+		bands = min(pairs, (bands/w+1)*w)
+	}
+	ctx.bandRows = 2 * ((pairs + bands - 1) / bands)
+	gemmParallel(ctx, (outH+ctx.bandRows-1)/ctx.bandRows, taskConvPoolF32)
+}
+
+// startConv sets a pooled context up for one image's implicit-GEMM
+// convolution: geometry, taps, the kernel family and, on the packed path,
+// the direct offsets, the finishing kernel and the filter panels of that
+// family, which it returns. It returns nil panels when the problem is below
+// packThreshold, for convNaive.
+func startConv(pre *PackedA, g ConvGeom, x []float32, ep Epilogue) (*gemmCtx, []float32) {
 	m, k := pre.m, pre.k
 	if k != g.C*g.Ksize*g.Ksize {
 		panic("tensor: ConvPrepacked filter fan-in does not match the geometry")
@@ -281,17 +359,15 @@ func ConvPrepacked(pre *PackedA, g ConvGeom, x []float32, ep Epilogue, c []float
 		g.H, g.W = 1, n
 	}
 	ctx := gemmCtxPool.Get().(*gemmCtx)
-	defer ctx.release()
 	ctx.geom, ctx.ep = g, ep
 	ctx.m, ctx.n, ctx.k = m, n, k
-	ctx.b, ctx.c, ctx.ldc = x, c, n
+	ctx.b = x
 	ctx.taps = reslice(ctx.taps, k)
 	g.taps(ctx.taps)
 	kern := currentKernels()
 	ctx.setKernels(kern)
 	if int64(m)*int64(n)*int64(k) < packThreshold {
-		convNaive(pre, ctx)
-		return
+		return ctx, nil
 	}
 	if kern.f32Direct != nil {
 		ctx.offs = reslice(ctx.offs, k)
@@ -311,19 +387,12 @@ func ConvPrepacked(pre *PackedA, g ConvGeom, x []float32, ep Epilogue, c []float
 			ctx.finishPanels = kern.mr / r
 		}
 	}
-	packed := pre.data
-	if kern != pre.kern {
-		ctx.pa = reslice(ctx.pa, ctx.nStrips*kern.mr*k)
-		packAPanels(pre.ta, pre.a, pre.lda, m, k, pre.alpha, ctx.pa, kern.mr)
-		packed = ctx.pa
+	if kern == pre.kern {
+		return ctx, pre.data
 	}
-	nPanels := (n + kern.nr - 1) / kern.nr
-	for kk := 0; kk < k; kk += kcBlock {
-		ctx.kk = kk
-		ctx.kc = min(kcBlock, k-kk)
-		ctx.paRO = packed[ctx.nStrips*kern.mr*kk : ctx.nStrips*kern.mr*(kk+ctx.kc)]
-		gemmParallel(ctx, nPanels, taskConvTilesF32)
-	}
+	ctx.pa = reslice(ctx.pa, ctx.nStrips*kern.mr*k)
+	packAPanels(pre.ta, pre.a, pre.lda, m, k, pre.alpha, ctx.pa, kern.mr)
+	return ctx, ctx.pa
 }
 
 // packEpilogue lays ctx.ep out for kf32Finish strip by strip, like the
@@ -347,63 +416,101 @@ func (ctx *gemmCtx) packEpilogue(mr int) {
 	}
 }
 
-// taskConvTilesF32 is the fused per-panel stage of ConvPrepacked for panels
-// [lo, hi) of the current K block. Under kf32Finish a direct panel is done
-// in one kernel call per strip, which stores finished rows. Every other
-// panel clears its C rows on the first K block, runs every A strip against
-// the panel — read in place when it is direct and the family has f32Direct,
-// packed from the input otherwise — and on the last K block takes the
-// epilogue with the run of unfinished columns before it, once the run is
-// epilogueRun columns long, a finished panel follows, or the task ends,
-// while the columns are still in cache.
+// taskConvTilesF32 is ConvPrepacked's tile stage: panels [lo, hi) of the
+// current K block, into C.
 func taskConvTilesF32(ctx *gemmCtx, lo, hi int) {
 	ts := tileScratchPool.Get().(*tileScratch)
+	jlo := lo * ctx.nr
+	ctx.convPanels(ts, ctx.c[jlo:], ctx.ldc, jlo, min(hi*ctx.nr, ctx.n))
+	tileScratchPool.Put(ts)
+}
+
+// taskConvPoolF32 is ConvPool2x2Prepacked's stage: for each band [lo, hi)
+// of bandRows output rows, the band's conv rows into the task's scratch,
+// then their 2×2/2 pool into the pooled output.
+func taskConvPoolF32(ctx *gemmCtx, lo, hi int) {
+	ts := tileScratchPool.Get().(*tileScratch)
+	outW := ctx.poolW
+	ts.band = reslice(ts.band, ctx.m*ctx.bandRows*outW)
+	for band := lo; band < hi; band++ {
+		oh0 := band * ctx.bandRows
+		oh1 := min(oh0+ctx.bandRows, ctx.poolH)
+		ldc := (oh1 - oh0) * outW
+		ctx.convPanels(ts, ts.band, ldc, oh0*outW, oh1*outW)
+		ctx.poolBand(ts.band[:ctx.m*ldc], oh0, oh1)
+	}
+	tileScratchPool.Put(ts)
+}
+
+// poolBand pools output rows [oh0, oh1) of every filter, held in band as m
+// rows of (oh1−oh0)·OutW columns, into the pooled output.
+func (ctx *gemmCtx) poolBand(band []float32, oh0, oh1 int) {
+	outW, pw, rows := ctx.poolW, ctx.poolW/2, oh1-oh0
+	for i := 0; i < ctx.m; i++ {
+		dst := ctx.pool[(i*ctx.poolH+oh0)/2*pw:][:rows/2*pw]
+		poolPlane2x2(ctx.kpool, band[i*rows*outW:(i+1)*rows*outW], rows, outW, dst, pw, 2)
+	}
+}
+
+// convPanels is the fused per-panel stage of the implicit-GEMM convolution
+// for output columns [jlo, jhi) of the current K block, in nr-wide panels
+// from jlo, into the C view c whose column 0 is output column jlo (row
+// stride ldc). Under kf32Finish a direct panel is done in one kernel call
+// per strip, which stores finished rows. Every other panel clears its C rows
+// on the first K block, runs every A strip against the panel — read in
+// place when it is direct and the family has f32Direct, packed from the
+// input otherwise — and on the last K block takes the epilogue with the run
+// of unfinished columns before it, once the run is epilogueRun columns
+// long, a finished panel follows, or the range ends, while the columns are
+// still in cache.
+func (ctx *gemmCtx) convPanels(ts *tileScratch, c []float32, ldc, jlo, jhi int) {
 	pb := ts.panel[:ctx.kc*ctx.nr]
 	g := &ctx.geom
 	outW, taps := g.OutW(), ctx.taps[ctx.kk:ctx.kk+ctx.kc]
 	first, last := ctx.kk == 0, ctx.kk+ctx.kc == ctx.k
-	epFrom := lo * ctx.nr
-	for pn := lo; pn < hi; pn++ {
-		j0 := pn * ctx.nr
-		cols := min(ctx.nr, ctx.n-j0)
+	epFrom := jlo
+	for j0 := jlo; j0 < jhi; j0 += ctx.nr {
+		cols := min(ctx.nr, jhi-j0)
 		base, direct := g.directOrigin(outW, j0, cols, ctx.nr)
 		direct = direct && ctx.kf32Direct != nil
 		if direct && ctx.kf32Finish != nil {
 			if epFrom < j0 {
-				ctx.ep.apply(ctx.kepi, ctx.c, ctx.ldc, ctx.m, epFrom, j0-epFrom)
+				ctx.ep.apply(ctx.kepi, c, ldc, ctx.m, epFrom-jlo, j0-epFrom)
 			}
-			// The direct panels that follow in this task and output row
+			// The direct panels that follow in this range and output row
 			// read on from the same origin.
 			panels := 1
-			for ; panels < ctx.finishPanels && pn+panels < hi; panels++ {
+			for ; panels < ctx.finishPanels; panels++ {
 				jn := j0 + panels*ctx.nr
-				b, ok := g.directOrigin(outW, jn, min(ctx.nr, ctx.n-jn), ctx.nr)
+				if jn >= jhi {
+					break
+				}
+				b, ok := g.directOrigin(outW, jn, min(ctx.nr, jhi-jn), ctx.nr)
 				if !ok || b != base+panels*ctx.nr {
 					break
 				}
 			}
-			ctx.panelTilesFinishF32(ctx.b[base:], j0, panels)
-			pn += panels - 1
-			epFrom = j0 + panels*ctx.nr
+			ctx.panelTilesFinishF32(ctx.b[base:], c[j0-jlo:], ldc, panels)
+			j0 += (panels - 1) * ctx.nr
+			epFrom = j0 + ctx.nr
 			continue
 		}
 		if first {
 			for i := 0; i < ctx.m; i++ {
-				clear(ctx.c[i*ctx.ldc+j0 : i*ctx.ldc+j0+cols])
+				clear(c[i*ldc+j0-jlo : i*ldc+j0-jlo+cols])
 			}
 		}
 		if direct {
-			ctx.panelTilesDirectF32(ts, ctx.b[base:], ctx.offs[ctx.kk:ctx.kk+ctx.kc], j0)
+			ctx.panelTilesDirectF32(ts, ctx.b[base:], ctx.offs[ctx.kk:ctx.kk+ctx.kc], c[j0-jlo:], ldc)
 		} else {
 			packBConvF32(g, outW, taps, ctx.b, j0, cols, pb, ctx.nr)
-			ctx.panelTilesF32(ts, pb, j0, cols)
+			ctx.panelTilesF32(ts, pb, c[j0-jlo:], ldc, cols)
 		}
-		if end := j0 + cols; last && (end-epFrom >= epilogueRun || pn == hi-1) {
-			ctx.ep.apply(ctx.kepi, ctx.c, ctx.ldc, ctx.m, epFrom, end-epFrom)
+		if end := j0 + cols; last && (end-epFrom >= epilogueRun || end == jhi) {
+			ctx.ep.apply(ctx.kepi, c, ldc, ctx.m, epFrom-jlo, end-epFrom)
 			epFrom = end
 		}
 	}
-	tileScratchPool.Put(ts)
 }
 
 // convNaive is ConvPrepacked below packThreshold, in gemmNaive's

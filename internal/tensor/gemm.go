@@ -140,6 +140,7 @@ type gemmCtx struct {
 	kf32Finish   func(kc int, pa, origin []float32, offs []int, ep []float32, c []float32, ldc, rows, panels int)
 	finishPanels int
 	kRank1       func(w, row, c []float32, ldc int)
+	kpool        func(r0, r1, d []float32) int
 
 	ta, tb  bool
 	m, n, k int
@@ -183,6 +184,13 @@ type gemmCtx struct {
 	// Int8 convolution state (convint8.go): the quantized input's pair
 	// plane.
 	plane []int16
+
+	// Fused 2×2 pool state (ConvPool2x2Prepacked): the pooled output, the
+	// conv output's height and width, and the conv rows a band task
+	// computes before it pools them.
+	pool         []float32
+	poolH, poolW int
+	bandRows     int
 }
 
 var gemmCtxPool = sync.Pool{New: func() any { return new(gemmCtx) }}
@@ -194,16 +202,17 @@ func (ctx *gemmCtx) setKernels(kern *microKernels) {
 	ctx.mr, ctx.nr = kern.mr, kern.nr
 	ctx.kf32, ctx.ki8, ctx.ki8Direct = kern.f32, kern.i8, kern.i8Direct
 	ctx.kf32Direct, ctx.kepi, ctx.kRank1 = kern.f32Direct, kern.epilogue, kern.f32Rank1
+	ctx.kpool = kern.maxPool2x2
 }
 
 // release clears borrowed references and returns the context to the pool.
 func (ctx *gemmCtx) release() {
 	ctx.a, ctx.b, ctx.c = nil, nil, nil
-	ctx.a8, ctx.b8, ctx.plane = nil, nil, nil
+	ctx.a8, ctx.b8, ctx.plane, ctx.pool = nil, nil, nil, nil
 	ctx.paRO, ctx.pa16RO = nil, nil
 	ctx.requant, ctx.bias = nil, nil
 	ctx.kf32, ctx.ki8, ctx.ki8Direct = nil, nil, nil
-	ctx.kf32Direct, ctx.kepi, ctx.kf32Finish, ctx.kRank1 = nil, nil, nil, nil
+	ctx.kf32Direct, ctx.kepi, ctx.kf32Finish, ctx.kRank1, ctx.kpool = nil, nil, nil, nil, nil
 	ctx.ep = Epilogue{}
 	gemmCtxPool.Put(ctx)
 }
@@ -213,14 +222,18 @@ func (ctx *gemmCtx) release() {
 // requant/bias vectors for the int8 kernel, and one packed B panel for each
 // fused convolution task (conv.go, convint8.go), which packs and consumes a
 // panel at a time; the int8 panel spans the whole fan-in, so it grows once
-// to the largest seen. Pooled so tile handling stays allocation-free (a
-// stack array would escape through the kernel function variable).
+// to the largest seen, as does band, the conv rows a ConvPool2x2Prepacked
+// task pools (at most poolBandFloats or one row pair of every filter, and
+// below packThreshold the whole small map). Pooled so tile handling stays
+// allocation-free (a stack array would escape through the kernel function
+// variable).
 type tileScratch struct {
 	tile    [maxMR * maxNR]float32
 	rq      [maxMR]float32
 	bs      [maxMR]float32
 	panel   [kcBlock * maxNR]float32
 	panel16 []int16
+	band    []float32
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}
@@ -292,27 +305,28 @@ func taskTilesF32(ctx *gemmCtx, lo, hi int) {
 	ts := tileScratchPool.Get().(*tileScratch)
 	for pn := lo; pn < hi; pn++ {
 		j0 := ctx.jj + pn*ctx.nr
-		ctx.panelTilesF32(ts, ctx.pb[pn*ctx.nr*ctx.kc:], j0, min(ctx.nr, ctx.n-j0))
+		ctx.panelTilesF32(ts, ctx.pb[pn*ctx.nr*ctx.kc:], ctx.c[j0:], ctx.ldc, min(ctx.nr, ctx.n-j0))
 	}
 	tileScratchPool.Put(ts)
 }
 
 // panelTilesF32 runs every A strip of the current K panel against one packed
-// B panel covering C columns [j0, j0+cols). Full tiles update C in place;
-// edge tiles accumulate into the scratch tile first and then add only the
-// valid region.
-func (ctx *gemmCtx) panelTilesF32(ts *tileScratch, pb []float32, j0, cols int) {
+// B panel covering the first cols columns of the C view c (row stride ldc;
+// the tile stages take C at the panel's first column). Full tiles update C
+// in place; edge tiles accumulate into the scratch tile first and then add
+// only the valid region.
+func (ctx *gemmCtx) panelTilesF32(ts *tileScratch, pb, c []float32, ldc, cols int) {
 	for s := 0; s < ctx.nStrips; s++ {
 		i0 := s * ctx.mr
 		rows := min(ctx.mr, ctx.m-i0)
 		pa := ctx.paRO[s*ctx.mr*ctx.kc:]
 		if rows == ctx.mr && cols == ctx.nr {
-			ctx.kf32(ctx.kc, pa, pb, ctx.c[i0*ctx.ldc+j0:], ctx.ldc)
+			ctx.kf32(ctx.kc, pa, pb, c[i0*ldc:], ldc)
 			continue
 		}
 		clear(ts.tile[:ctx.mr*ctx.nr])
 		ctx.kf32(ctx.kc, pa, pb, ts.tile[:], ctx.nr)
-		ctx.addEdgeTile(ts, i0, rows, j0, cols)
+		ctx.addEdgeTile(ts, c[i0*ldc:], ldc, rows, cols)
 	}
 }
 
@@ -323,39 +337,39 @@ func (ctx *gemmCtx) panelTilesF32(ts *tileScratch, pb []float32, j0, cols int) {
 // the scratch tile. On a padded plane (the padded-plane rule, conv.go)
 // every full panel inside one output row comes here, or, when the fan-in
 // fits one K block, to panelTilesFinishF32.
-func (ctx *gemmCtx) panelTilesDirectF32(ts *tileScratch, origin []float32, offs []int, j0 int) {
+func (ctx *gemmCtx) panelTilesDirectF32(ts *tileScratch, origin []float32, offs []int, c []float32, ldc int) {
 	for s := 0; s < ctx.nStrips; s++ {
 		i0 := s * ctx.mr
 		rows := min(ctx.mr, ctx.m-i0)
 		pa := ctx.paRO[s*ctx.mr*ctx.kc:]
 		if rows == ctx.mr {
-			ctx.kf32Direct(ctx.kc, pa, origin, offs, ctx.c[i0*ctx.ldc+j0:], ctx.ldc)
+			ctx.kf32Direct(ctx.kc, pa, origin, offs, c[i0*ldc:], ldc)
 			continue
 		}
 		clear(ts.tile[:ctx.mr*ctx.nr])
 		ctx.kf32Direct(ctx.kc, pa, origin, offs, ts.tile[:], ctx.nr)
-		ctx.addEdgeTile(ts, i0, rows, j0, ctx.nr)
+		ctx.addEdgeTile(ts, c[i0*ldc:], ldc, rows, ctx.nr)
 	}
 }
 
 // panelTilesFinishF32 is panelTilesDirectF32 under kf32Finish for panels
-// adjacent direct panels of one output row, the first at C column j0: the
+// adjacent direct panels of one output row, the first at the C view c: the
 // one K block is the whole fan-in, so every strip, an edge strip of fewer
 // than mr filters included, stores its finished rows straight into C, in
 // one kernel call for all the panels.
-func (ctx *gemmCtx) panelTilesFinishF32(origin []float32, j0, panels int) {
+func (ctx *gemmCtx) panelTilesFinishF32(origin, c []float32, ldc, panels int) {
 	for s := 0; s < ctx.nStrips; s++ {
 		i0 := s * ctx.mr
 		ctx.kf32Finish(ctx.kc, ctx.paRO[s*ctx.mr*ctx.kc:], origin, ctx.offs[:ctx.kc], ctx.epPack[s*5*ctx.mr:],
-			ctx.c[i0*ctx.ldc+j0:], ctx.ldc, min(ctx.mr, ctx.m-i0), panels)
+			c[i0*ldc:], ldc, min(ctx.mr, ctx.m-i0), panels)
 	}
 }
 
-// addEdgeTile adds the valid rows × cols of the scratch tile to C at
-// (i0, j0).
-func (ctx *gemmCtx) addEdgeTile(ts *tileScratch, i0, rows, j0, cols int) {
+// addEdgeTile adds the valid rows × cols of the scratch tile to the C view
+// c (row stride ldc).
+func (ctx *gemmCtx) addEdgeTile(ts *tileScratch, c []float32, ldc, rows, cols int) {
 	for r := 0; r < rows; r++ {
-		crow := ctx.c[(i0+r)*ctx.ldc+j0:][:cols]
+		crow := c[r*ldc:][:cols]
 		for j, v := range ts.tile[r*ctx.nr:][:cols] {
 			crow[j] += v
 		}

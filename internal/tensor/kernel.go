@@ -92,7 +92,11 @@ type microKernels struct {
 	// v = float32(gamma·(seg[j]−mu)·inv) + bias to one C row, as
 	// Epilogue.apply's Go loop does (conv.go).
 	epilogue func(seg []float32, mu, gamma, inv, bias, slope float32)
-	// maxPool2x2 is the kernel MaxPool2x2Kernel returns.
+	// maxPool2x2 writes d[i] = max(r0[2i], r0[2i+1], r1[2i], r1[2i+1]) for
+	// whole blocks of eight outputs and returns how many it wrote. It stops
+	// before a tail shorter than eight and at the first block that holds a
+	// NaN or whose maximum is ±0 or −Inf, leaving both to max2x2
+	// (poolPlane2x2, pool.go).
 	maxPool2x2 func(r0, r1, d []float32) int
 	// ycbcrRow is the kernel YCbCrRowKernel returns.
 	ycbcrRow func(y, cb, cr []byte, hs uint, r, g, b []float32) int
@@ -154,16 +158,6 @@ func KernelName() string {
 	return currentKernels().name
 }
 
-// MaxPool2x2Kernel returns the selected family's vector kernel for rows of
-// a 2×2 stride-2 max-pool, or nil when the family has none. The kernel
-// writes d[i] = max(r0[2i], r0[2i+1], r1[2i], r1[2i+1]) for whole blocks of
-// eight outputs and returns how many outputs it wrote. It stops before a
-// tail shorter than eight and at the first block that holds a NaN or whose
-// maximum is ±0 or −Inf, leaving both to the caller's scalar rule.
-func MaxPool2x2Kernel() func(r0, r1, d []float32) int {
-	return currentKernels().maxPool2x2
-}
-
 // YCbCrRowKernel returns the selected family's vector kernel for a row of
 // image.YCbCr pixels, or nil when the family has none. Pixel i is
 // color.YCbCr{y[i], cb[i>>hs], cr[i>>hs]}; the kernel stores its RGBA
@@ -195,18 +189,6 @@ func FractionsKernel() func(buf []byte, pix []float32) (n, end int) {
 func AvailableKernels() []string {
 	kernelOnce.Do(initKernelList)
 	return kernelNames()
-}
-
-// KernelSupported reports whether the named family is registered on this
-// CPU/build.
-func KernelSupported(name string) bool {
-	kernelOnce.Do(initKernelList)
-	for _, k := range kernelList {
-		if k.name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // SelectKernel switches the active microkernel family: one of the

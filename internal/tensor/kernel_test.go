@@ -17,11 +17,11 @@ func TestKernelDispatchInfo(t *testing.T) {
 	if len(names) == 0 || names[len(names)-1] != "portable" {
 		t.Fatalf("portable family must be registered last, have %v", names)
 	}
-	if !KernelSupported(KernelName()) {
+	if !kernelSupported(KernelName()) {
 		t.Fatalf("selected family %q is not in the registry %v", KernelName(), names)
 	}
-	if KernelSupported("no-such-kernel") {
-		t.Fatal("KernelSupported accepted an unknown family")
+	if kernelSupported("no-such-kernel") {
+		t.Fatal("kernelSupported accepted an unknown family")
 	}
 	kernelOnce.Do(initKernelList)
 	for _, kern := range kernelList {
@@ -40,10 +40,22 @@ func TestKernelDispatchInfo(t *testing.T) {
 // bug) fails loudly instead of benchmarking the slow path. Skips when the
 // CPU/build doesn't carry the AVX2 family.
 func TestSelectedKernel(t *testing.T) {
-	if !KernelSupported("avx2") {
+	if !kernelSupported("avx2") {
 		t.Skipf("AVX2 family not available on this CPU/build (have %s)", strings.Join(AvailableKernels(), ","))
 	}
 	if got := KernelName(); got != "avx2" {
 		t.Fatalf("AVX2 is available but dispatch selected %q", got)
 	}
+}
+
+// kernelSupported reports whether the named family is registered on this
+// CPU/build.
+func kernelSupported(name string) bool {
+	kernelOnce.Do(initKernelList)
+	for _, k := range kernelList {
+		if k.name == name {
+			return true
+		}
+	}
+	return false
 }
