@@ -77,7 +77,7 @@ serve-smoke:
 	    -models "low=dronet:64:int8:150,high=dronet:96:fp32"
 
 ## swap-smoke: boot the real dronet-serve binary with its admin listener and
-## exercise the live model lifecycle — hot add, two atomic weight swaps (one
+## exercise the live model lifecycle — hot add, two atomic swaps (one
 ## on the pool carrying background traffic), remove — asserting the data
 ## plane never returns anything but 200/429 (examples/serveclient -swap is
 ## the driver)
@@ -85,7 +85,7 @@ swap-smoke:
 	$(GO) build -o bin/dronet-serve ./cmd/dronet-serve
 	$(GO) run ./examples/serveclient -server bin/dronet-serve -size 64 -swap
 	$(GO) run ./examples/serveclient -server bin/dronet-serve -size 64 -swap \
-	    -models "low=dronet:64:int8:150,high=dronet:96:fp32::2"
+	    -models "low=dronet:64:int8:150,high=dronet:96:fp32"
 
 ## shard-smoke: boot two real dronet-serve shard processes behind a real
 ## dronet-proxy and walk the sharded tier — camera affinity, fleet metrics

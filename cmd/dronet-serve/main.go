@@ -22,14 +22,14 @@
 //
 //	dronet-serve -addr :8080 -models "low=dronet:96:int8:150,high=dronet:128:fp32"
 //
-// Each comma-separated entry is name=model:size:precision[:maxalt][:weight];
-// the first entry is the default route. Requests pick a model explicitly
-// with ?model= or the X-Model header; otherwise a request carrying an
-// altitude is routed to the model whose maxalt band covers it (the paper's
-// operating-scenario trade-off: low flight ⇒ large targets ⇒ the small
-// fast model; high flight ⇒ the larger-input one). The optional weight is
-// the pool's fair share of borrowed workers under idle-worker lending.
-// /healthz and /metrics carry per-model labelled blocks plus fleet
+// Each comma-separated entry is
+// name=model:size:precision[:maxalt][:degrade=sibling]; the first entry is
+// the default route. Requests pick a model explicitly with ?model= or the
+// X-Model header; otherwise a request carrying an altitude is routed to
+// the model whose maxalt band covers it (the paper's operating-scenario
+// trade-off: low flight ⇒ large targets ⇒ the small fast model; high
+// flight ⇒ the larger-input one). Each model runs its batches on its own
+// -workers replicas only. /healthz and /metrics carry per-model labelled blocks plus fleet
 // aggregates.
 //
 // With -admin HOST:PORT a second, operations-only listener exposes the
@@ -85,7 +85,7 @@ func main() {
 	scale := flag.Float64("scale", 0.5, "filter-count scale (1.0 = paper-size model)")
 	weightsPath := flag.String("weights", "", "trained weights file (random init when empty)")
 	precision := flag.String("precision", "fp32", "inference precision: fp32 or int8 (post-training quantized)")
-	modelsFlag := flag.String("models", "", `routed multi-model registry: "name=model:size:precision[:maxalt][:weight][:degrade=sibling],..." (first entry is the default route; overrides -model/-size/-precision)`)
+	modelsFlag := flag.String("models", "", `routed multi-model registry: "name=model:size:precision[:maxalt][:degrade=sibling],..." (first entry is the default route; overrides -model/-size/-precision)`)
 	calibFrames := flag.Int("calib-frames", 8, "int8: synthetic sample frames for activation-scale calibration")
 	workers := flag.Int("workers", runtime.NumCPU(), "batch worker pool size (model replicas)")
 	maxBatch := flag.Int("max-batch", 8, "maximum images per micro-batch")
@@ -215,7 +215,7 @@ func main() {
 // detector (its weights loaded from weightsPath when non-empty, quantized
 // when the spec says int8), an engine replica pool and a batching config.
 // The pool inherits the command-level worker count and batching knobs;
-// precision, input size, altitude band and lending weight come from the
+// precision, input size, altitude band and degrade sibling come from the
 // spec. It is the one way a hosted model is built: startup entries, the
 // single-model flags' "default" spec and the admin endpoints' ModelBuilder
 // all come through here.
@@ -245,14 +245,13 @@ func buildEntry(spec serve.ModelSpec, weightsPath string, scale float64, calibFr
 	if spec.Degrade != "" {
 		degradeLabel = ", degrades to " + spec.Degrade
 	}
-	log.Printf("registered %s (input %dx%d, %s%s%s%s)", spec.Name, spec.Size, spec.Size, spec.Precision,
-		altLabel(spec.MaxAltitude), weightLabel(spec.Weight), degradeLabel)
+	log.Printf("registered %s (input %dx%d, %s%s%s)", spec.Name, spec.Size, spec.Size, spec.Precision,
+		altLabel(spec.MaxAltitude), degradeLabel)
 	return serve.ModelEntry{
 		Name:        spec.Name,
 		Engine:      eng,
 		Config:      mcfg,
 		MaxAltitude: spec.MaxAltitude,
-		Weight:      spec.Weight,
 		Degrade:     spec.Degrade,
 	}, nil
 }
@@ -262,13 +261,6 @@ func altLabel(maxAlt float64) string {
 		return ""
 	}
 	return fmt.Sprintf(", altitude <= %gm", maxAlt)
-}
-
-func weightLabel(w float64) string {
-	if w == 0 || w == 1 {
-		return ""
-	}
-	return fmt.Sprintf(", weight %g", w)
 }
 
 // buildModel returns the inference model for the requested precision. For

@@ -8,8 +8,8 @@
 // precision label on /healthz, smoke-testing the whole quantized path.
 //
 // With -models the spawned server hosts a routed registry
-// (name=model:size:precision[:maxalt][:weight] entries) and the client
-// walks the routing matrix instead: explicit ?model= and X-Model
+// (name=model:size:precision[:maxalt][:degrade=sibling] entries) and the
+// client walks the routing matrix instead: explicit ?model= and X-Model
 // selection, the altitude default route, the 404 on an unknown model, and
 // the per-model blocks on /healthz and /metrics.
 //
@@ -308,7 +308,7 @@ func walkRouted(url, spec string) {
 
 // swapWalk drives one full live-lifecycle pass against the admin listener
 // while a background client hammers the data plane: every data-plane
-// response throughout must be 200 or 429 — an add, two weight swaps, and a
+// response throughout must be 200 or 429 — an add, two swaps, and a
 // remove may never surface as a 5xx or a dropped connection.
 func swapWalk(dataURL, adminURL, spec string) {
 	specs, err := serve.ParseModelSpecs(spec)
@@ -363,7 +363,7 @@ func swapWalk(dataURL, adminURL, spec string) {
 	fmt.Printf("admin: %d models hosted\n", len(list.Models))
 
 	// Hot add, then serve from the new pool by explicit selection.
-	hotSpec := fmt.Sprintf("hot=dronet:%d:fp32::2", primary.Size)
+	hotSpec := fmt.Sprintf("hot=dronet:%d:fp32", primary.Size)
 	var added struct {
 		Name       string `json:"name"`
 		Generation uint64 `json:"generation"`
@@ -377,7 +377,7 @@ func swapWalk(dataURL, adminURL, spec string) {
 	}
 	fmt.Printf("hot add: model %s serving at generation %d\n", added.Name, added.Generation)
 
-	// Atomic weight swap of the added model: generation must advance and
+	// Atomic swap of the added model: generation must advance and
 	// the data plane must serve the new pool.
 	var swapped struct {
 		Generation    uint64 `json:"generation"`

@@ -1,10 +1,10 @@
 // Package engine is the replica pool behind the serving subsystem
-// (internal/serve): one set of layers, a pool of worker replicas that run
-// them over inference memory of their own
-// (network.Network.CloneForInference), and ExecuteBatch, which runs
-// a dynamic micro-batch of images as one batched Forward on one pooled
-// replica. It is the one way this repository runs a model — the paper's
-// single-camera §IV.B loop scaled to concurrent requests.
+// (internal/serve): one set of layers, a fixed pool of Config.Workers
+// replicas, created in New, that run them over inference memory of their
+// own (network.Network.CloneForInference), and ExecuteBatch, which runs a
+// dynamic micro-batch of images as one batched Forward on the replica of
+// worker id 0..Workers-1. It is the one way this repository runs a model —
+// the paper's single-camera §IV.B loop scaled to concurrent requests.
 //
 // It keeps no statistics: the serving pool that drives it times its calls.
 //
@@ -46,14 +46,18 @@ type Engine struct {
 	base *network.Network
 	cfg  Config
 
-	mu        sync.Mutex              // guards lazy pool growth, workerCap and Free
-	runners   []*pipeline.BatchRunner // pooled worker replicas, grown lazily
-	workerCap int                     // ExecuteBatch id bound when > Workers (idle-worker lending)
+	// runners holds one replica per worker id; Free sets it to nil. mu
+	// orders Free against WorkspaceBytes scrapes; ExecuteBatch reads it
+	// unlocked, since Free's caller has quiesced the pool.
+	mu      sync.Mutex
+	runners []*pipeline.BatchRunner
 }
 
-// New creates an engine around a base network of either precision. The
-// base is never mutated; every worker replica runs its layers, so training
-// it while batches are in flight is not safe.
+// New creates an engine around a base network of either precision, with
+// one worker replica per Config.Workers. A replica holds no memory until
+// its first batch, so the pool costs nothing up front. The base is never
+// mutated; every worker replica runs its layers, so training it while
+// batches are in flight is not safe.
 func New(m *network.Network, cfg Config) (*Engine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("engine: nil model")
@@ -65,72 +69,37 @@ func New(m *network.Network, cfg Config) (*Engine, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	return &Engine{base: m, cfg: cfg}, nil
-}
-
-// runner returns the id-th pooled worker replica, cloning the base network
-// on first use; later batches reuse it, keeping its activation buffers warm.
-func (e *Engine) runner(id int) *pipeline.BatchRunner {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for len(e.runners) <= id {
-		e.runners = append(e.runners, &pipeline.BatchRunner{
-			Net:            e.base.CloneForInference(),
-			Thresh:         e.cfg.Thresh,
-			NMSThresh:      e.cfg.NMSThresh,
-			AltitudeFilter: e.cfg.AltitudeFilter,
-		})
+	runners := make([]*pipeline.BatchRunner, cfg.Workers)
+	for id := range runners {
+		runners[id] = &pipeline.BatchRunner{
+			Net:            m.CloneForInference(),
+			Thresh:         cfg.Thresh,
+			NMSThresh:      cfg.NMSThresh,
+			AltitudeFilter: cfg.AltitudeFilter,
+		}
 	}
-	return e.runners[id]
+	return &Engine{base: m, cfg: cfg, runners: runners}, nil
 }
 
 // Workers returns the configured worker-pool size.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
-// SetWorkerCap raises the number of worker ids ExecuteBatch accepts beyond
-// the nominal pool size — the lending hook behind the serving scheduler's
-// idle-worker borrowing: a borrowed execution runs on an extra replica of
-// THIS engine's model (replicas run its one set of layers and are created
-// lazily on first use), so lending capacity never executes a batch on the
-// wrong weights. The cap only ever grows; in-flight borrowed ids stay valid
-// when fleet capacity later shrinks.
-func (e *Engine) SetWorkerCap(n int) {
-	e.mu.Lock()
-	if n > e.workerCap {
-		e.workerCap = n
-	}
-	e.mu.Unlock()
-}
-
-// WorkerCap returns the current ExecuteBatch id bound: the nominal pool
-// size, or the raised lending cap when SetWorkerCap extended it.
-func (e *Engine) WorkerCap() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.workerCap > e.cfg.Workers {
-		return e.workerCap
-	}
-	return e.cfg.Workers
-}
-
 // Free releases every pooled replica (and with them their activation slabs
 // and arenas) so a drained, retired pool returns its steady-state memory to the
 // GC. The caller must have quiesced the pool: no ExecuteBatch may be
-// in flight or arrive afterwards — a stale ExecuteBatch would silently
-// re-instantiate a replica. Retiring a model during a live swap is the
-// intended caller (internal/serve).
+// in flight, and one that arrives afterwards returns an error. Retiring a
+// model during a live swap is the intended caller (internal/serve).
 func (e *Engine) Free() {
 	e.mu.Lock()
 	e.runners = nil
 	e.mu.Unlock()
 }
 
-// WorkspaceBytes sums the inference memory of every instantiated worker
-// replica: its two activation slabs and its scratch arena
-// (network.Network.ScratchBytes). After warm-up this is the engine's whole
-// steady-state transient memory — the quantity the zero-alloc serving path
-// holds constant. Replicas not yet instantiated (never used) contribute
-// zero.
+// WorkspaceBytes sums the inference memory of every worker replica: its
+// two activation slabs and its scratch arena (network.Network.ScratchBytes).
+// After warm-up this is the engine's whole steady-state transient memory —
+// the quantity the zero-alloc serving path holds constant. A replica that
+// never ran a batch contributes zero.
 func (e *Engine) WorkspaceBytes() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -154,8 +123,8 @@ func (e *Engine) WeightBytes() int64 { return e.base.WeightBytes() }
 // pooled worker replica, so serving starts with every replica's slabs and
 // arena sized for the maximum micro-batch instead of growing them on the first live requests.
 func (e *Engine) WarmBatch(batch int) {
-	for id := 0; id < e.cfg.Workers; id++ {
-		e.runner(id).Warm(batch)
+	for _, r := range e.runners {
+		r.Warm(batch)
 	}
 }
 
@@ -167,8 +136,11 @@ func (e *Engine) WarmBatch(batch int) {
 // call (see network.Network.DetectBatch); the inner slices may be retained.
 // This is the executor the serving subsystem's batch workers drive.
 func (e *Engine) ExecuteBatch(id int, imgs []*imgproc.Image, altitudes []float64) ([][]detect.Detection, error) {
-	if cap := e.WorkerCap(); id < 0 || id >= cap {
-		return nil, fmt.Errorf("engine: worker id %d outside pool cap of %d", id, cap)
+	if e.runners == nil {
+		return nil, fmt.Errorf("engine: pool freed")
+	}
+	if id < 0 || id >= len(e.runners) {
+		return nil, fmt.Errorf("engine: worker id %d outside pool of %d", id, len(e.runners))
 	}
 	// The injection site sits inside the span the serving pool times as its
 	// service estimate on purpose: a chaos test arming
@@ -178,5 +150,5 @@ func (e *Engine) ExecuteBatch(id int, imgs []*imgproc.Image, altitudes []float64
 	if err := faults.Fire("engine.execute", ""); err != nil {
 		return nil, err
 	}
-	return e.runner(id).Detect(imgs, altitudes)
+	return e.runners[id].Detect(imgs, altitudes)
 }

@@ -45,7 +45,7 @@ func qconvReference(qc *QConv, x *tensor.Tensor) *tensor.Tensor {
 	qx := make([]int8, qc.in.Size())
 	qcol := make([]int8, fanIn*spatial)
 	for b := 0; b < x.N; b++ {
-		QuantizeSymmetric(x.Batch(b).Data, qc.ActScale, qx)
+		tensor.QuantizeSymmetric(x.Batch(b).Data, qc.ActScale, qx)
 		im2colInt8(qx, qc.in.C, qc.in.H, qc.in.W, qc.Ksize, qc.Stride, qc.Pad, qcol)
 		tensor.GemmInt8(qc.Filters, spatial, fanIn, qc.W, fanIn, qcol, spatial, qc.requant, qc.Bias, out.Batch(b).Data, spatial)
 	}

@@ -3,9 +3,11 @@ package quant
 import (
 	"math"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
-// roundHalfAwayReference is QuantizeSymmetric for one value, rounded by
+// roundHalfAwayReference is tensor.QuantizeSymmetric for one value, rounded by
 // math.Round in float64: the float32 scaled value t (v times the inverse
 // scale, or v/scale when the inverse overflows) rounded half away from zero
 // and clamped to ±127.
@@ -47,7 +49,7 @@ func FuzzQuantDequant(f *testing.F) {
 		scale := maxAbs / 127 // the calibration convention of Quantize
 
 		dst := make([]int8, len(src))
-		QuantizeSymmetric(src, scale, dst)
+		tensor.QuantizeSymmetric(src, scale, dst)
 		back := make([]float32, len(src))
 		Dequantize(dst, scale, back)
 

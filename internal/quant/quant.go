@@ -208,7 +208,7 @@ func quantizeConv(c *layers.Conv2D, inMaxAbs float32) (*QConv, error) {
 		scale := m / 127
 		qc.WScale[f] = scale
 		qc.requant[f] = scale * qc.ActScale
-		QuantizeSymmetric(row, scale, qc.W[f*fanIn:(f+1)*fanIn])
+		tensor.QuantizeSymmetric(row, scale, qc.W[f*fanIn:(f+1)*fanIn])
 	}
 	g := tensor.ConvGeom{C: qc.in.C, H: qc.in.H, W: qc.in.W, Ksize: qc.Ksize, Stride: qc.Stride, Pad: qc.Pad}
 	qc.packed = tensor.PackConvInt8(g, qc.Filters, qc.W)
@@ -285,17 +285,9 @@ func (qc *QConv) Infer(x, out *tensor.Tensor, a *tensor.Arena) {
 	}
 }
 
-// QuantizeSymmetric quantizes src into dst (which must be at least as long)
-// with the symmetric map q = clamp(round(v/scale), ±127), rounding halves
-// away from zero. A zero scale (or a NaN input) maps to zero. Dequantize
-// inverts it up to the guaranteed round-trip error of scale/2 per element
-// (see FuzzQuantDequant). It is tensor.QuantizeSymmetric, the quantizer
-// every QConv applies to its input.
-func QuantizeSymmetric(src []float32, scale float32, dst []int8) {
-	tensor.QuantizeSymmetric(src, scale, dst)
-}
-
 // Dequantize expands quantized values back to float32: dst[i] = src[i]*scale.
+// It inverts tensor.QuantizeSymmetric up to the guaranteed round-trip error
+// of scale/2 per element (see FuzzQuantDequant).
 func Dequantize(src []int8, scale float32, dst []float32) {
 	for i, v := range src {
 		dst[i] = float32(v) * scale

@@ -364,7 +364,7 @@ func TestQuantizeSymmetricRoundsHalfAwayFromZero(t *testing.T) {
 		math.Nextafter32(126.5, 0), math.Nextafter32(1.5, 0), 0, float32(math.Copysign(0, -1))}
 	want := []int8{0, 0, 1, -1, 2, -2, 3, -3, 127, -127, 126, 1, 0, 0}
 	got := make([]int8, len(src))
-	QuantizeSymmetric(src, 1, got)
+	tensor.QuantizeSymmetric(src, 1, got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("scale 1: %v quantize to %v, want %v", src, got, want)
 	}
@@ -377,7 +377,7 @@ func TestQuantizeSymmetricRoundsHalfAwayFromZero(t *testing.T) {
 	for i, v := range ties {
 		scaled[i] = v * scale
 	}
-	QuantizeSymmetric(scaled, scale, got)
+	tensor.QuantizeSymmetric(scaled, scale, got)
 	if !reflect.DeepEqual(got[:len(ties)], want[2:10]) {
 		t.Fatalf("subnormal scale: %v quantize to %v, want %v", ties, got[:len(ties)], want[2:10])
 	}

@@ -38,7 +38,6 @@ type adminModelJSON struct {
 	Generation  uint64  `json:"generation"`
 	Precision   string  `json:"precision"`
 	Workers     int     `json:"workers"`
-	Weight      float64 `json:"weight"`
 	MaxAltitude float64 `json:"max_altitude_m,omitempty"`
 	Default     bool    `json:"default"`
 }
@@ -52,9 +51,10 @@ type adminChangeJSON struct {
 
 // adminSpecJSON is the request body of POST and PUT /admin/models.
 type adminSpecJSON struct {
-	// Spec is one -models grammar entry: name=model:size:precision
-	// [:maxalt][:weight]. On PUT the "name=" prefix may be omitted — the
-	// path names the route being swapped.
+	// Spec is one -models grammar entry:
+	// name=model:size:precision[:maxalt][:degrade=sibling]. On PUT the
+	// "name=" prefix may be omitted — the path names the route being
+	// swapped.
 	Spec string `json:"spec"`
 }
 
@@ -63,7 +63,7 @@ type adminSpecJSON struct {
 // data plane faces the world:
 //
 //	GET    /admin/models        — list hosted models with generations
-//	POST   /admin/models        — add a model (body: {"spec": "name=model:size:precision[:maxalt][:weight]"})
+//	POST   /admin/models        — add a model (body: {"spec": "name=model:size:precision[:maxalt]"})
 //	PUT    /admin/models/{name} — atomically swap the named model's pool
 //	DELETE /admin/models/{name} — drain and remove the named model
 //
@@ -90,7 +90,6 @@ func (s *Server) handleAdminList(w http.ResponseWriter, r *http.Request) {
 			Generation:  h.gen,
 			Precision:   h.cfg.Precision,
 			Workers:     h.eng.Workers(),
-			Weight:      h.weight,
 			MaxAltitude: h.maxAlt,
 			Default:     h == t.def,
 		})

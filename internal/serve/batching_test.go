@@ -53,10 +53,10 @@ func TestBatchGrowsOnlyWhileWorkersBusy(t *testing.T) {
 		}
 	})
 
-	t.Run("lone request does not borrow", func(t *testing.T) {
-		// The busy pool's worker is held while the idle pool leaves fleet
-		// capacity to lend. Request 2 waits alone without borrowing; request 3
-		// makes it a batch of two, which does borrow.
+	t.Run("held pool keeps its backlog", func(t *testing.T) {
+		// The pool's one worker is held while a second pool sits idle.
+		// Requests 2 and 3 wait for the pool's own worker and leave on it
+		// as one batch; the idle pool runs nothing.
 		srv, ts := batchingServer(t, 1, "idle")
 		armFaults(t, "serve.batch#default=stall")
 		wait1 := postAsync(t, ts, frames[0], "default", 1)
@@ -67,20 +67,19 @@ func TestBatchGrowsOnlyWhileWorkersBusy(t *testing.T) {
 		waitStats(t, srv, "default", "request 2 absorbed", func(st serve.Stats) bool {
 			return st.Received == 2 && st.QueueDepth == 0
 		})
-		if st, _ := srv.ModelStats("default"); st.BorrowsTotal != 0 {
-			t.Fatalf("a lone request borrowed: borrows_total %d", st.BorrowsTotal)
-		}
 		wait3 := postAsync(t, ts, frames[0], "default", 1)
-		waitStats(t, srv, "default", "the pair borrowed", func(st serve.Stats) bool {
-			return st.BorrowsTotal == 1
+		waitStats(t, srv, "default", "request 3 absorbed", func(st serve.Stats) bool {
+			return st.Received == 3 && st.QueueDepth == 0
 		})
 		faults.Disarm()
 		wait1()
 		wait2()
 		wait3()
-		st, _ := srv.ModelStats("default")
-		if !reflect.DeepEqual(st.BatchHist, map[int]int{1: 1, 2: 1}) || st.BorrowsTotal != 1 {
-			t.Errorf("batch histogram %v with %d borrows, want {1:1 2:1} with 1", st.BatchHist, st.BorrowsTotal)
+		if st, _ := srv.ModelStats("default"); !reflect.DeepEqual(st.BatchHist, map[int]int{1: 1, 2: 1}) {
+			t.Errorf("batch histogram %v, want {1:1 2:1}", st.BatchHist)
+		}
+		if st, _ := srv.ModelStats("idle"); st.Batches != 0 {
+			t.Errorf("the idle pool ran %d batches, want 0", st.Batches)
 		}
 	})
 }

@@ -144,22 +144,13 @@
 // of feeding a retry storm, and retry_budget_tokens is exported in
 // /metrics.
 //
-// # Idle-worker lending
+// # Per-model workers
 //
-// Strict per-model pools waste capacity when load is uneven, so pools
-// share it through a work-stealing scheduler: when a pool's forming batch
-// of two or more finds every local worker busy and the fleet has idle
-// capacity, the scheduler grants a BORROWED slot — one extra concurrent
-// batch on a lazily-grown replica of the pool's own engine. A lone request
-// waits for its own pool instead: one image does not repay a replica's
-// memory. Spare slots go to the
-// hungriest pool by weighted fair share (ModelEntry.Weight, the optional
-// fifth -models field), and a pool's own workers never consult the
-// scheduler, so a lender whose traffic returns starts executing
-// immediately — the no-starvation guarantee costs at most a transient
-// overshoot above nominal fleet capacity while borrowed batches finish.
-// The borrowed_workers gauge and borrows_total counter in /metrics track
-// lending per model and fleet-wide.
+// Each hosted model runs its batches on its own engine's Workers()
+// replicas only: a backlogged model waits for its own workers however idle
+// its neighbours are, so no model can take CPU a neighbour was sized for.
+// The borrows_total counter in /metrics always reads 0; it stays only for
+// the benchmark row that reads it.
 //
 // Batching is invisible to correctness: a batched forward produces
 // byte-identical per-image detections to single-image inference
@@ -203,7 +194,7 @@
 // over HTTP:
 //
 //	GET    /admin/models         list hosted models with generations
-//	POST   /admin/models         {"spec":"name=model:size:precision[:maxalt][:weight]"}
+//	POST   /admin/models         {"spec":"name=model:size:precision[:maxalt]"}
 //	                             hot-add → 201 with the minted generation
 //	PUT    /admin/models/{name}  atomic weight swap → 200 with old and new
 //	                             generations (the spec may omit "name=")

@@ -440,8 +440,7 @@ func toJSON(dets []detect.Detection) []DetectionJSON {
 // workspace totals across every pool; precision and batching knobs of the
 // default route, which for a single-model server makes the document
 // identical in meaning to the pre-registry one), plus one labelled block
-// per hosted model under "models" — now including the pool generation,
-// lending weight and currently-borrowed worker count.
+// per hosted model under "models", including the pool generation.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	t := s.table.Load()
 	queueCap, workers := 0, 0
@@ -454,19 +453,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		workspace += ws
 		in := h.eng.InShape()
 		models[h.name] = map[string]any{
-			"precision":        h.cfg.Precision,
-			"input":            fmt.Sprintf("%dx%d", in.W, in.H),
-			"workers":          h.eng.Workers(),
-			"max_batch":        h.cfg.MaxBatch,
-			"queue_cap":        cap(h.queue),
-			"queue_depth":      len(h.queue),
-			"max_altitude_m":   h.maxAlt,
-			"workspace_bytes":  ws,
-			"weight_bytes":     h.eng.WeightBytes(),
-			"default":          h == t.def,
-			"generation":       h.gen,
-			"weight":           h.weight,
-			"borrowed_workers": s.sched.borrowedNow(h),
+			"precision":       h.cfg.Precision,
+			"input":           fmt.Sprintf("%dx%d", in.W, in.H),
+			"workers":         h.eng.Workers(),
+			"max_batch":       h.cfg.MaxBatch,
+			"queue_cap":       cap(h.queue),
+			"queue_depth":     len(h.queue),
+			"max_altitude_m":  h.maxAlt,
+			"workspace_bytes": ws,
+			"weight_bytes":    h.eng.WeightBytes(),
+			"default":         h == t.def,
+			"generation":      h.gen,
 		}
 	}
 	shardID, addr := s.Identity()

@@ -83,12 +83,10 @@ type Stats struct {
 	// before a model owns the request).
 	RetriesExhaustedTotal uint64 `json:"retries_exhausted_total"`
 
-	// BorrowedWorkers is the number of borrowed batch executions in flight
-	// at snapshot time (idle-worker lending), and BorrowsTotal the all-time
-	// count of granted borrows. On the fleet aggregate they sum over every
-	// pool.
-	BorrowedWorkers int    `json:"borrowed_workers"`
-	BorrowsTotal    uint64 `json:"borrows_total"`
+	// BorrowsTotal always reads 0: each hosted model runs its batches on
+	// its own workers only. It stays for the benchmark's serve.borrows row,
+	// which reads it, until that row is retired.
+	BorrowsTotal uint64 `json:"borrows_total"`
 
 	// Streaming-session counters (fleet-aggregate only; the session tier
 	// sits in front of model routing). SessionsOpen is the gauge of live
@@ -180,7 +178,6 @@ func (s *Stats) Merge(o Stats) {
 	s.DegradedTotal += o.DegradedTotal
 	s.RetryBudgetTokens += o.RetryBudgetTokens
 	s.RetriesExhaustedTotal += o.RetriesExhaustedTotal
-	s.BorrowedWorkers += o.BorrowedWorkers
 	s.BorrowsTotal += o.BorrowsTotal
 	s.SessionsOpen += o.SessionsOpen
 	s.SessionsTotal += o.SessionsTotal
@@ -236,9 +233,6 @@ type metrics struct {
 	exhausted uint64 // re-resolve loop gave up: retry bound or budget (503)
 	deadline  uint64 // deadline breaches: on arrival, at assembly, or late
 	degraded  uint64 // requests downgraded to the brownout sibling
-
-	borrowedNow  int    // borrowed batch executions in flight
-	borrowsTotal uint64 // granted borrows, all-time
 
 	// Streaming-session counters (only touched on the fleet aggregate).
 	sessionsTotal  uint64
@@ -318,17 +312,6 @@ func (m *metrics) streamDrop()    { m.mu.Lock(); m.streamDropped++; m.mu.Unlock(
 func (m *metrics) streamReject()  { m.mu.Lock(); m.streamRejected++; m.mu.Unlock() }
 func (m *metrics) trackRetired()  { m.mu.Lock(); m.tracksRetired++; m.mu.Unlock() }
 
-// borrowStart / borrowEnd bracket one borrowed batch execution, maintaining
-// the borrowed_workers gauge and borrows_total counter.
-func (m *metrics) borrowStart() {
-	m.each(func(m *metrics) {
-		m.borrowedNow++
-		m.borrowsTotal++
-	})
-}
-
-func (m *metrics) borrowEnd() { m.each(func(m *metrics) { m.borrowedNow-- }) }
-
 func (m *metrics) done(lat time.Duration, ok bool) {
 	sec := lat.Seconds()
 	m.each(func(m *metrics) {
@@ -387,8 +370,6 @@ func (m *metrics) snapshot(queueDepth, queueCap, workers, maxBatch int) Stats {
 		DeadlineExceededTotal: m.deadline,
 		DegradedTotal:         m.degraded,
 		RetriesExhaustedTotal: m.exhausted,
-		BorrowedWorkers:       m.borrowedNow,
-		BorrowsTotal:          m.borrowsTotal,
 		SessionsTotal:         m.sessionsTotal,
 		SessionsEvictedIdle:   m.sessionsIdle,
 		StreamFramesTotal:     m.streamFrames,

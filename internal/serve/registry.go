@@ -32,12 +32,6 @@ type ModelEntry struct {
 	// low flight ⇒ large targets ⇒ a small fast model suffices; high flight
 	// ⇒ small targets ⇒ route to the bigger-input model.
 	MaxAltitude float64
-	// Weight is the model's fair-share weight for idle-worker lending:
-	// when several backlogged pools compete for spare fleet capacity, the
-	// scheduler grants borrowed slots so each pool's active-batch count
-	// stays proportional to its weight. Zero or negative normalizes to 1
-	// (equal shares).
-	Weight float64
 	// Degrade names the cheaper sibling model brownout degradation serves
 	// implicitly-routed requests from while this model's queue depth is
 	// over its watermark (three quarters of its queue capacity, see
@@ -49,17 +43,14 @@ type ModelEntry struct {
 
 // ModelSpec is one parsed entry of a `-models` flag:
 //
-//	name=model:size:precision[:maxalt][:weight][:degrade=sibling]
+//	name=model:size:precision[:maxalt][:degrade=sibling]
 //
 // e.g. "low=dronet:96:int8:150" — route name "low", DroNet architecture at
-// 96px input, INT8-quantized, serving the altitude band up to 150m — or
-// "low=dronet:96:int8:150:2" to additionally give the pool twice the fair
-// share of borrowed workers. The maxalt field is optional; without it the
-// model is routed only explicitly, as the default (first spec), or as the
-// overflow above every bounded altitude band. A weight without an altitude
-// band leaves the fourth field empty: "big=dronet:608:fp32::2". The
-// degrade field, always last when present, names another spec in the same
-// flag as this model's brownout sibling:
+// 96px input, INT8-quantized, serving the altitude band up to 150m. The
+// maxalt field is optional; without it the model is routed only
+// explicitly, as the default (first spec), or as the overflow above every
+// bounded altitude band. The degrade field, always last when present,
+// names another spec in the same flag as this model's brownout sibling:
 // "high=dronet:96:fp32:degrade=low" serves implicitly-routed requests from
 // "low" while "high" is over its brownout watermark.
 type ModelSpec struct {
@@ -68,28 +59,17 @@ type ModelSpec struct {
 	Size        int
 	Precision   string
 	MaxAltitude float64
-	// Weight is the fair-share lending weight; ParseModelSpecs normalizes
-	// an absent weight to 1, so a parsed spec always carries a positive
-	// finite value.
-	Weight float64
 	// Degrade is the brownout sibling's route name ("" = none); it must
 	// name another spec in the same -models value.
 	Degrade string
 }
 
 // String formats the spec back into flag syntax; parse→String→parse is the
-// identity on the parsed struct (the fuzz target's invariant). A weight of
-// exactly 1 is the default and is omitted.
+// identity on the parsed struct (the fuzz target's invariant).
 func (m ModelSpec) String() string {
 	s := fmt.Sprintf("%s=%s:%d:%s", m.Name, m.Model, m.Size, m.Precision)
-	switch {
-	case m.MaxAltitude > 0 && m.Weight != 1:
-		s += ":" + strconv.FormatFloat(m.MaxAltitude, 'g', -1, 64) +
-			":" + strconv.FormatFloat(m.Weight, 'g', -1, 64)
-	case m.MaxAltitude > 0:
+	if m.MaxAltitude > 0 {
 		s += ":" + strconv.FormatFloat(m.MaxAltitude, 'g', -1, 64)
-	case m.Weight != 1:
-		s += "::" + strconv.FormatFloat(m.Weight, 'g', -1, 64)
 	}
 	if m.Degrade != "" {
 		s += ":degrade=" + m.Degrade
@@ -98,14 +78,12 @@ func (m ModelSpec) String() string {
 }
 
 // specSyntax is the grammar reminder embedded in every parse error.
-const specSyntax = "name=model:size:precision[:maxalt][:weight][:degrade=sibling]"
+const specSyntax = "name=model:size:precision[:maxalt][:degrade=sibling]"
 
 // ParseModelSpecs parses a comma-separated `-models` flag value. Names must
 // be unique; precision must be fp32 or int8; size must be a positive
-// integer; maxalt (optional) a positive finite float; weight (optional) a
-// positive finite float, defaulting to 1. An empty maxalt field is allowed
-// when a weight follows it ("name=m:608:fp32::2"). The first spec is the
-// server's default route.
+// integer; maxalt (optional) a positive finite float. The first spec is
+// the server's default route.
 func ParseModelSpecs(s string) ([]ModelSpec, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("serve: empty -models spec")
@@ -136,8 +114,8 @@ func ParseModelSpecs(s string) ([]ModelSpec, error) {
 		}
 		degrade := ""
 		// The degrade field is positionally last whenever present, after
-		// the three mandatory fields — popping it here lets the optional
-		// maxalt/weight rules below stay exactly as they were.
+		// the three mandatory fields — popping it here leaves the optional
+		// maxalt as the only field that may follow them.
 		if last := fields[len(fields)-1]; len(fields) >= 4 && strings.HasPrefix(last, "degrade=") {
 			degrade = strings.TrimSpace(strings.TrimPrefix(last, "degrade="))
 			if degrade == "" {
@@ -148,10 +126,10 @@ func ParseModelSpecs(s string) ([]ModelSpec, error) {
 			}
 			fields = fields[:len(fields)-1]
 		}
-		if len(fields) < 3 || len(fields) > 5 {
+		if len(fields) < 3 || len(fields) > 4 {
 			return nil, fmt.Errorf("serve: -models entry %q: want %s", raw, specSyntax)
 		}
-		spec := ModelSpec{Name: name, Model: fields[0], Precision: fields[2], Weight: 1, Degrade: degrade}
+		spec := ModelSpec{Name: name, Model: fields[0], Precision: fields[2], Degrade: degrade}
 		if spec.Model == "" {
 			return nil, fmt.Errorf("serve: -models entry %q: empty model architecture", raw)
 		}
@@ -163,7 +141,12 @@ func ParseModelSpecs(s string) ([]ModelSpec, error) {
 		if spec.Precision != "fp32" && spec.Precision != "int8" {
 			return nil, fmt.Errorf("serve: -models entry %q: precision %q (want fp32 or int8)", raw, spec.Precision)
 		}
-		if len(fields) >= 4 && fields[3] != "" {
+		if len(fields) == 4 {
+			if fields[3] == "" {
+				// A bare trailing colon ("m:96:fp32:") is a typo, not an
+				// empty band.
+				return nil, fmt.Errorf("serve: -models entry %q: empty max altitude (want %s)", raw, specSyntax)
+			}
 			alt, err := strconv.ParseFloat(fields[3], 64)
 			// !(alt > 0) rejects NaN too — "NaN" parses without error but
 			// compares false on every ordering.
@@ -171,18 +154,6 @@ func ParseModelSpecs(s string) ([]ModelSpec, error) {
 				return nil, fmt.Errorf("serve: -models entry %q: bad max altitude %q", raw, fields[3])
 			}
 			spec.MaxAltitude = alt
-		} else if len(fields) == 4 {
-			// A bare trailing colon ("m:96:fp32:") is a typo, not an empty
-			// band; the empty fourth field is only meaningful as a weight
-			// placeholder in the 5-field form.
-			return nil, fmt.Errorf("serve: -models entry %q: empty max altitude (want %s)", raw, specSyntax)
-		}
-		if len(fields) == 5 {
-			w, err := strconv.ParseFloat(fields[4], 64)
-			if err != nil || !(w > 0) || math.IsInf(w, 0) {
-				return nil, fmt.Errorf("serve: -models entry %q: bad weight %q", raw, fields[4])
-			}
-			spec.Weight = w
 		}
 		specs = append(specs, spec)
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -555,8 +556,8 @@ func TestParseModelSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []serve.ModelSpec{
-		{Name: "low", Model: "dronet", Size: 96, Precision: "int8", MaxAltitude: 150, Weight: 1},
-		{Name: "high", Model: "tinyyolonet", Size: 128, Precision: "fp32", Weight: 1},
+		{Name: "low", Model: "dronet", Size: 96, Precision: "int8", MaxAltitude: 150},
+		{Name: "high", Model: "tinyyolonet", Size: 128, Precision: "fp32"},
 	}
 	if !reflect.DeepEqual(specs, want) {
 		t.Errorf("parsed %+v, want %+v", specs, want)
@@ -575,25 +576,6 @@ func TestParseModelSpecs(t *testing.T) {
 		t.Errorf("whitespace spec parsed as %+v, want %+v", spaced, want[:1])
 	}
 
-	// The weight field rides as an optional fifth element; an empty fourth
-	// field carries a weight without an altitude band.
-	weighted, err := serve.ParseModelSpecs("low=dronet:96:int8:150:2,big=dronet:608:fp32::0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantW := []serve.ModelSpec{
-		{Name: "low", Model: "dronet", Size: 96, Precision: "int8", MaxAltitude: 150, Weight: 2},
-		{Name: "big", Model: "dronet", Size: 608, Precision: "fp32", Weight: 0.5},
-	}
-	if !reflect.DeepEqual(weighted, wantW) {
-		t.Errorf("weighted specs parsed as %+v, want %+v", weighted, wantW)
-	}
-	for i, s := range []string{"low=dronet:96:int8:150:2", "big=dronet:608:fp32::0.5"} {
-		if got := weighted[i].String(); got != s {
-			t.Errorf("weighted round-trip %q, want %q", got, s)
-		}
-	}
-
 	bad := []string{
 		"",
 		"low=dronet:96",                     // missing precision
@@ -605,15 +587,28 @@ func TestParseModelSpecs(t *testing.T) {
 		"low=dronet:96:fp32:1:2:3",          // too many fields
 		"low=:96:fp32",                      // empty architecture
 		"low=dronet:96:fp32:",               // dangling altitude colon
-		"low=dronet:96:fp32:100:0",          // zero weight
-		"low=dronet:96:fp32:100:-1",         // negative weight
-		"low=dronet:96:fp32::nope",          // unparsable weight
-		"low=dronet:96:fp32::Inf",           // non-finite weight
-		"low=dronet:96:fp32:NaN:1",          // NaN altitude
+		"low=dronet:96:fp32:NaN",            // NaN altitude
+		"low=dronet:96:fp32:NaN:1",          // NaN altitude and a fifth field
+		// No weight field: a fifth field and the empty "::" maxalt
+		// placeholder are refused whatever they hold.
+		"low=dronet:96:int8:150:2",
+		"big=dronet:608:fp32::0.5",
+		"low=dronet:96:fp32:100:0",
+		"low=dronet:96:fp32:100:-1",
+		"low=dronet:96:fp32::nope",
+		"low=dronet:96:fp32::Inf",
+		"h=dronet:96:fp32::degrade=l,l=dronet:64:int8",
 	}
 	for _, s := range bad {
 		if _, err := serve.ParseModelSpecs(s); err == nil {
 			t.Errorf("ParseModelSpecs(%q) accepted, want error", s)
+		}
+	}
+	// A spec shaped like the old weighted form names the grammar in its
+	// error, so an operator sees what the flag now takes.
+	for _, s := range []string{"low=dronet:96:int8:150:2", "big=dronet:608:fp32::0.5"} {
+		if _, err := serve.ParseModelSpecs(s); err == nil || !strings.Contains(err.Error(), "[:maxalt][:degrade=sibling]") {
+			t.Errorf("ParseModelSpecs(%q) error %v, want it to name the grammar", s, err)
 		}
 	}
 }

@@ -145,9 +145,7 @@ type hosted struct {
 	eng     *engine.Engine
 	cfg     Config
 	met     *metrics // links up to the server-wide aggregate
-	sched   *scheduler
 	maxAlt  float64
-	weight  float64
 	degrade string // brownout sibling route name ("" = never degrade)
 	gen     uint64
 
@@ -174,7 +172,6 @@ type hosted struct {
 
 	workerWG  sync.WaitGroup
 	batcherWG sync.WaitGroup
-	execWG    sync.WaitGroup // borrowed one-shot batch executions
 }
 
 // routeTable is one immutable snapshot of the routing state. Registry
@@ -215,9 +212,8 @@ func newTable(order []*hosted) *routeTable {
 // NewRouted, serve with ServeHTTP (it implements http.Handler), stop with
 // Close or Shutdown.
 type Server struct {
-	mux   *http.ServeMux
-	adm   *http.ServeMux
-	sched *scheduler
+	mux *http.ServeMux
+	adm *http.ServeMux
 
 	table atomic.Pointer[routeTable]
 
@@ -288,7 +284,6 @@ func NewRouted(entries []ModelEntry) (*Server, error) {
 		return nil, fmt.Errorf("serve: no models to host")
 	}
 	s := &Server{
-		sched: newScheduler(),
 		fleet: newMetrics(),
 		retry: NewRetryBudget(serverRetryBudget, serverRetryRefill),
 	}
@@ -368,10 +363,6 @@ func (s *Server) startHosted(e ModelEntry, met *metrics) (*hosted, error) {
 		return nil, fmt.Errorf("serve: model entry needs a name")
 	}
 	cfg := e.Config.withDefaults()
-	weight := e.Weight
-	if weight <= 0 {
-		weight = 1
-	}
 	if met == nil {
 		met = newMetrics()
 		met.up = s.fleet
@@ -381,9 +372,7 @@ func (s *Server) startHosted(e ModelEntry, met *metrics) (*hosted, error) {
 		eng:     e.Engine,
 		cfg:     cfg,
 		met:     met,
-		sched:   s.sched,
 		maxAlt:  e.MaxAltitude,
-		weight:  weight,
 		degrade: e.Degrade,
 		gen:     s.genCounter.Add(1),
 		queue:   make(chan *request, cfg.QueueDepth),
@@ -393,7 +382,6 @@ func (s *Server) startHosted(e ModelEntry, met *metrics) (*hosted, error) {
 	if cfg.Warm {
 		h.eng.WarmBatch(cfg.MaxBatch)
 	}
-	s.sched.register(h)
 	h.batcherWG.Add(1)
 	go h.batchLoop()
 	for id := 0; id < h.eng.Workers(); id++ {
@@ -420,10 +408,9 @@ func (s *Server) isClosed() bool {
 }
 
 // AddModel registers and starts a new hosted model under live traffic,
-// returning its generation tag. The new pool participates in routing (and
-// idle-worker lending) from the moment the fresh table is published; no
-// in-flight request is disturbed. Fails with ErrDuplicateModel if the route
-// name is taken.
+// returning its generation tag. The new pool participates in routing from
+// the moment the fresh table is published; no in-flight request is
+// disturbed. Fails with ErrDuplicateModel if the route name is taken.
 func (s *Server) AddModel(e ModelEntry) (uint64, error) {
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
@@ -523,8 +510,6 @@ func (s *Server) retire(h *hosted) {
 	s.admitMu.Unlock()
 	h.batcherWG.Wait()
 	h.workerWG.Wait()
-	h.execWG.Wait()
-	s.sched.unregister(h)
 	h.eng.Free()
 }
 
@@ -837,14 +822,14 @@ func (s *Server) maybeDegrade(h *hosted, sel routeSel) (*hosted, *hosted) {
 
 // batchLoop drains one model's admission queue into batches of up to
 // MaxBatch images under one work-conserving rule: a request waits only
-// while every worker is busy. The batch a request starts goes to an idle
-// local worker at once; while none is idle it keeps absorbing arrivals and
-// races them against a worker freeing up, so batches grow with the backlog
-// and a lone request on an idle pool is never held back. Requests whose
-// client context is already done, or whose deadline cannot cover the
-// pool's service time, are dropped AT ASSEMBLY — a dead request in a batch
-// slot wastes inference on an answer nobody reads. Exits (closing the
-// workers' feed) when the queue is closed and drained.
+// while every worker of the pool is busy. The batch a request starts goes
+// to an idle worker at once; while none is idle it keeps absorbing
+// arrivals and races them against a worker freeing up, so batches grow
+// with the backlog and a lone request on an idle pool is never held back.
+// Requests whose client context is already done, or whose deadline cannot
+// cover the pool's service time, are dropped AT ASSEMBLY — a dead request
+// in a batch slot wastes inference on an answer nobody reads. Exits
+// (closing the workers' feed) when the queue is closed and drained.
 func (h *hosted) batchLoop() {
 	defer h.batcherWG.Done()
 	defer close(h.batches)
@@ -857,7 +842,6 @@ func (h *hosted) batchLoop() {
 			continue
 		}
 		h.dispatch(append(make([]*request, 0, h.cfg.MaxBatch), first), svc)
-		h.sched.dispatched(h)
 	}
 }
 
@@ -876,14 +860,11 @@ func (h *hosted) dropDead(r *request, svc time.Duration) bool {
 }
 
 // dispatch places one forming batch. h.batches is unbuffered, so the
-// non-blocking send succeeds exactly when a local worker is parked at its
+// non-blocking send succeeds exactly when a worker is parked at its
 // receive; that probe runs before every wait, so an idle worker always
-// wins over absorbing one more arrival. Failing it, a batch of two or more
-// asks the scheduler for a borrowed slot (idle-worker lending) — a lone
-// request does not, because a borrowed replica costs memory that one image
-// does not repay. A batch that can no longer grow (full, or the queue
-// closed) may borrow at any size, then blocks for a local worker. Every
-// wait is a select on the next event, so a denied borrow never spins.
+// wins over absorbing one more arrival. Failing it, the batch waits on the
+// next arrival or a worker freeing up, whichever comes first; once it is
+// full or the queue has closed, only a worker can take it.
 func (h *hosted) dispatch(batch []*request, svc time.Duration) {
 	queue := h.queue
 	for {
@@ -892,15 +873,8 @@ func (h *hosted) dispatch(batch []*request, svc time.Duration) {
 		}
 		select {
 		case h.batches <- batch:
-			h.sched.beginLocal(h)
 			return
 		default:
-		}
-		if len(batch) >= 2 || queue == nil {
-			if id, ok := h.sched.tryBorrow(h); ok {
-				h.runBorrowed(id, batch)
-				return
-			}
 		}
 		select {
 		case r, ok := <-queue:
@@ -910,92 +884,58 @@ func (h *hosted) dispatch(batch []*request, svc time.Duration) {
 				batch = append(batch, r)
 			}
 		case h.batches <- batch:
-			h.sched.beginLocal(h)
 			return
 		}
 	}
 }
 
-// runBorrowed executes one batch on a borrowed engine replica (worker ids
-// at or above the nominal pool size) in a one-shot goroutine — the direct
-// handoff means the batch cannot be lost between the grant and a worker
-// picking it up. Tracked by execWG so retire/Close wait for it.
-func (h *hosted) runBorrowed(id int, batch []*request) {
-	h.execWG.Add(1)
-	go func() {
-		defer h.execWG.Done()
-		h.met.borrowStart()
-		h.runBatch(id, batch, nil, nil)
-		h.met.borrowEnd()
-		h.sched.endBorrow(h, id)
-	}()
-}
-
-// workerLoop executes one model's batches on this worker's pooled replica
-// and fans the per-image detections back to the waiting requests. The
-// batcher already counted the batch via beginLocal at handoff time (see
-// scheduler.go); the worker's endLocal closes that bracket, keeping the
-// fleet-occupancy counters honest without ever gating local execution on
-// the scheduler.
+// workerLoop executes one model's batches on this worker's pooled replica:
+// stage the images, run the engine replica, fan the per-image detections
+// back to the waiting requests, and scrub frame references so an idle
+// worker cannot pin megabytes of pixels. The staging slices are reused
+// across batches.
 func (h *hosted) workerLoop(id int) {
 	defer h.workerWG.Done()
 	imgs := make([]*imgproc.Image, 0, h.cfg.MaxBatch)
 	alts := make([]float64, 0, h.cfg.MaxBatch)
 	for batch := range h.batches {
-		imgs, alts = h.runBatch(id, batch, imgs, alts)
-		h.sched.endLocal(h)
-	}
-}
-
-// runBatch is the shared batch-execution body of the strict workers and the
-// borrowed one-shot executors: stage the images, run the engine replica,
-// fan results back, and scrub frame references so an idle worker cannot pin
-// megabytes of pixels. The staging slices are returned for reuse (the
-// strict workers keep theirs across batches; borrowed executors pass nil).
-func (h *hosted) runBatch(id int, batch []*request, imgs []*imgproc.Image, alts []float64) ([]*imgproc.Image, []float64) {
-	if imgs == nil {
-		imgs = make([]*imgproc.Image, 0, len(batch))
-		alts = make([]float64, 0, len(batch))
-	}
-	imgs, alts = imgs[:0], alts[:0]
-	for _, r := range batch {
-		imgs = append(imgs, r.img)
-		alts = append(alts, r.altitude)
-	}
-	h.met.batchStart()
-	start := time.Now()
-	per, err := h.executeBatch(id, imgs, alts)
-	if err == nil {
-		h.svcMu.Lock()
-		h.svc.record(time.Since(start))
-		h.svcMu.Unlock()
-	}
-	if ferr := faults.Fire("serve.batch", h.name); ferr != nil && err == nil {
-		// An injected batcher fault fails the whole batch the way a real
-		// execution error would; the requests still count as executed
-		// (batch histogram + failed), keeping the kernel-accounting
-		// invariant intact.
-		per, err = nil, ferr
-	}
-	h.met.batch(len(batch))
-	for i, r := range batch {
-		if err != nil {
-			r.resp <- response{err: err}
-		} else {
-			r.resp <- response{dets: per[i], batch: len(batch)}
+		imgs, alts = imgs[:0], alts[:0]
+		for _, r := range batch {
+			imgs = append(imgs, r.img)
+			alts = append(alts, r.altitude)
 		}
-		// The response has been delivered; drop the frame reference so a
-		// request object lingering anywhere cannot pin megabytes of
-		// pixels.
-		r.img = nil
+		h.met.batchStart()
+		start := time.Now()
+		per, err := h.executeBatch(id, imgs, alts)
+		if err == nil {
+			h.svcMu.Lock()
+			h.svc.record(time.Since(start))
+			h.svcMu.Unlock()
+		}
+		if ferr := faults.Fire("serve.batch", h.name); ferr != nil && err == nil {
+			// An injected batcher fault fails the whole batch the way a real
+			// execution error would; the requests still count as executed
+			// (batch histogram + failed), keeping the kernel-accounting
+			// invariant intact.
+			per, err = nil, ferr
+		}
+		h.met.batch(len(batch))
+		for i, r := range batch {
+			if err != nil {
+				r.resp <- response{err: err}
+			} else {
+				r.resp <- response{dets: per[i], batch: len(batch)}
+			}
+			// The response has been delivered; drop the frame reference so a
+			// request object lingering anywhere cannot pin megabytes of
+			// pixels.
+			r.img = nil
+		}
+		// The staging slice persists across batches (imgs[:0] keeps the
+		// backing array): clear the slots, or the last batch's decoded
+		// frames stay reachable through an idle worker indefinitely.
+		clear(imgs)
 	}
-	// The staging slice may persist across batches (imgs[:0] keeps the
-	// backing array): clear the slots, or the last batch's decoded frames
-	// stay reachable through an idle worker indefinitely.
-	for i := range imgs {
-		imgs[i] = nil
-	}
-	return imgs, alts
 }
 
 // serviceMedian returns the median wall time of this pool's recent
@@ -1052,8 +992,6 @@ func (s *Server) Close() error {
 		for _, h := range t.order {
 			h.batcherWG.Wait()
 			h.workerWG.Wait()
-			h.execWG.Wait()
-			s.sched.unregister(h)
 		}
 	})
 	return nil
