@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke stream-soak chaos invariants fuzz serve profile
+.PHONY: ci vet build test race bench bench-smoke stream-soak chaos invariants fuzz serve profile
 
 ## ci: the full tier-1 + hygiene gate (what .github/workflows/ci.yml's main
 ## job runs step by step); bench-smoke runs the GEMM kernels a few iterations
@@ -8,7 +8,7 @@ GO ?= go
 ## not just slowly. The recipe line runs the benchmark harness's own tests:
 ## bench/ is a nested module `./...` does not reach. Deliberately NOT
 ## `bench`: that is a measurement, not a gate.
-ci: vet build race chaos invariants bench-smoke serve-smoke swap-smoke shard-smoke stream-smoke
+ci: vet build race chaos invariants bench-smoke
 	cd bench && $(GO) test -short ./...
 
 ## bench-smoke: quick kernel-level regression tripwire over the packed GEMM
@@ -51,7 +51,10 @@ test:
 	$(GO) test ./...
 
 ## race: the race leg also shuffles test execution order so the lifecycle
-## suite can't hide an ordering dependency behind source order
+## suite can't hide an ordering dependency behind source order; it includes
+## the binary tests of cmd/dronet-serve and cmd/dronet-proxy, which build the
+## two servers and drive them as processes (flags, handshake, signals, a
+## kill -9 under traffic, a stream resumed after its shard drains)
 race:
 	$(GO) test -race -shuffle=on ./...
 
@@ -62,56 +65,6 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	bash bench/run.sh
-
-## serve-smoke: boot the real dronet-serve binary on a random port — once per
-## precision (fp32, then -precision int8 with startup calibration), then once
-## as a routed two-model registry — POST a synthetic frame to every endpoint,
-## assert 200s with well-formed detection JSON, the right precision label and
-## the routing matrix (explicit/altitude/404), then SIGTERM-drain it
-## (examples/serveclient is the driver)
-serve-smoke:
-	$(GO) build -o bin/dronet-serve ./cmd/dronet-serve
-	$(GO) run ./examples/serveclient -server bin/dronet-serve
-	$(GO) run ./examples/serveclient -server bin/dronet-serve -precision int8
-	$(GO) run ./examples/serveclient -server bin/dronet-serve \
-	    -models "low=dronet:64:int8:150,high=dronet:96:fp32"
-
-## swap-smoke: boot the real dronet-serve binary with its admin listener and
-## exercise the live model lifecycle — hot add, two atomic swaps (one
-## on the pool carrying background traffic), remove — asserting the data
-## plane never returns anything but 200/429 (examples/serveclient -swap is
-## the driver)
-swap-smoke:
-	$(GO) build -o bin/dronet-serve ./cmd/dronet-serve
-	$(GO) run ./examples/serveclient -server bin/dronet-serve -size 64 -swap
-	$(GO) run ./examples/serveclient -server bin/dronet-serve -size 64 -swap \
-	    -models "low=dronet:64:int8:150,high=dronet:96:fp32"
-
-## shard-smoke: boot two real dronet-serve shard processes behind a real
-## dronet-proxy and walk the sharded tier — camera affinity, fleet metrics
-## aggregation with shard identity labels, then kill -9 one shard under
-## traffic asserting only 200/429/503, ejection and failover to the
-## survivor (examples/serveclient -sharded is the driver)
-shard-smoke:
-	$(GO) build -o bin/dronet-serve ./cmd/dronet-serve
-	$(GO) build -o bin/dronet-proxy ./cmd/dronet-proxy
-	$(GO) run ./examples/serveclient -sharded -server bin/dronet-serve \
-	    -proxy bin/dronet-proxy -size 96
-
-## stream-smoke: boot the real dronet-serve binary and walk the WebSocket
-## session lifecycle end to end — hello, in-order results with per-session
-## tracker state, the max-sessions 503 + Retry-After, in-band bad-frame
-## errors, idle eviction (bye "idle") and the SIGTERM drain (bye "drain");
-## the -sharded leg then puts two real shards behind a real dronet-proxy
-## and asserts camera-affine placement plus the failover resume: draining
-## the owner shard mid-session must yield a resumed:true marker on the
-## survivor and a fresh tracker (examples/streamclient is the driver)
-stream-smoke:
-	$(GO) build -o bin/dronet-serve ./cmd/dronet-serve
-	$(GO) build -o bin/dronet-proxy ./cmd/dronet-proxy
-	$(GO) run ./examples/streamclient -server bin/dronet-serve
-	$(GO) run ./examples/streamclient -sharded -server bin/dronet-serve \
-	    -proxy bin/dronet-proxy
 
 ## stream-soak: the long-running streaming churn test (nightly CI): 16
 ## session clients over a 12-session budget cycling normal/idle-out/

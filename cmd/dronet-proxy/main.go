@@ -32,6 +32,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -73,9 +74,19 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dronet-proxy: ")
 	flag.Parse()
+	if err := run(); err != nil {
+		log.Print(err)
+		os.Exit(1)
+	}
+}
 
+// run serves until SIGINT or SIGTERM. It returns every error rather than
+// exiting, so its deferred cleanups stop the proxy and any spawned shards
+// on every path out: after a shutdown signal the listener is shut down
+// first, then the proxy is closed, then the shards are stopped.
+func run() error {
 	if (*shardsFlag == "") == (*spawn == 0) {
-		log.Fatal("exactly one of -shards or -spawn must be given")
+		return errors.New("exactly one of -shards or -spawn must be given")
 	}
 	if faults.Enabled() {
 		log.Print("warning: fault injection armed")
@@ -85,7 +96,7 @@ func main() {
 	if *spawn > 0 {
 		fleet, err := spawnFleet(*serveBin, *spawn, shardArgs(flag.CommandLine))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer stopFleet(fleet)
 		for _, p := range fleet {
@@ -103,13 +114,13 @@ func main() {
 		MaxStreamSessions: *maxStreams,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer p.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("listening on %s\n", ln.Addr())
 	log.Printf("fronting %d shards: %s", len(addrs), strings.Join(p.ShardAddrs(), ", "))
@@ -122,7 +133,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
-		log.Fatal(err)
+		return err
 	case s := <-sig:
 		log.Printf("%s: shutting down", s)
 	}
@@ -131,6 +142,7 @@ func main() {
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
+	return nil
 }
 
 // shardFlags are the dronet-serve settings a spawned shard takes from the

@@ -17,7 +17,7 @@
 // other workers run theirs.
 //
 // On top of the engine, internal/serve exposes detectors as an HTTP
-// service (cmd/dronet-serve, examples/serveclient): the server hosts a
+// service (cmd/dronet-serve, examples/client): the server hosts a
 // routed registry of named models — any mix of precisions and input sizes,
 // one engine replica pool, bounded admission queue (429 on overload) and
 // micro-batcher per model, all held in one atomically swapped route table

@@ -12,12 +12,15 @@ const (
 	breakerHalfOpen
 )
 
+// breakerErrorRate is the windowed data error rate at or above which a
+// breaker opens.
+const breakerErrorRate = 0.5
+
 // breakerConfig tunes one shard's circuit breaker (see ProxyConfig for the
 // user-facing knobs and defaults).
 type breakerConfig struct {
 	window        int           // data-outcome ring size
 	minSamples    int           // outcomes required before the rate can trip
-	errorRate     float64       // data error rate that opens the breaker
 	cooldown      time.Duration // open → half-open delay
 	failThreshold int           // consecutive probe failures that open
 }
@@ -89,7 +92,7 @@ func (b *breaker) RecordData(ok bool) {
 		b.errs++
 	}
 	if b.state == breakerClosed && b.count >= b.cfg.minSamples &&
-		float64(b.errs) >= b.cfg.errorRate*float64(b.count) {
+		float64(b.errs) >= breakerErrorRate*float64(b.count) {
 		b.trip()
 	}
 }

@@ -9,7 +9,6 @@ func testBreaker(cooldown time.Duration) *breaker {
 	return newBreaker(breakerConfig{
 		window:        4,
 		minSamples:    4,
-		errorRate:     0.5,
 		cooldown:      cooldown,
 		failThreshold: 2,
 	})

@@ -44,9 +44,6 @@ type ProxyConfig struct {
 	// the error rate can open the breaker (default 5) — one early hiccup
 	// must not eject a shard.
 	BreakerMinSamples int
-	// BreakerErrorRate is the windowed data error rate at or above which
-	// the breaker opens (default 0.5).
-	BreakerErrorRate float64
 	// BreakerCooldown is how long an open breaker suppresses probes before
 	// the half-open recovery trial (default 2×HealthInterval — 1s at the
 	// default probe cadence). Scaling the default with the probe period
@@ -90,9 +87,6 @@ func (c *ProxyConfig) withDefaults() {
 	if c.BreakerMinSamples < 1 {
 		c.BreakerMinSamples = 5
 	}
-	if c.BreakerErrorRate <= 0 || c.BreakerErrorRate > 1 {
-		c.BreakerErrorRate = 0.5
-	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * c.HealthInterval
 	}
@@ -111,7 +105,6 @@ func (c *ProxyConfig) breakerConfig() breakerConfig {
 	return breakerConfig{
 		window:        c.BreakerWindow,
 		minSamples:    c.BreakerMinSamples,
-		errorRate:     c.BreakerErrorRate,
 		cooldown:      c.BreakerCooldown,
 		failThreshold: c.FailThreshold,
 	}

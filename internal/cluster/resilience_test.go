@@ -91,7 +91,6 @@ func TestChaosFaultedShardBreakerOpensAndRecovers(t *testing.T) {
 		FailThreshold:     2,
 		BreakerWindow:     8,
 		BreakerMinSamples: 2,
-		BreakerErrorRate:  0.5,
 		BreakerCooldown:   100 * time.Millisecond,
 		RetryBudget:       1000,
 		RetryRefill:       1,

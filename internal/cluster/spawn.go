@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 )
@@ -97,37 +96,4 @@ func (p *Process) Drain(timeout time.Duration) error {
 		<-exited
 		return fmt.Errorf("%s ignored SIGTERM for %s and was killed", p.Cmd.Path, timeout)
 	}
-}
-
-// Children records the processes a program spawns so that one exit path can
-// stop them all: a program that fails halfway through must not leave a
-// server it started running.
-type Children struct {
-	mu    sync.Mutex
-	procs []*Process
-}
-
-// Spawn starts a process as the package's Spawn does and records it.
-func (c *Children) Spawn(bin string, args []string, admin bool) (*Process, error) {
-	p, err := Spawn(bin, args, admin)
-	if err == nil {
-		c.mu.Lock()
-		c.procs = append(c.procs, p)
-		c.mu.Unlock()
-	}
-	return p, err
-}
-
-// Stop drains every recorded process, the last spawned first (a proxy
-// before the shards it fronts), killing any that outlives timeout. A
-// process already drained, or killed and reaped, is passed over. A second
-// Stop waits for the first, so no caller returns (and exits) while another
-// is still stopping the processes.
-func (c *Children) Stop(timeout time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.procs) - 1; i >= 0; i-- {
-		_ = c.procs[i].Drain(timeout) // the caller is exiting already
-	}
-	c.procs = nil
 }

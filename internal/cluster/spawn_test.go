@@ -129,34 +129,3 @@ func TestDrainKillsAfterTimeout(t *testing.T) {
 		t.Errorf("after Drain the child's state is %v, want reaped after a kill", p.Cmd.ProcessState)
 	}
 }
-
-// TestChildrenStopReapsAll: Stop ends every recorded child — one that
-// drains, one that ignores SIGTERM and one already drained — and reaps
-// them, so signal 0 to each pid finds no process.
-func TestChildrenStopReapsAll(t *testing.T) {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var children cluster.Children
-	var pids []int
-	for _, mode := range []string{"announce", "stubborn", "announce"} {
-		p, err := children.Spawn(exe, []string{spawnHelperArg, mode}, false)
-		if err != nil {
-			children.Stop(time.Second)
-			t.Fatal(err)
-		}
-		pids = append(pids, p.Cmd.Process.Pid)
-		if len(pids) == 3 {
-			if err := p.Drain(10 * time.Second); err != nil {
-				t.Errorf("Drain: %v", err)
-			}
-		}
-	}
-	children.Stop(200 * time.Millisecond)
-	for _, pid := range pids {
-		if err := syscall.Kill(pid, 0); !errors.Is(err, syscall.ESRCH) {
-			t.Errorf("signal 0 to child %d after Stop: %v, want ESRCH (reaped)", pid, err)
-		}
-	}
-}
