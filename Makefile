@@ -26,14 +26,16 @@ ci: vet build race chaos invariants bench-smoke
 ## DroNet's 320 region candidates and on the quarter-scale model's 20 and 45
 ## (the sets detect-ingest and routed-mixed hand it); the serve leg decodes
 ## the 96² JSON frames detect-ingest posts, through the fractions kernel, and
-## the same frames through encoding/json
+## the same frames through encoding/json, and the 256² quality-90 JPEG frame
+## detect-compute posts, through the JPEG fast path into a pooled frame and
+## through image.Decode + FromGoImage
 bench-smoke:
 	$(GO) test -run 'TestKernelDispatchInfo|TestSelectedKernel' -v -bench Gemm -benchtime 10x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'ConvForwardDroNet256|MaxPool2x2' -benchtime 10x ./internal/layers/
 	$(GO) test -run '^$$' -bench 'FromGoImage|Resize' -benchtime 10x ./internal/imgproc/
 	$(GO) test -run '^$$' -v -bench ForwardDroNet -benchtime 10x ./internal/quant/
 	$(GO) test -run '^$$' -bench NMS -benchtime 10x ./internal/detect/
-	$(GO) test -run '^$$' -bench DecodeFrame -benchtime 10x ./internal/serve/
+	$(GO) test -run '^$$' -bench 'DecodeFrame|DecodeRaw' -benchtime 10x ./internal/serve/
 
 ## vet: static analysis of the root module and the nested bench module, plus
 ## the gofmt cleanliness gate — unformatted files
@@ -98,7 +100,9 @@ chaos:
 ## its pixel parser ≡ strconv.ParseFloat, and its fractions kernel plus
 ## Go loop ≡ the Go loop alone on every kernel family), the typed /detect/raw pixel conversion ≡
 ## the generic one bit for bit on every kernel family (and the YCbCr row kernel ≡
-## color.YCbCr.RGBA on all 2^24 triples), the bilinear resize ≡ its per-pixel loop bit for
+## color.YCbCr.RGBA on all 2^24 triples), the baseline JPEG decoder ≡ image/jpeg +
+## FromGoImage bit for bit on every kernel family (accepting only what image/jpeg
+## accepts) and the idct8x8 kernel ≡ image/jpeg's IDCT byte for byte, the bilinear resize ≡ its per-pixel loop bit for
 ## bit, the fused convolution ≡ im2col + GEMM + BN + bias + leaky and the int8
 ## convolution ≡ quantize + im2col + int8 GEMM + leaky, the compiled plan (each
 ## conv and its 2×2/2 pool one step, a batch in image groups) ≡ the
@@ -117,7 +121,7 @@ chaos:
 ## latency percentiles merge exactly (and sit within one 6.25 % bucket of
 ## the exact nearest-rank sample), and goroutine hygiene after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestFusedConvPoolMatchesLayers|TestEpilogueRowMatchesGo|TestMicrokernelAsmMatchesGo|TestDirectKernelMatchesPacked|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneSharesParamsNotWorkspace|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestForwardIgnoresStaleSlabs|TestInt8ForwardIgnoresStaleSlabs|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestDecodeJPEGMatchesStdlib|TestIDCTKernelMatchesGo|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestFusedConvPoolMatchesLayers|TestEpilogueRowMatchesGo|TestMicrokernelAsmMatchesGo|TestDirectKernelMatchesPacked|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneSharesParamsNotWorkspace|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestForwardIgnoresStaleSlabs|TestInt8ForwardIgnoresStaleSlabs|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
 	    ./internal/tensor/ ./internal/imgproc/ ./internal/layers/ ./internal/detect/ ./internal/network/ ./internal/quant/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization,
@@ -145,9 +149,10 @@ invariants:
 ## accept or reject and every field equal, pixels bit for bit —
 ## FuzzScanFractions the pixel fractions loop with each family's fractions
 ## kernel to the Go loop alone — the same count and end, pixels bit for bit —
-## FuzzDecodeRaw the /detect/raw PNG/JPEG decoder to no panic, accepted
-## images within the 2048px side bound and pixels equal to the generic
-## conversion bit for bit, FuzzReadMessage the server-side WebSocket frame reader to no panic, an
+## FuzzDecodeRaw the /detect/raw PNG/JPEG decoder (the JPEG fast path
+## first) to no panic, accepted images within the 2048px side bound, pixels
+## equal to the generic conversion bit for bit and refusals only where the
+## standard library refuses, FuzzReadMessage the server-side WebSocket frame reader to no panic, an
 ## end, and no message over the size bound, FuzzHandshake both ends of the
 ## WebSocket handshake to no panic, a 101 from Accept exactly when the
 ## request is a valid upgrade, and a *HandshakeError with a body of at most

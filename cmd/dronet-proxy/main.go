@@ -91,6 +91,11 @@ func run() error {
 	if faults.Enabled() {
 		log.Print("warning: fault injection armed")
 	}
+	// Caught from the start: a SIGTERM that arrives as soon as the
+	// "listening on" line is out must still run the defers below, or the
+	// default action kills the proxy and orphans its -spawn shards.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	var addrs []string
 	if *spawn > 0 {
@@ -129,8 +134,6 @@ func run() error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		return err

@@ -1,7 +1,8 @@
 // Package imgproc provides the float32 RGB image type used throughout the
 // detector pipeline, plus the geometric and radiometric operations the paper
 // relies on: bilinear resizing, letterboxing to the network input size,
-// drawing, HSV jitter, and PNG input/output.
+// drawing, HSV jitter, PNG input/output, and conversion from decoded
+// standard-library images or straight from baseline JPEG bytes.
 package imgproc
 
 import (

@@ -47,8 +47,16 @@ func to8(v float32) uint8 {
 func FromGoImage(src image.Image) *Image {
 	b := src.Bounds()
 	m := NewImage(b.Dx(), b.Dy())
+	FromGoImageInto(m, src)
+	return m
+}
+
+// FromGoImageInto is FromGoImage into m, which must be src's size: every
+// sample of m is overwritten.
+func FromGoImageInto(m *Image, src image.Image) {
+	b := src.Bounds()
 	plane := m.W * m.H
-	r, g, bl := m.Pix[:plane], m.Pix[plane:2*plane], m.Pix[2*plane:]
+	r, g, bl := m.Pix[:plane], m.Pix[plane:2*plane], m.Pix[2*plane:3*plane]
 	switch s := src.(type) {
 	case *image.YCbCr:
 		// COffset divides by the subsample ratio; a shift is the same division
@@ -63,17 +71,9 @@ func FromGoImage(src image.Image) *Image {
 				x0 = b.Min.X & int(hs)
 			}
 			for y := b.Min.Y; y < b.Max.Y; y++ {
-				yRow := s.Y[(y-b.Min.Y)*s.YStride:][:m.W]
-				cBase := (y>>vs-b.Min.Y>>vs)*s.CStride - b.Min.X>>hs
 				i := (y - b.Min.Y) * m.W
-				rr, gg, bb := r[i:][:m.W], g[i:][:m.W], bl[i:][:m.W]
-				n := 0
-				if vec != nil && x0 < m.W {
-					ci := cBase + (b.Min.X+x0)>>hs
-					n = vec(yRow[x0:], s.Cb[ci:], s.Cr[ci:], hs, rr[x0:], gg[x0:], bb[x0:])
-				}
-				ycbcrPixels(s, yRow, cBase, b.Min.X, hs, rr, gg, bb, 0, x0)
-				ycbcrPixels(s, yRow, cBase, b.Min.X, hs, rr, gg, bb, x0+n, m.W)
+				ycbcrRow(vec, s.Y[(y-b.Min.Y)*s.YStride:][:m.W], s.Cb, s.Cr, (y>>vs-b.Min.Y>>vs)*s.CStride-b.Min.X>>hs,
+					b.Min.X, hs, x0, r[i:][:m.W], g[i:][:m.W], bl[i:][:m.W])
 			}
 			break
 		}
@@ -101,19 +101,31 @@ func FromGoImage(src image.Image) *Image {
 			}
 		}
 	}
-	return m
 }
 
-// ycbcrPixels converts pixels [lo, hi) of one row of s: yRow is the row's
-// luma from the image's left edge minX, and pixel x's chroma is at
-// cBase + (minX+x)>>hs in s.Cb and s.Cr.
-func ycbcrPixels(s *image.YCbCr, yRow []byte, cBase, minX int, hs uint, rr, gg, bb []float32, lo, hi int) {
+// ycbcrRow converts one row of pixels into rr, gg and bb: yRow holds the
+// row's luma from the image's left edge minX, and pixel x's chroma is at
+// cBase + (minX+x)>>hs in cb and cr. vec, the row kernel (nil on a family
+// without one), takes whole blocks of eight pixels from x0 on; ycbcrPixels
+// takes the pixels before x0 and after the last block.
+func ycbcrRow(vec func(y, cb, cr []byte, hs uint, r, g, b []float32) int, yRow, cb, cr []byte, cBase, minX int, hs uint, x0 int, rr, gg, bb []float32) {
+	n := 0
+	if vec != nil && x0 < len(rr) {
+		ci := cBase + (minX+x0)>>hs
+		n = vec(yRow[x0:], cb[ci:], cr[ci:], hs, rr[x0:], gg[x0:], bb[x0:])
+	}
+	ycbcrPixels(yRow, cb, cr, cBase, minX, hs, rr, gg, bb, 0, x0)
+	ycbcrPixels(yRow, cb, cr, cBase, minX, hs, rr, gg, bb, x0+n, len(rr))
+}
+
+// ycbcrPixels converts pixels [lo, hi) of a row laid out as ycbcrRow's.
+func ycbcrPixels(yRow, cb, cr []byte, cBase, minX int, hs uint, rr, gg, bb []float32, lo, hi int) {
 	for x := lo; x < hi; x++ {
 		// color.YCbCr.RGBA's integer arithmetic, inlined.
 		ci := cBase + (minX+x)>>hs
 		yy1 := int32(yRow[x]) * 0x10101
-		cb1 := int32(s.Cb[ci]) - 128
-		cr1 := int32(s.Cr[ci]) - 128
+		cb1 := int32(cb[ci]) - 128
+		cr1 := int32(cr[ci]) - 128
 		rr[x] = float32(clamp16(yy1+91881*cr1)) / 65535
 		gg[x] = float32(clamp16(yy1-22554*cb1-46802*cr1)) / 65535
 		bb[x] = float32(clamp16(yy1+116130*cb1)) / 65535

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"image"
 	_ "image/jpeg" // register decoders for /detect/raw
 	_ "image/png"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -321,30 +321,44 @@ func (s *Server) handleDetectJSON(w http.ResponseWriter, r *http.Request) {
 // maxPooledBody caps the body buffers bodyPool keeps: a 96x96 frame is
 // 280kB of JSON and a 320x320 one 3MB, while a buffer grown for a rare
 // 64MB upload would sit in the pool as resident memory nobody needs again.
+// It caps the float frames framePool keeps the same way.
 const maxPooledBody = 4 << 20
 
-// bodyPool recycles the buffers /detect bodies are read into. A buffer is
-// borrowed for the read and the decode only: decodeFrame copies everything
-// it keeps out of it.
+// bodyPool recycles the buffers /detect and /detect/raw bodies are read
+// into. A buffer is borrowed for the read and the decode only: the decoders
+// copy everything they keep out of it.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readFrame reads a /detect body, bounded by maxBodyBytes, into a pooled
-// buffer sized once from Content-Length, and decodes it.
-func readFrame(w http.ResponseWriter, r *http.Request) (StreamFrame, error) {
+// readBody reads a request body, bounded by maxBodyBytes, into a pooled
+// buffer sized once from Content-Length. The caller hands the buffer back
+// with putBody, on success or error, once it is done with the bytes.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
 		// ReadFrom wants MinRead bytes free for the read that finds EOF.
 		buf.Grow(int(n) + bytes.MinRead)
 	}
-	var f StreamFrame
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err == nil {
-		f, err = decodeFrame(buf.Bytes())
-	}
+	return buf, err
+}
+
+// putBody hands a buffer back to bodyPool unless a large body grew it past
+// maxPooledBody.
+func putBody(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBody {
 		bodyPool.Put(buf)
 	}
+}
+
+// readFrame reads and decodes a /detect body.
+func readFrame(w http.ResponseWriter, r *http.Request) (StreamFrame, error) {
+	buf, err := readBody(w, r)
+	var f StreamFrame
+	if err == nil {
+		f, err = decodeFrame(buf.Bytes())
+	}
+	putBody(buf)
 	return f, err
 }
 
@@ -372,23 +386,75 @@ func (s *Server) handleDetectRaw(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	deadline := stampDeadline(budget)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	buf, err := readBody(w, r)
 	if err != nil {
+		putBody(buf)
 		WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	img, err := decodeRaw(body)
+	img, err := decodeRaw(buf.Bytes())
+	putBody(buf)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.respond(w, r.Context(), routeSel{explicit: name, altitude: altitude}, img, deadline)
+	// detect receives every submitted request's response, so no worker
+	// holds the frame once respond returns.
+	putFrame(img)
 }
 
-// decodeRaw turns a /detect/raw body (PNG or JPEG) into a float image. The
-// declared geometry is checked before any pixel is decoded, so a small body
-// cannot expand into a gigapixel allocation (PNG bombs compress well).
+// framePool recycles the float frames /detect/raw decodes into: at 256x256
+// one is 786kB, which would otherwise be allocated, cleared and collected
+// per request. Every frame decodeRaw returns comes from getFrame, so the
+// pool holds no more frames than were in flight at once.
+var framePool sync.Pool
+
+// getFrame returns a w×h float frame with unspecified samples.
+func getFrame(w, h int) *imgproc.Image {
+	if m, _ := framePool.Get().(*imgproc.Image); m != nil && cap(m.Pix) >= 3*w*h {
+		m.W, m.H, m.Pix = w, h, m.Pix[:3*w*h]
+		return m
+	}
+	return imgproc.NewImage(w, h)
+}
+
+// putFrame hands a frame back to framePool unless it is larger than
+// maxPooledBody.
+func putFrame(m *imgproc.Image) {
+	if 4*cap(m.Pix) <= maxPooledBody {
+		framePool.Put(m)
+	}
+}
+
+// decodeRaw turns a /detect/raw body (PNG or JPEG) into a pooled float
+// frame. The declared geometry is checked before any pixel is decoded, so a
+// small body cannot expand into a gigapixel allocation (PNG bombs compress
+// well). A JPEG goes to imgproc.DecodeJPEG first, which writes straight
+// into the frame; whatever it declines — anything outside baseline, and
+// every body image/jpeg refuses — takes image.Decode and FromGoImageInto,
+// so the standard library decides every refusal but two it would make too:
+// the dimension check, and a JPEG scan too short for its frame.
 func decodeRaw(body []byte) (*imgproc.Image, error) {
+	if bytes.HasPrefix(body, []byte("\xff\xd8")) {
+		var frame *imgproc.Image
+		img, err := imgproc.DecodeJPEG(body, func(w, h int) (*imgproc.Image, error) {
+			if err := checkDims(w, h); err != nil {
+				return nil, err
+			}
+			frame = getFrame(w, h)
+			return frame, nil
+		})
+		if err == nil {
+			return img, nil
+		}
+		if frame != nil {
+			putFrame(frame)
+		}
+		if !errors.Is(err, imgproc.ErrJPEGDeclined) {
+			return nil, err
+		}
+	}
 	cfg, _, err := image.DecodeConfig(bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("decode image: %w", err)
@@ -400,7 +466,10 @@ func decodeRaw(body []byte) (*imgproc.Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("decode image: %w", err)
 	}
-	return imgproc.FromGoImage(src), nil
+	b := src.Bounds()
+	m := getFrame(b.Dx(), b.Dy())
+	imgproc.FromGoImageInto(m, src)
+	return m, nil
 }
 
 // respond runs the image through infer and encodes the outcome as the HTTP

@@ -28,7 +28,7 @@ import (
 // int32 pairwise dataflow with an identical mul-then-add requantization, so
 // int8 results are bit-equal across every family.
 //
-// Besides the two tile kernels a family may carry eight vector forms of
+// Besides the two tile kernels a family may carry nine vector forms of
 // stages that are otherwise scalar Go: f32Direct and i8Direct (the fp32 and
 // int8 tile kernels reading a full stride-1 convolution panel in place
 // instead of from a packed copy), f32DirectFinish (f32Direct storing the
@@ -37,8 +37,9 @@ import (
 // row's unfused update of every filter's C row, the sub-threshold
 // convolution), epilogue (one C row of the fused BN/bias/leaky epilogue),
 // maxPool2x2 (blocks of eight 2×2/2 max-pool outputs), ycbcrRow (blocks of
-// eight YCbCr pixels converted to float RGB) and fractions (groups of four
-// JSON pixel fractions parsed to float32). Each reproduces the Go code it
+// eight YCbCr pixels converted to float RGB), fractions (groups of four
+// JSON pixel fractions parsed to float32) and idct8x8 (one JPEG block's
+// integer inverse DCT, level shift and clamp). Each reproduces the Go code it
 // replaces bit for bit, and each follows the selected family like the tile
 // kernels do: a nil entry — every entry of portable, so under
 // SelectKernel("portable") or -tags purego — runs the Go code.
@@ -102,6 +103,8 @@ type microKernels struct {
 	ycbcrRow func(y, cb, cr []byte, hs uint, r, g, b []float32) int
 	// fractions is the kernel FractionsKernel returns.
 	fractions func(buf []byte, pix []float32) (n, end int)
+	// idct8x8 is the kernel IDCTKernel returns.
+	idct8x8 func(blk *[64]int32, dst []byte, stride int)
 }
 
 // maxMR/maxNR bound the register-tile geometry any registered kernel may
@@ -182,6 +185,19 @@ func YCbCrRowKernel() func(y, cb, cr []byte, hs uint, r, g, b []float32) int {
 // (fractionsSWAR), which takes whatever the kernel leaves.
 func FractionsKernel() func(buf []byte, pix []float32) (n, end int) {
 	return currentKernels().fractions
+}
+
+// IDCTKernel returns the selected family's vector kernel for one 8×8 block
+// of a baseline JPEG, or nil when the family has none. blk holds the
+// dequantised coefficients in natural (row-major) order; the kernel runs
+// image/jpeg's fixed-point inverse DCT on them — the row pass, with its
+// dc<<3 shortcut for a row whose seven AC coefficients are zero, then the
+// column pass, in the same int32 arithmetic with the same wrap-around — and
+// stores each result v as the byte clamp(v, −128, 127)+128 at
+// dst[y·stride+x]. blk is left as it was; stride is at least 8 and dst
+// holds 7·stride+8 bytes.
+func IDCTKernel() func(blk *[64]int32, dst []byte, stride int) {
+	return currentKernels().idct8x8
 }
 
 // AvailableKernels lists the registered families in preference order (the

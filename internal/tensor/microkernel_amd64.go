@@ -16,7 +16,7 @@ func archKernels() []*microKernels {
 		name: "avx2", mr: 6, nr: 16, f32: kernF32AVX2, i8: kernI8AVX2, i8Direct: kernI8AVX2Direct,
 		f32Direct: kernF32AVX2Direct, f32DirectFinish: kernF32AVX2DirectFinish, f32Rank1: rank1AVX2,
 		epilogue: epilogueRowAVX2, maxPool2x2: maxPool2x2AVX2, ycbcrRow: ycbcrRowAVX2,
-		fractions: fractionsAVX2,
+		fractions: fractionsAVX2, idct8x8: idct8x8AVX2,
 	}}
 }
 
@@ -176,6 +176,19 @@ func fractionsAVX2(buf []byte, pix []float32) (n, end int) {
 
 //go:noescape
 func fractionsAVX2Asm(buf []byte, pix []float32) (n, end int)
+
+// idct8x8AVX2 is the avx2 idct8x8 entry (kernel.go): the stride and the
+// last byte it stores are checked here.
+func idct8x8AVX2(blk *[64]int32, dst []byte, stride int) {
+	if stride < 8 {
+		panic("tensor: idct8x8 stride below 8")
+	}
+	_ = dst[7*stride+7]
+	idct8x8AVX2Asm(blk, dst, stride)
+}
+
+//go:noescape
+func idct8x8AVX2Asm(blk *[64]int32, dst []byte, stride int)
 
 // fracShuffle[d] is the VPSHUFB row that right-aligns d digits in sixteen
 // bytes: byte j takes digit j−(16−d), and those before the digits are

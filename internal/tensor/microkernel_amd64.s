@@ -1066,3 +1066,279 @@ fracdone:
 	MOVQ SI, end+56(FP)
 	VZEROUPPER
 	RET
+
+// idctConst holds the idct8x8 kernel's constants: image/jpeg's fixed-point
+// weights w7, w1−w7, w1+w7, w3, w3−w5, w3+w5, w6, w2+w6, w2−w6 and r2, the
+// rounding terms 128, 8192 and 4, and the VPERMD order that puts each row's
+// two four-byte halves side by side.
+DATA idctConst<>+0(SB)/4, $565
+DATA idctConst<>+4(SB)/4, $2276
+DATA idctConst<>+8(SB)/4, $3406
+DATA idctConst<>+12(SB)/4, $2408
+DATA idctConst<>+16(SB)/4, $799
+DATA idctConst<>+20(SB)/4, $4017
+DATA idctConst<>+24(SB)/4, $1108
+DATA idctConst<>+28(SB)/4, $3784
+DATA idctConst<>+32(SB)/4, $1568
+DATA idctConst<>+36(SB)/4, $181
+DATA idctConst<>+40(SB)/4, $128
+DATA idctConst<>+44(SB)/4, $8192
+DATA idctConst<>+48(SB)/4, $4
+DATA idctConst<>+52(SB)/4, $0x80808080
+DATA idctConst<>+56(SB)/8, $0x0000000400000000
+DATA idctConst<>+64(SB)/8, $0x0000000500000001
+DATA idctConst<>+72(SB)/8, $0x0000000600000002
+DATA idctConst<>+80(SB)/8, $0x0000000700000003
+GLOBL idctConst<>(SB), RODATA|NOPTR, $88
+
+#define IDCT_W7 idctConst<>+0(SB)
+#define IDCT_W1MW7 idctConst<>+4(SB)
+#define IDCT_W1PW7 idctConst<>+8(SB)
+#define IDCT_W3 idctConst<>+12(SB)
+#define IDCT_W3MW5 idctConst<>+16(SB)
+#define IDCT_W3PW5 idctConst<>+20(SB)
+#define IDCT_W6 idctConst<>+24(SB)
+#define IDCT_W2PW6 idctConst<>+28(SB)
+#define IDCT_W2MW6 idctConst<>+32(SB)
+#define IDCT_R2 idctConst<>+36(SB)
+#define IDCT_C128 idctConst<>+40(SB)
+#define IDCT_C8192 idctConst<>+44(SB)
+#define IDCT_C4 idctConst<>+48(SB)
+#define IDCT_SIGN idctConst<>+52(SB)
+#define IDCT_PERM idctConst<>+56(SB)
+
+// IDCT_MUL sets dst = src·c in every lane, the constant broadcast into t.
+#define IDCT_MUL(c, t, src, dst) \
+	VPBROADCASTD c, t; \
+	VPMULLD      t, src, dst
+
+// IDCT_ADD sets r = r+c in every lane, the constant broadcast into t.
+#define IDCT_ADD(c, t, r) \
+	VPBROADCASTD c, t; \
+	VPADDD       t, r, r
+
+// IDCT_TRANSPOSE transposes the 8×8 int32 matrix whose rows are r0..r7
+// into t0..t7 (t_j lane i = r_i lane j), clobbering r0..r7.
+#define IDCT_TRANSPOSE(r0, r1, r2, r3, r4, r5, r6, r7, t0, t1, t2, t3, t4, t5, t6, t7) \
+	VPUNPCKLDQ  r1, r0, t0;        \
+	VPUNPCKHDQ  r1, r0, t1;        \
+	VPUNPCKLDQ  r3, r2, t2;        \
+	VPUNPCKHDQ  r3, r2, t3;        \
+	VPUNPCKLDQ  r5, r4, t4;        \
+	VPUNPCKHDQ  r5, r4, t5;        \
+	VPUNPCKLDQ  r7, r6, t6;        \
+	VPUNPCKHDQ  r7, r6, t7;        \
+	VPUNPCKLQDQ t2, t0, r0;        \
+	VPUNPCKHQDQ t2, t0, r1;        \
+	VPUNPCKLQDQ t3, t1, r2;        \
+	VPUNPCKHQDQ t3, t1, r3;        \
+	VPUNPCKLQDQ t6, t4, r4;        \
+	VPUNPCKHQDQ t6, t4, r5;        \
+	VPUNPCKLQDQ t7, t5, r6;        \
+	VPUNPCKHQDQ t7, t5, r7;        \
+	VPERM2I128  $0x20, r4, r0, t0; \
+	VPERM2I128  $0x20, r5, r1, t1; \
+	VPERM2I128  $0x20, r6, r2, t2; \
+	VPERM2I128  $0x20, r7, r3, t3; \
+	VPERM2I128  $0x31, r4, r0, t4; \
+	VPERM2I128  $0x31, r5, r1, t5; \
+	VPERM2I128  $0x31, r6, r2, t6; \
+	VPERM2I128  $0x31, r7, r3, t7
+
+// IDCT_STORE4 stores the 32 bytes of y, four rows of eight (two per lane,
+// as VPACKSSWB leaves them), at DI, DI+BX, DI+2·BX and DI+3·BX, then
+// advances DI four rows. x is y's low half; y is clobbered.
+#define IDCT_STORE4(y, x) \
+	VPERMD       y, Y15, y;      \
+	VMOVQ        x, (DI);        \
+	VPEXTRQ      $1, x, (DI)(BX*1); \
+	VEXTRACTI128 $1, y, x;       \
+	VMOVQ        x, (DI)(BX*2);  \
+	VPEXTRQ      $1, x, (DI)(CX*1); \
+	LEAQ         (DI)(BX*4), DI
+
+// func idct8x8AVX2Asm(blk *[64]int32, dst []byte, stride int)
+//
+// image/jpeg's idct with its level shift and clamp, eight int32 lanes at a
+// time. The rows are loaded and transposed, so lane y of the vector for
+// coefficient k holds row y's s[k]: the row pass then runs on all eight
+// rows at once, in the Go code's operations and order (VPMULLD, VPADDD,
+// VPSUBD and VPSRAD are its int32 *, +, − and >>, wrap-around included),
+// and its dc<<3 shortcut is blended in for the lanes whose seven AC
+// coefficients are zero — the two differ only where s[0]<<11 wraps. The
+// result is transposed back, so lane x of the vector for row y holds
+// s[y][x], and the column pass runs on all eight columns. VPACKSSDW and
+// VPACKSSWB saturate each v to [−128, 127], a sign-bit flip adds 128, and
+// VPERMD joins each row's two halves for its 8-byte store.
+TEXT ·idct8x8AVX2Asm(SB), NOSPLIT, $0-40
+	MOVQ    blk+0(FP), SI
+	MOVQ    dst_base+8(FP), DI
+	MOVQ    stride+32(FP), BX
+	VMOVDQU 0(SI), Y0
+	VMOVDQU 32(SI), Y1
+	VMOVDQU 64(SI), Y2
+	VMOVDQU 96(SI), Y3
+	VMOVDQU 128(SI), Y4
+	VMOVDQU 160(SI), Y5
+	VMOVDQU 192(SI), Y6
+	VMOVDQU 224(SI), Y7
+	IDCT_TRANSPOSE(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+
+	// Row pass: s[k] is Y(8+k). Y0 marks the rows without AC, Y1 holds
+	// their dc<<3.
+	VPOR        Y9, Y10, Y0
+	VPOR        Y11, Y0, Y0
+	VPOR        Y12, Y0, Y0
+	VPOR        Y13, Y0, Y0
+	VPOR        Y14, Y0, Y0
+	VPOR        Y15, Y0, Y0
+	VPXOR       Y1, Y1, Y1
+	VPCMPEQD    Y1, Y0, Y0
+	VPSLLD      $3, Y8, Y1
+	VPSLLD      $11, Y8, Y8              // x0
+	IDCT_ADD(IDCT_C128, Y7, Y8)
+	VPSLLD      $11, Y12, Y12            // x1; x2..x7 are Y14, Y10, Y9, Y15, Y13, Y11
+	VPADDD      Y15, Y9, Y2
+	IDCT_MUL(IDCT_W7, Y7, Y2, Y2)        // x8
+	IDCT_MUL(IDCT_W1MW7, Y7, Y9, Y3)
+	VPADDD      Y3, Y2, Y9               // x4
+	IDCT_MUL(IDCT_W1PW7, Y7, Y15, Y3)
+	VPSUBD      Y3, Y2, Y15              // x5
+	VPADDD      Y11, Y13, Y2
+	IDCT_MUL(IDCT_W3, Y7, Y2, Y2)        // x8
+	IDCT_MUL(IDCT_W3MW5, Y7, Y13, Y3)
+	VPSUBD      Y3, Y2, Y13              // x6
+	IDCT_MUL(IDCT_W3PW5, Y7, Y11, Y3)
+	VPSUBD      Y3, Y2, Y11              // x7
+	VPADDD      Y12, Y8, Y2              // x8
+	VPSUBD      Y12, Y8, Y8              // x0
+	VPADDD      Y14, Y10, Y12
+	IDCT_MUL(IDCT_W6, Y7, Y12, Y12)      // x1
+	IDCT_MUL(IDCT_W2PW6, Y7, Y14, Y3)
+	VPSUBD      Y3, Y12, Y14             // x2
+	IDCT_MUL(IDCT_W2MW6, Y7, Y10, Y3)
+	VPADDD      Y3, Y12, Y10             // x3
+	VPADDD      Y13, Y9, Y12             // x1
+	VPSUBD      Y13, Y9, Y9              // x4
+	VPADDD      Y11, Y15, Y13            // x6
+	VPSUBD      Y11, Y15, Y15            // x5
+	VPADDD      Y10, Y2, Y11             // x7
+	VPSUBD      Y10, Y2, Y2              // x8
+	VPADDD      Y14, Y8, Y10             // x3
+	VPSUBD      Y14, Y8, Y8              // x0
+	VPADDD      Y15, Y9, Y14
+	IDCT_MUL(IDCT_R2, Y7, Y14, Y14)
+	IDCT_ADD(IDCT_C128, Y7, Y14)
+	VPSRAD      $8, Y14, Y14             // x2
+	VPSUBD      Y15, Y9, Y9
+	IDCT_MUL(IDCT_R2, Y7, Y9, Y9)
+	IDCT_ADD(IDCT_C128, Y7, Y9)
+	VPSRAD      $8, Y9, Y9               // x4
+	VPADDD      Y12, Y11, Y3
+	VPSUBD      Y12, Y11, Y4
+	VPADDD      Y14, Y10, Y5
+	VPSUBD      Y14, Y10, Y6
+	VPADDD      Y9, Y8, Y7
+	VPSUBD      Y9, Y8, Y15
+	VPADDD      Y13, Y2, Y8
+	VPSUBD      Y13, Y2, Y9
+	VPSRAD      $8, Y3, Y3               // s[0]
+	VPSRAD      $8, Y5, Y5               // s[1]
+	VPSRAD      $8, Y7, Y7               // s[2]
+	VPSRAD      $8, Y8, Y8               // s[3]
+	VPSRAD      $8, Y9, Y9               // s[4]
+	VPSRAD      $8, Y15, Y15             // s[5]
+	VPSRAD      $8, Y6, Y6               // s[6]
+	VPSRAD      $8, Y4, Y4               // s[7]
+	VPBLENDVB   Y0, Y1, Y3, Y3
+	VPBLENDVB   Y0, Y1, Y5, Y5
+	VPBLENDVB   Y0, Y1, Y7, Y7
+	VPBLENDVB   Y0, Y1, Y8, Y8
+	VPBLENDVB   Y0, Y1, Y9, Y9
+	VPBLENDVB   Y0, Y1, Y15, Y15
+	VPBLENDVB   Y0, Y1, Y6, Y6
+	VPBLENDVB   Y0, Y1, Y4, Y4
+	IDCT_TRANSPOSE(Y3, Y5, Y7, Y8, Y9, Y15, Y6, Y4, Y0, Y1, Y2, Y10, Y11, Y12, Y13, Y14)
+
+	// Column pass: row y is Y0, Y1, Y2, Y10, Y11, Y12, Y13, Y14.
+	VPSLLD      $8, Y0, Y0
+	IDCT_ADD(IDCT_C8192, Y15, Y0)        // y0
+	VPSLLD      $8, Y11, Y11             // y1; y2..y7 are Y13, Y2, Y1, Y14, Y12, Y10
+	VPADDD      Y14, Y1, Y3
+	IDCT_MUL(IDCT_W7, Y15, Y3, Y3)
+	IDCT_ADD(IDCT_C4, Y15, Y3)           // y8
+	IDCT_MUL(IDCT_W1MW7, Y15, Y1, Y4)
+	VPADDD      Y4, Y3, Y1
+	VPSRAD      $3, Y1, Y1               // y4
+	IDCT_MUL(IDCT_W1PW7, Y15, Y14, Y4)
+	VPSUBD      Y4, Y3, Y14
+	VPSRAD      $3, Y14, Y14             // y5
+	VPADDD      Y10, Y12, Y3
+	IDCT_MUL(IDCT_W3, Y15, Y3, Y3)
+	IDCT_ADD(IDCT_C4, Y15, Y3)           // y8
+	IDCT_MUL(IDCT_W3MW5, Y15, Y12, Y4)
+	VPSUBD      Y4, Y3, Y12
+	VPSRAD      $3, Y12, Y12             // y6
+	IDCT_MUL(IDCT_W3PW5, Y15, Y10, Y4)
+	VPSUBD      Y4, Y3, Y10
+	VPSRAD      $3, Y10, Y10             // y7
+	VPADDD      Y11, Y0, Y3              // y8
+	VPSUBD      Y11, Y0, Y0              // y0
+	VPADDD      Y13, Y2, Y11
+	IDCT_MUL(IDCT_W6, Y15, Y11, Y11)
+	IDCT_ADD(IDCT_C4, Y15, Y11)          // y1
+	IDCT_MUL(IDCT_W2PW6, Y15, Y13, Y4)
+	VPSUBD      Y4, Y11, Y13
+	VPSRAD      $3, Y13, Y13             // y2
+	IDCT_MUL(IDCT_W2MW6, Y15, Y2, Y4)
+	VPADDD      Y4, Y11, Y2
+	VPSRAD      $3, Y2, Y2               // y3
+	VPADDD      Y12, Y1, Y11             // y1
+	VPSUBD      Y12, Y1, Y1              // y4
+	VPADDD      Y10, Y14, Y12            // y6
+	VPSUBD      Y10, Y14, Y14            // y5
+	VPADDD      Y2, Y3, Y10              // y7
+	VPSUBD      Y2, Y3, Y3               // y8
+	VPADDD      Y13, Y0, Y2              // y3
+	VPSUBD      Y13, Y0, Y0              // y0
+	VPADDD      Y14, Y1, Y13
+	IDCT_MUL(IDCT_R2, Y15, Y13, Y13)
+	IDCT_ADD(IDCT_C128, Y15, Y13)
+	VPSRAD      $8, Y13, Y13             // y2
+	VPSUBD      Y14, Y1, Y1
+	IDCT_MUL(IDCT_R2, Y15, Y1, Y1)
+	IDCT_ADD(IDCT_C128, Y15, Y1)
+	VPSRAD      $8, Y1, Y1               // y4
+	VPADDD      Y11, Y10, Y4
+	VPSUBD      Y11, Y10, Y5
+	VPADDD      Y13, Y2, Y6
+	VPSUBD      Y13, Y2, Y7
+	VPADDD      Y1, Y0, Y8
+	VPSUBD      Y1, Y0, Y9
+	VPADDD      Y12, Y3, Y14
+	VPSUBD      Y12, Y3, Y15
+	VPSRAD      $14, Y4, Y4              // row 0
+	VPSRAD      $14, Y6, Y6              // row 1
+	VPSRAD      $14, Y8, Y8              // row 2
+	VPSRAD      $14, Y14, Y14            // row 3
+	VPSRAD      $14, Y15, Y15            // row 4
+	VPSRAD      $14, Y9, Y9              // row 5
+	VPSRAD      $14, Y7, Y7              // row 6
+	VPSRAD      $14, Y5, Y5              // row 7
+
+	// Clamp, shift by 128 and store.
+	VPACKSSDW    Y6, Y4, Y0
+	VPACKSSDW    Y14, Y8, Y1
+	VPACKSSDW    Y9, Y15, Y2
+	VPACKSSDW    Y5, Y7, Y3
+	VPACKSSWB    Y1, Y0, Y0
+	VPACKSSWB    Y3, Y2, Y2
+	VPBROADCASTD IDCT_SIGN, Y4
+	VPXOR        Y4, Y0, Y0
+	VPXOR        Y4, Y2, Y2
+	VMOVDQU      IDCT_PERM, Y15
+	LEAQ         (BX)(BX*2), CX
+	IDCT_STORE4(Y0, X0)
+	IDCT_STORE4(Y2, X2)
+	VZEROUPPER
+	RET
