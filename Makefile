@@ -21,7 +21,7 @@ ci: vet build race chaos invariants bench-smoke
 ## imgproc leg runs the /detect/raw pixel conversion on a decoded JPEG and PNG
 ## and the bilinear resample of a 128×96 camera frame to 64² and 96²; the quant
 ## leg runs the quarter-scale DroNet at 64² (the routed low model) and 96²
-## (detect-ingest's model) as fp32 and as int8 and prints their per-layer µs
+## (detect-ingest's model) as fp32 and as int8 and prints their per-step µs
 ## tables (-v); the detect leg runs NMS on random boxes, on
 ## DroNet's 320 region candidates and on the quarter-scale model's 20 and 45
 ## (the sets detect-ingest and routed-mixed hand it); the serve leg decodes
@@ -106,7 +106,9 @@ chaos:
 ## bit, the fused convolution ≡ im2col + GEMM + BN + bias + leaky and the int8
 ## convolution ≡ quantize + im2col + int8 GEMM + leaky, the compiled plan (each
 ## conv and its 2×2/2 pool one step, a batch in image groups) ≡ the
-## layer-by-layer Infer chain bit for bit on every kernel family, the
+## layer-by-layer Infer chain bit for bit at every step on every kernel family,
+## int8 calibration through the plan ≡ the layer-by-layer calibration bit for
+## bit, the
 ## streaming 2×2 pool ≡ the window loop and the vector
 ## epilogue row ≡ its Go loop bit for bit on every kernel family, each family's
 ## rank-1 row update ≡ its Go loop and its finishing direct kernel (live rows,
@@ -121,7 +123,7 @@ chaos:
 ## latency percentiles merge exactly (and sit within one 6.25 % bucket of
 ## the exact nearest-rank sample), and goroutine hygiene after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestDecodeJPEGMatchesStdlib|TestIDCTKernelMatchesGo|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestFusedConvPoolMatchesLayers|TestEpilogueRowMatchesGo|TestMicrokernelAsmMatchesGo|TestDirectKernelMatchesPacked|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneSharesParamsNotWorkspace|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestForwardIgnoresStaleSlabs|TestInt8ForwardIgnoresStaleSlabs|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestDecodeJPEGMatchesStdlib|TestIDCTKernelMatchesGo|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestFusedConvPoolMatchesLayers|TestQuantizeMatchesLayerByLayerCalibration|TestEpilogueRowMatchesGo|TestMicrokernelAsmMatchesGo|TestDirectKernelMatchesPacked|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneSharesParamsNotWorkspace|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestForwardIgnoresStaleSlabs|TestInt8ForwardIgnoresStaleSlabs|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
 	    ./internal/tensor/ ./internal/imgproc/ ./internal/layers/ ./internal/detect/ ./internal/network/ ./internal/quant/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization,

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -40,6 +42,7 @@ func TestBinary(t *testing.T) {
 	bin := filepath.Join(dir, "dronet-serve")
 	t.Run("single", func(t *testing.T) { t.Parallel(); testSingle(t, bin) })
 	t.Run("routed", func(t *testing.T) { t.Parallel(); testRouted(t, bin) })
+	t.Run("early-sigterm", func(t *testing.T) { t.Parallel(); testEarlySIGTERM(t, bin) })
 }
 
 // testSingle: an int8 model calibrated at startup, the admin lifecycle
@@ -195,6 +198,42 @@ func testRouted(t *testing.T, bin string) {
 	}
 	if err := p.Drain(drainTimeout); err != nil {
 		t.Errorf("exit after SIGTERM: %v", err)
+	}
+}
+
+// testEarlySIGTERM: a SIGTERM sent the moment the "listening on" line is
+// out still drains: the server logs "draining" and exits 0.
+func testEarlySIGTERM(t *testing.T, bin string) {
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-size", "64", "-scale", "0.25", "-workers", "1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() && !strings.HasPrefix(sc.Text(), "listening on ") {
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() {
+		_, _ = io.Copy(io.Discard, stdout)
+		exited <- cmd.Wait()
+	}()
+	select {
+	case err = <-exited:
+	case <-time.After(drainTimeout):
+		_ = cmd.Process.Kill()
+		<-exited
+		t.Fatalf("ignored a SIGTERM for %s and was killed\n%s", drainTimeout, &stderr)
+	}
+	if err != nil || !strings.Contains(stderr.String(), "draining") {
+		t.Errorf("SIGTERM right after the handshake: exit %v, want 0 after a draining line\n%s", err, &stderr)
 	}
 }
 

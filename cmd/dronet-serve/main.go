@@ -156,6 +156,9 @@ func main() {
 		MaxInflight: *sessionInflight,
 	})
 
+	// Caught before the handshake, so a SIGTERM right after it still drains.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
@@ -185,8 +188,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		log.Fatal(err)

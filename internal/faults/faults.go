@@ -40,6 +40,12 @@ type Registry struct {
 
 var active atomic.Pointer[Registry]
 
+// stalled counts the goroutines parked in a stall fault.
+var stalled atomic.Int64
+
+// Stalled reports how many goroutines a stall fault holds now.
+func Stalled() int { return int(stalled.Load()) }
+
 // Enabled reports whether any fault registry is armed. Call sites do not
 // need to check it before Fire — a disarmed Fire is a single atomic load —
 // but tests use it to assert arming state.
@@ -112,7 +118,9 @@ func (f *fault) fire(r *Registry) error {
 		}
 		return nil
 	case "stall":
+		stalled.Add(1)
 		<-r.done
+		stalled.Add(-1)
 		return nil
 	case "error":
 		if f.every <= 1 {

@@ -5,12 +5,13 @@
 //
 // Layers are created with their input shape fixed; batch size is flexible.
 // Each layer has two forward passes. Infer is inference: it writes into an
-// output tensor and carves its scratch from an arena, both owned by the
-// caller (network.Network owns one pair of activation slabs and one arena
-// per replica), so it keeps no state between calls and every replica of a
-// network runs the same layer instances concurrently. Forward is training:
-// it keeps its output and the intermediates Backward needs in the layer's
-// own workspace, so only one network may train a layer at a time.
+// output tensor and carves its scratch from an arena, both owned by its one
+// caller, the compiled plan of network.Network (which runs a Conv2D and the
+// 2×2/2 MaxPool after it as one step), so it keeps no state between calls
+// and every replica of a network runs the same layer instances concurrently.
+// Forward is training: it keeps its output and the intermediates Backward
+// needs in the layer's own workspace, so only one network may train a layer
+// at a time.
 package layers
 
 import (

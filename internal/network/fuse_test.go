@@ -30,30 +30,24 @@ func forEachKernel(t *testing.T, fn func(t *testing.T)) {
 
 // layerChain is the oracle the compiled plan must equal bit for bit: every
 // layer's Infer into its own fresh output, one layer after the other, with
-// no step fused.
-func layerChain(net *network.Network, x *tensor.Tensor) *tensor.Tensor {
+// no step fused. It returns every layer's output.
+func layerChain(net *network.Network, x *tensor.Tensor) []*tensor.Tensor {
+	outs := make([]*tensor.Tensor, len(net.Layers))
 	var a tensor.Arena
-	for _, l := range net.Layers {
+	for i, l := range net.Layers {
 		s := l.OutShape()
-		out := tensor.New(x.N, s.C, s.H, s.W)
+		outs[i] = tensor.New(x.N, s.C, s.H, s.W)
 		a.Reset()
-		l.Infer(x, out, &a)
-		x = out
+		l.Infer(x, outs[i], &a)
+		x = outs[i]
 	}
-	return x
+	return outs
 }
 
-// fusedPairs counts the conv → pool pairs the plan runs as one step.
-func fusedPairs(net *network.Network) int {
-	pairs := 0
-	for i := 0; i+1 < len(net.Layers); i++ {
-		c, ok := net.Layers[i].(*layers.Conv2D)
-		p, ok2 := net.Layers[i+1].(*layers.MaxPool)
-		if ok && ok2 && c.FusesPool(p) {
-			pairs++
-		}
-	}
-	return pairs
+// images is the view of images [b0, b0+n) of x.
+func images(x *tensor.Tensor, b0, n int) *tensor.Tensor {
+	per := x.C * x.H * x.W
+	return &tensor.Tensor{N: n, C: x.C, H: x.H, W: x.W, Data: x.Data[b0*per : (b0+n)*per]}
 }
 
 // randomizeConvs gives every conv random biases and rolling statistics, so
@@ -122,11 +116,14 @@ func assertSameBits(t *testing.T, what string, got, want *tensor.Tensor) {
 
 // TestFusedConvPoolMatchesLayers holds the compiled plan — each conv and
 // the 2×2/2 pool after it as one step, a batch run in image groups — to the
-// layer-by-layer Infer chain bit for bit, under every kernel family: DroNet
-// at 256² (one image a group) and the quarter-scale model at 64² and 96²
-// (the whole batch a group), batches 1, 3 and 8, on random frames, on the
-// NaN, ±Inf and ±3e38 frames of TestForwardIgnoresStaleSlabs and on signed
-// zeros — the windows the pool's fallback decides.
+// layer-by-layer Infer chain bit for bit, under every kernel family: every
+// step output ForwardSteps reports equals the chain's output at the step's
+// last layer, and the plan runs DroNet's five conv → pool pairs as two-layer
+// steps. It covers DroNet at 256² (one image a group) and the quarter-scale
+// model at 64² and 96² (the whole batch a group), batches 1, 3 and 8, on
+// random frames, on the NaN, ±Inf and ±3e38 frames of
+// TestForwardIgnoresStaleSlabs and on signed zeros — the windows the pool's
+// fallback decides.
 func TestFusedConvPoolMatchesLayers(t *testing.T) {
 	nets := []struct {
 		name string
@@ -137,9 +134,6 @@ func TestFusedConvPoolMatchesLayers(t *testing.T) {
 		{"quarter-96", quarterScaleDroNet(t, 96)},
 	}
 	for _, tc := range nets {
-		if got := fusedPairs(tc.net); got != 5 {
-			t.Fatalf("%s: the plan fuses %d conv → pool pairs, want DroNet's 5", tc.name, got)
-		}
 		randomizeConvs(tc.net, tensor.NewRNG(17))
 	}
 	forEachKernel(t, func(t *testing.T) {
@@ -156,9 +150,20 @@ func TestFusedConvPoolMatchesLayers(t *testing.T) {
 				want := layerChain(net, x)
 				replica := net.CloneForInference()
 				for _, b := range []int{8, 3, 1} {
-					xb := &tensor.Tensor{N: b, C: x.C, H: x.H, W: x.W, Data: x.Data[:b*x.C*x.H*x.W]}
-					wb := &tensor.Tensor{N: b, C: want.C, H: want.H, W: want.W, Data: want.Data[:b*want.C*want.H*want.W]}
-					assertSameBits(t, fmt.Sprintf("%s %s batch %d", tc.name, kind, b), replica.ForwardBatch(xb), wb)
+					what := fmt.Sprintf("%s %s batch %d", tc.name, kind, b)
+					done := make([]int, len(net.Layers)) // images each step has reported
+					pairs := 0
+					got := replica.ForwardSteps(images(x, 0, b), func(lo, hi int, out *tensor.Tensor) {
+						if hi-lo == 2 && done[lo] == 0 {
+							pairs++
+						}
+						assertSameBits(t, fmt.Sprintf("%s step [%d, %d) images %d+%d", what, lo, hi, done[lo], out.N), out, images(want[hi-1], done[lo], out.N))
+						done[lo] += out.N
+					})
+					if pairs != 5 {
+						t.Fatalf("%s: the plan fuses %d conv → pool pairs, want DroNet's 5", what, pairs)
+					}
+					assertSameBits(t, what, got, images(want[len(want)-1], 0, b))
 				}
 			}
 		}
@@ -231,7 +236,7 @@ func FuzzConvPool2x2Fused(f *testing.F) {
 			if err := tensor.SelectKernel(name); err != nil {
 				t.Fatal(err)
 			}
-			want := layerChain(net, x)
+			want := layerChain(net, x)[1]
 			assertSameBits(t, fmt.Sprintf("%s: %v, %s, fused %v", name, in, conv.Name(), conv.FusesPool(pool)), net.CloneForInference().ForwardBatch(x), want)
 		}
 	})

@@ -105,10 +105,11 @@ func (n *Network) Region() *layers.Region {
 }
 
 // step is one compiled inference step: run writes out from the previous
-// step's output.
+// step's output, running Layers[lo:hi].
 type step struct {
-	run func(x, out *tensor.Tensor, a *tensor.Arena)
-	out tensor.Tensor
+	run    func(x, out *tensor.Tensor, a *tensor.Arena)
+	out    tensor.Tensor
+	lo, hi int
 }
 
 // groupBytes bounds the two slabs of one image group: a batch runs step by
@@ -118,16 +119,26 @@ type step struct {
 const groupBytes = 1 << 20
 
 // Forward runs the network on a batch: the layers' training Forward when
-// train is set, else inference. The returned tensor is owned by the network
-// (inference) or the final layer (training) and is valid until the next
-// Forward.
+// train is set, else ForwardSteps(x, nil). The returned tensor is owned by
+// the network (inference) or the final layer (training) and is valid until
+// the next Forward.
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	cur := x
-	if train || len(n.Layers) == 0 {
-		for _, l := range n.Layers {
-			cur = l.Forward(cur)
-		}
-		return cur
+	if !train {
+		return n.ForwardSteps(x, nil)
+	}
+	for _, l := range n.Layers {
+		x = l.Forward(x)
+	}
+	return x
+}
+
+// ForwardSteps runs inference through the compiled plan. A non-nil after is
+// called after each step of each image group with the step's range [lo, hi)
+// of Layers and its output, the group's images, valid only during the call.
+// The result is owned by the network and valid until the next Forward.
+func (n *Network) ForwardSteps(x *tensor.Tensor, after func(lo, hi int, out *tensor.Tensor)) *tensor.Tensor {
+	if len(n.Layers) == 0 {
+		return x
 	}
 	if n.planned != len(n.Layers) {
 		n.plan()
@@ -155,7 +166,7 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for b0 := 0; b0 < x.N; b0 += group {
 		nb := min(group, x.N-b0)
 		n.in.N, n.in.Data = nb, x.Data[b0*inSize:(b0+nb)*inSize]
-		cur = &n.in
+		cur := &n.in
 		for i := range n.steps {
 			s := &n.steps[i]
 			s.out.N = nb
@@ -166,6 +177,9 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 			n.arena.Reset()
 			s.run(cur, &s.out, &n.arena)
+			if after != nil {
+				after(s.lo, s.hi, &s.out)
+			}
 			cur = &s.out
 		}
 	}
@@ -181,7 +195,7 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (n *Network) plan() {
 	n.steps = n.steps[:0]
 	for i := 0; i < len(n.Layers); i++ {
-		l := n.Layers[i]
+		l, lo := n.Layers[i], i
 		run, s := l.Infer, l.OutShape()
 		if c, ok := l.(*layers.Conv2D); ok && i+1 < len(n.Layers) {
 			if p, ok := n.Layers[i+1].(*layers.MaxPool); ok && c.FusesPool(p) {
@@ -189,7 +203,7 @@ func (n *Network) plan() {
 				i++
 			}
 		}
-		n.steps = append(n.steps, step{run: run, out: tensor.Tensor{C: s.C, H: s.H, W: s.W}})
+		n.steps = append(n.steps, step{run: run, out: tensor.Tensor{C: s.C, H: s.H, W: s.W}, lo: lo, hi: i + 1})
 	}
 	n.perImage = [2]int{}
 	for i, s := range n.steps[:len(n.steps)-1] {

@@ -2,6 +2,7 @@ package quant_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/models"
 	"repro/internal/quant"
@@ -14,7 +15,8 @@ import (
 // allocations per call. Every activation lives in the network's two slabs,
 // everything transient (padded planes, quantized activations) in its
 // scratch arena, and GEMM pack panels and microkernel edge tiles in pooled
-// GEMM contexts; slabs and arena have grown to the batch.
+// GEMM contexts; slabs and arena have grown to the batch. ForwardSteps with
+// a callback timing each step is pinned at zero too.
 //
 // DetectBatch is additionally pinned at zero allocations when no detection
 // fires (thresh > 1): decode scratch and the outer result slice are model
@@ -47,6 +49,20 @@ func TestForwardZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { qnet.ForwardBatch(x) }); allocs > 0 {
 		t.Errorf("int8 ForwardBatch allocates %.1f objects per call at steady state, want 0", allocs)
+	}
+
+	// Watching the plan costs nothing either: a callback timing each step.
+	ns := make([]time.Duration, len(net.Layers))
+	t0 := time.Now()
+	timer := func(lo, hi int, out *tensor.Tensor) {
+		ns[lo] += time.Since(t0)
+		t0 = time.Now()
+	}
+	if allocs := testing.AllocsPerRun(10, func() { net.ForwardSteps(x, timer) }); allocs > 0 {
+		t.Errorf("fp32 ForwardSteps with a step timer allocates %.1f objects per call at steady state, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { qnet.ForwardSteps(x, timer) }); allocs > 0 {
+		t.Errorf("int8 ForwardSteps with a step timer allocates %.1f objects per call at steady state, want 0", allocs)
 	}
 
 	// thresh > 1 cannot be met by conf*prob ≤ 1, so the decode stage runs

@@ -44,89 +44,91 @@ func quarterDroNet(tb testing.TB, size int) (fp, q *network.Network) {
 	return fp, q
 }
 
-// layerTimer runs a network's inference one layer at a time, each layer's
-// Infer into its own output over one scratch arena, summing each layer's
-// wall time.
-type layerTimer struct {
-	net   *network.Network
-	outs  []*tensor.Tensor
-	arena tensor.Arena
-	ns    []time.Duration
+// stepTimer times each step of a network's compiled plan through
+// ForwardSteps: ns[lo] sums the wall time of the step that runs layers
+// [lo, end[lo]). Each step pays two clock reads, so its own bookkeeping
+// stays outside the next step's time.
+type stepTimer struct {
+	ns  []time.Duration
+	end []int
+	t0  time.Time
 }
 
-func newLayerTimer(net *network.Network, batch int) *layerTimer {
-	lt := &layerTimer{net: net, outs: make([]*tensor.Tensor, len(net.Layers)), ns: make([]time.Duration, len(net.Layers))}
-	for i, l := range net.Layers {
-		s := l.OutShape()
-		lt.outs[i] = tensor.New(batch, s.C, s.H, s.W)
-	}
-	return lt
+func newStepTimer(net *network.Network) *stepTimer {
+	return &stepTimer{ns: make([]time.Duration, len(net.Layers)), end: make([]int, len(net.Layers))}
 }
 
-func (lt *layerTimer) forward(x *tensor.Tensor) {
-	for i, l := range lt.net.Layers {
-		t0 := time.Now()
-		lt.arena.Reset()
-		l.Infer(x, lt.outs[i], &lt.arena)
-		lt.ns[i] += time.Since(t0)
-		x = lt.outs[i]
-	}
+func (st *stepTimer) after(lo, hi int, _ *tensor.Tensor) {
+	st.ns[lo] += time.Since(st.t0)
+	st.end[lo] = hi
+	st.t0 = time.Now()
 }
 
 // BenchmarkForwardDroNet runs the quarter-scale DroNet as fp32 and as int8
-// on the same single image, layer by layer, at 64² (the routed low model)
-// and 96² (the model detect-ingest, sharded and stream serve), and logs a
-// per-layer µs table of the two: the int8 route's cost next to the fp32
-// forward it stands in for. Layer by layer, no step is fused, so it also
-// times the fp32 image through Network.Forward, whose plan runs each conv
-// and its 2×2/2 pool as one step (fp32-net-µs/img). Run it with
+// on the same single image through the compiled plan (ForwardSteps), at 64²
+// (the routed low model) and 96² (the model detect-ingest, sharded and
+// stream serve), and logs a per-step µs table: one row per fp32 step — a
+// conv and its 2×2/2 pool are one step — beside the int8 time of the same
+// layers (int8 fuses no pool). Run it with
 //
 //	go test -run '^$' -v -bench ForwardDroNet -benchtime 2000x -cpu 1 ./internal/quant
 func BenchmarkForwardDroNet(b *testing.B) {
 	for _, size := range []int{64, 96} {
-		b.Run(fmt.Sprint(size), func(b *testing.B) { benchForwardLayers(b, size) })
+		b.Run(fmt.Sprint(size), func(b *testing.B) { benchForwardSteps(b, size) })
 	}
 }
 
-func benchForwardLayers(b *testing.B, size int) {
+func benchForwardSteps(b *testing.B, size int) {
 	fp, q := quarterDroNet(b, size)
 	x := tensor.New(1, 3, size, size)
 	tensor.NewRNG(3).FillUniform(x.Data, 0, 1)
-	tf, tq := newLayerTimer(fp, x.N), newLayerTimer(q, x.N)
-	net := fp.CloneForInference()
-	tf.forward(x) // warm-up: arenas, slabs, GEMM pools
-	tq.forward(x)
-	net.ForwardBatch(x)
+	tf, tq := newStepTimer(fp), newStepTimer(q)
+	af, aq := tf.after, tq.after
+	fp.ForwardSteps(x, af) // warm-up: arenas, slabs, GEMM pools
+	q.ForwardSteps(x, aq)
 	clear(tf.ns)
 	clear(tq.ns)
-	var tn time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tf.forward(x)
-		tq.forward(x)
-		t0 := time.Now()
-		net.ForwardBatch(x)
-		tn += time.Since(t0)
+		tf.t0 = time.Now()
+		fp.ForwardSteps(x, af)
+		tq.t0 = time.Now()
+		q.ForwardSteps(x, aq)
 	}
 	b.StopTimer()
 
 	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 / float64(b.N) }
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "\n%-3s %-27s %-12s %9s %9s %7s\n", "#", "fp32 layer", "out", "fp32 µs", "int8 µs", "ratio")
+	fmt.Fprintf(&sb, "\n%-5s %-40s %-12s %9s %9s %7s\n", "#", "fp32 step", "out", "fp32 µs", "int8 µs", "ratio")
 	var sf, sq time.Duration
-	for i, l := range fp.Layers {
-		o := l.OutShape()
-		f, qd := us(tf.ns[i]), us(tq.ns[i])
-		fmt.Fprintf(&sb, "%-3d %-27s %-12s %9.1f %9.1f %7.2f\n", i, l.Name(),
+	for lo, hi := range tf.end {
+		if hi == 0 {
+			continue
+		}
+		names := make([]string, 0, hi-lo)
+		var dq time.Duration
+		for i := lo; i < hi; i++ {
+			names = append(names, fp.Layers[i].Name())
+			dq += tq.ns[i]
+		}
+		o := fp.Layers[hi-1].OutShape()
+		f, qd := us(tf.ns[lo]), us(dq)
+		fmt.Fprintf(&sb, "%-5s %-40s %-12s %9.1f %9.1f %7.2f\n", stepIndex(lo, hi), strings.Join(names, " + "),
 			fmt.Sprintf("%dx%dx%d", o.C, o.H, o.W), f, qd, qd/f)
-		sf += tf.ns[i]
-		sq += tq.ns[i]
+		sf += tf.ns[lo]
+		sq += dq
 	}
-	fmt.Fprintf(&sb, "%-3s %-27s %-12s %9.1f %9.1f %7.2f\n", "", "total", "", us(sf), us(sq), us(sq)/us(sf))
-	fmt.Fprintf(&sb, "%-3s %-27s %-12s %9.1f", "", "fp32 Network.Forward", "", us(tn))
+	fmt.Fprintf(&sb, "%-5s %-40s %-12s %9.1f %9.1f %7.2f", "", "total", "", us(sf), us(sq), us(sq)/us(sf))
 	b.Log(sb.String())
 	b.ReportMetric(us(sf), "fp32-µs/img")
-	b.ReportMetric(us(tn), "fp32-net-µs/img")
 	b.ReportMetric(us(sq), "int8-µs/img")
 	b.ReportMetric(us(sq)/us(sf), "int8/fp32")
+}
+
+// stepIndex labels a step by its layers: "3" or "0-1".
+func stepIndex(lo, hi int) string {
+	if hi-lo == 1 {
+		return fmt.Sprint(lo)
+	}
+	return fmt.Sprintf("%d-%d", lo, hi-1)
 }

@@ -86,3 +86,10 @@ func FuzzQuantDequant(f *testing.F) {
 		}
 	})
 }
+
+func abs32(v float32) float32 {
+	if v < 0 {
+		return -v
+	}
+	return v
+}

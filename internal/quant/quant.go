@@ -118,44 +118,36 @@ type QConv struct {
 	packed *tensor.PackedConvInt8
 }
 
-// Quantize converts a (BN-folded or BN-free) network to INT8 using the
-// calibration tensors to set activation scales (max-abs observed per conv
-// input). Networks with batch-normalized convolutions are folded first. The
-// result is an inference-only network of QConv layers plus the source
-// network's pool and region layers, which keep no inference state, so the
-// source may keep running concurrently.
+// Quantize converts a network to INT8 using the calibration tensors to set
+// activation scales (max-abs observed per conv input). It calibrates the
+// BN-folded copy (a BN-free network folds to a copy of itself) through the
+// compiled plan, the forward that serves, and never runs the source, which
+// may keep serving concurrently. The result is an inference-only network of
+// QConv layers plus the folded network's pool and region layers.
 func Quantize(net *network.Network, calibration []*tensor.Tensor) (*network.Network, error) {
 	if len(calibration) == 0 {
 		return nil, fmt.Errorf("quant: need at least one calibration image")
 	}
-	for _, l := range net.Layers {
-		if c, ok := l.(*layers.Conv2D); ok && c.BatchNorm {
-			folded, err := FoldBatchNorm(net)
-			if err != nil {
-				return nil, err
-			}
-			net = folded
-			break
-		}
+	net, err := FoldBatchNorm(net)
+	if err != nil {
+		return nil, err
 	}
-	// Observe per-conv input ranges over the calibration set, running the
-	// layers' inference pass one step at a time.
+	// maxAbs[i] is the range of conv i's input. The plan only fuses a conv
+	// with the pool after it, so every conv starts a step: its input is the
+	// calibration image (i = 0) or the previous step's output.
 	maxAbs := make([]float32, len(net.Layers))
-	var a tensor.Arena
 	for _, img := range calibration {
-		x := img
-		for i, l := range net.Layers {
-			if _, ok := l.(*layers.Conv2D); ok {
-				if m := x.MaxAbs(); m > maxAbs[i] {
-					maxAbs[i] = m
+		maxAbs[0] = max(maxAbs[0], img.MaxAbs())
+		net.ForwardSteps(img, func(lo, hi int, out *tensor.Tensor) {
+			for _, l := range net.Layers[lo+1 : hi] {
+				if _, ok := l.(*layers.Conv2D); ok {
+					panic(fmt.Sprintf("quant: a conv inside plan step [%d, %d) has no observable input", lo, hi))
 				}
 			}
-			s := l.OutShape()
-			out := tensor.New(x.N, s.C, s.H, s.W)
-			a.Reset()
-			l.Infer(x, out, &a)
-			x = out
-		}
+			if hi < len(maxAbs) {
+				maxAbs[hi] = max(maxAbs[hi], out.MaxAbs())
+			}
+		})
 	}
 	q := network.New(net.Name+"-int8", net.InputW, net.InputH, net.InputC)
 	for i, l := range net.Layers {
@@ -196,12 +188,7 @@ func quantizeConv(c *layers.Conv2D, inMaxAbs float32) (*QConv, error) {
 	copy(qc.Bias, c.Biases.W.Data)
 	for f := 0; f < c.Filters; f++ {
 		row := c.Weights.W.Data[f*fanIn : (f+1)*fanIn]
-		var m float32
-		for _, v := range row {
-			if a := abs32(v); a > m {
-				m = a
-			}
-		}
+		m := (&tensor.Tensor{Data: row}).MaxAbs()
 		if m == 0 {
 			m = 1
 		}
@@ -213,13 +200,6 @@ func quantizeConv(c *layers.Conv2D, inMaxAbs float32) (*QConv, error) {
 	g := tensor.ConvGeom{C: qc.in.C, H: qc.in.H, W: qc.in.W, Ksize: qc.Ksize, Stride: qc.Stride, Pad: qc.Pad}
 	qc.packed = tensor.PackConvInt8(g, qc.Filters, qc.W)
 	return qc, nil
-}
-
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Name implements layers.Layer.

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,43 +111,36 @@ func TestConcurrentClientsBatchedIdentical(t *testing.T) {
 	want := expectedDetections(t, net, frames)
 
 	srv := newServer(t, net, 1, serve.Config{MaxBatch: 8, QueueDepth: 64, Warm: true})
-	slowBatches(t)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var wg sync.WaitGroup
 	errCh := make(chan error, clients*perClient)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < perClient; r++ {
-				idx := (c + r) % distinct
-				resp, err := postFrame(ts, frames[idx])
-				if err != nil {
-					errCh <- err
-					return
-				}
-				var got serve.DetectResponse
-				err = json.NewDecoder(resp.Body).Decode(&got)
-				resp.Body.Close()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errCh <- fmt.Errorf("client %d: status %d", c, resp.StatusCode)
-					return
-				}
-				if !reflect.DeepEqual(got.Detections, want[idx]) {
-					errCh <- fmt.Errorf("client %d frame %d: batched detections differ from single-image inference\ngot:  %v\nwant: %v",
-						c, idx, got.Detections, want[idx])
-					return
-				}
+	coalesce(t, srv, clients, func(c int) {
+		for r := 0; r < perClient; r++ {
+			idx := (c + r) % distinct
+			resp, err := postFrame(ts, frames[idx])
+			if err != nil {
+				errCh <- err
+				return
 			}
-		}(c)
-	}
-	wg.Wait()
+			var got serve.DetectResponse
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err != nil {
+				errCh <- err
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				errCh <- fmt.Errorf("client %d: status %d", c, resp.StatusCode)
+				return
+			}
+			if !reflect.DeepEqual(got.Detections, want[idx]) {
+				errCh <- fmt.Errorf("client %d frame %d: batched detections differ from single-image inference\ngot:  %v\nwant: %v",
+					c, idx, got.Detections, want[idx])
+				return
+			}
+		}
+	})
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
@@ -167,6 +161,51 @@ func TestConcurrentClientsBatchedIdentical(t *testing.T) {
 func slowBatches(t *testing.T) {
 	t.Helper()
 	armFaults(t, "serve.batch=slow:10ms")
+}
+
+// coalesce runs client(0) … client(clients-1) concurrently against srv,
+// whose one worker it holds at engine.execute until each client still
+// running has a request admitted, so requests from different clients share
+// batches whatever the scheduler does. A client must have at most one
+// request admitted and not yet executed at a time.
+func coalesce(t *testing.T, srv *serve.Server, clients int, client func(c int)) {
+	t.Helper()
+	armFaults(t, "engine.execute=stall")
+	var wg sync.WaitGroup
+	var open atomic.Int64 // clients still running
+	open.Store(int64(clients))
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			defer open.Add(-1)
+			client(c)
+		}(c)
+	}
+	pending := func(st serve.Stats) int64 {
+		executed := 0
+		for size, count := range st.BatchHist {
+			executed += size * count
+		}
+		return int64(st.Received) - int64(executed)
+	}
+	for {
+		waitFleet(t, srv, "a held batch and every running client's next request admitted", func(st serve.Stats) bool {
+			return open.Load() == 0 || faults.Stalled() == 1 && pending(st) >= open.Load()
+		})
+		if open.Load() == 0 {
+			break
+		}
+		// Re-arming releases the held batch and holds the next one. Until
+		// the released batch has executed, pending still counts its
+		// requests, so wait for that before looking for the next.
+		batches := srv.Stats().Batches
+		if err := faults.Arm("engine.execute=stall"); err != nil {
+			t.Fatal(err)
+		}
+		waitFleet(t, srv, "the released batch executed", func(st serve.Stats) bool { return st.Batches > batches })
+	}
+	wg.Wait()
 }
 
 // armFaults arms a fault spec until the test ends.
@@ -232,43 +271,36 @@ func TestInt8ServingBatchedIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	slowBatches(t)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var wg sync.WaitGroup
 	errCh := make(chan error, clients*perClient)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < perClient; r++ {
-				idx := (c + r) % distinct
-				resp, err := postFrame(ts, frames[idx])
-				if err != nil {
-					errCh <- err
-					return
-				}
-				var got serve.DetectResponse
-				err = json.NewDecoder(resp.Body).Decode(&got)
-				resp.Body.Close()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errCh <- fmt.Errorf("client %d: status %d", c, resp.StatusCode)
-					return
-				}
-				if !reflect.DeepEqual(got.Detections, want[idx]) {
-					errCh <- fmt.Errorf("client %d frame %d: batched int8 detections differ from single-image int8\ngot:  %v\nwant: %v",
-						c, idx, got.Detections, want[idx])
-					return
-				}
+	coalesce(t, srv, clients, func(c int) {
+		for r := 0; r < perClient; r++ {
+			idx := (c + r) % distinct
+			resp, err := postFrame(ts, frames[idx])
+			if err != nil {
+				errCh <- err
+				return
 			}
-		}(c)
-	}
-	wg.Wait()
+			var got serve.DetectResponse
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err != nil {
+				errCh <- err
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				errCh <- fmt.Errorf("client %d: status %d", c, resp.StatusCode)
+				return
+			}
+			if !reflect.DeepEqual(got.Detections, want[idx]) {
+				errCh <- fmt.Errorf("client %d frame %d: batched int8 detections differ from single-image int8\ngot:  %v\nwant: %v",
+					c, idx, got.Detections, want[idx])
+				return
+			}
+		}
+	})
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
@@ -498,6 +530,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if k, _ := health["kernel"].(string); k != tensor.KernelName() {
 		t.Errorf("healthz kernel = %v, want %q", health["kernel"], tensor.KernelName())
+	}
+	if streaming, _ := health["streaming"].(map[string]any); streaming["policy"] != serve.PolicyReject {
+		t.Errorf("healthz streaming = %v, want policy %q", health["streaming"], serve.PolicyReject)
 	}
 	models, _ := health["models"].(map[string]any)
 	for name, m := range models {

@@ -18,7 +18,8 @@ import (
 // answers the NEW frame with an in-band 429 and keeps the backlog; "drop"
 // displaces the OLDEST buffered frame (announcing the drop in-band) so the
 // freshest camera frame is always the one that executes — the right call
-// for live monitoring, where a stale frame's detections are worthless.
+// for live monitoring, where a stale frame's detections are worthless. A
+// session chooses at open time (?policy=); reject is the default.
 const (
 	PolicyReject = "reject"
 	PolicyDrop   = "drop"
@@ -43,14 +44,6 @@ type StreamConfig struct {
 	// policy. A session may request a SMALLER bound at open time
 	// (?inflight=), never a larger one. Default 4.
 	MaxInflight int
-	// Policy is the default backpressure policy (PolicyReject or
-	// PolicyDrop); a session may override it at open time (?policy=).
-	// Default PolicyReject.
-	Policy string
-	// Tracker tunes the per-session tracker; zero values fall back to
-	// tracking.DefaultConfig. OnRetire is reserved for the session tier's
-	// own accounting and must be left nil.
-	Tracker tracking.Config
 }
 
 // withDefaults normalizes the zero-value knobs.
@@ -72,9 +65,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	}
 	if c.MaxInflight < 1 {
 		c.MaxInflight = 4
-	}
-	if c.Policy != PolicyDrop {
-		c.Policy = PolicyReject
 	}
 	return c
 }

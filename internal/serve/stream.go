@@ -165,7 +165,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := s.streams.snapshotCfg()
-	policy := cfg.Policy
+	policy := PolicyReject
 	if q := r.URL.Query().Get("policy"); q != "" {
 		if q != PolicyReject && q != PolicyDrop {
 			WriteError(w, http.StatusBadRequest, "bad policy %q: want %q or %q", q, PolicyReject, PolicyDrop)
@@ -186,7 +186,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	trkCfg := cfg.Tracker
+	trkCfg := tracking.DefaultConfig()
 	trkCfg.OnRetire = func(*tracking.Track) { s.fleet.trackRetired() }
 	sess := &session{
 		id:       fmt.Sprintf("s%d", s.streams.nextID.Add(1)),
@@ -228,12 +228,12 @@ func (s *Server) streamHealth() map[string]any {
 		"max_sessions":    cfg.MaxSessions,
 		"idle_timeout_ms": cfg.IdleTimeout.Seconds() * 1e3,
 		"max_inflight":    cfg.MaxInflight,
-		"policy":          cfg.Policy,
+		"policy":          PolicyReject,
 	}
 }
 
 // ConfigureStreams replaces the streaming tier's lifecycle knobs (bounded
-// sessions, idle eviction, per-session backpressure, tracker tuning).
+// sessions, idle eviction, per-session buffer bound).
 // Sessions already open keep the bounds they were opened with; new
 // sessions and the idle sweeper use the fresh config. Call any time before
 // Close; typically once at startup, from the -max-sessions/-session-idle/

@@ -174,53 +174,51 @@ func TestStreamSessionsIdentity(t *testing.T) {
 		wantDets[c], wantTracks[c] = streamOracle(t, net, seqs[c])
 	}
 
-	// Same coalescing recipe as the HTTP identity test: one held worker, and
-	// every client pipelining its whole sequence so frames from different
-	// sessions pile into shared batches.
+	// Every client pipelines its whole sequence, and coalesce holds each
+	// batch until every open session has a frame admitted. A session
+	// executes its frames one at a time, so it has at most one admitted and
+	// not yet executed.
 	srv := newServer(t, net, 1, serve.Config{MaxBatch: 8, QueueDepth: 64, Warm: true})
-	slowBatches(t)
 	srv.ConfigureStreams(serve.StreamConfig{MaxInflight: perSession})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var wg sync.WaitGroup
+	conns := make([]*ws.Conn, sessions)
+	for c := range conns {
+		conns[c] = dialStream(t, ts, fmt.Sprintf("?camera=cam%d", c))
+	}
 	errCh := make(chan error, sessions*perSession)
-	for c := 0; c < sessions; c++ {
-		conn := dialStream(t, ts, fmt.Sprintf("?camera=cam%d", c))
-		wg.Add(1)
-		go func(c int, conn *ws.Conn) {
-			defer wg.Done()
-			hello := readHello(t, conn)
-			if hello.Camera != fmt.Sprintf("cam%d", c) {
-				errCh <- fmt.Errorf("session %d: hello camera %q", c, hello.Camera)
+	coalesce(t, srv, sessions, func(c int) {
+		conn := conns[c]
+		hello := readHello(t, conn)
+		if hello.Camera != fmt.Sprintf("cam%d", c) {
+			errCh <- fmt.Errorf("session %d: hello camera %q", c, hello.Camera)
+			return
+		}
+		for r := 0; r < perSession; r++ {
+			sendFrame(t, conn, r+1, seqs[c][r], 0)
+		}
+		for r := 0; r < perSession; r++ {
+			msg := readMsg(t, conn)
+			if msg.Type != serve.MsgResult || msg.Seq != r+1 {
+				errCh <- fmt.Errorf("session %d frame %d: got type %q seq %d (err %q)", c, r+1, msg.Type, msg.Seq, msg.Error)
 				return
 			}
-			for r := 0; r < perSession; r++ {
-				sendFrame(t, conn, r+1, seqs[c][r], 0)
+			if msg.Frame != r+1 {
+				errCh <- fmt.Errorf("session %d: tracker frame %d after %d updates", c, msg.Frame, r+1)
+				return
 			}
-			for r := 0; r < perSession; r++ {
-				msg := readMsg(t, conn)
-				if msg.Type != serve.MsgResult || msg.Seq != r+1 {
-					errCh <- fmt.Errorf("session %d frame %d: got type %q seq %d (err %q)", c, r+1, msg.Type, msg.Seq, msg.Error)
-					return
-				}
-				if msg.Frame != r+1 {
-					errCh <- fmt.Errorf("session %d: tracker frame %d after %d updates", c, msg.Frame, r+1)
-					return
-				}
-				if got, want := mustJSON(t, msg.Detections), mustJSON(t, wantDets[c][r]); !bytes.Equal(got, want) {
-					errCh <- fmt.Errorf("session %d frame %d: detections differ from serial oracle\ngot:  %s\nwant: %s", c, r+1, got, want)
-					return
-				}
-				if got, want := mustJSON(t, msg.Tracks), mustJSON(t, wantTracks[c][r]); !bytes.Equal(got, want) {
-					errCh <- fmt.Errorf("session %d frame %d: tracks differ from serial oracle\ngot:  %s\nwant: %s", c, r+1, got, want)
-					return
-				}
+			if got, want := mustJSON(t, msg.Detections), mustJSON(t, wantDets[c][r]); !bytes.Equal(got, want) {
+				errCh <- fmt.Errorf("session %d frame %d: detections differ from serial oracle\ngot:  %s\nwant: %s", c, r+1, got, want)
+				return
 			}
-			closeSession(t, conn)
-		}(c, conn)
-	}
-	wg.Wait()
+			if got, want := mustJSON(t, msg.Tracks), mustJSON(t, wantTracks[c][r]); !bytes.Equal(got, want) {
+				errCh <- fmt.Errorf("session %d frame %d: tracks differ from serial oracle\ngot:  %s\nwant: %s", c, r+1, got, want)
+				return
+			}
+		}
+		closeSession(t, conn)
+	})
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
