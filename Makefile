@@ -27,8 +27,9 @@ ci: vet build race chaos invariants bench-smoke
 ## (the sets detect-ingest and routed-mixed hand it); the serve leg decodes
 ## the 96² JSON frames detect-ingest posts, through the fractions kernel, and
 ## the same frames through encoding/json, and the 256² quality-90 JPEG frame
-## detect-compute posts, through the JPEG fast path into a pooled frame and
-## through image.Decode + FromGoImage
+## detect-compute posts and the 128×96 PNG frame routed-mixed posts, each
+## through its fast path into a pooled frame and through image.Decode +
+## FromGoImage
 bench-smoke:
 	$(GO) test -run 'TestKernelDispatchInfo|TestSelectedKernel' -v -bench Gemm -benchtime 10x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'ConvForwardDroNet256|MaxPool2x2' -benchtime 10x ./internal/layers/
@@ -102,7 +103,9 @@ chaos:
 ## the generic one bit for bit on every kernel family (and the YCbCr row kernel ≡
 ## color.YCbCr.RGBA on all 2^24 triples), the baseline JPEG decoder ≡ image/jpeg +
 ## FromGoImage bit for bit on every kernel family (accepting only what image/jpeg
-## accepts) and the idct8x8 kernel ≡ image/jpeg's IDCT byte for byte, the bilinear resize ≡ its per-pixel loop bit for
+## accepts) and the idct8x8 kernel ≡ image/jpeg's IDCT byte for byte, the
+## PNG decoder ≡ image/png + FromGoImage bit for bit (accepting only what
+## image/png accepts), the bilinear resize ≡ its per-pixel loop bit for
 ## bit, the fused convolution ≡ im2col + GEMM + BN + bias + leaky and the int8
 ## convolution ≡ quantize + im2col + int8 GEMM + leaky, the compiled plan (each
 ## conv and its 2×2/2 pool one step, a batch in image groups) ≡ the
@@ -123,7 +126,7 @@ chaos:
 ## latency percentiles merge exactly (and sit within one 6.25 % bucket of
 ## the exact nearest-rank sample), and goroutine hygiene after Close
 invariants:
-	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestDecodeJPEGMatchesStdlib|TestIDCTKernelMatchesGo|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestFusedConvPoolMatchesLayers|TestQuantizeMatchesLayerByLayerCalibration|TestEpilogueRowMatchesGo|TestMicrokernelAsmMatchesGo|TestDirectKernelMatchesPacked|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneSharesParamsNotWorkspace|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestForwardIgnoresStaleSlabs|TestInt8ForwardIgnoresStaleSlabs|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
+	$(GO) test -race -shuffle=on -run 'TestDecodeFrameMatchesEncodingJSON|TestParsePixelMatchesStrconv|TestFractionsKernelMatchesSWAR|TestFromGoImageMatchesGeneric|TestYCbCrRowKernelExhaustive|TestDecodeJPEGMatchesStdlib|TestIDCTKernelMatchesGo|TestDecodePNGMatchesStdlib|TestResizeMatchesReference|TestConvInferMatchesIm2colReference|TestQConvMatchesIm2colReference|TestMaxPoolFastMatchesGeneric|TestFusedConvPoolMatchesLayers|TestQuantizeMatchesLayerByLayerCalibration|TestEpilogueRowMatchesGo|TestMicrokernelAsmMatchesGo|TestDirectKernelMatchesPacked|TestNMSMatchesReferenceOnSpecials|FuzzNMS|TestBatchGrowsOnlyWhileWorkersBusy|TestConcurrentClientsBatchedIdentical|TestInt8ServingBatchedIdentical|TestRoutedPerModelBatchedIdentical|TestStreamSessionsIdentity|TestExecuteBatchMatchesSerial|TestDetectBatchMatchesSerial|TestCloneSharesParamsNotWorkspace|TestCloneConcurrentDetectIdentical|TestInt8DetectBatchMatchesSerial|TestInt8CloneConcurrent|TestForwardIgnoresStaleSlabs|TestInt8ForwardIgnoresStaleSlabs|TestGemmAllKernelsMatchNaive|TestGemmPrepackedMatchesPacked|TestGemmPackedDeterministicAcrossWorkers|TestDeadlineStormNeverReachesKernel|TestRingMinimalRemap|TestProxyForwardBodyNeverReusedEarly|TestSwapUnderTraffic|TestMetricsWireGolden|TestHealthzFleetSums|TestStatsMergeLatencyExact|TestLatencyHistBoundedError|GoroutineHygiene' \
 	    ./internal/tensor/ ./internal/imgproc/ ./internal/layers/ ./internal/detect/ ./internal/network/ ./internal/quant/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
 
 ## fuzz: short bounded fuzz pass over the detect, kernel, quantization,
@@ -151,10 +154,15 @@ invariants:
 ## accept or reject and every field equal, pixels bit for bit —
 ## FuzzScanFractions the pixel fractions loop with each family's fractions
 ## kernel to the Go loop alone — the same count and end, pixels bit for bit —
-## FuzzDecodeRaw the /detect/raw PNG/JPEG decoder (the JPEG fast path
-## first) to no panic, accepted images within the 2048px side bound, pixels
-## equal to the generic conversion bit for bit and refusals only where the
-## standard library refuses, FuzzReadMessage the server-side WebSocket frame reader to no panic, an
+## FuzzDecodeFrameIntoMatchesFresh the /detect decode into a reused pooled
+## buffer to the decode into a fresh one, FuzzDecodeRaw the /detect/raw
+## PNG/JPEG decoder (the JPEG and PNG fast paths first) to no panic,
+## accepted images within the 2048px side bound, pixels equal to the
+## generic conversion bit for bit and refusals only where the standard
+## library refuses, FuzzInflateMatchesFlate the PNG decoder's inflate to
+## compress/flate — the same accept or refuse, bytes and stream end —
+## FuzzDecodePNGMatchesStdlib the PNG decoder on CRC-fixed mutated bodies
+## to image/png + FromGoImage, FuzzReadMessage the server-side WebSocket frame reader to no panic, an
 ## end, and no message over the size bound, FuzzHandshake both ends of the
 ## WebSocket handshake to no panic, a 101 from Accept exactly when the
 ## request is a valid upgrade, and a *HandshakeError with a body of at most
@@ -180,7 +188,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStreamFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzScanFractions -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrameIntoMatchesFresh -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzInflateMatchesFlate -fuzztime $(FUZZTIME) ./internal/imgproc
+	$(GO) test -run '^$$' -fuzz FuzzDecodePNGMatchesStdlib -fuzztime $(FUZZTIME) ./internal/imgproc
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime $(FUZZTIME) ./internal/ws
 	$(GO) test -run '^$$' -fuzz FuzzHandshake -fuzztime $(FUZZTIME) ./internal/ws
 	$(GO) test -run '^$$' -fuzz FuzzRingOwnership -fuzztime $(FUZZTIME) ./internal/cluster
@@ -191,7 +202,10 @@ fuzz:
 ## /detect/raw with two workers, the detect-compute shape, conv-bound) feeds
 ## cpu.pprof and heap.pprof; BenchmarkServeThroughput/json96 (96² JSON
 ## frames over /detect to the quarter-scale model `dronet-serve -scale 0.25
-## -size 96` builds, the detect-ingest shape) feeds cpu-json.pprof.
+## -size 96` builds, the detect-ingest shape) feeds cpu-json.pprof;
+## BenchmarkServeThroughput/png128x96 (a 128×96 PNG over /detect/raw to the
+## same quarter-scale model, resized to 96², the routed-mixed PNG shape)
+## feeds cpu-png.pprof.
 ## Inspect with `go tool pprof bin/pprof/cpu.pprof` (see README "Profiling").
 ## To attribute end-to-end time to layers rather than functions, reach for
 ## `bash bench/run.sh --workload <w> --trace 1` instead.
@@ -201,6 +215,8 @@ profile:
 	    -cpuprofile bin/pprof/cpu.pprof -memprofile bin/pprof/heap.pprof ./internal/serve/
 	$(GO) test -run '^$$' -bench 'ServeThroughput/json96' -benchtime 3s -o bin/pprof/serve.test \
 	    -cpuprofile bin/pprof/cpu-json.pprof ./internal/serve/
+	$(GO) test -run '^$$' -bench 'ServeThroughput/png128x96' -benchtime 3s -o bin/pprof/serve.test \
+	    -cpuprofile bin/pprof/cpu-png.pprof ./internal/serve/
 
 ## serve: run the detection service locally with the default knobs
 serve:

@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"image/jpeg"
+	"image/png"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/models"
 	"repro/internal/network"
+	"repro/internal/pipeline"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 )
@@ -26,7 +29,9 @@ import (
 // clients per CPU; raw256 posts a 256² JPEG to /detect/raw on the
 // paper-size 256² DroNet from two clients per CPU — detect-compute's shape,
 // where the forward pass, convolution above all, outweighs the request
-// path. Both run two workers. Mean micro-batch size is reported alongside
+// path; png128x96 posts a 128x96 PNG to /detect/raw on the quarter-scale
+// 96² DroNet from eight clients per CPU, resized to 96² on the way in — the
+// PNG shape routed-mixed posts. All run two workers. Mean micro-batch size is reported alongside
 // images/sec: it grows with parallelism, since a batch grows only while
 // every worker is busy.
 func BenchmarkServeThroughput(b *testing.B) {
@@ -41,6 +46,20 @@ func BenchmarkServeThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchServe(b, det.Net, "/detect", "application/json", body, 8)
+	})
+	b.Run("png128x96", func(b *testing.B) {
+		det, err := core.NewScaledDetector(models.DroNet, 96, 0.25, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := dataset.DefaultConfig(96)
+		cfg.Width = 128
+		f, _ := pipeline.NewSimCamera(cfg, 1, 77).Next()
+		var body bytes.Buffer
+		if err := png.Encode(&body, f.Image.ToNRGBA()); err != nil {
+			b.Fatal(err)
+		}
+		benchServe(b, det.Net, "/detect/raw", "image/png", body.Bytes(), 8)
 	})
 	b.Run("raw256", func(b *testing.B) {
 		net, _, err := models.Build(models.DroNet, 256, tensor.NewRNG(1))

@@ -51,14 +51,17 @@
 // from failure to status code, message and Retry-After hint — and encode
 // its outcome (HTTP status + JSON, or an in-band stream message). Both
 // HTTP detect endpoints read their body into a pooled buffer sized from
-// Content-Length. /detect/raw decodes into a pooled float frame, which
-// goes back to the pool once the answer is written (Server.detect always
-// receives a submitted request's response, so no worker holds the frame by
-// then): a baseline JPEG with imgproc.DecodeJPEG, straight from the bytes;
-// every other body, and every JPEG it declines, through image.Decode and
-// imgproc.FromGoImageInto, so the standard library decides each refusal
-// but two it would make too: the dimension check, and a JPEG scan too
-// short for its frame.
+// Content-Length, and decode it into a pooled float frame, which goes back
+// to the pool once the answer is written (Server.detect always receives a
+// submitted request's response, so no worker holds the frame by then).
+// /detect parses its pixel array into the frame's storage. /detect/raw
+// decodes a baseline JPEG with imgproc.DecodeJPEG and a non-interlaced
+// 8-bit gray, RGB or RGBA PNG with imgproc.DecodePNG, straight from the
+// bytes; every other body, and every one they decline, goes through
+// image.Decode and imgproc.FromGoImageInto, so the standard library
+// decides each refusal but two it would make too: the dimension check, and
+// a JPEG scan or PNG image data too short for its frame. /stream sessions
+// keep their own frames.
 //
 // Every request is admitted through its model's bounded queue
 // (Config.QueueDepth). When the queue is full the request is rejected

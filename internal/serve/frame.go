@@ -90,7 +90,15 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 // whatever fields were read before the refusal, so a stream answer can
 // still echo the seq. Geometry is the caller's to check (checkFrame).
 func decodeFrame(body []byte) (StreamFrame, error) {
-	var f StreamFrame
+	return decodeFrameInto(body, nil)
+}
+
+// decodeFrameInto is decodeFrame with the pixel array decoded into spare's
+// storage while it is large enough, with the same values: spare's old
+// contents never show through.
+func decodeFrameInto(body []byte, spare []float32) (StreamFrame, error) {
+	f := StreamFrame{Pixels: spare[:0]}
+	clean := 0 // pixel slots below this hold a value of this document
 	i := skipSpace(body, 0)
 	if i == len(body) {
 		return f, frameSyntaxError(body, i)
@@ -122,7 +130,7 @@ func decodeFrame(body []byte) (StreamFrame, error) {
 		case keyUnknown:
 			i, err = skipValue(body, i, 1)
 		case keyPixels:
-			i, err = f.scanPixels(body, i, haveWidth && haveHeight)
+			i, err = f.scanPixels(body, i, haveWidth && haveHeight, &clean)
 		case keyAltitude:
 			f.Altitude, i, err = scanFloat(body, i, f.Altitude)
 		case keyDeadline:
@@ -437,8 +445,10 @@ func skipValue(buf []byte, i, depth int) (int, error) {
 // encoding/json decodes a repeated key over the slice the previous one
 // left, and a null element leaves its slot as it was; both are kept, so a
 // second array sees the first one's values where it says null. A null for
-// the whole array drops the slice.
-func (f *StreamFrame) scanPixels(buf []byte, i int, dims bool) (int, error) {
+// the whole array drops the slice. Slots from *clean on have held no value
+// of this document — they may be a reused buffer's — so a null element
+// there stores the zero a fresh slice would hold.
+func (f *StreamFrame) scanPixels(buf []byte, i int, dims bool, clean *int) (int, error) {
 	if i < len(buf) && buf[i] == 'n' {
 		f.Pixels = nil
 		return scanLiteral(buf, i, "null")
@@ -493,6 +503,9 @@ func (f *StreamFrame) scanPixels(buf []byte, i int, dims bool) (int, error) {
 		case buf[i] == '-' || isDigit(buf[i]):
 			pix[n], i, err = parsePixel(buf, i)
 		case buf[i] == 'n':
+			if n >= *clean {
+				pix[n] = 0
+			}
 			i, err = scanLiteral(buf, i, "null")
 		default:
 			err = fmt.Errorf("element %d: want a number, got %q at offset %d", n, buf[i], i)
@@ -507,6 +520,7 @@ func (f *StreamFrame) scanPixels(buf []byte, i int, dims bool) (int, error) {
 		}
 		if i < len(buf) && buf[i] == ']' {
 			f.Pixels = pix[:n]
+			*clean = max(*clean, n)
 			return i + 1, nil
 		}
 		if i >= len(buf) || buf[i] != ',' {

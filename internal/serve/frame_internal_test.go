@@ -608,3 +608,40 @@ func BenchmarkDecodeFrameEncodingJSON(b *testing.B) {
 		}
 	})
 }
+
+// FuzzDecodeFrameIntoMatchesFresh holds decodeFrameInto, which /detect
+// runs on a pooled frame's storage, to decodeFrame on a fresh slice: the
+// same error or none, the same fields and the pixels bit for bit, whatever
+// the reused storage held — a null element past what the document has
+// written reads as the fresh slice's zero.
+func FuzzDecodeFrameIntoMatchesFresh(f *testing.F) {
+	for _, s := range frameSeeds {
+		f.Add([]byte(s), uint16(12))
+	}
+	f.Add([]byte(`{"width":1,"height":1,"pixels":[null,0.5,null]}`), uint16(3))
+	f.Add([]byte(`{"pixels":[0.25,null,0.5,0.75],"pixels":[null,null,null,null,null]}`), uint16(8))
+	f.Add([]byte(`{"pixels":[1,2],"pixels":null,"pixels":[null,3]}`), uint16(2))
+	f.Fuzz(func(t *testing.T, raw []byte, spareLen uint16) {
+		want, werr := decodeFrame(raw)
+		spare := make([]float32, spareLen)
+		for i := range spare {
+			spare[i] = float32(math.NaN())
+		}
+		got, gerr := decodeFrameInto(raw, spare)
+		if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+			t.Fatalf("%q: decodeFrameInto: %v, decodeFrame: %v", raw, gerr, werr)
+		}
+		if gerr != nil {
+			return
+		}
+		if got.Seq != want.Seq || got.Width != want.Width || got.Height != want.Height || got.DeadlineMs != want.DeadlineMs ||
+			math.Float64bits(got.Altitude) != math.Float64bits(want.Altitude) || len(got.Pixels) != len(want.Pixels) {
+			t.Fatalf("%q:\n  decodeFrameInto: %+v\n  decodeFrame:     %+v", raw, got, want)
+		}
+		for i := range want.Pixels {
+			if math.Float32bits(got.Pixels[i]) != math.Float32bits(want.Pixels[i]) {
+				t.Fatalf("%q: pixel %d = %v, decodeFrame has %v", raw, i, got.Pixels[i], want.Pixels[i])
+			}
+		}
+	})
+}

@@ -300,26 +300,29 @@ func (s *Server) handleDetectJSON(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	req, err := readFrame(w, r)
+	req, img, err := readFrame(w, r)
 	if err != nil {
+		putFrame(img)
 		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	// A deadline_ms in the body is a stream-frame field: /detect takes its
 	// budget from the header or query, as stamped above.
 	if err := checkFrame(req.Width, req.Height, len(req.Pixels), 0); err != nil {
+		putFrame(img)
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// req.Pixels is a private, just-decoded slice of exactly 3*W*H floats in
-	// the Image's own planar layout — adopt it rather than copying ~50MB at
-	// max dimensions on the hot path.
-	img := &imgproc.Image{W: req.Width, H: req.Height, Pix: req.Pixels}
+	// req.Pixels is exactly 3*W*H floats in the Image's own planar layout,
+	// decoded into the pooled frame's storage — adopt it rather than copying.
+	img.W, img.H, img.Pix = req.Width, req.Height, req.Pixels
 	s.respond(w, r.Context(), routeSel{explicit: name, altitude: req.Altitude}, img, deadline)
+	// As on /detect/raw, no worker holds the frame once respond returns.
+	putFrame(img)
 }
 
 // maxPooledBody caps the body buffers bodyPool keeps: a 96x96 frame is
-// 280kB of JSON and a 320x320 one 3MB, while a buffer grown for a rare
+// 299kB of JSON and a 320x320 one 3MB, while a buffer grown for a rare
 // 64MB upload would sit in the pool as resident memory nobody needs again.
 // It caps the float frames framePool keeps the same way.
 const maxPooledBody = 4 << 20
@@ -351,15 +354,25 @@ func putBody(buf *bytes.Buffer) {
 	}
 }
 
-// readFrame reads and decodes a /detect body.
-func readFrame(w http.ResponseWriter, r *http.Request) (StreamFrame, error) {
+// readFrame reads and decodes a /detect body, its pixels into the storage
+// of a frame from framePool. The frame is returned whatever the outcome,
+// holding the larger of its own storage and the one the decode grew, for
+// the caller to hand back with putFrame.
+func readFrame(w http.ResponseWriter, r *http.Request) (StreamFrame, *imgproc.Image, error) {
 	buf, err := readBody(w, r)
+	m, _ := framePool.Get().(*imgproc.Image)
+	if m == nil {
+		m = new(imgproc.Image)
+	}
 	var f StreamFrame
 	if err == nil {
-		f, err = decodeFrame(buf.Bytes())
+		f, err = decodeFrameInto(buf.Bytes(), m.Pix[:cap(m.Pix)])
+		if cap(f.Pixels) > cap(m.Pix) {
+			m.Pix = f.Pixels[:0]
+		}
 	}
 	putBody(buf)
-	return f, err
+	return f, m, err
 }
 
 // handleDetectRaw serves POST /detect/raw: the body is a PNG or JPEG image,
@@ -404,10 +417,11 @@ func (s *Server) handleDetectRaw(w http.ResponseWriter, r *http.Request) {
 	putFrame(img)
 }
 
-// framePool recycles the float frames /detect/raw decodes into: at 256x256
-// one is 786kB, which would otherwise be allocated, cleared and collected
-// per request. Every frame decodeRaw returns comes from getFrame, so the
-// pool holds no more frames than were in flight at once.
+// framePool recycles the float frames /detect/raw and /detect decode into:
+// at 256x256 one is 786kB, which would otherwise be allocated, cleared and
+// collected per request. Every frame decodeRaw and readFrame return comes
+// from the pool or is new, so the pool holds no more frames than were in
+// flight at once.
 var framePool sync.Pool
 
 // getFrame returns a w×h float frame with unspecified samples.
@@ -430,28 +444,39 @@ func putFrame(m *imgproc.Image) {
 // decodeRaw turns a /detect/raw body (PNG or JPEG) into a pooled float
 // frame. The declared geometry is checked before any pixel is decoded, so a
 // small body cannot expand into a gigapixel allocation (PNG bombs compress
-// well). A JPEG goes to imgproc.DecodeJPEG first, which writes straight
-// into the frame; whatever it declines — anything outside baseline, and
-// every body image/jpeg refuses — takes image.Decode and FromGoImageInto,
-// so the standard library decides every refusal but two it would make too:
-// the dimension check, and a JPEG scan too short for its frame.
+// well). A JPEG goes to imgproc.DecodeJPEG first and a PNG to
+// imgproc.DecodePNG, which write straight into the frame; whatever they
+// decline — anything outside their scope, and every body the standard
+// library refuses — takes image.Decode and FromGoImageInto, so the standard
+// library decides every refusal but two it would make too: the dimension
+// check, and image data too short for its frame.
 func decodeRaw(body []byte) (*imgproc.Image, error) {
-	if bytes.HasPrefix(body, []byte("\xff\xd8")) {
-		var frame *imgproc.Image
-		img, err := imgproc.DecodeJPEG(body, func(w, h int) (*imgproc.Image, error) {
-			if err := checkDims(w, h); err != nil {
-				return nil, err
-			}
-			frame = getFrame(w, h)
-			return frame, nil
-		})
+	var frame *imgproc.Image
+	newFrame := func(w, h int) (*imgproc.Image, error) {
+		if err := checkDims(w, h); err != nil {
+			return nil, err
+		}
+		frame = getFrame(w, h)
+		return frame, nil
+	}
+	var img *imgproc.Image
+	var err, declined error
+	switch {
+	case bytes.HasPrefix(body, []byte("\xff\xd8")):
+		img, err = imgproc.DecodeJPEG(body, newFrame)
+		declined = imgproc.ErrJPEGDeclined
+	case bytes.HasPrefix(body, []byte("\x89PNG\r\n\x1a\n")):
+		img, err = imgproc.DecodePNG(body, newFrame)
+		declined = imgproc.ErrPNGDeclined
+	}
+	if declined != nil {
 		if err == nil {
 			return img, nil
 		}
 		if frame != nil {
 			putFrame(frame)
 		}
-		if !errors.Is(err, imgproc.ErrJPEGDeclined) {
+		if !errors.Is(err, declined) {
 			return nil, err
 		}
 	}
