@@ -278,9 +278,6 @@ func (d *pngDecoder) decode(data []byte, newImage func(w, h int) (*Image, error)
 // unfiltered row above it; false means ft is not a PNG filter type.
 func unfilter(ft byte, cur, prev []byte, bpp int) bool {
 	prev = prev[:len(cur)]
-	if bpp == 3 && ft != 2 {
-		return unfilterRGB(ft, cur, prev)
-	}
 	switch ft {
 	case 0:
 	case 1: // Sub
@@ -309,37 +306,6 @@ func unfilter(ft byte, cur, prev []byte, bpp int) bool {
 		return false
 	}
 	return true
-}
-
-// unfilterRGB is unfilter for three bytes a pixel and the filters that
-// read the left neighbour: the three channels' chains run interleaved,
-// each carried in a register rather than reloaded from the byte just
-// stored. The pixel left of the first, and the one above it, read as zero.
-func unfilterRGB(ft byte, cur, prev []byte) bool {
-	var a0, a1, a2, c0, c1, c2 int
-	for i := 0; i+2 < len(cur); i += 3 {
-		b0, b1, b2 := int(prev[i]), int(prev[i+1]), int(prev[i+2])
-		switch ft {
-		case 0:
-			return true
-		case 1:
-			a0, a1, a2 = a0+int(cur[i]), a1+int(cur[i+1]), a2+int(cur[i+2])
-		case 3:
-			a0 = (a0+b0)>>1 + int(cur[i])
-			a1 = (a1+b1)>>1 + int(cur[i+1])
-			a2 = (a2+b2)>>1 + int(cur[i+2])
-		case 4:
-			a0 = paeth(a0, b0, c0) + int(cur[i])
-			a1 = paeth(a1, b1, c1) + int(cur[i+1])
-			a2 = paeth(a2, b2, c2) + int(cur[i+2])
-		default:
-			return false
-		}
-		a0, a1, a2 = a0&0xff, a1&0xff, a2&0xff
-		cur[i], cur[i+1], cur[i+2] = byte(a0), byte(a1), byte(a2)
-		c0, c1, c2 = b0, b1, b2
-	}
-	return ft <= 4
 }
 
 // paeth is the Paeth predictor of a byte from its left (a), upper (b)
